@@ -29,7 +29,7 @@ check:
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
-	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy' ./internal/netem/ ./internal/core/ ./internal/slp/
+	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|GossipRotation' ./internal/netem/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
 	$(GO) test -race ./internal/rtp/
@@ -103,6 +103,16 @@ fuzz:
 	$(GO) test ./internal/slp/ -run XXX -fuzz FuzzParsePayload$$ -fuzztime 15s
 	$(GO) test ./internal/routing/ -run XXX -fuzz FuzzParseEnvelope$$ -fuzztime 15s
 	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalDatagram$$ -fuzztime 15s
+	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalUDPFrame$$ -fuzztime 10s
+	$(GO) test ./internal/overlay/ -run XXX -fuzz FuzzOverlayMessage$$ -fuzztime 10s
+	$(GO) test ./internal/routing/aodv/ -run XXX -fuzz FuzzParseRREQ$$ -fuzztime 10s
+	$(GO) test ./internal/routing/aodv/ -run XXX -fuzz FuzzParseRREP$$ -fuzztime 10s
+	$(GO) test ./internal/routing/aodv/ -run XXX -fuzz FuzzParseRERR$$ -fuzztime 10s
+	$(GO) test ./internal/routing/olsr/ -run XXX -fuzz FuzzParseHello$$ -fuzztime 10s
+	$(GO) test ./internal/routing/olsr/ -run XXX -fuzz FuzzParseTC$$ -fuzztime 10s
+	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParseURI$$ -fuzztime 10s
+	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParseNameAddr$$ -fuzztime 10s
+	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzDigest$$ -fuzztime 10s
 
 # Regenerate every figure/claim of the paper (see EXPERIMENTS.md).
 experiments:

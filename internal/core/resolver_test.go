@@ -3,11 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/overlay"
+	"siphoc/internal/routing"
 	"siphoc/internal/sip"
 	"siphoc/internal/slp"
 )
@@ -308,5 +311,94 @@ func TestResolverChainCachedLookupAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("resolver chain cached lookup allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// resolveOnFake walks the chain on its own goroutine. With wait > 0 the walk
+// is expected to block in an SLP network query: the fake clock is advanced by
+// wait once that query has armed its deadline. With wait == 0 the walk must
+// finish without the clock moving at all.
+func resolveOnFake(t *testing.T, chain ResolverChain, fc *clock.Fake, q ResolveQuery, wait time.Duration) (sip.Addr, string, bool) {
+	t.Helper()
+	type answer struct {
+		addr sip.Addr
+		kind string
+		ok   bool
+	}
+	before := fc.Now()
+	done := make(chan answer, 1)
+	go func() {
+		addr, kind, ok := chain.Resolve(q)
+		done <- answer{addr, kind, ok}
+	}()
+	if wait > 0 {
+		for deadline := time.Now().Add(5 * time.Second); fc.PendingTimers() == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("resolve %s never queried the MANET", q.AOR)
+			}
+		}
+		fc.Advance(wait)
+	}
+	select {
+	case a := <-done:
+		if got := fc.Now().Sub(before); got != wait {
+			t.Fatalf("resolve %s took %v of virtual time, want %v", q.AOR, got, wait)
+		}
+		return a.addr, a.kind, a.ok
+	case <-time.After(5 * time.Second):
+		t.Fatalf("resolve %s still blocked after %v of virtual time", q.AOR, wait)
+		return sip.Addr{}, "", false
+	}
+}
+
+// TestResolverChainRemembersSLPMiss drives the paper's attached-node policy
+// (MANET SLP first, provider second) over a real SLP agent on a fake clock:
+// only the first call to an Internet AOR waits out the attached SLP timeout,
+// a detached lookup is never cut short by that shorter miss, and a MANET user
+// whose advert arrives after the miss is called directly from then on.
+func TestResolverChainRemembersSLPMiss(t *testing.T) {
+	net := netem.NewNetwork(netem.Config{})
+	defer net.Close()
+	h, err := net.AddHost("10.0.0.1", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := clock.NewFake(time.Unix(1_000_000, 0))
+	agent := slp.NewAgent(h, slp.Config{Clock: fc})
+	const attached, detached = 500 * time.Millisecond, 2 * time.Second
+	chain := ResolverChain{
+		NewSLPResolver(agent, SLPResolverConfig{Timeout: detached, TimeoutAttached: attached}),
+		NewDNSResolver(func(domain string) sip.Addr {
+			return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
+		}),
+	}
+	const aor = "carol@voicehoc.ch"
+
+	if _, kind, ok := resolveOnFake(t, chain, fc, query(aor, true), attached); !ok || kind != "internet" {
+		t.Fatalf("first call = %q %v, want the provider after the SLP timeout", kind, ok)
+	}
+	for i := 0; i < 3; i++ {
+		if _, kind, ok := resolveOnFake(t, chain, fc, query(aor, true), 0); !ok || kind != "internet" {
+			t.Fatalf("repeat call %d = %q %v, want the provider at once", i, kind, ok)
+		}
+	}
+	if s := agent.Stats(); s.Lookups != 4 || s.NegativeHits != 3 || s.CacheHits != 0 {
+		t.Fatalf("slp stats = %+v, want 4 lookups of which 3 remembered misses", s)
+	}
+
+	// Detached, the same AOR gets its full epidemic query.
+	if _, _, ok := resolveOnFake(t, chain, fc, query(aor, false), detached); ok {
+		t.Fatal("detached node resolved an AOR nobody advertises")
+	}
+
+	// carol registers in the MANET; her advert rides in on a routing message.
+	adv := &slp.Payload{Adverts: []slp.Advert{{
+		Type: SIPServiceType, Key: aor, URL: slp.ServiceURL(SIPServiceType, "10.0.0.7:5060"),
+		Origin: "10.0.0.7", Seq: 1, TTLSec: 30,
+	}}}
+	agent.Incoming(routing.Incoming{From: "10.0.0.2", Ext: adv.Marshal()})
+	addr, kind, ok := resolveOnFake(t, chain, fc, query(aor, true), 0)
+	if !ok || kind != "slp" || addr.Node != "10.0.0.7" {
+		t.Fatalf("call after late registration = %v %q %v, want 10.0.0.7 via slp", addr, kind, ok)
 	}
 }

@@ -104,6 +104,7 @@ type AgentStats struct {
 	QueriesRelayed  int64 // foreign queries added to the relay set
 	Lookups         int64
 	CacheHits       int64
+	NegativeHits    int64 // lookups answered ErrNotFound from a remembered miss
 	FloodsSent      int64 // multicast-mode SrvRqst broadcasts
 }
 
@@ -112,25 +113,32 @@ type qkey struct {
 	id     uint32
 }
 
+// pendingQuery is the one in-flight query all concurrent lookups of a
+// (type, key) share; the last lookup to leave removes it.
+type pendingQuery struct {
+	q    Query
+	refs int
+}
+
 type relayEntry struct {
 	q       Query
 	expires time.Time
 }
 
-// deadlineItem orders map keys by expiry so seenQ/relayQ can be pruned
-// lazily in deadline order instead of full map sweeps.
-type deadlineItem struct {
-	k  qkey
+// deadlineItem orders map keys by expiry so seenQ/relayQ and the miss set
+// can be pruned lazily in deadline order instead of full map sweeps.
+type deadlineItem[K comparable] struct {
+	k  K
 	at time.Time
 }
 
-type deadlineHeap []deadlineItem
+type deadlineHeap[K comparable] []deadlineItem[K]
 
-func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineItem)) }
-func (h *deadlineHeap) Pop() any {
+func (h deadlineHeap[K]) Len() int           { return len(h) }
+func (h deadlineHeap[K]) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h deadlineHeap[K]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *deadlineHeap[K]) Push(x any)        { *h = append(*h, x.(deadlineItem[K])) }
+func (h *deadlineHeap[K]) Pop() any {
 	old := *h
 	n := len(old)
 	it := old[n-1]
@@ -146,6 +154,7 @@ type agentCounters struct {
 	queriesRelayed  atomic.Int64
 	lookups         atomic.Int64
 	cacheHits       atomic.Int64
+	negativeHits    atomic.Int64
 	floodsSent      atomic.Int64
 }
 
@@ -177,17 +186,18 @@ type Agent struct {
 	// contends here without touching registrations or lifecycle calls.
 	qmu      sync.Mutex
 	qid      uint32
-	pendingQ map[cacheKey]Query
+	pendingQ map[cacheKey]*pendingQuery
 	relayQ   map[qkey]relayEntry
 	seenQ    map[qkey]time.Time // value: deadline after which the key may be pruned
-	seenH    deadlineHeap
-	relayH   deadlineHeap
+	seenH    deadlineHeap[qkey]
+	relayH   deadlineHeap[qkey]
 
 	// pb* is the piggyback encoding scratch reused across Outgoing calls
 	// (serialized by pbMu): staging payload, gossip snapshot and writer.
 	pbMu      sync.Mutex
 	pbPayload Payload
 	pbGossip  []Service
+	pbNext    int // gossip snapshot index the next Outgoing starts from
 	pbW       *wire.Writer
 
 	stats agentCounters
@@ -200,6 +210,7 @@ type Agent struct {
 	obsLookups   *obs.Counter
 	obsCacheHits *obs.Counter
 	obsMisses    *obs.Counter
+	obsNegHits   *obs.Counter
 	obsDelay     *obs.Histogram
 }
 
@@ -215,7 +226,7 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		clk:      cfg.Clock,
 		cache:    newCache(),
 		local:    make(map[cacheKey]Service),
-		pendingQ: make(map[cacheKey]Query),
+		pendingQ: make(map[cacheKey]*pendingQuery),
 		relayQ:   make(map[qkey]relayEntry),
 		seenQ:    make(map[qkey]time.Time),
 		pbW:      wire.NewWriter(256),
@@ -225,6 +236,7 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		a.obsLookups = cfg.Obs.Counter("slp.lookups")
 		a.obsCacheHits = cfg.Obs.Counter("slp.lookups.cachehits")
 		a.obsMisses = cfg.Obs.Counter("slp.lookups.notfound")
+		a.obsNegHits = cfg.Obs.Counter("slp.lookups.negcache")
 		a.obsDelay = cfg.Obs.Histogram("slp.lookup.delay", nil)
 	}
 	return a
@@ -316,6 +328,7 @@ func (a *Agent) Stats() AgentStats {
 		QueriesRelayed:  a.stats.queriesRelayed.Load(),
 		Lookups:         a.stats.lookups.Load(),
 		CacheHits:       a.stats.cacheHits.Load(),
+		NegativeHits:    a.stats.negativeHits.Load(),
 		FloodsSent:      a.stats.floodsSent.Load(),
 	}
 }
@@ -329,7 +342,7 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 	// relaying through a distant node is not re-processed here.
 	deadline := now.Add(4 * a.cfg.QueryRelayTTL)
 	for len(a.seenH) > 0 && !now.Before(a.seenH[0].at) {
-		top := heap.Pop(&a.seenH).(deadlineItem)
+		top := heap.Pop(&a.seenH).(deadlineItem[qkey])
 		// A key can appear twice in the heap after cap-eviction and
 		// re-admission; only drop it if the live deadline really passed.
 		if at, ok := a.seenQ[top.k]; ok && !now.Before(at) {
@@ -337,18 +350,18 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 		}
 	}
 	for len(a.seenQ) >= seenQHardCap && len(a.seenH) > 0 {
-		top := heap.Pop(&a.seenH).(deadlineItem)
+		top := heap.Pop(&a.seenH).(deadlineItem[qkey])
 		delete(a.seenQ, top.k)
 	}
 	a.seenQ[k] = deadline
-	heap.Push(&a.seenH, deadlineItem{k: k, at: deadline})
+	heap.Push(&a.seenH, deadlineItem[qkey]{k: k, at: deadline})
 }
 
 // pruneRelayLocked drops relay entries whose TTL passed, in deadline order.
 // Caller holds qmu.
 func (a *Agent) pruneRelayLocked(now time.Time) {
 	for len(a.relayH) > 0 && !now.Before(a.relayH[0].at) {
-		top := heap.Pop(&a.relayH).(deadlineItem)
+		top := heap.Pop(&a.relayH).(deadlineItem[qkey])
 		if re, ok := a.relayQ[top.k]; ok && !now.Before(re.expires) {
 			delete(a.relayQ, top.k)
 		}
@@ -418,7 +431,11 @@ func (a *Agent) LookupCached(stype, key string) (Service, bool) {
 
 // Lookup resolves a service, waiting up to timeout for the network to
 // answer. In piggyback mode the query rides outgoing routing messages; in
-// multicast mode it floods dedicated service frames.
+// multicast mode it floods dedicated service frames. Concurrent lookups of
+// one (type, key) share one query; an exact-key query that times out is
+// remembered for one refresh interval, during which lookups willing to wait
+// no longer than it did fail at once (the cache is still consulted first, so
+// an advert that arrives in the meantime resolves immediately).
 func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error) {
 	a.stats.lookups.Add(1)
 	a.obsLookups.Inc()
@@ -429,27 +446,41 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
 		return svc, nil
 	}
+	ck := cacheKey{stype, key}
+	if a.cache.missed(ck, timeout, lookupStart) {
+		a.stats.negativeHits.Add(1)
+		a.obsNegHits.Inc()
+		a.obsMisses.Inc()
+		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
+		return Service{}, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
+	}
 	ch, cancel := a.cache.wait(stype, key)
 	defer cancel()
 
 	a.qmu.Lock()
-	a.qid++
-	q := Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}
-	a.markSeenLocked(qkey{q.Origin, q.ID}, lookupStart)
-	ck := cacheKey{stype, key}
-	if a.cfg.Mode == ModePiggyback {
-		a.pendingQ[ck] = q
+	pq := a.pendingQ[ck]
+	if pq == nil {
+		a.qid++
+		pq = &pendingQuery{q: Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}}
+		a.markSeenLocked(qkey{pq.q.Origin, pq.q.ID}, lookupStart)
+		a.pendingQ[ck] = pq
 	}
+	pq.refs++
+	q, first := pq.q, pq.refs == 1
 	a.qmu.Unlock()
 	defer func() {
 		a.qmu.Lock()
-		delete(a.pendingQ, ck)
+		if pq.refs--; pq.refs == 0 {
+			delete(a.pendingQ, ck)
+		}
 		a.qmu.Unlock()
 	}()
 
 	var refloodC <-chan time.Time
 	if a.cfg.Mode == ModeMulticast {
-		a.floodQuery(q)
+		if first {
+			a.floodQuery(q)
+		}
 		// Retry the flood a couple of times within the timeout, like an
 		// SLP UA reissuing SrvRqst.
 		t := a.clk.NewTimer(timeout / 3)
@@ -475,6 +506,9 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 			refloodC = t.C()
 		case <-deadline.C():
 			a.obsMisses.Inc()
+			if key != "" {
+				a.cache.noteMiss(ck, timeout, a.clk.Now(), a.refreshInterval())
+			}
 			return Service{}, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
 		case <-a.stop:
 			return Service{}, fmt.Errorf("lookup %s/%s: agent stopped: %w", stype, key, ErrNotFound)
@@ -543,9 +577,9 @@ func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
 	p.Adverts = p.Adverts[:0]
 
 	a.qmu.Lock()
-	for _, q := range a.pendingQ {
-		if s := sizeOfQuery(&q); s <= budget {
-			p.Queries = append(p.Queries, q)
+	for _, pq := range a.pendingQ {
+		if s := sizeOfQuery(&pq.q); s <= budget {
+			p.Queries = append(p.Queries, pq.q)
 			budget -= s
 		}
 	}
@@ -568,11 +602,14 @@ func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
 	}
 	a.mu.Unlock()
 
-	// Gossip learned entries so information spreads beyond one hop.
+	// Gossip learned entries so information spreads beyond one hop. When the
+	// budget runs out, the next call resumes at the entry that did not fit, so
+	// a cache larger than one message still gets every entry on the air.
 	self := a.host.ID()
 	a.pbGossip = a.cache.snapshotInto(a.pbGossip[:0], "", now)
-	for i := range a.pbGossip {
-		svc := &a.pbGossip[i]
+	for i, n := 0, len(a.pbGossip); i < n; i++ {
+		at := (a.pbNext + i) % n
+		svc := &a.pbGossip[at]
 		if svc.Origin == self {
 			continue
 		}
@@ -586,6 +623,7 @@ func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
 		}
 		s := sizeOfAdvert(&adv)
 		if s > budget {
+			a.pbNext = at
 			break
 		}
 		p.Adverts = append(p.Adverts, adv)
@@ -683,7 +721,7 @@ func (a *Agent) handleQuery(q Query) {
 	exp := now.Add(a.cfg.QueryRelayTTL)
 	a.qmu.Lock()
 	a.relayQ[k] = relayEntry{q: q, expires: exp}
-	heap.Push(&a.relayH, deadlineItem{k: k, at: exp})
+	heap.Push(&a.relayH, deadlineItem[qkey]{k: k, at: exp})
 	a.qmu.Unlock()
 }
 

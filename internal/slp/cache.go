@@ -1,6 +1,7 @@
 package slp
 
 import (
+	"container/heap"
 	"sort"
 	"sync"
 	"time"
@@ -21,12 +22,29 @@ type cache struct {
 	entries map[cacheKey]Service
 	// waiters are lookup calls blocked until a matching entry appears.
 	waiters map[cacheKey][]chan Service
+	// misses remembers exact-key network queries that timed out, so the
+	// next lookup of the key need not wait the same timeout out again.
+	// Bounded and pruned in deadline order through missH, like seenQ.
+	misses map[cacheKey]miss
+	missH  deadlineHeap[cacheKey]
 }
+
+// miss is a remembered negative answer: a network query that waited this
+// long and heard nothing, trusted until the deadline.
+type miss struct {
+	waited time.Duration
+	until  time.Time
+}
+
+// missHardCap bounds the miss set; beyond it the entries closest to expiry
+// are dropped (a forgotten miss only costs one more blocking query).
+const missHardCap = 1024
 
 func newCache() *cache {
 	return &cache{
 		entries: make(map[cacheKey]Service),
 		waiters: make(map[cacheKey][]chan Service),
+		misses:  make(map[cacheKey]miss),
 	}
 }
 
@@ -42,6 +60,8 @@ func (c *cache) upsert(svc Service) bool {
 		return false
 	}
 	c.entries[k] = svc
+	// An advert is fresher evidence than any remembered miss.
+	delete(c.misses, k)
 	waiters := c.waiters[k]
 	delete(c.waiters, k)
 	if svc.Key != "" {
@@ -107,6 +127,39 @@ func (c *cache) wait(stype, key string) (ch chan Service, cancel func()) {
 			}
 		}
 	}
+}
+
+// missed reports whether a fresh remembered miss answers a lookup willing to
+// wait timeout. A miss never answers a lookup that would wait longer than the
+// query that produced it.
+func (c *cache) missed(k cacheKey, timeout time.Duration, now time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m, ok := c.misses[k]
+	return ok && timeout <= m.waited && now.Before(m.until)
+}
+
+// noteMiss remembers for life that a query for k waited `waited` in vain,
+// unless a fresh miss of at least that wait is already on record.
+func (c *cache) noteMiss(k cacheKey, waited time.Duration, now time.Time, life time.Duration) {
+	until := now.Add(life)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.missH) > 0 && (len(c.missH) >= missHardCap || !now.Before(c.missH[0].at)) {
+		top := heap.Pop(&c.missH).(deadlineItem[cacheKey])
+		// A key re-noted since has a later heap entry that still covers it.
+		if m, ok := c.misses[top.k]; ok && !m.until.After(top.at) {
+			delete(c.misses, top.k)
+		}
+	}
+	if _, ok := c.entries[k]; ok {
+		return // the advert beat the deadline
+	}
+	if m, ok := c.misses[k]; ok && m.waited >= waited && now.Before(m.until) {
+		return
+	}
+	c.misses[k] = miss{waited: waited, until: until}
+	heap.Push(&c.missH, deadlineItem[cacheKey]{k: k, at: until})
 }
 
 func (c *cache) remove(stype, key string) {
