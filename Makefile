@@ -29,7 +29,7 @@ check:
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
-	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|GossipRotation' ./internal/netem/ ./internal/core/ ./internal/slp/
+	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs' ./internal/netem/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
 	$(GO) test -race ./internal/rtp/
@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParse$$ -fuzztime 30s
 	$(GO) test ./internal/sdp/ -run XXX -fuzz FuzzParse$$ -fuzztime 15s
 	$(GO) test ./internal/slp/ -run XXX -fuzz FuzzParsePayload$$ -fuzztime 15s
+	$(GO) test ./internal/slp/ -run XXX -fuzz FuzzIncomingMatchesParse$$ -fuzztime 15s
 	$(GO) test ./internal/routing/ -run XXX -fuzz FuzzParseEnvelope$$ -fuzztime 15s
 	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalDatagram$$ -fuzztime 15s
 	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalUDPFrame$$ -fuzztime 10s

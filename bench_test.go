@@ -259,7 +259,7 @@ func BenchmarkSLPPayloadCodec(b *testing.B) {
 	p := &slp.Payload{
 		Adverts: []slp.Advert{{
 			Type: "sip", Key: "alice@voicehoc.ch",
-			URL: "service:sip://10.0.0.1:5060", Origin: "10.0.0.1", Seq: 7, TTLSec: 30,
+			URL: "service:sip://10.0.0.1:5060", Origin: "10.0.0.1", Seq: 7, TTL: 30 * time.Second,
 		}},
 		Queries: []slp.Query{{Type: "sip", Key: "bob@voicehoc.ch", Origin: "10.0.0.2", ID: 3, Hops: 8}},
 	}

@@ -394,7 +394,7 @@ func TestResolverChainRemembersSLPMiss(t *testing.T) {
 	// carol registers in the MANET; her advert rides in on a routing message.
 	adv := &slp.Payload{Adverts: []slp.Advert{{
 		Type: SIPServiceType, Key: aor, URL: slp.ServiceURL(SIPServiceType, "10.0.0.7:5060"),
-		Origin: "10.0.0.7", Seq: 1, TTLSec: 30,
+		Origin: "10.0.0.7", Seq: 1, TTL: 30 * time.Second,
 	}}}
 	agent.Incoming(routing.Incoming{From: "10.0.0.2", Ext: adv.Marshal()})
 	addr, kind, ok := resolveOnFake(t, chain, fc, query(aor, true), 0)

@@ -110,9 +110,12 @@ func E3(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "  Piggybacked MANET SLP extension (%d bytes)\n", len(c.env.Ext))
+	if d := payload.Digest; d != nil {
+		fmt.Fprintf(w, "    table digest: %d entries, hash %016x\n", d.Count, d.Hash)
+	}
 	for _, adv := range payload.Adverts {
-		fmt.Fprintf(w, "    service advert: %s/%s -> %s (origin %s, seq %d, ttl %ds)\n",
-			adv.Type, adv.Key, adv.URL, adv.Origin, adv.Seq, adv.TTLSec)
+		fmt.Fprintf(w, "    service advert: %s/%s -> %s (origin %s, seq %d, ttl %v)\n",
+			adv.Type, adv.Key, adv.URL, adv.Origin, adv.Seq, adv.TTL)
 	}
 	for _, q := range payload.Queries {
 		fmt.Fprintf(w, "    query: %s/%s from %s (id %d, hops %d)\n", q.Type, q.Key, q.Origin, q.ID, q.Hops)

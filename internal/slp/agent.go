@@ -10,16 +10,22 @@
 //   - ModePiggyback (the paper's design): adverts and queries ride the
 //     extension slot of AODV/OLSR control messages and spread epidemically;
 //     answers are returned as unicast datagrams to the querying node. No
-//     dedicated discovery frames ever hit the air.
+//     dedicated discovery frames ever hit the air. Every extension leads
+//     with a fixed-size digest of the sender's table and carries only the
+//     registrations that changed; neighbours whose digests differ resend
+//     their tables, at most once a second (DESIGN.md §5).
 //   - ModeMulticast (the standard-SLP baseline): each lookup floods a
 //     SrvRqst through the network as dedicated service frames, as original
 //     SLP would over multicast.
 package slp
 
 import (
+	"bytes"
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,11 +199,10 @@ type Agent struct {
 	relayH   deadlineHeap[qkey]
 
 	// pb* is the piggyback encoding scratch reused across Outgoing calls
-	// (serialized by pbMu): staging payload, gossip snapshot and writer.
+	// (serialized by pbMu): staging payload, its digest and the writer.
 	pbMu      sync.Mutex
 	pbPayload Payload
-	pbGossip  []Service
-	pbNext    int // gossip snapshot index the next Outgoing starts from
+	pbDigest  Digest
 	pbW       *wire.Writer
 
 	stats agentCounters
@@ -282,13 +287,7 @@ func (a *Agent) Start() error {
 		return err
 	}
 	if a.cfg.Sched != nil {
-		conn.Handle(func(dg *netem.Datagram) {
-			p, err := ParsePayload(dg.Data)
-			if err != nil {
-				return
-			}
-			a.handlePayload(p)
-		})
+		conn.Handle(func(dg *netem.Datagram) { a.receive(dg.Data) })
 		task := a.cfg.Sched.Every(string(a.host.ID()), a.refreshInterval(), func(time.Time) { a.refreshTick() })
 		a.mu.Lock()
 		a.tasks = append(a.tasks, task)
@@ -369,15 +368,20 @@ func (a *Agent) pruneRelayLocked(now time.Time) {
 }
 
 // Register publishes a service from this node. Type, Key and URL are
-// required; Origin and Seq are stamped by the agent.
+// required; Origin and Seq are stamped by the agent. While a node with a
+// greater ID has the same (type, key) registered, that registration is the
+// one every table keeps, this node's included (see cache).
 func (a *Agent) Register(svc Service) error {
 	if svc.Type == "" || svc.URL == "" {
 		return fmt.Errorf("slp: registration needs Type and URL")
 	}
 	now := a.clk.Now()
+	svc.Origin = a.host.ID()
+	if adv := advertOf(&svc, now); sizeOfAdvert(&adv) > maxAdvertSize {
+		return fmt.Errorf("slp: registration %s/%s exceeds %d bytes", svc.Type, svc.Key, maxAdvertSize)
+	}
 	a.mu.Lock()
 	a.seq++
-	svc.Origin = a.host.ID()
 	svc.Seq = a.seq
 	svc.Expires = now.Add(a.cfg.AdvertTTL)
 	a.local[cacheKey{svc.Type, svc.Key}] = svc
@@ -528,10 +532,7 @@ func (a *Agent) Dump() string {
 	now := a.clk.Now()
 	a.mu.Lock()
 	plugin := a.plugin
-	locals := make([]Service, 0, len(a.local))
-	for _, svc := range a.local {
-		locals = append(locals, svc)
-	}
+	locals := a.sortedLocals()
 	mode := a.cfg.Mode
 	a.mu.Unlock()
 
@@ -559,156 +560,136 @@ func (a *Agent) Dump() string {
 
 // ---- routing.PiggybackHandler ----
 
-// Outgoing packs pending queries, local registrations and cached adverts
-// into the routing message's extension slot, within budget. The staging
-// payload, gossip snapshot and encoder are scratch state reused across calls
-// (every HELLO/TC/RREQ the node emits lands here), so the steady-state cost
-// is one allocation: the returned copy of the encoded bytes.
+// Outgoing fills the routing message's extension slot, within budget: the
+// digest of this node's table, the queries riding along, and — on a
+// broadcast — the adverts the table owes its neighbours (cache.gossip). A
+// message to one neighbour carries this node's own registrations instead, so
+// that a route reply delivers the replying node's bindings with the route
+// (the paper's Figure 5) and no broadcast debt is spent on a single listener.
+// The same state always encodes to the same bytes. The staging payload and
+// encoder are scratch state reused across calls (every HELLO/TC/RREQ the node
+// emits lands here), so the steady-state cost is one allocation: the returned
+// copy of the encoded bytes.
 func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
-	now := a.clk.Now()
-	budget := msg.Budget - 8 // headroom for the counts
-	if budget <= 0 {
+	budget := msg.Budget - digestSize
+	if budget < 0 {
 		return nil
 	}
+	now := a.clk.Now()
 	a.pbMu.Lock()
 	defer a.pbMu.Unlock()
 	p := &a.pbPayload
-	p.Queries = p.Queries[:0]
-	p.Adverts = p.Adverts[:0]
 
+	p.Queries = p.Queries[:0]
 	a.qmu.Lock()
 	for _, pq := range a.pendingQ {
-		if s := sizeOfQuery(&pq.q); s <= budget {
-			p.Queries = append(p.Queries, pq.q)
-			budget -= s
-		}
+		p.Queries = append(p.Queries, pq.q)
 	}
 	a.pruneRelayLocked(now)
 	for _, re := range a.relayQ {
-		if s := sizeOfQuery(&re.q); s <= budget {
-			p.Queries = append(p.Queries, re.q)
-			budget -= s
-		}
+		p.Queries = append(p.Queries, re.q)
 	}
 	a.qmu.Unlock()
-
-	a.mu.Lock()
-	for _, svc := range a.local {
-		adv := serviceToAdvert(svc, a.cfg.AdvertTTL)
-		if s := sizeOfAdvert(&adv); s <= budget {
-			p.Adverts = append(p.Adverts, adv)
+	slices.SortFunc(p.Queries, func(x, y Query) int {
+		return cmp.Or(strings.Compare(string(x.Origin), string(y.Origin)), cmp.Compare(x.ID, y.ID))
+	})
+	fit := p.Queries[:0]
+	for _, q := range p.Queries {
+		if s := sizeOfQuery(&q); s <= budget {
+			fit = append(fit, q)
 			budget -= s
 		}
 	}
-	a.mu.Unlock()
+	p.Queries = fit
 
-	// Gossip learned entries so information spreads beyond one hop. When the
-	// budget runs out, the next call resumes at the entry that did not fit, so
-	// a cache larger than one message still gets every entry on the air.
-	self := a.host.ID()
-	a.pbGossip = a.cache.snapshotInto(a.pbGossip[:0], "", now)
-	for i, n := 0, len(a.pbGossip); i < n; i++ {
-		at := (a.pbNext + i) % n
-		svc := &a.pbGossip[at]
-		if svc.Origin == self {
-			continue
+	p.Adverts = p.Adverts[:0]
+	if msg.Dst == netem.Broadcast {
+		p.Adverts, a.pbDigest = a.cache.gossip(p.Adverts, budget, now)
+	} else {
+		a.pbDigest = a.cache.digest(now)
+		a.mu.Lock()
+		locals := a.sortedLocals()
+		a.mu.Unlock()
+		for i := range locals {
+			adv := advertOf(&locals[i], now)
+			if s := sizeOfAdvert(&adv); s <= budget {
+				p.Adverts = append(p.Adverts, adv)
+				budget -= s
+			}
 		}
-		adv := Advert{
-			Type: svc.Type, Key: svc.Key, URL: svc.URL, Attrs: svc.Attrs,
-			Origin: svc.Origin, Seq: svc.Seq,
-			TTLSec: ttlSec(svc.Expires.Sub(now)),
-		}
-		if adv.TTLSec == 0 {
-			continue
-		}
-		s := sizeOfAdvert(&adv)
-		if s > budget {
-			a.pbNext = at
-			break
-		}
-		p.Adverts = append(p.Adverts, adv)
-		budget -= s
 	}
-	if len(p.Adverts) == 0 && len(p.Queries) == 0 {
-		return nil
-	}
+	p.Digest = &a.pbDigest
 	// Encode into the reused writer, then copy out: concurrent emitters
 	// (helloLoop and tcLoop of the same protocol) both land here, so the
 	// returned slice must not alias the scratch buffer.
 	a.pbW.Reset()
-	raw := p.MarshalInto(a.pbW)
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out
+	return bytes.Clone(p.MarshalInto(a.pbW))
 }
 
-// Incoming handles extensions found on received routing messages.
+// sortedLocals returns the local registrations in (type, key) order. Caller
+// holds a.mu.
+func (a *Agent) sortedLocals() []Service {
+	locals := make([]Service, 0, len(a.local))
+	for _, svc := range a.local {
+		locals = append(locals, svc)
+	}
+	slices.SortFunc(locals, func(x, y Service) int { return compareKeys(&x, &y) })
+	return locals
+}
+
+// Incoming handles extensions found on received routing messages: whatever
+// receive does with any payload, plus the sender's digest, which only a
+// neighbour's routing message can vouch for.
 func (a *Agent) Incoming(msg routing.Incoming) {
-	p, err := ParsePayload(msg.Ext)
-	if err != nil {
-		return
-	}
-	a.handlePayload(p)
-}
-
-func serviceToAdvert(svc Service, ttl time.Duration) Advert {
-	return Advert{
-		Type: svc.Type, Key: svc.Key, URL: svc.URL, Attrs: svc.Attrs,
-		Origin: svc.Origin, Seq: svc.Seq, TTLSec: ttlSec(ttl),
+	if d, ok := a.receive(msg.Ext); ok {
+		a.cache.heardDigest(msg.From, d, a.clk.Now())
 	}
 }
 
-func ttlSec(d time.Duration) uint16 {
-	s := int64(d / time.Second)
-	if s <= 0 {
-		return 0
+// receive applies a payload from any source (piggyback extension, unicast
+// reply, or multicast flood) straight off its bytes: adverts are installed,
+// queries answered or passed on. It returns the digest the payload carried,
+// if any. A malformed payload is ignored whole.
+func (a *Agent) receive(b []byte) (d Digest, ok bool) {
+	if checkPayload(b) != nil {
+		return d, false
 	}
-	if s > 0xffff {
-		return 0xffff
-	}
-	return uint16(s)
-}
-
-// handlePayload processes adverts and queries from any source (piggyback
-// extension, unicast reply, or multicast flood).
-func (a *Agent) handlePayload(p *Payload) {
 	now := a.clk.Now()
 	self := a.host.ID()
-	for _, adv := range p.Adverts {
-		if adv.Origin == self || adv.TTLSec == 0 {
-			continue
-		}
-		svc := Service{
-			Type: adv.Type, Key: adv.Key, URL: adv.URL, Attrs: adv.Attrs,
-			Origin: adv.Origin, Seq: adv.Seq,
-			Expires: now.Add(time.Duration(adv.TTLSec) * time.Second),
-		}
-		if a.cache.upsert(svc) {
+	var it item
+	for dec := newDecoder(b); dec.next(&it); {
+		switch {
+		case it.kind == itemDigest:
+			d, ok = it.digest, true
+		case string(it.origin) == string(self):
+			// Our own advert or query, come back round.
+		case it.kind == itemQuery:
+			a.handleQuery(&it, now)
+		case it.ttl > 0 && it.size <= maxAdvertSize && a.cache.upsertAdvert(&it, now):
 			a.stats.advertsAccepted.Add(1)
 		}
 	}
-	for _, q := range p.Queries {
-		a.handleQuery(q)
-	}
+	return d, ok
 }
 
-func (a *Agent) handleQuery(q Query) {
-	if q.Origin == a.host.ID() {
-		return
-	}
-	now := a.clk.Now()
-	k := qkey{q.Origin, q.ID}
+// handleQuery answers a foreign query from the table if it can, and otherwise
+// passes it on with one hop less: in piggyback mode on this node's outgoing
+// routing messages for QueryRelayTTL, in multicast mode as a flood frame of
+// its own. Each query is handled once, however many copies arrive.
+func (a *Agent) handleQuery(it *item, now time.Time) {
 	a.qmu.Lock()
-	if _, seen := a.seenQ[k]; seen {
+	if _, seen := a.seenQ[qkey{netem.NodeID(it.origin), it.seq}]; seen {
 		a.qmu.Unlock()
 		return
 	}
+	q := it.query()
+	k := qkey{q.Origin, q.ID}
 	a.markSeenLocked(k, now)
 	a.qmu.Unlock()
 
 	if svc, ok := a.queryMatch(q, now); ok {
 		// Answer with a unicast reply to the querying node's SLP port.
-		reply := &Payload{Adverts: []Advert{serviceToAdvert(svc, svc.Expires.Sub(now))}}
+		reply := &Payload{Adverts: []Advert{advertOf(&svc, now)}}
 		a.stats.queriesAnswered.Add(1)
 		_ = a.conn.WriteTo(reply.Marshal(), q.Origin, Port)
 		return
@@ -717,6 +698,10 @@ func (a *Agent) handleQuery(q Query) {
 		return
 	}
 	q.Hops--
+	if a.cfg.Mode == ModeMulticast {
+		a.sendFlood(q)
+		return
+	}
 	a.stats.queriesRelayed.Add(1)
 	exp := now.Add(a.cfg.QueryRelayTTL)
 	a.qmu.Lock()
@@ -736,56 +721,19 @@ func (a *Agent) queryMatch(q Query, now time.Time) (Service, bool) {
 
 // ---- multicast baseline ----
 
-// floodQuery broadcasts a SrvRqst as a dedicated service frame.
+// floodQuery broadcasts this node's own SrvRqst as a dedicated service frame.
 func (a *Agent) floodQuery(q Query) {
 	a.stats.floodsSent.Add(1)
+	a.sendFlood(q)
+}
+
+func (a *Agent) sendFlood(q Query) {
 	p := &Payload{Queries: []Query{q}}
 	_ = a.host.SendFrame(netem.Broadcast, netem.KindService, p.Marshal())
 }
 
-// onServiceFrame handles multicast-mode floods: dedup, answer if known,
-// otherwise re-broadcast with a decremented hop budget.
-func (a *Agent) onServiceFrame(f netem.Frame) {
-	p, err := ParsePayload(f.Payload)
-	if err != nil {
-		return
-	}
-	now := a.clk.Now()
-	for _, adv := range p.Adverts {
-		if adv.Origin == a.host.ID() || adv.TTLSec == 0 {
-			continue
-		}
-		a.cache.upsert(Service{
-			Type: adv.Type, Key: adv.Key, URL: adv.URL, Attrs: adv.Attrs,
-			Origin: adv.Origin, Seq: adv.Seq,
-			Expires: now.Add(time.Duration(adv.TTLSec) * time.Second),
-		})
-	}
-	for _, q := range p.Queries {
-		if q.Origin == a.host.ID() {
-			continue
-		}
-		k := qkey{q.Origin, q.ID}
-		a.qmu.Lock()
-		if _, seen := a.seenQ[k]; seen {
-			a.qmu.Unlock()
-			continue
-		}
-		a.markSeenLocked(k, now)
-		a.qmu.Unlock()
-		if svc, ok := a.queryMatch(q, now); ok {
-			reply := &Payload{Adverts: []Advert{serviceToAdvert(svc, svc.Expires.Sub(now))}}
-			a.stats.queriesAnswered.Add(1)
-			_ = a.conn.WriteTo(reply.Marshal(), q.Origin, Port)
-			continue
-		}
-		if q.Hops > 1 {
-			q.Hops--
-			fwd := &Payload{Queries: []Query{q}}
-			_ = a.host.SendFrame(netem.Broadcast, netem.KindService, fwd.Marshal())
-		}
-	}
-}
+// onServiceFrame handles multicast-mode floods.
+func (a *Agent) onServiceFrame(f netem.Frame) { a.receive(f.Payload) }
 
 // recvLoop processes unicast SLP datagrams (query replies).
 func (a *Agent) recvLoop() {
@@ -795,11 +743,7 @@ func (a *Agent) recvLoop() {
 		if !ok {
 			return
 		}
-		p, err := ParsePayload(dg.Data)
-		if err != nil {
-			continue
-		}
-		a.handlePayload(p)
+		a.receive(dg.Data)
 	}
 }
 
@@ -812,15 +756,15 @@ func (a *Agent) refreshInterval() time.Duration {
 }
 
 // refreshTick bumps local registration sequence numbers so remote caches
-// keep them alive.
+// keep them alive, in key order so that a replay stamps the same numbers.
 func (a *Agent) refreshTick() {
 	now := a.clk.Now()
 	a.mu.Lock()
-	for k, svc := range a.local {
+	for _, svc := range a.sortedLocals() {
 		a.seq++
 		svc.Seq = a.seq
 		svc.Expires = now.Add(a.cfg.AdvertTTL)
-		a.local[k] = svc
+		a.local[cacheKey{svc.Type, svc.Key}] = svc
 		a.cache.upsert(svc)
 	}
 	a.mu.Unlock()

@@ -26,9 +26,9 @@ func TestFaultInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.handlePayload(&Payload{Adverts: []Advert{
-		{Type: "sip", Key: "bob@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.2:5060"), Origin: "10.0.0.2", Seq: 1, TTLSec: 30},
-		{Type: "gateway", Key: "10.0.0.2", URL: ServiceURL("gateway", "10.0.0.2:9000"), Origin: "10.0.0.2", Seq: 2, TTLSec: 30},
-		{Type: "sip", Key: "carol@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.3:5060"), Origin: "10.0.0.3", Seq: 1, TTLSec: 30},
+		{Type: "sip", Key: "bob@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.2:5060"), Origin: "10.0.0.2", Seq: 1, TTL: 30 * time.Second},
+		{Type: "gateway", Key: "10.0.0.2", URL: ServiceURL("gateway", "10.0.0.2:9000"), Origin: "10.0.0.2", Seq: 2, TTL: 30 * time.Second},
+		{Type: "sip", Key: "carol@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.3:5060"), Origin: "10.0.0.3", Seq: 1, TTL: 30 * time.Second},
 	}})
 
 	// Evict removes exactly the named learned entry.
@@ -67,7 +67,7 @@ func TestFaultInvalidation(t *testing.T) {
 
 	// A fresh advert re-installs an evicted entry (eviction is not a ban).
 	a.handlePayload(&Payload{Adverts: []Advert{
-		{Type: "sip", Key: "bob@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.2:5060"), Origin: "10.0.0.2", Seq: 3, TTLSec: 30},
+		{Type: "sip", Key: "bob@voicehoc.ch", URL: ServiceURL("sip", "10.0.0.2:5060"), Origin: "10.0.0.2", Seq: 3, TTL: 30 * time.Second},
 	}})
 	if _, ok := a.LookupCached("sip", "bob@voicehoc.ch"); !ok {
 		t.Fatal("re-advertised entry not re-installed")

@@ -2,6 +2,7 @@ package slp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,11 +44,30 @@ func ParseServiceURL(url string) (stype, addr string, err error) {
 	return stype, addr, nil
 }
 
-// Item kinds inside the piggyback extension / service datagrams.
+// Item kinds. A payload (piggyback extension or service datagram) is a plain
+// sequence of items to the end of the buffer, each led by its kind byte.
 const (
 	itemAdvert uint8 = 1
 	itemQuery  uint8 = 2
+	itemDigest uint8 = 3
 )
+
+// ttlUnit is the wire resolution of an advert's remaining lifetime: a u16
+// of tenths of a second, rounded down. Rounding down means a relayed advert
+// can only lose lifetime, never gain it, so a withdrawn registration cannot
+// be kept alive by nodes passing it round; a tenth of a second per hop is
+// what that costs (whole seconds cost a 30 s advert half its life across
+// the 8×8 grid). The longest lifetime it carries is 109 minutes.
+const ttlUnit = 100 * time.Millisecond
+
+// maxAdvertSize bounds one encoded advert. Every routing message leaves
+// more extension room than this next to the digest, so an accepted advert
+// can always be passed on; larger ones are refused at Register and ignored
+// off the wire.
+const maxAdvertSize = 512
+
+// digestSize is the encoded size of the digest item.
+const digestSize = 1 + 2 + 8
 
 // Advert is the wire form of a disseminated service registration.
 type Advert struct {
@@ -57,7 +77,7 @@ type Advert struct {
 	Attrs  map[string]string
 	Origin netem.NodeID
 	Seq    uint32
-	TTLSec uint16
+	TTL    time.Duration // remaining lifetime, carried in ttlUnit steps
 }
 
 // Query asks the network for services of a type/key.
@@ -69,9 +89,22 @@ type Query struct {
 	Hops   uint8 // remaining epidemic relay budget
 }
 
-// Payload is the content of one SLP extension or datagram: a batch of
-// adverts and queries.
+// Digest summarises a node's live service table in fixed size: how many
+// entries it holds and the wrapping sum of a hash of each entry's (type,
+// key, origin). Seq is left out on purpose: every origin raises it each
+// refresh interval, and a digest that moved with it would read every
+// refresh wave in flight as a disagreement. Two neighbours whose digests
+// are equal hold the same registrations and exchange nothing else.
+type Digest struct {
+	Count uint16
+	Hash  uint64
+}
+
+// Payload is the content of one SLP extension or datagram: the sender's
+// table digest (piggyback extensions only) and a batch of adverts and
+// queries.
 type Payload struct {
+	Digest  *Digest
 	Adverts []Advert
 	Queries []Query
 }
@@ -83,13 +116,18 @@ func (p *Payload) Marshal() []byte {
 
 // MarshalInto encodes the payload into w and returns the encoded bytes,
 // which alias w's buffer — callers reusing a scratch writer must copy the
-// result out before the next Reset.
+// result out before the next Reset. The encoding is canonical: digest, then
+// adverts, then queries, attributes in key order, so equal payloads are
+// equal bytes.
 func (p *Payload) MarshalInto(w *wire.Writer) []byte {
-	w.U16(uint16(len(p.Adverts)))
+	if p.Digest != nil {
+		w.U8(itemDigest)
+		w.U16(p.Digest.Count)
+		w.U64(p.Digest.Hash)
+	}
 	for i := range p.Adverts {
 		marshalAdvert(w, &p.Adverts[i])
 	}
-	w.U16(uint16(len(p.Queries)))
 	for i := range p.Queries {
 		marshalQuery(w, &p.Queries[i])
 	}
@@ -102,13 +140,20 @@ func marshalAdvert(w *wire.Writer, a *Advert) {
 	w.String(a.Key)
 	w.String(a.URL)
 	w.U16(uint16(len(a.Attrs)))
-	for k, v := range a.Attrs {
-		w.String(k)
-		w.String(v)
+	if len(a.Attrs) > 0 {
+		keys := make([]string, 0, len(a.Attrs))
+		for k := range a.Attrs {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			w.String(k)
+			w.String(a.Attrs[k])
+		}
 	}
 	w.String(string(a.Origin))
 	w.U32(a.Seq)
-	w.U16(a.TTLSec)
+	w.U16(ttlUnits(a.TTL))
 }
 
 func marshalQuery(w *wire.Writer, q *Query) {
@@ -118,6 +163,11 @@ func marshalQuery(w *wire.Writer, q *Query) {
 	w.String(string(q.Origin))
 	w.U32(q.ID)
 	w.U8(q.Hops)
+}
+
+// ttlUnits is d on the wire: whole ttlUnits, rounded down.
+func ttlUnits(d time.Duration) uint16 {
+	return uint16(min(max(d/ttlUnit, 0), 0xffff))
 }
 
 // sizeOfAdvert returns the encoded size, used for budget packing.
@@ -134,48 +184,119 @@ func sizeOfQuery(q *Query) int {
 	return 1 + 2 + len(q.Type) + 2 + len(q.Key) + 2 + len(q.Origin) + 4 + 1
 }
 
+// item is one decoded payload item. Its byte fields alias the input, so the
+// receive path can probe its tables with them and copy only what it keeps.
+type item struct {
+	kind uint8
+	size int // encoded length, kind byte included
+
+	stype, key, origin []byte // advert and query
+	url                []byte // advert
+	attrs              []byte // advert: the nattrs encoded (name, value) pairs
+	nattrs             int
+	seq                uint32 // advert sequence number or query ID
+	ttl                uint16 // advert, in ttlUnits
+	hops               uint8  // query
+	digest             Digest
+}
+
+// decoder walks the items of a payload in place. It is the one reader of
+// the wire format: ParsePayload materialises what it yields, Agent.receive
+// installs straight from it.
+type decoder struct {
+	r   wire.Reader
+	err error
+}
+
+func newDecoder(b []byte) decoder { return decoder{r: *wire.NewReader(b)} }
+
+// next decodes the item at the front of the input into it. It returns false
+// at the end of the input or at the first malformed item, which sets d.err.
+func (d *decoder) next(it *item) bool {
+	r := &d.r
+	before := len(r.Remaining())
+	if d.err != nil || before == 0 {
+		return false
+	}
+	switch it.kind = r.U8(); it.kind {
+	case itemAdvert:
+		it.stype, it.key, it.url = r.StringBytes(), r.StringBytes(), r.StringBytes()
+		it.nattrs = int(r.U16())
+		it.attrs = r.Remaining()
+		for range it.nattrs {
+			r.StringBytes()
+			r.StringBytes()
+		}
+		it.attrs = it.attrs[:len(it.attrs)-len(r.Remaining())]
+		it.origin, it.seq, it.ttl = r.StringBytes(), r.U32(), r.U16()
+	case itemQuery:
+		it.stype, it.key, it.origin = r.StringBytes(), r.StringBytes(), r.StringBytes()
+		it.seq, it.hops = r.U32(), r.U8()
+	case itemDigest:
+		it.digest = Digest{Count: r.U16(), Hash: r.U64()}
+	default:
+		d.err = fmt.Errorf("unknown item kind %d", it.kind)
+		return false
+	}
+	if d.err = r.Err(); d.err != nil {
+		return false
+	}
+	it.size = before - len(r.Remaining())
+	return true
+}
+
+// checkPayload walks b once without keeping anything, so that a receiver
+// which installs as it decodes never acts on the head of a malformed payload.
+func checkPayload(b []byte) error {
+	d := newDecoder(b)
+	var it item
+	for d.next(&it) {
+	}
+	return d.err
+}
+
+func (it *item) attrMap() map[string]string {
+	if it.nattrs == 0 {
+		return nil
+	}
+	m := make(map[string]string, it.nattrs)
+	r := wire.NewReader(it.attrs)
+	for range it.nattrs {
+		k := r.String()
+		m[k] = r.String()
+	}
+	return m
+}
+
+func (it *item) advert() Advert {
+	return Advert{
+		Type: string(it.stype), Key: string(it.key), URL: string(it.url), Attrs: it.attrMap(),
+		Origin: netem.NodeID(it.origin), Seq: it.seq, TTL: time.Duration(it.ttl) * ttlUnit,
+	}
+}
+
+func (it *item) query() Query {
+	return Query{Type: string(it.stype), Key: string(it.key), Origin: netem.NodeID(it.origin), ID: it.seq, Hops: it.hops}
+}
+
 // ParsePayload decodes a payload.
 func ParsePayload(b []byte) (*Payload, error) {
-	r := wire.NewReader(b)
 	p := &Payload{}
-	na := int(r.U16())
-	for range na {
-		if kind := r.U8(); kind != itemAdvert {
-			return nil, fmt.Errorf("slp: expected advert item, got %d", kind)
+	d := newDecoder(b)
+	var it item
+	for d.next(&it) {
+		switch it.kind {
+		case itemAdvert:
+			p.Adverts = append(p.Adverts, it.advert())
+		case itemQuery:
+			p.Queries = append(p.Queries, it.query())
+		case itemDigest:
+			dg := it.digest
+			p.Digest = &dg
 		}
-		a := Advert{Type: r.String(), Key: r.String(), URL: r.String()}
-		nattrs := int(r.U16())
-		if nattrs > 0 {
-			a.Attrs = make(map[string]string, nattrs)
-			for range nattrs {
-				k := r.String()
-				a.Attrs[k] = r.String()
-			}
-		}
-		a.Origin = netem.NodeID(r.String())
-		a.Seq = r.U32()
-		a.TTLSec = r.U16()
-		if r.Err() != nil {
-			break
-		}
-		p.Adverts = append(p.Adverts, a)
 	}
-	nq := int(r.U16())
-	for range nq {
-		if kind := r.U8(); kind != itemQuery {
-			return nil, fmt.Errorf("slp: expected query item, got %d", kind)
-		}
-		q := Query{Type: r.String(), Key: r.String()}
-		q.Origin = netem.NodeID(r.String())
-		q.ID = r.U32()
-		q.Hops = r.U8()
-		if r.Err() != nil {
-			break
-		}
-		p.Queries = append(p.Queries, q)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("slp: parse payload: %w", err)
+	if d.err != nil {
+		return nil, fmt.Errorf("slp: parse payload: %w", d.err)
 	}
 	return p, nil
 }

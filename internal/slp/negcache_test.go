@@ -80,7 +80,7 @@ func missAtOnce(t *testing.T, a *Agent, fc *clock.Fake, stype, key string, timeo
 func advertFor(key string, seq uint32) *Payload {
 	return &Payload{Adverts: []Advert{{
 		Type: "sip", Key: key, URL: ServiceURL("sip", "10.0.0.9:5060"),
-		Origin: "10.0.0.9", Seq: seq, TTLSec: 30,
+		Origin: "10.0.0.9", Seq: seq, TTL: 30 * time.Second,
 	}}}
 }
 
@@ -255,7 +255,7 @@ func TestGossipRotation(t *testing.T) {
 			a.handlePayload(&Payload{Adverts: []Advert{{
 				Type: "sip", Key: fmt.Sprintf("user%02d@voicehoc.ch", i),
 				URL:    ServiceURL("sip", fmt.Sprintf("10.0.1.%d:5060", i)),
-				Origin: netem.NodeID(fmt.Sprintf("10.0.1.%d", i)), Seq: 1, TTLSec: 30,
+				Origin: netem.NodeID(fmt.Sprintf("10.0.1.%d", i)), Seq: 1, TTL: 30 * time.Second,
 			}}})
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // newShardAgent builds an unstarted agent on a throwaway single-host network
-// with a fake clock, so tests can drive handleQuery/Outgoing directly and
+// with a fake clock, so tests can drive Incoming/Outgoing directly and
 // advance time deterministically.
 func newShardAgent(t *testing.T, cfg Config) (*Agent, *clock.Fake) {
 	t.Helper()
@@ -33,6 +33,10 @@ func newShardAgent(t *testing.T, cfg Config) (*Agent, *clock.Fake) {
 	a.conn = conn
 	return a, fc
 }
+
+// handlePayload delivers p as a unicast datagram would: encoded, through the
+// one receive path.
+func (a *Agent) handlePayload(p *Payload) { a.receive(p.Marshal()) }
 
 func (a *Agent) seenLen() int {
 	a.qmu.Lock()
@@ -57,13 +61,13 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 	// (empty cache) so each marches through the dedup+relay path.
 	total := 3 * seenQHardCap
 	for i := 0; i < total; i++ {
-		a.handleQuery(Query{
+		a.handlePayload(&Payload{Queries: []Query{{
 			Type:   "sip",
 			Key:    fmt.Sprintf("user%d@example", i),
 			Origin: netem.NodeID(fmt.Sprintf("n%d", i)),
 			ID:     uint32(i),
 			Hops:   4,
-		})
+		}}})
 	}
 	if n := a.seenLen(); n > seenQHardCap {
 		t.Fatalf("seenQ grew to %d entries under load, cap is %d", n, seenQHardCap)
@@ -75,7 +79,7 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 	// Once the retention deadline (4×relayTTL) passes, the next insert must
 	// drain the expired backlog instead of accumulating alongside it.
 	fc.Advance(time.Second)
-	a.handleQuery(Query{Type: "sip", Key: "late", Origin: "late", ID: 1, Hops: 4})
+	a.handlePayload(&Payload{Queries: []Query{{Type: "sip", Key: "late", Origin: "late", ID: 1, Hops: 4}}})
 	if n := a.seenLen(); n > 8 {
 		t.Fatalf("seenQ holds %d entries after all deadlines passed, want ~1", n)
 	}
@@ -93,18 +97,18 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 func TestSeenQueryDedupSurvivesEviction(t *testing.T) {
 	a, _ := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
 	for i := 0; i < seenQHardCap+100; i++ {
-		a.handleQuery(Query{
+		a.handlePayload(&Payload{Queries: []Query{{
 			Type: "sip", Key: "k",
 			Origin: netem.NodeID(fmt.Sprintf("n%d", i)), ID: uint32(i), Hops: 2,
-		})
+		}}})
 	}
 	relayed := a.Stats().QueriesRelayed
 	// Re-deliver the most recent query: it must still be recognised.
 	last := seenQHardCap + 99
-	a.handleQuery(Query{
+	a.handlePayload(&Payload{Queries: []Query{{
 		Type: "sip", Key: "k",
 		Origin: netem.NodeID(fmt.Sprintf("n%d", last)), ID: uint32(last), Hops: 2,
-	})
+	}}})
 	if got := a.Stats().QueriesRelayed; got != relayed {
 		t.Fatalf("duplicate of a recent query was re-relayed (%d -> %d)", relayed, got)
 	}

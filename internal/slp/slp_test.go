@@ -36,9 +36,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 			Type: "sip", Key: "alice@voicehoc.ch",
 			URL:    "service:sip://10.0.0.1:5060",
 			Attrs:  map[string]string{"ua": "kphone"},
-			Origin: "10.0.0.1", Seq: 7, TTLSec: 30,
+			Origin: "10.0.0.1", Seq: 7, TTL: 30 * time.Second,
 		}},
 		Queries: []Query{{Type: "sip", Key: "bob@voicehoc.ch", Origin: "10.0.0.2", ID: 3, Hops: 8}},
+		Digest:  &Digest{Count: 1, Hash: 0xfeedface},
 	}
 	out, err := ParsePayload(in.Marshal())
 	if err != nil {
@@ -55,7 +56,8 @@ func TestPayloadQuick(t *testing.T) {
 			return true
 		}
 		in := &Payload{
-			Adverts: []Advert{{Type: stype, Key: key, URL: url, Origin: netem.NodeID(origin), Seq: seq, TTLSec: ttl}},
+			Digest:  &Digest{Count: ttl, Hash: uint64(seq)<<32 | uint64(qid)},
+			Adverts: []Advert{{Type: stype, Key: key, URL: url, Origin: netem.NodeID(origin), Seq: seq, TTL: time.Duration(ttl) * ttlUnit}},
 			Queries: []Query{{Type: stype, Key: key, Origin: netem.NodeID(origin), ID: qid, Hops: hops}},
 		}
 		out, err := ParsePayload(in.Marshal())
@@ -91,9 +93,17 @@ func TestCacheFreshness(t *testing.T) {
 	if !ok || svc.URL != "u2" {
 		t.Fatalf("get = %+v %v", svc, ok)
 	}
-	// A different origin re-binding the key always wins (user moved).
+	// An equal seq is a copy of what is held: nothing changes, not even the expiry.
+	if c.upsert(Service{Type: "sip", Key: "a", URL: "u2", Origin: "n1", Seq: 6, Expires: exp.Add(time.Hour)}) {
+		t.Fatal("equal seq accepted")
+	}
+	// Between origins the greater ID wins whatever the seqs and the arrival
+	// order, so two nodes that saw both claims keep the same one.
 	if !c.upsert(Service{Type: "sip", Key: "a", URL: "u3", Origin: "n2", Seq: 1, Expires: exp}) {
-		t.Fatal("re-binding from new origin rejected")
+		t.Fatal("re-binding from the greater origin rejected")
+	}
+	if c.upsert(Service{Type: "sip", Key: "a", URL: "u4", Origin: "n1", Seq: 9, Expires: exp}) {
+		t.Fatal("the lesser origin took the key back")
 	}
 	// Expiry.
 	if _, ok := c.get("sip", "a", now.Add(2*time.Minute)); ok {
