@@ -29,7 +29,7 @@ check:
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
-	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs' ./internal/netem/ ./internal/core/ ./internal/slp/
+	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
 	$(GO) test -race ./internal/rtp/
@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/routing/ -run XXX -fuzz FuzzParseEnvelope$$ -fuzztime 15s
 	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalDatagram$$ -fuzztime 15s
 	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzUnmarshalUDPFrame$$ -fuzztime 10s
+	$(GO) test ./internal/netem/ -run XXX -fuzz FuzzDatagramForwardInPlace$$ -fuzztime 10s
 	$(GO) test ./internal/overlay/ -run XXX -fuzz FuzzOverlayMessage$$ -fuzztime 10s
 	$(GO) test ./internal/routing/aodv/ -run XXX -fuzz FuzzParseRREQ$$ -fuzztime 10s
 	$(GO) test ./internal/routing/aodv/ -run XXX -fuzz FuzzParseRREP$$ -fuzztime 10s

@@ -17,6 +17,21 @@ type Timer interface {
 	// Stop cancels the timer. It reports false if the timer already fired
 	// or was stopped.
 	Stop() bool
+	// Reset re-arms the timer to fire once after d, whatever state it is in,
+	// and reports whether it was still pending. No tick from before the
+	// Reset is delivered after it, so a loop may keep one Timer and re-arm
+	// it instead of allocating a fresh one per wake-up.
+	Reset(d time.Duration) bool
+}
+
+// Rearm returns a Timer that fires once after d: t re-armed, or a new Timer
+// when t is nil (a loop's first wait).
+func Rearm(c Clock, t Timer, d time.Duration) Timer {
+	if t == nil {
+		return c.NewTimer(d)
+	}
+	t.Reset(d)
+	return t
 }
 
 // Clock abstracts the passage of time.
@@ -56,6 +71,11 @@ type sysTimer struct{ t *time.Timer }
 func (s sysTimer) C() <-chan time.Time { return s.t.C }
 func (s sysTimer) Stop() bool          { return s.t.Stop() }
 
+// Reset needs no drain first: go.mod says go 1.24, and from go 1.23 a
+// time.Timer's channel is unbuffered, so a tick prepared before Reset is
+// never received after it.
+func (s sysTimer) Reset(d time.Duration) bool { return s.t.Reset(d) }
+
 // Fake is a manually advanced Clock for deterministic tests. The zero value
 // is not usable; construct with NewFake.
 type Fake struct {
@@ -82,17 +102,8 @@ func (f *Fake) Now() time.Time {
 func (f *Fake) NewTimer(d time.Duration) Timer {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := &fakeTimer{
-		clk:  f,
-		when: f.now.Add(d),
-		ch:   make(chan time.Time, 1),
-	}
-	if d <= 0 {
-		t.fired = true
-		t.ch <- f.now
-		return t
-	}
-	f.timers = append(f.timers, t)
+	t := &fakeTimer{clk: f, ch: make(chan time.Time, 1)}
+	t.armLocked(d)
 	return t
 }
 
@@ -192,6 +203,39 @@ type fakeTimer struct {
 }
 
 func (t *fakeTimer) C() <-chan time.Time { return t.ch }
+
+// armLocked queues the timer at the tail of the clock's list, which is what
+// orders equal deadlines, or fires it at once when d <= 0. The timer must not
+// be queued and its channel must be empty.
+func (t *fakeTimer) armLocked(d time.Duration) {
+	f := t.clk
+	t.when = f.now.Add(d)
+	if d <= 0 {
+		t.fired = true
+		t.ch <- f.now
+		return
+	}
+	t.fired = false
+	f.timers = append(f.timers, t)
+}
+
+// Reset leaves the timer exactly where Stop followed by NewTimer would leave
+// a fresh one — at the tail of the list, so ties fire in the same order —
+// after discarding a tick that fired but was never received.
+func (t *fakeTimer) Reset(d time.Duration) bool {
+	t.clk.mu.Lock()
+	defer t.clk.mu.Unlock()
+	pending := !t.fired
+	if pending {
+		t.clk.removeLocked(t)
+	}
+	select {
+	case <-t.ch:
+	default:
+	}
+	t.armLocked(d)
+	return pending
+}
 
 func (t *fakeTimer) Stop() bool {
 	t.clk.mu.Lock()

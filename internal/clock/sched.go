@@ -236,6 +236,7 @@ func (sh *schedShard) wakeUp() {
 func (sh *schedShard) run() {
 	defer close(sh.done)
 	var batch, rearm []*Task
+	var timer Timer // one per worker, re-armed per wait
 	for {
 		sh.mu.Lock()
 		now := sh.clk.Now()
@@ -272,14 +273,14 @@ func (sh *schedShard) run() {
 			}
 			continue
 		}
-		t := sh.clk.NewTimer(wait)
+		timer = Rearm(sh.clk, timer, wait)
 		select {
 		case <-sh.stop:
-			t.Stop()
+			timer.Stop()
 			return
 		case <-sh.wake:
-			t.Stop()
-		case <-t.C():
+			timer.Stop()
+		case <-timer.C():
 		}
 	}
 }

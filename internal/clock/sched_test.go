@@ -172,3 +172,21 @@ func TestSchedulerPending(t *testing.T) {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
 }
+
+// TestSchedulerWakeupAllocFree pins a shard worker's wait for the next
+// deadline at zero allocations: it re-arms the one timer it owns.
+func TestSchedulerWakeupAllocFree(t *testing.T) {
+	s := NewScheduler(New(), 1)
+	defer s.Close()
+	tick := make(chan struct{}, 1)
+	s.Every("n", 200*time.Microsecond, func(time.Time) {
+		select {
+		case tick <- struct{}{}:
+		default:
+		}
+	})
+	<-tick // the worker's first wait creates its timer
+	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
+		t.Errorf("%v allocations per shard wake-up, want 0", allocs)
+	}
+}

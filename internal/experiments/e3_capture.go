@@ -61,6 +61,10 @@ func E3(w io.Writer) error {
 		}
 		mu.Lock()
 		if got == nil {
+			// Kept past the tap's return, so a copy (see netem.Frame), and an
+			// envelope that aliases the copy; these bytes parsed just above.
+			f.Payload = append([]byte(nil), f.Payload...)
+			env, _ = routing.ParseEnvelope(f.Payload)
 			got = &capture{frame: f, env: env}
 		}
 		mu.Unlock()

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -51,6 +52,40 @@ func FuzzUnmarshalUDPFrame(f *testing.F) {
 		if fr2.Src != fr.Src || fr2.Dst != fr.Dst || fr2.Kind != fr.Kind ||
 			string(fr2.Payload) != string(fr.Payload) {
 			t.Fatalf("round trip drift: %+v vs %+v", fr, fr2)
+		}
+	})
+}
+
+// FuzzDatagramForwardInPlace: for any input the header decoder accepts, a
+// relay's in-place forward — one less in the byte at the offset the decoder
+// reports — is byte for byte the re-encoding of the decoded datagram with
+// TTL-1, and the offset lies inside the header.
+func FuzzDatagramForwardInPlace(f *testing.F) {
+	good, _ := MarshalDatagram(&Datagram{
+		SrcNode: "10.0.0.1", DstNode: "10.0.0.2",
+		SrcPort: 5060, DstPort: 427, TTL: 8, Data: []byte("payload"),
+	})
+	f.Add(good)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0}) // empty node IDs, TTL 0, no data
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dg Datagram
+		ttlOff, err := decodeDatagramZeroCopy(&dg, data)
+		if err != nil {
+			return
+		}
+		if end := len(data) - len(dg.Data); ttlOff != end-1 {
+			t.Fatalf("TTL offset %d, header ends at %d", ttlOff, end)
+		}
+		dg.TTL--
+		want, err := AppendDatagram(nil, &dg)
+		if err != nil {
+			t.Fatalf("accepted datagram fails to marshal: %v", err)
+		}
+		forwarded := append([]byte(nil), data...) // dg aliases data
+		forwarded[ttlOff]--
+		if !bytes.Equal(forwarded, want) {
+			t.Fatalf("in-place forward %x\nre-encoding      %x", forwarded, want)
 		}
 	})
 }

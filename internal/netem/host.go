@@ -198,13 +198,7 @@ func (h *Host) dispatch() {
 
 func (h *Host) handleFrame(f Frame) {
 	if f.Kind == KindData {
-		dg, err := unmarshalDatagram(f.Payload)
-		if err != nil {
-			return
-		}
-		// In inline mode we are already on this host's delivery shard, so a
-		// local delivery may run directly without re-scheduling.
-		h.routeDatagramEx(dg, false, h.inline)
+		h.handleData(f.Payload)
 		return
 	}
 	h.mu.RLock()
@@ -213,6 +207,64 @@ func (h *Host) handleFrame(f Frame) {
 	if fn != nil {
 		fn(f)
 	}
+}
+
+// handleData is the forwarding engine's receive side. payload arrived in a
+// unicast frame, so this host owns it (see Frame).
+func (h *Host) handleData(payload []byte) {
+	var hdr Datagram // stays on the stack; its node IDs and Data alias payload
+	ttlOff, err := decodeDatagramZeroCopy(&hdr, payload)
+	if err != nil {
+		return
+	}
+	if hdr.DstNode != h.id {
+		if hdr.TTL <= 1 {
+			h.stats.ttlExpired.Add(1)
+			return
+		}
+		// Transit with a live route, which is all a relay does in steady
+		// state: spend one hop of the limit in the bytes we were handed and
+		// send them on. Nothing is allocated and nothing that aliases payload
+		// leaves this function: the route provider sees the network's own
+		// copy of the destination ID.
+		if dst, ok := h.net.hostID(hdr.DstNode); ok {
+			if next, ok := h.nextHop(dst); ok {
+				payload[ttlOff]--
+				h.stats.forwarded.Add(1)
+				_ = h.net.send(Frame{Src: h.id, Dst: next, Kind: KindData, Payload: payload})
+				return
+			}
+		}
+	}
+	// For this host, or no route: the datagram outlives this call (port
+	// queue, handler, pending-discovery queue, tunnel), so it gets a header
+	// of its own. Data still aliases payload.
+	dg := &Datagram{
+		SrcNode: h.net.ownedID(hdr.SrcNode),
+		DstNode: h.id,
+		SrcPort: hdr.SrcPort,
+		DstPort: hdr.DstPort,
+		TTL:     hdr.TTL,
+		Data:    hdr.Data,
+	}
+	if hdr.DstNode != h.id {
+		dg.DstNode = h.net.ownedID(hdr.DstNode)
+	}
+	// In inline mode we are already on this host's delivery shard, so a
+	// local delivery may run directly without re-scheduling.
+	h.routeDatagramEx(dg, false, h.inline)
+}
+
+// nextHop asks the routing protocol, if one is attached, for the neighbour
+// toward dst.
+func (h *Host) nextHop(dst NodeID) (NodeID, bool) {
+	h.mu.RLock()
+	rp := h.rp
+	h.mu.RUnlock()
+	if rp == nil {
+		return "", false
+	}
+	return rp.NextHop(dst)
 }
 
 // SendDatagram originates a datagram from this host. Datagrams to the host
@@ -481,16 +533,30 @@ func (c *Conn) LocalPort() uint16 { return c.port }
 func (c *Conn) Host() *Host { return c.host }
 
 // WriteTo sends data to the given node and port, stamped with this port as
-// the source.
+// the source. data is copied; the caller may reuse it at once.
 func (c *Conn) WriteTo(data []byte, dst NodeID, dstPort uint16) error {
-	dg := &Datagram{
-		SrcNode: c.host.id,
+	h := c.host
+	if dst != h.id {
+		if h.closedFlag.Load() {
+			return ErrClosed
+		}
+		if next, ok := h.nextHop(dst); ok {
+			// A remote node with a live route: header and data go straight
+			// into the one buffer the frame carries.
+			h.stats.sent.Add(1)
+			dg := Datagram{SrcNode: h.id, DstNode: dst, SrcPort: c.port, DstPort: dstPort, TTL: DefaultTTL, Data: data}
+			return h.transmit(&dg, next, false)
+		}
+	}
+	// Loopback, or no route yet: the datagram is delivered or queued as a
+	// value, so it needs the data to itself.
+	return h.SendDatagram(&Datagram{
+		SrcNode: h.id,
 		DstNode: dst,
 		SrcPort: c.port,
 		DstPort: dstPort,
 		Data:    append([]byte(nil), data...),
-	}
-	return c.host.SendDatagram(dg)
+	})
 }
 
 // Recv blocks until a datagram arrives or the connection closes; ok is false

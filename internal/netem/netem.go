@@ -67,6 +67,13 @@ func (k FrameKind) String() string {
 
 // Frame is a link-layer frame on the radio medium. Dst == Broadcast delivers
 // to all neighbours of Src.
+//
+// Payload ownership: once a frame has been handed to the medium (SendFrame,
+// or the forwarding engine's own transmissions) the sender must not touch
+// Payload again. A unicast payload then belongs to its one receiver, which
+// may rewrite it — a relay decrements a datagram's hop limit in place and
+// sends the same bytes on. A broadcast payload is shared by every receiver
+// and is read-only.
 type Frame struct {
 	Src     NodeID
 	Dst     NodeID
@@ -138,42 +145,25 @@ func AppendDatagram(buf []byte, d *Datagram) ([]byte, error) {
 // receive loops (the gateway trunk fan-out).
 func UnmarshalDatagramInto(d *Datagram, b []byte) error {
 	*d = Datagram{}
-	return decodeDatagramZeroCopy(d, b)
+	_, err := decodeDatagramZeroCopy(d, b)
+	return err
 }
 
-// marshalDatagram encodes d into wire format:
+// marshalDatagram encodes d into a buffer of its own, in wire format:
 //
 //	srcLen u8 | src | dstLen u8 | dst | srcPort u16 | dstPort u16 | ttl u8 | data
 func marshalDatagram(d *Datagram) ([]byte, error) {
-	if len(d.SrcNode) > 255 || len(d.DstNode) > 255 {
-		return nil, fmt.Errorf("netem: node id too long")
-	}
-	buf := make([]byte, 0, 2+len(d.SrcNode)+len(d.DstNode)+5+len(d.Data))
-	buf = append(buf, byte(len(d.SrcNode)))
-	buf = append(buf, d.SrcNode...)
-	buf = append(buf, byte(len(d.DstNode)))
-	buf = append(buf, d.DstNode...)
-	buf = binary.BigEndian.AppendUint16(buf, d.SrcPort)
-	buf = binary.BigEndian.AppendUint16(buf, d.DstPort)
-	buf = append(buf, d.TTL)
-	buf = append(buf, d.Data...)
-	return buf, nil
+	return AppendDatagram(make([]byte, 0, 2+len(d.SrcNode)+len(d.DstNode)+5+len(d.Data)), d)
 }
 
 // unmarshalDatagram decodes wire format produced by marshalDatagram. Data
-// aliases the input rather than copying: frame payloads are freshly marshalled
-// per transmit and never mutated after delivery, so the forwarding path can
-// skip one allocation per hop.
+// aliases the input rather than copying; the node IDs are copied.
 func unmarshalDatagram(b []byte) (*Datagram, error) {
 	d := &Datagram{}
-	if err := decodeDatagram(d, b); err != nil {
+	if _, err := decodeDatagramWith(d, b, func(s []byte) NodeID { return NodeID(s) }); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-func decodeDatagram(d *Datagram, b []byte) error {
-	return decodeDatagramWith(d, b, func(s []byte) NodeID { return NodeID(s) })
 }
 
 // zeroCopyNodeID views a byte slice as a NodeID without copying. The result
@@ -185,33 +175,36 @@ func zeroCopyNodeID(s []byte) NodeID {
 	return NodeID(unsafe.String(&s[0], len(s)))
 }
 
-func decodeDatagramZeroCopy(d *Datagram, b []byte) error {
+// decodeDatagramZeroCopy decodes b into d with every field aliasing b, and
+// returns the offset of the TTL byte in b — what a relay rewrites to forward
+// the datagram in place.
+func decodeDatagramZeroCopy(d *Datagram, b []byte) (ttlOff int, err error) {
 	return decodeDatagramWith(d, b, zeroCopyNodeID)
 }
 
-func decodeDatagramWith(d *Datagram, b []byte, nodeID func([]byte) NodeID) error {
+func decodeDatagramWith(d *Datagram, b []byte, nodeID func([]byte) NodeID) (ttlOff int, err error) {
 	if len(b) < 1 {
-		return fmt.Errorf("netem: short datagram")
+		return 0, fmt.Errorf("netem: short datagram")
 	}
-	n := int(b[0])
+	srcLen := int(b[0])
 	b = b[1:]
-	if len(b) < n+1 {
-		return fmt.Errorf("netem: truncated src node")
+	if len(b) < srcLen+1 {
+		return 0, fmt.Errorf("netem: truncated src node")
 	}
-	d.SrcNode = nodeID(b[:n])
-	b = b[n:]
-	n = int(b[0])
+	d.SrcNode = nodeID(b[:srcLen])
+	b = b[srcLen:]
+	dstLen := int(b[0])
 	b = b[1:]
-	if len(b) < n+5 {
-		return fmt.Errorf("netem: truncated dst node")
+	if len(b) < dstLen+5 {
+		return 0, fmt.Errorf("netem: truncated dst node")
 	}
-	d.DstNode = nodeID(b[:n])
-	b = b[n:]
+	d.DstNode = nodeID(b[:dstLen])
+	b = b[dstLen:]
 	d.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	d.DstPort = binary.BigEndian.Uint16(b[2:4])
 	d.TTL = b[4]
 	if len(b) > 5 {
 		d.Data = b[5:]
 	}
-	return nil
+	return 1 + srcLen + 1 + dstLen + 4, nil
 }

@@ -186,27 +186,7 @@ func TestUnicastWithinRange(t *testing.T) {
 }
 
 func TestMultihopForwarding(t *testing.T) {
-	n := newFastNetwork(t)
-	hosts, err := Chain(n, 4, 90, "10.0.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Static chain routes: forward right toward node 4, left toward 1.
-	for i, h := range hosts {
-		routes := staticRoutes{}
-		for j := range hosts {
-			if j == i {
-				continue
-			}
-			if j > i {
-				routes[hosts[i+1].ID()] = hosts[i+1].ID()
-				routes[hosts[j].ID()] = hosts[i+1].ID()
-			} else {
-				routes[hosts[j].ID()] = hosts[i-1].ID()
-			}
-		}
-		h.SetRouteProvider(routes)
-	}
+	_, hosts := staticChain(t, Config{BaseDelay: 50 * time.Microsecond}, 4)
 	src, dst := hosts[0], hosts[3]
 	cs, _ := src.Listen(7)
 	cd, _ := dst.Listen(9)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,6 +268,25 @@ func (n *Network) Host(id NodeID) *Host {
 	return n.hosts[id]
 }
 
+// hostID returns the network's own copy of id when id names an attached
+// host. Code that decoded id out of a wire buffer uses it to get a NodeID that
+// does not alias the buffer without allocating one.
+func (n *Network) hostID(id NodeID) (NodeID, bool) {
+	if h := n.Host(id); h != nil {
+		return h.id, true
+	}
+	return "", false
+}
+
+// ownedID is hostID falling back to a fresh copy for an ID the network does
+// not know (an Internet host behind a gateway, a node that has just left).
+func (n *Network) ownedID(id NodeID) NodeID {
+	if own, ok := n.hostID(id); ok {
+		return own
+	}
+	return NodeID(strings.Clone(string(id)))
+}
+
 // RemoveHost detaches and closes the node, simulating a crash or power-off.
 func (n *Network) RemoveHost(id NodeID) {
 	n.mu.Lock()
@@ -318,7 +338,10 @@ func (n *Network) ClearLink(a, b NodeID) {
 // SetTap installs a packet-analyzer hook invoked synchronously for every
 // frame transmitted on the medium — the emulator's Wireshark, used to
 // reproduce the paper's Figure 5 capture. The tap must not call back into
-// the Network. Pass nil to remove.
+// the Network. It runs before the frame is scheduled and may read the
+// payload only until it returns: after that a unicast payload belongs to its
+// receiver (see Frame), so a tap that keeps one must copy it. Pass nil to
+// remove.
 func (n *Network) SetTap(fn func(Frame)) {
 	if fn == nil {
 		n.tap.Store(nil)
@@ -659,6 +682,15 @@ func (n *Network) send(f Frame) error {
 	if delay < 0 {
 		delay = 0 // UDP underlay: the real network provides latency
 	}
+	// Everything that reads the payload on the sender's side runs before the
+	// frame is scheduled: once it is on the heap a unicast payload belongs to
+	// its receiver (see Frame), who may be rewriting it already.
+	if udp := n.udp.Load(); udp != nil {
+		udp.transmit(f)
+	}
+	if tap := n.tap.Load(); tap != nil {
+		(*tap)(f)
+	}
 	now := n.cfg.Clock.Now()
 	if len(slow) == 0 {
 		// Steady state: one delivery object covers the whole receiver set
@@ -704,12 +736,6 @@ func (n *Network) send(f Frame) error {
 				n.schedOf(h.ID()).schedule(d)
 			}
 		}
-	}
-	if udp := n.udp.Load(); udp != nil {
-		udp.transmit(f)
-	}
-	if tap := n.tap.Load(); tap != nil {
-		(*tap)(f)
 	}
 	return nil
 }

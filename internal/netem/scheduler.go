@@ -140,6 +140,7 @@ func (s *scheduler) wakeUp() {
 func (s *scheduler) run() {
 	defer close(s.done)
 	var batch []*delivery
+	var timer clock.Timer // one per scheduler, re-armed per wait
 	for {
 		s.mu.Lock()
 		now := s.clk.Now()
@@ -168,14 +169,14 @@ func (s *scheduler) run() {
 			}
 			continue
 		}
-		t := s.clk.NewTimer(wait)
+		timer = clock.Rearm(s.clk, timer, wait)
 		select {
 		case <-s.stop:
-			t.Stop()
+			timer.Stop()
 			return
 		case <-s.wake:
-			t.Stop()
-		case <-t.C():
+			timer.Stop()
+		case <-timer.C():
 		}
 	}
 }

@@ -106,6 +106,7 @@ func (p *Pacer) Schedule(t *Task, due time.Time) {
 func (p *Pacer) run() {
 	defer close(p.done)
 	var batch []*Task
+	var timer clock.Timer // one per pacer, re-armed per wait
 	for {
 		p.mu.Lock()
 		now := p.clk.Now()
@@ -154,14 +155,14 @@ func (p *Pacer) run() {
 			}
 			continue
 		}
-		t := p.clk.NewTimer(wait)
+		timer = clock.Rearm(p.clk, timer, wait)
 		select {
 		case <-p.stop:
-			t.Stop()
+			timer.Stop()
 			return
 		case <-p.wake:
-			t.Stop()
-		case <-t.C():
+			timer.Stop()
+		case <-timer.C():
 		}
 	}
 }

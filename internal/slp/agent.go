@@ -22,7 +22,6 @@ package slp
 import (
 	"bytes"
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -138,18 +137,48 @@ type deadlineItem[K comparable] struct {
 	at time.Time
 }
 
+// deadlineHeap is a min-heap by deadline with container/heap's algorithm
+// written out on the typed slice: through heap.Interface every item pushed or
+// popped is boxed into an `any`, one allocation apiece on the query path.
 type deadlineHeap[K comparable] []deadlineItem[K]
 
-func (h deadlineHeap[K]) Len() int           { return len(h) }
-func (h deadlineHeap[K]) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h deadlineHeap[K]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap[K]) Push(x any)        { *h = append(*h, x.(deadlineItem[K])) }
-func (h *deadlineHeap[K]) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *deadlineHeap[K]) push(it deadlineItem[K]) {
+	s := append(*h, it)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].at.Before(s[parent].at) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+// pop removes and returns the earliest item; the heap must not be empty.
+func (h *deadlineHeap[K]) pop() deadlineItem[K] {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = deadlineItem[K]{} // the spare capacity must not pin a key
+	s = s[:n]
+	for i := 0; ; {
+		min := 2*i + 1
+		if min >= n {
+			break
+		}
+		if r := min + 1; r < n && s[r].at.Before(s[min].at) {
+			min = r
+		}
+		if !s[min].at.Before(s[i].at) {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	*h = s
+	return top
 }
 
 // agentCounters are the hot-path stats, kept atomic so counting never takes
@@ -341,7 +370,7 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 	// relaying through a distant node is not re-processed here.
 	deadline := now.Add(4 * a.cfg.QueryRelayTTL)
 	for len(a.seenH) > 0 && !now.Before(a.seenH[0].at) {
-		top := heap.Pop(&a.seenH).(deadlineItem[qkey])
+		top := a.seenH.pop()
 		// A key can appear twice in the heap after cap-eviction and
 		// re-admission; only drop it if the live deadline really passed.
 		if at, ok := a.seenQ[top.k]; ok && !now.Before(at) {
@@ -349,18 +378,18 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 		}
 	}
 	for len(a.seenQ) >= seenQHardCap && len(a.seenH) > 0 {
-		top := heap.Pop(&a.seenH).(deadlineItem[qkey])
+		top := a.seenH.pop()
 		delete(a.seenQ, top.k)
 	}
 	a.seenQ[k] = deadline
-	heap.Push(&a.seenH, deadlineItem[qkey]{k: k, at: deadline})
+	a.seenH.push(deadlineItem[qkey]{k: k, at: deadline})
 }
 
 // pruneRelayLocked drops relay entries whose TTL passed, in deadline order.
 // Caller holds qmu.
 func (a *Agent) pruneRelayLocked(now time.Time) {
 	for len(a.relayH) > 0 && !now.Before(a.relayH[0].at) {
-		top := heap.Pop(&a.relayH).(deadlineItem[qkey])
+		top := a.relayH.pop()
 		if re, ok := a.relayQ[top.k]; ok && !now.Before(re.expires) {
 			delete(a.relayQ, top.k)
 		}
@@ -706,7 +735,7 @@ func (a *Agent) handleQuery(it *item, now time.Time) {
 	exp := now.Add(a.cfg.QueryRelayTTL)
 	a.qmu.Lock()
 	a.relayQ[k] = relayEntry{q: q, expires: exp}
-	heap.Push(&a.relayH, deadlineItem[qkey]{k: k, at: exp})
+	a.relayH.push(deadlineItem[qkey]{k: k, at: exp})
 	a.qmu.Unlock()
 }
 

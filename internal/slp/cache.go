@@ -2,7 +2,6 @@ package slp
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"strings"
 	"sync"
@@ -183,7 +182,7 @@ func (c *cache) commit(k cacheKey, e *entry) {
 	term := digestTerm(k.stype, k.key, e.svc.Origin)
 	c.sum += term - e.term
 	e.term = term
-	heap.Push(&c.expiry, deadlineItem[cacheKey]{k: k, at: e.svc.Expires})
+	c.expiry.push(deadlineItem[cacheKey]{k: k, at: e.svc.Expires})
 	c.arm(e, sendsPerChange)
 	// An advert is fresher evidence than any remembered miss.
 	delete(c.misses, k)
@@ -224,7 +223,7 @@ func (c *cache) drop(k cacheKey, e *entry) {
 // ever holds live entries. Caller holds c.mu.
 func (c *cache) expire(now time.Time) {
 	for len(c.expiry) > 0 && now.After(c.expiry[0].at) {
-		top := heap.Pop(&c.expiry).(deadlineItem[cacheKey])
+		top := c.expiry.pop()
 		// A refreshed entry has a later heap item that still covers it.
 		if e := c.entries[top.k]; e != nil && now.After(e.svc.Expires) {
 			c.drop(top.k, e)
@@ -378,7 +377,7 @@ func (c *cache) noteMiss(k cacheKey, waited time.Duration, now time.Time, life t
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.missH) > 0 && (len(c.missH) >= missHardCap || !now.Before(c.missH[0].at)) {
-		top := heap.Pop(&c.missH).(deadlineItem[cacheKey])
+		top := c.missH.pop()
 		// A key re-noted since has a later heap entry that still covers it.
 		if m, ok := c.misses[top.k]; ok && !m.until.After(top.at) {
 			delete(c.misses, top.k)
@@ -391,7 +390,7 @@ func (c *cache) noteMiss(k cacheKey, waited time.Duration, now time.Time, life t
 		return
 	}
 	c.misses[k] = miss{waited: waited, until: until}
-	heap.Push(&c.missH, deadlineItem[cacheKey]{k: k, at: until})
+	c.missH.push(deadlineItem[cacheKey]{k: k, at: until})
 }
 
 func (c *cache) remove(stype, key string) {

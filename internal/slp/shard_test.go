@@ -92,6 +92,27 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 	}
 }
 
+// TestSeenQueryInsertExpiryAllocFree pins the dedup set's steady state — one
+// key expires off the deadline heap as the next is inserted — at zero
+// allocations: the heap is typed, so nothing is boxed on push or pop.
+func TestSeenQueryInsertExpiryAllocFree(t *testing.T) {
+	a, fc := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
+	keys := [2]qkey{{"n1", 1}, {"n2", 2}}
+	now, i := fc.Now(), 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		a.qmu.Lock()
+		a.markSeenLocked(keys[i%2], now)
+		a.qmu.Unlock()
+		now, i = now.Add(time.Second), i+1 // past the 400 ms retention
+	})
+	if allocs != 0 {
+		t.Errorf("seen-query insert + expiry: %v allocations, want 0", allocs)
+	}
+	if n := a.seenLen(); n != 1 {
+		t.Errorf("seenQ holds %d entries, want the last one only", n)
+	}
+}
+
 // TestSeenQueryDedupSurvivesEviction checks the dedup property still holds
 // for recent queries after older ones were cap-evicted.
 func TestSeenQueryDedupSurvivesEviction(t *testing.T) {
