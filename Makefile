@@ -23,9 +23,15 @@ cover:
 # detector. Run before every merge (see README.md "Development"). The
 # observability trace/metrics tests run first as a fast-fail gate: they are
 # the ones most sensitive to stats races; the rtp media plane follows because
-# the shared pacer is the most write-contended path in the system.
+# the shared pacer is the most write-contended path in the system. The
+# lifecycle line closes and stops every protocol with work in flight; sip and
+# voip run three times because the race a stack's Close can lose to an
+# arriving request is intermittent.
 check:
 	$(GO) vet ./...
+	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
+	$(GO) test -race -count 3 ./internal/sip/ ./internal/voip/
+	$(GO) test -race -run 'TestGridGolden|TestEventLoopGoroutinesIndependentOfN' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .

@@ -2,11 +2,11 @@ package siphoc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 // FaultScenario couples a Scenario with a deterministic netem.FaultPlan and
@@ -153,23 +153,10 @@ func (f *FaultScenario) CheckInvariants(settle time.Duration) error {
 	return nil
 }
 
-// SettleGoroutines waits (in wall-clock time — goroutine exit is a runtime
-// matter, not a simulated-clock one) until the process goroutine count drops
-// to baseline+slack, returning an error listing the leak size if it never
-// does. Fault tests capture the baseline before building a scenario and call
-// this after tearing it down to prove fault handling leaks nothing.
+// SettleGoroutines waits in wall-clock time until the process goroutine count
+// drops to baseline+slack, or returns an error with the size of the leak.
+// Fault tests capture the baseline before building a scenario and call this
+// after tearing it down to prove fault handling leaks nothing.
 func SettleGoroutines(baseline, slack int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	n := runtime.NumGoroutine()
-	for {
-		if n <= baseline+slack {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("siphoc: %d goroutines leaked (%d running, baseline %d+%d)",
-				n-baseline-slack, n, baseline, slack)
-		}
-		time.Sleep(5 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
+	return testutil.SettleGoroutines(baseline, slack, timeout)
 }

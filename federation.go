@@ -116,9 +116,7 @@ type FederationScenario struct {
 	islands  []*Scenario
 
 	// P2P overlay registrar tier (nil unless cfg.Overlay): full DHT nodes
-	// on Internet hosts, one passive client per island, and the shared
-	// timer core they all run on.
-	osched   *clock.Scheduler
+	// on Internet hosts and one passive client per island.
 	dht      []*overlay.Node
 	oclients []*overlay.Node
 }
@@ -181,10 +179,9 @@ func (f *FederationScenario) IslandPrefix(i int) string {
 // OverlayNodes full nodes bootstrapped off the first one, plus one passive
 // client per island (it publishes and resolves for the island's proxies but
 // stores nothing and stays out of the other nodes' k-buckets). The whole
-// tier's timers run on one shared scheduler, so its goroutine count is
+// tier's timers run on the Internet's scheduler, so its goroutine count is
 // independent of the overlay size.
 func (f *FederationScenario) startOverlay() error {
-	f.osched = clock.NewScheduler(f.cfg.Clock, 1)
 	var boot []netem.NodeID
 	newNode := func(id netem.NodeID, passive bool) (*overlay.Node, error) {
 		host, err := f.inet.AddHost(id)
@@ -193,7 +190,6 @@ func (f *FederationScenario) startOverlay() error {
 		}
 		n, err := overlay.New(overlay.Config{
 			Host:      host,
-			Sched:     f.osched,
 			Clock:     f.cfg.Clock,
 			Bootstrap: boot,
 			Passive:   passive,
@@ -363,9 +359,6 @@ func (f *FederationScenario) Close() {
 	}
 	for _, n := range f.dht {
 		n.Close()
-	}
-	if f.osched != nil {
-		f.osched.Close()
 	}
 	if f.pool != nil {
 		f.pool.Close()

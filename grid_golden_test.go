@@ -1,11 +1,12 @@
-// Event-loop core validation: the sharded virtual-time scheduler must be
-// behaviourally indistinguishable from the goroutine-per-timer core — same
-// hello/TC emission counts, same converged route tables — while keeping the
-// process goroutine count O(shards) instead of O(nodes).
+// Execution-core validation: a seeded grid must emit the HELLO and TC counts
+// and converge to the route tables recorded from the goroutine-per-timer core
+// this one replaced, while the process goroutine count stays O(shards), not
+// O(nodes).
 package siphoc_test
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -23,8 +24,8 @@ import (
 // the next, and returns a per-node fingerprint: timer-fire counts plus the
 // converged route table. Stepping at 1 ms — the per-hop delivery delay, and
 // a divisor of every protocol interval — keeps all deadlines on integer
-// milliseconds, so both cores see identical timer schedules.
-func goldenRun(t *testing.T, eventLoop bool) map[netem.NodeID]string {
+// milliseconds, so every run sees the same timer schedule.
+func goldenRun(t *testing.T) map[netem.NodeID]string {
 	t.Helper()
 	fake := clock.NewFake(time.Unix(1_000_000, 0))
 	olsrCfg := olsr.Config{
@@ -34,16 +35,12 @@ func goldenRun(t *testing.T, eventLoop bool) map[netem.NodeID]string {
 		RouteWait:     time.Minute,
 		Clock:         fake,
 	}
-	opts := []siphoc.ScenarioOption{
+	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithRadio(netem.Config{Range: 100, BaseDelay: time.Millisecond, Clock: fake}),
 		siphoc.WithOLSR(&olsrCfg),
 		siphoc.WithClock(fake),
 		siphoc.WithoutObservability(),
-	}
-	if eventLoop {
-		opts = append(opts, siphoc.WithEventLoop())
-	}
-	sc, err := siphoc.NewScenarioWith(opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,20 +75,14 @@ func goldenRun(t *testing.T, eventLoop bool) map[netem.NodeID]string {
 			}
 		}
 	}
-	// The goroutine core arms its 2×N hello/TC timers asynchronously after
-	// Start returns; stepping the clock before every loop has parked on its
-	// first timer would shift that node's whole schedule. (The event loop
-	// registers tasks synchronously in Start; its single worker holds one
-	// timer for the earliest deadline.)
-	minArmed := 1
-	if !eventLoop {
-		minArmed = 2 * len(nodes)
-	}
-	for i := 0; i < 10000 && fake.PendingTimers() < minArmed; i++ {
+	// Start registers a node's HELLO and TC tasks synchronously, but the
+	// shard worker arms its one timer for the earliest deadline on its own
+	// goroutine; stepping the clock before it has would fire nothing.
+	for i := 0; i < 10000 && fake.PendingTimers() < 1; i++ {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if got := fake.PendingTimers(); got < minArmed {
-		t.Fatalf("only %d timers armed before first advance (want >= %d)", got, minArmed)
+	if fake.PendingTimers() < 1 {
+		t.Fatal("no timer armed before first advance")
 	}
 	settle()
 	for step := 0; step < 1500; step++ {
@@ -114,24 +105,38 @@ func goldenRun(t *testing.T, eventLoop bool) map[netem.NodeID]string {
 	return out
 }
 
-// TestEventLoopGoldenEquivalence pins bit-identical protocol behaviour
-// between the goroutine core and the event-loop core: same seeded fake
-// clock, same grid, same config — every node must emit the same number of
-// hellos and TCs and converge to the same route table.
-func TestEventLoopGoldenEquivalence(t *testing.T) {
-	legacy := goldenRun(t, false)
-	event := goldenRun(t, true)
-	for id, want := range legacy {
-		if got := event[id]; got != want {
-			t.Errorf("node %s diverges:\n  goroutine core: %s\n  event loop:     %s", id, want, got)
+// TestGridGolden pins the protocol behaviour of the execution core against
+// testdata/grid5x5_olsr.golden: one line per node — HELLO count, TC count,
+// sorted route table — recorded from the goroutine-per-timer core at the
+// commit that deleted it (both cores agreed there, which the test this one
+// replaces checked by running them side by side). Same seeded fake clock,
+// same grid, same config: every node must match. A deliberate protocol
+// change re-records the file; an executor change must not need to.
+func TestGridGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/grid5x5_olsr.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[netem.NodeID]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		id, fingerprint, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[netem.NodeID(id)] = fingerprint
+	}
+	got := goldenRun(t)
+	for id, w := range want {
+		if g := got[id]; g != w {
+			t.Errorf("node %s diverges:\n  golden: %s\n  got:    %s", id, w, g)
 		}
 	}
-	if len(event) != len(legacy) {
-		t.Errorf("node count differs: %d vs %d", len(legacy), len(event))
+	if len(got) != len(want) {
+		t.Errorf("node count differs: golden %d, got %d", len(want), len(got))
 	}
 }
 
-// eventLoopGoroutines brings up a side×side event-loop grid and returns the
+// eventLoopGoroutines brings up a side×side grid and returns the
 // steady-state goroutine count, tearing the scenario down (and verifying it
 // leaks nothing) before returning.
 func eventLoopGoroutines(t *testing.T, side int) int {
@@ -140,7 +145,6 @@ func eventLoopGoroutines(t *testing.T, side int) int {
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithOLSR(nil),
 		siphoc.WithoutObservability(),
-		siphoc.WithEventLoop(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +170,10 @@ func eventLoopGoroutines(t *testing.T, side int) int {
 	return n
 }
 
-// TestEventLoopGoroutinesIndependentOfN pins the tentpole resource claim:
-// post-bring-up goroutine count is a function of the shard count, not the
-// node count. The goroutine core pays ~7 goroutines per node, so growing a
-// grid from 16 to 64 nodes adds hundreds there; the event loop must add
+// TestEventLoopGoroutinesIndependentOfN pins the execution core's resource
+// claim: post-bring-up goroutine count is a function of the shard count, not
+// the node count. A goroutine per timer costs about seven per node, hundreds
+// more on a grid grown from 16 to 64 nodes; the shard workers must add
 // approximately none.
 func TestEventLoopGoroutinesIndependentOfN(t *testing.T) {
 	small := eventLoopGoroutines(t, 4) // 16 nodes

@@ -33,8 +33,7 @@ type Scheduler struct {
 // after each run; one-shot tasks (After) fire once. Stop cancels future
 // firings; a run already in progress may still complete concurrently, so
 // callbacks must tolerate one post-Stop invocation (every protocol guards
-// with its own started/closed flag, as they already did for goroutine
-// timers).
+// with its own started/closed flag).
 type Task struct {
 	shard    *schedShard
 	fn       func(now time.Time)
@@ -157,8 +156,8 @@ func (s *Scheduler) shardFor(key string) *schedShard {
 }
 
 // Every registers a recurring task: fn first runs after interval and then
-// re-arms at Now()+interval after each run — the same cadence as the legacy
-// `for { t := clk.NewTimer(interval); <-t.C(); body }` loops it replaces.
+// re-arms at Now()+interval after each run, the cadence of a
+// `for { t := clk.NewTimer(interval); <-t.C(); body }` loop.
 func (s *Scheduler) Every(key string, interval time.Duration, fn func(now time.Time)) *Task {
 	sh := s.shardFor(key)
 	t := &Task{shard: sh, fn: fn, interval: interval}

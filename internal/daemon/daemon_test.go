@@ -2,11 +2,14 @@ package daemon
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
+	"siphoc/internal/voip"
 )
 
 func freePorts(t *testing.T, n int) []string {
@@ -149,5 +152,77 @@ func TestDaemonConfigValidation(t *testing.T) {
 	}
 	if _, err := Start(Config{ID: "x", Listen: "256.0.0.1:99999"}); err == nil {
 		t.Fatal("bad listen address accepted")
+	}
+}
+
+// TestDaemonGoroutinesFlatInCalls pins that a daemon takes its timers from
+// its UDP-backed network's scheduler like any simulated node: a call placed
+// and cleared leaves no goroutine behind, neither for good nor for the 64×T1
+// a server transaction lingers, so the count after ten calls is the count
+// after one. Close then settles to where the process started.
+func TestDaemonGoroutinesFlatInCalls(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	daemons := startChainDaemons(t, 2, false)
+	alice, err := daemons[0].NewPhone("alice", "voicehoc.ch", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := daemons[1].NewPhone("bob", "voicehoc.ch", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []*voip.Phone{alice, bob} {
+		var err error
+		for range 10 {
+			if err = ph.Register(); err == nil {
+				break
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	placeAndClear := func(n int) {
+		t.Helper()
+		for range n {
+			call, err := alice.Dial("bob@voicehoc.ch")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := call.WaitEstablished(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := call.Hangup(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// settled waits out the request handlers of the last BYE (not the
+	// transactions' timers, which are nobody's goroutine) and reports the
+	// count they leave.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for range 40 {
+			time.Sleep(5 * time.Millisecond)
+			cur := runtime.NumGoroutine()
+			if cur == n {
+				break
+			}
+			n = cur
+		}
+		return n
+	}
+	placeAndClear(1)
+	one := settled()
+	placeAndClear(10)
+	if ten := settled(); ten > one+2 {
+		t.Fatalf("goroutines grew with calls placed: %d after one call, %d after eleven", one, ten)
+	}
+	for _, d := range daemons {
+		d.Close()
+	}
+	if err := testutil.SettleGoroutines(baseline, 0, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

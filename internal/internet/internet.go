@@ -55,13 +55,8 @@ type Config struct {
 	// Federation tests and scenarios share one fake clock across every
 	// island MANET and the Internet for deterministic schedules.
 	Clock clock.Clock
-	// EventLoop delivers frames inline on sharded delivery workers instead
-	// of one dispatch goroutine per host — the same event-loop core the
-	// MANET medium grew in the scheduler PR. Overlay fleets use this so
-	// goroutine count stays O(shards) no matter how many DHT nodes join.
-	EventLoop bool
-	// Shards bounds the event-loop worker count (0 = GOMAXPROCS). Only
-	// meaningful with EventLoop.
+	// Shards is the backbone network's shard count (see netem.Config.Shards;
+	// 0 = GOMAXPROCS).
 	Shards int
 }
 
@@ -75,7 +70,6 @@ func New(cfg Config) *Internet {
 		BaseDelay: cfg.Delay,
 		Seed:      cfg.Seed,
 		Clock:     cfg.Clock,
-		EventLoop: cfg.EventLoop,
 		Shards:    cfg.Shards,
 	})
 	return &Internet{net: n}

@@ -22,7 +22,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 // TestEventLoopUnicastAndHandle drives a two-hop unicast through the inline
 // core with callback delivery on the receiving conn.
 func TestEventLoopUnicastAndHandle(t *testing.T) {
-	n := NewNetwork(Config{EventLoop: true, Range: 100, BaseDelay: time.Millisecond})
+	n := NewNetwork(Config{Range: 100, BaseDelay: time.Millisecond})
 	defer n.Close()
 	a, err := n.AddHost("a", Position{0, 0})
 	if err != nil {
@@ -58,7 +58,7 @@ func TestEventLoopUnicastAndHandle(t *testing.T) {
 // event-loop mode, where they ride the shard scheduler instead of the
 // caller's stack.
 func TestEventLoopLoopback(t *testing.T) {
-	n := NewNetwork(Config{EventLoop: true, Range: 100, BaseDelay: time.Millisecond})
+	n := NewNetwork(Config{Range: 100, BaseDelay: time.Millisecond})
 	defer n.Close()
 	a, err := n.AddHost("a", Position{0, 0})
 	if err != nil {
@@ -89,11 +89,10 @@ func TestEventLoopLoopback(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return answered.Load() == 1 }, "loopback request/reply never completed")
 }
 
-// TestEventLoopGoroutinesPerHost pins the core claim: adding hosts in
-// event-loop mode adds no goroutines (legacy mode pays one dispatch
-// goroutine per host).
+// TestEventLoopGoroutinesPerHost pins that a host costs no goroutine: the
+// network's shard workers handle every host's frames and timers.
 func TestEventLoopGoroutinesPerHost(t *testing.T) {
-	n := NewNetwork(Config{EventLoop: true, Range: 10})
+	n := NewNetwork(Config{Range: 10})
 	defer n.Close()
 	runtime.Gosched()
 	before := runtime.NumGoroutine()
@@ -107,6 +106,6 @@ func TestEventLoopGoroutinesPerHost(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	after := runtime.NumGoroutine()
 	if after > before {
-		t.Fatalf("adding 64 event-loop hosts grew goroutines %d -> %d; want no growth", before, after)
+		t.Fatalf("adding 64 hosts grew goroutines %d -> %d; want no growth", before, after)
 	}
 }

@@ -45,6 +45,9 @@ func runFaultStorm(t *testing.T, seed int64) faultRun {
 		LossRate:    0.05,
 		Seed:        seed,
 		Clock:       clk,
+		// One delivery shard: broadcasts shard by source, so with two a
+		// receiver's sequence would interleave by host scheduling.
+		Shards: 1,
 	})
 	defer n.Close()
 

@@ -11,18 +11,16 @@ import (
 	"unsafe"
 )
 
-// forwardModes are the four cores the data path runs on: per-host dispatch
-// goroutines or the inline event loop, with deliveries due at once (a
-// negative BaseDelay, as the UDP underlay sets; zero means "default") or
-// after a timer wait.
+// forwardModes are the two ways a delivery comes due: at once (a negative
+// BaseDelay, as the UDP underlay sets; zero means "default") or after a
+// timer wait. The subtests keep the names they had while a second, per-host
+// goroutine core ran beside this one, so their history stays comparable.
 var forwardModes = []struct {
 	name string
 	cfg  Config
 }{
-	{"legacy/delay0", Config{BaseDelay: -1}},
-	{"legacy/delay50us", Config{BaseDelay: 50 * time.Microsecond}},
-	{"eventloop/delay0", Config{BaseDelay: -1, EventLoop: true}},
-	{"eventloop/delay50us", Config{BaseDelay: 50 * time.Microsecond, EventLoop: true}},
+	{"eventloop/delay0", Config{BaseDelay: -1}},
+	{"eventloop/delay50us", Config{BaseDelay: 50 * time.Microsecond}},
 }
 
 func forEachForwardMode(t *testing.T, fn func(t *testing.T, cfg Config)) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"siphoc/internal/clock"
 )
 
 // RouteProvider is what a routing protocol exposes to the forwarding engine.
@@ -51,21 +53,16 @@ func (c *hostCounters) snapshot() HostStats {
 
 // Host is one node's network stack: link interface, multihop forwarding and
 // UDP-like ports. Create hosts with Network.AddHost.
+//
+// A host has no goroutine of its own: frames are handled on the delivery
+// shard's worker. Unicast (KindData) deliveries for one host all land on its
+// own shard, so datagram/Conn handling stays serialized per host; broadcast
+// control frames run on the sender's shard and rely on the protocol
+// handlers' own locking.
 type Host struct {
 	net *Network
 	id  NodeID
 
-	inbox chan Frame
-	stop  chan struct{}
-	done  chan struct{}
-
-	// inline marks event-loop mode: frames are handled directly on the
-	// delivery shard's worker (no per-host dispatch goroutine, no inbox).
-	// Unicast (KindData) deliveries for one host all land on its own shard,
-	// so datagram/Conn handling stays serialized per host; broadcast control
-	// frames run on the sender's shard and rely on the protocol handlers'
-	// own locking, as they already did under concurrent dispatch.
-	inline     bool
 	closedFlag atomic.Bool
 
 	mu        sync.RWMutex
@@ -89,19 +86,10 @@ func newHost(n *Network, id NodeID) *Host {
 	h := &Host{
 		net:      n,
 		id:       id,
-		inbox:    make(chan Frame, n.cfg.QueueLen),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 		handlers: make(map[FrameKind]func(Frame)),
 		ports:    make(map[uint16]*Conn),
 		pending:  make(map[NodeID][]*Datagram),
 		nextPort: 32768,
-	}
-	if n.cfg.EventLoop {
-		h.inline = true
-		close(h.done) // no dispatch goroutine to wait for
-	} else {
-		go h.dispatch()
 	}
 	return h
 }
@@ -111,6 +99,12 @@ func (h *Host) ID() NodeID { return h.id }
 
 // Network returns the medium the host is attached to.
 func (h *Host) Network() *Network { return h.net }
+
+// Sched returns the scheduler the host's protocols run their timers on, which
+// is the network's: one for all its hosts, on its clock, closed with it.
+// Tasks keyed by the host's ID share a shard and so never run concurrently
+// with each other. A task runs on a shard worker and must not block.
+func (h *Host) Sched() *clock.Scheduler { return h.net.timers }
 
 // Neighbors returns the node's current radio neighbourhood.
 func (h *Host) Neighbors() []NodeID { return h.net.Neighbors(h.id) }
@@ -165,38 +159,13 @@ func (h *Host) SetSink(fn func(*Datagram)) {
 	h.sink = fn
 }
 
-// enqueue is called by the medium to deliver a frame; it drops on overflow
-// like a saturated radio. In event-loop mode the frame is handled right here
-// on the delivery shard's worker: overload shows up as deliveries running
-// late (the shard heap backing up) rather than as queue drops.
+// enqueue is called by the medium to deliver a frame, which is handled right
+// here on the delivery shard's worker: overload shows up as deliveries
+// running late (the shard heap backing up), not as queue drops.
 func (h *Host) enqueue(f Frame) {
-	if h.inline {
-		if !h.closedFlag.Load() {
-			h.handleFrame(f)
-		}
+	if h.closedFlag.Load() {
 		return
 	}
-	select {
-	case h.inbox <- f:
-	case <-h.stop:
-	default:
-		// queue full: silently dropped, as radio congestion would.
-	}
-}
-
-func (h *Host) dispatch() {
-	defer close(h.done)
-	for {
-		select {
-		case <-h.stop:
-			return
-		case f := <-h.inbox:
-			h.handleFrame(f)
-		}
-	}
-}
-
-func (h *Host) handleFrame(f Frame) {
 	if f.Kind == KindData {
 		h.handleData(f.Payload)
 		return
@@ -250,9 +219,9 @@ func (h *Host) handleData(payload []byte) {
 	if hdr.DstNode != h.id {
 		dg.DstNode = h.net.ownedID(hdr.DstNode)
 	}
-	// In inline mode we are already on this host's delivery shard, so a
-	// local delivery may run directly without re-scheduling.
-	h.routeDatagramEx(dg, false, h.inline)
+	// We are already on this host's delivery shard, so a local delivery may
+	// run directly without re-scheduling.
+	h.routeDatagramEx(dg, false, true)
 }
 
 // nextHop asks the routing protocol, if one is attached, for the neighbour
@@ -294,15 +263,14 @@ func (h *Host) routeDatagram(dg *Datagram, origin bool) error {
 }
 
 // routeDatagramEx is routeDatagram with the shard-affinity bit: onShard is
-// true when the caller is already running on this host's delivery shard. In
-// event-loop mode local deliveries from foreign goroutines (loopback
-// SendDatagram, gateway InjectDatagram) are bounced through the shard
-// scheduler at zero delay, which serializes them with medium deliveries and
-// breaks the reentrant nesting a phone talking to its own host's proxy would
-// otherwise build up.
+// true when the caller is already running on this host's delivery shard.
+// Local deliveries from foreign goroutines (loopback SendDatagram, gateway
+// InjectDatagram) are bounced through the shard scheduler at zero delay,
+// which serializes them with medium deliveries and breaks the reentrant
+// nesting a phone talking to its own host's proxy would otherwise build up.
 func (h *Host) routeDatagramEx(dg *Datagram, origin, onShard bool) error {
 	if dg.DstNode == h.id {
-		if h.inline && !onShard {
+		if !onShard {
 			h.scheduleLocal(dg)
 			return nil
 		}
@@ -398,7 +366,7 @@ func (h *Host) InjectDatagram(dg *Datagram) {
 }
 
 // scheduleLocal hands a loopback datagram to this host's delivery shard with
-// an immediate deadline (event-loop mode only).
+// an immediate deadline.
 func (h *Host) scheduleLocal(dg *Datagram) {
 	d := deliveryPool.Get().(*delivery)
 	d.due = h.net.cfg.Clock.Now()
@@ -489,8 +457,6 @@ func (h *Host) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	close(h.stop)
-	<-h.done
 }
 
 // Conn is a bound UDP-like port on a Host.
@@ -500,10 +466,11 @@ type Conn struct {
 	in   chan *Datagram
 
 	// handler, when set via Handle, receives datagrams directly on the
-	// delivery path instead of through the in channel — the event-loop
-	// replacement for a per-component Recv goroutine. handleMu serializes
-	// invocations (a no-contention formality in event-loop mode, where one
-	// shard owns all of a host's deliveries).
+	// delivery path instead of through the in channel, which saves the
+	// component a Recv goroutine. handleMu serializes invocations; it is
+	// uncontended on the simulated medium, where one shard owns all of a
+	// host's deliveries, and orders the socket reader against loopback
+	// deliveries on the UDP underlay.
 	handler  atomic.Pointer[func(*Datagram)]
 	handleMu sync.Mutex
 
@@ -513,11 +480,11 @@ type Conn struct {
 
 // Handle switches the connection to callback delivery: fn is invoked for
 // every arriving datagram, serialized per connection, and Recv/TryRecv stop
-// seeing traffic. Components use this in event-loop mode instead of spawning
-// a Recv loop goroutine. fn must not block; it may send. A datagram already
-// in flight when Close is called may still be delivered, so fn must tolerate
-// invocation after shutdown (the same contract component recv loops already
-// had). Pass nil to revert to channel delivery.
+// seeing traffic. Components use this instead of spawning a Recv loop
+// goroutine. fn runs on a delivery worker: it must not block; it may send. A
+// datagram already in flight when Close is called may still be delivered, so
+// fn must tolerate invocation after shutdown. Pass nil to revert to channel
+// delivery.
 func (c *Conn) Handle(fn func(*Datagram)) {
 	if fn == nil {
 		c.handler.Store(nil)

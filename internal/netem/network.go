@@ -32,7 +32,8 @@ type Config struct {
 	// Range is the unit-disk radio range in metres (default 100).
 	Range float64
 	// BaseDelay is the fixed per-frame propagation+processing delay
-	// (default 500µs). Zero delay delivers synchronously via the inbox.
+	// (default 500µs). A negative value means no simulated delay at all (the
+	// UDP underlay, where the real network provides the latency).
 	BaseDelay time.Duration
 	// DelayJitter adds a uniformly random extra delay in [0, DelayJitter)
 	// per frame, modelling contention and queueing variance (default 0).
@@ -46,21 +47,17 @@ type Config struct {
 	Seed int64
 	// Clock drives delivery delays (default the system clock).
 	Clock clock.Clock
-	// QueueLen is each node's receive queue length; frames arriving at a
-	// full queue are dropped, as on a congested radio (default 1024).
-	QueueLen int
 	// Obs receives medium-level metrics (frame/byte/loss counters). Nil
 	// disables observability at zero cost on the send path.
 	Obs *obs.Observer
-	// EventLoop enables the sharded event-loop core: frames are handled
-	// inline on the delivery shard workers instead of per-host dispatch
-	// goroutines, and loopback datagrams ride the shard scheduler. Unicast
-	// traffic shards by destination and broadcasts by source, so every
-	// host's deliveries stay on one shard and per-host handling remains
-	// serialized. Steady-state goroutine cost: O(shards), not O(hosts).
-	EventLoop bool
-	// Shards is the delivery-shard count in EventLoop mode (default
-	// GOMAXPROCS, clamped to [1, GOMAXPROCS]). Ignored otherwise.
+	// Shards is the number of delivery shards and of timer shards (default
+	// GOMAXPROCS, clamped to [1, GOMAXPROCS]); the network runs one worker
+	// goroutine per shard of each kind, whatever the host count. Unicast
+	// traffic shards by destination and broadcasts by source, so with more
+	// than one shard a receiver is fed from several workers and the order in
+	// which it sees frames from different senders depends on the host's
+	// scheduling. A test that asserts bit-identical replay sets Shards to 1;
+	// nothing else needs to.
 	Shards int
 }
 
@@ -79,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.New()
-	}
-	if c.QueueLen == 0 {
-		c.QueueLen = 1024
 	}
 	return c
 }
@@ -141,10 +135,12 @@ type Network struct {
 	stats counters
 	tap   atomic.Pointer[func(Frame)]
 	udp   atomic.Pointer[udpUnderlay]
-	// scheds are the delivery schedulers. Legacy mode runs exactly one (the
-	// PR-1 single min-heap); EventLoop mode shards by node so the workers
-	// both deliver and, inline, execute the receivers' frame handling.
+	// scheds are the delivery shards: each worker delivers a frame and,
+	// inline, runs the receiver's handling of it.
 	scheds []*scheduler
+	// timers runs every protocol timer of every host on this network (see
+	// Host.Sched), on the network's clock; it stops with the network.
+	timers *clock.Scheduler
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil, so the send
 	// hot path pays a single branch in disabled mode.
@@ -165,15 +161,12 @@ func orderedKey(a, b NodeID) linkKey {
 // NewNetwork creates an empty medium.
 func NewNetwork(cfg Config) *Network {
 	cfg = cfg.withDefaults()
-	nshards := 1
-	if cfg.EventLoop {
-		nshards = cfg.Shards
-		if maxp := runtime.GOMAXPROCS(0); nshards <= 0 || nshards > maxp {
-			nshards = maxp
-		}
-		if nshards < 1 {
-			nshards = 1
-		}
+	nshards := cfg.Shards
+	if maxp := runtime.GOMAXPROCS(0); nshards <= 0 || nshards > maxp {
+		nshards = maxp
+	}
+	if nshards < 1 {
+		nshards = 1
 	}
 	n := &Network{
 		cfg:          cfg,
@@ -183,6 +176,7 @@ func NewNetwork(cfg Config) *Network {
 		linkOverride: make(map[linkKey]bool),
 		adj:          make(map[NodeID]*neighborhood),
 		scheds:       make([]*scheduler, nshards),
+		timers:       clock.NewScheduler(cfg.Clock, nshards),
 	}
 	for i := range n.scheds {
 		n.scheds[i] = newScheduler(cfg.Clock)
@@ -199,15 +193,11 @@ func NewNetwork(cfg Config) *Network {
 // Clock returns the clock driving the medium.
 func (n *Network) Clock() clock.Clock { return n.cfg.Clock }
 
-// DeliveryShards returns the number of delivery scheduler goroutines (1 in
-// legacy mode). The goroutine regression test pins against this.
-func (n *Network) DeliveryShards() int { return len(n.scheds) }
-
 // schedOf returns the delivery shard owning node id: FNV-1a over the ID,
 // the same stable hash the clock scheduler and SLP shards use. All unicast
 // traffic *to* a host (KindData and with it every Conn/sink delivery) goes
 // through the host's own shard, which is what keeps application-level
-// datagram handling per-host serial in inline mode.
+// datagram handling serial per host.
 func (n *Network) schedOf(id NodeID) *scheduler {
 	if len(n.scheds) == 1 {
 		return n.scheds[0]
@@ -229,8 +219,7 @@ func (n *Network) schedOf(id NodeID) *scheduler {
 // fan-out stays one batched delivery object). Broadcast receivers therefore
 // handle control frames on the sender's shard, possibly concurrently with
 // their own shard — safe because every KindRouting/KindService handler is
-// internally locked, exactly as it had to be under per-host dispatch
-// goroutines.
+// internally locked.
 func (n *Network) schedForFrame(f Frame) *scheduler {
 	if len(n.scheds) == 1 {
 		return n.scheds[0]
@@ -705,9 +694,9 @@ func (n *Network) send(f Frame) error {
 		}
 	} else {
 		// Per-link delay overrides split the fan-out across deadlines;
-		// enqueue the whole batch under one heap lock acquisition. Sharded
-		// mode schedules each peeled receiver on its own host's shard (the
-		// quality-override path is off the scale-benchmark steady state).
+		// enqueue the whole batch under one heap lock acquisition. With
+		// several shards each peeled receiver goes to its own host's shard
+		// (the quality-override path is off the scale-benchmark steady state).
 		batch := make([]*delivery, 0, 1+len(slow))
 		if one != nil || len(many) > 0 {
 			d := deliveryPool.Get().(*delivery)
@@ -774,6 +763,7 @@ func (n *Network) Close() {
 	for _, h := range hosts {
 		h.Close()
 	}
+	n.timers.Close()
 }
 
 // counters holds the medium's traffic counts as atomics so concurrent

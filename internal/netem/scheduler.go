@@ -19,10 +19,10 @@ type delivery struct {
 	frame Frame
 	one   *Host
 	many  []*Host
-	// dg/dgHost carry a zero-delay local (loopback) datagram in event-loop
-	// mode: routing it through the shard scheduler instead of invoking the
-	// receiver inline keeps per-host delivery serialized and prevents
-	// reentrant handler nesting when an application answers its own host.
+	// dg/dgHost carry a zero-delay local (loopback) datagram: routing it
+	// through the shard scheduler instead of invoking the receiver inline
+	// keeps per-host delivery serialized and prevents reentrant handler
+	// nesting when an application answers its own host.
 	dg     *Datagram
 	dgHost *Host
 }
@@ -64,10 +64,9 @@ func (h *deliveryHeap) Pop() any {
 
 var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
 
-// scheduler is the medium's single delivery goroutine: it drains a min-heap
-// of pending deliveries in deadline order, replacing the goroutine-per-frame
-// model. One timer is armed for the earliest deadline; earlier insertions
-// wake the loop to re-arm.
+// scheduler is one delivery shard: a goroutine that drains a min-heap of
+// pending deliveries in deadline order. One timer is armed for the earliest
+// deadline; earlier insertions wake the loop to re-arm.
 type scheduler struct {
 	clk clock.Clock
 
@@ -181,9 +180,8 @@ func (s *scheduler) run() {
 	}
 }
 
-// close stops the delivery goroutine. Deliveries still pending are dropped —
-// equivalent to the old behaviour, where frames in flight at Close were
-// delivered into already-closed hosts and discarded.
+// close stops the delivery goroutine. Deliveries still pending are dropped;
+// their receivers are about to be closed anyway.
 func (s *scheduler) close() {
 	close(s.stop)
 	<-s.done

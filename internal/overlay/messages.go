@@ -4,10 +4,9 @@
 // provider tier (ROADMAP item "P2P overlay registrar as a third lookup
 // backend"; PAPERS.md "IAX-Based Peer-to-Peer VoIP Architecture").
 //
-// The overlay runs entirely on the shared event-loop core: every node's
-// timers (re-publication, record expiry, RPC timeouts) are tasks on a
-// clock.Scheduler and every datagram is handled inline on its netem delivery
-// shard, so the steady goroutine cost is O(scheduler shards), independent of
+// The overlay starts no goroutine: every node's timers (re-publication,
+// record expiry, RPC timeouts) are tasks on its host's clock.Scheduler and
+// every datagram is handled inline on its netem delivery shard, so the steady goroutine cost is O(scheduler shards), independent of
 // overlay size — the same property PR 8 established for the MANET protocols.
 package overlay
 

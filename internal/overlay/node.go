@@ -40,9 +40,6 @@ type Config struct {
 	// passive clients run on MANET hosts and reach the overlay through
 	// their gateway tunnel like any other Internet traffic.
 	Host *netem.Host
-	// Sched runs every overlay timer (re-publication, record expiry, RPC
-	// timeouts) — required; the overlay has no goroutine timers at all.
-	Sched *clock.Scheduler
 	// Clock is the time source for TTL stamps and blocking waits
 	// (default the system clock).
 	Clock clock.Clock
@@ -200,15 +197,12 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Host == nil {
 		return nil, fmt.Errorf("overlay: Config.Host is required")
 	}
-	if cfg.Sched == nil {
-		return nil, fmt.Errorf("overlay: Config.Sched is required (the overlay has no goroutine timers)")
-	}
 	n := &Node{
 		cfg:       cfg,
 		id:        sip.HashAOR(string(cfg.Host.ID())),
 		host:      cfg.Host,
 		clk:       cfg.Clock,
-		sched:     cfg.Sched,
+		sched:     cfg.Host.Sched(),
 		skey:      "dht/" + string(cfg.Host.ID()),
 		records:   make(map[string]record),
 		published: make(map[string]pub),
@@ -326,7 +320,7 @@ func (n *Node) Unpublish(aor string) {
 
 // LookupAsync starts an iterative FIND_VALUE for aor; cb is invoked exactly
 // once with the binding's contact, or ok=false when the lookup converges
-// without finding one. cb runs on an event-loop worker and must not block.
+// without finding one. cb runs on a shard worker and must not block.
 func (n *Node) LookupAsync(aor string, cb func(contact string, ok bool)) {
 	n.mu.Lock()
 	if n.closed {

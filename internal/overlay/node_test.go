@@ -13,8 +13,8 @@ import (
 	"siphoc/internal/overlay"
 )
 
-// dhtNet is the deterministic overlay test harness: an event-loop Internet
-// and a 1-shard scheduler on one fake clock, driven with 1 ms Advance steps
+// dhtNet is the deterministic overlay test harness: a one-shard Internet on
+// a fake clock, driven with 1 ms Advance steps
 // (the per-hop delay) and the activity-fingerprint settle idiom from the
 // event-loop golden tests. Every deadline stays on integer milliseconds, so
 // seeded runs replay bit-identically.
@@ -23,7 +23,6 @@ type dhtNet struct {
 	fake  *clock.Fake
 	start time.Time
 	inet  *internet.Internet
-	sched *clock.Scheduler
 
 	// mu guards nodes and order: churn tests crash and restart nodes from
 	// the FaultPlan runner goroutine while the driver polls activity.
@@ -41,12 +40,10 @@ func newDHTNet(t testing.TB) *dhtNet {
 		fake:  fake,
 		start: start,
 		inet: internet.New(internet.Config{
-			Clock:     fake,
-			Delay:     time.Millisecond,
-			EventLoop: true,
-			Shards:    1,
+			Clock:  fake,
+			Delay:  time.Millisecond,
+			Shards: 1,
 		}),
-		sched: clock.NewScheduler(fake, 1),
 		nodes: make(map[netem.NodeID]*overlay.Node),
 	}
 }
@@ -63,7 +60,6 @@ func (d *dhtNet) close() {
 	for _, n := range live {
 		n.Close()
 	}
-	d.sched.Close()
 	d.inet.Close()
 }
 
@@ -74,7 +70,7 @@ func (d *dhtNet) node(name netem.NodeID) *overlay.Node {
 	return d.nodes[name]
 }
 
-// addNode brings up one overlay node; cfg.Host/Sched/Clock are filled in.
+// addNode brings up one overlay node; cfg.Host/Clock are filled in.
 func (d *dhtNet) addNode(name netem.NodeID, cfg overlay.Config) *overlay.Node {
 	d.t.Helper()
 	host, err := d.inet.AddHost(name)
@@ -82,7 +78,6 @@ func (d *dhtNet) addNode(name netem.NodeID, cfg overlay.Config) *overlay.Node {
 		d.t.Fatalf("add host %s: %v", name, err)
 	}
 	cfg.Host = host
-	cfg.Sched = d.sched
 	cfg.Clock = d.fake
 	n, err := overlay.New(cfg)
 	if err != nil {
@@ -123,7 +118,6 @@ func (d *dhtNet) restart(name netem.NodeID, cfg overlay.Config, boot netem.NodeI
 		return
 	}
 	cfg.Host = host
-	cfg.Sched = d.sched
 	cfg.Clock = d.fake
 	cfg.Bootstrap = []netem.NodeID{boot}
 	n, err := overlay.New(cfg)

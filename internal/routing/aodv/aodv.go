@@ -46,12 +46,6 @@ type Config struct {
 	Clock clock.Clock
 	// Obs records route-discovery spans and latency. Nil disables.
 	Obs *obs.Observer
-	// Sched, when set, runs the hello beacon and route-discovery retry
-	// timers on the shared sharded event loop instead of per-node
-	// goroutines. Timer cadence is identical; discoveries additionally
-	// complete as soon as the route installs (same as the goroutine's
-	// success-channel wakeup), via the discovery's onSuccess hook.
-	Sched *clock.Scheduler
 }
 
 func (c Config) withDefaults() Config {
@@ -115,16 +109,15 @@ type seenKey struct {
 	id   uint32
 }
 
+// discovery is one route search in progress.
 type discovery struct {
+	span  obs.SpanHandle
+	start time.Time
+
+	// Under Protocol.mu. finished makes completion idempotent: the route
+	// installing, the retry chain running out and Stop race each other.
 	callbacks []func(bool)
-	success   chan struct{} // closed when a route appears
-	// finished (under Protocol.mu) makes completion idempotent in event-loop
-	// mode, where the success path and the retry-timeout chain race without
-	// a single goroutine serializing them.
-	finished bool
-	// onSuccess (under Protocol.mu) is the event-loop completion hook,
-	// invoked outside the lock right after success is closed.
-	onSuccess func()
+	finished  bool
 }
 
 // Protocol is an AODV instance bound to one host.
@@ -143,10 +136,7 @@ type Protocol struct {
 	pb        routing.PiggybackHandler
 	stats     Stats
 	started   bool
-
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	tasks []*clock.Task // event-loop timers when cfg.Sched is set
+	hello     *clock.Task
 
 	// Pre-resolved obs handles; nil when cfg.Obs is nil.
 	obs      *obs.Observer
@@ -166,7 +156,6 @@ func New(host *netem.Host, cfg Config) *Protocol {
 		seen:      make(map[seenKey]time.Time),
 		neighbors: make(map[netem.NodeID]time.Time),
 		pending:   make(map[netem.NodeID]*discovery),
-		stop:      make(chan struct{}),
 	}
 	if cfg.Obs.Enabled() {
 		p.obs = cfg.Obs
@@ -199,15 +188,10 @@ func (p *Protocol) Start() error {
 	}
 	p.host.SetRouteProvider(p)
 	if p.cfg.EnableHello {
-		if p.cfg.Sched != nil {
-			task := p.cfg.Sched.Every(string(p.host.ID()), p.cfg.HelloInterval, func(time.Time) { p.helloTick() })
-			p.mu.Lock()
-			p.tasks = append(p.tasks, task)
-			p.mu.Unlock()
-		} else {
-			p.wg.Add(1)
-			go p.helloLoop()
-		}
+		task := p.host.Sched().Every(string(p.host.ID()), p.cfg.HelloInterval, func(time.Time) { p.helloTick() })
+		p.mu.Lock()
+		p.hello = task
+		p.mu.Unlock()
 	}
 	return nil
 }
@@ -222,27 +206,14 @@ func (p *Protocol) Stop() {
 	p.started = false
 	pending := p.pending
 	p.pending = make(map[netem.NodeID]*discovery)
-	tasks := p.tasks
-	p.tasks = nil
+	hello := p.hello
+	p.hello = nil
 	p.mu.Unlock()
-	for _, t := range tasks {
-		t.Stop()
-	}
-	close(p.stop)
-	p.wg.Wait()
-	if p.cfg.Sched != nil {
-		// Event-loop discoveries have no goroutine to observe p.stop;
-		// complete them here. finishDiscovery is idempotent, so a retry
-		// step that already fired (or fires late) is harmless.
-		for dst, d := range pending {
-			p.finishDiscovery(dst, d, false)
-		}
-		return
-	}
-	for _, d := range pending {
-		for _, cb := range d.callbacks {
-			cb(false)
-		}
+	hello.Stop()
+	// finishDiscovery is idempotent, so a retry step that fires late is
+	// harmless.
+	for dst, d := range pending {
+		p.finishDiscovery(dst, d, "stopped")
 	}
 }
 
@@ -285,16 +256,14 @@ func (p *Protocol) RequestRoute(dst netem.NodeID, done func(bool)) {
 		p.mu.Unlock()
 		return
 	}
-	d := &discovery{callbacks: []func(bool){done}, success: make(chan struct{})}
+	d := &discovery{
+		span:      p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID())),
+		start:     p.clk.Now(),
+		callbacks: []func(bool){done},
+	}
 	p.pending[dst] = d
 	p.mu.Unlock()
-
-	if p.cfg.Sched != nil {
-		p.discoverSched(dst, d)
-		return
-	}
-	p.wg.Add(1)
-	go p.discover(dst, d)
+	p.discover(dst, d, p.cfg.attemptPlan())
 }
 
 type rreqAttempt struct {
@@ -304,109 +273,53 @@ type rreqAttempt struct {
 
 // attemptPlan returns the RREQ schedule: expanding rings first (when
 // enabled), then network-wide floods for the configured retries.
-func (p *Protocol) attemptPlan() []rreqAttempt {
+func (c Config) attemptPlan() []rreqAttempt {
 	var plan []rreqAttempt
-	if p.cfg.ExpandingRing {
+	if c.ExpandingRing {
 		for _, ttl := range []uint8{2, 5} {
-			if ttl >= p.cfg.NetDiameter {
+			if ttl >= c.NetDiameter {
 				continue
 			}
 			// Ring traversal time scales with the ring radius, with a
 			// floor so tiny rings still get a sane round trip.
-			t := p.cfg.DiscoveryTimeout * time.Duration(ttl) / 8
-			if floor := p.cfg.DiscoveryTimeout / 4; t < floor {
+			t := c.DiscoveryTimeout * time.Duration(ttl) / 8
+			if floor := c.DiscoveryTimeout / 4; t < floor {
 				t = floor
 			}
 			plan = append(plan, rreqAttempt{ttl: ttl, timeout: t})
 		}
 	}
-	for range 1 + p.cfg.RREQRetries {
-		plan = append(plan, rreqAttempt{ttl: p.cfg.NetDiameter, timeout: p.cfg.DiscoveryTimeout})
+	for range 1 + c.RREQRetries {
+		plan = append(plan, rreqAttempt{ttl: c.NetDiameter, timeout: c.DiscoveryTimeout})
 	}
 	return plan
 }
 
-func (p *Protocol) discover(dst netem.NodeID, d *discovery) {
-	defer p.wg.Done()
-	span := p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))
-	start := p.clk.Now()
-	for _, a := range p.attemptPlan() {
-		p.sendRREQ(dst, a.ttl)
-		timer := p.clk.NewTimer(a.timeout)
-		select {
-		case <-d.success:
-			timer.Stop()
-			if span.Active() {
-				p.obsDelay.Observe(p.clk.Now().Sub(start))
-				span.End("aodv dst=" + string(dst) + " ok")
-			}
-			p.finishDiscovery(dst, d, true)
-			return
-		case <-p.stop:
-			timer.Stop()
-			span.End("aodv dst=" + string(dst) + " stopped")
-			p.finishDiscovery(dst, d, false)
-			return
-		case <-timer.C():
-		}
-	}
-	span.End("aodv dst=" + string(dst) + " failed")
-	p.finishDiscovery(dst, d, false)
-}
-
-// discoverSched runs the RREQ retry schedule as a chain of event-loop
-// timers instead of a dedicated goroutine. The chain is the sole owner of
-// the failure path; success is delivered by installRoute via d.onSuccess
-// the moment the route lands, exactly like the goroutine's success-channel
-// wakeup. finishDiscovery's idempotence arbitrates the race between the
-// two, and between a retry step and Stop.
-func (p *Protocol) discoverSched(dst netem.NodeID, d *discovery) {
-	span := p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))
-	start := p.clk.Now()
-	plan := p.attemptPlan()
-	key := string(p.host.ID())
+// discover sends the next RREQ of plan and re-arms itself for the attempt's
+// timeout; when the plan runs out the discovery has failed. Success is
+// installRoute's to report, the moment the route lands, and Stop ends every
+// pending discovery: finishDiscovery's idempotence arbitrates between the
+// three.
+func (p *Protocol) discover(dst netem.NodeID, d *discovery, plan []rreqAttempt) {
 	p.mu.Lock()
-	d.onSuccess = func() {
-		if span.Active() {
-			p.obsDelay.Observe(p.clk.Now().Sub(start))
-			span.End("aodv dst=" + string(dst) + " ok")
-		}
-		p.finishDiscovery(dst, d, true)
-	}
+	finished := d.finished
 	p.mu.Unlock()
-	var attempt func(i int)
-	attempt = func(i int) {
-		p.mu.Lock()
-		finished := d.finished
-		started := p.started
-		p.mu.Unlock()
-		if finished {
-			return
-		}
-		if !started {
-			span.End("aodv dst=" + string(dst) + " stopped")
-			p.finishDiscovery(dst, d, false)
-			return
-		}
-		select {
-		case <-d.success:
-			// installRoute closed the channel and will run (or has run)
-			// onSuccess; the chain simply ends.
-			return
-		default:
-		}
-		if i >= len(plan) {
-			span.End("aodv dst=" + string(dst) + " failed")
-			p.finishDiscovery(dst, d, false)
-			return
-		}
-		p.sendRREQ(dst, plan[i].ttl)
-		p.cfg.Sched.After(key, plan[i].timeout, func(time.Time) { attempt(i + 1) })
+	if finished {
+		return
 	}
-	attempt(0)
+	if len(plan) == 0 {
+		p.finishDiscovery(dst, d, "failed")
+		return
+	}
+	p.sendRREQ(dst, plan[0].ttl)
+	p.host.Sched().After(string(p.host.ID()), plan[0].timeout, func(time.Time) { p.discover(dst, d, plan[1:]) })
 }
 
-func (p *Protocol) finishDiscovery(dst netem.NodeID, d *discovery, ok bool) {
+// discoveryOK is the outcome that means a route was found.
+const discoveryOK = "ok"
+
+func (p *Protocol) finishDiscovery(dst netem.NodeID, d *discovery, outcome string) {
+	ok := outcome == discoveryOK
 	p.mu.Lock()
 	if d.finished {
 		p.mu.Unlock()
@@ -424,6 +337,12 @@ func (p *Protocol) finishDiscovery(dst netem.NodeID, d *discovery, ok bool) {
 		p.stats.Failed++
 	}
 	p.mu.Unlock()
+	if d.span.Active() {
+		if ok {
+			p.obsDelay.Observe(p.clk.Now().Sub(d.start))
+		}
+		d.span.End("aodv dst=" + string(dst) + " " + outcome)
+	}
 	for _, cb := range cbs {
 		cb(ok)
 	}
@@ -647,22 +566,10 @@ func (p *Protocol) installRoute(dst, nextHop netem.NodeID, hops int, seq uint32)
 		Expires: p.clk.Now().Add(p.cfg.ActiveRouteTimeout),
 	})
 	p.mu.Lock()
-	d, ok := p.pending[dst]
-	var onSuccess func()
-	if ok {
-		select {
-		case <-d.success:
-			ok = false
-		default:
-		}
-		if ok {
-			close(d.success)
-			onSuccess = d.onSuccess
-		}
-	}
+	d := p.pending[dst]
 	p.mu.Unlock()
-	if onSuccess != nil {
-		onSuccess()
+	if d != nil {
+		p.finishDiscovery(dst, d, discoveryOK)
 	}
 }
 
@@ -675,20 +582,6 @@ func (p *Protocol) gcSeenLocked(now time.Time) {
 		if now.Sub(t) > horizon {
 			delete(p.seen, k)
 		}
-	}
-}
-
-func (p *Protocol) helloLoop() {
-	defer p.wg.Done()
-	for {
-		timer := p.clk.NewTimer(p.cfg.HelloInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		p.helloTick()
 	}
 }
 

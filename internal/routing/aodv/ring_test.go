@@ -129,8 +129,8 @@ func TestExpandingRingEscalatesToFarDestination(t *testing.T) {
 }
 
 func TestAttemptPlanShape(t *testing.T) {
-	p := New(nil, noHelloConfig(true))
-	plan := p.attemptPlan()
+	cfg := noHelloConfig(true).withDefaults()
+	plan := cfg.attemptPlan()
 	// 2 rings + (1 + 2 retries) full floods.
 	if len(plan) != 5 {
 		t.Fatalf("plan = %+v", plan)
@@ -139,7 +139,7 @@ func TestAttemptPlanShape(t *testing.T) {
 		t.Fatalf("ring ttls = %d, %d", plan[0].ttl, plan[1].ttl)
 	}
 	for _, a := range plan[2:] {
-		if a.ttl != p.cfg.NetDiameter {
+		if a.ttl != cfg.NetDiameter {
 			t.Fatalf("full flood ttl = %d", a.ttl)
 		}
 	}
@@ -147,8 +147,8 @@ func TestAttemptPlanShape(t *testing.T) {
 		t.Fatalf("ring timeout %v not shorter than full %v", plan[0].timeout, plan[2].timeout)
 	}
 	// Without the ring: only full floods.
-	p2 := New(nil, noHelloConfig(false))
-	if plan2 := p2.attemptPlan(); len(plan2) != 3 || plan2[0].ttl != p2.cfg.NetDiameter {
+	cfg = noHelloConfig(false).withDefaults()
+	if plan2 := cfg.attemptPlan(); len(plan2) != 3 || plan2[0].ttl != cfg.NetDiameter {
 		t.Fatalf("no-ring plan = %+v", plan2)
 	}
 }

@@ -40,12 +40,6 @@ type Config struct {
 	Clock clock.Clock
 	// Obs records route-wait spans and latency. Nil disables.
 	Obs *obs.Observer
-	// Sched, when set, runs every protocol timer (HELLO/TC emission, the
-	// recompute hold-down window, RequestRoute convergence polling) on the
-	// shared sharded event loop instead of per-node goroutines. Timer
-	// cadence is identical either way; only the goroutine cost changes
-	// (O(shards) for the whole network instead of 2+ per node).
-	Sched *clock.Scheduler
 	// Fisheye enables fisheye TC scoping (FSR-style graded refresh): TCs
 	// normally carry FisheyeNearTTL so only the near zone sees every
 	// refresh, and the full-MaxTTL flood is decimated to every
@@ -289,9 +283,7 @@ type Protocol struct {
 	// the first is that unchanged HELLO/TC arrivals never schedule at all).
 	stateHash uint64
 
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	tasks []*clock.Task // event-loop timers when cfg.Sched is set
+	tasks []*clock.Task // the HELLO and TC beats
 
 	// Pre-resolved obs handles; nil when cfg.Obs is nil.
 	obs      *obs.Observer
@@ -310,7 +302,6 @@ func New(host *netem.Host, cfg Config) *Protocol {
 		nodes: newNodeIndex(),
 		dups:  make(map[dupKey]dupVal),
 		table: routing.NewTable(),
-		stop:  make(chan struct{}),
 	}
 	// Self is always dense index 0: HELLO/TC processing and the BFS skip it
 	// by integer compare.
@@ -373,25 +364,19 @@ func (p *Protocol) Start() error {
 		return err
 	}
 	p.host.SetRouteProvider(p)
-	if p.cfg.Sched != nil {
-		key := string(p.host.ID())
-		tasks := []*clock.Task{
-			p.cfg.Sched.Every(key, p.cfg.HelloInterval, func(time.Time) {
-				p.expire()
-				p.sendHello()
-			}),
-			p.cfg.Sched.Every(key, p.cfg.TCInterval, func(time.Time) {
-				p.sendTC()
-			}),
-		}
-		p.mu.Lock()
-		p.tasks = tasks
-		p.mu.Unlock()
-		return nil
+	sched, key := p.host.Sched(), string(p.host.ID())
+	tasks := []*clock.Task{
+		sched.Every(key, p.cfg.HelloInterval, func(time.Time) {
+			p.expire()
+			p.sendHello()
+		}),
+		sched.Every(key, p.cfg.TCInterval, func(time.Time) {
+			p.sendTC()
+		}),
 	}
-	p.wg.Add(2)
-	go p.helloLoop()
-	go p.tcLoop()
+	p.mu.Lock()
+	p.tasks = tasks
+	p.mu.Unlock()
 	return nil
 }
 
@@ -409,8 +394,6 @@ func (p *Protocol) Stop() {
 	for _, t := range tasks {
 		t.Stop()
 	}
-	close(p.stop)
-	p.wg.Wait()
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -449,51 +432,8 @@ func (p *Protocol) RequestRoute(dst netem.NodeID, done func(bool)) {
 		done(false)
 		return
 	}
-	if p.cfg.Sched != nil {
-		p.requestRouteSched(dst, done)
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		span := p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))
-		start := p.clk.Now()
-		deadline := start.Add(p.cfg.RouteWait)
-		poll := p.cfg.HelloInterval / 2
-		if poll <= 0 {
-			poll = 10 * time.Millisecond
-		}
-		for {
-			if _, ok := p.NextHop(dst); ok {
-				if span.Active() {
-					p.obsDelay.Observe(p.clk.Now().Sub(start))
-					span.End("olsr dst=" + string(dst) + " ok")
-				}
-				done(true)
-				return
-			}
-			if p.clk.Now().After(deadline) {
-				span.End("olsr dst=" + string(dst) + " timeout")
-				done(false)
-				return
-			}
-			timer := p.clk.NewTimer(poll)
-			select {
-			case <-p.stop:
-				timer.Stop()
-				span.End("olsr dst=" + string(dst) + " stopped")
-				done(false)
-				return
-			case <-timer.C():
-			}
-		}
-	}()
-}
-
-// requestRouteSched is RequestRoute's convergence wait as a chain of
-// one-shot event-loop tasks: the same poll cadence as the legacy goroutine
-// (half a HELLO interval), with zero goroutine cost while waiting.
-func (p *Protocol) requestRouteSched(dst netem.NodeID, done func(bool)) {
+	// The convergence wait is a chain of one-shot tasks polling every half
+	// HELLO interval; it costs nothing while it waits.
 	span := p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))
 	start := p.clk.Now()
 	deadline := start.Add(p.cfg.RouteWait)
@@ -525,9 +465,9 @@ func (p *Protocol) requestRouteSched(dst netem.NodeID, done func(bool)) {
 			done(false)
 			return
 		}
-		p.cfg.Sched.After(key, poll, step)
+		p.host.Sched().After(key, poll, step)
 	}
-	p.cfg.Sched.After(key, poll, step)
+	p.host.Sched().After(key, poll, step)
 }
 
 // MPRs returns the currently selected multipoint relays (diagnostics).
@@ -858,21 +798,6 @@ func ansnOlder(a, b uint16) bool {
 	return a != b && int16(a-b) < 0
 }
 
-func (p *Protocol) helloLoop() {
-	defer p.wg.Done()
-	for {
-		timer := p.clk.NewTimer(p.cfg.HelloInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		p.expire()
-		p.sendHello()
-	}
-}
-
 func (p *Protocol) sendHello() {
 	p.mu.Lock()
 	p.helloNbs = p.helloNbs[:0]
@@ -892,20 +817,6 @@ func (p *Protocol) sendHello() {
 	p.stats.HelloSent++
 	p.mu.Unlock()
 	p.sendControl(KindHello, body)
-}
-
-func (p *Protocol) tcLoop() {
-	defer p.wg.Done()
-	for {
-		timer := p.clk.NewTimer(p.cfg.TCInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		p.sendTC()
-	}
 }
 
 func (p *Protocol) sendTC() {
@@ -1010,53 +921,25 @@ func (p *Protocol) scheduleRecompute() {
 		return
 	}
 	p.recomputeHold = true
-	if p.cfg.Sched != nil {
-		p.mu.Unlock()
-		p.recompute()
-		key := string(p.host.ID())
-		window := p.cfg.HelloInterval / 2
-		var tick func(time.Time)
-		tick = func(time.Time) {
-			p.mu.Lock()
-			queued := p.recomputeQueued && p.started
-			p.recomputeQueued = false
-			if !queued {
-				p.recomputeHold = false
-				p.mu.Unlock()
-				return
-			}
-			p.mu.Unlock()
-			p.recompute()
-			p.cfg.Sched.After(key, window, tick)
-		}
-		p.cfg.Sched.After(key, window, tick)
-		return
-	}
-	p.wg.Add(1)
 	p.mu.Unlock()
 	p.recompute()
-	go func() {
-		defer p.wg.Done()
-		for {
-			timer := p.clk.NewTimer(p.cfg.HelloInterval / 2)
-			select {
-			case <-p.stop:
-				timer.Stop()
-				return
-			case <-timer.C():
-			}
-			p.mu.Lock()
-			queued := p.recomputeQueued
-			p.recomputeQueued = false
-			if !queued {
-				p.recomputeHold = false
-				p.mu.Unlock()
-				return
-			}
+	sched, key := p.host.Sched(), string(p.host.ID())
+	window := p.cfg.HelloInterval / 2
+	var tick func(time.Time)
+	tick = func(time.Time) {
+		p.mu.Lock()
+		queued := p.recomputeQueued && p.started
+		p.recomputeQueued = false
+		if !queued {
+			p.recomputeHold = false
 			p.mu.Unlock()
-			p.recompute()
+			return
 		}
-	}()
+		p.mu.Unlock()
+		p.recompute()
+		sched.After(key, window, tick)
+	}
+	sched.After(key, window, tick)
 }
 
 // phaseHash is an FNV-1a digest of a node ID, used once at construction to

@@ -24,11 +24,6 @@ type Config struct {
 	// Obs records per-leg INVITE spans and transaction counters. Nil
 	// disables observability; the message path then pays one branch.
 	Obs *obs.Observer
-	// Sched, when set, delivers datagrams via a conn callback and runs the
-	// retransmission, linger and expiry timers as event-loop tasks instead
-	// of one goroutine per transaction plus a receive goroutine per stack.
-	// TU request handlers still get their own goroutine (they may block).
-	Sched *clock.Scheduler
 }
 
 func (c Config) withDefaults() Config {
@@ -55,6 +50,11 @@ type RequestHandler func(tx *ServerTx)
 
 // Stack binds SIP message I/O and the transaction layer to one UDP-like
 // port. Create with NewStack, release with Close.
+//
+// Datagrams arrive by conn callback on a delivery worker, and the
+// retransmission, linger and expiry timers are tasks on the host's
+// scheduler, keyed by the node so they never run concurrently. The only
+// goroutines a stack starts are the TU request handlers, which may block.
 type Stack struct {
 	conn *netem.Conn
 	cfg  Config
@@ -68,9 +68,10 @@ type Stack struct {
 	strayResp func(*Message, Addr)
 	closed    bool
 
-	seq  atomic.Uint64
-	stop chan struct{}
-	wg   sync.WaitGroup
+	seq atomic.Uint64
+	// wg counts running request handlers. Add only under mu with closed
+	// false, so Close's Wait never races an Add from zero.
+	wg sync.WaitGroup
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil.
 	obs         *obs.Observer
@@ -79,7 +80,7 @@ type Stack struct {
 	obsInvites  *obs.Counter
 }
 
-// NewStack attaches a SIP endpoint to conn and starts its receive loop.
+// NewStack attaches a SIP endpoint to conn and starts receiving on it.
 func NewStack(conn *netem.Conn, cfg Config) *Stack {
 	cfg = cfg.withDefaults()
 	s := &Stack{
@@ -89,7 +90,6 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
 		clientTxs: make(map[string]*ClientTx),
 		serverTxs: make(map[string]*ServerTx),
-		stop:      make(chan struct{}),
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
@@ -97,17 +97,15 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		s.obsTimeouts = cfg.Obs.Counter("sip.tx.timeouts")
 		s.obsInvites = cfg.Obs.Counter("sip.tx.invites")
 	}
-	if cfg.Sched != nil {
-		s.conn.Handle(func(dg *netem.Datagram) { s.dispatch(dg) })
-		return s
-	}
-	s.wg.Add(1)
-	go s.recvLoop()
+	s.conn.Handle(s.dispatch)
 	return s
 }
 
 // Addr returns the local SIP transport address.
 func (s *Stack) Addr() Addr { return s.self }
+
+// sched is the scheduler the stack's transaction timers run on.
+func (s *Stack) sched() *clock.Scheduler { return s.conn.Host().Sched() }
 
 // OnRequest installs the handler for new incoming requests.
 func (s *Stack) OnRequest(h RequestHandler) {
@@ -124,8 +122,10 @@ func (s *Stack) OnStrayResponse(h func(*Message, Addr)) {
 	s.strayResp = h
 }
 
-// Close terminates the stack: all transactions stop and the receive loop
-// exits. The underlying connection is closed too.
+// Close terminates the stack: requests arriving from now on are dropped,
+// all client transactions end (so Await callers unblock) and Close returns
+// once the request handlers already running have. The underlying connection
+// is closed too.
 func (s *Stack) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -133,19 +133,13 @@ func (s *Stack) Close() {
 		return
 	}
 	s.closed = true
-	var txs []*ClientTx
-	if s.cfg.Sched != nil {
-		// Event-loop client transactions have no goroutine watching s.stop;
-		// terminate them here so Await callers unblock (terminate is
-		// idempotent, so a late timer step racing this is harmless).
-		txs = make([]*ClientTx, 0, len(s.clientTxs))
-		for _, tx := range s.clientTxs {
-			txs = append(txs, tx)
-		}
+	txs := make([]*ClientTx, 0, len(s.clientTxs))
+	for _, tx := range s.clientTxs {
+		txs = append(txs, tx)
 	}
 	s.mu.Unlock()
-	close(s.stop)
 	s.conn.Close()
+	// terminate is idempotent, so a timer step racing this is harmless.
 	for _, tx := range txs {
 		tx.terminate()
 	}
@@ -264,17 +258,6 @@ func (s *Stack) removeServerTx(key string) {
 	delete(s.serverTxs, key)
 }
 
-func (s *Stack) recvLoop() {
-	defer s.wg.Done()
-	for {
-		dg, ok := s.conn.Recv()
-		if !ok {
-			return
-		}
-		s.dispatch(dg)
-	}
-}
-
 func (s *Stack) dispatch(dg *netem.Datagram) {
 	m, err := Parse(dg.Data)
 	if err != nil {
@@ -314,36 +297,39 @@ func (s *Stack) dispatchResponse(m *Message, src Addr) {
 func (s *Stack) dispatchRequest(m *Message, src Addr) {
 	key := m.TransactionKey()
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
 	tx := s.serverTxs[key]
-	handler := s.handler
-	s.mu.Unlock()
 	if tx != nil {
+		s.mu.Unlock()
 		tx.onRequest(m)
 		return
 	}
-	if m.Method == MethodAck {
-		// ACK for a 2xx: no matching transaction by design; hand to the
-		// TU as a standalone request (dialog confirmation).
-		if handler != nil {
-			tx := newServerTx(s, m, src, true)
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				handler(tx)
-			}()
-		}
+	handler := s.handler
+	// An ACK for a 2xx matches no transaction by design: it goes to the TU
+	// as a standalone request (dialog confirmation) and is not remembered.
+	ackOnly := m.Method == MethodAck
+	if ackOnly && handler == nil {
+		s.mu.Unlock()
 		return
 	}
-	tx = newServerTx(s, m, src, false)
-	s.mu.Lock()
-	s.serverTxs[key] = tx
+	tx = newServerTx(s, m, src, ackOnly)
+	if !ackOnly {
+		s.serverTxs[key] = tx
+	}
+	if handler != nil {
+		s.wg.Add(1)
+	}
 	s.mu.Unlock()
-	tx.scheduleExpiry()
+	if !ackOnly {
+		tx.scheduleExpiry()
+	}
 	if handler == nil {
 		_ = tx.RespondCode(StatusServiceUnavail, "")
 		return
 	}
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		handler(tx)

@@ -11,6 +11,12 @@ import (
 // pair builds two directly-connected hosts with SIP stacks on port 5060.
 func pair(t *testing.T, cfg netem.Config) (*Stack, *Stack, *netem.Network) {
 	t.Helper()
+	return pairWith(t, cfg, SimConfig())
+}
+
+// pairWith is pair with the transaction timing and clock given.
+func pairWith(t *testing.T, cfg netem.Config, sipCfg Config) (*Stack, *Stack, *netem.Network) {
+	t.Helper()
 	if cfg.BaseDelay == 0 {
 		cfg.BaseDelay = 100 * time.Microsecond
 	}
@@ -34,8 +40,8 @@ func pair(t *testing.T, cfg netem.Config) (*Stack, *Stack, *netem.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := NewStack(ca, SimConfig())
-	sb := NewStack(cb, SimConfig())
+	sa := NewStack(ca, sipCfg)
+	sb := NewStack(cb, sipCfg)
 	t.Cleanup(sa.Close)
 	t.Cleanup(sb.Close)
 	return sa, sb, n

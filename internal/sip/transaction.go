@@ -105,25 +105,14 @@ func (tx *ClientTx) start() {
 		tx.span = s.obs.StartSpan(tx.req.CallID, obs.PhaseSIPLeg,
 			string(s.self.Node)+"->"+string(tx.dst.Node))
 	}
-	if s.cfg.Sched != nil {
-		tx.startSched()
-		return
-	}
-	s.wg.Add(1)
-	go tx.run()
-}
-
-// startSched transmits the request and arms the retransmission schedule as
-// a chain of event-loop timer steps — the run() loop unrolled, one step per
-// timer fire, with the loop state carried in the closure. Steps for one
-// node share a shard key, so the chain is serialized with every other SIP
-// timer on this node.
-func (tx *ClientTx) startSched() {
-	s := tx.stack
+	// Transmit the request and arm the retransmission schedule as a chain
+	// of one-shot timer steps, the loop state carried in the closure. Steps
+	// for one node share a shard key, so the chain is serialized with every
+	// other SIP timer on this node.
 	raw := tx.req.Marshal()
 	_ = s.conn.WriteTo(raw, tx.dst.Node, tx.dst.Port)
 
-	key := string(s.self.Node)
+	sched, key := s.sched(), string(s.self.Node)
 	interval := s.cfg.T1
 	deadline := s.clk.Now().Add(64 * s.cfg.T1) // Timer B / F
 	proceeding := false
@@ -137,75 +126,6 @@ func (tx *ClientTx) startSched() {
 		case <-tx.done:
 			return
 		default:
-		}
-		tx.mu.Lock()
-		final, lastProv := tx.finalSent, tx.lastProv
-		tx.mu.Unlock()
-		if final {
-			return
-		}
-		if tx.req.Method == MethodInvite && !lastProv.IsZero() {
-			// Same Proceeding handling as run(): re-arm Timer B from the
-			// latest provisional but keep retransmitting (see run()).
-			proceeding = true
-			if d := lastProv.Add(256 * s.cfg.T1); d.After(deadline) {
-				deadline = d
-			}
-		}
-		if !s.clk.Now().Before(deadline) {
-			s.obsTimeouts.Inc()
-			tx.endSpan("timeout")
-			resp := NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason)
-			tx.deliver(resp)
-			tx.terminate()
-			return
-		}
-		_ = s.conn.WriteTo(raw, tx.dst.Node, tx.dst.Port)
-		s.obsRetrans.Inc()
-		tx.mu.Lock()
-		tx.retrans++
-		tx.mu.Unlock()
-		interval *= 2
-		if (tx.req.Method != MethodInvite || proceeding) && interval > s.cfg.T2 {
-			interval = s.cfg.T2
-		}
-		s.cfg.Sched.After(key, interval, step)
-	}
-	s.cfg.Sched.After(key, interval, step)
-}
-
-// endSpan closes the leg span with the outcome and retransmit count. Callers
-// hold the finalSent transition, so it runs at most once per transaction.
-func (tx *ClientTx) endSpan(outcome string) {
-	if !tx.span.Active() {
-		return
-	}
-	tx.mu.Lock()
-	n := tx.retrans
-	tx.mu.Unlock()
-	tx.span.End(outcome + " retrans=" + strconv.Itoa(n))
-}
-
-func (tx *ClientTx) run() {
-	defer tx.stack.wg.Done()
-	s := tx.stack
-	raw := tx.req.Marshal()
-	_ = s.conn.WriteTo(raw, tx.dst.Node, tx.dst.Port)
-
-	interval := s.cfg.T1
-	deadline := s.clk.Now().Add(64 * s.cfg.T1) // Timer B / F
-	proceeding := false
-	for {
-		timer := s.clk.NewTimer(interval)
-		select {
-		case <-s.stop:
-			timer.Stop()
-			tx.terminate()
-			return
-		case <-tx.done:
-			timer.Stop()
-			return
-		case <-timer.C():
 		}
 		tx.mu.Lock()
 		final, lastProv := tx.finalSent, tx.lastProv
@@ -245,7 +165,21 @@ func (tx *ClientTx) run() {
 		if (tx.req.Method != MethodInvite || proceeding) && interval > s.cfg.T2 {
 			interval = s.cfg.T2
 		}
+		sched.After(key, interval, step)
 	}
+	sched.After(key, interval, step)
+}
+
+// endSpan closes the leg span with the outcome and retransmit count. Callers
+// hold the finalSent transition, so it runs at most once per transaction.
+func (tx *ClientTx) endSpan(outcome string) {
+	if !tx.span.Active() {
+		return
+	}
+	tx.mu.Lock()
+	n := tx.retrans
+	tx.mu.Unlock()
+	tx.span.End(outcome + " retrans=" + strconv.Itoa(n))
 }
 
 func (tx *ClientTx) onResponse(m *Message) {
@@ -277,21 +211,7 @@ func (tx *ClientTx) onResponse(m *Message) {
 	// Linger briefly (Timer D/K) so retransmitted finals are absorbed,
 	// then terminate.
 	s := tx.stack
-	if s.cfg.Sched != nil {
-		s.cfg.Sched.After(string(s.self.Node), 4*s.cfg.T1, func(time.Time) { tx.terminate() })
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		timer := s.clk.NewTimer(4 * s.cfg.T1)
-		select {
-		case <-s.stop:
-			timer.Stop()
-		case <-timer.C():
-		}
-		tx.terminate()
-	}()
+	s.sched().After(string(s.self.Node), 4*s.cfg.T1, func(time.Time) { tx.terminate() })
 }
 
 func (tx *ClientTx) deliver(m *Message) {
@@ -422,47 +342,21 @@ func (tx *ServerTx) onRequest(m *Message) {
 // retrying a dead route, instead of spawning a duplicate routing attempt.
 func (tx *ServerTx) scheduleExpiry() {
 	s := tx.stack
-	if s.cfg.Sched != nil {
-		key := string(s.self.Node)
-		var step func(time.Time)
-		step = func(time.Time) {
-			tx.mu.Lock()
-			done := tx.lastResp != nil || tx.ackOnly
-			tx.mu.Unlock()
-			if !done && !s.isClosed() {
-				// Proceeding: no expiry while the TU still owes a final.
-				s.cfg.Sched.After(key, 64*s.cfg.T1, step)
-				return
-			}
-			tx.mu.Lock()
-			tx.finished = true
-			tx.mu.Unlock()
-			s.removeServerTx(tx.key)
-		}
-		s.cfg.Sched.After(key, 64*s.cfg.T1, step)
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			timer := s.clk.NewTimer(64 * s.cfg.T1)
-			select {
-			case <-s.stop:
-				timer.Stop()
-			case <-timer.C():
-				tx.mu.Lock()
-				done := tx.lastResp != nil || tx.ackOnly
-				tx.mu.Unlock()
-				if !done {
-					continue
-				}
-			}
-			tx.mu.Lock()
-			tx.finished = true
-			tx.mu.Unlock()
-			s.removeServerTx(tx.key)
+	sched, key := s.sched(), string(s.self.Node)
+	var step func(time.Time)
+	step = func(time.Time) {
+		tx.mu.Lock()
+		done := tx.lastResp != nil || tx.ackOnly
+		tx.mu.Unlock()
+		if !done && !s.isClosed() {
+			// Proceeding: no expiry while the TU still owes a final.
+			sched.After(key, 64*s.cfg.T1, step)
 			return
 		}
-	}()
+		tx.mu.Lock()
+		tx.finished = true
+		tx.mu.Unlock()
+		s.removeServerTx(tx.key)
+	}
+	sched.After(key, 64*s.cfg.T1, step)
 }

@@ -77,10 +77,6 @@ type Config struct {
 	Clock clock.Clock
 	// Obs records lookup counters and resolution latency. Nil disables.
 	Obs *obs.Observer
-	// Sched, when set, runs the advert-refresh timer on the shared sharded
-	// event loop and delivers unicast replies via a conn callback instead
-	// of a recv goroutine. Two fewer goroutines per node, same cadence.
-	Sched *clock.Scheduler
 }
 
 func (c Config) withDefaults() Config {
@@ -236,9 +232,8 @@ type Agent struct {
 
 	stats agentCounters
 
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	tasks []*clock.Task // event-loop timers when cfg.Sched is set
+	stop    chan struct{} // closed by Stop; ends Lookups in progress
+	refresh *clock.Task
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil.
 	obsLookups   *obs.Counter
@@ -315,17 +310,11 @@ func (a *Agent) Start() error {
 		conn.Close()
 		return err
 	}
-	if a.cfg.Sched != nil {
-		conn.Handle(func(dg *netem.Datagram) { a.receive(dg.Data) })
-		task := a.cfg.Sched.Every(string(a.host.ID()), a.refreshInterval(), func(time.Time) { a.refreshTick() })
-		a.mu.Lock()
-		a.tasks = append(a.tasks, task)
-		a.mu.Unlock()
-		return nil
-	}
-	a.wg.Add(2)
-	go a.recvLoop()
-	go a.refreshLoop()
+	conn.Handle(a.onDatagram)
+	task := a.host.Sched().Every(string(a.host.ID()), a.refreshInterval(), func(time.Time) { a.refreshTick() })
+	a.mu.Lock()
+	a.refresh = task
+	a.mu.Unlock()
 	return nil
 }
 
@@ -337,15 +326,11 @@ func (a *Agent) Stop() {
 		return
 	}
 	a.closed = true
-	tasks := a.tasks
-	a.tasks = nil
+	refresh := a.refresh
 	a.mu.Unlock()
-	for _, t := range tasks {
-		t.Stop()
-	}
+	refresh.Stop()
 	close(a.stop)
 	a.conn.Close()
-	a.wg.Wait()
 }
 
 // Stats returns a snapshot of the agent counters.
@@ -648,9 +633,10 @@ func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
 		}
 	}
 	p.Digest = &a.pbDigest
-	// Encode into the reused writer, then copy out: concurrent emitters
-	// (helloLoop and tcLoop of the same protocol) both land here, so the
-	// returned slice must not alias the scratch buffer.
+	// Encode into the reused writer, then copy out: concurrent emitters (a
+	// protocol's timer tasks and the messages it forwards from a delivery
+	// worker) both land here, so the returned slice must not alias the
+	// scratch buffer.
 	a.pbW.Reset()
 	return bytes.Clone(p.MarshalInto(a.pbW))
 }
@@ -764,14 +750,13 @@ func (a *Agent) sendFlood(q Query) {
 // onServiceFrame handles multicast-mode floods.
 func (a *Agent) onServiceFrame(f netem.Frame) { a.receive(f.Payload) }
 
-// recvLoop processes unicast SLP datagrams (query replies).
-func (a *Agent) recvLoop() {
-	defer a.wg.Done()
-	for {
-		dg, ok := a.conn.Recv()
-		if !ok {
-			return
-		}
+// onDatagram handles unicast SLP datagrams (query replies). One that arrives
+// while Stop is running is dropped.
+func (a *Agent) onDatagram(dg *netem.Datagram) {
+	a.mu.Lock()
+	closed := a.closed
+	a.mu.Unlock()
+	if !closed {
 		a.receive(dg.Data)
 	}
 }
@@ -797,20 +782,4 @@ func (a *Agent) refreshTick() {
 		a.cache.upsert(svc)
 	}
 	a.mu.Unlock()
-}
-
-// refreshLoop is the legacy goroutine driver for refreshTick.
-func (a *Agent) refreshLoop() {
-	defer a.wg.Done()
-	interval := a.refreshInterval()
-	for {
-		timer := a.clk.NewTimer(interval)
-		select {
-		case <-a.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		a.refreshTick()
-	}
 }

@@ -1,0 +1,101 @@
+package slp
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"siphoc/internal/clock"
+	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
+)
+
+// direct routes every destination as a 1-hop neighbour.
+type direct struct{}
+
+func (direct) NextHop(dst netem.NodeID) (netem.NodeID, bool)  { return dst, true }
+func (direct) RequestRoute(dst netem.NodeID, done func(bool)) { done(true) }
+
+// TestStopDropsReplies pins what Stop means for the unicast reply path, now
+// that no receive goroutine stands between the port and the table. A reply
+// is installed while the agent runs; one that arrives once Stop has begun is
+// dropped, not processed; replies racing Stop leave nothing behind; and the
+// refresh beat is gone from the scheduler.
+func TestStopDropsReplies(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	fake := clock.NewFake(time.Unix(6_000_000, 0))
+	net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1})
+	ha, err := net.AddHost("a", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := net.AddHost("b", netem.Position{X: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb.SetRouteProvider(direct{})
+	a := NewAgent(ha, Config{Clock: fake})
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sender, err := hb.Listen(Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reply := func(key string) []byte {
+		svc := Service{Type: "sip", Key: key, URL: ServiceURL("sip", "b:5060"), Origin: "b", Seq: 1,
+			Expires: fake.Now().Add(time.Minute)}
+		return (&Payload{Adverts: []Advert{advertOf(&svc, fake.Now())}}).Marshal()
+	}
+	known := func(key string) bool {
+		_, ok := a.cache.get("sip", key, fake.Now())
+		return ok
+	}
+
+	// Running: a reply over the medium is installed.
+	if err := sender.WriteTo(reply("early@x"), "a", Port); err != nil {
+		t.Fatal(err)
+	}
+	if !testutil.AdvanceUntil(fake, 100*time.Microsecond, 20*time.Millisecond, func() bool { return known("early@x") }) {
+		t.Fatal("reply to a running agent never installed")
+	}
+
+	// Replies keep coming while Stop runs, under -race.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = sender.WriteTo(reply("racing@x"), "a", Port)
+			fake.Advance(100 * time.Microsecond)
+		}
+	}()
+	time.Sleep(time.Millisecond)
+	a.Stop()
+	close(stop)
+	wg.Wait()
+
+	// Stopped: the port's handler drops what still reaches it.
+	accepted := a.Stats().AdvertsAccepted
+	a.onDatagram(&netem.Datagram{SrcNode: "b", DstNode: "a", SrcPort: Port, DstPort: Port, Data: reply("late@x")})
+	if known("late@x") || a.Stats().AdvertsAccepted != accepted {
+		t.Fatal("reply arriving after Stop was processed")
+	}
+
+	// The refresh beat's last deadline passes and the scheduler is empty.
+	if !testutil.AdvanceUntil(fake, a.refreshInterval(), 10*a.refreshInterval(), func() bool { return ha.Sched().Pending() == 0 }) {
+		t.Fatalf("%d tasks still queued for a stopped agent", ha.Sched().Pending())
+	}
+	net.Close()
+	if err := testutil.SettleGoroutines(baseline, 0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,29 @@
+// Package testutil holds what the tests of several packages share.
+package testutil
+
+import (
+	"fmt"
+	"runtime"
+	"time"
+)
+
+// SettleGoroutines waits (in wall-clock time — goroutine exit is a runtime
+// matter, not a simulated-clock one) until the process goroutine count drops
+// to baseline+slack, returning an error listing the leak size if it never
+// does. Tests capture the baseline before building what they test and call
+// this after tearing it down to prove it leaks nothing.
+func SettleGoroutines(baseline, slack int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	n := runtime.NumGoroutine()
+	for {
+		if n <= baseline+slack {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("siphoc: %d goroutines leaked (%d running, baseline %d+%d)",
+				n-baseline-slack, n, baseline, slack)
+		}
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+}

@@ -337,12 +337,14 @@ func (p *Phone) onInvite(tx *sip.ServerTx) {
 		return
 	}
 	p.addCall(c)
+	_ = tx.RespondCode(sip.StatusRinging, "")
+	c.setState(StateRinging)
+	// Announced only once it rings: whoever takes it off Incoming sees
+	// StateRinging, and an Answer from there cannot overtake the 180.
 	select {
 	case p.incoming <- c:
 	default:
 	}
-	_ = tx.RespondCode(sip.StatusRinging, "")
-	c.setState(StateRinging)
 	if p.cfg.AutoAnswer || !p.cfg.NoAutoAnswer {
 		p.wg.Add(1)
 		go func() {

@@ -87,9 +87,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	if slpCfg.Obs == nil {
 		slpCfg.Obs = s.obs
 	}
-	if slpCfg.Sched == nil {
-		slpCfg.Sched = s.sched
-	}
 	n.agent = slp.NewAgent(host, slpCfg)
 
 	// Routing protocol with the SLP plugin attached before start.
@@ -98,7 +95,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		cfg := aodv.SimConfig()
 		cfg.Clock = s.clk
 		cfg.Obs = s.obs
-		cfg.Sched = s.sched
 		cfg = scaleAODV(cfg, s.cfg.TimeScale)
 		n.routing = aodv.New(host, cfg)
 	case RoutingOLSR:
@@ -111,9 +107,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		}
 		if cfg.Obs == nil {
 			cfg.Obs = s.obs
-		}
-		if cfg.Sched == nil {
-			cfg.Sched = s.sched
 		}
 		cfg = scaleOLSR(cfg, s.cfg.TimeScale)
 		n.routing = olsr.New(host, cfg)
@@ -179,7 +172,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	// The SIPHoc proxy.
 	sipCfg := sip.SimConfig()
 	sipCfg.Clock = s.clk
-	sipCfg.Sched = s.sched
 	proxyCfg := core.ProxyConfig{
 		SIP:          sipCfg,
 		Clock:        s.clk,
@@ -291,9 +283,6 @@ func (n *Node) NewPhoneWith(cfg PhoneConfig) (*Phone, error) {
 	if cfg.SIP.T1 == 0 {
 		cfg.SIP = sip.SimConfig()
 		cfg.SIP.Clock = n.scenario.clk
-	}
-	if cfg.SIP.Sched == nil {
-		cfg.SIP.Sched = n.scenario.sched
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = n.scenario.clk

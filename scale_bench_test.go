@@ -70,15 +70,12 @@ func controlScaleOLSR(nodes int) olsr.Config {
 	}
 }
 
-// controlScaleScenario builds the scale-study deployment on the event-loop
-// core: the goroutine-per-timer core dies of scheduler overload near 20×20
-// (see EXPERIMENTS.md), so the scale study runs on the sharded scheduler.
+// controlScaleScenario builds the scale-study deployment.
 func controlScaleScenario(side int) (*siphoc.Scenario, error) {
 	cfg := controlScaleOLSR(side * side)
 	return siphoc.NewScenarioWith(
 		siphoc.WithOLSR(&cfg),
 		siphoc.WithoutObservability(),
-		siphoc.WithEventLoop(),
 	)
 }
 
@@ -215,7 +212,6 @@ func TestControlScaleSmoke(t *testing.T) {
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithOLSR(&cfg),
 		siphoc.WithoutObservability(),
-		siphoc.WithEventLoop(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +222,10 @@ func TestControlScaleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The event-loop resource claim: 1024 nodes must not cost 1024×k
+	// The execution core's resource claim: 1024 nodes must not cost 1024×k
 	// goroutines. The budget covers the delivery shards, the scheduler
-	// workers and a little transient slack — with the goroutine core this
-	// number would be ~7000.
+	// workers and a little transient slack — a goroutine per timer would
+	// make this number ~7000.
 	if g := runtime.NumGoroutine(); g > baseline+64 {
 		t.Errorf("post-bring-up goroutines = %d (baseline %d) for %d nodes; want O(shards)",
 			g, baseline, len(nodes))

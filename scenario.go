@@ -67,16 +67,8 @@ type ScenarioConfig struct {
 	Internet bool
 	// InternetDelay is the Internet per-hop latency (default 5ms).
 	InternetDelay time.Duration
-	// EventLoop runs the deployment on the sharded virtual-time event-loop
-	// core: netem delivers frames inline on its delivery shards, and every
-	// recurring protocol timer (OLSR hello/TC, AODV hello and discovery
-	// retries, SLP refresh, SIP retransmission/linger/expiry) runs on a
-	// shared clock.Scheduler instead of dedicated goroutines. Post-bring-up
-	// goroutine count becomes O(shards), not O(nodes) — the difference
-	// between thousands of runnable goroutines and a handful at 32×32.
-	EventLoop bool
-	// Shards bounds the event-loop worker count (0 = GOMAXPROCS). Only
-	// meaningful with EventLoop.
+	// Shards is the MANET medium's shard count when Radio.Shards is unset
+	// (see netem.Config.Shards; 0 = GOMAXPROCS).
 	Shards int
 	// TimeScale stretches protocol timers; 1.0 (default) uses the fast
 	// simulation timings throughout.
@@ -163,16 +155,6 @@ func WithTimeScale(f float64) ScenarioOption {
 	return func(b *scenarioBuild) { b.cfg.TimeScale = f }
 }
 
-// WithEventLoop switches the scenario to the sharded event-loop core (see
-// ScenarioConfig.EventLoop): inline frame delivery and all recurring
-// protocol timers on one shared scheduler, O(shards) goroutines instead of
-// O(nodes). Protocol behaviour is unchanged — the golden equivalence tests
-// pin bit-identical hello/TC emission and route tables against the
-// goroutine core on a fake clock.
-func WithEventLoop() ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.EventLoop = true }
-}
-
 // WithClock sets the scenario time source (fake clocks give deterministic
 // schedules).
 func WithClock(c clock.Clock) ScenarioOption {
@@ -245,10 +227,9 @@ func withConfig(cfg ScenarioConfig) ScenarioOption {
 // Scenario is a complete deployment: a MANET, optionally a simulated
 // Internet with SIP providers, and the set of SIPHoc nodes.
 type Scenario struct {
-	cfg   ScenarioConfig
-	clk   clock.Clock
-	obs   *obs.Observer    // nil when NoObservability
-	sched *clock.Scheduler // event-loop timer core; nil in goroutine mode
+	cfg ScenarioConfig
+	clk clock.Clock
+	obs *obs.Observer // nil when NoObservability
 
 	net   *netem.Network
 	inet  *internet.Internet
@@ -292,17 +273,13 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 	if radio.Obs == nil {
 		radio.Obs = observer
 	}
-	var sched *clock.Scheduler
-	if cfg.EventLoop {
-		radio.EventLoop = true
+	if radio.Shards == 0 {
 		radio.Shards = cfg.Shards
-		sched = clock.NewScheduler(cfg.Clock, cfg.Shards)
 	}
 	s := &Scenario{
 		cfg:     cfg,
 		clk:     cfg.Clock,
 		obs:     observer,
-		sched:   sched,
 		net:     netem.NewNetwork(radio),
 		prefix:  b.prefix,
 		trunk:   b.trunk,
@@ -346,10 +323,6 @@ func (s *Scenario) Internet() *internet.Internet { return s.inet }
 
 // Clock returns the scenario's time source.
 func (s *Scenario) Clock() clock.Clock { return s.clk }
-
-// Scheduler returns the shared event-loop timer core, or nil when the
-// scenario runs on the legacy goroutine-per-timer core.
-func (s *Scenario) Scheduler() *clock.Scheduler { return s.sched }
 
 // MediaPacer returns the scenario-wide RTP frame scheduler shared by every
 // phone's media sessions (one goroutine paces all concurrent streams).
@@ -436,7 +409,7 @@ func closeParallelism() int {
 }
 
 // addNodes brings up a batch of nodes with bounded parallelism: each node's
-// construction starts seven goroutines and a handful of port bindings, and
+// construction starts a few goroutines and a handful of port bindings, and
 // doing that for hundreds of nodes sequentially dominates large-scenario
 // setup. A semaphore caps the in-flight constructions; the first error wins,
 // later ones are dropped, and every node already up is torn down so the
@@ -625,9 +598,6 @@ func (s *Scenario) Close() {
 		s.inet.Close()
 	}
 	s.net.Close()
-	if s.sched != nil {
-		s.sched.Close()
-	}
 	if s.ownPacer {
 		s.pacer.Close()
 	}
