@@ -23,8 +23,9 @@ cover:
 # detector. Run before every merge (see README.md "Development"). The
 # observability trace/metrics tests run first as a fast-fail gate: they are
 # the ones most sensitive to stats races; the rtp media plane follows because
-# the shared pacer is the most write-contended path in the system. The
-# lifecycle line closes and stops every protocol with work in flight; sip and
+# every stream of a host re-arms itself on one shard of the network's
+# scheduler while frames land on it, the most write-contended path in the
+# system. The lifecycle line closes and stops every protocol with work in flight; sip and
 # voip run three times because the race a stack's Close can lose to an
 # arriving request is intermittent.
 check:
@@ -35,7 +36,7 @@ check:
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
-	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
+	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|NegativeCache|RemembersSLPMiss|LookupCoalescing|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry|OneShardTotalOrder|NetworkCloseFinishesStreams|AbsoluteDeadlineNoDrift|SchedulerCloseDropsQueued' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
 	$(GO) test -race ./internal/rtp/

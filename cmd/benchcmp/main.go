@@ -8,9 +8,11 @@
 // numbers that creep when the control plane grows overhead), lookup_ms and
 // allocs/op (the overlay registrar's lookup latency and allocation bill,
 // gated against BENCH_dht.json), and the scale study's GC pressure metrics
-// heap_alloc_mb / gc_cycles / gc_pause_ms. The time/alloc metrics may grow
-// at most 25% over the committed value; the noisier GC metrics get wider
-// per-metric tolerances. Benchmarks present only in the fresh run (new grid
+// heap_alloc_mb / gc_pause_ms. (gc_cycles is reported but not gated: at fixed
+// GOGC a smaller live heap is collected more often, so the count rises when
+// the program improves.) The time/alloc metrics may grow at most 25% over
+// the committed value; the noisier GC metrics get wider per-metric
+// tolerances. Benchmarks present only in the fresh run (new grid
 // sizes) or only in the snapshot (retired ones) are reported and skipped, so
 // adding a scale point never trips the gate.
 package main
@@ -37,7 +39,7 @@ type Report struct {
 // guarded lists the metrics the gate watches with the allowed growth factor
 // for each; missing metrics are skipped so the tool works for snapshots that
 // don't report them. The GC metrics (emitted by BenchmarkControlScale since
-// the dense-state routing core) get wider tolerances: cycle counts and
+// the dense-state routing core) get wider tolerances: heap size and
 // especially pause totals are noisier run to run than the time/alloc
 // metrics, and the gate exists to catch the routing state growing
 // GC-visible again — a regression there shows up as multiples, not
@@ -54,7 +56,6 @@ var guarded = []struct {
 	{"lookup_ms", 1.25, 0},
 	{"allocs/op", 1.25, 0},
 	{"heap_alloc_mb", 1.5, 8},
-	{"gc_cycles", 1.5, 5},
 	{"gc_pause_ms", 2.0, 1},
 }
 

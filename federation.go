@@ -9,7 +9,6 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/overlay"
-	"siphoc/internal/rtp"
 	"siphoc/internal/sip"
 )
 
@@ -54,8 +53,8 @@ type FederationConfig struct {
 	Routing RoutingKind
 	// TimeScale stretches protocol timers (default 1).
 	TimeScale float64
-	// Clock is the shared time source for every island, the Internet and
-	// the media pacer (default the system clock).
+	// Clock is the shared time source for every island and the Internet
+	// (default the system clock).
 	Clock clock.Clock
 	// NoObservability disables the federation-wide observer.
 	NoObservability bool
@@ -99,7 +98,7 @@ func (c FederationConfig) withDefaults() FederationConfig {
 // provider pool into one deployment. Every island is an ordinary Scenario
 // built with WithFederation, so the whole per-island API (nodes, phones,
 // faults, metrics) keeps working; the federation owns the shared pieces —
-// clock, observer, simulated Internet, media pacer and the provider pool.
+// clock, observer, simulated Internet and the provider pool.
 //
 // Island i owns the address prefix "10.<i+1>.0": its nodes are
 // "10.<i+1>.0.1" … with the gateways first. Calls between islands resolve
@@ -111,7 +110,6 @@ type FederationScenario struct {
 	clk      clock.Clock
 	observer *obs.Observer
 	inet     *internet.Internet
-	pacer    *rtp.Pacer
 	pool     *internet.ProviderPool
 	islands  []*Scenario
 
@@ -131,7 +129,6 @@ func NewFederationScenario(cfg FederationConfig) (*FederationScenario, error) {
 		f.observer = obs.New(cfg.Clock)
 	}
 	f.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: cfg.Clock})
-	f.pacer = rtp.NewPacer(cfg.Clock)
 
 	sipCfg := sip.SimConfig()
 	sipCfg.Clock = cfg.Clock
@@ -291,10 +288,6 @@ func (f *FederationScenario) Clock() clock.Clock { return f.clk }
 // NoObservability; a nil Observer is valid and no-ops).
 func (f *FederationScenario) Observer() *Observer { return f.observer }
 
-// MediaPacer returns the federation-wide RTP scheduler: one goroutine paces
-// every phone's media and every gateway trunk across all islands.
-func (f *FederationScenario) MediaPacer() *rtp.Pacer { return f.pacer }
-
 // Clients returns every non-gateway node across all islands, island by
 // island — the hosts a call workload provisions phones on.
 func (f *FederationScenario) Clients() []*Node {
@@ -348,8 +341,7 @@ func (f *FederationScenario) TrunkStats() TrunkStats {
 }
 
 // Close tears the whole federation down: islands first (they skip the
-// shared pieces), then the overlay tier, the pool, the Internet and the
-// pacer.
+// shared pieces), then the overlay tier, the pool and the Internet.
 func (f *FederationScenario) Close() {
 	for _, sc := range f.islands {
 		sc.Close()
@@ -365,8 +357,5 @@ func (f *FederationScenario) Close() {
 	}
 	if f.inet != nil {
 		f.inet.Close()
-	}
-	if f.pacer != nil {
-		f.pacer.Close()
 	}
 }

@@ -136,12 +136,27 @@ func TestGridGolden(t *testing.T) {
 	}
 }
 
-// eventLoopGoroutines brings up a side×side grid and returns the
-// steady-state goroutine count, tearing the scenario down (and verifying it
-// leaks nothing) before returning.
+// stableGoroutines returns the process goroutine count once it has stopped
+// moving.
+func stableGoroutines() int {
+	var n int
+	for range 100 {
+		time.Sleep(5 * time.Millisecond)
+		cur := runtime.NumGoroutine()
+		if cur == n {
+			break
+		}
+		n = cur
+	}
+	return n
+}
+
+// eventLoopGoroutines brings up a side×side grid and returns how many
+// goroutines it runs on in steady state, tearing the scenario down (and
+// verifying it leaks nothing) before returning.
 func eventLoopGoroutines(t *testing.T, side int) int {
 	t.Helper()
-	baseline := runtime.NumGoroutine()
+	baseline := stableGoroutines() // earlier tests' goroutines have exited
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithOLSR(nil),
 		siphoc.WithoutObservability(),
@@ -154,32 +169,24 @@ func eventLoopGoroutines(t *testing.T, side int) int {
 		t.Fatal(err)
 	}
 	// Let transient bring-up goroutines (parallel node construction) exit.
-	var n int
-	for range 100 {
-		time.Sleep(5 * time.Millisecond)
-		if cur := runtime.NumGoroutine(); cur == n {
-			break
-		} else {
-			n = cur
-		}
-	}
+	n := stableGoroutines()
 	sc.Close()
 	if err := siphoc.SettleGoroutines(baseline, 2, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n - baseline
 }
 
 // TestEventLoopGoroutinesIndependentOfN pins the execution core's resource
-// claim: post-bring-up goroutine count is a function of the shard count, not
-// the node count. A goroutine per timer costs about seven per node, hundreds
-// more on a grid grown from 16 to 64 nodes; the shard workers must add
-// approximately none.
+// claim: a scenario of routing, SLP and proxy nodes runs on the shard workers
+// of its network's one scheduler (GOMAXPROCS of them by default) and nothing
+// else, at 16 nodes and at 64. A goroutine per timer costs about seven per
+// node; a delivery loop beside the timer loop doubled the workers.
 func TestEventLoopGoroutinesIndependentOfN(t *testing.T) {
-	small := eventLoopGoroutines(t, 4) // 16 nodes
-	large := eventLoopGoroutines(t, 8) // 64 nodes
-	if grew := large - small; grew > 8 {
-		t.Fatalf("goroutines grew with node count: %d at 16 nodes, %d at 64 nodes (+%d); want O(shards), not O(N)",
-			small, large, grew)
+	want := runtime.GOMAXPROCS(0)
+	for _, side := range []int{4, 8} {
+		if got := eventLoopGoroutines(t, side); got != want {
+			t.Errorf("%d-node grid runs on %d goroutines, want the %d shard workers", side*side, got, want)
+		}
 	}
 }

@@ -24,16 +24,6 @@ type Timer interface {
 	Reset(d time.Duration) bool
 }
 
-// Rearm returns a Timer that fires once after d: t re-armed, or a new Timer
-// when t is nil (a loop's first wait).
-func Rearm(c Clock, t Timer, d time.Duration) Timer {
-	if t == nil {
-		return c.NewTimer(d)
-	}
-	t.Reset(d)
-	return t
-}
-
 // Clock abstracts the passage of time.
 type Clock interface {
 	// Now returns the current time.

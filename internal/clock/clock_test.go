@@ -254,20 +254,21 @@ func TestSystemTimerReset(t *testing.T) {
 	}
 }
 
-// TestRearmAllocFree pins what the delivery scheduler, the pacer and the
-// shard worker pay to wait: nothing, once each owns its timer.
+// TestRearmAllocFree pins what the shard worker pays to wait: nothing, once
+// it owns its timer and re-arms it with Reset.
 func TestRearmAllocFree(t *testing.T) {
-	var sys Timer
+	sys := New().NewTimer(10 * time.Microsecond)
+	<-sys.C()
 	if allocs := testing.AllocsPerRun(100, func() {
-		sys = Rearm(New(), sys, 10*time.Microsecond)
+		sys.Reset(10 * time.Microsecond)
 		<-sys.C()
-	}); allocs > 1 { // the first call is the NewTimer
+	}); allocs != 0 {
 		t.Errorf("system clock: %v allocations per re-arm, want 0", allocs)
 	}
 	f := NewFake(epoch)
-	fake := Rearm(f, nil, time.Second)
+	fake := f.NewTimer(time.Second)
 	if allocs := testing.AllocsPerRun(100, func() {
-		fake = Rearm(f, fake, time.Second)
+		fake.Reset(time.Second)
 		f.Advance(time.Second)
 		<-fake.C()
 	}); allocs != 0 {

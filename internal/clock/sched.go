@@ -8,43 +8,54 @@ import (
 	"time"
 )
 
-// Scheduler is a sharded virtual-time event loop for recurring protocol
-// timers. Instead of one goroutine per node per timer (the pattern that
-// drowns past a few hundred nodes: ~6 steady goroutines each for OLSR
-// HELLO/TC, SLP refresh, SIP retransmissions, ...), every timer is a Task on
-// a per-shard min-heap and a bounded pool of min(GOMAXPROCS, shards) worker
-// loops pops whole batches of due tasks per tick under a single lock
-// acquisition.
+// Scheduler is a sharded virtual-time event loop, and the only one in the
+// repository: protocol timers, the medium's frame deliveries and paced media
+// frames are all Tasks on a per-shard (due, seq) min-heap, and one worker per
+// shard pops whole batches of due tasks under a single lock acquisition. There
+// is no goroutine per node, per timer, per stream or per frame.
 //
-// Tasks registered under the same key always land on the same shard, so one
-// node's timers never run concurrently with each other — protocols keep the
-// serialization their per-node loops gave them without paying a goroutine
-// for it.
+// Tasks scheduled under the same key always land on the same shard, so
+// everything keyed by one node's ID — its timers, the frames addressed to it,
+// its media streams — runs on one worker in one (due, seq) order and never
+// concurrently with itself.
 //
-// The scheduler runs against any Clock. On a Fake clock a worker arms one
-// fake timer per shard for the earliest deadline, exactly like the netem
-// delivery scheduler, so deterministic tests drive it with Advance.
+// The scheduler runs against any Clock. On a Fake clock a worker arms one fake
+// timer per shard for the earliest deadline, so deterministic tests drive it
+// with Advance.
 type Scheduler struct {
 	clk    Clock
 	shards []*schedShard
 }
 
-// Task is one scheduled timer. Recurring tasks (Every) re-arm themselves
-// after each run; one-shot tasks (After) fire once. Stop cancels future
-// firings; a run already in progress may still complete concurrently, so
-// callbacks must tolerate one post-Stop invocation (every protocol guards
-// with its own started/closed flag).
+// Task is one unit of scheduled work. After and Every allocate theirs; a
+// caller on a hot path owns one (embedded in a stream, a pooled delivery, a
+// trunk flow), binds it once with Init and queues it with At as often as it
+// likes, which allocates nothing.
+//
+// A Task is single-owner: it must not be queued again while it is still
+// queued. Its callback may queue it again, and that is how recurring work
+// re-arms itself. Stop is permanent; a run already in progress may still
+// complete concurrently, so callbacks must tolerate one post-Stop invocation
+// (every protocol guards with its own started/closed flag).
 type Task struct {
-	shard    *schedShard
-	fn       func(now time.Time)
-	interval time.Duration // 0 => one-shot
-	due      time.Time
-	seq      uint64
-	stopped  atomic.Bool
+	fn      func(now time.Time)
+	dropped func()
+
+	// due/seq belong to the shard the task is queued on.
+	due     time.Time
+	seq     uint64
+	stopped atomic.Bool
 }
 
-// Stop cancels the task. Safe to call multiple times and from the task's own
-// callback.
+// Init binds the task's callback. dropped, if non-nil, runs in place of fn
+// when the task is queued on a scheduler that has been closed or closes before
+// the deadline — the hook a waiter on the task's work needs to be released.
+func (t *Task) Init(fn func(now time.Time), dropped func()) {
+	t.fn, t.dropped = fn, dropped
+}
+
+// Stop cancels the task: it never runs again, and is reaped when its deadline
+// passes. Safe to call multiple times and from the task's own callback.
 func (t *Task) Stop() {
 	if t == nil {
 		return
@@ -55,9 +66,9 @@ func (t *Task) Stop() {
 // Stopped reports whether Stop was called.
 func (t *Task) Stopped() bool { return t.stopped.Load() }
 
-// taskHeap is a min-heap of tasks ordered by (due, seq) — the same FIFO
-// tie-break as the netem delivery heap, so equal deadlines fire in
-// registration order.
+// taskHeap is a min-heap of tasks ordered by (due, seq): equal deadlines fire
+// in the order they were queued, whatever kind of task they are, which is what
+// keeps a link's frames in order.
 type taskHeap []*Task
 
 func (h taskHeap) Len() int { return len(h) }
@@ -81,9 +92,16 @@ func (h *taskHeap) Pop() any {
 type schedShard struct {
 	clk Clock
 
-	mu   sync.Mutex
-	heap taskHeap
-	seq  uint64
+	mu     sync.Mutex
+	heap   taskHeap
+	seq    uint64
+	closed bool
+	// parked is set by the worker when it finds nothing due and goes to
+	// sleep, and cleared by whoever wakes it. A worker running a batch looks
+	// at the heap again before it sleeps, so a task queued meanwhile — a
+	// re-arm, a frame sent on by a transit hop — sends no wake-up, and none
+	// is ever left over for a later sleep to trip on.
+	parked bool
 
 	wake chan struct{}
 	stop chan struct{}
@@ -93,8 +111,7 @@ type schedShard struct {
 // NewScheduler creates a scheduler with the given number of shards, each
 // driven by its own worker loop. shards <= 0 picks GOMAXPROCS; the effective
 // count is clamped to [1, GOMAXPROCS] so the worker pool never exceeds the
-// parallelism the runtime will actually grant (the ISSUE's
-// min(GOMAXPROCS, shards) bound).
+// parallelism the runtime will actually grant.
 func NewScheduler(clk Clock, shards int) *Scheduler {
 	maxp := runtime.GOMAXPROCS(0)
 	if shards <= 0 || shards > maxp {
@@ -117,13 +134,9 @@ func NewScheduler(clk Clock, shards int) *Scheduler {
 	return s
 }
 
-// Shards returns the number of shards (== worker goroutines).
+// Shards returns the number of shards, which is the number of goroutines the
+// scheduler owns however many tasks are queued.
 func (s *Scheduler) Shards() int { return len(s.shards) }
-
-// Goroutines returns the steady goroutine cost of the scheduler — one worker
-// per shard, independent of how many tasks are registered. The goroutine
-// regression test pins scenario bring-up against this.
-func (s *Scheduler) Goroutines() int { return len(s.shards) }
 
 // Pending returns the total number of tasks currently queued across all
 // shards (stopped-but-unreaped tasks included). Test helper.
@@ -155,87 +168,98 @@ func (s *Scheduler) shardFor(key string) *schedShard {
 	return s.shards[h%uint64(len(s.shards))]
 }
 
-// Every registers a recurring task: fn first runs after interval and then
+// At queues t on key's shard to run once the clock reaches due; a due that has
+// already passed runs on the worker's next tick. The deadline is absolute, so
+// work that re-arms itself at due+interval keeps its cadence however late any
+// one run was.
+func (s *Scheduler) At(key string, t *Task, due time.Time) {
+	s.shardFor(key).at(t, due)
+}
+
+// After queues a one-shot task firing once after d. d <= 0 fires on the
+// worker's next tick.
+func (s *Scheduler) After(key string, d time.Duration, fn func(now time.Time)) *Task {
+	t := &Task{fn: fn}
+	s.At(key, t, s.clk.Now().Add(max(d, 0)))
+	return t
+}
+
+// Every queues a recurring task: fn first runs after interval and then
 // re-arms at Now()+interval after each run, the cadence of a
 // `for { t := clk.NewTimer(interval); <-t.C(); body }` loop.
 func (s *Scheduler) Every(key string, interval time.Duration, fn func(now time.Time)) *Task {
 	sh := s.shardFor(key)
-	t := &Task{shard: sh, fn: fn, interval: interval}
-	sh.add(t, interval)
+	t := new(Task)
+	t.fn = func(now time.Time) {
+		fn(now)
+		if !t.Stopped() {
+			sh.at(t, sh.clk.Now().Add(interval))
+		}
+	}
+	sh.at(t, sh.clk.Now().Add(interval))
 	return t
 }
 
-// After registers a one-shot task firing once after d. d <= 0 fires on the
-// worker's next tick.
-func (s *Scheduler) After(key string, d time.Duration, fn func(now time.Time)) *Task {
-	sh := s.shardFor(key)
-	t := &Task{shard: sh, fn: fn}
-	sh.add(t, d)
-	return t
-}
-
-// Close stops all worker loops. Pending tasks are dropped.
+// Close stops all worker loops and returns once they have exited. Tasks still
+// queued are dropped: each one's dropped hook runs, so nothing is left waiting
+// on work that will never happen. Safe to call more than once.
 func (s *Scheduler) Close() {
+	var queued []*Task
 	for _, sh := range s.shards {
-		close(sh.stop)
+		sh.mu.Lock()
+		if !sh.closed {
+			sh.closed = true
+			close(sh.stop)
+		}
+		queued = append(queued, sh.heap...)
+		sh.heap = nil
+		sh.mu.Unlock()
 	}
 	for _, sh := range s.shards {
 		<-sh.done
 	}
+	for _, t := range queued {
+		t.drop()
+	}
 }
 
-func (sh *schedShard) add(t *Task, d time.Duration) {
-	if d < 0 {
-		d = 0
+func (t *Task) drop() {
+	if t.dropped != nil {
+		t.dropped()
 	}
+}
+
+func (sh *schedShard) at(t *Task, due time.Time) {
 	sh.mu.Lock()
-	t.due = sh.clk.Now().Add(d)
+	if sh.closed {
+		sh.mu.Unlock()
+		t.drop()
+		return
+	}
+	t.due = due
 	t.seq = sh.seq
 	sh.seq++
 	heap.Push(&sh.heap, t)
-	first := sh.heap[0] == t
+	wake := sh.heap[0] == t && sh.parked
+	if wake {
+		sh.parked = false
+	}
 	sh.mu.Unlock()
-	if first {
-		sh.wakeUp()
-	}
-}
-
-// rearm pushes a batch of recurring tasks back under one lock acquisition.
-func (sh *schedShard) rearm(ts []*Task) {
-	if len(ts) == 0 {
-		return
-	}
-	sh.mu.Lock()
-	newHead := false
-	for _, t := range ts {
-		t.seq = sh.seq
-		sh.seq++
-		heap.Push(&sh.heap, t)
-		if sh.heap[0] == t {
-			newHead = true
+	if wake {
+		select {
+		case sh.wake <- struct{}{}:
+		default:
 		}
-	}
-	sh.mu.Unlock()
-	if newHead {
-		sh.wakeUp()
-	}
-}
-
-func (sh *schedShard) wakeUp() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
 	}
 }
 
 // run is the shard worker: batch-pop every due task under one lock
-// acquisition, run the callbacks outside the lock, re-arm the recurring
-// survivors in one more acquisition, then sleep until the next deadline.
-// Structure cloned from the proven netem delivery scheduler.
+// acquisition, run the callbacks outside the lock, then sleep until the next
+// deadline on the one timer the worker owns.
 func (sh *schedShard) run() {
 	defer close(sh.done)
-	var batch, rearm []*Task
-	var timer Timer // one per worker, re-armed per wait
+	var batch []*Task
+	var timer Timer
 	for {
 		sh.mu.Lock()
 		now := sh.clk.Now()
@@ -247,20 +271,14 @@ func (sh *schedShard) run() {
 		if len(sh.heap) > 0 {
 			wait, pending = sh.heap[0].due.Sub(now), true
 		}
+		sh.parked = len(batch) == 0
 		sh.mu.Unlock()
 
-		rearm = rearm[:0]
 		for _, t := range batch {
-			if t.stopped.Load() {
-				continue
-			}
-			t.fn(now)
-			if t.interval > 0 && !t.stopped.Load() {
-				t.due = sh.clk.Now().Add(t.interval)
-				rearm = append(rearm, t)
+			if !t.stopped.Load() {
+				t.fn(now)
 			}
 		}
-		sh.rearm(rearm)
 		if len(batch) > 0 {
 			continue // deadlines may have passed while running callbacks
 		}
@@ -272,7 +290,11 @@ func (sh *schedShard) run() {
 			}
 			continue
 		}
-		timer = Rearm(sh.clk, timer, wait)
+		if timer == nil {
+			timer = sh.clk.NewTimer(wait)
+		} else {
+			timer.Reset(wait)
+		}
 		select {
 		case <-sh.stop:
 			timer.Stop()

@@ -121,9 +121,6 @@ func TestSchedulerShardClamp(t *testing.T) {
 		if req >= 1 && req <= maxp && got != req {
 			t.Fatalf("NewScheduler(%d): shards %d, want %d", req, got, req)
 		}
-		if s.Goroutines() != got {
-			t.Fatalf("Goroutines() %d != Shards() %d", s.Goroutines(), got)
-		}
 		s.Close()
 	}
 }
@@ -188,5 +185,121 @@ func TestSchedulerWakeupAllocFree(t *testing.T) {
 	<-tick // the worker's first wait creates its timer
 	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
 		t.Errorf("%v allocations per shard wake-up, want 0", allocs)
+	}
+}
+
+// TestTaskRearmAllocFree pins what a paced stream or a pooled delivery pays
+// per firing: a caller-owned Task re-armed from its own callback at an
+// absolute deadline allocates nothing, on either clock.
+func TestTaskRearmAllocFree(t *testing.T) {
+	rearming := func(s *Scheduler, start time.Time, step time.Duration) chan struct{} {
+		tick := make(chan struct{}, 1)
+		var task Task
+		due := start
+		task.Init(func(time.Time) {
+			select {
+			case tick <- struct{}{}:
+			default:
+			}
+			due = due.Add(step)
+			s.At("n", &task, due)
+		}, nil)
+		s.At("n", &task, due)
+		return tick
+	}
+
+	sys := NewScheduler(New(), 1)
+	defer sys.Close()
+	tick := rearming(sys, time.Now(), 200*time.Microsecond)
+	<-tick
+	<-tick // the worker's first wait creates its timer
+	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
+		t.Errorf("system clock: %v allocations per re-armed firing, want 0", allocs)
+	}
+
+	clk := NewFake(time.Unix(0, 0))
+	fake := NewScheduler(clk, 1)
+	defer fake.Close()
+	tick = rearming(fake, clk.Now(), time.Second)
+	<-tick
+	step := func() {
+		for clk.PendingTimers() == 0 { // until the worker has re-armed its timer
+			runtime.Gosched()
+		}
+		clk.Advance(time.Second)
+		<-tick
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("fake clock: %v allocations per re-armed firing, want 0", allocs)
+	}
+}
+
+// TestTaskAbsoluteDeadlineNoDrift re-arms a task at due+interval while the
+// clock is stepped coarsely: firing i is due at start+i*interval however late
+// firing i-1 ran, so the 50th lands within one step of start+49*interval.
+// Every's Now()+interval re-arm would have drifted a step per firing.
+func TestTaskAbsoluteDeadlineNoDrift(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	const (
+		interval = 20 * time.Millisecond
+		step     = 33 * time.Millisecond
+		firings  = 50
+	)
+	start := clk.Now()
+	var fired atomic.Int64
+	var lastAt atomic.Int64
+	var task Task
+	due := start
+	task.Init(func(now time.Time) {
+		lastAt.Store(int64(now.Sub(start)))
+		due = due.Add(interval)
+		if fired.Add(1) < firings {
+			s.At("n", &task, due)
+		}
+	}, nil)
+	s.At("n", &task, due)
+	deadline := time.Now().Add(5 * time.Second)
+	for fired.Load() < firings {
+		if time.Now().After(deadline) {
+			t.Fatalf("fired %d of %d", fired.Load(), firings)
+		}
+		if clk.PendingTimers() == 0 { // the worker has not parked on its timer yet
+			runtime.Gosched()
+			continue
+		}
+		clk.Advance(step)
+	}
+	want := time.Duration(firings-1) * interval
+	if got := time.Duration(lastAt.Load()); got < want || got >= want+step {
+		t.Fatalf("firing %d ran at +%v, want within one %v step of +%v", firings, got, step, want)
+	}
+}
+
+// TestSchedulerCloseDropsQueued: a task still queued when the scheduler
+// closes, and one queued after it closed, run their dropped hook instead of
+// their callback; a stopped one's hook runs too (it is how a waiter is freed).
+func TestSchedulerCloseDropsQueued(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 2)
+	var ran, dropped atomic.Int64
+	var queued, late Task
+	queued.Init(func(time.Time) { ran.Add(1) }, func() { dropped.Add(1) })
+	late.Init(func(time.Time) { ran.Add(1) }, func() { dropped.Add(1) })
+	s.At("a", &queued, clk.Now().Add(time.Hour))
+	s.After("b", time.Hour, func(time.Time) { ran.Add(1) }) // no hook: just dropped
+	s.Close()
+	if got := dropped.Load(); got != 1 {
+		t.Fatalf("dropped hooks run at Close = %d, want 1", got)
+	}
+	s.At("a", &late, clk.Now())
+	if got := dropped.Load(); got != 2 {
+		t.Fatalf("dropped hooks after At on a closed scheduler = %d, want 2", got)
+	}
+	s.Close() // idempotent
+	if ran.Load() != 0 {
+		t.Fatalf("%d callbacks ran, want 0", ran.Load())
 	}
 }

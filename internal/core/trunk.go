@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/rtp"
 )
@@ -78,9 +79,6 @@ func walkTrunkFrame(frame []byte, fn func(payload []byte)) error {
 // the sender batches every datagram of a batching window into one trunk frame
 // instead of paying per-RTP-packet Internet datagram overhead.
 type TrunkConfig struct {
-	// Pacer schedules deferred flushes. Required: trunk flows ride the same
-	// frame scheduler as the media streams they aggregate.
-	Pacer *rtp.Pacer
 	// Port is the Internet-side trunk listener port (default TrunkPort).
 	Port uint16
 	// Interval is the batching window (default rtp.FrameDuration, so
@@ -113,7 +111,7 @@ type TrunkStats struct {
 	PayloadsBatched   int64 // tunnelled datagrams folded into trunk frames
 	PayloadsDelivered int64 // datagrams fanned back out of received frames
 	InlineFlushes     int64 // flushes sent immediately (flow was idle)
-	PacedFlushes      int64 // flushes fired by the pacer at window end
+	PacedFlushes      int64 // flushes fired by the scheduler at window end
 }
 
 type trunkCounters struct {
@@ -137,25 +135,31 @@ func (c *trunkCounters) snapshot() TrunkStats {
 }
 
 // gatewayTrunk is the trunk engine of one gateway: a listener on the
-// gateway's Internet host plus one paced flow per destination gateway.
+// gateway's Internet host plus one paced flow per destination gateway. It
+// owns no goroutine: frames arrive on the listener's delivery, and a deferred
+// flush is a task on the Internet host's shard of its network's scheduler.
 type gatewayTrunk struct {
-	g    *GatewayProvider
-	cfg  TrunkConfig
-	conn *netem.Conn
+	g     *GatewayProvider
+	cfg   TrunkConfig
+	conn  *netem.Conn
+	sched *clock.Scheduler
+	key   string
 
 	mu     sync.Mutex
 	flows  map[netem.NodeID]*trunkFlow
 	closed bool
 
 	stats trunkCounters
-	wg    sync.WaitGroup
+	// scratch is the datagram header the receive side decodes each payload
+	// into; conn serializes onFrame, so one is enough.
+	scratch netem.Datagram
 }
 
 // trunkFlow batches datagrams toward one destination gateway. The flush
 // policy keeps trunking invisible to a lone stream: a payload arriving on an
 // idle flow whose window has already elapsed is sent inline immediately, so
 // single-stream timing is identical to the untrunked path; only payloads that
-// arrive while the window is open wait for its end (a pacer task).
+// arrive while the window is open wait for its end (a scheduler task).
 type trunkFlow struct {
 	t   *gatewayTrunk
 	dst netem.NodeID
@@ -165,14 +169,11 @@ type trunkFlow struct {
 	count     uint16
 	lastFlush time.Time
 	scheduled bool
-	task      *rtp.Task
+	task      clock.Task
 }
 
 func newGatewayTrunk(g *GatewayProvider, cfg TrunkConfig) (*gatewayTrunk, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Pacer == nil {
-		return nil, fmt.Errorf("core: trunk needs a pacer")
-	}
 	conn, err := g.selfHost.Listen(cfg.Port)
 	if err != nil {
 		return nil, fmt.Errorf("core: trunk bind: %w", err)
@@ -181,10 +182,11 @@ func newGatewayTrunk(g *GatewayProvider, cfg TrunkConfig) (*gatewayTrunk, error)
 		g:     g,
 		cfg:   cfg,
 		conn:  conn,
+		sched: g.selfHost.Sched(),
+		key:   string(g.selfHost.ID()),
 		flows: make(map[netem.NodeID]*trunkFlow),
 	}
-	t.wg.Add(1)
-	go t.recvLoop()
+	conn.Handle(t.onFrame)
 	return t, nil
 }
 
@@ -193,7 +195,6 @@ func (t *gatewayTrunk) close() {
 	t.closed = true
 	t.mu.Unlock()
 	t.conn.Close()
-	t.wg.Wait()
 }
 
 func (t *gatewayTrunk) flow(dst netem.NodeID) *trunkFlow {
@@ -202,7 +203,7 @@ func (t *gatewayTrunk) flow(dst netem.NodeID) *trunkFlow {
 	f := t.flows[dst]
 	if f == nil {
 		f = &trunkFlow{t: t, dst: dst, buf: newTrunkFrame(nil)}
-		f.task = rtp.NewTask(f.fire, nil)
+		f.task.Init(f.fire, nil)
 		t.flows[dst] = f
 	}
 	return f
@@ -228,7 +229,7 @@ func (t *gatewayTrunk) enqueue(dst netem.NodeID, payload []byte) bool {
 
 func (f *trunkFlow) enqueue(payload []byte) {
 	t := f.t
-	now := t.cfg.Pacer.Clock().Now()
+	now := t.g.clk.Now()
 	f.mu.Lock()
 	if f.count == 0 && !now.Before(f.lastFlush.Add(t.cfg.Interval)) {
 		// Idle flow, window elapsed: send immediately so a lone stream sees
@@ -251,23 +252,22 @@ func (f *trunkFlow) enqueue(payload []byte) {
 		if due.Before(now) {
 			due = now
 		}
-		t.cfg.Pacer.Schedule(f.task, due)
+		t.sched.At(t.key, &f.task, due)
 	}
 	f.mu.Unlock()
 }
 
-// fire runs on the pacer goroutine at the end of a batching window. It is
-// one-shot: the flow parks until the next enqueue re-arms it, so an idle
-// trunk costs the pacer nothing.
-func (f *trunkFlow) fire() (time.Duration, bool) {
-	now := f.t.cfg.Pacer.Clock().Now()
+// fire runs on the shard worker at the end of a batching window. It is
+// one-shot: the flow parks until the next enqueue queues it again, so an idle
+// trunk costs the scheduler nothing.
+func (f *trunkFlow) fire(time.Time) {
+	now := f.t.g.clk.Now()
 	f.mu.Lock()
 	f.scheduled = false
 	if f.count > 0 {
 		f.flushLocked(now, &f.t.stats.pacedFlushes)
 	}
 	f.mu.Unlock()
-	return 0, false
 }
 
 func (f *trunkFlow) flushLocked(now time.Time, kind *atomic.Int64) {
@@ -282,22 +282,16 @@ func (f *trunkFlow) flushLocked(now time.Time, kind *atomic.Int64) {
 	f.lastFlush = now
 }
 
-func (t *gatewayTrunk) recvLoop() {
-	defer t.wg.Done()
-	var scratch netem.Datagram
-	deliver := func(payload []byte) {
-		if err := netem.UnmarshalDatagramInto(&scratch, payload); err != nil {
-			return
-		}
-		t.stats.payloadsDelivered.Add(1)
-		t.g.deliverTrunked(&scratch)
+// onFrame is the receive side, called by conn for every arriving trunk frame.
+func (t *gatewayTrunk) onFrame(dg *netem.Datagram) {
+	t.stats.framesRecv.Add(1)
+	_ = walkTrunkFrame(dg.Data, t.deliver)
+}
+
+func (t *gatewayTrunk) deliver(payload []byte) {
+	if err := netem.UnmarshalDatagramInto(&t.scratch, payload); err != nil {
+		return
 	}
-	for {
-		dg, ok := t.conn.Recv()
-		if !ok {
-			return
-		}
-		t.stats.framesRecv.Add(1)
-		_ = walkTrunkFrame(dg.Data, deliver)
-	}
+	t.stats.payloadsDelivered.Add(1)
+	t.g.deliverTrunked(&t.scratch)
 }

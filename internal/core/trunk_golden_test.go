@@ -11,6 +11,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/rtp"
 	"siphoc/internal/slp"
+	"siphoc/internal/testutil"
 )
 
 // islandRoutes is a static intra-island next-hop table: cross-island
@@ -48,7 +50,7 @@ type trunkIsland struct {
 	cp     *ConnectionProvider
 }
 
-func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *internet.Internet, pacer *rtp.Pacer, trunked bool) *trunkIsland {
+func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *internet.Internet, trunked bool) *trunkIsland {
 	t.Helper()
 	is := &trunkIsland{}
 	is.net = netem.NewNetwork(netem.Config{BaseDelay: 700 * time.Microsecond, Clock: clk})
@@ -78,7 +80,7 @@ func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *intern
 
 	gwCfg := GatewayConfig{ClientTTL: time.Hour, Clock: clk}
 	if trunked {
-		gwCfg.Trunk = &TrunkConfig{Pacer: pacer}
+		gwCfg.Trunk = &TrunkConfig{}
 	}
 	is.gw = NewGatewayProvider(is.gwHost, inet, agents[gwID], gwCfg)
 	if err := is.gw.Start(); err != nil {
@@ -183,11 +185,9 @@ func runTrunkGoldenCall(t *testing.T, trunked bool) trunkGoldenResult {
 	sim := &fedSim{clk: clock.NewFake(time.Unix(3_000_000, 0))}
 	inet := internet.New(internet.Config{Delay: 700 * time.Microsecond, Clock: sim.clk})
 	t.Cleanup(inet.Close)
-	pacer := rtp.NewPacer(sim.clk)
-	t.Cleanup(pacer.Close)
 
-	a := buildTrunkIsland(t, sim.clk, "10.1", inet, pacer, trunked)
-	b := buildTrunkIsland(t, sim.clk, "10.2", inet, pacer, trunked)
+	a := buildTrunkIsland(t, sim.clk, "10.1", inet, trunked)
+	b := buildTrunkIsland(t, sim.clk, "10.2", inet, trunked)
 	sim.nets = []*netem.Network{a.net, b.net, inet.Network()}
 
 	connA, err := a.client.Listen(4000)
@@ -202,8 +202,8 @@ func runTrunkGoldenCall(t *testing.T, trunked bool) trunkGoldenResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessA := rtp.NewSessionWithPacer(connA, sim.clk, 11, pacer)
-	sessB := rtp.NewSessionWithPacer(connB, sim.clk, 22, pacer)
+	sessA := rtp.NewSession(connA, sim.clk, 11)
+	sessB := rtp.NewSession(connB, sim.clk, 22)
 	t.Cleanup(sessA.Close)
 	t.Cleanup(sessB.Close)
 	sim.sessions = []*rtp.Session{sessA, sessB}
@@ -341,18 +341,16 @@ func TestTrunkBatchesConcurrentStreams(t *testing.T) {
 	sim := &fedSim{clk: clock.NewFake(time.Unix(4_000_000, 0))}
 	inet := internet.New(internet.Config{Delay: 700 * time.Microsecond, Clock: sim.clk})
 	t.Cleanup(inet.Close)
-	pacer := rtp.NewPacer(sim.clk)
-	t.Cleanup(pacer.Close)
 
-	a := buildTrunkIsland(t, sim.clk, "10.1", inet, pacer, true)
-	b := buildTrunkIsland(t, sim.clk, "10.2", inet, pacer, true)
+	a := buildTrunkIsland(t, sim.clk, "10.1", inet, true)
+	b := buildTrunkIsland(t, sim.clk, "10.2", inet, true)
 	sim.nets = []*netem.Network{a.net, b.net, inet.Network()}
 
 	connA, err := a.client.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessA := rtp.NewSessionWithPacer(connA, sim.clk, 11, pacer)
+	sessA := rtp.NewSession(connA, sim.clk, 11)
 	t.Cleanup(sessA.Close)
 	sim.sessions = []*rtp.Session{sessA}
 
@@ -423,5 +421,85 @@ func TestTrunkBatchesConcurrentStreams(t *testing.T) {
 	if ts.FramesSent*4 > ts.PayloadsBatched {
 		t.Fatalf("trunk barely batched: %d frames for %d payloads (%+v)",
 			ts.FramesSent, ts.PayloadsBatched, ts)
+	}
+}
+
+// TestNetworkCloseFinishesStreams closes the networks under live cross-island
+// streams and a parked trunk flush. Both are tasks still queued on a
+// scheduler that is shutting down: every stream's Wait must return the frames
+// sent so far instead of hanging, the flush is simply dropped, and once the
+// rest is stopped every goroutine is gone.
+func TestNetworkCloseFinishesStreams(t *testing.T) {
+	base := runtime.NumGoroutine()
+	t.Run("federation", func(t *testing.T) {
+		sim := &fedSim{clk: clock.NewFake(time.Unix(5_000_000, 0))}
+		inet := internet.New(internet.Config{Delay: 700 * time.Microsecond, Clock: sim.clk})
+		t.Cleanup(inet.Close)
+		a := buildTrunkIsland(t, sim.clk, "10.1", inet, true)
+		b := buildTrunkIsland(t, sim.clk, "10.2", inet, true)
+		sim.nets = []*netem.Network{a.net, b.net, inet.Network()}
+
+		connA, err := a.client.Listen(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessA := rtp.NewSession(connA, sim.clk, 11)
+		t.Cleanup(sessA.Close)
+		sim.sessions = []*rtp.Session{sessA}
+		sim.settle()
+		for i := 0; i < 1000 && !(a.cp.Attached() && b.cp.Attached()); i++ {
+			sim.step(1)
+		}
+		if !a.cp.Attached() || !b.cp.Attached() {
+			t.Fatal("islands never attached")
+		}
+
+		// Two streams in step: the second payload of each window waits for
+		// the window's end, which is the parked flush.
+		const frames = 1000
+		handles := []*rtp.Stream{
+			sessA.StartStream(b.client.ID(), 5000, frames),
+			sessA.StartStream(b.client.ID(), 5001, frames),
+		}
+		parked := func() bool {
+			tr := a.gw.trunk
+			tr.mu.Lock()
+			defer tr.mu.Unlock()
+			for _, f := range tr.flows {
+				f.mu.Lock()
+				scheduled := f.scheduled
+				f.mu.Unlock()
+				if scheduled {
+					return true
+				}
+			}
+			return false
+		}
+		sim.settle()
+		for i := 0; !(parked() && handles[0].Sent() >= 3); i++ {
+			if i == 1000 {
+				t.Fatalf("no flush parked after %d frames", handles[0].Sent())
+			}
+			sim.step(1)
+		}
+
+		inet.Network().Close()
+		a.net.Close()
+		for i, st := range handles {
+			select {
+			case <-st.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatalf("stream %d never finished after its network closed", i)
+			}
+			if got := st.Wait(); got == 0 || got >= frames {
+				t.Fatalf("stream %d reports %d frames after early close, want partial", i, got)
+			}
+		}
+		if got := a.gw.TrunkStats().PayloadsBatched; got == 0 {
+			t.Fatal("trunk never engaged")
+		}
+	})
+	if err := testutil.SettleGoroutines(base, 0, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,12 @@
 package netem
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"time"
+
+	"siphoc/internal/clock"
 )
 
 // runSeededStorm drives a fixed traffic pattern over a 16-node grid with
@@ -157,5 +161,101 @@ func TestGridPathMatchesScan(t *testing.T) {
 				t.Fatalf("%s: grid produced %s, not in scan set", h.ID(), nb)
 			}
 		}
+	}
+}
+
+// TestOneShardTotalOrder pins what Shards: 1 promises: one queue, so a timer,
+// a frame delivery and a loopback datagram due at the same instant run in the
+// order they were queued, whatever kind each is. Timers and deliveries used to
+// sit on two heaps with a worker each, where this order was a race.
+func TestOneShardTotalOrder(t *testing.T) {
+	for run := range 100 {
+		oneShardTotalOrder(t, run)
+	}
+}
+
+func oneShardTotalOrder(t *testing.T, run int) {
+	clk := clock.NewFake(time.Unix(7_000_000, 0))
+	n := NewNetwork(Config{BaseDelay: time.Millisecond, Clock: clk, Shards: 1})
+	defer n.Close()
+	a, err := n.AddHost("a", Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.AddHost("b", Position{X: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetRouteProvider(staticRoutes{"b": "b"})
+	out, err := a.Listen(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := a.Listen(101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := b.Listen(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var order []byte
+	saw := func(id byte) {
+		mu.Lock()
+		order = append(order, id)
+		mu.Unlock()
+	}
+	seen := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(order)
+	}
+	loop.Handle(func(dg *Datagram) { saw(dg.Data[0]) })
+	remote.Handle(func(dg *Datagram) { saw(dg.Data[0]) })
+
+	// Every frame is the same size, so every unicast is in the air for the
+	// same time; learn it from the first one.
+	var frameLen int
+	n.SetTap(func(f Frame) { frameLen = len(f.Payload) })
+	if err := out.WriteTo([]byte{0}, "b", 200); err != nil {
+		t.Fatal(err)
+	}
+	n.SetTap(nil)
+	flight := time.Millisecond + time.Duration(float64(frameLen)/n.cfg.BytesPerSecond*float64(time.Second))
+
+	// Interleave the three kinds, all queued at one fake instant: loopbacks
+	// and After(0) are due now, unicasts and After(flight) one flight later.
+	// Within each deadline the order of arrival must be the order queued.
+	var now, later []byte
+	later = append(later, 0)
+	for id := byte(1); id < 60; id++ {
+		switch (int(id) + run) % 4 {
+		case 0:
+			a.Sched().After(string(rune('k'+id%3)), 0, func(time.Time) { saw(id) })
+			now = append(now, id)
+		case 1:
+			err = out.WriteTo([]byte{id}, "a", 101)
+			now = append(now, id)
+		case 2:
+			a.Sched().After(string(rune('k'+id%3)), flight, func(time.Time) { saw(id) })
+			later = append(later, id)
+		case 3:
+			err = out.WriteTo([]byte{id}, "b", 200)
+			later = append(later, id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return seen() == len(now) }, "tasks due at once never all ran")
+	waitFor(t, 5*time.Second, func() bool { return clk.PendingTimers() > 0 }, "worker never parked on the later deadline")
+	clk.Advance(flight)
+	want := append(now, later...)
+	waitFor(t, 5*time.Second, func() bool { return seen() == len(want) }, "tasks due one flight later never all ran")
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(order, want) {
+		t.Fatalf("run %d: equal-deadline tasks ran out of queue order:\n got  %v\n want %v", run, order, want)
 	}
 }

@@ -89,23 +89,20 @@ func TestEventLoopLoopback(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return answered.Load() == 1 }, "loopback request/reply never completed")
 }
 
-// TestEventLoopGoroutinesPerHost pins that a host costs no goroutine: the
-// network's shard workers handle every host's frames and timers.
+// TestEventLoopGoroutinesPerHost pins what a network costs in goroutines: one
+// worker per shard of its one scheduler, which handles every host's frames and
+// timers, and nothing per host.
 func TestEventLoopGoroutinesPerHost(t *testing.T) {
+	base := runtime.NumGoroutine()
 	n := NewNetwork(Config{Range: 10})
 	defer n.Close()
-	runtime.Gosched()
-	before := runtime.NumGoroutine()
 	for i := 0; i < 64; i++ {
 		id := NodeID(rune('A' + i%26))
 		if _, err := n.AddHost(NodeID(string(id)+string(rune('a'+i/26))), Position{float64(i) * 100, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Settle: no goroutines should have been created at all.
-	time.Sleep(10 * time.Millisecond)
-	after := runtime.NumGoroutine()
-	if after > before {
-		t.Fatalf("adding 64 hosts grew goroutines %d -> %d; want no growth", before, after)
+	if got, want := runtime.NumGoroutine()-base, n.sched.Shards(); got != want {
+		t.Fatalf("a network of 64 hosts runs on %d goroutines, want its %d shard workers", got, want)
 	}
 }

@@ -54,9 +54,10 @@ func (c *hostCounters) snapshot() HostStats {
 // Host is one node's network stack: link interface, multihop forwarding and
 // UDP-like ports. Create hosts with Network.AddHost.
 //
-// A host has no goroutine of its own: frames are handled on the delivery
-// shard's worker. Unicast (KindData) deliveries for one host all land on its
-// own shard, so datagram/Conn handling stays serialized per host; broadcast
+// A host has no goroutine of its own: frames are handled on the worker of the
+// scheduler shard they were queued on. Unicast (KindData) deliveries for one
+// host all land on its own shard, the one its timers and media run on, so
+// datagram/Conn handling stays serialized per host; broadcast
 // control frames run on the sender's shard and rely on the protocol
 // handlers' own locking.
 type Host struct {
@@ -100,11 +101,13 @@ func (h *Host) ID() NodeID { return h.id }
 // Network returns the medium the host is attached to.
 func (h *Host) Network() *Network { return h.net }
 
-// Sched returns the scheduler the host's protocols run their timers on, which
-// is the network's: one for all its hosts, on its clock, closed with it.
-// Tasks keyed by the host's ID share a shard and so never run concurrently
-// with each other. A task runs on a shard worker and must not block.
-func (h *Host) Sched() *clock.Scheduler { return h.net.timers }
+// Sched returns the scheduler the host's protocols run their timers and paced
+// media on, which is the network's, the one that delivers its frames: one for
+// all its hosts, on its clock, closed with it. Tasks keyed by the host's ID
+// share a shard with each other and with the host's unicast deliveries, and so
+// never run concurrently with any of them. A task runs on a shard worker and
+// must not block.
+func (h *Host) Sched() *clock.Scheduler { return h.net.sched }
 
 // Neighbors returns the node's current radio neighbourhood.
 func (h *Host) Neighbors() []NodeID { return h.net.Neighbors(h.id) }
@@ -365,14 +368,12 @@ func (h *Host) InjectDatagram(dg *Datagram) {
 	h.routeDatagram(dg, false)
 }
 
-// scheduleLocal hands a loopback datagram to this host's delivery shard with
-// an immediate deadline.
+// scheduleLocal hands a loopback datagram to this host's shard with an
+// immediate deadline.
 func (h *Host) scheduleLocal(dg *Datagram) {
-	d := deliveryPool.Get().(*delivery)
-	d.due = h.net.cfg.Clock.Now()
-	d.dg = dg
-	d.dgHost = h
-	h.net.schedOf(h.id).schedule(d)
+	d := newDelivery()
+	d.dg, d.dgHost = dg, h
+	h.net.sched.At(string(h.id), &d.task, h.net.cfg.Clock.Now())
 }
 
 func (h *Host) deliverLocal(dg *Datagram) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -50,14 +49,16 @@ type Config struct {
 	// Obs receives medium-level metrics (frame/byte/loss counters). Nil
 	// disables observability at zero cost on the send path.
 	Obs *obs.Observer
-	// Shards is the number of delivery shards and of timer shards (default
+	// Shards is the number of shards of the network's scheduler (default
 	// GOMAXPROCS, clamped to [1, GOMAXPROCS]); the network runs one worker
-	// goroutine per shard of each kind, whatever the host count. Unicast
+	// goroutine per shard, whatever the host count, and that worker runs both
+	// the frames and the timers keyed to it in one (due, seq) order. Unicast
 	// traffic shards by destination and broadcasts by source, so with more
 	// than one shard a receiver is fed from several workers and the order in
 	// which it sees frames from different senders depends on the host's
-	// scheduling. A test that asserts bit-identical replay sets Shards to 1;
-	// nothing else needs to.
+	// scheduling. With Shards 1 there is one queue and one total order: what
+	// is due at the same instant runs in the order it was queued. A test that
+	// asserts bit-identical replay sets Shards to 1; nothing else needs to.
 	Shards int
 }
 
@@ -83,7 +84,7 @@ func (c Config) withDefaults() Config {
 // neighborhood is one node's cached receiver set: the nodes in radio range,
 // sorted by ID, plus their host stacks in matching order. Entries are
 // immutable once published — topology changes replace them wholesale — so
-// the broadcast path and the delivery scheduler may share them without
+// the broadcast path and queued deliveries may share them without
 // copying.
 type neighborhood struct {
 	ids   []NodeID
@@ -135,12 +136,12 @@ type Network struct {
 	stats counters
 	tap   atomic.Pointer[func(Frame)]
 	udp   atomic.Pointer[udpUnderlay]
-	// scheds are the delivery shards: each worker delivers a frame and,
-	// inline, runs the receiver's handling of it.
-	scheds []*scheduler
-	// timers runs every protocol timer of every host on this network (see
-	// Host.Sched), on the network's clock; it stops with the network.
-	timers *clock.Scheduler
+	// sched is the network's one scheduler, on the network's clock and
+	// stopped with it. Every frame delivery is a task on it, and so is every
+	// protocol timer and paced media frame of every host (see Host.Sched): a
+	// shard's worker delivers a frame and, inline, runs the receiver's
+	// handling of it.
+	sched *clock.Scheduler
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil, so the send
 	// hot path pays a single branch in disabled mode.
@@ -161,13 +162,6 @@ func orderedKey(a, b NodeID) linkKey {
 // NewNetwork creates an empty medium.
 func NewNetwork(cfg Config) *Network {
 	cfg = cfg.withDefaults()
-	nshards := cfg.Shards
-	if maxp := runtime.GOMAXPROCS(0); nshards <= 0 || nshards > maxp {
-		nshards = maxp
-	}
-	if nshards < 1 {
-		nshards = 1
-	}
 	n := &Network{
 		cfg:          cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
@@ -175,11 +169,7 @@ func NewNetwork(cfg Config) *Network {
 		positions:    make(map[NodeID]Position),
 		linkOverride: make(map[linkKey]bool),
 		adj:          make(map[NodeID]*neighborhood),
-		scheds:       make([]*scheduler, nshards),
-		timers:       clock.NewScheduler(cfg.Clock, nshards),
-	}
-	for i := range n.scheds {
-		n.scheds[i] = newScheduler(cfg.Clock)
+		sched:        clock.NewScheduler(cfg.Clock, cfg.Shards),
 	}
 	n.lossBits.Store(math.Float64bits(cfg.LossRate))
 	if cfg.Obs.Enabled() {
@@ -193,41 +183,69 @@ func NewNetwork(cfg Config) *Network {
 // Clock returns the clock driving the medium.
 func (n *Network) Clock() clock.Clock { return n.cfg.Clock }
 
-// schedOf returns the delivery shard owning node id: FNV-1a over the ID,
-// the same stable hash the clock scheduler and SLP shards use. All unicast
-// traffic *to* a host (KindData and with it every Conn/sink delivery) goes
-// through the host's own shard, which is what keeps application-level
-// datagram handling serial per host.
-func (n *Network) schedOf(id NodeID) *scheduler {
-	if len(n.scheds) == 1 {
-		return n.scheds[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return n.scheds[h%uint64(len(n.scheds))]
+// delivery is one scheduled frame hand-off: a frame plus the receiver set it
+// must reach once its deadline passes, as a task on the network's scheduler.
+// Unicast frames use the inline host field so the common case allocates no
+// slice; broadcast frames reference the adjacency cache's immutable host slice
+// directly (the cache is replaced, not mutated, on topology changes, so
+// sharing is safe).
+type delivery struct {
+	task  clock.Task // bound to run once per pooled object, by newDelivery
+	frame Frame
+	one   *Host
+	many  []*Host
+	// dg/dgHost carry a zero-delay local (loopback) datagram: routing it
+	// through the host's shard instead of invoking the receiver inline keeps
+	// per-host delivery serialized and prevents reentrant handler nesting when
+	// an application answers its own host.
+	dg     *Datagram
+	dgHost *Host
 }
 
-// schedForFrame picks the shard for a frame transmission: unicast by
-// destination (per-host serialization), broadcast by source (the whole
-// fan-out stays one batched delivery object). Broadcast receivers therefore
-// handle control frames on the sender's shard, possibly concurrently with
-// their own shard — safe because every KindRouting/KindService handler is
-// internally locked.
-func (n *Network) schedForFrame(f Frame) *scheduler {
-	if len(n.scheds) == 1 {
-		return n.scheds[0]
+var deliveryPool sync.Pool // of *delivery; no New, which would be an init cycle
+
+func newDelivery() *delivery {
+	d, _ := deliveryPool.Get().(*delivery)
+	if d == nil {
+		d = new(delivery)
+		d.task.Init(d.run, nil)
 	}
-	if f.Dst != Broadcast {
-		return n.schedOf(f.Dst)
+	return d
+}
+
+// run delivers on the shard worker and returns d to the pool. A delivery
+// dropped by the scheduler's shutdown is simply garbage.
+func (d *delivery) run(time.Time) {
+	switch {
+	case d.dg != nil:
+		d.dgHost.deliverLocal(d.dg)
+	case d.one != nil:
+		d.one.enqueue(d.frame)
+	default:
+		for _, h := range d.many {
+			h.enqueue(d.frame)
+		}
 	}
-	return n.schedOf(f.Src)
+	d.frame, d.one, d.many, d.dg, d.dgHost = Frame{}, nil, nil, nil, nil
+	deliveryPool.Put(d)
+}
+
+// deliver queues f for one receiver or many at due. The shard is the
+// destination's for unicast — all unicast traffic *to* a host (KindData and
+// with it every Conn/sink delivery) runs on the shard its own timers and
+// media run on, which is what keeps application-level datagram handling
+// serial per host — and the source's for broadcast, so the whole fan-out
+// stays one delivery object. Broadcast receivers therefore handle control
+// frames on the sender's shard, possibly concurrently with their own — safe
+// because every KindRouting/KindService handler is internally locked.
+func (n *Network) deliver(f Frame, one *Host, many []*Host, due time.Time) {
+	key := f.Src
+	if one != nil {
+		key = one.id
+	}
+	d := newDelivery()
+	d.frame, d.one, d.many = f, one, many
+	n.sched.At(string(key), &d.task, due)
 }
 
 // AddHost creates a node at pos and attaches its stack to the medium.
@@ -561,7 +579,7 @@ func (n *Network) Nodes() []NodeID {
 
 // send transmits a frame from the medium's point of view: computes the
 // receiver set (a cached map lookup in steady state), applies loss, and
-// hands the frame to the delivery scheduler with its deadline.
+// hands the frame to the scheduler with its deadline.
 func (n *Network) send(f Frame) error {
 	if len(f.Payload) > MTU {
 		return ErrFrameTooBig
@@ -680,51 +698,16 @@ func (n *Network) send(f Frame) error {
 	if tap := n.tap.Load(); tap != nil {
 		(*tap)(f)
 	}
-	now := n.cfg.Clock.Now()
-	if len(slow) == 0 {
-		// Steady state: one delivery object covers the whole receiver set
-		// (broadcast shares the cached host slice), one heap insertion.
-		if one != nil || len(many) > 0 {
-			d := deliveryPool.Get().(*delivery)
-			d.due = now.Add(delay)
-			d.frame = f
-			d.one = one
-			d.many = many
-			n.schedForFrame(f).schedule(d)
-		}
-	} else {
-		// Per-link delay overrides split the fan-out across deadlines;
-		// enqueue the whole batch under one heap lock acquisition. With
-		// several shards each peeled receiver goes to its own host's shard
-		// (the quality-override path is off the scale-benchmark steady state).
-		batch := make([]*delivery, 0, 1+len(slow))
-		if one != nil || len(many) > 0 {
-			d := deliveryPool.Get().(*delivery)
-			d.due = now.Add(delay)
-			d.frame = f
-			d.one = one
-			d.many = many
-			batch = append(batch, d)
-		}
-		if len(n.scheds) == 1 {
-			for i, h := range slow {
-				d := deliveryPool.Get().(*delivery)
-				d.due = now.Add(delay + slowExtra[i])
-				d.frame = f
-				d.one = h
-				batch = append(batch, d)
-			}
-			n.scheds[0].scheduleBatch(batch)
-		} else {
-			n.schedForFrame(f).scheduleBatch(batch)
-			for i, h := range slow {
-				d := deliveryPool.Get().(*delivery)
-				d.due = now.Add(delay + slowExtra[i])
-				d.frame = f
-				d.one = h
-				n.schedOf(h.ID()).schedule(d)
-			}
-		}
+	due := n.cfg.Clock.Now().Add(delay)
+	if one != nil || len(many) > 0 {
+		// One delivery object covers the whole receiver set (broadcast shares
+		// the cached host slice), one heap insertion.
+		n.deliver(f, one, many, due)
+	}
+	// Per-link delay overrides split the fan-out across deadlines: each
+	// peeled receiver is a delivery of its own on its own host's shard.
+	for i, h := range slow {
+		n.deliver(f, h, nil, due.Add(slowExtra[i]))
 	}
 	return nil
 }
@@ -739,9 +722,10 @@ func (n *Network) ResetStats() {
 	n.stats.reset()
 }
 
-// Close shuts the medium and all hosts down. Frames still queued in the
-// delivery scheduler are dropped, as they would be delivered into
-// already-closed host stacks anyway.
+// Close shuts the medium and all hosts down. Frames and timers still queued
+// on the scheduler are dropped — the frames would be delivered into
+// already-closed host stacks anyway — and a paced task that was queued is told
+// so, so nothing is left waiting on a stream that will never finish.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -754,16 +738,13 @@ func (n *Network) Close() {
 		hosts = append(hosts, h)
 	}
 	n.mu.Unlock()
-	for _, sc := range n.scheds {
-		sc.close()
-	}
+	n.sched.Close()
 	if udp := n.udp.Load(); udp != nil {
 		udp.close()
 	}
 	for _, h := range hosts {
 		h.Close()
 	}
-	n.timers.Close()
 }
 
 // counters holds the medium's traffic counts as atomics so concurrent

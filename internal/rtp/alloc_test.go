@@ -3,11 +3,9 @@ package rtp
 import (
 	"testing"
 	"time"
-
-	"siphoc/internal/clock"
 )
 
-// TestZeroAllocSendPath pins the steady-state per-frame cost of the pacer's
+// TestZeroAllocSendPath pins the steady-state per-frame cost of a stream's
 // send path — synthesize the payload, fill the header, encode to the wire —
 // at zero allocations once the per-stream scratch buffers exist.
 func TestZeroAllocSendPath(t *testing.T) {
@@ -102,24 +100,5 @@ func TestParseStillCopies(t *testing.T) {
 	wire[headerLen] ^= 0xff
 	if sent, ok := pkt.SentAt(); !ok || !sent.Equal(time.Unix(1000, 0)) {
 		t.Fatal("Parse payload aliases the wire buffer; it must copy")
-	}
-}
-
-// TestPacerWakeupAllocFree pins the pacer's wait between firings at zero
-// allocations: it re-arms the one timer it owns.
-func TestPacerWakeupAllocFree(t *testing.T) {
-	p := NewPacer(clock.New())
-	defer p.Close()
-	tick := make(chan struct{}, 1)
-	p.Schedule(NewTask(func() (time.Duration, bool) {
-		select {
-		case tick <- struct{}{}:
-		default:
-		}
-		return 200 * time.Microsecond, true
-	}, nil), time.Now())
-	<-tick // the pacer's first wait creates its timer
-	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
-		t.Errorf("%v allocations per pacer wake-up, want 0", allocs)
 	}
 }

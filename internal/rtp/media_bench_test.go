@@ -73,14 +73,15 @@ func BenchmarkPacketParseInto(b *testing.B) {
 }
 
 // BenchmarkMediaScale is the concurrent-call scale benchmark: M bidirectional
-// 50 pps voice streams across M isolated radio pairs, all paced by one shared
-// Pacer on a fake clock. Reported metrics:
+// 50 pps voice streams across M isolated radio pairs, each paced on its host's
+// shard of the network's scheduler, on a fake clock. Reported metrics:
 //
 //	frames/s     — end-to-end frame throughput of the whole media plane
 //	allocs/frame — total heap allocations (send + network + receive + playout)
 //	               divided by frames carried
-//	goroutines   — goroutines added by starting all 2M streams (the pacer's
-//	               scheduler is shared, so this stays 0 regardless of M)
+//	goroutines   — goroutines the network, the 2M sessions and the 2M live
+//	               streams own between them: the network's shard workers,
+//	               regardless of M (the benchmark fails on any other count)
 func BenchmarkMediaScale(b *testing.B) {
 	for _, streams := range []int{1, 8, 32, 128} {
 		b.Run("streams="+strconv.Itoa(streams), func(b *testing.B) {
@@ -93,13 +94,13 @@ func benchMediaScale(b *testing.B, streams int) {
 	const frames = 50
 	var totalMallocs, totalFrames uint64
 	var streaming time.Duration
-	extraGoroutines := 0
+	goroutines := 0
 	b.ReportAllocs()
 	for it := 0; b.N > it; it++ {
 		b.StopTimer()
 		clk := clock.NewFake(time.Unix(3_000_000, 0))
+		base := runtime.NumGoroutine()
 		net := netem.NewNetwork(netem.Config{BaseDelay: 200 * time.Microsecond, Clock: clk})
-		pacer := NewPacer(clk)
 		type pair struct {
 			send, recv     *Session
 			sendID, recvID netem.NodeID
@@ -127,13 +128,12 @@ func benchMediaScale(b *testing.B, streams int) {
 				b.Fatal(err)
 			}
 			pairs[i] = pair{
-				send:   NewSessionWithPacer(ca, clk, uint32(i+1), pacer),
-				recv:   NewSessionWithPacer(cb, clk, uint32(1000+i), pacer),
+				send:   NewSession(ca, clk, uint32(i+1)),
+				recv:   NewSession(cb, clk, uint32(1000+i)),
 				sendID: ha.ID(),
 				recvID: hb.ID(),
 			}
 		}
-		base := runtime.NumGoroutine()
 		handles := make([]*Stream, 0, 2*streams)
 		for _, p := range pairs {
 			// Bidirectional: the receiver talks back on the sender's port.
@@ -141,8 +141,9 @@ func benchMediaScale(b *testing.B, streams int) {
 				p.send.StartStream(p.recvID, 4001, frames),
 				p.recv.StartStream(p.sendID, 4000, frames))
 		}
-		if extra := runtime.NumGoroutine() - base; extra > extraGoroutines {
-			extraGoroutines = extra
+		goroutines = runtime.NumGoroutine() - base
+		if want := pairs[0].send.sched.Shards(); goroutines != want {
+			b.Fatalf("%d two-way streams run on %d goroutines, want the network's %d shard workers", streams, goroutines, want)
 		}
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
@@ -181,12 +182,11 @@ func benchMediaScale(b *testing.B, streams int) {
 			p.send.Close()
 			p.recv.Close()
 		}
-		pacer.Close()
 		net.Close()
 		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(totalFrames)/streaming.Seconds(), "frames/s")
 	b.ReportMetric(float64(totalMallocs)/float64(totalFrames), "allocs/frame")
-	b.ReportMetric(float64(extraGoroutines), "goroutines")
+	b.ReportMetric(float64(goroutines), "goroutines")
 }

@@ -1,12 +1,15 @@
 package rtp
 
 import (
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 // pairNet builds a two-host network one radio hop apart on the real clock.
@@ -27,15 +30,14 @@ func pairNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	return n, a, b
 }
 
-// TestPacerManyConcurrentStreams drives 32 concurrent streams through one
-// shared pacer while stats readers hammer the sessions — the -race target of
-// the media fast path. All frames must arrive and the pacer must add no
-// goroutines beyond its single scheduler.
+// TestPacerManyConcurrentStreams drives 32 concurrent streams through their
+// host's scheduler while stats readers hammer the sessions — the -race target
+// of the media fast path. All frames must arrive, and the media plane must own
+// no goroutine: the network's shard workers are all there is.
 func TestPacerManyConcurrentStreams(t *testing.T) {
+	base := runtime.NumGoroutine()
 	_, a, b := pairNet(t)
 	clk := clock.New()
-	pacer := NewPacer(clk)
-	defer pacer.Close()
 
 	const streams = 32
 	const frames = 8
@@ -43,7 +45,7 @@ func TestPacerManyConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := NewSessionWithPacer(ca, clk, 1, pacer)
+	sender := NewSession(ca, clk, 1)
 	defer sender.Close()
 	recvs := make([]*Session, streams)
 	for i := range streams {
@@ -51,24 +53,19 @@ func TestPacerManyConcurrentStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recvs[i] = NewSessionWithPacer(conn, clk, uint32(100+i), pacer)
+		recvs[i] = NewSession(conn, clk, uint32(100+i))
 		defer recvs[i].Close()
 	}
-
-	before := runtime.NumGoroutine()
 	handles := make([]*Stream, streams)
 	for i := range streams {
 		handles[i] = sender.StartStream("b", uint16(5000+i), frames)
 	}
-	during := runtime.NumGoroutine()
-	// O(1) goroutines for M streams: starting 32 streams adds none (the
-	// scheduler goroutine already existed). Allow slack for unrelated
-	// runtime goroutines coming and going.
-	if during-before > 2 {
-		t.Errorf("starting %d streams grew goroutines by %d, want O(1)", streams, during-before)
+	if got, want := runtime.NumGoroutine()-base, a.Sched().Shards(); got != want {
+		t.Errorf("network, %d sessions and %d live streams run on %d goroutines, want the %d shard workers",
+			streams+1, streams, got, want)
 	}
 
-	// Concurrent readers racing the pacer's writes.
+	// Concurrent readers racing the shard workers' writes.
 	stop := make(chan struct{})
 	readers := make(chan struct{})
 	go func() {
@@ -125,7 +122,7 @@ func TestStreamStop(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1) // private-pacer fallback path
+	s := NewSession(ca, clk, 1)
 	defer s.Close()
 	st := s.StartStream("b", 4001, 100000)
 	for st.Sent() == 0 {
@@ -171,7 +168,7 @@ func TestSessionCloseUnblocksStreams(t *testing.T) {
 }
 
 // TestStreamEdgeCases covers zero-frame streams and streams started on a
-// closed session: both must finish immediately without touching the pacer.
+// closed session: both must finish immediately without touching the scheduler.
 func TestStreamEdgeCases(t *testing.T) {
 	_, a, b := pairNet(t)
 	clk := clock.New()
@@ -192,41 +189,159 @@ func TestStreamEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPacerCloseFinishesStreams closes the shared pacer under active
-// streams: their waiters unblock with partial counts.
-func TestPacerCloseFinishesStreams(t *testing.T) {
-	_, a, b := pairNet(t)
+// TestNetworkCloseFinishesStreams closes the network under a live stream: the
+// stream's task is still queued on the scheduler, whose shutdown must run its
+// drop hook, so Wait returns the frames sent so far instead of hanging, and
+// every goroutine the network owned is gone. (core has the same test with a
+// parked trunk flush beside the stream.)
+func TestNetworkCloseFinishesStreams(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n, a, b := pairNet(t)
 	clk := clock.New()
-	pacer := NewPacer(clk)
 	ca, err := a.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range 4 {
-		if _, err := b.Listen(uint16(4100 + i)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := b.Listen(4001); err != nil {
+		t.Fatal(err)
 	}
-	s := NewSessionWithPacer(ca, clk, 1, pacer)
+	s := NewSession(ca, clk, 1)
 	defer s.Close()
-	handles := make([]*Stream, 4)
-	for i := range handles {
-		handles[i] = s.StartStream("b", uint16(4100+i), 100000)
-	}
-	for handles[0].Sent() == 0 {
+	st := s.StartStream("b", 4001, 1000)
+	for st.Sent() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	pacer.Close()
-	for i, h := range handles {
-		select {
-		case <-h.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("stream %d never finished after pacer close", i)
+	n.Close()
+	select {
+	case <-st.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream never finished after the network closed")
+	}
+	if got := st.Wait(); got == 0 || got >= 1000 {
+		t.Fatalf("stream reports %d frames after early close, want partial", got)
+	}
+	if got := s.SendStream("b", 4001, 5); got != 0 {
+		t.Fatalf("stream started on a closed network sent %d frames", got)
+	}
+	if err := testutil.SettleGoroutines(base, 0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamNoDrift pins absolute pacing: with the clock advanced in 33 ms
+// steps every frame runs late, yet frame i stays due at start + i*20 ms, so a
+// 50-frame stream finishes within one step of start + 980 ms and each
+// payload's embedded send time is at most one step after its slot.
+func TestStreamNoDrift(t *testing.T) {
+	clk := clock.NewFake(time.Unix(5000, 0))
+	n := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: clk, Shards: 1})
+	defer n.Close()
+	a, err := n.AddHost("a", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.AddHost("b", netem.Position{X: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetRouteProvider(directRoutes{})
+	ca, err := a.Listen(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.Listen(4001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		frames = 50
+		step   = 33 * time.Millisecond
+	)
+	start := clk.Now()
+	var mu sync.Mutex
+	var sentAt []time.Duration // per frame, relative to start
+	cb.Handle(func(dg *netem.Datagram) {
+		var pkt Packet
+		if err := ParseInto(&pkt, dg.Data); err != nil {
+			t.Errorf("bad frame: %v", err)
+			return
 		}
-		if h.Sent() >= 100000 {
-			t.Fatalf("stream %d reports %d frames after early close", i, h.Sent())
+		at, ok := pkt.SentAt()
+		if !ok {
+			t.Error("frame carries no send time")
+			return
+		}
+		mu.Lock()
+		sentAt = append(sentAt, at.Sub(start))
+		mu.Unlock()
+	})
+	s := NewSession(ca, clk, 1)
+	defer s.Close()
+	st := s.StartStream("b", 4001, frames)
+	received := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(sentAt)
+	}
+	for testutil.AdvanceParked(clk, step, func() bool { return received() == frames }) {
+	}
+	if got := received(); got != frames {
+		t.Fatalf("stalled at %d sent, %d received of %d", st.Sent(), got, frames)
+	}
+	if got := st.Wait(); got != frames {
+		t.Fatalf("sent %d, want %d", got, frames)
+	}
+	for i, at := range sentAt {
+		slot := time.Duration(i) * FrameDuration
+		if at < slot || at > slot+step {
+			t.Errorf("frame %d sent at +%v, want within one %v step of its slot +%v", i, at, step, slot)
 		}
 	}
+}
+
+// TestPacerAdapter pins the contract bench/layers.go relies on: a task fires
+// at its deadline and then at the previous deadline plus what fire returned,
+// its stopped hook runs once fire reports done, and Close stops a task that is
+// still queued.
+func TestPacerAdapter(t *testing.T) {
+	clk := clock.NewFake(time.Unix(5000, 0))
+	p := NewPacer(clk)
+	start := clk.Now()
+	var firedAt []time.Duration
+	done := make(chan struct{})
+	p.Schedule(NewTask(func() (time.Duration, bool) {
+		firedAt = append(firedAt, clk.Now().Sub(start))
+		return 20 * time.Millisecond, len(firedAt) < 3
+	}, func() { close(done) }), start.Add(10*time.Millisecond))
+	parked := make(chan struct{})
+	p.Schedule(NewTask(func() (time.Duration, bool) { return 0, false }, func() { close(parked) }), start.Add(time.Hour))
+	finished := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	for testutil.AdvanceParked(clk, 33*time.Millisecond, finished) {
+	}
+	if !finished() {
+		t.Fatalf("task stalled after firings at %v", firedAt)
+	}
+	// Late firings do not push the later ones back: +10 ms, +30 ms, +50 ms
+	// observed at the first 33 ms step boundary at or after each.
+	if want := []time.Duration{33 * time.Millisecond, 33 * time.Millisecond, 66 * time.Millisecond}; !reflect.DeepEqual(firedAt, want) {
+		t.Fatalf("fired at %v, want %v", firedAt, want)
+	}
+	p.Close()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not stop the queued task")
+	}
+	stoppedNow := make(chan struct{})
+	p.Schedule(NewTask(func() (time.Duration, bool) { return 0, false }, func() { close(stoppedNow) }), clk.Now())
+	<-stoppedNow
 }
 
 // TestSendStreamPacesOnFakeClock checks the blocking wrapper against an

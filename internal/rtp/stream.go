@@ -11,14 +11,18 @@ import (
 
 // Session is one end of an RTP media session bound to a UDP-like port: it
 // can stream synthetic voice toward the peer and it measures everything that
-// arrives. Close releases the port and stops the receive loop.
+// arrives. Close releases the port.
 //
-// Outgoing streams are paced by a Pacer — the shared one handed to
-// NewSessionWithPacer, or a private one created lazily otherwise.
+// A session owns no goroutine and no timer. Its outgoing streams are tasks on
+// its host's scheduler, keyed by the host's ID, and arriving packets are
+// handled inline on the delivery that brought them — both on the one shard
+// worker that runs everything else of that host.
 type Session struct {
-	conn *netem.Conn
-	clk  clock.Clock
-	ssrc uint32
+	conn  *netem.Conn
+	clk   clock.Clock
+	sched *clock.Scheduler
+	key   string
+	ssrc  uint32
 
 	sent   atomic.Int64
 	played atomic.Int64
@@ -28,42 +32,27 @@ type Session struct {
 	jb          *JitterBuffer
 	onFirstRecv func(time.Time) // one-shot; cleared after firing
 	streams     []*Stream
-	pacer       *Pacer
-	ownPacer    bool
 	closed      bool
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // NewSession wraps conn and starts receiving. Incoming frames pass through
-// a playout jitter buffer before being counted as played. Outgoing streams
-// get a private pacer; deployments with many sessions should share one via
-// NewSessionWithPacer.
+// a playout jitter buffer before being counted as played. clk must be the
+// clock of conn's network.
 func NewSession(conn *netem.Conn, clk clock.Clock, ssrc uint32) *Session {
-	return NewSessionWithPacer(conn, clk, ssrc, nil)
-}
-
-// NewSessionWithPacer wraps conn like NewSession but paces outgoing streams
-// on the shared pacer (nil behaves like NewSession). The caller owns the
-// pacer's lifecycle.
-func NewSessionWithPacer(conn *netem.Conn, clk clock.Clock, ssrc uint32, pacer *Pacer) *Session {
 	s := &Session{
 		conn: conn, clk: clk, ssrc: ssrc,
+		sched: conn.Host().Sched(),
+		key:   string(conn.Host().ID()),
 		jb:    NewJitterBuffer(DefaultPlayoutDelay),
-		pacer: pacer,
-		stop:  make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.recvLoop()
+	conn.Handle(s.onDatagram)
 	return s
 }
 
 // Port returns the local RTP port.
 func (s *Session) Port() uint16 { return s.conn.LocalPort() }
 
-// OnFirstRecv registers a one-shot hook invoked (from the receive goroutine)
+// OnFirstRecv registers a one-shot hook invoked (on the delivery worker)
 // with the arrival time of the first RTP packet. If a packet already arrived,
 // fn fires immediately with that time. Used to close the media-start span of
 // a call trace.
@@ -92,21 +81,14 @@ func (s *Session) StartStream(dst netem.NodeID, port uint16, frames int) *Stream
 	s.mu.Lock()
 	if s.closed || frames <= 0 {
 		s.mu.Unlock()
-		st.cancelled.Store(true)
-		st.doneOnce.Do(func() { close(st.done) })
+		st.finish()
 		return st
-	}
-	pc := s.pacer
-	if pc == nil {
-		pc = NewPacer(s.clk)
-		s.pacer = pc
-		s.ownPacer = true
 	}
 	s.streams = append(s.streams, st)
 	s.mu.Unlock()
-	st.task.fire = st.step
-	st.task.stopped = st.finish
-	pc.Schedule(&st.task, s.clk.Now())
+	st.task.Init(st.step, st.finish)
+	st.due = s.clk.Now()
+	s.sched.At(s.key, &st.task, st.due)
 	return st
 }
 
@@ -153,52 +135,120 @@ func (s *Session) PlayoutStats() (played, late, missing int64) {
 }
 
 // Close stops the session: active streams finish immediately (their waiters
-// see the frames sent so far), the port is released, and any private pacer
-// shuts down.
+// see the frames sent so far) and the port is released.
 func (s *Session) Close() {
-	s.stopOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		streams := append([]*Stream(nil), s.streams...)
-		pc, own := s.pacer, s.ownPacer
-		s.mu.Unlock()
-		close(s.stop)
-		for _, st := range streams {
-			st.Stop()
-		}
-		s.conn.Close()
-		if own {
-			pc.Close()
-		}
-	})
-	s.wg.Wait()
+	s.mu.Lock()
+	s.closed = true
+	streams := append([]*Stream(nil), s.streams...)
+	s.mu.Unlock()
+	for _, st := range streams {
+		st.Stop()
+	}
+	s.conn.Close()
 }
 
-func (s *Session) recvLoop() {
-	defer s.wg.Done()
+// onDatagram is the receive side, called by conn for every arriving datagram.
+func (s *Session) onDatagram(dg *netem.Datagram) {
+	// Zero-copy parse: the payload borrows dg.Data, which the network hands
+	// over per frame and never reuses; the jitter buffer owns it until the
+	// frame is played or dropped.
 	var pkt Packet
-	for {
-		dg, ok := s.conn.Recv()
-		if !ok {
-			return
-		}
-		// Zero-copy parse: the payload borrows dg.Data, which the network
-		// hands over per frame and never reuses; the jitter buffer owns it
-		// until the frame is played or dropped.
-		if err := ParseInto(&pkt, dg.Data); err != nil {
-			continue
-		}
-		now := s.clk.Now()
-		s.mu.Lock()
-		first := s.onFirstRecv
-		s.onFirstRecv = nil
-		s.recv.Observe(&pkt, now)
-		s.jb.Put(&pkt, now)
-		played := s.jb.FlushDue(now)
-		s.mu.Unlock()
-		s.played.Add(int64(played))
-		if first != nil {
-			first(now)
-		}
+	if err := ParseInto(&pkt, dg.Data); err != nil {
+		return
 	}
+	now := s.clk.Now()
+	s.mu.Lock()
+	first := s.onFirstRecv
+	s.onFirstRecv = nil
+	s.recv.Observe(&pkt, now)
+	s.jb.Put(&pkt, now)
+	played := s.jb.FlushDue(now)
+	s.mu.Unlock()
+	s.played.Add(int64(played))
+	if first != nil {
+		first(now)
+	}
+}
+
+// Stream is a handle to one in-flight voice stream started by
+// Session.StartStream. Wait blocks until the stream finishes (all frames
+// sent, the stream stopped, or the session or its network closed) and returns
+// the number of frames handed to the network.
+type Stream struct {
+	sess   *Session
+	dst    netem.NodeID
+	port   uint16
+	frames int
+
+	// task is the stream's place on the scheduler, bound once in StartStream
+	// so steady-state pacing allocates nothing. due is the deadline of the
+	// frame it is queued for: frame i is due at start + i*FrameDuration
+	// whatever the lateness of frame i-1.
+	task clock.Task
+	due  time.Time
+	i    int
+
+	// payload/wire/pkt are per-stream scratch reused every frame so the
+	// steady-state send path allocates nothing.
+	payload []byte
+	wire    []byte
+	pkt     Packet
+
+	sent     atomic.Int64
+	done     chan struct{}
+	doneOnce sync.Once
+}
+
+// Wait blocks until the stream finishes and returns the frames sent.
+func (st *Stream) Wait() int {
+	<-st.done
+	return int(st.sent.Load())
+}
+
+// Done is closed when the stream finishes.
+func (st *Stream) Done() <-chan struct{} { return st.done }
+
+// Sent returns the frames handed to the network so far.
+func (st *Stream) Sent() int { return int(st.sent.Load()) }
+
+// Stop cancels the stream: no further frames are sent and Wait unblocks.
+func (st *Stream) Stop() {
+	st.task.Stop()
+	st.finish()
+}
+
+// finish releases the stream's waiters. It is also the task's dropped hook:
+// a stream still queued when the network's scheduler closes finishes with the
+// frames sent so far.
+func (st *Stream) finish() {
+	st.doneOnce.Do(func() {
+		close(st.done)
+		st.sess.removeStream(st)
+	})
+}
+
+// step sends the stream's next frame and queues itself for the one after.
+// Called only from the host's shard worker.
+func (st *Stream) step(time.Time) {
+	s := st.sess
+	st.payload = AppendVoicePayload(st.payload[:0], uint32(st.i), s.clk.Now())
+	st.pkt = Packet{
+		PayloadType: PayloadTypePCMU,
+		Seq:         uint16(st.i),
+		Timestamp:   uint32(st.i) * SamplesPerFrame,
+		SSRC:        s.ssrc,
+		Payload:     st.payload,
+	}
+	st.wire = st.pkt.AppendTo(st.wire[:0])
+	if err := s.conn.WriteTo(st.wire, st.dst, st.port); err == nil {
+		st.sent.Add(1)
+	}
+	s.sent.Add(1)
+	st.i++
+	if st.i == st.frames {
+		st.finish()
+		return
+	}
+	st.due = st.due.Add(FrameDuration)
+	s.sched.At(s.key, &st.task, st.due)
 }

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"runtime"
 	"time"
 
 	"siphoc/internal/clock"
@@ -23,3 +24,21 @@ func AdvanceUntil(fake *clock.Fake, step, limit time.Duration, cond func() bool)
 
 // Never is the AdvanceUntil condition that lets the whole limit pass.
 func Never() bool { return false }
+
+// AdvanceParked steps a fake clock that drives a one-shard scheduler without
+// guessing at quiescence: it waits until the worker has run everything due and
+// parked on its timer for the next deadline, then advances by step. It returns
+// false, without advancing, once done holds — or if nothing parks within ten
+// seconds of real time, so a stalled test fails instead of hanging.
+func AdvanceParked(fake *clock.Fake, step time.Duration, done func() bool) bool {
+	for giveUp := time.Now().Add(10 * time.Second); fake.PendingTimers() == 0; runtime.Gosched() {
+		if done() || time.Now().After(giveUp) {
+			return false
+		}
+	}
+	if done() {
+		return false
+	}
+	fake.Advance(step)
+	return true
+}

@@ -92,7 +92,7 @@ func (p *Phone) newOutgoingCall(uri *sip.URI) (*Call, error) {
 		state:         StateSetup,
 		localTag:      p.stack.NewTag(),
 		remoteContact: uri.Clone(),
-		media:         rtp.NewSessionWithPacer(mediaConn, p.clk, uint32(mediaConn.LocalPort()), p.cfg.MediaPacer),
+		media:         rtp.NewSession(mediaConn, p.clk, uint32(mediaConn.LocalPort())),
 		setupAt:       p.clk.Now(),
 		established:   make(chan struct{}),
 		ended:         make(chan struct{}),
@@ -121,7 +121,7 @@ func (p *Phone) newIncomingCall(tx *sip.ServerTx) (*Call, error) {
 		remoteTag:   req.From.Tag(),
 		inviteTx:    tx,
 		inviteReq:   req,
-		media:       rtp.NewSessionWithPacer(mediaConn, p.clk, uint32(mediaConn.LocalPort()), p.cfg.MediaPacer),
+		media:       rtp.NewSession(mediaConn, p.clk, uint32(mediaConn.LocalPort())),
 		setupAt:     p.clk.Now(),
 		established: make(chan struct{}),
 		ended:       make(chan struct{}),

@@ -15,7 +15,6 @@ import (
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
-	"siphoc/internal/rtp"
 	"siphoc/internal/sip"
 )
 
@@ -53,10 +52,6 @@ type Config struct {
 	// call counters; it is also propagated to the embedded SIP stack
 	// unless SIP.Obs is already set. Nil disables.
 	Obs *obs.Observer
-	// MediaPacer schedules outgoing RTP frames for all of this phone's
-	// calls on a shared scheduler goroutine. Scenario wires one pacer per
-	// deployment; nil gives each media session a private pacer.
-	MediaPacer *rtp.Pacer
 }
 
 func (c Config) withDefaults() Config {

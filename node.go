@@ -12,7 +12,6 @@ import (
 	"siphoc/internal/routing"
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/routing/olsr"
-	"siphoc/internal/rtp"
 	"siphoc/internal/sip"
 	"siphoc/internal/slp"
 	"siphoc/internal/voip"
@@ -124,12 +123,11 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		return nil, err
 	}
 
-	// Gateway Provider on Internet-connected nodes. Trunking rides the
-	// scenario's shared media pacer.
+	// Gateway Provider on Internet-connected nodes.
 	if o.gateway {
 		gwCfg := core.GatewayConfig{Clock: s.clk, Obs: s.obs}
 		if s.trunk {
-			gwCfg.Trunk = &core.TrunkConfig{Pacer: s.pacer}
+			gwCfg.Trunk = &core.TrunkConfig{}
 		}
 		n.gateway = core.NewGatewayProvider(host, s.inet, n.agent, gwCfg)
 		if err := n.gateway.Start(); err != nil {
@@ -290,9 +288,6 @@ func (n *Node) NewPhoneWith(cfg PhoneConfig) (*Phone, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = n.scenario.obs
 	}
-	if cfg.MediaPacer == nil {
-		cfg.MediaPacer = n.scenario.pacer
-	}
 	if cfg.RegisterTTL == 0 && n.scenario.prefix != "" {
 		// Match the island proxy's federation binding TTL (see newNode):
 		// the requested Expires overrides the registrar default, so a 60 s
@@ -312,7 +307,7 @@ func (n *Node) NewPhoneWith(cfg PhoneConfig) (*Phone, error) {
 // newInternetPhone builds a phone for a host attached directly to the
 // Internet, using the provider's proxy as its outbound proxy (the normal
 // Internet SIP configuration, without SIPHoc in the path).
-func newInternetPhone(host *netem.Host, user, password, domain string, proxy sip.Addr, clk clock.Clock, pacer *rtp.Pacer) *voip.Phone {
+func newInternetPhone(host *netem.Host, user, password, domain string, proxy sip.Addr, clk clock.Clock) *voip.Phone {
 	sipCfg := sip.SimConfig()
 	sipCfg.Clock = clk
 	return voip.New(host, voip.Config{
@@ -320,7 +315,6 @@ func newInternetPhone(host *netem.Host, user, password, domain string, proxy sip
 		OutboundProxy: proxy,
 		SIP:           sipCfg,
 		Clock:         clk,
-		MediaPacer:    pacer,
 	})
 }
 

@@ -13,7 +13,6 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/routing/olsr"
-	"siphoc/internal/rtp"
 	"siphoc/internal/slp"
 )
 
@@ -100,14 +99,13 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 
 // ScenarioOption customizes scenario construction. Options are the canonical
 // construction surface (NewScenarioWith); they compose where ScenarioConfig
-// fields fork — a federation island can also carry a fault plan, share a
-// media pacer, and override routing, all in one call.
+// fields fork — a federation island can also carry a fault plan and override
+// routing, all in one call.
 type ScenarioOption func(*scenarioBuild)
 
 // scenarioBuild accumulates option state before the Scenario exists.
 type scenarioBuild struct {
 	cfg       ScenarioConfig
-	pacer     *rtp.Pacer            // shared external pacer (not closed by Scenario.Close)
 	inet      *internet.Internet    // shared external Internet (not closed by Scenario.Close)
 	obs       *obs.Observer         // shared external observer
 	prefix    string                // federation: the island's address prefix ("10.2.0")
@@ -167,17 +165,9 @@ func WithoutObservability() ScenarioOption {
 	return func(b *scenarioBuild) { b.cfg.NoObservability = true }
 }
 
-// WithMediaPacer shares an externally owned RTP pacer instead of creating a
-// per-scenario one. The scenario does not close it; the owner does. This is
-// how several federated islands pace all their media on one scheduler.
-func WithMediaPacer(p *rtp.Pacer) ScenarioOption {
-	return func(b *scenarioBuild) { b.pacer = p }
-}
-
 // WithTrunking enables gateway-side trunk multiplexing: concurrent RTP
 // streams crossing the same gateway pair are batched into one paced
-// inter-gateway flow (see core.TrunkConfig). The trunk rides the scenario's
-// media pacer.
+// inter-gateway flow (see core.TrunkConfig).
 func WithTrunking() ScenarioOption {
 	return func(b *scenarioBuild) { b.trunk = true }
 }
@@ -201,8 +191,8 @@ func WithFaultPlan(seed int64) ScenarioOption {
 }
 
 // WithFederation makes the scenario one island of a federation: it shares
-// the federation's clock, observer, simulated Internet and media pacer
-// (none of which Scenario.Close touches), scopes the Connection Provider's
+// the federation's clock, observer and simulated Internet (none of which
+// Scenario.Close touches), scopes the Connection Provider's
 // locality test to the island's address prefix, enables trunking when the
 // federation asks for it, and switches the proxy's SLP resolver to
 // cache-only (see core.ProxyConfig.SLPCacheOnly for why).
@@ -213,7 +203,6 @@ func WithFederation(f *FederationScenario, islandPrefix string) ScenarioOption {
 		b.cfg.TimeScale = f.cfg.TimeScale
 		b.obs = f.observer
 		b.inet = f.inet
-		b.pacer = f.pacer
 		b.prefix = islandPrefix
 		b.trunk = f.cfg.Trunk
 	}
@@ -231,16 +220,14 @@ type Scenario struct {
 	clk clock.Clock
 	obs *obs.Observer // nil when NoObservability
 
-	net   *netem.Network
-	inet  *internet.Internet
-	pacer *rtp.Pacer // shared by every phone's media sessions
+	net  *netem.Network
+	inet *internet.Internet
 
-	ownInet  bool                  // close inet on Close (false for federation islands)
-	ownPacer bool                  // close pacer on Close (false when shared)
-	prefix   string                // federation island address prefix ("" = standalone)
-	trunk    bool                  // gateway nodes run trunk multiplexing
-	overlay  core.OverlayDirectory // shared overlay registrar (not closed here)
-	faults   *FaultScenario
+	ownInet bool                  // close inet on Close (false for federation islands)
+	prefix  string                // federation island address prefix ("" = standalone)
+	trunk   bool                  // gateway nodes run trunk multiplexing
+	overlay core.OverlayDirectory // shared overlay registrar (not closed here)
+	faults  *FaultScenario
 
 	mu         sync.Mutex
 	nodes      map[netem.NodeID]*Node
@@ -286,12 +273,6 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 		overlay: b.overlay,
 		nodes:   make(map[netem.NodeID]*Node),
 	}
-	if b.pacer != nil {
-		s.pacer = b.pacer
-	} else {
-		s.pacer = rtp.NewPacer(cfg.Clock)
-		s.ownPacer = true
-	}
 	switch {
 	case b.inet != nil:
 		s.inet = b.inet
@@ -323,10 +304,6 @@ func (s *Scenario) Internet() *internet.Internet { return s.inet }
 
 // Clock returns the scenario's time source.
 func (s *Scenario) Clock() clock.Clock { return s.clk }
-
-// MediaPacer returns the scenario-wide RTP frame scheduler shared by every
-// phone's media sessions (one goroutine paces all concurrent streams).
-func (s *Scenario) MediaPacer() *rtp.Pacer { return s.pacer }
 
 // AddNode creates a full SIPHoc node (routing protocol, MANET SLP,
 // Connection Provider, proxy — plus a Gateway Provider for gateway nodes)
@@ -508,7 +485,7 @@ func (s *Scenario) AddInternetPhoneWithPassword(user, password, domain string, h
 	if err != nil {
 		return nil, err
 	}
-	ph := newInternetPhone(host, user, password, domain, prov.ProxyAddr(), s.clk, s.pacer)
+	ph := newInternetPhone(host, user, password, domain, prov.ProxyAddr(), s.clk)
 	if err := ph.Start(); err != nil {
 		s.inet.RemoveHost(hostID)
 		return nil, err
@@ -598,7 +575,4 @@ func (s *Scenario) Close() {
 		s.inet.Close()
 	}
 	s.net.Close()
-	if s.ownPacer {
-		s.pacer.Close()
-	}
 }

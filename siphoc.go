@@ -59,8 +59,6 @@ type (
 	PhoneConfig = voip.Config
 	// MediaStats is the receive-side call-quality snapshot.
 	MediaStats = rtp.Stats
-	// MediaPacer is the shared RTP frame scheduler; see Scenario.MediaPacer.
-	MediaPacer = rtp.Pacer
 	// MediaStream is a handle to one in-flight voice stream; see
 	// Call.StartVoice.
 	MediaStream = rtp.Stream
