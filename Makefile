@@ -25,12 +25,14 @@ cover:
 # the ones most sensitive to stats races; the rtp media plane follows because
 # every stream of a host re-arms itself on one shard of the network's
 # scheduler while frames land on it, the most write-contended path in the
-# system. The lifecycle line closes and stops every protocol with work in flight; sip and
+# system. The lifecycle line closes and stops every protocol with work in flight, and
+# runs the SIP ownership rule (messages share header values and never write
+# through them) where a write-through would be a reported race; sip and
 # voip run three times because the race a stack's Close can lose to an
 # arriving request is intermittent.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
+	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|DeliverKeepsFinalWhenFull|CloneIsolation|WireBytesGolden|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
 	$(GO) test -race -count 3 ./internal/sip/ ./internal/voip/
 	$(GO) test -race -run 'TestGridGolden|TestEventLoopGoroutinesIndependentOfN' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
@@ -44,14 +46,17 @@ check:
 
 # Hot-path benchmark snapshots, committed as JSON so regressions show up in
 # diffs. bench-all additionally runs the long E-series scenario benchmarks.
-# The ControlScale and OverlayLookup snapshots are gated: the fresh run is
-# compared against the committed BENCH_scale.json / BENCH_dht.json first
-# (cmd/benchcmp fails on >25% regression of convergence_ms, allocs/node/s,
-# lookup_ms or allocs/op), and only replaces it when it passes — a failing
-# run leaves the .new file behind for inspection.
+# The SIP, ControlScale and OverlayLookup snapshots are gated: the fresh run
+# is compared against the committed BENCH_sip.json / BENCH_scale.json /
+# BENCH_dht.json first (cmd/benchcmp fails on >25% regression of
+# convergence_ms, allocs/node/s, lookup_ms or allocs/op), and only replaces
+# it when it passes — a failing run leaves the .new file behind for
+# inspection.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/netem/ | $(GO) run ./cmd/benchjson > BENCH_netem.json
-	$(GO) test -run '^$$' -bench 'SIP' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_sip.json
+	$(GO) test -run '^$$' -bench '^BenchmarkSIP' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_sip.json.new
+	$(GO) run ./cmd/benchcmp BENCH_sip.json BENCH_sip.json.new
+	mv BENCH_sip.json.new BENCH_sip.json
 	$(GO) test -run '^$$' -bench 'ObsOverhead' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_obs.json
 	$(GO) test -run '^$$' -bench 'VoiceFrame|PacketParse|MediaScale' -benchmem ./internal/rtp/ | $(GO) run ./cmd/benchjson > BENCH_rtp.json
 	$(GO) test -run '^$$' -bench 'OverlayLookup' -benchmem -timeout 10m ./internal/overlay/ | $(GO) run ./cmd/benchjson > BENCH_dht.json.new
@@ -122,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParseURI$$ -fuzztime 10s
 	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParseNameAddr$$ -fuzztime 10s
 	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzDigest$$ -fuzztime 10s
+	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzCloneIsolation$$ -fuzztime 15s
 
 # Regenerate every figure/claim of the paper (see EXPERIMENTS.md).
 experiments:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"siphoc"
+	"siphoc/internal/core"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/rtp"
@@ -228,12 +229,89 @@ func BenchmarkSIPParse(b *testing.B) {
 	}
 }
 
+// BenchmarkSIPClone copies a parsed INVITE the way every forwarding step does.
+func BenchmarkSIPClone(b *testing.B) {
+	m, err := sip.Parse([]byte("INVITE sip:bob@voicehoc.ch SIP/2.0\r\n" +
+		"Via: SIP/2.0/UDP 10.0.0.2:5060;branch=z9hG4bK-def\r\n" +
+		"Via: SIP/2.0/UDP 10.0.0.1:5062;branch=z9hG4bK-abc\r\n" +
+		"Record-Route: <sip:10.0.0.2:5060;lr>\r\n" +
+		"From: <sip:alice@voicehoc.ch>;tag=1928\r\n" +
+		"To: <sip:bob@voicehoc.ch>\r\n" +
+		"Call-ID: a84b4c76e66710@10.0.0.1\r\n" +
+		"CSeq: 314159 INVITE\r\n" +
+		"Contact: <sip:alice@10.0.0.1:5062>\r\n" +
+		"Max-Forwards: 69\r\nContent-Type: application/sdp\r\nContent-Length: 4\r\n\r\nv=0\r"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = m.Clone()
+	}
+}
+
+// neighbours routes every destination as a 1-hop neighbour.
+type neighbours struct{}
+
+func (neighbours) NextHop(dst netem.NodeID) (netem.NodeID, bool)  { return dst, true }
+func (neighbours) RequestRoute(dst netem.NodeID, done func(bool)) { done(true) }
+
+// BenchmarkSIPProxyHop runs one INVITE transaction from a user agent through
+// a SIPHoc proxy to a second user agent that answers 200: every message is
+// parsed, copied, re-marshalled and matched to its transactions once per
+// node, with no routing protocol or service lookup in the way (the
+// Request-URI names the callee's endpoint).
+func BenchmarkSIPProxyHop(b *testing.B) {
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	b.Cleanup(net.Close)
+	stacks := make(map[string]*sip.Stack)
+	for i, id := range []string{"ua", "p", "ub"} {
+		h, err := net.AddHost(netem.NodeID(id), netem.Position{X: float64(10 * i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.SetRouteProvider(neighbours{})
+		if id == "p" {
+			proxy := core.NewProxy(h, slp.NewAgent(h, slp.Config{}), nil, core.ProxyConfig{})
+			if err := proxy.Start(); err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(proxy.Stop)
+			continue
+		}
+		conn, err := h.Listen(5062)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stacks[id] = sip.NewStack(conn, sip.SimConfig())
+		b.Cleanup(stacks[id].Close)
+	}
+	stacks["ub"].OnRequest(func(tx *sip.ServerTx) { _ = tx.RespondCode(sip.StatusOK, "") })
+	invite, err := sip.Parse([]byte("INVITE sip:bob@ub:5062 SIP/2.0\r\n" +
+		"From: <sip:alice@voicehoc.ch>;tag=a\r\nTo: <sip:bob@voicehoc.ch>\r\n" +
+		"Call-ID: hop@ua\r\nCSeq: 1 INVITE\r\nContact: <sip:alice@ua:5062>\r\n" +
+		"Max-Forwards: 70\r\n\r\n"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		tx, err := stacks["ua"].SendRequest(invite.Clone(), sip.Addr{Node: "p", Port: sip.DefaultPort})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp, err := tx.Await(); err != nil || resp.StatusCode != sip.StatusOK {
+			b.Fatalf("INVITE through the proxy: %v, %v", resp, err)
+		}
+	}
+}
+
 func BenchmarkSIPMarshal(b *testing.B) {
 	m := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	m.Via = []*sip.Via{{Transport: "UDP", Host: "10.0.0.1", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bK-abc"}}}
+		Params: ";branch=z9hG4bK-abc"}}
 	m.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	m.From.SetTag("1928")
+	m.From = m.From.WithTag("1928")
 	m.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	m.CallID = "a84b4c76e66710@10.0.0.1"
 	m.CSeq = sip.CSeq{Seq: 314159, Method: sip.MethodInvite}

@@ -46,7 +46,7 @@ func TestCancelWithoutMatchingInviteIs481(t *testing.T) {
 	t.Cleanup(stack.Close)
 	cancel := sip.NewRequest(sip.MethodCancel, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	cancel.From = &sip.NameAddr{URI: sip.MustParseURI("sip:a@voicehoc.ch")}
-	cancel.From.SetTag("t")
+	cancel.From = cancel.From.WithTag("t")
 	cancel.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	cancel.CallID = "c-nomatch"
 	cancel.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodCancel}

@@ -308,8 +308,7 @@ func register(t *testing.T, host *netem.Host, proxy *Proxy, user string, expires
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: "voicehoc.ch"})
 	id := &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: user, Host: "voicehoc.ch"}}
-	req.From = id.Clone()
-	req.From.SetTag("t1")
+	req.From = id.WithTag("t1")
 	req.To = id
 	req.CallID = stack.NewCallID()
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodRegister}
@@ -368,8 +367,7 @@ func TestProxyRejectsRemoteRegister(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: "voicehoc.ch"})
 	id := &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: "mallory", Host: "voicehoc.ch"}}
-	req.From = id.Clone()
-	req.From.SetTag("t")
+	req.From = id.WithTag("t")
 	req.To = id
 	req.CallID = "c1"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodRegister}
@@ -402,7 +400,7 @@ func TestProxyUnknownTargetIs404(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:ghost@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:a@voicehoc.ch")}
-	req.From.SetTag("t")
+	req.From = req.From.WithTag("t")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:ghost@voicehoc.ch")}
 	req.CallID = "c-404"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
@@ -432,13 +430,13 @@ func TestProxyLoopDetection(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:a@voicehoc.ch")}
-	req.From.SetTag("t")
+	req.From = req.From.WithTag("t")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-loop"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
 	// Forge a Via showing the request already passed through this proxy.
 	req.Via = []*sip.Via{{Transport: "UDP", Host: "10.0.0.1", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bK-old"}}}
+		Params: ";branch=z9hG4bK-old"}}
 	tx, err := stack.SendRequest(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +465,7 @@ func TestProxyMaxForwardsExhausted(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:a@voicehoc.ch")}
-	req.From.SetTag("t")
+	req.From = req.From.WithTag("t")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-mf"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}

@@ -271,7 +271,7 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 	t.Cleanup(ua.Close)
 	ua.OnRequest(func(tx *sip.ServerTx) {
 		resp := sip.NewResponse(tx.Request(), sip.StatusOK, "")
-		resp.To.SetTag("bob-1")
+		resp.To = resp.To.WithTag("bob-1")
 		_ = tx.Respond(resp)
 	})
 	if err := fb.agents[fresh.ID()].Register(slp.Service{
@@ -289,7 +289,7 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	req.From.SetTag("a1")
+	req.From = req.From.WithTag("a1")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-stale"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
@@ -337,7 +337,7 @@ func TestProxyRetransmitExhaustionIs408(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:ghost@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	req.From.SetTag("a2")
+	req.From = req.From.WithTag("a2")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:ghost@voicehoc.ch")}
 	req.CallID = "c-408"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}

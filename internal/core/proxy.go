@@ -186,6 +186,9 @@ type Proxy struct {
 	clk       clock.Clock
 	stack     *sip.Stack
 	resolvers ResolverChain
+	// recordRoute is this proxy's Record-Route entry, shared by every INVITE
+	// it forwards.
+	recordRoute *sip.NameAddr
 
 	mu       sync.Mutex
 	bindings map[string]localBinding // AOR -> local UA contact
@@ -222,6 +225,9 @@ func NewProxy(host *netem.Host, agent ServiceDirectory, connp *ConnectionProvide
 		upstream: make(map[string]int),
 		invites:  make(map[string]*inviteForward),
 		creds:    make(map[string]upstreamCred),
+		recordRoute: &sip.NameAddr{URI: &sip.URI{
+			Scheme: "sip", Host: string(host.ID()), Port: cfg.Port, Params: ";lr",
+		}},
 	}
 	if len(cfg.Resolvers) > 0 {
 		p.resolvers = ResolverChain(cfg.Resolvers)
@@ -394,7 +400,7 @@ func (p *Proxy) handleRegister(tx *sip.ServerTx) {
 		}
 	}
 	resp := sip.NewResponse(req, sip.StatusOK, "")
-	resp.Contact = []*sip.NameAddr{req.Contact[0].Clone()}
+	resp.Contact = req.Contact[:1:1]
 	resp.Expires = int(ttl / time.Second)
 	_ = tx.Respond(resp)
 
@@ -511,11 +517,7 @@ func (p *Proxy) routeStateful(tx *sip.ServerTx) {
 		_ = tx.RespondCode(sip.StatusTrying, "")
 		// Record-Route: keep this proxy on the path for in-dialog
 		// requests (RFC 3261 §16.6 step 4).
-		rr := &sip.NameAddr{URI: &sip.URI{
-			Scheme: "sip", Host: string(p.host.ID()), Port: p.cfg.Port,
-			Params: map[string]string{"lr": ""},
-		}}
-		fwd.RecordRoute = append([]*sip.NameAddr{rr}, fwd.RecordRoute...)
+		fwd.RecordRoute = append([]*sip.NameAddr{p.recordRoute}, fwd.RecordRoute...)
 	}
 	// Stateful send with bounded recovery: when an SLP-resolved next hop has
 	// gone stale (callee moved, node crashed), the downstream transaction
@@ -523,7 +525,7 @@ func (p *Proxy) routeStateful(tx *sip.ServerTx) {
 	// provisional, evict the stale cache entry, back off, re-resolve and try
 	// the fresh route — capped by ResolveRetries — before answering 408.
 	aor := req.RequestURI.AddressOfRecord()
-	pristine := fwd.Clone() // pre-Via copy; each retry restarts from here
+	pristine := *fwd // as it was before our Via went on; each retry restarts from here
 	retries := p.cfg.ResolveRetries
 	if req.Method != sip.MethodInvite {
 		retries = 0
@@ -568,20 +570,15 @@ func (p *Proxy) routeStateful(tx *sip.ServerTx) {
 				// so the recovery logic below decides what the caller sees.
 				break
 			}
-			up := resp.Clone()
-			if len(up.Via) > 0 {
-				up.Via = up.Via[1:] // pop our Via
+			if len(resp.Via) < 2 || resp.StatusCode == sip.StatusTrying {
+				continue // nobody upstream, or hop-by-hop only
 			}
-			if len(up.Via) == 0 {
-				continue
-			}
-			if up.StatusCode == sip.StatusTrying {
-				continue // hop-by-hop only
-			}
-			if up.StatusCode < 200 {
+			if resp.StatusCode < 200 {
 				gotProvisional = true
 			}
-			_ = tx.Respond(up)
+			up := *resp
+			up.Via = up.Via[1:] // pop our Via
+			_ = tx.Respond(&up)
 			if resp.StatusCode >= 200 {
 				return
 			}
@@ -603,7 +600,7 @@ func (p *Proxy) routeStateful(tx *sip.ServerTx) {
 			<-t.C()
 		}
 		retrySpan := p.obs.StartSpan(req.CallID, obs.PhaseSLPResolve, string(p.host.ID()))
-		dst, kind, failCode = p.nextHopFor(pristine)
+		dst, kind, failCode = p.nextHopFor(&pristine)
 		retrySpan.End("kind=" + kind + " retry")
 		if kind == "" {
 			p.stats.unresolved.Add(1)
@@ -702,10 +699,8 @@ func (p *Proxy) registerUpstream(aor string) {
 	dst := p.cfg.DNS(domain)
 	buildReq := func(seq uint32) *sip.Message {
 		req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: domain})
-		identity := &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: user, Host: domain}}
-		req.From = identity.Clone()
-		req.From.SetTag(p.stack.NewTag())
-		req.To = identity.Clone()
+		req.To = &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: user, Host: domain}}
+		req.From = req.To.WithTag(p.stack.NewTag())
 		req.CallID = p.stack.NewCallID()
 		req.CSeq = sip.CSeq{Seq: seq, Method: sip.MethodRegister}
 		req.Contact = []*sip.NameAddr{{URI: &sip.URI{

@@ -72,8 +72,7 @@ func uaStack(t *testing.T, inet *Internet, name netem.NodeID) *sip.Stack {
 func registerReq(s *sip.Stack, user, domain string, contact sip.Addr, expires int) *sip.Message {
 	req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: domain})
 	id := &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: user, Host: domain}}
-	req.From = id.Clone()
-	req.From.SetTag(s.NewTag())
+	req.From = id.WithTag(s.NewTag())
 	req.To = id
 	req.CallID = s.NewCallID()
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodRegister}
@@ -190,7 +189,7 @@ func TestProviderForwardsInviteToBinding(t *testing.T) {
 	alice := uaStack(t, inet, "ua.alice.net")
 	inv := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	inv.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	inv.From.SetTag("t")
+	inv.From = inv.From.WithTag("t")
 	inv.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	inv.CallID = alice.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
@@ -221,7 +220,7 @@ func TestProviderInviteWithoutBindingIs480(t *testing.T) {
 	alice := uaStack(t, inet, "ua.alice.net")
 	inv := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	inv.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	inv.From.SetTag("t")
+	inv.From = inv.From.WithTag("t")
 	inv.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	inv.CallID = alice.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}

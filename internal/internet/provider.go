@@ -242,7 +242,7 @@ func (p *Provider) handleRegister(tx *sip.ServerTx) {
 	}
 	p.mu.Unlock()
 	resp := sip.NewResponse(req, sip.StatusOK, "")
-	resp.Contact = []*sip.NameAddr{req.Contact[0].Clone()}
+	resp.Contact = req.Contact[:1:1]
 	resp.Expires = int(ttl / time.Second)
 	_ = tx.Respond(resp)
 }
@@ -335,14 +335,12 @@ func (p *Provider) relay(tx *sip.ServerTx, dst sip.Addr, stateless bool) {
 	p.stats.Forwarded++
 	p.mu.Unlock()
 	for resp := range ct.Responses() {
-		up := resp.Clone()
-		if len(up.Via) > 0 {
-			up.Via = up.Via[1:] // pop our Via
+		if len(resp.Via) < 2 {
+			continue // nobody upstream
 		}
-		if len(up.Via) == 0 {
-			continue
-		}
-		_ = tx.Respond(up)
+		up := *resp
+		up.Via = up.Via[1:] // pop our Via
+		_ = tx.Respond(&up)
 		if resp.StatusCode >= 200 {
 			return
 		}

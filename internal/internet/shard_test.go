@@ -124,7 +124,7 @@ func TestProviderPoolCrossShardRegisterAndInvite(t *testing.T) {
 	caller := uaStack(t, inet, "caller.net")
 	inv := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:"+aor))
 	inv.From = &sip.NameAddr{URI: sip.MustParseURI("sip:caller@voicehoc.ch")}
-	inv.From.SetTag("t")
+	inv.From = inv.From.WithTag("t")
 	inv.To = &sip.NameAddr{URI: sip.MustParseURI("sip:" + aor)}
 	inv.CallID = caller.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}

@@ -134,6 +134,7 @@ type Protocol struct {
 	neighbors map[netem.NodeID]time.Time
 	pending   map[netem.NodeID]*discovery
 	pb        routing.PiggybackHandler
+	framer    routing.Framer
 	stats     Stats
 	started   bool
 	hello     *clock.Task
@@ -373,17 +374,12 @@ func (p *Protocol) sendControl(dst netem.NodeID, kind uint8, body []byte) {
 	p.mu.Lock()
 	pb := p.pb
 	p.mu.Unlock()
-	var ext []byte
-	if pb != nil {
-		ext = pb.Outgoing(routing.Outgoing{
-			Proto:  routing.ProtoAODV,
-			Kind:   kind,
-			Kind2:  KindName(kind),
-			Dst:    dst,
-			Budget: routing.ExtBudget(len(body)),
-		})
-	}
-	raw, err := routing.AppendEnvelope(nil, routing.ProtoAODV, kind, body, ext)
+	raw, err := p.framer.Frame(pb, routing.Outgoing{
+		Proto: routing.ProtoAODV,
+		Kind:  kind,
+		Kind2: KindName(kind),
+		Dst:   dst,
+	}, body)
 	if err != nil {
 		return
 	}
@@ -391,8 +387,8 @@ func (p *Protocol) sendControl(dst netem.NodeID, kind uint8, body []byte) {
 }
 
 func (p *Protocol) onFrame(f netem.Frame) {
-	env, err := routing.ParseEnvelope(f.Payload)
-	if err != nil || env.Proto != routing.ProtoAODV {
+	var env routing.Envelope
+	if err := routing.ParseEnvelopeInto(&env, f.Payload); err != nil || env.Proto != routing.ProtoAODV {
 		return
 	}
 	p.touchNeighbor(f.Src)

@@ -9,6 +9,7 @@ import (
 
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
+	"siphoc/internal/testutil"
 )
 
 func TestRREQRoundTrip(t *testing.T) {
@@ -267,11 +268,11 @@ type capturingHandler struct {
 	budgets  []int
 }
 
-func (c *capturingHandler) Outgoing(msg routing.Outgoing) []byte {
+func (c *capturingHandler) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.budgets = append(c.budgets, msg.Budget)
-	return c.ext
+	return append(b, c.ext...)
 }
 
 func (c *capturingHandler) Incoming(msg routing.Incoming) {
@@ -389,5 +390,42 @@ func TestFreshnessRulePrefersHigherSeq(t *testing.T) {
 	e, ok := tbl.Lookup("d", now)
 	if !ok || e.NextHop != "e" {
 		t.Fatalf("final route = %+v, %v", e, ok)
+	}
+}
+
+// appendingHandler piggybacks a fixed extension onto every control frame.
+type appendingHandler struct{ ext string }
+
+func (h appendingHandler) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
+	return append(b, h.ext...)
+}
+func (appendingHandler) Incoming(routing.Incoming) {}
+
+// TestHelloAllocBudget pins a HELLO beacon at one allocation, the frame:
+// header, body and the piggybacked extension go into that one buffer, which
+// the medium keeps. Nobody is in range, so that a delivery's cost is not
+// counted with it.
+func TestHelloAllocBudget(t *testing.T) {
+	if testutil.Race {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	net := netem.NewNetwork(netem.Config{})
+	defer net.Close()
+	h, err := net.AddHost("self", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []netem.Frame
+	net.SetTap(func(f netem.Frame) { seen = append(seen[:0], f) })
+	p := New(h, SimConfig())
+	p.SetPiggyback(appendingHandler{"digest-size"})
+	p.helloTick() // sizes the framer
+	if allocs := testing.AllocsPerRun(200, p.helloTick); allocs > 1 {
+		t.Fatalf("a HELLO allocates %.1f times, budget 1", allocs)
+	}
+	var env routing.Envelope
+	if len(seen) != 1 || routing.ParseEnvelopeInto(&env, seen[0].Payload) != nil ||
+		env.Kind != KindHello || string(env.Ext) != "digest-size" {
+		t.Fatalf("last frame on the medium is not a HELLO with its extension: %+v", seen)
 	}
 }

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"siphoc/internal/netem"
@@ -160,9 +161,9 @@ type Hello struct {
 
 // Marshal encodes the hello body.
 func (m *Hello) Marshal() []byte {
-	w := wire.NewWriter(4)
-	w.U32(m.Seq)
-	return w.Bytes()
+	// A buffer of constant size, so that it stays on the stack of a caller
+	// that only copies it into a frame.
+	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), m.Seq)
 }
 
 // ParseHello decodes a hello body.

@@ -424,3 +424,53 @@ func TestRecomputeAllocBound(t *testing.T) {
 		t.Fatalf("settled full recompute allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// digestHandler piggybacks what an SLP agent does in steady state: a digest's
+// worth of bytes, appended to the frame it is handed.
+type digestHandler struct{}
+
+func (digestHandler) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
+	return append(b, "digest-size"...)
+}
+func (digestHandler) Incoming(routing.Incoming) {}
+
+// TestForwardedTCAllocBudget pins the relay of a TC at one allocation, the
+// frame: header, the received body with its TTL decremented and the
+// piggybacked extension all go into that one buffer, which the medium keeps.
+// Nobody is in range, so that a delivery's cost is not counted with it.
+func TestForwardedTCAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	net := netem.NewNetwork(netem.Config{})
+	defer net.Close()
+	h, err := net.AddHost("self", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(h, Config{TCInterval: time.Nanosecond, TopologyHold: time.Hour}.withDefaults())
+	p.SetPiggyback(digestHandler{})
+	// n1 selects this node as its MPR, so its TCs are ours to relay.
+	p.onHello("n1", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym, MPR: true}}})
+	m := &TC{Orig: "orig", Seq: 0, ANSN: 7, TTL: 5,
+		Selectors: []netem.NodeID{"a", "b", "c"}}
+	body := m.Marshal()
+	seqOff := 2 + len(m.Orig)
+	seq := m.Seq
+	relay := func() {
+		seq++
+		binary.BigEndian.PutUint16(body[seqOff:], seq)
+		p.handleTC("n1", body)
+	}
+	relay() // installs edges, interns all IDs, sizes the framer
+	fwd := p.Stats().TCFwd
+	if allocs := testing.AllocsPerRun(200, relay); allocs > 1 {
+		t.Fatalf("relaying a TC allocates %.1f times, budget 1", allocs)
+	}
+	if got := p.Stats().TCFwd - fwd; got != 201 {
+		t.Fatalf("relayed %d of 201 TCs", got)
+	}
+	if body[seqOff+4] != 5 {
+		t.Fatal("the relay decremented the TTL in the received bytes, not in its frame")
+	}
+}

@@ -270,6 +270,7 @@ type Protocol struct {
 	selInit  bool
 	table    *routing.Table
 	pb       routing.PiggybackHandler
+	framer   routing.Framer
 	stats    Stats
 	started  bool
 	// recomputeHold marks the coalescing hold-down window after a
@@ -481,23 +482,25 @@ func (p *Protocol) MPRs() []netem.NodeID {
 	return out
 }
 
-func (p *Protocol) sendControl(kind uint8, body []byte) {
+// sendControl broadcasts body as a control frame of the given kind. A
+// forwarded message is sent as it came but for its TTL: ttlOff is where in
+// body that byte sits, to be decremented in the frame (-1 for a message of
+// this node's own). body is copied, so it may alias a received frame.
+func (p *Protocol) sendControl(kind uint8, body []byte, ttlOff int) {
 	p.mu.Lock()
 	pb := p.pb
 	p.mu.Unlock()
-	var ext []byte
-	if pb != nil {
-		ext = pb.Outgoing(routing.Outgoing{
-			Proto:  routing.ProtoOLSR,
-			Kind:   kind,
-			Kind2:  KindName(kind),
-			Dst:    netem.Broadcast,
-			Budget: routing.ExtBudget(len(body)),
-		})
-	}
-	raw, err := routing.AppendEnvelope(nil, routing.ProtoOLSR, kind, body, ext)
+	raw, err := p.framer.Frame(pb, routing.Outgoing{
+		Proto: routing.ProtoOLSR,
+		Kind:  kind,
+		Kind2: KindName(kind),
+		Dst:   netem.Broadcast,
+	}, body)
 	if err != nil {
 		return
+	}
+	if ttlOff >= 0 {
+		raw[routing.HeaderLen+ttlOff]--
 	}
 	_ = p.host.SendFrame(netem.Broadcast, netem.KindRouting, raw)
 }
@@ -780,16 +783,11 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 	}
 
 	if doFwd {
-		// Retransmit the received bytes with the TTL decremented in place —
-		// the one copy is needed because the outgoing frame outlives this
-		// handler while body aliases the incoming frame's payload.
-		fwd := make([]byte, len(body))
-		copy(fwd, body)
-		fwd[ttlOff]--
+		// Retransmit the received bytes with the TTL decremented.
 		p.mu.Lock()
 		p.stats.TCFwd++
 		p.mu.Unlock()
-		p.sendControl(KindTC, fwd)
+		p.sendControl(KindTC, body, ttlOff)
 	}
 }
 
@@ -816,7 +814,7 @@ func (p *Protocol) sendHello() {
 	body := m.Marshal() // under mu: Neighbors aliases pooled scratch
 	p.stats.HelloSent++
 	p.mu.Unlock()
-	p.sendControl(KindHello, body)
+	p.sendControl(KindHello, body, -1)
 }
 
 func (p *Protocol) sendTC() {
@@ -859,7 +857,7 @@ func (p *Protocol) sendTC() {
 	body := m.Marshal() // under mu: Selectors aliases pooled scratch
 	p.stats.TCSent++
 	p.mu.Unlock()
-	p.sendControl(KindTC, body)
+	p.sendControl(KindTC, body, -1)
 }
 
 // expire drops stale links, selectors and topology tuples.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"siphoc/internal/netem"
@@ -56,10 +57,11 @@ type Protocol interface {
 // module that receives routing packets and produces altered packets carrying
 // piggybacked service information.
 type PiggybackHandler interface {
-	// Outgoing is invoked for every control message about to be sent.
-	// It may return up to budget bytes of extension payload to attach,
-	// or nil to leave the message untouched.
-	Outgoing(msg Outgoing) []byte
+	// AppendOutgoing is invoked for every control message about to be sent,
+	// with the frame built so far. It may append up to msg.Budget bytes of
+	// extension payload, and returns b as it is to leave the message
+	// untouched.
+	AppendOutgoing(b []byte, msg Outgoing) []byte
 	// Incoming is invoked for every received control message that
 	// carries an extension.
 	Incoming(msg Incoming)
@@ -120,6 +122,37 @@ func AppendEnvelope(b []byte, proto, kind uint8, body, ext []byte) ([]byte, erro
 	b = append(b, body...)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(ext)))
 	b = append(b, ext...)
+	return b, nil
+}
+
+// HeaderLen is the length of the envelope's header: byte i of the body is
+// byte HeaderLen+i of the frame.
+const HeaderLen = 4
+
+// Framer builds a protocol's control frames, each in one buffer: header and
+// body, then the extension the piggyback handler writes straight behind them.
+// The buffer is sized for the extension the previous frame carried, which in
+// steady state (a digest and nothing else) is the one this frame carries.
+type Framer struct {
+	extHint atomic.Int32
+}
+
+// Frame returns the control frame for body, which it copies. msg names the
+// protocol and kind; its Budget is filled in here. A nil pb, or one that adds
+// nothing, leaves the extension empty.
+func (f *Framer) Frame(pb PiggybackHandler, msg Outgoing, body []byte) ([]byte, error) {
+	b := make([]byte, 0, HeaderLen+len(body)+2+int(f.extHint.Load()))
+	b, err := AppendEnvelope(b, msg.Proto, msg.Kind, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	ext := len(b) // where the empty extension ends and a real one starts
+	if pb != nil {
+		msg.Budget = ExtBudget(len(body))
+		b = pb.AppendOutgoing(b, msg)
+	}
+	binary.BigEndian.PutUint16(b[ext-2:], uint16(len(b)-ext))
+	f.extHint.Store(int32(len(b) - ext))
 	return b, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -196,39 +197,54 @@ func (a *DigestCredentials) Verify(password, method string) bool {
 // Challenge and Authorization accessors on Message (stored among the
 // uninterpreted headers so proxying preserves them).
 
+// setOther replaces every header called name with one carrying value, in a
+// list of the message's own: Other may be shared.
+func (m *Message) setOther(name, value string) {
+	kept := make([]Header, 0, len(m.Other)+1)
+	for _, h := range m.Other {
+		if h.Name != name {
+			kept = append(kept, h)
+		}
+	}
+	m.Other = insertHeader(kept, Header{name, value})
+}
+
+// other returns the first header called name.
+func (m *Message) other(name string) (string, bool) {
+	i := slices.IndexFunc(m.Other, func(h Header) bool { return h.Name == name })
+	if i < 0 {
+		return "", false
+	}
+	return m.Other[i].Value, true
+}
+
 // SetChallenge attaches a WWW-Authenticate header to a 401 response.
 func (m *Message) SetChallenge(c *DigestChallenge) {
-	if m.Other == nil {
-		m.Other = make(map[string][]string)
-	}
-	m.Other["WWW-Authenticate"] = []string{c.String()}
+	m.setOther("WWW-Authenticate", c.String())
 }
 
 // Challenge extracts the WWW-Authenticate challenge, if any.
 func (m *Message) Challenge() (*DigestChallenge, bool) {
-	vs := m.Other["WWW-Authenticate"]
-	if len(vs) == 0 {
+	v, ok := m.other("WWW-Authenticate")
+	if !ok {
 		return nil, false
 	}
-	c, err := ParseDigestChallenge(vs[0])
+	c, err := ParseDigestChallenge(v)
 	return c, err == nil
 }
 
 // SetAuthorization attaches the Authorization header to a request.
 func (m *Message) SetAuthorization(a *DigestCredentials) {
-	if m.Other == nil {
-		m.Other = make(map[string][]string)
-	}
-	m.Other["Authorization"] = []string{a.String()}
+	m.setOther("Authorization", a.String())
 }
 
 // Authorization extracts the Authorization credentials, if any.
 func (m *Message) Authorization() (*DigestCredentials, bool) {
-	vs := m.Other["Authorization"]
-	if len(vs) == 0 {
+	v, ok := m.other("Authorization")
+	if !ok {
 		return nil, false
 	}
-	a, err := ParseDigestCredentials(vs[0])
+	a, err := ParseDigestCredentials(v)
 	return a, err == nil
 }
 

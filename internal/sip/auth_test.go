@@ -84,7 +84,7 @@ func TestMessageAuthHeaders(t *testing.T) {
 func TestAuthHeadersSurviveWire(t *testing.T) {
 	req := NewRequest(MethodRegister, MustParseURI("sip:voicehoc.ch"))
 	req.From = &NameAddr{URI: MustParseURI("sip:alice@voicehoc.ch")}
-	req.From.SetTag("t")
+	req.From = req.From.WithTag("t")
 	req.To = &NameAddr{URI: MustParseURI("sip:alice@voicehoc.ch")}
 	req.CallID = "c1"
 	req.CSeq = CSeq{Seq: 2, Method: MethodRegister}

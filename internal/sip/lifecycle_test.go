@@ -87,8 +87,7 @@ func TestCloseDuringTraffic(t *testing.T) {
 		// orders this goroutine after the handlers they start.
 		for _, method := range []string{MethodOptions, MethodAck} {
 			req := testRequest(sa, method)
-			req.Via = []*Via{{Transport: "UDP", Host: "a", Port: DefaultPort,
-				Params: map[string]string{"branch": sa.NewBranch()}}}
+			req.Via = []*Via{sa.NewVia()}
 			if err := sa.Send(req, dst); err != nil {
 				t.Fatal(err)
 			}
@@ -199,4 +198,36 @@ func TestServerTxExpiry(t *testing.T) {
 	sb.Close()
 	n.Close()
 	settleGoroutines(t, baseline)
+}
+
+// TestProceedingReplaysProvisional: a server transaction whose provisional
+// was lost on the radio sends it again when the request is retransmitted
+// (RFC 3261 §17.2.1), instead of leaving the client without a sign of life
+// until the final response; the TU is not bothered a second time.
+func TestProceedingReplaysProvisional(t *testing.T) {
+	sa, sb, n, fake := fakePair(t)
+	var handled atomic.Int32
+	sb.OnRequest(func(tx *ServerTx) {
+		handled.Add(1)
+		n.SetLink("a", "b", false) // the first 100 is lost
+		_ = tx.RespondCode(StatusTrying, "")
+		n.SetLink("a", "b", true)
+	})
+	tx, err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Message
+	if !advanceUntil(fake, 16*fakeT1, func() bool {
+		select {
+		case got = <-tx.Responses():
+		default:
+		}
+		return got != nil
+	}) {
+		t.Fatal("retransmitted INVITE drew no provisional from a transaction in Proceeding")
+	}
+	if got.StatusCode != StatusTrying || handled.Load() != 1 {
+		t.Fatalf("got a %d after %d handler calls, want the replayed 100 and one call", got.StatusCode, handled.Load())
+	}
 }

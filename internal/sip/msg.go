@@ -9,6 +9,7 @@ package sip
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -113,14 +114,14 @@ type Via struct {
 	Transport string // "UDP"
 	Host      string
 	Port      uint16
-	Params    map[string]string // branch, received, ...
+	Params    Params // branch, received, ...
 }
 
 // BranchPrefix is the RFC 3261 magic cookie for Via branch parameters.
 const BranchPrefix = "z9hG4bK"
 
 // Branch returns the branch parameter.
-func (v *Via) Branch() string { return v.Params["branch"] }
+func (v *Via) Branch() string { return v.Params.Get("branch") }
 
 // SentBy returns the transport address encoded in the Via.
 func (v *Via) SentBy() Addr {
@@ -141,7 +142,7 @@ func (v *Via) appendTo(b []byte) []byte {
 		b = append(b, ':')
 		b = strconv.AppendUint(b, uint64(v.Port), 10)
 	}
-	return appendParams(b, v.Params)
+	return append(b, v.Params...)
 }
 
 // String renders "SIP/2.0/UDP host:port;params".
@@ -149,51 +150,44 @@ func (v *Via) String() string {
 	return string(v.appendTo(nil))
 }
 
-func (v *Via) clone() *Via {
-	c := *v
-	if v.Params != nil {
-		c.Params = make(map[string]string, len(v.Params))
-		for k, val := range v.Params {
-			c.Params[k] = val
-		}
-	}
-	return &c
-}
-
 // ParseVia parses one Via header value.
 func ParseVia(s string) (*Via, error) {
+	v := &Via{}
+	if err := v.parse(s); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func (v *Via) parse(s string) error {
 	s = strings.TrimSpace(s)
 	const pre = "SIP/2.0/"
 	if !strings.HasPrefix(s, pre) {
-		return nil, fmt.Errorf("sip: via %q: bad protocol", s)
+		return fmt.Errorf("sip: via %q: bad protocol", s)
 	}
 	s = s[len(pre):]
 	sp := strings.IndexByte(s, ' ')
 	if sp < 0 {
-		return nil, fmt.Errorf("sip: via %q: missing sent-by", s)
+		return fmt.Errorf("sip: via %q: missing sent-by", s)
 	}
-	v := &Via{Transport: s[:sp]}
+	v.Transport = s[:sp]
 	if !isToken(v.Transport) {
-		return nil, fmt.Errorf("sip: via %q: bad transport", s)
+		return fmt.Errorf("sip: via %q: bad transport", s)
 	}
 	rest := strings.TrimSpace(s[sp+1:])
 	if i := strings.IndexByte(rest, ';'); i >= 0 {
-		params, err := parseParams(rest[i+1:])
-		if err != nil {
-			return nil, err
-		}
-		v.Params = params
+		v.Params = parseParams(rest[i:])
 		rest = rest[:i]
 	}
 	host, port, err := splitHostPort(strings.TrimSpace(rest))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !validHost(host) {
-		return nil, fmt.Errorf("sip: via %q: bad sent-by host", s)
+		return fmt.Errorf("sip: via %q: bad sent-by host", s)
 	}
 	v.Host, v.Port = host, port
-	return v, nil
+	return nil
 }
 
 // CSeq is the CSeq header: sequence number plus method.
@@ -212,7 +206,17 @@ func (c CSeq) appendTo(b []byte) []byte {
 // String renders "1 INVITE".
 func (c CSeq) String() string { return string(c.appendTo(nil)) }
 
+// Header is one header this implementation does not interpret.
+type Header struct{ Name, Value string }
+
 // Message is a SIP request or response.
+//
+// A header value reachable from a Message is read-only; replace, never write
+// through. The Via, URI and name-addr values and the slices' elements, the
+// Other entries and the Body bytes may be shared with any number of other
+// messages (Clone, NewResponse and the forwarding helpers share them all), so
+// a change is a new value assigned to the field: To = To.WithTag(t), a Via
+// pushed onto a new slice, a Via or Route popped by reslicing.
 type Message struct {
 	// Request fields (Method != "" marks a request).
 	Method     string
@@ -236,8 +240,9 @@ type Message struct {
 	UserAgent   string
 
 	// Other carries headers this implementation does not interpret,
-	// preserved across proxying (canonical-cased keys).
-	Other map[string][]string
+	// preserved across proxying: canonical-cased names in sorted order, the
+	// values of one name in arrival order.
+	Other []Header
 
 	Body []byte
 }
@@ -256,38 +261,18 @@ func (m *Message) TopVia() *Via {
 	return m.Via[0]
 }
 
-// Clone returns a deep copy of the message.
+// Clone returns a copy of the message that shares every header value and the
+// body with it. The slices are capped, so an append to either message's
+// cannot reach the other's.
 func (m *Message) Clone() *Message {
 	c := *m
-	c.Via = make([]*Via, len(m.Via))
-	for i, v := range m.Via {
-		c.Via[i] = v.clone()
-	}
-	c.RequestURI = m.RequestURI.Clone()
-	c.From = m.From.Clone()
-	c.To = m.To.Clone()
-	c.Contact = cloneNameAddrs(m.Contact)
-	c.Route = cloneNameAddrs(m.Route)
-	c.RecordRoute = cloneNameAddrs(m.RecordRoute)
-	if m.Other != nil {
-		c.Other = make(map[string][]string, len(m.Other))
-		for k, vs := range m.Other {
-			c.Other[k] = append([]string(nil), vs...)
-		}
-	}
-	c.Body = append([]byte(nil), m.Body...)
+	c.Via = slices.Clip(m.Via)
+	c.Contact = slices.Clip(m.Contact)
+	c.Route = slices.Clip(m.Route)
+	c.RecordRoute = slices.Clip(m.RecordRoute)
+	c.Other = slices.Clip(m.Other)
+	c.Body = slices.Clip(m.Body)
 	return &c
-}
-
-func cloneNameAddrs(in []*NameAddr) []*NameAddr {
-	if in == nil {
-		return nil
-	}
-	out := make([]*NameAddr, len(in))
-	for i, n := range in {
-		out[i] = n.Clone()
-	}
-	return out
 }
 
 // NewRequest builds a request skeleton with sane defaults.
@@ -301,43 +286,52 @@ func NewRequest(method string, uri *URI) *Message {
 }
 
 // NewResponse builds a response to req per RFC 3261 §8.2.6: Via, From, To,
-// Call-ID and CSeq are copied from the request.
+// Call-ID and CSeq are the request's, and so is Record-Route, so that the UAC
+// learns the dialog's route set (RFC 3261 §12.1.1, §16.7).
 func NewResponse(req *Message, code int, reason string) *Message {
 	if reason == "" {
 		reason = ReasonPhrase(code)
 	}
-	resp := &Message{
+	return &Message{
 		StatusCode:  code,
 		Reason:      reason,
+		Via:         slices.Clip(req.Via),
+		From:        req.From,
+		To:          req.To,
+		RecordRoute: slices.Clip(req.RecordRoute),
 		CallID:      req.CallID,
 		CSeq:        req.CSeq,
-		From:        req.From.Clone(),
-		To:          req.To.Clone(),
 		MaxForwards: -1,
 		Expires:     -1,
 	}
-	resp.Via = make([]*Via, len(req.Via))
-	for i, v := range req.Via {
-		resp.Via[i] = v.clone()
-	}
-	// Record-Route is mirrored into responses so the UAC learns the
-	// dialog's route set (RFC 3261 §12.1.1, §16.7).
-	resp.RecordRoute = cloneNameAddrs(req.RecordRoute)
-	return resp
 }
 
-// TransactionKey identifies the transaction a message belongs to
-// (RFC 3261 §17.2.3: top Via branch + CSeq method, with CANCEL/ACK matching
-// the INVITE they refer to handled by callers).
-func (m *Message) TransactionKey() string {
+// txKey identifies the transaction a message belongs to (RFC 3261 §17.2.3):
+// the top Via's branch and the CSeq method, an ACK matching the INVITE it
+// acknowledges. A branch without the RFC 3261 cookie is not unique, so such a
+// message is told apart by its Call-ID, CSeq number and sent-by as well.
+type txKey struct {
+	branch, method string
+
+	callID string
+	seq    uint32
+	sentBy Addr
+}
+
+func (m *Message) txKey() txKey {
+	k := txKey{method: m.CSeq.Method}
+	if k.method == MethodAck {
+		k.method = MethodInvite
+	}
 	v := m.TopVia()
-	branch := ""
 	if v != nil {
-		branch = v.Branch()
+		k.branch = v.Branch()
 	}
-	method := m.CSeq.Method
-	if method == MethodAck {
-		method = MethodInvite
+	if !strings.HasPrefix(k.branch, BranchPrefix) {
+		k.callID, k.seq = m.CallID, m.CSeq.Seq
+		if v != nil {
+			k.sentBy = v.SentBy()
+		}
 	}
-	return branch + "|" + method
+	return k
 }

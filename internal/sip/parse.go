@@ -2,6 +2,7 @@ package sip
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -127,6 +128,22 @@ func nextLine(s string) (line, rest string, more bool) {
 	return line, s[i+1:], true
 }
 
+// parsed is the one block a parsed message lives in: the Message, its
+// Request-URI, its name-addrs with their URIs and its Via entries. The arrays
+// hold what a call through two proxies and a provider carries; a message with
+// more spills into allocations of its own.
+type parsed struct {
+	msg      Message
+	ruri     URI
+	from, to nameAddrURI
+	nas      [4]nameAddrURI // Contact, Route and Record-Route entries as they arrive
+	vias     [4]Via
+	nNA      int
+
+	viaList                     [4]*Via
+	contact, route, recordRoute [2]*NameAddr
+}
+
 // Parse decodes a SIP message from its textual wire form. The input is
 // copied into one backing string; all string fields of the result are
 // slices of it.
@@ -144,9 +161,10 @@ func Parse(data []byte) (*Message, error) {
 	} else {
 		head = text
 	}
-	m := &Message{MaxForwards: -1, Expires: -1}
+	p := &parsed{msg: Message{MaxForwards: -1, Expires: -1}}
+	m := &p.msg
 	start, rest, more := nextLine(head)
-	if err := parseStartLine(m, start); err != nil {
+	if err := p.parseStartLine(start); err != nil {
 		return nil, err
 	}
 	contentLength := -1
@@ -169,7 +187,7 @@ func Parse(data []byte) (*Message, error) {
 			name = canonicalHeader(rawName)
 		}
 		value := strings.TrimSpace(line[colon+1:])
-		if err := setHeader(m, name, value, &contentLength); err != nil {
+		if err := p.setHeader(name, value, &contentLength); err != nil {
 			return nil, err
 		}
 	}
@@ -188,7 +206,8 @@ func Parse(data []byte) (*Message, error) {
 	return m, nil
 }
 
-func parseStartLine(m *Message, line string) error {
+func (p *parsed) parseStartLine(line string) error {
+	m := &p.msg
 	if strings.HasPrefix(line, "SIP/2.0 ") {
 		rest := line[len("SIP/2.0 "):]
 		sp := strings.IndexByte(rest, ' ')
@@ -216,12 +235,11 @@ func parseStartLine(m *Message, line string) error {
 	if !isToken(method) {
 		return fmt.Errorf("sip: bad method %q", line[:sp1])
 	}
-	uri, err := ParseURI(line[sp1+1 : sp1+1+sp2])
-	if err != nil {
+	if err := parseURIInto(&p.ruri, line[sp1+1:sp1+1+sp2]); err != nil {
 		return err
 	}
 	m.Method = method
-	m.RequestURI = uri
+	m.RequestURI = &p.ruri
 	return nil
 }
 
@@ -242,55 +260,73 @@ func isToken(s string) bool {
 	return true
 }
 
-func setHeader(m *Message, name, value string, contentLength *int) error {
+// nameAddr parses one name-addr into the block's next free slot.
+func (p *parsed) nameAddr(header, value string) (*NameAddr, error) {
+	var slot *nameAddrURI
+	if p.nNA < len(p.nas) {
+		slot = &p.nas[p.nNA]
+		p.nNA++
+	} else {
+		slot = new(nameAddrURI)
+	}
+	if err := slot.parse(value); err != nil {
+		return nil, fmt.Errorf("sip: %s: %v", header, err)
+	}
+	return &slot.na, nil
+}
+
+// nameAddrs appends the name-addrs of one header line to list, which starts
+// out in the block's array for it.
+func (p *parsed) nameAddrs(list, array []*NameAddr, header, value string) ([]*NameAddr, error) {
+	if list == nil {
+		list = array[:0]
+	}
+	err := forEachTopLevel(value, func(part string) error {
+		na, err := p.nameAddr(header, part)
+		if err == nil {
+			list = append(list, na)
+		}
+		return err
+	})
+	return list, err
+}
+
+func (p *parsed) setHeader(name, value string, contentLength *int) (err error) {
+	m := &p.msg
 	switch name {
 	case "Via":
 		return forEachTopLevel(value, func(part string) error {
-			v, err := ParseVia(part)
-			if err != nil {
-				return err
+			var v *Via
+			if n := len(m.Via); n < len(p.vias) {
+				v = &p.vias[n]
+			} else {
+				v = new(Via)
+			}
+			if m.Via == nil {
+				m.Via = p.viaList[:0]
 			}
 			m.Via = append(m.Via, v)
-			return nil
+			return v.parse(part)
 		})
 	case "From":
-		na, err := ParseNameAddr(value)
-		if err != nil {
+		m.From = &p.from.na
+		if err := p.from.parse(value); err != nil {
 			return fmt.Errorf("sip: From: %v", err)
 		}
-		m.From = na
 	case "To":
-		na, err := ParseNameAddr(value)
-		if err != nil {
+		m.To = &p.to.na
+		if err := p.to.parse(value); err != nil {
 			return fmt.Errorf("sip: To: %v", err)
 		}
-		m.To = na
 	case "Contact":
 		if value == "*" {
-			m.Contact = append(m.Contact, &NameAddr{Display: "*", URI: &URI{Scheme: "sip", Host: "*"}})
-			break
+			value = `"*" <sip:*>` // the wildcard's stand-in; AppendTo knows it by the display name
 		}
-		return forEachTopLevel(value, func(part string) error {
-			na, err := ParseNameAddr(part)
-			if err != nil {
-				return fmt.Errorf("sip: Contact: %v", err)
-			}
-			m.Contact = append(m.Contact, na)
-			return nil
-		})
-	case "Route", "Record-Route":
-		return forEachTopLevel(value, func(part string) error {
-			na, err := ParseNameAddr(part)
-			if err != nil {
-				return fmt.Errorf("sip: %s: %v", name, err)
-			}
-			if name == "Route" {
-				m.Route = append(m.Route, na)
-			} else {
-				m.RecordRoute = append(m.RecordRoute, na)
-			}
-			return nil
-		})
+		m.Contact, err = p.nameAddrs(m.Contact, p.contact[:], name, value)
+	case "Route":
+		m.Route, err = p.nameAddrs(m.Route, p.route[:], name, value)
+	case "Record-Route":
+		m.RecordRoute, err = p.nameAddrs(m.RecordRoute, p.recordRoute[:], name, value)
 	case "Call-ID":
 		m.CallID = value
 	case "CSeq":
@@ -304,34 +340,37 @@ func setHeader(m *Message, name, value string, contentLength *int) error {
 		}
 		m.CSeq = CSeq{Seq: uint32(seq), Method: strings.ToUpper(strings.TrimSpace(value[sp+1:]))}
 	case "Max-Forwards":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("sip: bad Max-Forwards %q", value)
-		}
-		m.MaxForwards = n
+		m.MaxForwards, err = parseCount(name, value)
 	case "Expires":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("sip: bad Expires %q", value)
-		}
-		m.Expires = n
+		m.Expires, err = parseCount(name, value)
 	case "Content-Type":
 		m.ContentType = value
 	case "Content-Length":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 0 {
-			return fmt.Errorf("sip: bad Content-Length %q", value)
-		}
-		*contentLength = n
+		*contentLength, err = parseCount(name, value)
 	case "User-Agent":
 		m.UserAgent = value
 	default:
-		if m.Other == nil {
-			m.Other = make(map[string][]string)
-		}
-		m.Other[name] = append(m.Other[name], value)
+		m.Other = insertHeader(m.Other, Header{name, value})
 	}
-	return nil
+	return err
+}
+
+// parseCount reads the value of a header that is a non-negative number.
+func parseCount(name, value string) (int, error) {
+	n, err := strconv.Atoi(value)
+	if err != nil || n < 0 {
+		return -1, fmt.Errorf("sip: bad %s %q", name, value)
+	}
+	return n, nil
+}
+
+// insertHeader puts h behind the headers that sort before or with it.
+func insertHeader(hs []Header, h Header) []Header {
+	i := len(hs)
+	for i > 0 && hs[i-1].Name > h.Name {
+		i--
+	}
+	return slices.Insert(hs, i, h)
 }
 
 // forEachTopLevel visits the comma-separated elements of a header value,
@@ -366,16 +405,6 @@ func forEachTopLevel(s string, fn func(string) error) error {
 		return fn(tail)
 	}
 	return nil
-}
-
-// splitTopLevel is the slice-returning form of forEachTopLevel.
-func splitTopLevel(s string) []string {
-	var out []string
-	_ = forEachTopLevel(s, func(part string) error {
-		out = append(out, part)
-		return nil
-	})
-	return out
 }
 
 func validate(m *Message) error {

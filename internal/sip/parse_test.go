@@ -84,8 +84,8 @@ func TestParseResponse(t *testing.T) {
 	if !m.IsResponse() || m.StatusCode != 180 || m.Reason != "Ringing" {
 		t.Fatalf("response = %+v", m)
 	}
-	if m.TransactionKey() != "z9hG4bK-x|INVITE" {
-		t.Fatalf("txkey = %q", m.TransactionKey())
+	if want := (txKey{branch: "z9hG4bK-x", method: MethodInvite}); m.txKey() != want {
+		t.Fatalf("txkey = %+v", m.txKey())
 	}
 }
 
@@ -183,7 +183,11 @@ func TestNameAddrForms(t *testing.T) {
 
 func TestSplitTopLevel(t *testing.T) {
 	in := `"Doe, John" <sip:j@h>;tag=1, <sip:k@h>`
-	got := splitTopLevel(in)
+	var got []string
+	_ = forEachTopLevel(in, func(part string) error {
+		got = append(got, part)
+		return nil
+	})
 	if len(got) != 2 || !strings.Contains(got[0], "Doe, John") {
 		t.Fatalf("split = %#v", got)
 	}
@@ -235,9 +239,9 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 		fromUser, callSuffix = sanitize(fromUser, 30), sanitize(callSuffix, 30)
 		m := NewRequest(MethodInvite, &URI{Scheme: "sip", User: user, Host: host})
 		m.Via = []*Via{{Transport: "UDP", Host: host, Port: 5060,
-			Params: map[string]string{"branch": BranchPrefix + "-q"}}}
+			Params: ";branch=" + BranchPrefix + "-q"}}
 		m.From = &NameAddr{URI: &URI{Scheme: "sip", User: fromUser, Host: host},
-			Params: map[string]string{"tag": "t1"}}
+			Params: ";tag=t1"}
 		m.To = &NameAddr{URI: &URI{Scheme: "sip", User: user, Host: host}}
 		m.CallID = "c-" + callSuffix
 		m.CSeq = CSeq{Seq: seq, Method: MethodInvite}
@@ -275,10 +279,11 @@ func TestNewResponseCopiesIdentity(t *testing.T) {
 	if len(resp.Via) != len(req.Via) {
 		t.Fatal("via stack not copied")
 	}
-	// Mutating the response must not affect the request.
-	resp.Via[0].Params["branch"] = "changed"
-	if req.Via[0].Branch() == "changed" {
-		t.Fatal("response shares Via storage with request")
+	// The response shares the request's Via values, but not its Via list:
+	// popping or pushing on one must not show in the other.
+	resp.Via = append(resp.Via[1:], &Via{Transport: "UDP", Host: "pushed"})
+	if len(req.Via) != 2 || req.Via[1].Host == "pushed" {
+		t.Fatal("response shares its Via list with the request")
 	}
 }
 

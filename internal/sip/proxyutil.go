@@ -9,17 +9,17 @@ import (
 // the proxy answers the request with 483.
 var ErrTooManyHops = errors.New("sip: max-forwards exhausted")
 
-// PrepareForward clones req for forwarding by a proxy: it decrements
+// PrepareForward copies req for forwarding by a proxy: it decrements
 // Max-Forwards and strips the Route header entry pointing at this proxy, if
-// any. The caller then sends the clone with Stack.SendRequest, which pushes
+// any. The caller then sends the copy with Stack.SendRequest, which pushes
 // the proxy's Via.
 func PrepareForward(req *Message, self Addr) (*Message, error) {
+	if req.MaxForwards == 0 {
+		return nil, ErrTooManyHops
+	}
 	fwd := req.Clone()
 	if fwd.MaxForwards < 0 {
 		fwd.MaxForwards = 70
-	}
-	if fwd.MaxForwards == 0 {
-		return nil, ErrTooManyHops
 	}
 	fwd.MaxForwards--
 	// Remove a top Route entry addressed to us (loose routing).
@@ -32,7 +32,7 @@ func PrepareForward(req *Message, self Addr) (*Message, error) {
 	return fwd, nil
 }
 
-// PrepareResponseForward clones resp for forwarding upstream: it pops this
+// PrepareResponseForward copies resp for forwarding upstream: it pops this
 // proxy's Via and returns the next hop taken from the new top Via's sent-by.
 func PrepareResponseForward(resp *Message, self Addr) (*Message, Addr, error) {
 	if len(resp.Via) < 2 {

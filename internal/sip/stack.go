@@ -2,6 +2,7 @@ package sip
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,11 +63,16 @@ type Stack struct {
 	self Addr
 
 	mu        sync.Mutex
-	clientTxs map[string]*ClientTx
-	serverTxs map[string]*ServerTx
+	clientTxs map[txKey]*ClientTx
+	serverTxs map[txKey]*ServerTx
 	handler   RequestHandler
 	strayResp func(*Message, Addr)
 	closed    bool
+
+	// sendBuf is what Send marshals into; the connection copies what it is
+	// given, so one buffer serves every message whose bytes nobody keeps.
+	sendMu  sync.Mutex
+	sendBuf []byte
 
 	seq atomic.Uint64
 	// wg counts running request handlers. Add only under mu with closed
@@ -88,8 +94,8 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		cfg:       cfg,
 		clk:       cfg.Clock,
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
-		clientTxs: make(map[string]*ClientTx),
-		serverTxs: make(map[string]*ServerTx),
+		clientTxs: make(map[txKey]*ClientTx),
+		serverTxs: make(map[txKey]*ServerTx),
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
@@ -104,8 +110,11 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 // Addr returns the local SIP transport address.
 func (s *Stack) Addr() Addr { return s.self }
 
-// sched is the scheduler the stack's transaction timers run on.
-func (s *Stack) sched() *clock.Scheduler { return s.conn.Host().Sched() }
+// after queues a transaction's timer task on the host's scheduler, d from
+// now, under the node's key: the timers of one node never run concurrently.
+func (s *Stack) after(t *clock.Task, d time.Duration) {
+	s.conn.Host().Sched().At(string(s.self.Node), t, s.clk.Now().Add(d))
+}
 
 // OnRequest installs the handler for new incoming requests.
 func (s *Stack) OnRequest(h RequestHandler) {
@@ -152,68 +161,72 @@ func (s *Stack) isClosed() bool {
 	return s.closed
 }
 
+// branchParams returns Via parameters carrying a fresh RFC 3261 branch token,
+// unique across nodes.
+func (s *Stack) branchParams() Params {
+	b := append(make([]byte, 0, 64), ";branch="+BranchPrefix+"-"...)
+	b = append(append(b, s.self.Node...), '-')
+	b = append(strconv.AppendUint(b, uint64(s.self.Port), 10), '-')
+	return Params(strconv.AppendUint(b, s.seq.Add(1), 36))
+}
+
 // NewBranch returns a fresh RFC 3261 branch token, unique across nodes.
-func (s *Stack) NewBranch() string {
-	return BranchPrefix + "-" + string(s.self.Node) + "-" +
-		strconv.Itoa(int(s.self.Port)) + "-" + strconv.FormatUint(s.seq.Add(1), 36)
+func (s *Stack) NewBranch() string { return s.branchParams().Get("branch") }
+
+// NewVia returns a Via for this stack with a fresh branch.
+func (s *Stack) NewVia() *Via {
+	return &Via{Transport: "UDP", Host: string(s.self.Node), Port: s.self.Port, Params: s.branchParams()}
 }
 
 // NewTag returns a fresh From/To tag.
 func (s *Stack) NewTag() string {
-	return "tag-" + string(s.self.Node) + "-" + strconv.FormatUint(s.seq.Add(1), 36)
+	b := append(make([]byte, 0, 48), "tag-"...)
+	b = append(append(b, s.self.Node...), '-')
+	return string(strconv.AppendUint(b, s.seq.Add(1), 36))
 }
 
 // NewCallID returns a fresh Call-ID scoped to this node.
 func (s *Stack) NewCallID() string {
-	return "cid-" + strconv.FormatUint(s.seq.Add(1), 36) + "@" + string(s.self.Node)
+	b := append(make([]byte, 0, 48), "cid-"...)
+	b = append(strconv.AppendUint(b, s.seq.Add(1), 36), '@')
+	return string(append(b, s.self.Node...))
 }
 
 // Send transmits a message without transaction state (responses, ACKs).
 func (s *Stack) Send(m *Message, dst Addr) error {
-	return s.conn.WriteTo(m.Marshal(), dst.Node, dst.Port)
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	s.sendBuf = m.AppendTo(s.sendBuf[:0])
+	return s.conn.WriteTo(s.sendBuf, dst.Node, dst.Port)
 }
 
 // SendRequest starts a client transaction: it pushes a fresh Via for this
-// stack onto req (mutating it), transmits with retransmissions, and returns
-// the transaction whose Responses channel delivers provisional and final
-// responses.
+// stack onto req (a new Via slice; the request's other fields are left as
+// they are), transmits with retransmissions, and returns the transaction
+// whose Responses channel delivers provisional and final responses. The
+// request belongs to the transaction from here on.
 func (s *Stack) SendRequest(req *Message, dst Addr) (*ClientTx, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("sip: stack closed")
-	}
-	s.mu.Unlock()
-	via := &Via{
-		Transport: "UDP",
-		Host:      string(s.self.Node),
-		Port:      s.self.Port,
-		Params:    map[string]string{"branch": s.NewBranch()},
-	}
-	req.Via = append([]*Via{via}, req.Via...)
-	tx := newClientTx(s, req, dst)
-	s.mu.Lock()
-	s.clientTxs[tx.key] = tx
-	s.mu.Unlock()
-	tx.start()
-	return tx, nil
+	block := &struct { // the Via and the list it goes on top of, in one
+		via  Via
+		list [4]*Via
+	}{via: *s.NewVia()}
+	req.Via = append(append(block.list[:0], &block.via), req.Via...)
+	return s.SendRequestPreVia(req, dst)
 }
 
 // SendRequestPreVia starts a client transaction for a request whose Via
 // stack is already in place — the CANCEL case, which must reuse the branch
 // of the INVITE it cancels (RFC 3261 §9.1).
 func (s *Stack) SendRequestPreVia(req *Message, dst Addr) (*ClientTx, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("sip: stack closed")
-	}
-	s.mu.Unlock()
 	if req.TopVia() == nil {
 		return nil, fmt.Errorf("sip: SendRequestPreVia needs a Via")
 	}
 	tx := newClientTx(s, req, dst)
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("sip: stack closed")
+	}
 	s.clientTxs[tx.key] = tx
 	s.mu.Unlock()
 	tx.start()
@@ -224,17 +237,18 @@ func (s *Stack) SendRequestPreVia(req *Message, dst Addr) (*ClientTx, error) {
 // RFC 3261 §9.1: same Request-URI, Call-ID, From, To, Route and top Via
 // (including the branch), CSeq with the same number but method CANCEL.
 func BuildCancel(invite *Message) *Message {
-	c := NewRequest(MethodCancel, invite.RequestURI.Clone())
-	if top := invite.TopVia(); top != nil {
-		c.Via = []*Via{top.clone()}
-	}
-	c.From = invite.From.Clone()
-	c.To = invite.To.Clone()
-	c.CallID = invite.CallID
-	c.CSeq = CSeq{Seq: invite.CSeq.Seq, Method: MethodCancel}
-	c.Route = cloneNameAddrs(invite.Route)
-	c.MaxForwards = 70
-	return c
+	return inTransactionOf(invite, MethodCancel)
+}
+
+// inTransactionOf builds the request that joins invite's transaction under
+// another method, CANCEL or the ACK of a failure: everything that identifies
+// the transaction and the dialog is the INVITE's own.
+func inTransactionOf(invite *Message, method string) *Message {
+	r := NewRequest(method, invite.RequestURI)
+	r.Via = slices.Clip(invite.Via[:min(1, len(invite.Via))])
+	r.From, r.To, r.Route = invite.From, invite.To, slices.Clip(invite.Route)
+	r.CallID, r.CSeq = invite.CallID, CSeq{Seq: invite.CSeq.Seq, Method: method}
+	return r
 }
 
 // FindInviteServerTx returns the INVITE server transaction with the given
@@ -242,17 +256,17 @@ func BuildCancel(invite *Message) *Message {
 func (s *Stack) FindInviteServerTx(branch string) (*ServerTx, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tx, ok := s.serverTxs[branch+"|"+MethodInvite]
+	tx, ok := s.serverTxs[txKey{branch: branch, method: MethodInvite}]
 	return tx, ok
 }
 
-func (s *Stack) removeClientTx(key string) {
+func (s *Stack) removeClientTx(key txKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.clientTxs, key)
 }
 
-func (s *Stack) removeServerTx(key string) {
+func (s *Stack) removeServerTx(key txKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.serverTxs, key)
@@ -272,17 +286,8 @@ func (s *Stack) dispatch(dg *netem.Datagram) {
 }
 
 func (s *Stack) dispatchResponse(m *Message, src Addr) {
-	key := m.TransactionKey()
-	// Responses to non-INVITE methods keep their own method in the key.
-	if m.CSeq.Method != MethodInvite && m.CSeq.Method != MethodAck {
-		key = ""
-		if v := m.TopVia(); v != nil {
-			key = v.Branch()
-		}
-		key += "|" + m.CSeq.Method
-	}
 	s.mu.Lock()
-	tx := s.clientTxs[key]
+	tx := s.clientTxs[m.txKey()]
 	stray := s.strayResp
 	s.mu.Unlock()
 	if tx != nil {
@@ -295,7 +300,7 @@ func (s *Stack) dispatchResponse(m *Message, src Addr) {
 }
 
 func (s *Stack) dispatchRequest(m *Message, src Addr) {
-	key := m.TransactionKey()
+	key := m.txKey()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

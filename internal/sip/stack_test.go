@@ -58,7 +58,7 @@ func (direct) RequestRoute(dst netem.NodeID, done func(bool)) {
 func testRequest(s *Stack, method string) *Message {
 	req := NewRequest(method, MustParseURI("sip:bob@b"))
 	req.From = &NameAddr{URI: MustParseURI("sip:alice@a")}
-	req.From.SetTag(s.NewTag())
+	req.From = req.From.WithTag(s.NewTag())
 	req.To = &NameAddr{URI: MustParseURI("sip:bob@b")}
 	req.CallID = s.NewCallID()
 	req.CSeq = CSeq{Seq: 1, Method: method}
@@ -244,8 +244,8 @@ func TestPrepareResponseForward(t *testing.T) {
 		CallID: "c", CSeq: CSeq{1, MethodInvite},
 		MaxForwards: -1, Expires: -1,
 		Via: []*Via{
-			{Transport: "UDP", Host: "proxy", Port: 5060, Params: map[string]string{"branch": "z9hG4bK-p"}},
-			{Transport: "UDP", Host: "ua", Port: 5062, Params: map[string]string{"branch": "z9hG4bK-u"}},
+			{Transport: "UDP", Host: "proxy", Port: 5060, Params: ";branch=z9hG4bK-p"},
+			{Transport: "UDP", Host: "ua", Port: 5062, Params: ";branch=z9hG4bK-u"},
 		},
 	}
 	self := Addr{Node: "proxy", Port: 5060}
@@ -274,5 +274,56 @@ func TestHasLoop(t *testing.T) {
 	req.Via = append(req.Via, &Via{Transport: "UDP", Host: "p", Port: 5060})
 	if !HasLoop(req, self) {
 		t.Fatal("loop not detected")
+	}
+}
+
+// TestBranchlessRequestsDoNotCollide: a top Via without the RFC 3261 cookie
+// says nothing unique, so such requests are told apart by Call-ID, CSeq
+// number and sent-by (RFC 3261 §17.2.3). Two unrelated branchless INVITEs
+// each get a server transaction and reach the handler; a retransmission of
+// either is absorbed by the one it belongs to.
+func TestBranchlessRequestsDoNotCollide(t *testing.T) {
+	sa, sb, _ := pair(t, netem.Config{})
+	calls := make(chan string, 4)
+	sb.OnRequest(func(tx *ServerTx) { calls <- tx.Request().CallID })
+	dst := Addr{Node: "b", Port: DefaultPort}
+	first, second := testRequest(sa, MethodInvite), testRequest(sa, MethodInvite)
+	for _, req := range []*Message{first, second, first, second} {
+		req.Via = []*Via{{Transport: "UDP", Host: "a", Port: DefaultPort}}
+		if err := sa.Send(req, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[string]int)
+	for len(seen) < 2 {
+		select {
+		case id := <-calls:
+			seen[id]++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("handler saw %v, want both %s and %s", seen, first.CallID, second.CallID)
+		}
+	}
+	select {
+	case id := <-calls:
+		t.Fatalf("retransmission of %s reached the handler again", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestDeliverKeepsFinalWhenFull: a TU that is not draining its transaction
+// loses provisionals, never the final response.
+func TestDeliverKeepsFinalWhenFull(t *testing.T) {
+	req := testRequest(&Stack{}, MethodInvite)
+	tx := newClientTx(&Stack{}, req, Addr{})
+	for range cap(tx.responses) + 3 {
+		tx.deliver(NewResponse(req, StatusRinging, ""))
+	}
+	tx.deliver(NewResponse(req, StatusOK, ""))
+	var last *Message
+	for range cap(tx.responses) {
+		last = <-tx.responses
+	}
+	if last.StatusCode != StatusOK {
+		t.Fatalf("last queued response is a %d, want the 200", last.StatusCode)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/obs"
 )
 
@@ -14,7 +15,7 @@ import (
 // transaction times out, and delivers responses to the TU.
 type ClientTx struct {
 	stack *Stack
-	key   string
+	key   txKey
 	req   *Message
 	dst   Addr
 
@@ -29,6 +30,16 @@ type ClientTx struct {
 	responses chan *Message
 	done      chan struct{}
 	doneOnce  sync.Once
+
+	// The retransmission schedule and the linger behind a final response are
+	// tasks of the transaction's own, queued under the node's key so that
+	// they are serialized with every other SIP timer on this node, and
+	// re-armed rather than allocated per step. The schedule's state belongs
+	// to its task.
+	retransmit, linger clock.Task
+	interval           time.Duration
+	deadline           time.Time // Timer B / F
+	proceeding         bool
 
 	// span traces this leg (INVITE only, observer enabled only); the zero
 	// handle no-ops.
@@ -54,7 +65,7 @@ func (m *Message) IsLocalTimeout() bool {
 func newClientTx(s *Stack, req *Message, dst Addr) *ClientTx {
 	return &ClientTx{
 		stack:     s,
-		key:       req.TransactionKey(),
+		key:       req.txKey(),
 		req:       req,
 		dst:       dst,
 		responses: make(chan *Message, 8),
@@ -105,69 +116,58 @@ func (tx *ClientTx) start() {
 		tx.span = s.obs.StartSpan(tx.req.CallID, obs.PhaseSIPLeg,
 			string(s.self.Node)+"->"+string(tx.dst.Node))
 	}
-	// Transmit the request and arm the retransmission schedule as a chain
-	// of one-shot timer steps, the loop state carried in the closure. Steps
-	// for one node share a shard key, so the chain is serialized with every
-	// other SIP timer on this node.
-	raw := tx.req.Marshal()
-	_ = s.conn.WriteTo(raw, tx.dst.Node, tx.dst.Port)
+	_ = s.Send(tx.req, tx.dst)
+	tx.interval, tx.deadline = s.cfg.T1, s.clk.Now().Add(64*s.cfg.T1)
+	tx.retransmit.Init(tx.retransmitStep, nil)
+	s.after(&tx.retransmit, tx.interval)
+}
 
-	sched, key := s.sched(), string(s.self.Node)
-	interval := s.cfg.T1
-	deadline := s.clk.Now().Add(64 * s.cfg.T1) // Timer B / F
-	proceeding := false
-	var step func(time.Time)
-	step = func(time.Time) {
-		if s.isClosed() {
-			tx.terminate()
-			return
-		}
-		select {
-		case <-tx.done:
-			return
-		default:
-		}
-		tx.mu.Lock()
-		final, lastProv := tx.finalSent, tx.lastProv
-		tx.mu.Unlock()
-		if final {
-			return
-		}
-		if tx.req.Method == MethodInvite && !lastProv.IsZero() {
-			// Proceeding: a provisional means the next hop is alive, so
-			// re-arm the Timer B deadline from the latest provisional
-			// rather than giving up mid-setup — upstream proxies refresh
-			// it with 100 Trying while they retry a dead route. Unlike RFC
-			// 3261 §17.1.1.2 we keep retransmitting: the downstream server
-			// transaction replays its recorded final on each retransmitted
-			// request, which is how a 200 OK lost on the radio is
-			// recovered.
-			proceeding = true
-			if d := lastProv.Add(256 * s.cfg.T1); d.After(deadline) {
-				deadline = d
-			}
-		}
-		if !s.clk.Now().Before(deadline) {
-			// Timeout: synthesize a 408 so callers see a final answer.
-			s.obsTimeouts.Inc()
-			tx.endSpan("timeout")
-			resp := NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason)
-			tx.deliver(resp)
-			tx.terminate()
-			return
-		}
-		_ = s.conn.WriteTo(raw, tx.dst.Node, tx.dst.Port)
-		s.obsRetrans.Inc()
-		tx.mu.Lock()
-		tx.retrans++
-		tx.mu.Unlock()
-		interval *= 2
-		if (tx.req.Method != MethodInvite || proceeding) && interval > s.cfg.T2 {
-			interval = s.cfg.T2
-		}
-		sched.After(key, interval, step)
+// retransmitStep is one step of the retransmission schedule: give up at the
+// deadline, otherwise send the request again and re-arm at twice the interval.
+func (tx *ClientTx) retransmitStep(time.Time) {
+	s := tx.stack
+	if s.isClosed() {
+		tx.terminate()
+		return
 	}
-	sched.After(key, interval, step)
+	tx.mu.Lock()
+	settled, lastProv := tx.finalSent || tx.terminated, tx.lastProv
+	tx.mu.Unlock()
+	if settled {
+		return
+	}
+	if tx.req.Method == MethodInvite && !lastProv.IsZero() {
+		// Proceeding: a provisional means the next hop is alive, so
+		// re-arm the Timer B deadline from the latest provisional
+		// rather than giving up mid-setup — upstream proxies refresh
+		// it with 100 Trying while they retry a dead route. Unlike RFC
+		// 3261 §17.1.1.2 we keep retransmitting: the downstream server
+		// transaction replays its last response on each retransmitted
+		// request, which is how a 200 OK lost on the radio is
+		// recovered.
+		tx.proceeding = true
+		if d := lastProv.Add(256 * s.cfg.T1); d.After(tx.deadline) {
+			tx.deadline = d
+		}
+	}
+	if !s.clk.Now().Before(tx.deadline) {
+		// Timeout: synthesize a 408 so callers see a final answer.
+		s.obsTimeouts.Inc()
+		tx.endSpan("timeout")
+		tx.deliver(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
+		tx.terminate()
+		return
+	}
+	_ = s.Send(tx.req, tx.dst)
+	s.obsRetrans.Inc()
+	tx.mu.Lock()
+	tx.retrans++
+	tx.mu.Unlock()
+	tx.interval *= 2
+	if (tx.req.Method != MethodInvite || tx.proceeding) && tx.interval > s.cfg.T2 {
+		tx.interval = s.cfg.T2
+	}
+	s.after(&tx.retransmit, tx.interval)
 }
 
 // endSpan closes the leg span with the outcome and retransmit count. Callers
@@ -210,8 +210,8 @@ func (tx *ClientTx) onResponse(m *Message) {
 	}
 	// Linger briefly (Timer D/K) so retransmitted finals are absorbed,
 	// then terminate.
-	s := tx.stack
-	s.sched().After(string(s.self.Node), 4*s.cfg.T1, func(time.Time) { tx.terminate() })
+	tx.linger.Init(func(time.Time) { tx.terminate() }, nil)
+	tx.stack.after(&tx.linger, 4*tx.stack.cfg.T1)
 }
 
 func (tx *ClientTx) deliver(m *Message) {
@@ -222,8 +222,21 @@ func (tx *ClientTx) deliver(m *Message) {
 	}
 	select {
 	case tx.responses <- m:
+		return
 	default:
 		// TU is not draining; dropping beats blocking the stack.
+	}
+	if m.StatusCode >= 200 {
+		// Not the final, though: everything queued is a provisional (a final
+		// is delivered once, and last), so the oldest makes room for it.
+		select {
+		case <-tx.responses:
+		default:
+		}
+		select {
+		case tx.responses <- m:
+		default:
+		}
 	}
 }
 
@@ -244,13 +257,8 @@ func (tx *ClientTx) terminate() {
 // response (RFC 3261 §17.1.1.3): same branch and headers as the INVITE, To
 // from the response.
 func buildTxAck(invite, resp *Message) *Message {
-	ack := NewRequest(MethodAck, invite.RequestURI.Clone())
-	ack.Via = []*Via{invite.Via[0].clone()}
-	ack.From = invite.From.Clone()
-	ack.To = resp.To.Clone()
-	ack.CallID = invite.CallID
-	ack.CSeq = CSeq{Seq: invite.CSeq.Seq, Method: MethodAck}
-	ack.Route = cloneNameAddrs(invite.Route)
+	ack := inTransactionOf(invite, MethodAck)
+	ack.To = resp.To
 	return ack
 }
 
@@ -258,23 +266,28 @@ func buildTxAck(invite, resp *Message) *Message {
 // retransmissions by replaying the last response and expires after 64×T1.
 type ServerTx struct {
 	stack *Stack
-	key   string
+	key   txKey
 	req   *Message
 	src   Addr
 	// ackOnly marks synthetic transactions wrapping a 2xx ACK, which
 	// never send responses.
 	ackOnly bool
 
-	mu       sync.Mutex
-	lastResp []byte
-	acked    bool
-	finished bool
+	mu sync.Mutex
+	// lastResp is the last response sent, as sent, replayed to a
+	// retransmitted request: a provisional while the TU owes the final
+	// (RFC 3261 §17.2.1), the final once finalSent.
+	lastResp  []byte
+	finalSent bool
+	acked     bool
+
+	expiry clock.Task
 }
 
 func newServerTx(s *Stack, req *Message, src Addr, ackOnly bool) *ServerTx {
 	return &ServerTx{
 		stack:   s,
-		key:     req.TransactionKey(),
+		key:     req.txKey(),
 		req:     req,
 		src:     src,
 		ackOnly: ackOnly,
@@ -288,16 +301,16 @@ func (tx *ServerTx) Request() *Message { return tx.req }
 // responses must be sent (RFC 3261 §18.2.2 "received" behaviour).
 func (tx *ServerTx) Source() Addr { return tx.src }
 
-// Respond sends a response built by the TU. Final responses are recorded so
-// request retransmissions are answered without bothering the TU again.
+// Respond sends a response built by the TU and records it, so that request
+// retransmissions are answered without bothering the TU again.
 func (tx *ServerTx) Respond(resp *Message) error {
 	if tx.ackOnly {
 		return fmt.Errorf("sip: ACK takes no response")
 	}
 	raw := resp.Marshal()
 	tx.mu.Lock()
-	if resp.StatusCode >= 200 {
-		tx.lastResp = raw
+	if final := resp.StatusCode >= 200; final || !tx.finalSent {
+		tx.lastResp, tx.finalSent = raw, final
 	}
 	tx.mu.Unlock()
 	return tx.stack.conn.WriteTo(raw, tx.src.Node, tx.src.Port)
@@ -306,8 +319,8 @@ func (tx *ServerTx) Respond(resp *Message) error {
 // RespondCode is a convenience wrapper building a response from the request.
 func (tx *ServerTx) RespondCode(code int, reason string) error {
 	resp := NewResponse(tx.req, code, reason)
-	if code > 100 && tx.req.To.Tag() == "" {
-		resp.To.SetTag(tx.stack.NewTag())
+	if code > 100 && resp.To.Tag() == "" {
+		resp.To = resp.To.WithTag(tx.stack.NewTag())
 	}
 	return tx.Respond(resp)
 }
@@ -321,14 +334,11 @@ func (tx *ServerTx) Acked() bool {
 
 // onRequest handles retransmissions and transaction-level ACKs.
 func (tx *ServerTx) onRequest(m *Message) {
-	if m.Method == MethodAck {
-		tx.mu.Lock()
-		tx.acked = true
-		tx.mu.Unlock()
-		return
-	}
 	tx.mu.Lock()
 	raw := tx.lastResp
+	if m.Method == MethodAck {
+		tx.acked, raw = true, nil
+	}
 	tx.mu.Unlock()
 	if raw != nil {
 		_ = tx.stack.conn.WriteTo(raw, tx.src.Node, tx.src.Port)
@@ -341,22 +351,18 @@ func (tx *ServerTx) onRequest(m *Message) {
 // retransmissions keep hitting the same transaction while a proxy is off
 // retrying a dead route, instead of spawning a duplicate routing attempt.
 func (tx *ServerTx) scheduleExpiry() {
-	s := tx.stack
-	sched, key := s.sched(), string(s.self.Node)
-	var step func(time.Time)
-	step = func(time.Time) {
-		tx.mu.Lock()
-		done := tx.lastResp != nil || tx.ackOnly
-		tx.mu.Unlock()
-		if !done && !s.isClosed() {
-			// Proceeding: no expiry while the TU still owes a final.
-			sched.After(key, 64*s.cfg.T1, step)
-			return
-		}
-		tx.mu.Lock()
-		tx.finished = true
-		tx.mu.Unlock()
-		s.removeServerTx(tx.key)
+	tx.expiry.Init(tx.expire, nil)
+	tx.stack.after(&tx.expiry, 64*tx.stack.cfg.T1)
+}
+
+func (tx *ServerTx) expire(time.Time) {
+	tx.mu.Lock()
+	done := tx.finalSent
+	tx.mu.Unlock()
+	if !done && !tx.stack.isClosed() {
+		// Proceeding: no expiry while the TU still owes a final.
+		tx.stack.after(&tx.expiry, 64*tx.stack.cfg.T1)
+		return
 	}
-	sched.After(key, 64*s.cfg.T1, step)
+	tx.stack.removeServerTx(tx.key)
 }

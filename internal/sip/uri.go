@@ -12,7 +12,7 @@ type URI struct {
 	User   string
 	Host   string
 	Port   uint16 // 0 means unspecified (default 5060)
-	Params map[string]string
+	Params Params
 }
 
 // DefaultPort is the well-known SIP port.
@@ -42,11 +42,7 @@ func parseURIInto(u *URI, s string) error {
 		return fmt.Errorf("sip: uri %q: missing sip: scheme", s)
 	}
 	if i := strings.IndexByte(rest, ';'); i >= 0 {
-		params, err := parseParams(rest[i+1:])
-		if err != nil {
-			return fmt.Errorf("sip: uri %q: %v", s, err)
-		}
-		u.Params = params
+		u.Params = parseParams(rest[i:])
 		rest = rest[:i]
 	}
 	if i := strings.IndexByte(rest, '@'); i >= 0 {
@@ -114,59 +110,99 @@ func splitHostPort(s string) (string, uint16, error) {
 	return s[:i], uint16(p), nil
 }
 
-func parseParams(s string) (map[string]string, error) {
-	params := make(map[string]string)
-	for len(s) > 0 {
-		kv := s
-		if i := strings.IndexByte(s, ';'); i >= 0 {
-			kv, s = s[:i], s[i+1:]
-		} else {
-			s = ""
-		}
-		if kv == "" {
-			continue
-		}
-		key, value := kv, ""
-		if i := strings.IndexByte(kv, '='); i >= 0 {
-			key, value = kv[:i], kv[i+1:]
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		if key == "" {
-			continue // `;=` and friends carry no information
-		}
-		params[key] = strings.TrimSpace(value)
+// Params is the parameter list of a URI, name-addr or Via in canonical wire
+// form: ";key=value" pairs (";key" for an empty value) with lower-cased keys
+// in sorted order, each key once. A string is immutable and comparable, so a
+// list can be shared by every message that carries it; With returns a new one.
+type Params string
+
+// next splits the first pair off a non-empty list.
+func (p Params) next() (key, value string, rest Params) {
+	end := strings.IndexByte(string(p[1:]), ';') + 1
+	if end == 0 {
+		end = len(p)
 	}
-	return params, nil
+	key, value, _ = strings.Cut(string(p[1:end]), "=")
+	return key, value, p[end:]
 }
 
-// appendParams appends ";key=value" pairs in sorted key order. Keys are
-// sorted on a stack array (insertion sort — parameter counts are tiny), so
-// the common marshal path allocates nothing here.
-func appendParams(b []byte, params map[string]string) []byte {
-	if len(params) == 0 {
-		return b
-	}
-	var arr [8]string
-	keys := arr[:0]
-	for k := range params {
-		if k != "" {
-			keys = append(keys, k)
+// Get returns the value of key ("" if absent or valueless).
+func (p Params) Get(key string) string {
+	for p != "" {
+		var k, v string
+		if k, v, p = p.next(); k == key {
+			return v
 		}
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	return ""
+}
+
+// With returns the list with key (lower case) set to value.
+func (p Params) With(key, value string) Params {
+	head, tail := p, Params("")
+	for rest := p; rest != ""; {
+		k, _, next := rest.next()
+		if k >= key {
+			head, tail = p[:len(p)-len(rest)], rest
+			if k == key {
+				tail = next
+			}
+			break
+		}
+		rest = next
+	}
+	if value == "" {
+		return head + ";" + Params(key) + tail
+	}
+	return head + ";" + Params(key) + "=" + Params(value) + tail
+}
+
+// canonicalParams reports whether s is already a Params value, which is what
+// this package's own marshalling emits: the parser then keeps the slice of
+// the message it was handed and allocates nothing.
+func canonicalParams(s string) bool {
+	prev := ""
+	for s != "" {
+		if s[0] != ';' {
+			return false
+		}
+		seg := s[1:]
+		if i := strings.IndexByte(seg, ';'); i >= 0 {
+			seg = seg[:i]
+		}
+		s = s[1+len(seg):]
+		key, value, hasValue := strings.Cut(seg, "=")
+		if key <= prev || hasValue && value == "" {
+			return false // empty, repeated or unsorted key, or a bare "key="
+		}
+		for i := 0; i < len(seg); i++ {
+			if c := seg[i]; c <= ' ' || c >= 0x7f || i < len(key) && c >= 'A' && c <= 'Z' {
+				return false
+			}
+		}
+		prev = key
+	}
+	return true
+}
+
+// parseParams reads a ";"-separated parameter list (with or without the
+// leading separator): keys are lower-cased, blanks trimmed, empty keys
+// dropped (`;=` and friends carry no information), and the last of a
+// repeated key wins.
+func parseParams(s string) Params {
+	if canonicalParams(s) {
+		return Params(s)
+	}
+	var out Params
+	for len(s) > 0 {
+		var kv string
+		kv, s, _ = strings.Cut(s, ";")
+		key, value, _ := strings.Cut(kv, "=")
+		if key = strings.ToLower(strings.TrimSpace(key)); key != "" {
+			out = out.With(key, strings.TrimSpace(value))
 		}
 	}
-	for _, k := range keys {
-		b = append(b, ';')
-		b = append(b, k...)
-		if v := params[k]; v != "" {
-			b = append(b, '=')
-			b = append(b, v...)
-		}
-	}
-	return b
+	return out
 }
 
 // appendTo appends the wire form of the URI to b.
@@ -182,27 +218,12 @@ func (u *URI) appendTo(b []byte) []byte {
 		b = append(b, ':')
 		b = strconv.AppendUint(b, uint64(u.Port), 10)
 	}
-	return appendParams(b, u.Params)
+	return append(b, u.Params...)
 }
 
 // String renders the URI.
 func (u *URI) String() string {
 	return string(u.appendTo(nil))
-}
-
-// Clone returns a deep copy.
-func (u *URI) Clone() *URI {
-	if u == nil {
-		return nil
-	}
-	c := *u
-	if u.Params != nil {
-		c.Params = make(map[string]string, len(u.Params))
-		for k, v := range u.Params {
-			c.Params[k] = v
-		}
-	}
-	return &c
 }
 
 // AddressOfRecord returns the canonical user@host form used as SLP / registrar
@@ -227,27 +248,34 @@ func (u *URI) PortOrDefault() uint16 {
 type NameAddr struct {
 	Display string
 	URI     *URI
-	Params  map[string]string
+	Params  Params
+}
+
+// nameAddrURI is a name-addr in one block with the URI it owns.
+type nameAddrURI struct {
+	na  NameAddr
+	uri URI
 }
 
 // ParseNameAddr parses From/To/Contact/Route style values.
 func ParseNameAddr(s string) (*NameAddr, error) {
-	// The name-addr and its URI live in one heap block: every name-addr
-	// owns exactly one URI, so a combined allocation halves the count on
-	// the From/To/Contact hot path.
-	block := &struct {
-		na NameAddr
-		u  URI
-	}{}
+	block := &nameAddrURI{}
+	if err := block.parse(s); err != nil {
+		return nil, err
+	}
+	return &block.na, nil
+}
+
+func (block *nameAddrURI) parse(s string) error {
 	na := &block.na
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil, fmt.Errorf("sip: empty name-addr")
+		return fmt.Errorf("sip: empty name-addr")
 	}
 	if strings.HasPrefix(s, `"`) {
 		end := strings.Index(s[1:], `"`)
 		if end < 0 {
-			return nil, fmt.Errorf("sip: unterminated display name in %q", s)
+			return fmt.Errorf("sip: unterminated display name in %q", s)
 		}
 		na.Display = s[1 : 1+end]
 		s = strings.TrimSpace(s[2+end:])
@@ -256,33 +284,27 @@ func ParseNameAddr(s string) (*NameAddr, error) {
 	if i := strings.IndexByte(s, '<'); i >= 0 {
 		j := strings.IndexByte(s, '>')
 		if j < i {
-			return nil, fmt.Errorf("sip: malformed name-addr %q", s)
+			return fmt.Errorf("sip: malformed name-addr %q", s)
 		}
 		if na.Display == "" {
 			na.Display = strings.TrimSpace(s[:i])
 		}
 		uriStr = s[i+1 : j]
-		paramStr = strings.TrimPrefix(strings.TrimSpace(s[j+1:]), ";")
+		paramStr = strings.TrimSpace(s[j+1:])
 	} else {
 		// addr-spec form: params after ';' belong to the header.
 		if i := strings.IndexByte(s, ';'); i >= 0 {
-			uriStr, paramStr = s[:i], s[i+1:]
+			uriStr, paramStr = s[:i], s[i:]
 		} else {
 			uriStr = s
 		}
 	}
-	if err := parseURIInto(&block.u, strings.TrimSpace(uriStr)); err != nil {
-		return nil, err
+	if err := parseURIInto(&block.uri, strings.TrimSpace(uriStr)); err != nil {
+		return err
 	}
-	na.URI = &block.u
-	if paramStr != "" {
-		params, err := parseParams(paramStr)
-		if err != nil {
-			return nil, err
-		}
-		na.Params = params
-	}
-	return na, nil
+	na.URI = &block.uri
+	na.Params = parseParams(paramStr)
+	return nil
 }
 
 // appendTo appends the name-addr wire form to b: optional quoted display
@@ -298,7 +320,7 @@ func (n *NameAddr) appendTo(b []byte) []byte {
 	b = append(b, '<')
 	b = n.URI.appendTo(b)
 	b = append(b, '>')
-	return appendParams(b, n.Params)
+	return append(b, n.Params...)
 }
 
 // String renders the name-addr with the URI in angle brackets.
@@ -317,28 +339,12 @@ func sanitizeDisplay(s string) string {
 	}, s)
 }
 
-// Clone returns a deep copy.
-func (n *NameAddr) Clone() *NameAddr {
-	if n == nil {
-		return nil
-	}
-	c := &NameAddr{Display: n.Display, URI: n.URI.Clone()}
-	if n.Params != nil {
-		c.Params = make(map[string]string, len(n.Params))
-		for k, v := range n.Params {
-			c.Params[k] = v
-		}
-	}
-	return c
-}
-
 // Tag returns the tag parameter ("" if absent).
-func (n *NameAddr) Tag() string { return n.Params["tag"] }
+func (n *NameAddr) Tag() string { return n.Params.Get("tag") }
 
-// SetTag sets the tag parameter.
-func (n *NameAddr) SetTag(tag string) {
-	if n.Params == nil {
-		n.Params = make(map[string]string, 1)
-	}
-	n.Params["tag"] = tag
+// WithTag returns a copy of the name-addr carrying tag, sharing its URI.
+func (n *NameAddr) WithTag(tag string) *NameAddr {
+	c := *n
+	c.Params = n.Params.With("tag", tag)
+	return &c
 }

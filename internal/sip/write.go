@@ -1,36 +1,15 @@
 package sip
 
 import (
-	"sort"
+	"bytes"
 	"strconv"
-	"sync"
 )
 
-// marshalBufPool recycles scratch buffers for Marshal so steady-state
-// serialization costs one allocation: the exact-size result copy.
-var marshalBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
-}
-
-// maxPooledBuf bounds the scratch buffers the pool retains, so one huge
-// message does not pin a huge buffer forever.
-const maxPooledBuf = 64 << 10
-
 // Marshal renders the message in SIP wire format with CRLF line endings and
-// an accurate Content-Length.
+// an accurate Content-Length, in a slice of its own.
 func (m *Message) Marshal() []byte {
-	bp := marshalBufPool.Get().(*[]byte)
-	b := m.AppendTo((*bp)[:0])
-	out := make([]byte, len(b))
-	copy(out, b)
-	if cap(b) <= maxPooledBuf {
-		*bp = b
-		marshalBufPool.Put(bp)
-	}
-	return out
+	var scratch [1024]byte // on the stack; a longer message moves to the heap
+	return bytes.Clone(m.AppendTo(scratch[:0]))
 }
 
 // AppendTo appends the wire form of the message to b and returns the
@@ -105,21 +84,11 @@ func (m *Message) AppendTo(b []byte) []byte {
 		b = append(b, m.ContentType...)
 		b = append(b, "\r\n"...)
 	}
-	// Unknown headers in deterministic order.
-	if len(m.Other) > 0 {
-		keys := make([]string, 0, len(m.Other))
-		for k := range m.Other {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			for _, v := range m.Other[k] {
-				b = append(b, k...)
-				b = append(b, ": "...)
-				b = append(b, v...)
-				b = append(b, "\r\n"...)
-			}
-		}
+	for _, h := range m.Other {
+		b = append(b, h.Name...)
+		b = append(b, ": "...)
+		b = append(b, h.Value...)
+		b = append(b, "\r\n"...)
 	}
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(m.Body)), 10)

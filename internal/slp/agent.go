@@ -20,7 +20,6 @@
 package slp
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -582,12 +581,12 @@ func (a *Agent) Dump() string {
 // (the paper's Figure 5) and no broadcast debt is spent on a single listener.
 // The same state always encodes to the same bytes. The staging payload and
 // encoder are scratch state reused across calls (every HELLO/TC/RREQ the node
-// emits lands here), so the steady-state cost is one allocation: the returned
-// copy of the encoded bytes.
-func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
+// emits lands here), and the encoded bytes are appended to b, the routing
+// frame they go out in: nothing is allocated when b has the room.
+func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 	budget := msg.Budget - digestSize
 	if budget < 0 {
-		return nil
+		return b
 	}
 	now := a.clk.Now()
 	a.pbMu.Lock()
@@ -635,10 +634,15 @@ func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
 	p.Digest = &a.pbDigest
 	// Encode into the reused writer, then copy out: concurrent emitters (a
 	// protocol's timer tasks and the messages it forwards from a delivery
-	// worker) both land here, so the returned slice must not alias the
+	// worker) both land here, so what is returned must not alias the
 	// scratch buffer.
 	a.pbW.Reset()
-	return bytes.Clone(p.MarshalInto(a.pbW))
+	return append(b, p.MarshalInto(a.pbW)...)
+}
+
+// Outgoing returns the extension on its own, in a slice of its own.
+func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
+	return a.AppendOutgoing(nil, msg)
 }
 
 // sortedLocals returns the local registrations in (type, key) order. Caller

@@ -3,6 +3,7 @@ package voip
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,11 +50,13 @@ type Call struct {
 	outgoing bool
 	callID   string
 
-	mu            sync.Mutex
-	state         State
-	failCode      int
-	localTag      string
-	remoteTag     string
+	mu        sync.Mutex
+	state     State
+	failCode  int
+	localTag  string
+	remoteTag string
+	// remoteContact and routeSet are header values taken off messages, and
+	// shared with them: read-only, replaced whole.
 	remoteContact *sip.URI
 	remoteSDP     *sdp.Session
 	inviteTx      *sip.ServerTx // incoming calls: pending INVITE transaction
@@ -91,7 +94,7 @@ func (p *Phone) newOutgoingCall(uri *sip.URI) (*Call, error) {
 		callID:        p.stack.NewCallID(),
 		state:         StateSetup,
 		localTag:      p.stack.NewTag(),
-		remoteContact: uri.Clone(),
+		remoteContact: uri,
 		media:         rtp.NewSession(mediaConn, p.clk, uint32(mediaConn.LocalPort())),
 		setupAt:       p.clk.Now(),
 		established:   make(chan struct{}),
@@ -127,13 +130,11 @@ func (p *Phone) newIncomingCall(tx *sip.ServerTx) (*Call, error) {
 		ended:       make(chan struct{}),
 	}
 	if len(req.Contact) > 0 {
-		c.remoteContact = req.Contact[0].URI.Clone()
+		c.remoteContact = req.Contact[0].URI
 	}
 	// UAS route set: the Record-Route entries in request order
 	// (RFC 3261 §12.1.1).
-	for _, rr := range req.RecordRoute {
-		c.routeSet = append(c.routeSet, rr.Clone())
-	}
+	c.routeSet = slices.Clip(req.RecordRoute)
 	if len(req.Body) > 0 {
 		if offer, err := sdp.Parse(req.Body); err == nil {
 			c.remoteSDP = offer
@@ -304,13 +305,12 @@ func (c *Call) runOutgoing() {
 	p := c.phone
 	offer := sdp.NewAudioOffer(p.cfg.User, string(p.host.ID()), c.media.Port())
 
-	req := sip.NewRequest(sip.MethodInvite, c.remoteContact.Clone())
-	req.From = p.identity()
-	req.From.Params = map[string]string{"tag": c.localTag}
-	req.To = &sip.NameAddr{URI: c.remoteContact.Clone()}
+	req := sip.NewRequest(sip.MethodInvite, c.remoteContact)
+	req.From = p.identity.WithTag(c.localTag)
+	req.To = &sip.NameAddr{URI: c.remoteContact}
 	req.CallID = c.callID
 	req.CSeq = sip.CSeq{Seq: p.nextCSeq(), Method: sip.MethodInvite}
-	req.Contact = []*sip.NameAddr{p.contact()}
+	req.Contact = p.contact
 	req.ContentType = sdp.ContentType
 	req.Body = offer.Marshal()
 	req.UserAgent = "siphoc-softphone/1.0"
@@ -340,14 +340,12 @@ func (c *Call) runOutgoing() {
 	c.mu.Lock()
 	c.remoteTag = final.To.Tag()
 	if len(final.Contact) > 0 {
-		c.remoteContact = final.Contact[0].URI.Clone()
+		c.remoteContact = final.Contact[0].URI
 	}
 	// UAC route set: Record-Route entries in reverse order (RFC 3261
 	// §12.1.2).
-	c.routeSet = nil
-	for i := len(final.RecordRoute) - 1; i >= 0; i-- {
-		c.routeSet = append(c.routeSet, final.RecordRoute[i].Clone())
-	}
+	c.routeSet = slices.Clone(final.RecordRoute)
+	slices.Reverse(c.routeSet)
 	if len(final.Body) > 0 {
 		if answer, err := sdp.Parse(final.Body); err == nil {
 			c.remoteSDP = answer
@@ -356,19 +354,15 @@ func (c *Call) runOutgoing() {
 			}
 		}
 	}
-	remote := c.remoteContact.Clone()
-	routes := cloneRoutes(c.routeSet)
+	remote, routes := c.remoteContact, c.routeSet
 	c.mu.Unlock()
 
 	// ACK the 200 through the outbound proxy (RFC 3261 §13.2.2.4),
 	// carrying the dialog's route set.
 	ack := sip.NewRequest(sip.MethodAck, remote)
-	ack.Via = []*sip.Via{{
-		Transport: "UDP", Host: string(p.host.ID()), Port: p.cfg.Port,
-		Params: map[string]string{"branch": p.stack.NewBranch()},
-	}}
-	ack.From = req.From.Clone()
-	ack.To = final.To.Clone()
+	ack.Via = []*sip.Via{p.stack.NewVia()}
+	ack.From = req.From
+	ack.To = final.To
 	ack.CallID = c.callID
 	ack.CSeq = sip.CSeq{Seq: req.CSeq.Seq, Method: sip.MethodAck}
 	ack.Route = routes
@@ -395,8 +389,8 @@ func (c *Call) Answer() error {
 	}
 	p := c.phone
 	resp := sip.NewResponse(req, sip.StatusOK, "")
-	resp.To.SetTag(c.localTag)
-	resp.Contact = []*sip.NameAddr{p.contact()}
+	resp.To = resp.To.WithTag(c.localTag)
+	resp.Contact = p.contact
 	if offer != nil {
 		answer, err := sdp.Answer(offer, p.cfg.User, string(p.host.ID()), c.media.Port())
 		if err != nil {
@@ -490,19 +484,17 @@ func (c *Call) Hangup() error {
 		c.mu.Unlock()
 		return fmt.Errorf("voip: hangup in state %s", st)
 	}
-	remote := c.remoteContact.Clone()
+	remote, routes := c.remoteContact, c.routeSet
 	localTag, remoteTag := c.localTag, c.remoteTag
-	routes := cloneRoutes(c.routeSet)
 	c.mu.Unlock()
 
 	p := c.phone
 	bye := sip.NewRequest(sip.MethodBye, remote)
 	bye.Route = routes
-	bye.From = p.identity()
-	bye.From.Params = map[string]string{"tag": localTag}
-	bye.To = &sip.NameAddr{URI: remote.Clone()}
+	bye.From = p.identity.WithTag(localTag)
+	bye.To = &sip.NameAddr{URI: remote}
 	if remoteTag != "" {
-		bye.To.SetTag(remoteTag)
+		bye.To = bye.To.WithTag(remoteTag)
 	}
 	bye.CallID = c.callID
 	bye.CSeq = sip.CSeq{Seq: p.nextCSeq(), Method: sip.MethodBye}
@@ -517,17 +509,6 @@ func (c *Call) Hangup() error {
 	}
 	c.endLocal(0)
 	return nil
-}
-
-func cloneRoutes(in []*sip.NameAddr) []*sip.NameAddr {
-	if in == nil {
-		return nil
-	}
-	out := make([]*sip.NameAddr, len(in))
-	for i, na := range in {
-		out[i] = na.Clone()
-	}
-	return out
 }
 
 // confirmEstablished transitions to Established exactly once.

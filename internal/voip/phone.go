@@ -87,6 +87,10 @@ type Phone struct {
 	obsSetupDelay  *obs.Histogram
 
 	stack *sip.Stack
+	// identity is the account's name-addr and contact the one Contact header
+	// every message of this phone carries; both are shared by all of them.
+	identity *sip.NameAddr
+	contact  []*sip.NameAddr
 
 	mu       sync.Mutex
 	cseq     uint32
@@ -108,6 +112,10 @@ func New(host *netem.Host, cfg Config) *Phone {
 		obs:      cfg.Obs,
 		calls:    make(map[string]*Call),
 		incoming: make(chan *Call, 8),
+		identity: &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: cfg.User, Host: cfg.Domain}},
+		contact: []*sip.NameAddr{{URI: &sip.URI{
+			Scheme: "sip", User: cfg.User, Host: string(host.ID()), Port: cfg.Port,
+		}}},
 	}
 	if p.obs.Enabled() {
 		p.obsPlaced = p.obs.Counter("voip.calls.placed")
@@ -175,16 +183,6 @@ func (p *Phone) nextCSeq() uint32 {
 	return p.cseq
 }
 
-func (p *Phone) identity() *sip.NameAddr {
-	return &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: p.cfg.User, Host: p.cfg.Domain}}
-}
-
-func (p *Phone) contact() *sip.NameAddr {
-	return &sip.NameAddr{URI: &sip.URI{
-		Scheme: "sip", User: p.cfg.User, Host: string(p.host.ID()), Port: p.cfg.Port,
-	}}
-}
-
 // Register registers the phone with its configured account via the outbound
 // proxy, blocking until the final response.
 func (p *Phone) Register() error {
@@ -197,12 +195,11 @@ func (p *Phone) Unregister() error { return p.register(0) }
 func (p *Phone) register(expires int) error {
 	build := func() *sip.Message {
 		req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: p.cfg.Domain})
-		req.From = p.identity()
-		req.From.SetTag(p.stack.NewTag())
-		req.To = p.identity()
+		req.From = p.identity.WithTag(p.stack.NewTag())
+		req.To = p.identity
 		req.CallID = p.stack.NewCallID()
 		req.CSeq = sip.CSeq{Seq: p.nextCSeq(), Method: sip.MethodRegister}
-		req.Contact = []*sip.NameAddr{p.contact()}
+		req.Contact = p.contact
 		req.Expires = expires
 		req.UserAgent = "siphoc-softphone/1.0"
 		return req

@@ -243,7 +243,7 @@ func TestOptionsAnswered(t *testing.T) {
 	t.Cleanup(stack.Close)
 	req := sip.NewRequest(sip.MethodOptions, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	req.From = &sip.NameAddr{URI: sip.MustParseURI("sip:probe@voicehoc.ch")}
-	req.From.SetTag("t")
+	req.From = req.From.WithTag("t")
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-options"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodOptions}

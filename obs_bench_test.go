@@ -77,9 +77,9 @@ func BenchmarkObsOverheadSIPParse(b *testing.B) {
 func BenchmarkObsOverheadSIPMarshal(b *testing.B) {
 	m := sip.NewRequest(sip.MethodInvite, sip.MustParseURI("sip:bob@voicehoc.ch"))
 	m.Via = []*sip.Via{{Transport: "UDP", Host: "10.0.0.1", Port: 5060,
-		Params: map[string]string{"branch": "z9hG4bK-abc"}}}
+		Params: ";branch=z9hG4bK-abc"}}
 	m.From = &sip.NameAddr{URI: sip.MustParseURI("sip:alice@voicehoc.ch")}
-	m.From.SetTag("1928")
+	m.From = m.From.WithTag("1928")
 	m.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	m.CallID = "a84b4c76e66710@10.0.0.1"
 	m.CSeq = sip.CSeq{Seq: 314159, Method: sip.MethodInvite}
