@@ -120,17 +120,17 @@ func (f *FaultScenario) CheckInvariants(settle time.Duration) error {
 		return fmt.Errorf("siphoc: fault callbacks failed: %v", errs)
 	}
 
-	deadline := f.sc.clk.Now().Add(settle)
+	deadline := f.sc.Clock().Now().Add(settle)
 	for _, c := range tracked {
 		for {
 			st := c.State()
 			if st == CallEstablished || st == CallEnded || st == CallFailed {
 				break
 			}
-			if f.sc.clk.Now().After(deadline) {
+			if f.sc.Clock().Now().After(deadline) {
 				return fmt.Errorf("siphoc: call %s stuck in state %v past deadline", c.ID(), st)
 			}
-			f.sc.clk.Sleep(10 * time.Millisecond)
+			f.sc.Clock().Sleep(10 * time.Millisecond)
 		}
 	}
 	for _, c := range tracked {

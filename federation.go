@@ -9,7 +9,6 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/overlay"
-	"siphoc/internal/sip"
 )
 
 // FederationConfig sizes a multi-MANET federation: K islands, each its own
@@ -53,8 +52,9 @@ type FederationConfig struct {
 	Routing RoutingKind
 	// TimeScale stretches protocol timers (default 1).
 	TimeScale float64
-	// Clock is the shared time source for every island and the Internet
-	// (default the system clock).
+	// Clock is the clock of the federation's networks — the Internet and
+	// every island's MANET — and so of everything on them (default the
+	// system clock).
 	Clock clock.Clock
 	// NoObservability disables the federation-wide observer.
 	NoObservability bool
@@ -88,9 +88,6 @@ func (c FederationConfig) withDefaults() FederationConfig {
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
 	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
-	}
 	return c
 }
 
@@ -107,7 +104,6 @@ func (c FederationConfig) withDefaults() FederationConfig {
 // tunnels — trunked into shared inter-gateway flows when Trunk is set.
 type FederationScenario struct {
 	cfg      FederationConfig
-	clk      clock.Clock
 	observer *obs.Observer
 	inet     *internet.Internet
 	pool     *internet.ProviderPool
@@ -124,19 +120,15 @@ type FederationScenario struct {
 // for WaitAttached/phone provisioning.
 func NewFederationScenario(cfg FederationConfig) (*FederationScenario, error) {
 	cfg = cfg.withDefaults()
-	f := &FederationScenario{cfg: cfg, clk: cfg.Clock}
+	f := &FederationScenario{cfg: cfg}
 	if !cfg.NoObservability {
 		f.observer = obs.New(cfg.Clock)
 	}
 	f.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: cfg.Clock})
 
-	sipCfg := sip.SimConfig()
-	sipCfg.Clock = cfg.Clock
 	pool, err := internet.NewProviderPool(f.inet, internet.PoolConfig{
 		Domain: cfg.Domain,
 		Shards: cfg.Shards,
-		SIP:    sipCfg,
-		Clock:  cfg.Clock,
 		// Federation workloads run for minutes; the 60 s default would
 		// expire bindings mid-ramp (island proxies and phones use the same
 		// hour-long TTL — see newNode / NewPhoneWith).
@@ -187,7 +179,6 @@ func (f *FederationScenario) startOverlay() error {
 		}
 		n, err := overlay.New(overlay.Config{
 			Host:      host,
-			Clock:     f.cfg.Clock,
 			Bootstrap: boot,
 			Passive:   passive,
 			Obs:       f.observer,
@@ -282,7 +273,7 @@ func (f *FederationScenario) OverlayClient(i int) *overlay.Node {
 func (f *FederationScenario) Internet() *internet.Internet { return f.inet }
 
 // Clock returns the federation-wide time source.
-func (f *FederationScenario) Clock() clock.Clock { return f.clk }
+func (f *FederationScenario) Clock() clock.Clock { return f.inet.Network().Clock() }
 
 // Observer returns the federation-wide observability handle (nil with
 // NoObservability; a nil Observer is valid and no-ops).
@@ -307,9 +298,10 @@ func (f *FederationScenario) Clients() []*Node {
 // WaitAttached blocks until every client node in every island reports
 // Internet connectivity through its island gateways.
 func (f *FederationScenario) WaitAttached(timeout time.Duration) error {
-	deadline := f.clk.Now().Add(timeout)
+	clk := f.Clock()
+	deadline := clk.Now().Add(timeout)
 	for _, n := range f.Clients() {
-		remain := deadline.Sub(f.clk.Now())
+		remain := deadline.Sub(clk.Now())
 		if remain <= 0 {
 			remain = time.Millisecond
 		}

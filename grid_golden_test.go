@@ -33,12 +33,10 @@ func goldenRun(t *testing.T) map[netem.NodeID]string {
 		TCInterval:    125 * time.Millisecond,
 		MaxTTL:        16,
 		RouteWait:     time.Minute,
-		Clock:         fake,
 	}
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithRadio(netem.Config{Range: 100, BaseDelay: time.Millisecond, Clock: fake}),
 		siphoc.WithOLSR(&olsrCfg),
-		siphoc.WithClock(fake),
 		siphoc.WithoutObservability(),
 	)
 	if err != nil {
@@ -151,20 +149,33 @@ func stableGoroutines() int {
 	return n
 }
 
-// eventLoopGoroutines brings up a side×side grid and returns how many
-// goroutines it runs on in steady state, tearing the scenario down (and
-// verifying it leaks nothing) before returning.
+// eventLoopGoroutines brings up a side×side grid of full nodes beside a
+// gateway and an Internet, and returns how many goroutines it runs on in steady
+// state, tearing the scenario down (and verifying it leaks nothing) before
+// returning.
 func eventLoopGoroutines(t *testing.T, side int) int {
 	t.Helper()
 	baseline := stableGoroutines() // earlier tests' goroutines have exited
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithOLSR(nil),
+		siphoc.WithInternet(0),
 		siphoc.WithoutObservability(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Grid(side, side, 80, siphoc.WithoutConnectionProvider()); err != nil {
+	if _, err := sc.AddNode("10.0.1.1", siphoc.Position{X: -80}, siphoc.WithGateway()); err != nil {
+		sc.Close()
+		t.Fatal(err)
+	}
+	nodes, err := sc.Grid(side, side, 80)
+	if err != nil {
+		sc.Close()
+		t.Fatal(err)
+	}
+	// Steady state includes a tunnel being pinged: the corner node is the
+	// gateway's neighbour.
+	if err := sc.WaitAttached(nodes[0], 10*time.Second); err != nil {
 		sc.Close()
 		t.Fatal(err)
 	}
@@ -178,12 +189,14 @@ func eventLoopGoroutines(t *testing.T, side int) int {
 }
 
 // TestEventLoopGoroutinesIndependentOfN pins the execution core's resource
-// claim: a scenario of routing, SLP and proxy nodes runs on the shard workers
-// of its network's one scheduler (GOMAXPROCS of them by default) and nothing
-// else, at 16 nodes and at 64. A goroutine per timer costs about seven per
-// node; a delivery loop beside the timer loop doubled the workers.
+// claim: a scenario of full nodes — routing, SLP, Connection Provider, proxy —
+// with a gateway and an Internet runs on the shard workers of its two
+// networks' schedulers (GOMAXPROCS each by default) and nothing else, at 16
+// nodes and at 64. A goroutine per timer costs about seven per node, a receive
+// and a probe loop two per provider; a delivery loop beside the timer loop
+// doubled the workers.
 func TestEventLoopGoroutinesIndependentOfN(t *testing.T) {
-	want := runtime.GOMAXPROCS(0)
+	want := 2 * runtime.GOMAXPROCS(0)
 	for _, side := range []int{4, 8} {
 		if got := eventLoopGoroutines(t, side); got != want {
 			t.Errorf("%d-node grid runs on %d goroutines, want the %d shard workers", side*side, got, want)

@@ -27,8 +27,6 @@ type Config struct {
 	BindingTTL time.Duration
 	// Hops bounds flood propagation (default 16).
 	Hops uint8
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -40,9 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hops == 0 {
 		c.Hops = 16
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -75,9 +70,7 @@ type Agent struct {
 	stats   Stats
 	started bool
 	closed  bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	beat    *clock.Task
 }
 
 type seenKey struct {
@@ -91,11 +84,10 @@ func New(host *netem.Host, cfg Config) *Agent {
 	return &Agent{
 		host:    host,
 		cfg:     cfg,
-		clk:     cfg.Clock,
+		clk:     host.Clock(),
 		local:   make(map[string]string),
 		learned: make(map[string]binding),
 		seen:    make(map[seenKey]time.Time),
-		stop:    make(chan struct{}),
 	}
 }
 
@@ -111,8 +103,11 @@ func (a *Agent) Start() error {
 	if err := a.host.HandleFrames(netem.KindService, a.onFrame); err != nil {
 		return err
 	}
-	a.wg.Add(1)
-	go a.loop()
+	a.mu.Lock()
+	if !a.closed {
+		a.beat = a.host.Sched().Every(string(a.host.ID()), a.cfg.Interval, func(time.Time) { a.flood() })
+	}
+	a.mu.Unlock()
 	return nil
 }
 
@@ -124,9 +119,9 @@ func (a *Agent) Stop() {
 		return
 	}
 	a.closed = true
+	beat := a.beat
 	a.mu.Unlock()
-	close(a.stop)
-	a.wg.Wait()
+	beat.Stop()
 }
 
 // Stats returns a snapshot of the counters.
@@ -163,7 +158,7 @@ func (a *Agent) Lookup(aor string) (string, bool) {
 // message: seq u32 | origin str | hops u8 | count u16 | (aor str, addr str)*
 func (a *Agent) flood() {
 	a.mu.Lock()
-	if len(a.local) == 0 {
+	if a.closed || len(a.local) == 0 {
 		a.mu.Unlock()
 		return
 	}
@@ -239,19 +234,5 @@ func (a *Agent) onFrame(f netem.Frame) {
 			w.String(p.addr)
 		}
 		_ = a.host.SendFrame(netem.Broadcast, netem.KindService, w.Bytes())
-	}
-}
-
-func (a *Agent) loop() {
-	defer a.wg.Done()
-	for {
-		timer := a.clk.NewTimer(a.cfg.Interval)
-		select {
-		case <-a.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		a.flood()
 	}
 }

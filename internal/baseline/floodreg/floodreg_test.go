@@ -4,16 +4,32 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 func simConfig() Config {
 	return Config{Interval: 50 * time.Millisecond}
 }
 
-func buildChain(t *testing.T, n int) (*netem.Network, []*Agent) {
+// chain is an n-node line of agents on a fake clock: the agents take it
+// from their hosts, and the tests step it.
+type chain struct {
+	net    *netem.Network
+	fake   *clock.Fake
+	agents []*Agent
+}
+
+// within steps virtual time until cond holds, for at most limit.
+func (c *chain) within(limit time.Duration, cond func() bool) bool {
+	return testutil.AdvanceUntil(c.fake, time.Millisecond, limit, cond)
+}
+
+func buildChain(t *testing.T, n int) *chain {
 	t.Helper()
-	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	fake := clock.NewFake(time.Unix(7_000_000, 0))
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: fake})
 	t.Cleanup(net.Close)
 	hosts, err := netem.Chain(net, n, 90, "f")
 	if err != nil {
@@ -27,66 +43,54 @@ func buildChain(t *testing.T, n int) (*netem.Network, []*Agent) {
 		}
 		t.Cleanup(agents[i].Stop)
 	}
-	return net, agents
+	return &chain{net: net, fake: fake, agents: agents}
 }
 
 func TestFloodPropagatesBindings(t *testing.T) {
-	_, agents := buildChain(t, 5)
-	agents[0].Register("alice@voicehoc.ch", "f.1:5060")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if addr, ok := agents[4].Lookup("alice@voicehoc.ch"); ok {
-			if addr != "f.1:5060" {
-				t.Fatalf("addr = %q", addr)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	c := buildChain(t, 5)
+	c.agents[0].Register("alice@voicehoc.ch", "f.1:5060")
+	var addr string
+	if !c.within(5*time.Second, func() (ok bool) { addr, ok = c.agents[4].Lookup("alice@voicehoc.ch"); return ok }) {
+		t.Fatal("binding never reached the far node")
 	}
-	t.Fatal("binding never reached the far node")
+	if addr != "f.1:5060" {
+		t.Fatalf("addr = %q", addr)
+	}
 }
 
 func TestLookupMissAndLocalHit(t *testing.T) {
-	_, agents := buildChain(t, 2)
-	if _, ok := agents[0].Lookup("ghost@x"); ok {
+	c := buildChain(t, 2)
+	if _, ok := c.agents[0].Lookup("ghost@x"); ok {
 		t.Fatal("lookup hit for unknown AOR")
 	}
-	agents[0].Register("me@x", "f.1:5060")
-	if addr, ok := agents[0].Lookup("me@x"); !ok || addr != "f.1:5060" {
+	c.agents[0].Register("me@x", "f.1:5060")
+	if addr, ok := c.agents[0].Lookup("me@x"); !ok || addr != "f.1:5060" {
 		t.Fatalf("local lookup = %q %v", addr, ok)
 	}
 }
 
 func TestBindingExpires(t *testing.T) {
-	net, agents := buildChain(t, 2)
-	agents[0].Register("alice@x", "f.1:5060")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := agents[1].Lookup("alice@x"); ok {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	c := buildChain(t, 2)
+	c.agents[0].Register("alice@x", "f.1:5060")
+	known := func() bool { _, ok := c.agents[1].Lookup("alice@x"); return ok }
+	if !c.within(5*time.Second, known) {
+		t.Fatal("binding never reached the neighbour")
 	}
 	// Partition the nodes; refreshes stop arriving and the binding ages out.
-	net.SetLink("f.1", "f.2", false)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := agents[1].Lookup("alice@x"); !ok {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	c.net.SetLink("f.1", "f.2", false)
+	if !c.within(5*time.Second, func() bool { return !known() }) {
+		t.Fatal("binding never expired after partition")
 	}
-	t.Fatal("binding never expired after partition")
 }
 
 func TestOverheadScalesWithTime(t *testing.T) {
-	net, agents := buildChain(t, 3)
-	agents[0].Register("alice@x", "f.1:5060")
-	net.ResetStats()
-	time.Sleep(300 * time.Millisecond)
-	early := net.Stats().ServiceFrames
-	time.Sleep(300 * time.Millisecond)
-	late := net.Stats().ServiceFrames
+	c := buildChain(t, 3)
+	c.agents[0].Register("alice@x", "f.1:5060")
+	c.net.ResetStats()
+	c.within(300*time.Millisecond, testutil.Never)
+	early := c.net.Stats().ServiceFrames
+	c.within(300*time.Millisecond, testutil.Never)
+	late := c.net.Stats().ServiceFrames
 	// Flooding never stops — the inefficiency the paper calls out.
 	if late <= early {
 		t.Fatalf("flood traffic stalled: %d then %d", early, late)

@@ -24,8 +24,6 @@ type Config struct {
 	// EntryTTL is how long unrefreshed mappings stay valid (default 4×
 	// HelloInterval).
 	EntryTTL time.Duration
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -34,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EntryTTL == 0 {
 		c.EntryTTL = 4 * c.HelloInterval
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -67,9 +62,7 @@ type Agent struct {
 	stats   Stats
 	started bool
 	closed  bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	beat    *clock.Task
 }
 
 // New creates the agent.
@@ -78,10 +71,9 @@ func New(host *netem.Host, cfg Config) *Agent {
 	return &Agent{
 		host:  host,
 		cfg:   cfg,
-		clk:   cfg.Clock,
+		clk:   host.Clock(),
 		local: make(map[string]string),
 		table: make(map[string]mapping),
-		stop:  make(chan struct{}),
 	}
 }
 
@@ -97,8 +89,11 @@ func (a *Agent) Start() error {
 	if err := a.host.HandleFrames(netem.KindService, a.onFrame); err != nil {
 		return err
 	}
-	a.wg.Add(1)
-	go a.loop()
+	a.mu.Lock()
+	if !a.closed {
+		a.beat = a.host.Sched().Every(string(a.host.ID()), a.cfg.HelloInterval, func(time.Time) { a.sendHello() })
+	}
+	a.mu.Unlock()
 	return nil
 }
 
@@ -110,9 +105,9 @@ func (a *Agent) Stop() {
 		return
 	}
 	a.closed = true
+	beat := a.beat
 	a.mu.Unlock()
-	close(a.stop)
-	a.wg.Wait()
+	beat.Stop()
 }
 
 // Stats returns a snapshot of the counters.
@@ -156,6 +151,10 @@ func (a *Agent) TableSize() int {
 func (a *Agent) sendHello() {
 	now := a.clk.Now()
 	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		return
+	}
 	a.seq++
 	type entry struct {
 		aor, addr string
@@ -212,19 +211,5 @@ func (a *Agent) onFrame(f netem.Frame) {
 		}
 		a.table[aor] = mapping{addr: addr, origin: origin, seq: seq, expires: now.Add(a.cfg.EntryTTL)}
 		a.stats.MappingsLearned++
-	}
-}
-
-func (a *Agent) loop() {
-	defer a.wg.Done()
-	for {
-		timer := a.clk.NewTimer(a.cfg.HelloInterval)
-		select {
-		case <-a.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		a.sendHello()
 	}
 }

@@ -4,16 +4,32 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 func simConfig() Config {
 	return Config{HelloInterval: 40 * time.Millisecond}
 }
 
-func buildChain(t *testing.T, n int) (*netem.Network, []*Agent) {
+// chain is an n-node line of agents on a fake clock: the agents take it
+// from their hosts, and the tests step it.
+type chain struct {
+	net    *netem.Network
+	fake   *clock.Fake
+	agents []*Agent
+}
+
+// within steps virtual time until cond holds, for at most limit.
+func (c *chain) within(limit time.Duration, cond func() bool) bool {
+	return testutil.AdvanceUntil(c.fake, time.Millisecond, limit, cond)
+}
+
+func buildChain(t *testing.T, n int) *chain {
 	t.Helper()
-	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	fake := clock.NewFake(time.Unix(7_000_000, 0))
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: fake})
 	t.Cleanup(net.Close)
 	hosts, err := netem.Chain(net, n, 90, "p")
 	if err != nil {
@@ -27,53 +43,45 @@ func buildChain(t *testing.T, n int) (*netem.Network, []*Agent) {
 		}
 		t.Cleanup(agents[i].Stop)
 	}
-	return net, agents
+	return &chain{net: net, fake: fake, agents: agents}
 }
 
 func TestMappingGossipsAcrossChain(t *testing.T) {
-	_, agents := buildChain(t, 4)
-	agents[0].Register("alice@x", "p.1:5060")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if addr, ok := agents[3].Lookup("alice@x"); ok {
-			if addr != "p.1:5060" {
-				t.Fatalf("addr = %q", addr)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	c := buildChain(t, 4)
+	c.agents[0].Register("alice@x", "p.1:5060")
+	var addr string
+	if !c.within(5*time.Second, func() (ok bool) { addr, ok = c.agents[3].Lookup("alice@x"); return ok }) {
+		t.Fatal("mapping never gossiped to the far node")
 	}
-	t.Fatal("mapping never gossiped to the far node")
+	if addr != "p.1:5060" {
+		t.Fatalf("addr = %q", addr)
+	}
 }
 
 func TestEveryNodeCarriesFullTable(t *testing.T) {
-	_, agents := buildChain(t, 4)
-	for i, a := range agents {
+	c := buildChain(t, 4)
+	for i, a := range c.agents {
 		a.Register("user"+string(rune('a'+i))+"@x", "p:1")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		full := true
-		for _, a := range agents {
-			if a.TableSize() < len(agents)-1 {
-				full = false
-				break
+	full := func() bool {
+		for _, a := range c.agents {
+			if a.TableSize() < len(c.agents)-1 {
+				return false
 			}
 		}
-		if full {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+		return true
 	}
-	t.Fatal("not every node learned every mapping")
+	if !c.within(5*time.Second, full) {
+		t.Fatal("not every node learned every mapping")
+	}
 }
 
 func TestStandingOverheadWithoutCalls(t *testing.T) {
-	net, agents := buildChain(t, 3)
-	agents[0].Register("alice@x", "p.1:5060")
-	net.ResetStats()
-	time.Sleep(300 * time.Millisecond)
-	st := net.Stats()
+	c := buildChain(t, 3)
+	c.agents[0].Register("alice@x", "p.1:5060")
+	c.net.ResetStats()
+	c.within(300*time.Millisecond, testutil.Never)
+	st := c.net.Stats()
 	// Pro-active HELLOs keep flowing even though nobody ever looks
 	// anything up — the resource waste the paper criticizes.
 	if st.ServiceFrames < 10 {
@@ -82,22 +90,14 @@ func TestStandingOverheadWithoutCalls(t *testing.T) {
 }
 
 func TestMappingExpires(t *testing.T) {
-	net, agents := buildChain(t, 2)
-	agents[0].Register("alice@x", "p.1:5060")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := agents[1].Lookup("alice@x"); ok {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	c := buildChain(t, 2)
+	c.agents[0].Register("alice@x", "p.1:5060")
+	known := func() bool { _, ok := c.agents[1].Lookup("alice@x"); return ok }
+	if !c.within(5*time.Second, known) {
+		t.Fatal("mapping never reached the neighbour")
 	}
-	net.SetLink("p.1", "p.2", false)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := agents[1].Lookup("alice@x"); !ok {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	c.net.SetLink("p.1", "p.2", false)
+	if !c.within(5*time.Second, func() bool { return !known() }) {
+		t.Fatal("mapping never expired after partition")
 	}
-	t.Fatal("mapping never expired after partition")
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,8 +54,6 @@ type ConnProviderConfig struct {
 	// numeric MANET addresses) are local, names like "voicehoc.ch" are
 	// Internet hosts.
 	IsLocal func(netem.NodeID) bool
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records attach spans and tunnel counters. Nil disables.
 	Obs *obs.Observer
 }
@@ -84,9 +83,6 @@ func (c ConnProviderConfig) withDefaults() ConnProviderConfig {
 				return r != '.' && (r < '0' || r > '9')
 			})
 		}
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -119,6 +115,13 @@ type connCounters struct {
 // periodically checks MANET SLP for a gateway service, opens a layer-2
 // tunnel to the gateway it finds, and transparently routes Internet-bound
 // traffic through it (paper §2, Connection Provider).
+//
+// The provider owns no goroutine. Its probe cycle — idle, querying SLP,
+// opening candidate i, pinging the gateway — is moved on by the tunnel
+// messages its port handler is given, by the SLP agent's answer and by one
+// timer task on the host's shard. An SLP answer can arrive on another shard
+// and Stop on any goroutine, so every step takes mu and checks that the cycle
+// still waits where the step left it.
 type ConnectionProvider struct {
 	host  *netem.Host
 	agent ServiceDirectory
@@ -127,15 +130,31 @@ type ConnectionProvider struct {
 
 	conn *netem.Conn
 
-	mu            sync.Mutex
-	attached      bool
-	gateway       netem.NodeID
-	gwPort        uint16
-	ackCh         chan bool
-	pongCh        chan struct{}
-	watchers      []func(bool)
-	started       bool
-	closed        bool
+	mu       sync.Mutex
+	attached bool
+	gw       tunnelPeer // the gateway in use; zero when detached
+	watchers []func(bool)
+	started  bool
+	closed   bool
+	// changed is closed, and replaced, whenever attached, lastErr or closed
+	// changes: what WaitAttached waits on.
+	changed chan struct{}
+
+	// wait counts the waits of the cycle: a timer or lookup answer carries
+	// the wait it belongs to and is void once the cycle has moved on. timer
+	// is the current wait's: the next probe, or the time-out of the OPEN or
+	// PING in flight, whose answer is the one message admitted — kind expect
+	// (0: none) from the gateway asked.
+	wait   uint64
+	timer  *clock.Task
+	expect uint8
+	asked  tunnelPeer
+	// candidates are the gateways still to try in this attach round, freshest
+	// first, should asked not answer.
+	candidates  []gatewayCandidate
+	attachStart time.Time
+	attachSpan  obs.SpanHandle
+
 	lastAttachGW  string
 	lastAttachDur time.Duration
 	// blacklist quarantines gateways that refused an OPEN or died mid-tunnel
@@ -158,9 +177,6 @@ type ConnectionProvider struct {
 	stats       connCounters
 	obs         *obs.Observer
 	obsFailover *obs.Histogram
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewConnectionProvider creates the provider; agent is the node's MANET SLP
@@ -171,11 +187,11 @@ func NewConnectionProvider(host *netem.Host, agent ServiceDirectory, cfg ConnPro
 		host:        host,
 		agent:       agent,
 		cfg:         cfg,
-		clk:         cfg.Clock,
+		clk:         host.Clock(),
 		obs:         cfg.Obs,
 		obsFailover: cfg.Obs.Histogram("connp.failover.delay", nil),
 		blacklist:   make(map[netem.NodeID]time.Time),
-		stop:        make(chan struct{}),
+		changed:     make(chan struct{}),
 	}
 }
 
@@ -197,23 +213,21 @@ func (p *ConnectionProvider) Stats() ConnStats {
 	}
 }
 
-// Start begins gateway discovery.
+// Start begins gateway discovery: the first probe runs ProbeInterval from now.
 func (p *ConnectionProvider) Start() error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.started {
-		p.mu.Unlock()
 		return fmt.Errorf("core: connection provider already started")
 	}
-	p.started = true
-	p.mu.Unlock()
 	conn, err := p.host.Listen(0)
 	if err != nil {
 		return err
 	}
+	p.started = true
 	p.conn = conn
-	p.wg.Add(2)
-	go p.recvLoop()
-	go p.probeLoop()
+	conn.Handle(p.onDatagram)
+	p.endRound()
 	return nil
 }
 
@@ -225,16 +239,15 @@ func (p *ConnectionProvider) Stop() {
 		return
 	}
 	p.closed = true
-	attached := p.attached
-	gw, gwPort := p.gateway, p.gwPort
+	p.timer.Stop()
+	p.signalChange()
+	attached, gw := p.attached, p.gw
 	p.mu.Unlock()
 	if attached {
-		_ = p.conn.WriteTo((&tunnelMsg{Kind: tunClose}).marshal(), gw, gwPort)
+		_ = p.conn.WriteTo((&tunnelMsg{Kind: tunClose}).marshal(), gw.node, gw.port)
 	}
 	p.detach()
-	close(p.stop)
 	p.conn.Close()
-	p.wg.Wait()
 }
 
 // Attached reports whether the node currently has Internet connectivity.
@@ -248,11 +261,11 @@ func (p *ConnectionProvider) Attached() bool {
 func (p *ConnectionProvider) Gateway() netem.NodeID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.gateway
+	return p.gw.node
 }
 
-// OnChange registers fn to be called (from the provider's goroutine) when
-// attachment state flips.
+// OnChange registers fn to be called when attachment state flips. fn runs on
+// a scheduler worker and must not block.
 func (p *ConnectionProvider) OnChange(fn func(attached bool)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,117 +274,196 @@ func (p *ConnectionProvider) OnChange(fn func(attached bool)) {
 
 func (p *ConnectionProvider) notify(attached bool) {
 	p.mu.Lock()
-	watchers := make([]func(bool), len(p.watchers))
-	copy(watchers, p.watchers)
+	watchers := slices.Clone(p.watchers)
 	p.mu.Unlock()
 	for _, fn := range watchers {
 		fn(attached)
 	}
 }
 
-func (p *ConnectionProvider) probeLoop() {
-	defer p.wg.Done()
-	for {
-		timer := p.clk.NewTimer(p.cfg.ProbeInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
-		if p.Attached() {
-			p.pingGateway()
-		} else {
-			p.tryAttach()
-		}
-	}
+// signalChange wakes every WaitAttached. Caller holds p.mu.
+func (p *ConnectionProvider) signalChange() {
+	close(p.changed)
+	p.changed = make(chan struct{})
 }
 
-// tryAttach looks for gateway services and opens a tunnel to the first
-// candidate that answers. Candidates are tried freshest-advert-first, so a
-// dead gateway whose stale advert still lingers in the cache only costs one
-// OPEN timeout before the live one is used.
-func (p *ConnectionProvider) tryAttach() {
+// await starts the cycle's next wait: step runs d from now unless the message
+// expect admits (0: none), from the gateway asked, arrives first. Whatever was
+// awaited before is void. Caller holds p.mu.
+func (p *ConnectionProvider) await(expect uint8, asked tunnelPeer, d time.Duration, step func(wait uint64)) {
+	p.timer.Stop()
+	p.expect, p.asked = expect, asked
+	p.wait++
+	wait := p.wait
+	p.timer = p.host.Sched().After(string(p.host.ID()), d, func(time.Time) { step(wait) })
+}
+
+// endRound arms the next probe ProbeInterval after the round that just ended,
+// the cadence of a loop that sleeps between rounds. Caller holds p.mu.
+func (p *ConnectionProvider) endRound() {
+	p.await(0, tunnelPeer{}, p.cfg.ProbeInterval, p.probe)
+}
+
+// enter takes p.mu for a step of wait. If the cycle has moved on, or the
+// provider stopped, it releases the lock again and reports false.
+func (p *ConnectionProvider) enter(wait uint64) bool {
+	p.mu.Lock()
+	if p.closed || wait != p.wait {
+		p.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// probe starts a round: a ping of the gateway when attached, otherwise an
+// attempt to find and open one. A request that cannot be sent is one more
+// that goes unanswered: its time-out deals with it.
+func (p *ConnectionProvider) probe(wait uint64) {
+	if !p.enter(wait) {
+		return
+	}
+	if p.attached {
+		gw := p.gw
+		p.await(tunPong, gw, p.cfg.AckTimeout, p.pingTimedOut)
+		p.mu.Unlock()
+		_ = p.conn.WriteTo((&tunnelMsg{Kind: tunPing}).marshal(), gw.node, gw.port)
+		return
+	}
 	// The attach span covers the whole acquisition: SLP gateway discovery
 	// plus the tunnel OPEN handshake. It is node-scoped (no Call-ID) and is
 	// stitched into call traces by time proximity.
-	span := p.obs.StartSpan("", obs.PhaseGatewayAttach, string(p.host.ID()))
-	attachStart := p.clk.Now()
+	p.attachSpan = p.obs.StartSpan("", obs.PhaseGatewayAttach, string(p.host.ID()))
+	p.attachStart = p.clk.Now()
 	candidates := p.gatewayCandidates()
-	if len(candidates) == 0 {
-		// Nothing cached: issue a wildcard query and retry on answer. The
-		// answer may only contain blacklisted gateways, in which case the
-		// round still counts as failed below.
-		if _, err := p.agent.Lookup(GatewayServiceType, "", p.cfg.LookupTimeout); err != nil {
-			p.noteAttachFailure()
-			return
-		}
-		candidates = p.gatewayCandidates()
+	p.mu.Unlock()
+	if len(candidates) > 0 {
+		p.openNext(wait, candidates)
+		return
 	}
-	for _, cand := range candidates {
-		if p.openTunnel(cand.node, cand.port) {
-			dur := p.clk.Now().Sub(attachStart)
-			p.mu.Lock()
-			p.attached = true
-			p.gateway = cand.node
-			p.gwPort = cand.port
-			p.lastAttachGW = string(cand.node)
-			p.lastAttachDur = dur
-			p.lookupFails = 0
-			p.lastErr = nil
-			var failover time.Duration
-			if !p.detachedAt.IsZero() {
-				failover = p.clk.Now().Sub(p.detachedAt)
-				p.detachedAt = time.Time{}
-				p.lastFailoverDur = failover
-			}
+	// Nothing cached: issue a wildcard query and go on when it is answered,
+	// as it always is, at its own deadline at the latest. The answer may only
+	// contain blacklisted gateways, in which case the round still fails.
+	p.agent.LookupAsync(GatewayServiceType, "", p.cfg.LookupTimeout, func(_ slp.Service, err error) {
+		if err == nil && p.enter(wait) {
+			candidates = p.gatewayCandidates()
 			p.mu.Unlock()
-			p.stats.attaches.Add(1)
-			if failover > 0 {
-				p.stats.failovers.Add(1)
-				p.obsFailover.Observe(failover)
-			}
-			span.End("gw=" + string(cand.node))
-			p.host.SetDefaultHandler(p.tunnelOut)
-			p.notify(true)
-			return
 		}
-		p.stats.attachFails.Add(1)
-		// A refused or timed-out OPEN quarantines the candidate so the
-		// next round moves straight to an alternative.
-		p.blacklistGateway(cand.node)
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-	}
-	p.noteAttachFailure()
+		p.openNext(wait, candidates)
+	})
 }
 
-// noteAttachFailure counts one failed acquisition round; once the budget is
-// spent, ErrNoGateway is surfaced via LastError/WaitAttached. The probe loop
-// keeps running so later rounds can still recover.
-func (p *ConnectionProvider) noteAttachFailure() {
-	if p.cfg.MaxLookupRetries < 0 {
+// openNext sends OPEN to the first of candidates, which are tried
+// freshest-advert-first, so a dead gateway whose stale advert still lingers in
+// the cache only costs one OPEN timeout before the live one is used. With
+// none left the round has failed.
+func (p *ConnectionProvider) openNext(wait uint64, candidates []gatewayCandidate) {
+	if !p.enter(wait) {
 		return
 	}
-	p.mu.Lock()
-	p.lookupFails++
-	if p.lookupFails >= p.cfg.MaxLookupRetries && p.lastErr == nil {
-		p.lastErr = ErrNoGateway
+	if len(candidates) == 0 {
+		// One more failed round. Once the budget is spent ErrNoGateway is
+		// surfaced via LastError/WaitAttached; probing goes on regardless, so
+		// later rounds can still recover.
+		p.lookupFails++
+		if budget := p.cfg.MaxLookupRetries; budget >= 0 && p.lookupFails >= budget && p.lastErr == nil {
+			p.lastErr = ErrNoGateway
+			p.signalChange()
+		}
+		p.endRound()
+		p.mu.Unlock()
+		return
 	}
+	p.candidates = candidates[1:]
+	p.await(tunOpenAck, candidates[0].tunnelPeer, p.cfg.AckTimeout, p.openFailed)
 	p.mu.Unlock()
+	_ = p.conn.WriteTo((&tunnelMsg{Kind: tunOpen}).marshal(), candidates[0].node, candidates[0].port)
 }
 
-// blacklistGateway quarantines gw for the configured TTL.
+// openFailed handles an OPEN that was refused or timed out: the candidate is
+// quarantined, so that the next round moves straight to an alternative, and
+// the next one is tried.
+func (p *ConnectionProvider) openFailed(wait uint64) {
+	if !p.enter(wait) {
+		return
+	}
+	p.blacklistGateway(p.asked.node)
+	rest := p.candidates
+	p.mu.Unlock()
+	p.stats.attachFails.Add(1)
+	p.openNext(wait, rest)
+}
+
+// onAnswer handles a tunOpenAck or tunPong. Only the answer the cycle waits
+// for is listened to, and only from the node and port that were asked: a
+// gateway that answers after its OPEN timed out has been given up on, and its
+// ACK says nothing about the candidate being opened now.
+func (p *ConnectionProvider) onAnswer(msg *tunnelMsg, from tunnelPeer) {
+	p.mu.Lock()
+	if p.closed || msg.Kind != p.expect || from != p.asked {
+		p.mu.Unlock()
+		return
+	}
+	if msg.Kind == tunPong {
+		p.missedProbes = 0
+		p.endRound()
+		p.mu.Unlock()
+		return
+	}
+	if !msg.OK {
+		wait := p.wait
+		p.mu.Unlock()
+		p.openFailed(wait)
+		return
+	}
+	now := p.clk.Now()
+	p.attached = true
+	p.gw = from
+	p.lastAttachGW = string(from.node)
+	p.lastAttachDur = now.Sub(p.attachStart)
+	p.lookupFails = 0
+	p.missedProbes = 0
+	p.lastErr = nil
+	var failover time.Duration
+	if !p.detachedAt.IsZero() {
+		failover = now.Sub(p.detachedAt)
+		p.detachedAt = time.Time{}
+		p.lastFailoverDur = failover
+	}
+	span := p.attachSpan
+	p.endRound()
+	p.signalChange()
+	p.mu.Unlock()
+	p.stats.attaches.Add(1)
+	if failover > 0 {
+		p.stats.failovers.Add(1)
+		p.obsFailover.Observe(failover)
+	}
+	span.End("gw=" + string(from.node))
+	p.host.SetDefaultHandler(p.tunnelOut)
+	p.notify(true)
+}
+
+// pingTimedOut counts a PING that got no PONG within AckTimeout against the
+// live tunnel; at MissedProbeLimit the gateway is lost, and the next probe
+// looks for another.
+func (p *ConnectionProvider) pingTimedOut(wait uint64) {
+	if !p.enter(wait) {
+		return
+	}
+	p.missedProbes++
+	lost, gw := p.missedProbes >= p.cfg.MissedProbeLimit, p.asked.node
+	p.endRound()
+	p.mu.Unlock()
+	if lost {
+		p.gatewayLost(gw)
+	}
+}
+
+// blacklistGateway quarantines gw for the configured TTL. Caller holds p.mu.
 func (p *ConnectionProvider) blacklistGateway(gw netem.NodeID) {
-	if p.cfg.BlacklistTTL <= 0 {
-		return
+	if p.cfg.BlacklistTTL > 0 {
+		p.blacklist[gw] = p.clk.Now().Add(p.cfg.BlacklistTTL)
 	}
-	p.mu.Lock()
-	p.blacklist[gw] = p.clk.Now().Add(p.cfg.BlacklistTTL)
-	p.mu.Unlock()
 }
 
 // Blacklisted lists currently quarantined gateways, sorted.
@@ -401,14 +493,10 @@ func (p *ConnectionProvider) LastError() error {
 // budget is exhausted, or the timeout elapses. Both failure returns satisfy
 // errors.Is(err, ErrNoGateway).
 func (p *ConnectionProvider) WaitAttached(timeout time.Duration) error {
-	deadline := p.clk.Now().Add(timeout)
-	poll := p.cfg.ProbeInterval / 4
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
+	expired := p.clk.After(timeout)
 	for {
 		p.mu.Lock()
-		attached, lastErr, closed := p.attached, p.lastErr, p.closed
+		attached, lastErr, closed, changed := p.attached, p.lastErr, p.closed, p.changed
 		p.mu.Unlock()
 		if attached {
 			return nil
@@ -419,33 +507,34 @@ func (p *ConnectionProvider) WaitAttached(timeout time.Duration) error {
 		if lastErr != nil {
 			return lastErr
 		}
-		if !p.clk.Now().Before(deadline) {
+		select {
+		case <-changed:
+		case <-expired:
 			return fmt.Errorf("core: no gateway after %v: %w", timeout, ErrNoGateway)
 		}
-		p.clk.Sleep(poll)
 	}
 }
 
+// tunnelPeer is a gateway's tunnel endpoint.
+type tunnelPeer struct {
+	node netem.NodeID
+	port uint16
+}
+
 type gatewayCandidate struct {
-	node    netem.NodeID
-	port    uint16
+	tunnelPeer
 	expires time.Time
 }
 
 // gatewayCandidates lists reachable-looking gateways from the SLP cache,
-// freshest first.
+// freshest first. Caller holds p.mu.
 func (p *ConnectionProvider) gatewayCandidates() []gatewayCandidate {
 	now := p.clk.Now()
-	p.mu.Lock()
-	quarantined := make(map[netem.NodeID]bool, len(p.blacklist))
 	for gw, until := range p.blacklist {
 		if now.After(until) {
 			delete(p.blacklist, gw)
-			continue
 		}
-		quarantined[gw] = true
 	}
-	p.mu.Unlock()
 	var out []gatewayCandidate
 	for _, svc := range p.agent.Services(GatewayServiceType) {
 		_, addr, err := slp.ParseServiceURL(svc.URL)
@@ -464,97 +553,38 @@ func (p *ConnectionProvider) gatewayCandidates() []gatewayCandidate {
 		if gw == p.host.ID() {
 			continue // we are the gateway; nothing to tunnel
 		}
-		if quarantined[gw] {
+		if _, quarantined := p.blacklist[gw]; quarantined {
 			continue // known-dead until the blacklist TTL expires
 		}
-		out = append(out, gatewayCandidate{node: gw, port: port, expires: svc.Expires})
+		out = append(out, gatewayCandidate{tunnelPeer{gw, port}, svc.Expires})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].expires.After(out[j].expires) })
 	return out
-}
-
-// openTunnel sends OPEN to the gateway and waits for the acknowledgement.
-func (p *ConnectionProvider) openTunnel(gw netem.NodeID, port uint16) bool {
-	ack := make(chan bool, 1)
-	p.mu.Lock()
-	p.ackCh = ack
-	p.mu.Unlock()
-	if err := p.conn.WriteTo((&tunnelMsg{Kind: tunOpen}).marshal(), gw, port); err != nil {
-		return false
-	}
-	timer := p.clk.NewTimer(p.cfg.AckTimeout)
-	defer timer.Stop()
-	select {
-	case ok := <-ack:
-		return ok
-	case <-timer.C():
-		return false
-	case <-p.stop:
-		return false
-	}
-}
-
-// pingGateway verifies tunnel liveness; on failure it detaches so the next
-// probe can find another gateway.
-func (p *ConnectionProvider) pingGateway() {
-	pong := make(chan struct{}, 1)
-	p.mu.Lock()
-	p.pongCh = pong
-	gw, port := p.gateway, p.gwPort
-	p.mu.Unlock()
-	if err := p.conn.WriteTo((&tunnelMsg{Kind: tunPing}).marshal(), gw, port); err != nil {
-		p.gatewayLost(gw)
-		return
-	}
-	timer := p.clk.NewTimer(p.cfg.AckTimeout)
-	defer timer.Stop()
-	select {
-	case <-pong:
-		p.mu.Lock()
-		p.missedProbes = 0
-		p.mu.Unlock()
-	case <-timer.C():
-		p.mu.Lock()
-		p.missedProbes++
-		missed := p.missedProbes
-		p.mu.Unlock()
-		if missed >= p.cfg.MissedProbeLimit {
-			p.gatewayLost(gw)
-		}
-	case <-p.stop:
-	}
 }
 
 // gatewayLost handles a dead tunnel: quarantine the gateway, purge its SLP
 // adverts locally so subsequent resolutions do not return stale routes, stamp
 // the failover clock, then detach and notify watchers.
 func (p *ConnectionProvider) gatewayLost(gw netem.NodeID) {
-	if gw != "" {
-		p.blacklistGateway(gw)
-		p.agent.InvalidateOrigin(gw)
-	}
+	p.agent.InvalidateOrigin(gw)
 	p.mu.Lock()
+	p.blacklistGateway(gw)
 	p.detachedAt = p.clk.Now()
 	p.mu.Unlock()
-	p.detachAndNotify()
+	p.detach()
+	p.notify(false)
 }
 
 func (p *ConnectionProvider) detach() {
 	p.mu.Lock()
 	wasAttached := p.attached
 	p.attached = false
-	p.gateway = ""
-	p.gwPort = 0
+	p.gw = tunnelPeer{}
 	p.mu.Unlock()
 	if wasAttached {
 		p.stats.detaches.Add(1)
 		p.host.SetDefaultHandler(nil)
 	}
-}
-
-func (p *ConnectionProvider) detachAndNotify() {
-	p.detach()
-	p.notify(false)
 }
 
 // tunnelOut is the host's default handler: it encapsulates Internet-bound
@@ -564,8 +594,7 @@ func (p *ConnectionProvider) tunnelOut(dg *netem.Datagram) bool {
 		return false
 	}
 	p.mu.Lock()
-	attached := p.attached
-	gw, port := p.gateway, p.gwPort
+	attached, gw := p.attached, p.gw
 	p.mu.Unlock()
 	if !attached {
 		return false
@@ -575,53 +604,38 @@ func (p *ConnectionProvider) tunnelOut(dg *netem.Datagram) bool {
 		return false
 	}
 	p.stats.framesOut.Add(1)
-	return p.conn.WriteTo(data, gw, port) == nil
+	return p.conn.WriteTo(data, gw.node, gw.port) == nil
 }
 
-func (p *ConnectionProvider) recvLoop() {
-	defer p.wg.Done()
-	for {
-		dg, ok := p.conn.Recv()
-		if !ok {
+// onDatagram serves the tunnel port, inline on the delivery that brought the
+// message.
+func (p *ConnectionProvider) onDatagram(dg *netem.Datagram) {
+	msg, err := parseTunnelMsg(dg.Data)
+	if err != nil {
+		return
+	}
+	switch msg.Kind {
+	case tunOpenAck, tunPong:
+		p.onAnswer(msg, tunnelPeer{dg.SrcNode, dg.SrcPort})
+	case tunData:
+		inner, err := netem.UnmarshalDatagram(msg.Inner)
+		if err != nil {
 			return
 		}
-		msg, err := parseTunnelMsg(dg.Data)
-		if err != nil {
-			continue
+		p.stats.framesIn.Add(1)
+		p.host.InjectDatagram(inner)
+	case tunClose:
+		// The gateway announced a graceful shutdown: fail over now instead
+		// of waiting for the next ping to time out. A PING in flight will
+		// get no PONG; its round is over.
+		p.mu.Lock()
+		current := !p.closed && p.attached && dg.SrcNode == p.gw.node
+		if current && p.expect == tunPong {
+			p.endRound()
 		}
-		switch msg.Kind {
-		case tunOpenAck:
-			p.mu.Lock()
-			ch := p.ackCh
-			p.ackCh = nil
-			p.mu.Unlock()
-			if ch != nil {
-				ch <- msg.OK
-			}
-		case tunPong:
-			p.mu.Lock()
-			ch := p.pongCh
-			p.pongCh = nil
-			p.mu.Unlock()
-			if ch != nil {
-				ch <- struct{}{}
-			}
-		case tunData:
-			inner, err := netem.UnmarshalDatagram(msg.Inner)
-			if err != nil {
-				continue
-			}
-			p.stats.framesIn.Add(1)
-			p.host.InjectDatagram(inner)
-		case tunClose:
-			// The gateway announced a graceful shutdown: fail over now
-			// instead of waiting for the next ping to time out.
-			p.mu.Lock()
-			current := p.attached && dg.SrcNode == p.gateway
-			p.mu.Unlock()
-			if current {
-				p.gatewayLost(dg.SrcNode)
-			}
+		p.mu.Unlock()
+		if current {
+			p.gatewayLost(dg.SrcNode)
 		}
 	}
 }

@@ -163,30 +163,19 @@ func TestGatewayTunnelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer echoConn.Close()
-	go func() {
-		for {
-			dg, ok := echoConn.Recv()
-			if !ok {
-				return
-			}
-			_ = echoConn.WriteTo(dg.Data, dg.SrcNode, dg.SrcPort)
-		}
-	}()
+	echoConn.Handle(func(dg *netem.Datagram) {
+		_ = echoConn.WriteTo(dg.Data, dg.SrcNode, dg.SrcPort)
+	})
 	local, err := tb.node.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer local.Close()
+	done := make(chan string, 1)
+	local.Handle(func(dg *netem.Datagram) { done <- string(dg.Data) })
 	if err := local.WriteTo([]byte("ping-internet"), "echo.example", 7); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan string, 1)
-	go func() {
-		dg, ok := local.Recv()
-		if ok {
-			done <- string(dg.Data)
-		}
-	}()
 	select {
 	case got := <-done:
 		if got != "ping-internet" {

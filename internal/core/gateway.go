@@ -19,8 +19,6 @@ type GatewayConfig struct {
 	TunnelPort uint16
 	// ClientTTL evicts tunnel clients that stop pinging (default 10s).
 	ClientTTL time.Duration
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records tunnel gauges and counters. Nil disables.
 	Obs *obs.Observer
 	// Trunk, when set, enables inter-gateway media trunking: tunnelled
@@ -36,9 +34,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.ClientTTL == 0 {
 		c.ClientTTL = 10 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -96,13 +91,11 @@ type GatewayProvider struct {
 	clients map[netem.NodeID]*tunnelClient
 	started bool
 	closed  bool
+	evict   *clock.Task
 
 	stats gatewayCounters
 	// Pre-resolved obs handle; nil when cfg.Obs is nil.
 	obsClients *obs.Gauge
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewGatewayProvider creates the provider for a node that has Internet
@@ -115,9 +108,8 @@ func NewGatewayProvider(host *netem.Host, inet *internet.Internet, agent Service
 		inet:    inet,
 		agent:   agent,
 		cfg:     cfg,
-		clk:     cfg.Clock,
+		clk:     host.Clock(),
 		clients: make(map[netem.NodeID]*tunnelClient),
-		stop:    make(chan struct{}),
 	}
 	if cfg.Obs.Enabled() {
 		g.obsClients = cfg.Obs.Gauge("gateway.tunnels.active")
@@ -181,9 +173,12 @@ func (g *GatewayProvider) Start() error {
 		return err
 	}
 
-	g.wg.Add(2)
-	go g.recvLoop()
-	go g.evictLoop()
+	conn.Handle(g.onDatagram)
+	g.mu.Lock()
+	if !g.closed {
+		g.evict = g.host.Sched().Every(string(g.host.ID()), g.cfg.ClientTTL/2, g.evictIdle)
+	}
+	g.mu.Unlock()
 	return nil
 }
 
@@ -195,6 +190,7 @@ func (g *GatewayProvider) Stop() {
 		return
 	}
 	g.closed = true
+	g.evict.Stop()
 	clients := make([]*tunnelClient, 0, len(g.clients))
 	for _, c := range g.clients {
 		clients = append(clients, c)
@@ -220,9 +216,7 @@ func (g *GatewayProvider) Stop() {
 	// never come back as a gateway under the same ID.
 	g.inet.RemoveHost(g.host.ID())
 	g.host.SetDefaultHandler(nil)
-	close(g.stop)
 	g.conn.Close()
-	g.wg.Wait()
 }
 
 // Stats returns a snapshot of the gateway counters.
@@ -250,33 +244,33 @@ func (g *GatewayProvider) Clients() []netem.NodeID {
 	return out
 }
 
-func (g *GatewayProvider) recvLoop() {
-	defer g.wg.Done()
-	for {
-		dg, ok := g.conn.Recv()
-		if !ok {
-			return
-		}
-		msg, err := parseTunnelMsg(dg.Data)
-		if err != nil {
-			continue
-		}
-		switch msg.Kind {
-		case tunOpen:
-			g.handleOpen(dg.SrcNode, dg.SrcPort)
-		case tunData:
-			g.handleData(dg.SrcNode, msg.Inner)
-		case tunClose:
-			g.closeClient(dg.SrcNode)
-		case tunPing:
-			g.touch(dg.SrcNode)
-			_ = g.conn.WriteTo((&tunnelMsg{Kind: tunPong}).marshal(), dg.SrcNode, dg.SrcPort)
-		}
+// onDatagram serves the tunnel port, inline on the delivery that brought the
+// message. After Stop there are no clients left to serve, and handleOpen
+// admits no new one.
+func (g *GatewayProvider) onDatagram(dg *netem.Datagram) {
+	msg, err := parseTunnelMsg(dg.Data)
+	if err != nil {
+		return
+	}
+	switch msg.Kind {
+	case tunOpen:
+		g.handleOpen(dg.SrcNode, dg.SrcPort)
+	case tunData:
+		g.handleData(dg.SrcNode, msg.Inner)
+	case tunClose:
+		g.closeClient(dg.SrcNode)
+	case tunPing:
+		g.touch(dg.SrcNode)
+		_ = g.conn.WriteTo((&tunnelMsg{Kind: tunPong}).marshal(), dg.SrcNode, dg.SrcPort)
 	}
 }
 
 func (g *GatewayProvider) handleOpen(node netem.NodeID, peerPort uint16) {
 	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return
+	}
 	if c, ok := g.clients[node]; ok {
 		// Re-open from the same node: refresh.
 		c.peer = peerPort
@@ -394,27 +388,18 @@ func (g *GatewayProvider) closeClient(node netem.NodeID) {
 	}
 }
 
-func (g *GatewayProvider) evictLoop() {
-	defer g.wg.Done()
-	for {
-		timer := g.clk.NewTimer(g.cfg.ClientTTL / 2)
-		select {
-		case <-g.stop:
-			timer.Stop()
-			return
-		case <-timer.C():
+// evictIdle is the eviction sweep, every ClientTTL/2: tunnel clients that
+// stopped pinging lose their Internet presence.
+func (g *GatewayProvider) evictIdle(now time.Time) {
+	var dead []netem.NodeID
+	g.mu.Lock()
+	for id, c := range g.clients {
+		if now.Sub(c.lastSeen) > g.cfg.ClientTTL {
+			dead = append(dead, id)
 		}
-		now := g.clk.Now()
-		var dead []netem.NodeID
-		g.mu.Lock()
-		for id, c := range g.clients {
-			if now.Sub(c.lastSeen) > g.cfg.ClientTTL {
-				dead = append(dead, id)
-			}
-		}
-		g.mu.Unlock()
-		for _, id := range dead {
-			g.closeClient(id)
-		}
+	}
+	g.mu.Unlock()
+	for _, id := range dead {
+		g.closeClient(id)
 	}
 }

@@ -66,8 +66,6 @@ type ProxyConfig struct {
 	// OverlayTimeout bounds a blocking overlay lookup during call routing
 	// (default 2s).
 	OverlayTimeout time.Duration
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records resolution spans and routing counters; it is also
 	// propagated to the embedded SIP stack unless SIP.Obs is already set.
 	// Nil disables.
@@ -103,9 +101,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 		c.DNS = func(domain string) sip.Addr {
 			return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
 		}
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	if c.SIP.Obs == nil {
 		c.SIP.Obs = c.Obs
@@ -219,7 +214,7 @@ func NewProxy(host *netem.Host, agent ServiceDirectory, connp *ConnectionProvide
 		agent:    agent,
 		connp:    connp,
 		cfg:      cfg,
-		clk:      cfg.Clock,
+		clk:      host.Clock(),
 		obs:      cfg.Obs,
 		bindings: make(map[string]localBinding),
 		upstream: make(map[string]int),

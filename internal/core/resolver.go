@@ -30,6 +30,9 @@ type ServiceDirectory interface {
 	LookupCached(stype, key string) (slp.Service, bool)
 	// Lookup answers from the cache or queries the network within timeout.
 	Lookup(stype, key string, timeout time.Duration) (slp.Service, error)
+	// LookupAsync is Lookup for callers that must not block: done gets the
+	// answer, at once or later on a scheduler worker.
+	LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error))
 	// Services lists known services of a type (local and cached).
 	Services(stype string) []slp.Service
 }

@@ -50,6 +50,10 @@ func (s *stubDirectory) Lookup(stype, key string, timeout time.Duration) (slp.Se
 	return slp.Service{}, fmt.Errorf("stub: %s/%s not found", stype, key)
 }
 
+func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error)) {
+	done(s.Lookup(stype, key, timeout))
+}
+
 func (s *stubDirectory) Services(stype string) []slp.Service { return nil }
 
 func cachedSIP(aor, addr string) map[string]slp.Service {
@@ -357,14 +361,14 @@ func resolveOnFake(t *testing.T, chain ResolverChain, fc *clock.Fake, q ResolveQ
 // a detached lookup is never cut short by that shorter miss, and a MANET user
 // whose advert arrives after the miss is called directly from then on.
 func TestResolverChainRemembersSLPMiss(t *testing.T) {
-	net := netem.NewNetwork(netem.Config{})
+	fc := clock.NewFake(time.Unix(1_000_000, 0))
+	net := netem.NewNetwork(netem.Config{Clock: fc})
 	defer net.Close()
 	h, err := net.AddHost("10.0.0.1", netem.Position{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := clock.NewFake(time.Unix(1_000_000, 0))
-	agent := slp.NewAgent(h, slp.Config{Clock: fc})
+	agent := slp.NewAgent(h, slp.Config{})
 	const attached, detached = 500 * time.Millisecond, 2 * time.Second
 	chain := ResolverChain{
 		NewSLPResolver(agent, SLPResolverConfig{Timeout: detached, TimeoutAttached: attached}),

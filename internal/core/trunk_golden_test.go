@@ -70,7 +70,7 @@ func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *intern
 
 	agents := make(map[netem.NodeID]*slp.Agent)
 	for _, h := range []*netem.Host{is.client, is.gwHost} {
-		agent := slp.NewAgent(h, slp.Config{Mode: slp.ModeMulticast, Clock: clk})
+		agent := slp.NewAgent(h, slp.Config{Mode: slp.ModeMulticast})
 		if err := agent.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *intern
 		agents[h.ID()] = agent
 	}
 
-	gwCfg := GatewayConfig{ClientTTL: time.Hour, Clock: clk}
+	gwCfg := GatewayConfig{ClientTTL: time.Hour}
 	if trunked {
 		gwCfg.Trunk = &TrunkConfig{}
 	}
@@ -92,7 +92,6 @@ func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *intern
 		ProbeInterval: 100 * time.Millisecond,
 		LookupTimeout: 200 * time.Millisecond,
 		AckTimeout:    500 * time.Millisecond,
-		Clock:         clk,
 		IsLocal: func(id netem.NodeID) bool {
 			return strings.HasPrefix(string(id), prefix+".")
 		},
@@ -202,26 +201,18 @@ func runTrunkGoldenCall(t *testing.T, trunked bool) trunkGoldenResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessA := rtp.NewSession(connA, sim.clk, 11)
-	sessB := rtp.NewSession(connB, sim.clk, 22)
+	sessA := rtp.NewSession(connA, 11)
+	sessB := rtp.NewSession(connB, 22)
 	t.Cleanup(sessA.Close)
 	t.Cleanup(sessB.Close)
 	sim.sessions = []*rtp.Session{sessA, sessB}
 
-	rawDone := make(chan struct{})
-	go func() {
-		defer close(rawDone)
-		for {
-			dg, ok := raw.Recv()
-			if !ok {
-				return
-			}
-			sim.rawMu.Lock()
-			sim.rawData = append(sim.rawData, append([]byte(nil), dg.Data...))
-			sim.rawTimes = append(sim.rawTimes, sim.clk.Now())
-			sim.rawMu.Unlock()
-		}
-	}()
+	raw.Handle(func(dg *netem.Datagram) {
+		sim.rawMu.Lock()
+		sim.rawData = append(sim.rawData, append([]byte(nil), dg.Data...))
+		sim.rawTimes = append(sim.rawTimes, sim.clk.Now())
+		sim.rawMu.Unlock()
+	})
 
 	// Drive both islands to Internet attachment.
 	sim.settle()
@@ -278,9 +269,10 @@ func runTrunkGoldenCall(t *testing.T, trunked bool) trunkGoldenResult {
 	}
 	res.played, res.late, res.missing = sessB.PlayoutStats()
 	raw.Close()
-	<-rawDone
+	sim.rawMu.Lock()
 	res.rawData = sim.rawData
 	res.rawTimes = sim.rawTimes
+	sim.rawMu.Unlock()
 	return res
 }
 
@@ -350,7 +342,7 @@ func TestTrunkBatchesConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessA := rtp.NewSession(connA, sim.clk, 11)
+	sessA := rtp.NewSession(connA, 11)
 	t.Cleanup(sessA.Close)
 	sim.sessions = []*rtp.Session{sessA}
 
@@ -364,16 +356,11 @@ func TestTrunkBatchesConcurrentStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(conn.Close)
-		go func() {
-			for {
-				if _, ok := conn.Recv(); !ok {
-					return
-				}
-				recvMu.Lock()
-				received++
-				recvMu.Unlock()
-			}
-		}()
+		conn.Handle(func(*netem.Datagram) {
+			recvMu.Lock()
+			received++
+			recvMu.Unlock()
+		})
 	}
 
 	sim.settle()
@@ -443,7 +430,7 @@ func TestNetworkCloseFinishesStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessA := rtp.NewSession(connA, sim.clk, 11)
+		sessA := rtp.NewSession(connA, 11)
 		t.Cleanup(sessA.Close)
 		sim.sessions = []*rtp.Session{sessA}
 		sim.settle()

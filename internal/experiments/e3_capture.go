@@ -42,7 +42,7 @@ func E3(w io.Writer) error {
 
 	type capture struct {
 		frame netem.Frame
-		env   *routing.Envelope
+		env   routing.Envelope
 	}
 	var (
 		mu  sync.Mutex
@@ -52,8 +52,8 @@ func E3(w io.Writer) error {
 		if f.Kind != netem.KindRouting {
 			return
 		}
-		env, err := routing.ParseEnvelope(f.Payload)
-		if err != nil || env.Proto != routing.ProtoAODV || env.Kind != aodv.KindRREP {
+		var env routing.Envelope
+		if err := routing.ParseEnvelopeInto(&env, f.Payload); err != nil || env.Proto != routing.ProtoAODV || env.Kind != aodv.KindRREP {
 			return
 		}
 		if len(env.Ext) == 0 || !strings.Contains(string(env.Ext), "bob@voicehoc.ch") {
@@ -64,7 +64,7 @@ func E3(w io.Writer) error {
 			// Kept past the tap's return, so a copy (see netem.Frame), and an
 			// envelope that aliases the copy; these bytes parsed just above.
 			f.Payload = append([]byte(nil), f.Payload...)
-			env, _ = routing.ParseEnvelope(f.Payload)
+			_ = routing.ParseEnvelopeInto(&env, f.Payload)
 			got = &capture{frame: f, env: env}
 		}
 		mu.Unlock()

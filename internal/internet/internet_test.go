@@ -35,19 +35,16 @@ func TestFullMeshConnectivity(t *testing.T) {
 	}
 	defer ca.Close()
 	defer cb.Close()
+	arrived := make(chan *netem.Datagram, 1)
+	cb.Handle(func(dg *netem.Datagram) { arrived <- dg })
 	if err := ca.WriteTo([]byte("hi"), "b.example", 2); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		dg, ok := cb.Recv()
-		if !ok || string(dg.Data) != "hi" {
-			t.Errorf("recv = %v %v", dg, ok)
-		}
-	}()
 	select {
-	case <-done:
+	case dg := <-arrived:
+		if string(dg.Data) != "hi" {
+			t.Errorf("recv = %v", dg)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("internet datagram never arrived")
 	}

@@ -26,8 +26,6 @@ type ProviderConfig struct {
 	RequireAuth bool
 	// SIP tunes the transaction layer (default sip.SimConfig()).
 	SIP sip.Config
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// BindingTTL is how long registrations stay valid (default 60s).
 	BindingTTL time.Duration
 	// Shard, when set, makes this provider one member of a sharded tier: it
@@ -82,9 +80,6 @@ func NewProvider(inet *Internet, cfg ProviderConfig) (*Provider, error) {
 	if cfg.ProxyHost == "" {
 		cfg.ProxyHost = cfg.Domain
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.New()
-	}
 	if cfg.BindingTTL == 0 {
 		cfg.BindingTTL = 60 * time.Second
 	}
@@ -110,7 +105,7 @@ func NewProvider(inet *Internet, cfg ProviderConfig) (*Provider, error) {
 	}
 	p := &Provider{
 		cfg:      cfg,
-		clk:      cfg.Clock,
+		clk:      host.Clock(),
 		host:     host,
 		stack:    sip.NewStack(conn, cfg.SIP),
 		accounts: make(map[string]accountInfo),

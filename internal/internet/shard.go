@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/sip"
 )
@@ -150,8 +149,6 @@ type PoolConfig struct {
 	RequireAuth bool
 	// SIP tunes each shard's transaction layer (default sip.SimConfig()).
 	SIP sip.Config
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// BindingTTL is how long registrations stay valid (default 60s).
 	BindingTTL time.Duration
 }
@@ -215,7 +212,6 @@ func (p *ProviderPool) startShard(i int) (*Provider, error) {
 		ProxyHost:   p.smap.Host(i),
 		RequireAuth: p.cfg.RequireAuth,
 		SIP:         p.cfg.SIP,
-		Clock:       p.cfg.Clock,
 		BindingTTL:  p.cfg.BindingTTL,
 		Shard:       &ShardRole{Map: p.smap, Index: i},
 	})

@@ -160,10 +160,11 @@ func TestForwardTTLSemantics(t *testing.T) {
 		})
 		src, _ := hosts[0].Listen(7)
 		dst, _ := hosts[3].Listen(9)
+		dstIn := inbox(dst)
 		if err := src.WriteTo([]byte("voice"), hosts[3].ID(), 9); err != nil {
 			t.Fatal(err)
 		}
-		dg := waitRecv(t, dst)
+		dg := waitRecv(t, dstIn)
 		if dg.TTL != DefaultTTL-2 || string(dg.Data) != "voice" || dg.SrcNode != hosts[0].ID() || dg.SrcPort != 7 {
 			t.Fatalf("received %+v, want TTL %d from %s:7", dg, DefaultTTL-2, hosts[0].ID())
 		}
@@ -184,7 +185,7 @@ func TestForwardTTLSemantics(t *testing.T) {
 		if f1, f2, e1 := hosts[1].Stats().Forwarded, hosts[2].Stats().Forwarded, hosts[1].Stats().TTLExpired; f1 != 2 || f2 != 1 || e1 != 0 {
 			t.Errorf("relay 1 forwarded %d expired %d, relay 2 forwarded %d; want 2, 0, 1", f1, e1, f2)
 		}
-		if _, ok := dst.TryRecv(); ok {
+		if arrived(dstIn) {
 			t.Error("TTL-2 datagram crossed two relays")
 		}
 		mu.Lock()
@@ -218,10 +219,11 @@ func TestTransitWithoutRouteTakesSlowPath(t *testing.T) {
 		})
 		ca, _ := a.Listen(1)
 		cc, _ := c.Listen(2)
+		ccIn := inbox(cc)
 		if err := ca.WriteTo([]byte("deferred"), "c", 2); err != nil {
 			t.Fatal(err)
 		}
-		dg := waitRecv(t, cc)
+		dg := waitRecv(t, ccIn)
 		if string(dg.Data) != "deferred" || dg.TTL != DefaultTTL-1 || dg.SrcNode != "a" {
 			t.Fatalf("received %+v", dg)
 		}
@@ -241,12 +243,13 @@ func TestLoopbackWriteToStaysOffTheMedium(t *testing.T) {
 		n, hosts := staticChain(t, cfg, 2)
 		tx, _ := hosts[0].Listen(7)
 		rx, _ := hosts[0].Listen(9)
+		rxIn := inbox(rx)
 		data := []byte("local")
 		if err := tx.WriteTo(data, hosts[0].ID(), 9); err != nil {
 			t.Fatal(err)
 		}
 		data[0] = 'X' // WriteTo copied
-		dg := waitRecv(t, rx)
+		dg := waitRecv(t, rxIn)
 		if string(dg.Data) != "local" || dg.SrcPort != 7 || dg.TTL != DefaultTTL {
 			t.Fatalf("received %+v", dg)
 		}
@@ -266,6 +269,7 @@ func TestDeliveredNodeIDsDoNotAliasTheFrame(t *testing.T) {
 		a, _ := n.AddHost("a.example", Position{})
 		b, _ := n.AddHost("b.example", Position{X: 50})
 		rx, _ := b.Listen(9)
+		rxIn := inbox(rx)
 		for _, src := range []NodeID{"a.example", "ghost.example"} {
 			payload, err := marshalDatagram(&Datagram{SrcNode: src, DstNode: "b.example", DstPort: 9, TTL: 5, Data: []byte("x")})
 			if err != nil {
@@ -274,7 +278,7 @@ func TestDeliveredNodeIDsDoNotAliasTheFrame(t *testing.T) {
 			if err := a.SendFrame("b.example", KindData, payload); err != nil {
 				t.Fatal(err)
 			}
-			dg := waitRecv(t, rx)
+			dg := waitRecv(t, rxIn)
 			// Delivered, so the frame is the receiver's to scribble on.
 			for i := range payload[:len(payload)-1] {
 				payload[i] = '#'

@@ -26,7 +26,7 @@ type HostStats struct {
 	Forwarded  int64 // datagrams relayed for other nodes
 	NoRoute    int64 // datagrams dropped after failed route discovery
 	TTLExpired int64 // datagrams dropped on hop-limit exhaustion
-	PortDrops  int64 // datagrams dropped at a full application queue
+	PortDrops  int64 // datagrams dropped at a bound port with no handler
 }
 
 // hostCounters is the live, atomically updated form of HostStats, so the
@@ -108,6 +108,11 @@ func (h *Host) Network() *Network { return h.net }
 // never run concurrently with any of them. A task runs on a shard worker and
 // must not block.
 func (h *Host) Sched() *clock.Scheduler { return h.net.sched }
+
+// Clock returns the host's time source, which is its network's. Everything
+// bound to the host — protocols, proxies, phones — reads time here, so its
+// TTL stamps and the timers Sched runs for it can never disagree.
+func (h *Host) Clock() clock.Clock { return h.net.Clock() }
 
 // Neighbors returns the node's current radio neighbourhood.
 func (h *Host) Neighbors() []NodeID { return h.net.Neighbors(h.id) }
@@ -386,18 +391,15 @@ func (h *Host) deliverLocal(dg *Datagram) {
 	// Internet presence forwards arbitrary ports into the MANET while the
 	// trunk listener keeps receiving inter-gateway trunk frames locally.
 	if c != nil {
-		h.stats.received.Add(1)
-		if fn := c.handler.Load(); fn != nil {
-			c.handleMu.Lock()
-			(*fn)(dg)
-			c.handleMu.Unlock()
+		fn := c.handler.Load()
+		if fn == nil {
+			h.stats.portDrops.Add(1)
 			return
 		}
-		select {
-		case c.in <- dg:
-		default:
-			h.stats.portDrops.Add(1)
-		}
+		h.stats.received.Add(1)
+		c.handleMu.Lock()
+		(*fn)(dg)
+		c.handleMu.Unlock()
 		return
 	}
 	if sink == nil {
@@ -431,12 +433,7 @@ func (h *Host) Listen(port uint16) (*Conn, error) {
 	} else if _, used := h.ports[port]; used {
 		return nil, ErrPortInUse
 	}
-	c := &Conn{
-		host: h,
-		port: port,
-		in:   make(chan *Datagram, 256),
-		stop: make(chan struct{}),
-	}
+	c := &Conn{host: h, port: port}
 	h.ports[port] = c
 	return c, nil
 }
@@ -460,32 +457,26 @@ func (h *Host) Close() {
 	}
 }
 
-// Conn is a bound UDP-like port on a Host.
+// Conn is a bound UDP-like port on a Host. A port delivers to its handler or
+// drops: a datagram that arrives before Handle is called counts as a
+// PortDrop.
 type Conn struct {
 	host *Host
 	port uint16
-	in   chan *Datagram
 
-	// handler, when set via Handle, receives datagrams directly on the
-	// delivery path instead of through the in channel, which saves the
-	// component a Recv goroutine. handleMu serializes invocations; it is
-	// uncontended on the simulated medium, where one shard owns all of a
-	// host's deliveries, and orders the socket reader against loopback
-	// deliveries on the UDP underlay.
+	// handler receives datagrams directly on the delivery path. handleMu
+	// serializes invocations; it is uncontended on the simulated medium,
+	// where one shard owns all of a host's deliveries, and orders the socket
+	// reader against loopback deliveries on the UDP underlay.
 	handler  atomic.Pointer[func(*Datagram)]
 	handleMu sync.Mutex
-
-	closeOnce sync.Once
-	stop      chan struct{}
 }
 
-// Handle switches the connection to callback delivery: fn is invoked for
-// every arriving datagram, serialized per connection, and Recv/TryRecv stop
-// seeing traffic. Components use this instead of spawning a Recv loop
-// goroutine. fn runs on a delivery worker: it must not block; it may send. A
-// datagram already in flight when Close is called may still be delivered, so
-// fn must tolerate invocation after shutdown. Pass nil to revert to channel
-// delivery.
+// Handle installs the port's receiver: fn is invoked for every arriving
+// datagram, serialized per connection. fn runs on a delivery worker: it must
+// not block; it may send. A datagram already in flight when Close is called
+// may still be delivered, so fn must tolerate invocation after shutdown. Pass
+// nil to drop what arrives.
 func (c *Conn) Handle(fn func(*Datagram)) {
 	if fn == nil {
 		c.handler.Store(nil)
@@ -527,39 +518,11 @@ func (c *Conn) WriteTo(data []byte, dst NodeID, dstPort uint16) error {
 	})
 }
 
-// Recv blocks until a datagram arrives or the connection closes; ok is false
-// once closed and drained.
-func (c *Conn) Recv() (*Datagram, bool) {
-	select {
-	case dg := <-c.in:
-		return dg, true
-	case <-c.stop:
-		// Drain anything already queued before reporting closed.
-		select {
-		case dg := <-c.in:
-			return dg, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-// TryRecv returns a queued datagram without blocking.
-func (c *Conn) TryRecv() (*Datagram, bool) {
-	select {
-	case dg := <-c.in:
-		return dg, true
-	default:
-		return nil, false
-	}
-}
-
 // Close unbinds the port.
 func (c *Conn) Close() {
-	c.closeOnce.Do(func() {
-		c.host.mu.Lock()
+	c.host.mu.Lock()
+	if c.host.ports[c.port] == c {
 		delete(c.host.ports, c.port)
-		c.host.mu.Unlock()
-		close(c.stop)
-	})
+	}
+	c.host.mu.Unlock()
 }

@@ -31,6 +31,7 @@ func TestDelayJitterSpreadsArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
 
@@ -43,7 +44,7 @@ func TestDelayJitterSpreadsArrivals(t *testing.T) {
 	var arrivals []time.Time
 	deadline := time.After(10 * time.Second)
 	for len(arrivals) < frames {
-		if _, ok := cb.TryRecv(); ok {
+		if arrived(cbIn) {
 			arrivals = append(arrivals, time.Now())
 			continue
 		}

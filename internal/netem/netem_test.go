@@ -32,23 +32,29 @@ func newFastNetwork(t *testing.T) *Network {
 	return n
 }
 
-func waitRecv(t *testing.T, c *Conn) *Datagram {
-	t.Helper()
-	type result struct {
-		dg *Datagram
-		ok bool
-	}
-	ch := make(chan result, 1)
-	go func() {
-		dg, ok := c.Recv()
-		ch <- result{dg, ok}
-	}()
+// inbox makes c a port the test body reads: a handler feeding a channel
+// roomy enough for any test here. Install it before anything is sent.
+func inbox(c *Conn) <-chan *Datagram {
+	ch := make(chan *Datagram, 256)
+	c.Handle(func(dg *Datagram) { ch <- dg })
+	return ch
+}
+
+// arrived reports (and consumes) a datagram already waiting in an inbox.
+func arrived(in <-chan *Datagram) bool {
 	select {
-	case r := <-ch:
-		if !r.ok {
-			t.Fatal("connection closed before receive")
-		}
-		return r.dg
+	case <-in:
+		return true
+	default:
+		return false
+	}
+}
+
+func waitRecv(t *testing.T, in <-chan *Datagram) *Datagram {
+	t.Helper()
+	select {
+	case dg := <-in:
+		return dg
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for datagram")
 		return nil
@@ -174,12 +180,13 @@ func TestUnicastWithinRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
 	if err := ca.WriteTo([]byte("hello"), "b", 2000); err != nil {
 		t.Fatal(err)
 	}
-	dg := waitRecv(t, cb)
+	dg := waitRecv(t, cbIn)
 	if string(dg.Data) != "hello" || dg.SrcNode != "a" || dg.SrcPort != 1000 {
 		t.Fatalf("bad datagram: %+v", dg)
 	}
@@ -190,12 +197,13 @@ func TestMultihopForwarding(t *testing.T) {
 	src, dst := hosts[0], hosts[3]
 	cs, _ := src.Listen(7)
 	cd, _ := dst.Listen(9)
+	cdIn := inbox(cd)
 	defer cs.Close()
 	defer cd.Close()
 	if err := cs.WriteTo([]byte("multihop"), dst.ID(), 9); err != nil {
 		t.Fatal(err)
 	}
-	dg := waitRecv(t, cd)
+	dg := waitRecv(t, cdIn)
 	if string(dg.Data) != "multihop" {
 		t.Fatalf("payload = %q", dg.Data)
 	}
@@ -215,13 +223,14 @@ func TestOutOfRangeNotDelivered(t *testing.T) {
 	ha.SetRouteProvider(staticRoutes{"b": "b"}) // lies: b is not reachable
 	ca, _ := ha.Listen(1)
 	cb, _ := hb.Listen(2)
+	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
 	if err := ca.WriteTo([]byte("void"), "b", 2); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, ok := cb.TryRecv(); ok {
+	if arrived(cbIn) {
 		t.Fatal("frame crossed an out-of-range link")
 	}
 }
@@ -230,19 +239,52 @@ func TestLoopbackDelivery(t *testing.T) {
 	n := newFastNetwork(t)
 	h, _ := n.AddHost("a", Position{})
 	app, _ := h.Listen(5060)
+	appIn := inbox(app)
 	defer app.Close()
 	cli, _ := h.Listen(0)
 	defer cli.Close()
 	if err := cli.WriteTo([]byte("REGISTER"), "a", 5060); err != nil {
 		t.Fatal(err)
 	}
-	dg := waitRecv(t, app)
+	dg := waitRecv(t, appIn)
 	if string(dg.Data) != "REGISTER" {
 		t.Fatalf("payload = %q", dg.Data)
 	}
 	// Loopback must not touch the radio.
 	if fr := n.Stats().TotalFrames(); fr != 0 {
 		t.Fatalf("loopback used the medium: %d frames", fr)
+	}
+}
+
+// TestUnhandledPortDrops pins a port's one delivery path: a datagram for a
+// bound port nobody handles is a PortDrop, not a delivery, and nothing is
+// queued for a handler installed later.
+func TestUnhandledPortDrops(t *testing.T) {
+	n := newFastNetwork(t)
+	h, _ := n.AddHost("a", Position{})
+	app, _ := h.Listen(5060)
+	defer app.Close()
+	cli, _ := h.Listen(0)
+	defer cli.Close()
+	if err := cli.WriteTo([]byte("lost"), "a", 5060); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Stats().PortDrops == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := h.Stats(); st.PortDrops != 1 || st.Received != 0 {
+		t.Fatalf("PortDrops = %d, Received = %d, want 1 and 0", st.PortDrops, st.Received)
+	}
+	appIn := inbox(app)
+	if err := cli.WriteTo([]byte("kept"), "a", 5060); err != nil {
+		t.Fatal(err)
+	}
+	if dg := waitRecv(t, appIn); string(dg.Data) != "kept" {
+		t.Fatalf("handler saw %q, want only what arrived after Handle", dg.Data)
+	}
+	if st := h.Stats(); st.PortDrops != 1 || st.Received != 1 {
+		t.Fatalf("PortDrops = %d, Received = %d, want 1 and 1", st.PortDrops, st.Received)
 	}
 }
 
@@ -291,11 +333,12 @@ func TestLossRateDropsFrames(t *testing.T) {
 	ha.SetRouteProvider(staticRoutes{"b": "b"})
 	ca, _ := ha.Listen(1)
 	cb, _ := hb.Listen(2)
+	cbIn := inbox(cb)
 	if err := ca.WriteTo([]byte("x"), "b", 2); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, ok := cb.TryRecv(); ok {
+	if arrived(cbIn) {
 		t.Fatal("frame survived 100% loss")
 	}
 	if n.Stats().Lost != 1 {
@@ -312,13 +355,14 @@ func TestTTLExpiry(t *testing.T) {
 	hosts[0].SetRouteProvider(staticRoutes{"n.3": "n.2", "n.2": "n.2"})
 	hosts[1].SetRouteProvider(staticRoutes{"n.3": "n.3"})
 	cd, _ := hosts[2].Listen(5)
+	cdIn := inbox(cd)
 	defer cd.Close()
 	dg := &Datagram{DstNode: "n.3", DstPort: 5, TTL: 1, Data: []byte("dying")}
 	if err := hosts[0].SendDatagram(dg); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if _, ok := cd.TryRecv(); ok {
+	if arrived(cdIn) {
 		t.Fatal("TTL=1 datagram crossed a relay")
 	}
 	if hosts[1].Stats().TTLExpired != 1 {
@@ -352,12 +396,13 @@ func TestPendingFlushOnRouteFound(t *testing.T) {
 	ha.SetRouteProvider(rp)
 	ca, _ := ha.Listen(1)
 	cb, _ := hb.Listen(2)
+	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
 	if err := ca.WriteTo([]byte("deferred"), "b", 2); err != nil {
 		t.Fatal(err)
 	}
-	dg := waitRecv(t, cb)
+	dg := waitRecv(t, cbIn)
 	if string(dg.Data) != "deferred" {
 		t.Fatalf("payload = %q", dg.Data)
 	}

@@ -90,24 +90,14 @@ func TestUDPNetworkExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
 	if err := ca.WriteTo([]byte("dgram"), "b", 200); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		dg, ok := cb.Recv()
-		if ok && string(dg.Data) == "dgram" {
-			return
-		}
-		t.Errorf("bad datagram: %v %v", dg, ok)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("datagram never arrived over UDP")
+	if dg := waitRecv(t, cbIn); string(dg.Data) != "dgram" {
+		t.Errorf("bad datagram: %v", dg)
 	}
 }
 

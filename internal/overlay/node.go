@@ -40,9 +40,6 @@ type Config struct {
 	// passive clients run on MANET hosts and reach the overlay through
 	// their gateway tunnel like any other Internet traffic.
 	Host *netem.Host
-	// Clock is the time source for TTL stamps and blocking waits
-	// (default the system clock).
-	Clock clock.Clock
 	// Port is the overlay port (default DefaultPort).
 	Port uint16
 	// K is the replication factor: bindings are stored on the K closest
@@ -69,9 +66,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Clock == nil {
-		c.Clock = clock.New()
-	}
 	if c.Port == 0 {
 		c.Port = DefaultPort
 	}
@@ -201,7 +195,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		id:        sip.HashAOR(string(cfg.Host.ID())),
 		host:      cfg.Host,
-		clk:       cfg.Clock,
+		clk:       cfg.Host.Clock(),
 		sched:     cfg.Host.Sched(),
 		skey:      "dht/" + string(cfg.Host.ID()),
 		records:   make(map[string]record),

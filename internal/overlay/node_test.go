@@ -70,7 +70,7 @@ func (d *dhtNet) node(name netem.NodeID) *overlay.Node {
 	return d.nodes[name]
 }
 
-// addNode brings up one overlay node; cfg.Host/Clock are filled in.
+// addNode brings up one overlay node; cfg.Host is filled in.
 func (d *dhtNet) addNode(name netem.NodeID, cfg overlay.Config) *overlay.Node {
 	d.t.Helper()
 	host, err := d.inet.AddHost(name)
@@ -78,7 +78,6 @@ func (d *dhtNet) addNode(name netem.NodeID, cfg overlay.Config) *overlay.Node {
 		d.t.Fatalf("add host %s: %v", name, err)
 	}
 	cfg.Host = host
-	cfg.Clock = d.fake
 	n, err := overlay.New(cfg)
 	if err != nil {
 		d.t.Fatalf("new node %s: %v", name, err)
@@ -118,7 +117,6 @@ func (d *dhtNet) restart(name netem.NodeID, cfg overlay.Config, boot netem.NodeI
 		return
 	}
 	cfg.Host = host
-	cfg.Clock = d.fake
 	cfg.Bootstrap = []netem.NodeID{boot}
 	n, err := overlay.New(cfg)
 	if err != nil {

@@ -42,8 +42,6 @@ type Config struct {
 	// EnableHello turns periodic hellos on (default true). Tests that
 	// drive the protocol manually can disable them.
 	EnableHello bool
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records route-discovery spans and latency. Nil disables.
 	Obs *obs.Observer
 }
@@ -66,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NetDiameter == 0 {
 		c.NetDiameter = 32
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -152,7 +147,7 @@ func New(host *netem.Host, cfg Config) *Protocol {
 	p := &Protocol{
 		host:      host,
 		cfg:       cfg,
-		clk:       cfg.Clock,
+		clk:       host.Clock(),
 		table:     routing.NewTable(),
 		seen:      make(map[seenKey]time.Time),
 		neighbors: make(map[netem.NodeID]time.Time),

@@ -151,23 +151,18 @@ func TestEndToEndDatagramViaAODV(t *testing.T) {
 	}
 	defer cs.Close()
 	defer cd.Close()
+	arrived := make(chan *netem.Datagram, 1)
+	cd.Handle(func(dg *netem.Datagram) { arrived <- dg })
 	if err := cs.WriteTo([]byte("voice"), hosts[3].ID(), 200); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case <-deadline:
-			t.Fatal("datagram never arrived")
-		default:
+	select {
+	case dg := <-arrived:
+		if string(dg.Data) != "voice" {
+			t.Fatalf("payload = %q", dg.Data)
 		}
-		if dg, ok := cd.TryRecv(); ok {
-			if string(dg.Data) != "voice" {
-				t.Fatalf("payload = %q", dg.Data)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("datagram never arrived")
 	}
 }
 

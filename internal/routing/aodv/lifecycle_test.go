@@ -24,7 +24,6 @@ func TestStopFailsPendingDiscoveriesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SimConfig()
-	cfg.Clock = fake
 	p := New(h, cfg)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)

@@ -4,22 +4,24 @@ import (
 	"testing"
 )
 
-// FuzzParseEnvelope: any input either errors or round-trips.
+// FuzzParseEnvelope: any input either errors or round-trips through
+// ParseEnvelopeInto and AppendEnvelope, the one codec the receive and send
+// paths use.
 func FuzzParseEnvelope(f *testing.F) {
-	good, _ := (&Envelope{Proto: ProtoAODV, Kind: 2, Body: []byte("body"), Ext: []byte("ext")}).Marshal()
+	good, _ := marshal(&Envelope{Proto: ProtoAODV, Kind: 2, Body: []byte("body"), Ext: []byte("ext")})
 	f.Add(good)
 	f.Add([]byte{1, 1, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := ParseEnvelope(data)
+		e, err := parse(data)
 		if err != nil {
 			return
 		}
-		raw, err := e.Marshal()
+		raw, err := marshal(e)
 		if err != nil {
 			t.Fatalf("accepted envelope fails to marshal: %v", err)
 		}
-		e2, err := ParseEnvelope(raw)
+		e2, err := parse(raw)
 		if err != nil {
 			t.Fatalf("marshal output unparseable: %v", err)
 		}

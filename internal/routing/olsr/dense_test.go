@@ -241,13 +241,12 @@ func (r *refModel) routes(now time.Time) ([]routing.Entry, []netem.NodeID) {
 // densePropConfig is the timing the property test runs at: short explicit
 // holds so the random clock advances exercise expiry, revival and purge
 // paths, not just steady refresh.
-func densePropConfig(fake *clock.Fake) Config {
+func densePropConfig() Config {
 	return Config{
 		HelloInterval: 100 * time.Millisecond,
 		TCInterval:    200 * time.Millisecond,
 		NeighborHold:  300 * time.Millisecond,
 		TopologyHold:  500 * time.Millisecond,
-		Clock:         fake,
 	}.withDefaults()
 }
 
@@ -260,14 +259,14 @@ func TestDenseReferenceEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42, 20260809} {
 		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			net := netem.NewNetwork(netem.Config{})
+			fake := clock.NewFake(time.Unix(1_000_000, 0))
+			net := netem.NewNetwork(netem.Config{Clock: fake})
 			defer net.Close()
 			host, err := net.AddHost("self", netem.Position{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fake := clock.NewFake(time.Unix(1_000_000, 0))
-			cfg := densePropConfig(fake)
+			cfg := densePropConfig()
 			p := New(host, cfg) // not started: ops drive it directly
 			model := newRefModel(host.ID(), cfg)
 

@@ -27,7 +27,6 @@ func TestStopDuringRouteWaitAndHoldDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SimConfig()
-	cfg.Clock = fake
 	p := New(h, cfg)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)

@@ -36,8 +36,6 @@ type Config struct {
 	RouteWait time.Duration
 	// MaxTTL bounds TC flooding (default 32).
 	MaxTTL uint8
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records route-wait spans and latency. Nil disables.
 	Obs *obs.Observer
 	// Fisheye enables fisheye TC scoping (FSR-style graded refresh): TCs
@@ -98,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 32
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -299,7 +294,7 @@ func New(host *netem.Host, cfg Config) *Protocol {
 	p := &Protocol{
 		host:  host,
 		cfg:   cfg,
-		clk:   cfg.Clock,
+		clk:   host.Clock(),
 		nodes: newNodeIndex(),
 		dups:  make(map[dupKey]dupVal),
 		table: routing.NewTable(),

@@ -192,22 +192,18 @@ func TestEndToEndDatagramViaOLSR(t *testing.T) {
 	}
 	defer cs.Close()
 	defer cd.Close()
+	arrived := make(chan *netem.Datagram, 1)
+	cd.Handle(func(dg *netem.Datagram) { arrived <- dg })
 	if err := cs.WriteTo([]byte("olsr-data"), hosts[3].ID(), 200); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		if dg, ok := cd.TryRecv(); ok {
-			if string(dg.Data) != "olsr-data" {
-				t.Fatalf("payload = %q", dg.Data)
-			}
-			return
+	select {
+	case dg := <-arrived:
+		if string(dg.Data) != "olsr-data" {
+			t.Fatalf("payload = %q", dg.Data)
 		}
-		select {
-		case <-deadline:
-			t.Fatal("datagram never arrived")
-		case <-time.After(5 * time.Millisecond):
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("datagram never arrived")
 	}
 }
 

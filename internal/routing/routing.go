@@ -99,15 +99,6 @@ type Envelope struct {
 	Ext   []byte
 }
 
-// Marshal encodes the envelope.
-func (e *Envelope) Marshal() ([]byte, error) {
-	buf, err := AppendEnvelope(nil, e.Proto, e.Kind, e.Body, e.Ext)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // AppendEnvelope appends the wire form of an envelope to b, sparing send
 // paths the intermediate Envelope struct and its escape to the heap.
 func AppendEnvelope(b []byte, proto, kind uint8, body, ext []byte) ([]byte, error) {
@@ -156,22 +147,11 @@ func (f *Framer) Frame(pb PiggybackHandler, msg Outgoing, body []byte) ([]byte, 
 	return b, nil
 }
 
-// ParseEnvelope decodes a routing frame. Body and Ext alias the input
-// rather than copying: frame payloads are freshly marshalled per transmit
-// and never mutated after delivery, and every decoder downstream
-// (wire.Reader.String, slp.ParsePayload) copies what it keeps — so each
-// receiver of a broadcast control frame skips up to two allocations.
-func ParseEnvelope(b []byte) (*Envelope, error) {
-	e := &Envelope{}
-	if err := ParseEnvelopeInto(e, b); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ParseEnvelopeInto decodes into a caller-supplied envelope, sparing hot
-// receive paths the heap allocation of the returned struct: a stack-local
-// Envelope filled here never escapes. Aliasing rules match ParseEnvelope.
+// ParseEnvelopeInto decodes a routing frame into a caller-supplied envelope: a
+// stack-local Envelope filled here never escapes. Body and Ext alias the
+// input rather than copying: frame payloads are freshly marshalled per
+// transmit and never mutated after delivery, and every decoder downstream
+// (wire.Reader.String, slp.ParsePayload) copies what it keeps.
 func ParseEnvelopeInto(e *Envelope, b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("routing: short envelope")

@@ -9,13 +9,27 @@ import (
 	"siphoc/internal/netem"
 )
 
+// marshal and parse are the envelope codec in the value-returning shape the
+// tests read best in.
+func marshal(e *Envelope) ([]byte, error) {
+	return AppendEnvelope(nil, e.Proto, e.Kind, e.Body, e.Ext)
+}
+
+func parse(b []byte) (*Envelope, error) {
+	e := new(Envelope)
+	if err := ParseEnvelopeInto(e, b); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	in := &Envelope{Proto: ProtoAODV, Kind: 2, Body: []byte("rrep-body"), Ext: []byte("slp-ext")}
-	raw, err := in.Marshal()
+	raw, err := marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseEnvelope(raw)
+	out, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +40,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeNoExt(t *testing.T) {
 	in := &Envelope{Proto: ProtoOLSR, Kind: 1, Body: []byte{1, 2}}
-	raw, err := in.Marshal()
+	raw, err := marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseEnvelope(raw)
+	out, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +59,11 @@ func TestEnvelopeQuick(t *testing.T) {
 			return true
 		}
 		in := &Envelope{Proto: proto, Kind: kind, Body: body, Ext: ext}
-		raw, err := in.Marshal()
+		raw, err := marshal(in)
 		if err != nil {
 			return false
 		}
-		out, err := ParseEnvelope(raw)
+		out, err := parse(raw)
 		if err != nil {
 			return false
 		}
@@ -72,12 +86,12 @@ func TestEnvelopeQuick(t *testing.T) {
 }
 
 func TestEnvelopeRejectsTruncation(t *testing.T) {
-	raw, err := (&Envelope{Proto: 1, Kind: 1, Body: []byte("abcdef"), Ext: []byte("xy")}).Marshal()
+	raw, err := marshal(&Envelope{Proto: 1, Kind: 1, Body: []byte("abcdef"), Ext: []byte("xy")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := range len(raw) {
-		if _, err := ParseEnvelope(raw[:cut]); err == nil {
+		if _, err := parse(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -93,7 +107,7 @@ func TestExtBudget(t *testing.T) {
 	// A full-budget extension must produce a frame that fits the MTU.
 	body := make([]byte, 100)
 	ext := make([]byte, ExtBudget(len(body)))
-	raw, err := (&Envelope{Proto: 1, Kind: 1, Body: body, Ext: ext}).Marshal()
+	raw, err := marshal(&Envelope{Proto: 1, Kind: 1, Body: body, Ext: ext})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,17 +88,3 @@ func TestZeroAllocReceiveSteadyState(t *testing.T) {
 		t.Fatalf("receive path allocates %.1f/frame steady-state, want 0", allocs)
 	}
 }
-
-// TestParseStillCopies guards the compat contract of the allocating Parse:
-// its result must stay valid after the wire buffer is reused.
-func TestParseStillCopies(t *testing.T) {
-	wire := NewVoiceFrame(9, 1, time.Unix(1000, 0)).Marshal()
-	pkt, err := Parse(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire[headerLen] ^= 0xff
-	if sent, ok := pkt.SentAt(); !ok || !sent.Equal(time.Unix(1000, 0)) {
-		t.Fatal("Parse payload aliases the wire buffer; it must copy")
-	}
-}

@@ -48,8 +48,8 @@ func runPartitionHeal(t *testing.T) partitionHealResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := NewSession(ca, sim.clk, 11)
-	sd := NewSession(cd, sim.clk, 22)
+	sa := NewSession(ca, 11)
+	sd := NewSession(cd, 22)
 	defer sa.Close()
 	defer sd.Close()
 	sim.sessions = [2]*Session{sa, sd}

@@ -199,8 +199,8 @@ func TestChainGoldenPlayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := NewSession(ca, sim.clk, 11)
-	sd := NewSession(cd, sim.clk, 22)
+	sa := NewSession(ca, 11)
+	sd := NewSession(cd, 22)
 	defer sa.Close()
 	defer sd.Close()
 	sim.sessions = [2]*Session{sa, sd}
@@ -272,28 +272,20 @@ func runPacedChain(t *testing.T) (sent int, played, late, missing int64, stats S
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	sa := NewSession(ca, sim.clk, 11)
-	sd := NewSession(cd, sim.clk, 22)
+	sa := NewSession(ca, 11)
+	sd := NewSession(cd, 22)
 	defer sa.Close()
 	defer sd.Close()
 	sim.sessions = [2]*Session{sa, sd}
-	rawDone := make(chan struct{})
-	go func() {
-		defer close(rawDone)
+	raw.Handle(func(dg *netem.Datagram) {
 		var pkt Packet
-		for {
-			dg, ok := raw.Recv()
-			if !ok {
-				return
-			}
-			if ParseInto(&pkt, dg.Data) != nil {
-				continue
-			}
-			sim.rawMu.Lock()
-			sim.rawSeqs = append(sim.rawSeqs, pkt.Seq)
-			sim.rawMu.Unlock()
+		if ParseInto(&pkt, dg.Data) != nil {
+			return
 		}
-	}()
+		sim.rawMu.Lock()
+		sim.rawSeqs = append(sim.rawSeqs, pkt.Seq)
+		sim.rawMu.Unlock()
+	})
 
 	// The two streams are offset by half the frame cadence: the 3-hop path
 	// spans at most ~6.6 ms, so only one frame is ever in flight and every
@@ -328,8 +320,9 @@ func runPacedChain(t *testing.T) (sent int, played, late, missing int64, stats S
 	played, late, missing = sd.PlayoutStats()
 	stats = sd.Stats()
 	raw.Close()
-	<-rawDone
+	sim.rawMu.Lock()
 	order = append([]uint16(nil), sim.rawSeqs...)
+	sim.rawMu.Unlock()
 	return sent, played, late, missing, stats, order
 }
 

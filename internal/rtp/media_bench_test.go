@@ -48,18 +48,6 @@ func BenchmarkVoiceFrameAppendTo(b *testing.B) {
 
 var benchPkt *Packet
 
-func BenchmarkPacketParse(b *testing.B) {
-	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).Marshal()
-	b.ReportAllocs()
-	for i := 0; b.N > i; i++ {
-		p, err := Parse(wire)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPkt = p
-	}
-}
-
 func BenchmarkPacketParseInto(b *testing.B) {
 	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).Marshal()
 	var pkt Packet
@@ -128,8 +116,8 @@ func benchMediaScale(b *testing.B, streams int) {
 				b.Fatal(err)
 			}
 			pairs[i] = pair{
-				send:   NewSession(ca, clk, uint32(i+1)),
-				recv:   NewSession(cb, clk, uint32(1000+i)),
+				send:   NewSession(ca, uint32(i+1)),
+				recv:   NewSession(cb, uint32(1000+i)),
 				sendID: ha.ID(),
 				recvID: hb.ID(),
 			}

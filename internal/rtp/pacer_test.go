@@ -37,7 +37,6 @@ func pairNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 func TestPacerManyConcurrentStreams(t *testing.T) {
 	base := runtime.NumGoroutine()
 	_, a, b := pairNet(t)
-	clk := clock.New()
 
 	const streams = 32
 	const frames = 8
@@ -45,7 +44,7 @@ func TestPacerManyConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := NewSession(ca, clk, 1)
+	sender := NewSession(ca, 1)
 	defer sender.Close()
 	recvs := make([]*Session, streams)
 	for i := range streams {
@@ -53,7 +52,7 @@ func TestPacerManyConcurrentStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recvs[i] = NewSession(conn, clk, uint32(100+i))
+		recvs[i] = NewSession(conn, uint32(100+i))
 		defer recvs[i].Close()
 	}
 	handles := make([]*Stream, streams)
@@ -114,7 +113,6 @@ func TestPacerManyConcurrentStreams(t *testing.T) {
 // partial count and no further frames are sent.
 func TestStreamStop(t *testing.T) {
 	_, a, b := pairNet(t)
-	clk := clock.New()
 	ca, err := a.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +120,7 @@ func TestStreamStop(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	defer s.Close()
 	st := s.StartStream("b", 4001, 100000)
 	for st.Sent() == 0 {
@@ -144,7 +142,6 @@ func TestStreamStop(t *testing.T) {
 // the blocking SendStream caller must return promptly.
 func TestSessionCloseUnblocksStreams(t *testing.T) {
 	_, a, b := pairNet(t)
-	clk := clock.New()
 	ca, err := a.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +149,7 @@ func TestSessionCloseUnblocksStreams(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	done := make(chan int, 1)
 	go func() { done <- s.SendStream("b", 4001, 100000) }()
 	time.Sleep(20 * time.Millisecond)
@@ -171,7 +168,6 @@ func TestSessionCloseUnblocksStreams(t *testing.T) {
 // closed session: both must finish immediately without touching the scheduler.
 func TestStreamEdgeCases(t *testing.T) {
 	_, a, b := pairNet(t)
-	clk := clock.New()
 	ca, err := a.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +175,7 @@ func TestStreamEdgeCases(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	if got := s.SendStream("b", 4001, 0); got != 0 {
 		t.Fatalf("zero-frame stream sent %d", got)
 	}
@@ -197,7 +193,6 @@ func TestStreamEdgeCases(t *testing.T) {
 func TestNetworkCloseFinishesStreams(t *testing.T) {
 	base := runtime.NumGoroutine()
 	n, a, b := pairNet(t)
-	clk := clock.New()
 	ca, err := a.Listen(4000)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +200,7 @@ func TestNetworkCloseFinishesStreams(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	defer s.Close()
 	st := s.StartStream("b", 4001, 1000)
 	for st.Sent() == 0 {
@@ -275,7 +270,7 @@ func TestStreamNoDrift(t *testing.T) {
 		sentAt = append(sentAt, at.Sub(start))
 		mu.Unlock()
 	})
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	defer s.Close()
 	st := s.StartStream("b", 4001, frames)
 	received := func() int {
@@ -367,7 +362,7 @@ func TestSendStreamPacesOnFakeClock(t *testing.T) {
 	if _, err := b.Listen(4001); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(ca, clk, 1)
+	s := NewSession(ca, 1)
 	defer s.Close()
 	const frames = 10
 	st := s.StartStream("b", 4001, frames)

@@ -67,17 +67,6 @@ func ParseInto(p *Packet, b []byte) error {
 	return nil
 }
 
-// Parse decodes an RTP packet, copying the payload so the result is
-// independent of b. Hot paths use ParseInto instead.
-func Parse(b []byte) (*Packet, error) {
-	p := &Packet{}
-	if err := ParseInto(p, b); err != nil {
-		return nil, err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	return p, nil
-}
-
 // AppendVoicePayload appends the i-th synthetic G.711 frame payload to dst:
 // the first 8 bytes carry the wall-clock send time in nanoseconds (so the
 // receiver can measure one-way delay; both ends share the simulation clock),

@@ -5,13 +5,18 @@ import (
 	"testing/quick"
 	"time"
 
-	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
+// parse decodes into a fresh packet, whose payload aliases b.
+func parse(b []byte) (*Packet, error) {
+	p := new(Packet)
+	return p, ParseInto(p, b)
+}
+
 func TestPacketRoundTrip(t *testing.T) {
 	in := NewVoiceFrame(0xdeadbeef, 42, time.Unix(0, 123456789))
-	out, err := Parse(in.Marshal())
+	out, err := parse(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func TestPacketRoundTrip(t *testing.T) {
 func TestPacketQuick(t *testing.T) {
 	f := func(pt uint8, seq uint16, ts, ssrc uint32, payload []byte) bool {
 		in := &Packet{PayloadType: pt & 0x7f, Seq: seq, Timestamp: ts, SSRC: ssrc, Payload: payload}
-		out, err := Parse(in.Marshal())
+		out, err := parse(in.Marshal())
 		if err != nil {
 			return false
 		}
@@ -46,12 +51,12 @@ func TestPacketQuick(t *testing.T) {
 }
 
 func TestParseRejects(t *testing.T) {
-	if _, err := Parse([]byte{1, 2, 3}); err == nil {
+	if _, err := parse([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short packet accepted")
 	}
 	bad := NewVoiceFrame(1, 1, time.Now()).Marshal()
 	bad[0] = 0 // version 0
-	if _, err := Parse(bad); err == nil {
+	if _, err := parse(bad); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -152,7 +157,6 @@ func TestSessionOverNetwork(t *testing.T) {
 	}
 	ha.SetRouteProvider(directRoutes{})
 	hb.SetRouteProvider(directRoutes{})
-	clk := clock.New()
 	ca, err := ha.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +165,8 @@ func TestSessionOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := NewSession(ca, clk, 1)
-	sb := NewSession(cb, clk, 2)
+	sa := NewSession(ca, 1)
+	sb := NewSession(cb, 2)
 	defer sa.Close()
 	defer sb.Close()
 

@@ -36,11 +36,11 @@ type Session struct {
 }
 
 // NewSession wraps conn and starts receiving. Incoming frames pass through
-// a playout jitter buffer before being counted as played. clk must be the
-// clock of conn's network.
-func NewSession(conn *netem.Conn, clk clock.Clock, ssrc uint32) *Session {
+// a playout jitter buffer before being counted as played.
+func NewSession(conn *netem.Conn, ssrc uint32) *Session {
 	s := &Session{
-		conn: conn, clk: clk, ssrc: ssrc,
+		conn: conn, ssrc: ssrc,
+		clk:   conn.Host().Clock(),
 		sched: conn.Host().Sched(),
 		key:   string(conn.Host().ID()),
 		jb:    NewJitterBuffer(DefaultPlayoutDelay),

@@ -29,7 +29,7 @@ func fakePair(t *testing.T) (sa, sb *Stack, n *netem.Network, fake *clock.Fake) 
 	t.Helper()
 	fake = clock.NewFake(time.Unix(2_000_000, 0))
 	sa, sb, n = pairWith(t, netem.Config{Clock: fake, Shards: 1},
-		Config{T1: fakeT1, T2: 8 * fakeT1, Clock: fake})
+		Config{T1: fakeT1, T2: 8 * fakeT1})
 	return sa, sb, n, fake
 }
 

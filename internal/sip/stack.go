@@ -20,8 +20,6 @@ type Config struct {
 	T1 time.Duration
 	// T2 caps non-INVITE retransmission intervals (default 4s).
 	T2 time.Duration
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records per-leg INVITE spans and transaction counters. Nil
 	// disables observability; the message path then pays one branch.
 	Obs *obs.Observer
@@ -33,9 +31,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.T2 == 0 {
 		c.T2 = 4 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -92,7 +87,7 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 	s := &Stack{
 		conn:      conn,
 		cfg:       cfg,
-		clk:       cfg.Clock,
+		clk:       conn.Host().Clock(),
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
 		clientTxs: make(map[txKey]*ClientTx),
 		serverTxs: make(map[txKey]*ServerTx),

@@ -72,8 +72,6 @@ type Config struct {
 	// QueryRelayTTL is how long foreign queries keep riding our outgoing
 	// routing messages (default 2s).
 	QueryRelayTTL time.Duration
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records lookup counters and resolution latency. Nil disables.
 	Obs *obs.Observer
 }
@@ -90,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryRelayTTL == 0 {
 		c.QueryRelayTTL = 2 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -118,6 +113,23 @@ type qkey struct {
 type pendingQuery struct {
 	q    Query
 	refs int
+}
+
+// lookup is one caller waiting on the network for a (type, key): it ends
+// exactly once, by whichever comes first of a matching advert, its deadline
+// and the agent stopping.
+type lookup struct {
+	a       *Agent
+	ck      cacheKey
+	timeout time.Duration
+	start   time.Time
+	pq      *pendingQuery
+	done    func(Service, error)
+
+	ended atomic.Bool
+	// deadline ends the lookup with ErrNotFound; reflood (multicast mode
+	// only) reissues the SrvRqst every timeout/3 until then.
+	deadline, reflood clock.Task
 }
 
 type relayEntry struct {
@@ -221,6 +233,9 @@ type Agent struct {
 	seenQ    map[qkey]time.Time // value: deadline after which the key may be pruned
 	seenH    deadlineHeap[qkey]
 	relayH   deadlineHeap[qkey]
+	// lookups are the lookups waiting on the network, so that Stop can end
+	// them; nil once the agent has stopped.
+	lookups map[*lookup]struct{}
 
 	// pb* is the piggyback encoding scratch reused across Outgoing calls
 	// (serialized by pbMu): staging payload, its digest and the writer.
@@ -231,7 +246,6 @@ type Agent struct {
 
 	stats agentCounters
 
-	stop    chan struct{} // closed by Stop; ends Lookups in progress
 	refresh *clock.Task
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil.
@@ -251,14 +265,14 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 	a := &Agent{
 		host:     host,
 		cfg:      cfg,
-		clk:      cfg.Clock,
+		clk:      host.Clock(),
 		cache:    newCache(),
 		local:    make(map[cacheKey]Service),
 		pendingQ: make(map[cacheKey]*pendingQuery),
 		relayQ:   make(map[qkey]relayEntry),
 		seenQ:    make(map[qkey]time.Time),
+		lookups:  make(map[*lookup]struct{}),
 		pbW:      wire.NewWriter(256),
-		stop:     make(chan struct{}),
 	}
 	if cfg.Obs.Enabled() {
 		a.obsLookups = cfg.Obs.Counter("slp.lookups")
@@ -328,7 +342,15 @@ func (a *Agent) Stop() {
 	refresh := a.refresh
 	a.mu.Unlock()
 	refresh.Stop()
-	close(a.stop)
+	a.qmu.Lock()
+	waiting := a.lookups
+	a.lookups = nil
+	a.qmu.Unlock()
+	for l := range waiting {
+		if l.finish() {
+			l.fail(errStopped)
+		}
+	}
 	a.conn.Close()
 }
 
@@ -452,8 +474,42 @@ func (a *Agent) LookupCached(stype, key string) (Service, bool) {
 // one (type, key) share one query; an exact-key query that times out is
 // remembered for one refresh interval, during which lookups willing to wait
 // no longer than it did fail at once (the cache is still consulted first, so
-// an advert that arrives in the meantime resolves immediately).
+// an advert that arrives in the meantime resolves immediately). Lookup
+// blocks its caller, so it must not be called from a Conn handler or a
+// scheduler task: those use LookupAsync.
 func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error) {
+	if svc, ok, err := a.lookupLocal(stype, key, timeout); ok {
+		return svc, err
+	}
+	type answer struct {
+		svc Service
+		err error
+	}
+	ch := make(chan answer, 1)
+	a.query(stype, key, timeout, func(svc Service, err error) { ch <- answer{svc, err} })
+	r := <-ch
+	return r.svc, r.err
+}
+
+// LookupAsync is Lookup for callers that must not block: it returns at once
+// and done is called exactly once with what Lookup would have returned —
+// before LookupAsync returns when the cache or a remembered miss answers or
+// the agent has stopped, otherwise later on a scheduler worker (so done must
+// not block either), at the latest when the timeout passes or the agent stops.
+func (a *Agent) LookupAsync(stype, key string, timeout time.Duration, done func(Service, error)) {
+	if svc, ok, err := a.lookupLocal(stype, key, timeout); ok {
+		done(svc, err)
+		return
+	}
+	a.query(stype, key, timeout, done)
+}
+
+// errStopped ends the lookups in progress when the agent stops.
+var errStopped = fmt.Errorf("agent stopped: %w", ErrNotFound)
+
+// lookupLocal answers a lookup from what this node already knows: the cache,
+// or a remembered miss. ok is false when only the network can tell.
+func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Service, ok bool, err error) {
 	a.stats.lookups.Add(1)
 	a.obsLookups.Inc()
 	lookupStart := a.clk.Now()
@@ -461,76 +517,114 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 		a.stats.cacheHits.Add(1)
 		a.obsCacheHits.Inc()
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-		return svc, nil
+		return svc, true, nil
 	}
-	ck := cacheKey{stype, key}
-	if a.cache.missed(ck, timeout, lookupStart) {
+	if a.cache.missed(cacheKey{stype, key}, timeout, lookupStart) {
 		a.stats.negativeHits.Add(1)
 		a.obsNegHits.Inc()
 		a.obsMisses.Inc()
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-		return Service{}, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
+		return Service{}, true, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
 	}
-	ch, cancel := a.cache.wait(stype, key)
-	defer cancel()
+	return Service{}, false, nil
+}
 
+// query asks the network: the lookup joins (or starts) the pending query of
+// its (type, key) and ends through done when a matching advert is installed,
+// when the agent stops, or when the timeout passes. The deadline is a task on
+// the host's shard, and so is the re-flood of multicast mode, which reissues
+// the SrvRqst every timeout/3 as an SLP UA would.
+func (a *Agent) query(stype, key string, timeout time.Duration, done func(Service, error)) {
+	l := &lookup{a: a, ck: cacheKey{stype, key}, timeout: timeout, start: a.clk.Now(), done: done}
 	a.qmu.Lock()
-	pq := a.pendingQ[ck]
-	if pq == nil {
-		a.qid++
-		pq = &pendingQuery{q: Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}}
-		a.markSeenLocked(qkey{pq.q.Origin, pq.q.ID}, lookupStart)
-		a.pendingQ[ck] = pq
-	}
-	pq.refs++
-	q, first := pq.q, pq.refs == 1
-	a.qmu.Unlock()
-	defer func() {
-		a.qmu.Lock()
-		if pq.refs--; pq.refs == 0 {
-			delete(a.pendingQ, ck)
-		}
+	if a.lookups == nil {
 		a.qmu.Unlock()
-	}()
+		l.fail(errStopped)
+		return
+	}
+	a.lookups[l] = struct{}{}
+	l.pq = a.pendingQ[l.ck]
+	if l.pq == nil {
+		a.qid++
+		l.pq = &pendingQuery{q: Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}}
+		a.markSeenLocked(qkey{l.pq.q.Origin, l.pq.q.ID}, l.start)
+		a.pendingQ[l.ck] = l.pq
+	}
+	l.pq.refs++
+	q, first := l.pq.q, l.pq.refs == 1
+	a.qmu.Unlock()
 
-	var refloodC <-chan time.Time
+	// From here on an advert ends the lookup; one installed since lookupLocal
+	// looked ends it now.
+	a.cache.wait(l)
+	if svc, ok := a.LookupCached(stype, key); ok {
+		l.answer(svc)
+		return
+	}
+	sched, hostKey := a.host.Sched(), string(a.host.ID())
 	if a.cfg.Mode == ModeMulticast {
 		if first {
 			a.floodQuery(q)
 		}
-		// Retry the flood a couple of times within the timeout, like an
-		// SLP UA reissuing SrvRqst.
-		t := a.clk.NewTimer(timeout / 3)
-		defer t.Stop()
-		refloodC = t.C()
-	}
-	deadline := a.clk.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case svc := <-ch:
-			a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-			return svc, nil
-		case <-refloodC:
+		l.reflood.Init(func(now time.Time) {
 			a.qmu.Lock()
 			a.qid++
 			q.ID = a.qid
-			a.markSeenLocked(qkey{q.Origin, q.ID}, a.clk.Now())
+			a.markSeenLocked(qkey{q.Origin, q.ID}, now)
 			a.qmu.Unlock()
 			a.floodQuery(q)
-			t := a.clk.NewTimer(timeout / 3)
-			defer t.Stop()
-			refloodC = t.C()
-		case <-deadline.C():
-			a.obsMisses.Inc()
-			if key != "" {
-				a.cache.noteMiss(ck, timeout, a.clk.Now(), a.refreshInterval())
-			}
-			return Service{}, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
-		case <-a.stop:
-			return Service{}, fmt.Errorf("lookup %s/%s: agent stopped: %w", stype, key, ErrNotFound)
-		}
+			sched.At(hostKey, &l.reflood, now.Add(timeout/3))
+		}, nil)
+		sched.At(hostKey, &l.reflood, l.start.Add(timeout/3))
 	}
+	// A network closed under the lookup drops the deadline instead of running
+	// it; the caller is released all the same.
+	l.deadline.Init(func(time.Time) { l.expire() }, l.expire)
+	sched.At(hostKey, &l.deadline, l.start.Add(timeout))
+}
+
+// finish detaches the lookup from the agent and reports whether this call was
+// the one to end it; the caller then owes done its answer.
+func (l *lookup) finish() bool {
+	if !l.ended.CompareAndSwap(false, true) {
+		return false
+	}
+	a := l.a
+	l.deadline.Stop()
+	l.reflood.Stop()
+	a.cache.unwait(l)
+	a.qmu.Lock()
+	delete(a.lookups, l)
+	if l.pq.refs--; l.pq.refs == 0 {
+		delete(a.pendingQ, l.ck)
+	}
+	a.qmu.Unlock()
+	return true
+}
+
+// answer ends the lookup with the advert it was waiting for.
+func (l *lookup) answer(svc Service) {
+	if l.finish() {
+		l.a.obsDelay.Observe(l.a.clk.Now().Sub(l.start))
+		l.done(svc, nil)
+	}
+}
+
+// expire ends the lookup at its deadline, and remembers an exact-key miss.
+func (l *lookup) expire() {
+	if l.finish() {
+		a := l.a
+		a.obsMisses.Inc()
+		if l.ck.key != "" {
+			a.cache.noteMiss(l.ck, l.timeout, a.clk.Now(), a.refreshInterval())
+		}
+		l.fail(ErrNotFound)
+	}
+}
+
+// fail hands done the error of an ended lookup.
+func (l *lookup) fail(err error) {
+	l.done(Service{}, fmt.Errorf("lookup %s/%s: %w", l.ck.stype, l.ck.key, err))
 }
 
 // Services returns the live registrations known to this agent (local and

@@ -58,8 +58,8 @@ type cache struct {
 	lastPass time.Time
 	scratch  []*entry
 
-	// waiters are lookup calls blocked until a matching entry appears.
-	waiters map[cacheKey][]chan Service
+	// waiters are the lookups that end when a matching entry appears.
+	waiters map[cacheKey][]*lookup
 	// misses remembers exact-key network queries that timed out, so the
 	// next lookup of the key need not wait the same timeout out again.
 	// Bounded and pruned in deadline order through missH, like seenQ.
@@ -81,7 +81,7 @@ const missHardCap = 1024
 func newCache() *cache {
 	return &cache{
 		entries: make(map[cacheKey]*entry),
-		waiters: make(map[cacheKey][]chan Service),
+		waiters: make(map[cacheKey][]*lookup),
 		misses:  make(map[cacheKey]miss),
 	}
 }
@@ -195,8 +195,8 @@ func (c *cache) commit(k cacheKey, e *entry) {
 	}
 	svc := e.svc
 	c.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- svc
+	for _, l := range waiters {
+		l.answer(svc)
 	}
 }
 
@@ -339,24 +339,20 @@ func (c *cache) get(stype, key string, now time.Time) (Service, bool) {
 	return e.svc, true
 }
 
-// wait registers a waiter channel for the key; the caller selects on it.
-// cancel must be called if the waiter gives up.
-func (c *cache) wait(stype, key string) (ch chan Service, cancel func()) {
-	k := cacheKey{stype, key}
-	ch = make(chan Service, 1)
+// wait registers l to be answered by the next entry committed under its key.
+func (c *cache) wait(l *lookup) {
 	c.mu.Lock()
-	c.waiters[k] = append(c.waiters[k], ch)
+	c.waiters[l.ck] = append(c.waiters[l.ck], l)
 	c.mu.Unlock()
-	return ch, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		ws := c.waiters[k]
-		for i, w := range ws {
-			if w == ch {
-				c.waiters[k] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
+}
+
+// unwait withdraws l, if commit has not already taken it.
+func (c *cache) unwait(l *lookup) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ws := c.waiters[l.ck]
+	if i := slices.Index(ws, l); i >= 0 {
+		c.waiters[l.ck] = slices.Delete(ws, i, i+1)
 	}
 }
 

@@ -93,7 +93,7 @@ func FuzzIncomingMatchesParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a := NewAgent(h, Config{Clock: fc})
+		a := NewAgent(h, Config{})
 		a.conn = conn
 		a.Incoming(routing.Incoming{From: "nb", Ext: data})
 		p, err := ParsePayload(data)

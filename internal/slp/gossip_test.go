@@ -29,7 +29,7 @@ func newMesh(t *testing.T, n int) ([]*Agent, *clock.Fake) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agents[i] = NewAgent(h, Config{Clock: fc})
+		agents[i] = NewAgent(h, Config{})
 	}
 	return agents, fc
 }
@@ -285,13 +285,13 @@ func TestAdvertLifetimeSurvivesHops(t *testing.T) {
 // in key order — and what an agent emits is what Marshal makes of its parse.
 func TestGossipCanonicalBytes(t *testing.T) {
 	build := func(order []int) *Agent {
-		net := netem.NewNetwork(netem.Config{})
+		net := netem.NewNetwork(netem.Config{Clock: clock.NewFake(time.Unix(3_000_000, 0))})
 		t.Cleanup(net.Close)
 		h, err := net.AddHost("self", netem.Position{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := NewAgent(h, Config{Clock: clock.NewFake(time.Unix(3_000_000, 0))})
+		a := NewAgent(h, Config{})
 		for _, i := range order {
 			attrs := map[string]string{}
 			for _, j := range order {
@@ -402,7 +402,7 @@ func runConvergence(t *testing.T, seed int64) {
 	// every corner claims. It runs on the plan's goroutine too, hence Error.
 	boot := func(i int) {
 		n := nodes[i]
-		n.agent, n.up = NewAgent(n.host, Config{Clock: fc}), true
+		n.agent, n.up = NewAgent(n.host, Config{}), true
 		keys := []string{fmt.Sprintf("n%d-00@voicehoc.ch", i), fmt.Sprintf("n%d-01@voicehoc.ch", i)}
 		if claimsContested(i) {
 			keys = append(keys, contested)

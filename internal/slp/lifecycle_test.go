@@ -1,7 +1,9 @@
 package slp
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +37,7 @@ func TestStopDropsReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb.SetRouteProvider(direct{})
-	a := NewAgent(ha, Config{Clock: fake})
+	a := NewAgent(ha, Config{})
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,5 +99,47 @@ func TestStopDropsReplies(t *testing.T) {
 	net.Close()
 	if err := testutil.SettleGoroutines(baseline, 0, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStopEndsLookups pins the other half of Stop: every lookup waiting on the
+// network ends with ErrNotFound, whichever form started it, its tasks leave
+// the scheduler, and a lookup of a stopped agent ends at once.
+func TestStopEndsLookups(t *testing.T) {
+	for name, look := range lookupForms {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			fake := clock.NewFake(time.Unix(6_000_000, 0))
+			net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1})
+			h, err := net.AddHost("a", netem.Position{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := NewAgent(h, Config{})
+			if err := a.Start(); err != nil {
+				t.Fatal(err)
+			}
+			const n = 4
+			out := lookupAsync(t, look, a, n, "sip", "nobody@x", time.Minute)
+			a.Stop()
+			for i := 0; i < n; i++ {
+				if r := result(t, out); !errors.Is(r.err, ErrNotFound) || !strings.Contains(r.err.Error(), "agent stopped") {
+					t.Fatalf("lookup %d ended %v, want ErrNotFound from the stopped agent", i, r.err)
+				}
+			}
+			if _, err := lookupOnce(t, look, a, "sip", "nobody@x", time.Minute); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("lookup of a stopped agent = %v, want ErrNotFound", err)
+			}
+			if a.waiting() != 0 || len(a.pendingQ) != 0 {
+				t.Fatalf("%d lookups, %d queries left behind", a.waiting(), len(a.pendingQ))
+			}
+			if !testutil.AdvanceUntil(fake, time.Minute, 10*time.Minute, func() bool { return h.Sched().Pending() == 0 }) {
+				t.Fatalf("%d tasks still queued for a stopped agent", h.Sched().Pending())
+			}
+			net.Close()
+			if err := testutil.SettleGoroutines(baseline, 0, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

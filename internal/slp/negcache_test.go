@@ -10,6 +10,7 @@ import (
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
+	"siphoc/internal/testutil"
 )
 
 type lookupResult struct {
@@ -17,60 +18,113 @@ type lookupResult struct {
 	err error
 }
 
-// lookupAsync starts n concurrent Lookups of one key and returns once all of
-// them are blocked on their deadline timers (armed holds the timers already
-// pending on fc), so the caller can advance the fake clock or deliver an
-// advert knowing every lookup is in its wait.
-func lookupAsync(t *testing.T, a *Agent, fc *clock.Fake, n int, stype, key string, timeout time.Duration) <-chan lookupResult {
+// lookupForm is one of the two entrances of the one lookup: the blocking call,
+// on a goroutine of its own, or the callback call, made in place. Every case
+// below runs through both and must not be able to tell them apart.
+type lookupForm func(a *Agent, stype, key string, timeout time.Duration, done func(Service, error))
+
+var lookupForms = map[string]lookupForm{
+	"Lookup": func(a *Agent, stype, key string, timeout time.Duration, done func(Service, error)) {
+		go func() { done(a.Lookup(stype, key, timeout)) }()
+	},
+	"LookupAsync": (*Agent).LookupAsync,
+}
+
+// eachForm runs fn as a subtest per lookup form, on a fresh agent each.
+func eachForm(t *testing.T, cfg Config, fn func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake)) {
+	for name, look := range lookupForms {
+		t.Run(name, func(t *testing.T) {
+			a, fc := newShardAgent(t, cfg)
+			fn(t, look, a, fc)
+		})
+	}
+}
+
+// waiting returns how many lookups are waiting on the network.
+func (a *Agent) waiting() int {
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	return len(a.lookups)
+}
+
+// lookupAsync starts n concurrent lookups of one key and returns once all of
+// them are waiting on the network, so the caller can advance the fake clock
+// or deliver an advert knowing every lookup is in its wait.
+func lookupAsync(t *testing.T, look lookupForm, a *Agent, n int, stype, key string, timeout time.Duration) <-chan lookupResult {
 	t.Helper()
-	armed := fc.PendingTimers()
+	before := a.waiting()
 	out := make(chan lookupResult, n)
 	for i := 0; i < n; i++ {
-		go func() {
-			svc, err := a.Lookup(stype, key, timeout)
-			out <- lookupResult{svc, err}
-		}()
+		look(a, stype, key, timeout, func(svc Service, err error) { out <- lookupResult{svc, err} })
 	}
-	for deadline := time.Now().Add(5 * time.Second); fc.PendingTimers() < armed+n; runtime.Gosched() {
+	for deadline := time.Now().Add(5 * time.Second); a.waiting() < before+n; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d lookups of %s/%s blocked on the network", fc.PendingTimers()-armed, n, stype, key)
+			t.Fatalf("only %d of %d lookups of %s/%s wait on the network", a.waiting()-before, n, stype, key)
 		}
 	}
 	return out
 }
 
-// missOnNetwork runs one Lookup that has to query the network, lets its
-// timeout pass in virtual time and checks it came back ErrNotFound.
-func missOnNetwork(t *testing.T, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
+// advance lets d of virtual time pass once the agent's shard worker — the
+// only one on newShardAgent's network — has parked on its timer: a worker
+// still computing its sleep would add d to it.
+func advance(t *testing.T, fc *clock.Fake, d time.Duration) {
 	t.Helper()
-	out := lookupAsync(t, a, fc, 1, stype, key, timeout)
-	fc.Advance(timeout)
-	if r := <-out; !errors.Is(r.err, ErrNotFound) {
+	if !testutil.AdvanceParked(fc, d, testutil.Never) {
+		t.Fatal("the shard worker never parked on its timer")
+	}
+}
+
+// result waits, in real time, for a lookup the test has just released.
+func result(t *testing.T, out <-chan lookupResult) lookupResult {
+	t.Helper()
+	select {
+	case r := <-out:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("lookup never ended")
+		return lookupResult{}
+	}
+}
+
+// lookupOnce runs one lookup that what the agent already knows answers.
+func lookupOnce(t *testing.T, look lookupForm, a *Agent, stype, key string, timeout time.Duration) (Service, error) {
+	t.Helper()
+	out := make(chan lookupResult, 1)
+	look(a, stype, key, timeout, func(svc Service, err error) { out <- lookupResult{svc, err} })
+	r := result(t, out)
+	return r.svc, r.err
+}
+
+// missOnNetwork runs one lookup that has to query the network, lets its
+// timeout pass in virtual time and checks it came back ErrNotFound.
+func missOnNetwork(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
+	t.Helper()
+	out := lookupAsync(t, look, a, 1, stype, key, timeout)
+	advance(t, fc, timeout)
+	if r := result(t, out); !errors.Is(r.err, ErrNotFound) {
 		t.Fatalf("lookup %s/%s = %+v, %v; want ErrNotFound", stype, key, r.svc, r.err)
 	}
 }
 
-// missAtOnce checks that a Lookup is answered from a remembered miss: it
-// returns ErrNotFound without arming a timer or the clock being advanced, so
-// no virtual time can have passed.
-func missAtOnce(t *testing.T, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
+// missAtOnce checks that a lookup is answered from a remembered miss: it
+// ends ErrNotFound without queueing a task or the clock being advanced, so no
+// virtual time can have passed.
+func missAtOnce(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
 	t.Helper()
-	before, hits := fc.Now(), a.Stats().NegativeHits
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.Lookup(stype, key, timeout)
-		done <- err
-	}()
+	before, hits, queued := fc.Now(), a.Stats().NegativeHits, a.host.Sched().Pending()
+	out := make(chan lookupResult, 1)
+	look(a, stype, key, timeout, func(svc Service, err error) { out <- lookupResult{svc, err} })
 	select {
-	case err := <-done:
-		if !errors.Is(err, ErrNotFound) {
-			t.Fatalf("lookup %s/%s err = %v, want ErrNotFound", stype, key, err)
+	case r := <-out:
+		if !errors.Is(r.err, ErrNotFound) {
+			t.Fatalf("lookup %s/%s err = %v, want ErrNotFound", stype, key, r.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("lookup %s/%s (timeout %v) blocked on the network despite a remembered miss", stype, key, timeout)
+		t.Fatalf("lookup %s/%s (timeout %v) waits on the network despite a remembered miss", stype, key, timeout)
 	}
-	if !fc.Now().Equal(before) || fc.PendingTimers() != 0 {
-		t.Fatalf("remembered miss took virtual time: %v, %d timers pending", fc.Now().Sub(before), fc.PendingTimers())
+	if !fc.Now().Equal(before) || a.host.Sched().Pending() > queued {
+		t.Fatalf("remembered miss took virtual time: %v, %d tasks queued", fc.Now().Sub(before), a.host.Sched().Pending()-queued)
 	}
 	if got := a.Stats().NegativeHits; got != hits+1 {
 		t.Fatalf("NegativeHits = %d, want %d", got, hits+1)
@@ -85,40 +139,41 @@ func advertFor(key string, seq uint32) *Payload {
 }
 
 func TestNegativeCacheRemembersMiss(t *testing.T) {
-	a, fc := newShardAgent(t, Config{}) // AdvertTTL 30 s: misses live 10 s
-	const key = "carol@voicehoc.ch"
-	attached, detached := 500*time.Millisecond, 2*time.Second
+	eachForm(t, Config{}, func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake) {
+		const key = "carol@voicehoc.ch"
+		attached, detached := 500*time.Millisecond, 2*time.Second
 
-	missOnNetwork(t, a, fc, "sip", key, attached)
-	missAtOnce(t, a, fc, "sip", key, attached)
-	missAtOnce(t, a, fc, "sip", key, attached/2)
-	// A remembered miss counts as a lookup and never as a cache hit.
-	if s := a.Stats(); s.Lookups != 3 || s.CacheHits != 0 || s.NegativeHits != 2 {
-		t.Fatalf("stats = %+v, want 3 lookups, 0 cache hits, 2 negative hits", s)
-	}
+		missOnNetwork(t, look, a, fc, "sip", key, attached)
+		missAtOnce(t, look, a, fc, "sip", key, attached)
+		missAtOnce(t, look, a, fc, "sip", key, attached/2)
+		// A remembered miss counts as a lookup and never as a cache hit.
+		if s := a.Stats(); s.Lookups != 3 || s.CacheHits != 0 || s.NegativeHits != 2 {
+			t.Fatalf("stats = %+v, want 3 lookups, 0 cache hits, 2 negative hits", s)
+		}
 
-	// A lookup willing to wait longer than the miss did queries the network,
-	// and its own miss then covers both timeouts.
-	missOnNetwork(t, a, fc, "sip", key, detached)
-	missAtOnce(t, a, fc, "sip", key, detached)
-	missAtOnce(t, a, fc, "sip", key, attached)
+		// A lookup willing to wait longer than the miss did queries the network,
+		// and its own miss then covers both timeouts.
+		missOnNetwork(t, look, a, fc, "sip", key, detached)
+		missAtOnce(t, look, a, fc, "sip", key, detached)
+		missAtOnce(t, look, a, fc, "sip", key, attached)
 
-	// A shorter miss noted while the longer one is fresh must not weaken it.
-	a.cache.noteMiss(cacheKey{"sip", key}, attached, fc.Now(), a.refreshInterval())
-	missAtOnce(t, a, fc, "sip", key, detached)
+		// A shorter miss noted while the longer one is fresh must not weaken it.
+		a.cache.noteMiss(cacheKey{"sip", key}, attached, fc.Now(), a.refreshInterval())
+		missAtOnce(t, look, a, fc, "sip", key, detached)
 
-	// One refresh interval later the miss is forgotten and the key is
-	// queried again under a fresh query ID.
-	fc.Advance(a.refreshInterval())
-	a.qmu.Lock()
-	qid := a.qid
-	a.qmu.Unlock()
-	missOnNetwork(t, a, fc, "sip", key, attached)
-	a.qmu.Lock()
-	if a.qid != qid+1 {
-		t.Errorf("expired miss re-queried under id %d, want %d", a.qid, qid+1)
-	}
-	a.qmu.Unlock()
+		// One refresh interval later the miss is forgotten and the key is
+		// queried again under a fresh query ID.
+		fc.Advance(a.refreshInterval())
+		a.qmu.Lock()
+		qid := a.qid
+		a.qmu.Unlock()
+		missOnNetwork(t, look, a, fc, "sip", key, attached)
+		a.qmu.Lock()
+		if a.qid != qid+1 {
+			t.Errorf("expired miss re-queried under id %d, want %d", a.qid, qid+1)
+		}
+		a.qmu.Unlock()
+	})
 }
 
 // TestNegativeCacheYieldsToAdvert is the late-registration property: once an
@@ -126,42 +181,44 @@ func TestNegativeCacheRemembersMiss(t *testing.T) {
 // Register) the key resolves at once, and the advert retires the miss so a
 // later eviction re-queries instead of repeating a stale "not found".
 func TestNegativeCacheYieldsToAdvert(t *testing.T) {
-	a, fc := newShardAgent(t, Config{})
-	const key = "carol@voicehoc.ch"
-	missOnNetwork(t, a, fc, "sip", key, time.Second)
-	missAtOnce(t, a, fc, "sip", key, time.Second)
+	eachForm(t, Config{}, func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake) {
+		const key = "carol@voicehoc.ch"
+		missOnNetwork(t, look, a, fc, "sip", key, time.Second)
+		missAtOnce(t, look, a, fc, "sip", key, time.Second)
 
-	a.handlePayload(advertFor(key, 1))
-	svc, err := a.Lookup("sip", key, time.Second)
-	if err != nil || svc.Origin != "10.0.0.9" {
-		t.Fatalf("lookup after advert = %+v, %v", svc, err)
-	}
-	if s := a.Stats(); s.CacheHits != 1 {
-		t.Fatalf("stats = %+v, want the advert served as a cache hit", s)
-	}
+		a.handlePayload(advertFor(key, 1))
+		svc, err := lookupOnce(t, look, a, "sip", key, time.Second)
+		if err != nil || svc.Origin != "10.0.0.9" {
+			t.Fatalf("lookup after advert = %+v, %v", svc, err)
+		}
+		if s := a.Stats(); s.CacheHits != 1 {
+			t.Fatalf("stats = %+v, want the advert served as a cache hit", s)
+		}
 
-	a.Evict("sip", key)
-	missOnNetwork(t, a, fc, "sip", key, time.Second)
+		a.Evict("sip", key)
+		missOnNetwork(t, look, a, fc, "sip", key, time.Second)
 
-	// Same for a registration on this node.
-	missOnNetwork(t, a, fc, "sip", "dave@voicehoc.ch", time.Second)
-	if err := a.Register(Service{Type: "sip", Key: "dave@voicehoc.ch", URL: ServiceURL("sip", "self:5060")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Lookup("sip", "dave@voicehoc.ch", time.Second); err != nil {
-		t.Fatalf("lookup after local Register: %v", err)
-	}
+		// Same for a registration on this node.
+		missOnNetwork(t, look, a, fc, "sip", "dave@voicehoc.ch", time.Second)
+		if err := a.Register(Service{Type: "sip", Key: "dave@voicehoc.ch", URL: ServiceURL("sip", "self:5060")}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lookupOnce(t, look, a, "sip", "dave@voicehoc.ch", time.Second); err != nil {
+			t.Fatalf("lookup after local Register: %v", err)
+		}
+	})
 }
 
 func TestNegativeCacheSkipsWildcard(t *testing.T) {
-	a, fc := newShardAgent(t, Config{})
-	// Gateway discovery polls with the empty key; every poll must query.
-	for i := 0; i < 3; i++ {
-		missOnNetwork(t, a, fc, "gateway", "", time.Second)
-	}
-	if s := a.Stats(); s.NegativeHits != 0 {
-		t.Fatalf("wildcard lookup answered from the miss set: %+v", s)
-	}
+	eachForm(t, Config{}, func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake) {
+		// Gateway discovery polls with the empty key; every poll must query.
+		for i := 0; i < 3; i++ {
+			missOnNetwork(t, look, a, fc, "gateway", "", time.Second)
+		}
+		if s := a.Stats(); s.NegativeHits != 0 {
+			t.Fatalf("wildcard lookup answered from the miss set: %+v", s)
+		}
+	})
 }
 
 func TestNegativeCacheBounded(t *testing.T) {
@@ -206,42 +263,75 @@ func outgoingQueries(t *testing.T, a *Agent) []Query {
 }
 
 func TestLookupCoalescing(t *testing.T) {
-	a, fc := newShardAgent(t, Config{})
-	const key, n = "bob@voicehoc.ch", 16
-	out := lookupAsync(t, a, fc, n, "sip", key, 2*time.Second)
-	qs := outgoingQueries(t, a)
-	if len(qs) != 1 || qs[0].ID != 1 {
-		t.Fatalf("%d concurrent lookups ride as %+v, want one query with id 1", n, qs)
-	}
-	// The one reply releases all of them.
-	a.handlePayload(advertFor(key, 1))
-	for i := 0; i < n; i++ {
-		if r := <-out; r.err != nil || r.svc.Key != key {
-			t.Fatalf("lookup %d = %+v, %v", i, r.svc, r.err)
+	eachForm(t, Config{}, func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake) {
+		const key, n = "bob@voicehoc.ch", 16
+		out := lookupAsync(t, look, a, n, "sip", key, 2*time.Second)
+		qs := outgoingQueries(t, a)
+		if len(qs) != 1 || qs[0].ID != 1 {
+			t.Fatalf("%d concurrent lookups ride as %+v, want one query with id 1", n, qs)
 		}
-	}
-	if qs := outgoingQueries(t, a); len(qs) != 0 {
-		t.Fatalf("query still pending after every lookup returned: %+v", qs)
-	}
+		// The one reply releases all of them.
+		a.handlePayload(advertFor(key, 1))
+		for i := 0; i < n; i++ {
+			if r := <-out; r.err != nil || r.svc.Key != key {
+				t.Fatalf("lookup %d = %+v, %v", i, r.svc, r.err)
+			}
+		}
+		if qs := outgoingQueries(t, a); len(qs) != 0 {
+			t.Fatalf("query still pending after every lookup returned: %+v", qs)
+		}
 
-	// The first lookup to give up must not take the shared query off the
-	// air while another is still waiting on it.
-	short := lookupAsync(t, a, fc, 1, "sip", "erin@voicehoc.ch", 500*time.Millisecond)
-	long := lookupAsync(t, a, fc, 1, "sip", "erin@voicehoc.ch", 2*time.Second)
-	fc.Advance(500 * time.Millisecond)
-	if r := <-short; !errors.Is(r.err, ErrNotFound) {
-		t.Fatalf("short lookup = %v", r.err)
-	}
-	if qs := outgoingQueries(t, a); len(qs) != 1 || qs[0].ID != 2 {
-		t.Fatalf("after the short lookup left, pending = %+v, want the shared query id 2", qs)
-	}
-	fc.Advance(1500 * time.Millisecond)
-	if r := <-long; !errors.Is(r.err, ErrNotFound) {
-		t.Fatalf("long lookup = %v", r.err)
-	}
-	if qs := outgoingQueries(t, a); len(qs) != 0 {
-		t.Fatalf("query still pending after the last lookup left: %+v", qs)
-	}
+		// The first lookup to give up must not take the shared query off the
+		// air while another is still waiting on it.
+		short := lookupAsync(t, look, a, 1, "sip", "erin@voicehoc.ch", 500*time.Millisecond)
+		long := lookupAsync(t, look, a, 1, "sip", "erin@voicehoc.ch", 2*time.Second)
+		advance(t, fc, 500*time.Millisecond)
+		if r := <-short; !errors.Is(r.err, ErrNotFound) {
+			t.Fatalf("short lookup = %v", r.err)
+		}
+		if qs := outgoingQueries(t, a); len(qs) != 1 || qs[0].ID != 2 {
+			t.Fatalf("after the short lookup left, pending = %+v, want the shared query id 2", qs)
+		}
+		advance(t, fc, 1500*time.Millisecond)
+		if r := <-long; !errors.Is(r.err, ErrNotFound) {
+			t.Fatalf("long lookup = %v", r.err)
+		}
+		if qs := outgoingQueries(t, a); len(qs) != 0 {
+			t.Fatalf("query still pending after the last lookup left: %+v", qs)
+		}
+	})
+}
+
+// TestLookupRefloods pins the multicast-mode retry: a lookup reissues its
+// SrvRqst every timeout/3, each time under a fresh query ID, until it ends —
+// as tasks now, where a select loop over three timers used to sit.
+func TestLookupRefloods(t *testing.T) {
+	eachForm(t, Config{Mode: ModeMulticast}, func(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake) {
+		const timeout = 900 * time.Millisecond
+		out := lookupAsync(t, look, a, 1, "sip", "gone@voicehoc.ch", timeout)
+		for floods := int64(1); floods <= 3; floods++ {
+			for deadline := time.Now().Add(5 * time.Second); a.Stats().FloodsSent < floods; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("FloodsSent = %d at %v, want %d", a.Stats().FloodsSent, time.Duration(floods-1)*timeout/3, floods)
+				}
+			}
+			advance(t, fc, timeout/3)
+		}
+		if r := result(t, out); !errors.Is(r.err, ErrNotFound) {
+			t.Fatalf("lookup = %+v, %v; want ErrNotFound", r.svc, r.err)
+		}
+		a.qmu.Lock()
+		qid := a.qid
+		a.qmu.Unlock()
+		if s := a.Stats(); s.FloodsSent != 3 || qid != 3 {
+			t.Fatalf("FloodsSent = %d under query IDs up to %d, want 3 floods with IDs 1..3", s.FloodsSent, qid)
+		}
+		// The lookup is over: nothing floods again.
+		fc.Advance(timeout)
+		if s := a.Stats(); s.FloodsSent != 3 || a.waiting() != 0 {
+			t.Fatalf("after the deadline: FloodsSent = %d, %d lookups waiting", s.FloodsSent, a.waiting())
+		}
+	})
 }
 
 // TestGossipRotation pins the starvation fix: a cache that does not fit one

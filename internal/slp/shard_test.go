@@ -11,19 +11,18 @@ import (
 	"siphoc/internal/routing"
 )
 
-// newShardAgent builds an unstarted agent on a throwaway single-host network
-// with a fake clock, so tests can drive Incoming/Outgoing directly and
-// advance time deterministically.
+// newShardAgent builds an unstarted agent on a throwaway single-host,
+// single-shard network with a fake clock, so tests can drive Incoming/Outgoing
+// directly and advance time deterministically.
 func newShardAgent(t *testing.T, cfg Config) (*Agent, *clock.Fake) {
 	t.Helper()
-	net := netem.NewNetwork(netem.Config{})
+	fc := clock.NewFake(time.Unix(1_000_000, 0))
+	net := netem.NewNetwork(netem.Config{Clock: fc, Shards: 1})
 	t.Cleanup(net.Close)
 	h, err := net.AddHost("self", netem.Position{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := clock.NewFake(time.Unix(1_000_000, 0))
-	cfg.Clock = fc
 	a := NewAgent(h, cfg)
 	conn, err := h.Listen(Port)
 	if err != nil {

@@ -112,10 +112,21 @@ func TestCacheFreshness(t *testing.T) {
 }
 
 func TestCacheWaiters(t *testing.T) {
-	c := newCache()
-	ch, cancel := c.wait("sip", "x")
-	defer cancel()
-	go c.upsert(Service{Type: "sip", Key: "x", URL: "u", Origin: "n", Expires: time.Now().Add(time.Minute)})
+	net := netem.NewNetwork(netem.Config{})
+	t.Cleanup(net.Close)
+	h, err := net.AddHost("self", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgent(h, Config{})
+	ch := make(chan Service, 1)
+	a.LookupAsync("sip", "x", time.Minute, func(svc Service, err error) {
+		if err != nil {
+			t.Errorf("waiting lookup failed: %v", err)
+		}
+		ch <- svc
+	})
+	go a.cache.upsert(Service{Type: "sip", Key: "x", URL: "u", Origin: "n", Expires: time.Now().Add(time.Minute)})
 	select {
 	case svc := <-ch:
 		if svc.URL != "u" {

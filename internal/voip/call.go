@@ -95,7 +95,7 @@ func (p *Phone) newOutgoingCall(uri *sip.URI) (*Call, error) {
 		state:         StateSetup,
 		localTag:      p.stack.NewTag(),
 		remoteContact: uri,
-		media:         rtp.NewSession(mediaConn, p.clk, uint32(mediaConn.LocalPort())),
+		media:         rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
 		setupAt:       p.clk.Now(),
 		established:   make(chan struct{}),
 		ended:         make(chan struct{}),
@@ -124,7 +124,7 @@ func (p *Phone) newIncomingCall(tx *sip.ServerTx) (*Call, error) {
 		remoteTag:   req.From.Tag(),
 		inviteTx:    tx,
 		inviteReq:   req,
-		media:       rtp.NewSession(mediaConn, p.clk, uint32(mediaConn.LocalPort())),
+		media:       rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
 		setupAt:     p.clk.Now(),
 		established: make(chan struct{}),
 		ended:       make(chan struct{}),

@@ -46,8 +46,6 @@ type Config struct {
 	RegisterTTL time.Duration
 	// SIP tunes the transaction layer (default sip.SimConfig()).
 	SIP sip.Config
-	// Clock is the time source (default the system clock).
-	Clock clock.Clock
 	// Obs records the call-setup anchor span, the media-start span and
 	// call counters; it is also propagated to the embedded SIP stack
 	// unless SIP.Obs is already set. Nil disables.
@@ -63,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SIP.T1 == 0 {
 		c.SIP = sip.SimConfig()
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	if c.SIP.Obs == nil {
 		c.SIP.Obs = c.Obs
@@ -108,7 +103,7 @@ func New(host *netem.Host, cfg Config) *Phone {
 	p := &Phone{
 		host:     host,
 		cfg:      cfg,
-		clk:      cfg.Clock,
+		clk:      host.Clock(),
 		obs:      cfg.Obs,
 		calls:    make(map[string]*Call),
 		incoming: make(chan *Call, 8),

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"siphoc/internal/clock"
 	"siphoc/internal/core"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
@@ -76,12 +75,9 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	}
 
 	// MANET SLP agent (the routing-handler plugin owner).
-	slpCfg := slp.Config{Mode: s.cfg.SLPMode, Clock: s.clk}
+	slpCfg := slp.Config{Mode: s.cfg.SLPMode}
 	if s.cfg.SLP != nil {
 		slpCfg = *s.cfg.SLP
-		if slpCfg.Clock == nil {
-			slpCfg.Clock = s.clk
-		}
 	}
 	if slpCfg.Obs == nil {
 		slpCfg.Obs = s.obs
@@ -92,7 +88,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	switch o.routing {
 	case RoutingAODV:
 		cfg := aodv.SimConfig()
-		cfg.Clock = s.clk
 		cfg.Obs = s.obs
 		cfg = scaleAODV(cfg, s.cfg.TimeScale)
 		n.routing = aodv.New(host, cfg)
@@ -100,9 +95,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		cfg := olsr.SimConfig()
 		if s.cfg.OLSR != nil {
 			cfg = *s.cfg.OLSR
-		}
-		if cfg.Clock == nil {
-			cfg.Clock = s.clk
 		}
 		if cfg.Obs == nil {
 			cfg.Obs = s.obs
@@ -125,7 +117,7 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 
 	// Gateway Provider on Internet-connected nodes.
 	if o.gateway {
-		gwCfg := core.GatewayConfig{Clock: s.clk, Obs: s.obs}
+		gwCfg := core.GatewayConfig{Obs: s.obs}
 		if s.trunk {
 			gwCfg.Trunk = &core.TrunkConfig{}
 		}
@@ -139,7 +131,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	// Connection Provider everywhere else (a gateway is already attached).
 	if !o.noConnPrvdr && !o.gateway {
 		cpCfg := core.ConnProviderConfig{
-			Clock:         s.clk,
 			Obs:           s.obs,
 			ProbeInterval: scaleDur(250*time.Millisecond, s.cfg.TimeScale),
 			LookupTimeout: scaleDur(200*time.Millisecond, s.cfg.TimeScale),
@@ -168,11 +159,7 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	}
 
 	// The SIPHoc proxy.
-	sipCfg := sip.SimConfig()
-	sipCfg.Clock = s.clk
 	proxyCfg := core.ProxyConfig{
-		SIP:          sipCfg,
-		Clock:        s.clk,
 		Obs:          s.obs,
 		SLPTimeout:   scaleDur(2*time.Second, s.cfg.TimeScale),
 		SLPCacheOnly: s.prefix != "",
@@ -278,13 +265,6 @@ func (n *Node) NewPhoneWith(cfg PhoneConfig) (*Phone, error) {
 	if cfg.Port == 0 {
 		cfg.Port = 5062 + uint16(2*count)
 	}
-	if cfg.SIP.T1 == 0 {
-		cfg.SIP = sip.SimConfig()
-		cfg.SIP.Clock = n.scenario.clk
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = n.scenario.clk
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = n.scenario.obs
 	}
@@ -302,20 +282,6 @@ func (n *Node) NewPhoneWith(cfg PhoneConfig) (*Phone, error) {
 	n.phones = append(n.phones, ph)
 	n.mu.Unlock()
 	return ph, nil
-}
-
-// newInternetPhone builds a phone for a host attached directly to the
-// Internet, using the provider's proxy as its outbound proxy (the normal
-// Internet SIP configuration, without SIPHoc in the path).
-func newInternetPhone(host *netem.Host, user, password, domain string, proxy sip.Addr, clk clock.Clock) *voip.Phone {
-	sipCfg := sip.SimConfig()
-	sipCfg.Clock = clk
-	return voip.New(host, voip.Config{
-		User: user, Password: password, Domain: domain,
-		OutboundProxy: proxy,
-		SIP:           sipCfg,
-		Clock:         clk,
-	})
 }
 
 // Close stops all services on the node.

@@ -14,6 +14,7 @@ import (
 	"siphoc/internal/obs"
 	"siphoc/internal/routing/olsr"
 	"siphoc/internal/slp"
+	"siphoc/internal/voip"
 )
 
 // RoutingKind selects the MANET routing protocol for a scenario or node.
@@ -56,8 +57,8 @@ type ScenarioConfig struct {
 	// is ignored.
 	SLP *slp.Config
 	// OLSR overrides the OLSR protocol configuration for OLSR nodes
-	// (Clock and Obs are filled from the scenario when unset, and
-	// TimeScale still applies on top). Nil keeps olsr.SimConfig — whose
+	// (Obs is filled from the scenario when unset, and TimeScale still
+	// applies on top). Nil keeps olsr.SimConfig — whose
 	// timings suit small networks; large grids need intervals scaled
 	// with node count to keep the control-plane load inside the machine.
 	OLSR *olsr.Config
@@ -72,7 +73,9 @@ type ScenarioConfig struct {
 	// TimeScale stretches protocol timers; 1.0 (default) uses the fast
 	// simulation timings throughout.
 	TimeScale float64
-	// Clock is the time source (default the system clock).
+	// Clock is the MANET medium's time source, and so every component's
+	// (default the system clock). It is Radio.Clock under another name:
+	// setting both to different clocks is an error.
 	Clock clock.Clock
 	// NoObservability disables the scenario-wide metrics registry and call
 	// tracer (kept separate so the zero value of ScenarioConfig observes;
@@ -90,9 +93,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.TimeScale == 0 {
 		c.TimeScale = 1
-	}
-	if c.Clock == nil {
-		c.Clock = clock.New()
 	}
 	return c
 }
@@ -153,8 +153,8 @@ func WithTimeScale(f float64) ScenarioOption {
 	return func(b *scenarioBuild) { b.cfg.TimeScale = f }
 }
 
-// WithClock sets the scenario time source (fake clocks give deterministic
-// schedules).
+// WithClock sets the clock of the scenario's networks, which is the time
+// source of everything on them (fake clocks give deterministic schedules).
 func WithClock(c clock.Clock) ScenarioOption {
 	return func(b *scenarioBuild) { b.cfg.Clock = c }
 }
@@ -199,7 +199,7 @@ func WithFaultPlan(seed int64) ScenarioOption {
 func WithFederation(f *FederationScenario, islandPrefix string) ScenarioOption {
 	return func(b *scenarioBuild) {
 		b.cfg.Internet = true
-		b.cfg.Clock = f.clk
+		b.cfg.Clock = f.Clock()
 		b.cfg.TimeScale = f.cfg.TimeScale
 		b.obs = f.observer
 		b.inet = f.inet
@@ -217,7 +217,6 @@ func withConfig(cfg ScenarioConfig) ScenarioOption {
 // Internet with SIP providers, and the set of SIPHoc nodes.
 type Scenario struct {
 	cfg ScenarioConfig
-	clk clock.Clock
 	obs *obs.Observer // nil when NoObservability
 
 	net  *netem.Network
@@ -250,12 +249,15 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 	}
 	cfg := b.cfg.withDefaults()
 	radio := cfg.Radio
-	if radio.Clock == nil {
+	switch {
+	case radio.Clock == nil:
 		radio.Clock = cfg.Clock
+	case cfg.Clock != nil && cfg.Clock != radio.Clock:
+		return nil, fmt.Errorf("siphoc: WithClock and Radio.Clock name different clocks; a scenario has one")
 	}
 	observer := b.obs
 	if observer == nil && !cfg.NoObservability {
-		observer = obs.New(cfg.Clock)
+		observer = obs.New(radio.Clock) // nil is the system clock here as in the network
 	}
 	if radio.Obs == nil {
 		radio.Obs = observer
@@ -265,7 +267,6 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 	}
 	s := &Scenario{
 		cfg:     cfg,
-		clk:     cfg.Clock,
 		obs:     observer,
 		net:     netem.NewNetwork(radio),
 		prefix:  b.prefix,
@@ -277,7 +278,7 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 	case b.inet != nil:
 		s.inet = b.inet
 	case cfg.Internet:
-		s.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: cfg.Clock})
+		s.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: radio.Clock})
 		s.ownInet = true
 	}
 	if b.faultSeed != nil {
@@ -302,8 +303,8 @@ func (s *Scenario) Observer() *Observer { return s.obs }
 // Internet exposes the simulated Internet, or nil.
 func (s *Scenario) Internet() *internet.Internet { return s.inet }
 
-// Clock returns the scenario's time source.
-func (s *Scenario) Clock() clock.Clock { return s.clk }
+// Clock returns the scenario's time source: its network's.
+func (s *Scenario) Clock() clock.Clock { return s.net.Clock() }
 
 // AddNode creates a full SIPHoc node (routing protocol, MANET SLP,
 // Connection Provider, proxy — plus a Gateway Provider for gateway nodes)
@@ -442,9 +443,6 @@ func (s *Scenario) AddProvider(cfg ProviderConfig) (*Provider, error) {
 	if s.inet == nil {
 		return nil, fmt.Errorf("siphoc: scenario has no Internet")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = s.clk
-	}
 	p, err := internet.NewProvider(s.inet, cfg)
 	if err != nil {
 		return nil, err
@@ -485,7 +483,12 @@ func (s *Scenario) AddInternetPhoneWithPassword(user, password, domain string, h
 	if err != nil {
 		return nil, err
 	}
-	ph := newInternetPhone(host, user, password, domain, prov.ProxyAddr(), s.clk)
+	// The normal Internet SIP configuration, without SIPHoc in the path: the
+	// provider's proxy is the outbound proxy.
+	ph := voip.New(host, voip.Config{
+		User: user, Password: password, Domain: domain,
+		OutboundProxy: prov.ProxyAddr(),
+	})
 	if err := ph.Start(); err != nil {
 		s.inet.RemoveHost(hostID)
 		return nil, err
@@ -503,18 +506,19 @@ func (s *Scenario) AddInternetPhoneWithPassword(user, password, domain string, h
 // timeout even while the provider's own retry budget is exhausted: a
 // gateway appearing late still attaches the node.
 func (s *Scenario) WaitAttached(n *Node, timeout time.Duration) error {
-	deadline := s.clk.Now().Add(timeout)
+	clk := s.Clock()
+	deadline := clk.Now().Add(timeout)
 	for {
 		if n.InternetAttached() {
 			return nil
 		}
-		if s.clk.Now().After(deadline) {
+		if clk.Now().After(deadline) {
 			if n.connp != nil {
 				return fmt.Errorf("siphoc: node %s not attached after %v: %w", n.ID(), timeout, core.ErrNoGateway)
 			}
 			return fmt.Errorf("siphoc: node %s never attached to the Internet", n.ID())
 		}
-		s.clk.Sleep(10 * time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
 }
 
