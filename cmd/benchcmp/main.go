@@ -11,8 +11,8 @@
 // heap_alloc_mb / gc_pause_ms. (gc_cycles is reported but not gated: at fixed
 // GOGC a smaller live heap is collected more often, so the count rises when
 // the program improves.) The time/alloc metrics may grow at most 25% over
-// the committed value; the noisier GC metrics get wider per-metric
-// tolerances. Benchmarks present only in the fresh run (new grid
+// the committed value, and one committed at zero must stay zero; the noisier
+// GC metrics get wider per-metric tolerances. Benchmarks present only in the fresh run (new grid
 // sizes) or only in the snapshot (retired ones) are reported and skipped, so
 // adding a scale point never trips the gate.
 package main
@@ -102,7 +102,18 @@ func main() {
 		for _, g := range guarded {
 			ov, okOld := ob.Metrics[g.name]
 			nv, okNew := nb.Metrics[g.name]
-			if !okOld || !okNew || ov <= 0 || ov < g.floor {
+			if !okOld || !okNew || ov < 0 || ov < g.floor {
+				continue
+			}
+			if ov == 0 {
+				// Nothing to ratio against: a committed zero (an
+				// allocation-free path) is held at zero.
+				if nv > 0 {
+					failed = true
+					fmt.Printf("%s: %s regressed 0 -> %.0f (committed zero)\n", nb.Name, g.name, nv)
+				} else {
+					fmt.Printf("%s: %s 0 -> 0 ok\n", nb.Name, g.name)
+				}
 				continue
 			}
 			ratio := nv / ov

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -171,18 +173,31 @@ func TestGatewayTunnelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	done := make(chan string, 1)
+	// A burst of datagrams of every length class, each one echoed: both tunnel
+	// ends decapsulate in place, inside a datagram whose buffer is poisoned
+	// and reused as soon as their handler returns, and the echo writes back
+	// the bytes it was lent.
+	const burst = 40
+	done := make(chan string, burst)
 	local.Handle(func(dg *netem.Datagram) { done <- string(dg.Data) })
-	if err := local.WriteTo([]byte("ping-internet"), "echo.example", 7); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-done:
-		if got != "ping-internet" {
-			t.Fatalf("echo = %q", got)
+	want := make(map[string]bool, burst)
+	for i := range burst {
+		msg := fmt.Sprintf("ping-internet-%d-%s", i, strings.Repeat("x", i*37%900))
+		want[msg] = true
+		if err := local.WriteTo([]byte(msg), "echo.example", 7); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("echo never returned through the tunnel")
+	}
+	for len(want) > 0 {
+		select {
+		case got := <-done:
+			if !want[got] {
+				t.Fatalf("echo = %q, not among the %d still owed", got, len(want))
+			}
+			delete(want, got)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d echoes never returned through the tunnel", len(want))
+		}
 	}
 
 	// Stop the connection provider: the gateway evicts the client after

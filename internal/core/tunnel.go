@@ -47,6 +47,9 @@ func (m *tunnelMsg) marshal() []byte {
 	return w.Bytes()
 }
 
+// parseTunnelMsg decodes b. Inner aliases b: both tunnel ends hand it to the
+// local stack (netem.InjectDatagram, SendDatagram, the trunk's frame under
+// construction) before the datagram b arrived in goes back to the network.
 func parseTunnelMsg(b []byte) (*tunnelMsg, error) {
 	r := wire.NewReader(b)
 	m := &tunnelMsg{Kind: r.U8()}
@@ -54,7 +57,7 @@ func parseTunnelMsg(b []byte) (*tunnelMsg, error) {
 	case tunOpenAck:
 		m.OK = r.U8() == 1
 	case tunData:
-		m.Inner = append([]byte(nil), r.Remaining()...)
+		m.Inner = r.Remaining()
 	case tunOpen, tunClose, tunPing, tunPong:
 	default:
 		return nil, fmt.Errorf("core: unknown tunnel message kind %d", m.Kind)

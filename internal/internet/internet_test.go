@@ -36,7 +36,7 @@ func TestFullMeshConnectivity(t *testing.T) {
 	defer ca.Close()
 	defer cb.Close()
 	arrived := make(chan *netem.Datagram, 1)
-	cb.Handle(func(dg *netem.Datagram) { arrived <- dg })
+	cb.Handle(func(dg *netem.Datagram) { arrived <- dg.Clone() })
 	if err := ca.WriteTo([]byte("hi"), "b.example", 2); err != nil {
 		t.Fatal(err)
 	}

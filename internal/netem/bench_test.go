@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,6 +73,33 @@ func BenchmarkNeighbors(b *testing.B) {
 	for b.Loop() {
 		if got := n.Neighbors("g.28"); len(got) == 0 {
 			b.Fatal("no neighbours")
+		}
+	}
+}
+
+// BenchmarkConnWriteTo is a datagram's whole life on the data path, one at a
+// time: Conn.WriteTo, the relays if any, the destination port's handler. The
+// sizes are a G.711 frame under its RTP header and a SIP message; allocs/op
+// is the gated number (wire buffer and delivered header are recycled). No
+// simulated delay, so ns/op is the code and not the host's timer slack.
+func BenchmarkConnWriteTo(b *testing.B) {
+	for _, hops := range []int{1, 3} {
+		for _, size := range []int{172, 900} {
+			b.Run(fmt.Sprintf("%dB/%dhop", size, hops), func(b *testing.B) {
+				_, hosts := staticChain(b, Config{BaseDelay: -1, BytesPerSecond: -1}, hops+1)
+				src, _ := hosts[0].Listen(7)
+				dst, _ := hosts[hops].Listen(9)
+				arrived := make(chan struct{}, 1)
+				dst.Handle(func(*Datagram) { arrived <- struct{}{} })
+				data := make([]byte, size)
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := src.WriteTo(data, hosts[hops].ID(), 9); err != nil {
+						b.Fatal(err)
+					}
+					<-arrived
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -31,7 +33,7 @@ func forEachForwardMode(t *testing.T, fn func(t *testing.T, cfg Config)) {
 
 // staticChain builds k hosts 90 m apart, each with static routes along the
 // line to every other.
-func staticChain(t *testing.T, cfg Config, k int) (*Network, []*Host) {
+func staticChain(t testing.TB, cfg Config, k int) (*Network, []*Host) {
 	t.Helper()
 	n := NewNetwork(cfg)
 	t.Cleanup(n.Close)
@@ -110,32 +112,286 @@ func TestTransitHopAllocFree(t *testing.T) {
 	})
 }
 
-// TestWriteToDeliveryAllocBudget pins a datagram's whole life over three hops
-// — Conn.WriteTo, two relays, the destination's handler — at the wire buffer
-// and the delivered Datagram.
+// TestWriteToDeliveryAllocBudget pins a datagram's whole life — Conn.WriteTo,
+// the relays if any, the destination's handler — at no allocation at all, for
+// a voice frame and a SIP message, over one hop and three: the wire buffer is
+// recycled and the delivered header rides in the pooled delivery.
 func TestWriteToDeliveryAllocBudget(t *testing.T) {
 	skipAllocPin(t)
 	forEachForwardMode(t, func(t *testing.T, cfg Config) {
 		_, hosts := staticChain(t, cfg, 4)
 		src, _ := hosts[0].Listen(7)
-		dst, _ := hosts[3].Listen(9)
 		arrived := make(chan uint8, 1)
-		dst.Handle(func(dg *Datagram) { arrived <- dg.TTL })
-		data := make([]byte, 172)
-		var ttl uint8
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := src.WriteTo(data, hosts[3].ID(), 9); err != nil {
-				t.Fatal(err)
+		for _, hops := range []int{1, 3} {
+			dst, _ := hosts[hops].Listen(9)
+			dst.Handle(func(dg *Datagram) { arrived <- dg.TTL })
+			for _, size := range []int{172, 900} {
+				data := make([]byte, size)
+				var ttl uint8
+				allocs := testing.AllocsPerRun(200, func() {
+					if err := src.WriteTo(data, hosts[hops].ID(), 9); err != nil {
+						t.Fatal(err)
+					}
+					ttl = <-arrived
+				})
+				if allocs != 0 {
+					t.Errorf("%v allocations per %d-byte datagram over %d hops, want 0", allocs, size, hops)
+				}
+				if want := uint8(DefaultTTL - hops + 1); ttl != want {
+					t.Errorf("TTL at the receiver after %d hops = %d, want %d", hops, ttl, want)
+				}
 			}
-			ttl = <-arrived
-		})
-		if allocs > 2 {
-			t.Errorf("%v allocations per datagram over 3 hops, want <= 2", allocs)
-		}
-		if ttl != DefaultTTL-2 {
-			t.Errorf("TTL at the receiver = %d, want %d", ttl, DefaultTTL-2)
 		}
 	})
+}
+
+// TestLoopbackWriteToAllocFree: a datagram to the sender's own host, which is
+// how a phone reaches its proxy, is copied into a recycled buffer and a pooled
+// delivery and costs nothing either.
+func TestLoopbackWriteToAllocFree(t *testing.T) {
+	skipAllocPin(t)
+	_, hosts := staticChain(t, Config{BaseDelay: -1}, 1)
+	tx, _ := hosts[0].Listen(7)
+	rx, _ := hosts[0].Listen(9)
+	arrived := make(chan int, 1)
+	rx.Handle(func(dg *Datagram) { arrived <- len(dg.Data) })
+	data := make([]byte, 900)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := tx.WriteTo(data, hosts[0].ID(), 9); err != nil {
+			t.Fatal(err)
+		}
+		<-arrived
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per loopback datagram, want 0", allocs)
+	}
+}
+
+// TestRecycledBufferIsPoisoned: what a handler is lent is overwritten as soon
+// as it returns, so a handler that wrongly kept dg.Data reads poison, the same
+// on every run, and one that kept a Clone reads its bytes.
+func TestRecycledBufferIsPoisoned(t *testing.T) {
+	forEachForwardMode(t, func(t *testing.T, cfg Config) {
+		_, hosts := staticChain(t, cfg, 2)
+		src, _ := hosts[0].Listen(7)
+		dst, _ := hosts[1].Listen(9)
+		var aliased []byte
+		var cloned *Datagram
+		handled := make(chan struct{}, 1)
+		dst.Handle(func(dg *Datagram) {
+			if aliased == nil {
+				aliased, cloned = dg.Data, dg.Clone()
+			}
+			handled <- struct{}{}
+		})
+		if err := src.WriteTo([]byte("a voice frame"), hosts[1].ID(), 9); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+		// The next datagram for this host runs on the same worker after the
+		// first has been recycled, and is too long to be given its buffer.
+		if err := src.WriteTo(make([]byte, 900), hosts[1].ID(), 9); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+		if want := bytes.Repeat([]byte{poison[0]}, len(aliased)); !bytes.Equal(aliased, want) {
+			t.Errorf("kept alias of dg.Data reads %q, want poison", aliased)
+		}
+		if string(cloned.Data) != "a voice frame" || cloned.SrcNode != hosts[0].ID() || cloned.SrcPort != 7 || cloned.DstPort != 9 {
+			t.Errorf("Clone reads %+v", cloned)
+		}
+	})
+}
+
+// heldDiscovery is a RouteProvider whose discoveries end when the test says
+// so, with the routes the test gives it then.
+type heldDiscovery struct {
+	mu     sync.Mutex
+	routes staticRoutes
+	done   []func(bool)
+}
+
+func (p *heldDiscovery) NextHop(dst NodeID) (NodeID, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	nh, ok := p.routes[dst]
+	return nh, ok
+}
+
+func (p *heldDiscovery) RequestRoute(_ NodeID, done func(bool)) {
+	p.mu.Lock()
+	p.done = append(p.done, done)
+	p.mu.Unlock()
+}
+
+func (p *heldDiscovery) finish(found bool, routes staticRoutes) {
+	p.mu.Lock()
+	p.routes = routes
+	done := p.done
+	p.done = nil
+	p.mu.Unlock()
+	for _, fn := range done {
+		fn(found)
+	}
+}
+
+// TestBorrowedSendDatagram: SendDatagram, InjectDatagram and WriteTo are done
+// with the caller's storage when they return, whichever way the datagram goes
+// — over a live route, by loopback, or into the pending-discovery queue. The
+// caller scribbles over header and data at once and the receiver still sees
+// what was sent.
+func TestBorrowedSendDatagram(t *testing.T) {
+	forEachForwardMode(t, func(t *testing.T, cfg Config) {
+		n := NewNetwork(cfg)
+		defer n.Close()
+		a, _ := n.AddHost("a", Position{})
+		b, _ := n.AddHost("b", Position{X: 90})
+		rp := &heldDiscovery{}
+		a.SetRouteProvider(rp)
+		ca, _ := a.Listen(7)
+		la, _ := a.Listen(9)
+		cb, _ := b.Listen(9)
+		aIn, bIn := inbox(la), inbox(cb)
+
+		sends := []struct {
+			name string
+			send func(dst NodeID, data []byte)
+		}{
+			{"WriteTo", func(dst NodeID, data []byte) {
+				if err := ca.WriteTo(data, dst, 9); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"SendDatagram", func(dst NodeID, data []byte) {
+				dg := Datagram{DstNode: dst, SrcPort: 7, DstPort: 9, Data: data}
+				if err := a.SendDatagram(&dg); err != nil {
+					t.Fatal(err)
+				}
+				dg = Datagram{SrcNode: "#", DstNode: "#", DstPort: 1}
+			}},
+			{"InjectDatagram", func(dst NodeID, data []byte) {
+				dg := Datagram{SrcNode: "a", DstNode: dst, SrcPort: 7, DstPort: 9, TTL: DefaultTTL, Data: data}
+				a.InjectDatagram(&dg)
+				dg = Datagram{SrcNode: "#", DstNode: "#", DstPort: 1}
+			}},
+		}
+		paths := []struct {
+			name   string
+			dst    NodeID
+			in     <-chan *Datagram
+			routes staticRoutes // before the send
+			found  staticRoutes // what the discovery held during the send finds
+		}{
+			{"routed", "b", bIn, staticRoutes{"b": "b"}, nil},
+			{"loopback", "a", aIn, nil, nil},
+			{"no route yet", "b", bIn, nil, staticRoutes{"b": "b"}},
+		}
+		for _, p := range paths {
+			for _, s := range sends {
+				rp.finish(false, p.routes)
+				want := s.name + " " + p.name
+				data := []byte(want)
+				s.send(p.dst, data)
+				for i := range data {
+					data[i] = '#'
+				}
+				if p.found != nil {
+					rp.finish(true, p.found)
+				}
+				if dg := waitRecv(t, p.in); string(dg.Data) != want || dg.SrcNode != "a" || dg.SrcPort != 7 {
+					t.Errorf("%s: received %q from %s:%d", want, dg.Data, dg.SrcNode, dg.SrcPort)
+				}
+			}
+		}
+	})
+}
+
+// TestFlushPendingCountsWhatItDoes: when discovery reports a route that is
+// gone again by the time the queue is flushed, the queued datagrams count as
+// NoRoute; and a datagram that was in transit when it was queued counts as
+// Forwarded when it is sent from the queue.
+func TestFlushPendingCountsWhatItDoes(t *testing.T) {
+	forEachForwardMode(t, func(t *testing.T, cfg Config) {
+		n := NewNetwork(cfg)
+		defer n.Close()
+		a, _ := n.AddHost("a", Position{})
+		r, _ := n.AddHost("r", Position{X: 90})
+		c, _ := n.AddHost("c", Position{X: 180})
+		a.SetRouteProvider(staticRoutes{"c": "r"})
+		rp := &heldDiscovery{}
+		r.SetRouteProvider(rp)
+		ca, _ := a.Listen(1)
+		cc, _ := c.Listen(2)
+		ccIn := inbox(cc)
+		queued := func(want int) {
+			t.Helper()
+			waitFor(t, 2*time.Second, func() bool {
+				r.mu.RLock()
+				defer r.mu.RUnlock()
+				return len(r.pending["c"]) == want
+			}, fmt.Sprintf("relay never queued %d datagrams", want))
+		}
+
+		for range 3 {
+			if err := ca.WriteTo([]byte("transit"), "c", 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queued(3)
+		rp.finish(true, nil) // found, and lost again
+		if s := r.Stats(); s.NoRoute != 3 || s.Forwarded != 0 {
+			t.Errorf("route lost before the flush: relay stats %+v, want NoRoute 3, Forwarded 0", s)
+		}
+		if arrived(ccIn) {
+			t.Error("a datagram left the relay without a route")
+		}
+
+		if err := ca.WriteTo([]byte("transit"), "c", 2); err != nil {
+			t.Fatal(err)
+		}
+		queued(1)
+		rp.finish(true, staticRoutes{"c": "c"})
+		if dg := waitRecv(t, ccIn); string(dg.Data) != "transit" || dg.TTL != DefaultTTL-1 {
+			t.Fatalf("received %+v", dg)
+		}
+		if s := r.Stats(); s.NoRoute != 3 || s.Forwarded != 1 {
+			t.Errorf("relayed from the queue: relay stats %+v, want NoRoute 3, Forwarded 1", s)
+		}
+		// A datagram the relay originates itself and queues is not a forward.
+		rp.finish(false, nil)
+		cr, _ := r.Listen(1)
+		if err := cr.WriteTo([]byte("own"), "c", 2); err != nil {
+			t.Fatal(err)
+		}
+		queued(1)
+		rp.finish(true, staticRoutes{"c": "c"})
+		waitRecv(t, ccIn)
+		if s := r.Stats(); s.Forwarded != 1 {
+			t.Errorf("own datagram sent from the queue: Forwarded = %d, want 1", s.Forwarded)
+		}
+	})
+}
+
+// TestOversizeRefusedBeforeABufferIsTaken: a datagram that cannot fit a frame
+// is ErrFrameTooBig, on the medium not at all, and costs the free list nothing.
+func TestOversizeRefusedBeforeABufferIsTaken(t *testing.T) {
+	n, hosts := staticChain(t, Config{BaseDelay: -1}, 2)
+	src, _ := hosts[0].Listen(7)
+	big := make([]byte, MTU) // one header too many
+	if err := src.WriteTo(big, hosts[1].ID(), 9); !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("WriteTo of %d bytes: %v, want ErrFrameTooBig", len(big), err)
+	}
+	if err := hosts[0].SendDatagram(&Datagram{DstNode: hosts[1].ID(), DstPort: 9, Data: big}); !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("SendDatagram of %d bytes: %v, want ErrFrameTooBig", len(big), err)
+	}
+	if got := n.Stats().TotalFrames(); got != 0 {
+		t.Errorf("%d frames on the medium, want 0", got)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { _ = src.WriteTo(big, hosts[1].ID(), 9) }); allocs != 0 {
+			t.Errorf("refusing an oversize datagram allocates %v, want 0", allocs)
+		}
+	}
 }
 
 // TestForwardTTLSemantics: a relay spends one hop of the limit whether it
@@ -248,7 +504,7 @@ func TestLoopbackWriteToStaysOffTheMedium(t *testing.T) {
 		if err := tx.WriteTo(data, hosts[0].ID(), 9); err != nil {
 			t.Fatal(err)
 		}
-		data[0] = 'X' // WriteTo copied
+		data[0] = 'X' // WriteTo is done with data
 		dg := waitRecv(t, rxIn)
 		if string(dg.Data) != "local" || dg.SrcPort != 7 || dg.TTL != DefaultTTL {
 			t.Fatalf("received %+v", dg)
@@ -322,6 +578,66 @@ func TestSeededLossChainGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(lost, lossChainGolden) {
 			t.Errorf("lost %v\nwant %v", lost, lossChainGolden)
+		}
+	})
+}
+
+// TestBroadcastLossSharesNeighbourhood: on a lossy radio a broadcast that
+// loses no receiver delivers to the cached neighbourhood slice itself, for no
+// allocation; one that does lose some delivers to a copy without them, and the
+// cache is never written through.
+func TestBroadcastLossSharesNeighbourhood(t *testing.T) {
+	star := func(loss float64) (*Network, *Host, *atomic.Int64) {
+		n := NewNetwork(Config{BaseDelay: -1, LossRate: loss, Seed: 9})
+		t.Cleanup(n.Close)
+		centre, _ := n.AddHost("c", Position{})
+		var got atomic.Int64
+		for i, pos := range []Position{{X: 50}, {X: -50}, {Y: 50}, {Y: -50}} {
+			h, err := n.AddHost(NodeName("n", i), pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.HandleFrames(KindRouting, func(Frame) { got.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n, centre, &got
+	}
+	hello := make([]byte, 120)
+
+	t.Run("no receiver lost", func(t *testing.T) {
+		skipAllocPin(t)
+		_, centre, got := star(1e-12)
+		var want int64
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := centre.SendFrame(Broadcast, KindRouting, hello); err != nil {
+				t.Fatal(err)
+			}
+			want += 4
+			for got.Load() < want {
+				runtime.Gosched()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v allocations per broadcast that lost nobody, want 0", allocs)
+		}
+	})
+
+	t.Run("half lost", func(t *testing.T) {
+		n, centre, got := star(0.5)
+		cached := append([]*Host(nil), n.neighborhoodOf("c").hosts...)
+		const sent = 500
+		for range sent {
+			if err := centre.SendFrame(Broadcast, KindRouting, hello); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 2*time.Second, func() bool { return got.Load()+n.Stats().Lost == 4*sent }, "deliveries and losses never added up to the receivers")
+		if lost := n.Stats().Lost; lost < sent || lost > 3*sent {
+			t.Errorf("lost %d of %d copies at 50 %% loss", lost, 4*sent)
+		}
+		if now := n.neighborhoodOf("c").hosts; !reflect.DeepEqual(now, cached) {
+			t.Errorf("cached neighbourhood changed under loss: %d hosts, was %d", len(now), len(cached))
 		}
 	})
 }

@@ -59,7 +59,10 @@ func FuzzUnmarshalUDPFrame(f *testing.F) {
 // FuzzDatagramForwardInPlace: for any input the header decoder accepts, a
 // relay's in-place forward — one less in the byte at the offset the decoder
 // reports — is byte for byte the re-encoding of the decoded datagram with
-// TTL-1, and the offset lies inside the header.
+// TTL-1, and the offset lies inside the header. Then the decoded data crosses
+// a relay for real, followed through the recycled wire buffers by the same
+// data one byte longer or shorter: each receiver's Clone holds what was sent
+// to it, after both are back on the free list.
 func FuzzDatagramForwardInPlace(f *testing.F) {
 	good, _ := MarshalDatagram(&Datagram{
 		SrcNode: "10.0.0.1", DstNode: "10.0.0.2",
@@ -68,6 +71,10 @@ func FuzzDatagramForwardInPlace(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0}) // empty node IDs, TTL 0, no data
 	f.Add([]byte{0})
+	_, hosts := staticChain(f, Config{BaseDelay: -1}, 3)
+	src, _ := hosts[0].Listen(7)
+	dst, _ := hosts[2].Listen(9)
+	dstIn := inbox(dst)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dg Datagram
 		ttlOff, err := decodeDatagramZeroCopy(&dg, data)
@@ -86,6 +93,29 @@ func FuzzDatagramForwardInPlace(f *testing.F) {
 		forwarded[ttlOff]--
 		if !bytes.Equal(forwarded, want) {
 			t.Fatalf("in-place forward %x\nre-encoding      %x", forwarded, want)
+		}
+
+		first := dg.Data
+		room := MTU - datagramWireLen(&Datagram{SrcNode: hosts[0].ID(), DstNode: hosts[2].ID()})
+		if len(first) > room {
+			if err := src.WriteTo(first, hosts[2].ID(), 9); err != ErrFrameTooBig {
+				t.Fatalf("WriteTo of %d bytes: %v, want ErrFrameTooBig", len(first), err)
+			}
+			return
+		}
+		second := append(first[:len(first):len(first)], 'x')
+		if len(second) > room {
+			second = first[:len(first)-1]
+		}
+		var got [2]*Datagram
+		for i, sent := range [][]byte{first, second} {
+			if err := src.WriteTo(sent, hosts[2].ID(), 9); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = waitRecv(t, dstIn)
+		}
+		if !bytes.Equal(got[0].Data, first) || !bytes.Equal(got[1].Data, second) || got[0].TTL != DefaultTTL-1 {
+			t.Fatalf("delivered %q then %q (TTL %d)\nsent      %q then %q", got[0].Data, got[1].Data, got[0].TTL, first, second)
 		}
 	})
 }

@@ -72,7 +72,7 @@ type Host struct {
 	defaultFn func(*Datagram) bool
 	sink      func(*Datagram)
 	ports     map[uint16]*Conn
-	pending   map[NodeID][]*Datagram
+	pending   map[NodeID][]queued
 	nextPort  uint16
 	closed    bool
 
@@ -83,13 +83,20 @@ type Host struct {
 // discovery, mirroring AODV's small send buffer.
 const maxPending = 16
 
+// queued is a datagram awaiting route discovery: the host's own copy of it
+// (see Frame), and whether it was passing through when it was queued.
+type queued struct {
+	dg      *Datagram
+	transit bool
+}
+
 func newHost(n *Network, id NodeID) *Host {
 	h := &Host{
 		net:      n,
 		id:       id,
 		handlers: make(map[FrameKind]func(Frame)),
 		ports:    make(map[uint16]*Conn),
-		pending:  make(map[NodeID][]*Datagram),
+		pending:  make(map[NodeID][]queued),
 		nextPort: 32768,
 	}
 	return h
@@ -149,7 +156,7 @@ func (h *Host) SetRouteProvider(rp RouteProvider) {
 // SetDefaultHandler installs fn as the last-resort handler for datagrams
 // whose destination is not a known MANET node. It is how the Connection
 // Provider tunnels Internet-bound traffic to a gateway. fn reports whether
-// it consumed the datagram.
+// it consumed the datagram, which it borrows (see Frame).
 func (h *Host) SetDefaultHandler(fn func(*Datagram) bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -160,7 +167,7 @@ func (h *Host) SetDefaultHandler(fn func(*Datagram) bool) {
 // addressed to this host whose port is not explicitly bound is handed to fn
 // instead of being dropped. Gateway tunnel endpoints use this to capture all
 // traffic for a tunnelled node; the gateway's own trunk listener keeps its
-// bound port.
+// bound port. fn borrows the datagram (see Frame).
 func (h *Host) SetSink(fn func(*Datagram)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -169,14 +176,16 @@ func (h *Host) SetSink(fn func(*Datagram)) {
 
 // enqueue is called by the medium to deliver a frame, which is handled right
 // here on the delivery shard's worker: overload shows up as deliveries
-// running late (the shard heap backing up), not as queue drops.
-func (h *Host) enqueue(f Frame) {
+// running late (the shard heap backing up), not as queue drops. dg is the
+// delivery's, for the header of a datagram handed to a local handler. enqueue
+// reports whether the payload was sent on to the next hop, and so is no
+// longer the caller's.
+func (h *Host) enqueue(f Frame, dg *Datagram) (sentOn bool) {
 	if h.closedFlag.Load() {
-		return
+		return false
 	}
 	if f.Kind == KindData {
-		h.handleData(f.Payload)
-		return
+		return h.handleData(f, dg)
 	}
 	h.mu.RLock()
 	fn := h.handlers[f.Kind]
@@ -184,39 +193,43 @@ func (h *Host) enqueue(f Frame) {
 	if fn != nil {
 		fn(f)
 	}
+	return false
 }
 
-// handleData is the forwarding engine's receive side. payload arrived in a
-// unicast frame, so this host owns it (see Frame).
-func (h *Host) handleData(payload []byte) {
+// handleData is the forwarding engine's receive side. f arrived as a unicast
+// frame, so this host owns its payload (see Frame).
+func (h *Host) handleData(f Frame, dg *Datagram) (sentOn bool) {
+	payload := f.Payload
 	var hdr Datagram // stays on the stack; its node IDs and Data alias payload
 	ttlOff, err := decodeDatagramZeroCopy(&hdr, payload)
 	if err != nil {
-		return
+		return false
 	}
 	if hdr.DstNode != h.id {
 		if hdr.TTL <= 1 {
 			h.stats.ttlExpired.Add(1)
-			return
+			return false
 		}
 		// Transit with a live route, which is all a relay does in steady
 		// state: spend one hop of the limit in the bytes we were handed and
-		// send them on. Nothing is allocated and nothing that aliases payload
-		// leaves this function: the route provider sees the network's own
-		// copy of the destination ID.
+		// send them on, the buffer's place on the free list with them.
+		// Nothing is allocated and nothing that aliases payload leaves this
+		// function: the route provider sees the network's own copy of the
+		// destination ID.
 		if dst, ok := h.net.hostID(hdr.DstNode); ok {
 			if next, ok := h.nextHop(dst); ok {
 				payload[ttlOff]--
 				h.stats.forwarded.Add(1)
-				_ = h.net.send(Frame{Src: h.id, Dst: next, Kind: KindData, Payload: payload})
-				return
+				f.Src, f.Dst = h.id, next
+				_ = h.net.send(f)
+				return true
 			}
 		}
 	}
-	// For this host, or no route: the datagram outlives this call (port
-	// queue, handler, pending-discovery queue, tunnel), so it gets a header
-	// of its own. Data still aliases payload.
-	dg := &Datagram{
+	// For this host, or no route: a handler (port, sink, tunnel) borrows the
+	// datagram, so it gets a header whose node IDs it may keep. Data still
+	// aliases payload.
+	*dg = Datagram{
 		SrcNode: h.net.ownedID(hdr.SrcNode),
 		DstNode: h.id,
 		SrcPort: hdr.SrcPort,
@@ -230,6 +243,7 @@ func (h *Host) handleData(payload []byte) {
 	// We are already on this host's delivery shard, so a local delivery may
 	// run directly without re-scheduling.
 	h.routeDatagramEx(dg, false, true)
+	return false
 }
 
 // nextHop asks the routing protocol, if one is attached, for the neighbour
@@ -247,6 +261,7 @@ func (h *Host) nextHop(dst NodeID) (NodeID, bool) {
 // SendDatagram originates a datagram from this host. Datagrams to the host
 // itself are delivered via loopback without touching the medium — exactly
 // how the paper's VoIP application reaches its outbound proxy on localhost.
+// dg and its Data are the caller's again when it returns (see Frame).
 func (h *Host) SendDatagram(dg *Datagram) error {
 	if dg.SrcNode == "" {
 		dg.SrcNode = h.id
@@ -320,7 +335,7 @@ func (h *Host) routeDatagramEx(dg *Datagram, origin, onShard bool) error {
 		h.stats.noRoute.Add(1)
 		return ErrNoRoute
 	}
-	h.pending[dg.DstNode] = append(q, dg)
+	h.pending[dg.DstNode] = append(q, queued{dg.Clone(), !origin})
 	h.mu.Unlock()
 	if first {
 		dst := dg.DstNode
@@ -338,46 +353,61 @@ func (h *Host) flushPending(dst NodeID, found bool) {
 	h.mu.Unlock()
 	if !found {
 		h.stats.noRoute.Add(int64(len(q)))
-	}
-	if !found {
 		// Last chance: hand queued datagrams to the default handler so
 		// that Internet destinations still leave via the gateway.
 		if defFn != nil {
-			for _, dg := range q {
-				defFn(dg)
+			for _, p := range q {
+				defFn(p.dg)
 			}
 		}
 		return
 	}
-	for _, dg := range q {
-		if next, ok := rp.NextHop(dst); ok {
-			_ = h.transmit(dg, next, false)
+	for _, p := range q {
+		next, ok := rp.NextHop(dst)
+		if !ok {
+			// Found, and gone again before we got here.
+			h.stats.noRoute.Add(1)
+			continue
 		}
+		_ = h.transmit(p.dg, next, p.transit)
 	}
 }
 
+// transmit encodes dg into a wire buffer from the free list and sends it to
+// nextHop. dg is only read, and not after transmit returns.
 func (h *Host) transmit(dg *Datagram, nextHop NodeID, forwarded bool) error {
 	if forwarded {
 		h.stats.forwarded.Add(1)
 	}
-	payload, err := marshalDatagram(dg)
+	size := datagramWireLen(dg)
+	if size > MTU {
+		return ErrFrameTooBig
+	}
+	buf, _ := takeWire(size)
+	payload, err := AppendDatagram(buf, dg)
 	if err != nil {
 		return err
 	}
-	return h.net.send(Frame{Src: h.id, Dst: nextHop, Kind: KindData, Payload: payload})
+	return h.net.send(Frame{Src: h.id, Dst: nextHop, Kind: KindData, Payload: payload, pooled: true})
 }
 
 // InjectDatagram delivers dg as if it had arrived from the network; gateway
 // tunnel endpoints use this to hand decapsulated traffic to the local stack.
+// dg and its Data are the caller's again when it returns (see Frame).
 func (h *Host) InjectDatagram(dg *Datagram) {
 	h.routeDatagram(dg, false)
 }
 
 // scheduleLocal hands a loopback datagram to this host's shard with an
-// immediate deadline.
+// immediate deadline: a copy of it, header in the delivery and data in a wire
+// buffer, since dg is the caller's.
 func (h *Host) scheduleLocal(dg *Datagram) {
 	d := newDelivery()
-	d.dg, d.dgHost = dg, h
+	buf, pooled := takeWire(len(dg.Data))
+	d.frame = Frame{Payload: append(buf, dg.Data...), pooled: pooled}
+	d.hdr = *dg
+	d.hdr.Data = d.frame.Payload
+	d.local = h
 	h.net.sched.At(string(h.id), &d.task, h.net.cfg.Clock.Now())
 }
 
@@ -473,10 +503,10 @@ type Conn struct {
 }
 
 // Handle installs the port's receiver: fn is invoked for every arriving
-// datagram, serialized per connection. fn runs on a delivery worker: it must
-// not block; it may send. A datagram already in flight when Close is called
-// may still be delivered, so fn must tolerate invocation after shutdown. Pass
-// nil to drop what arrives.
+// datagram, serialized per connection, and borrows it (see Frame). fn runs on
+// a delivery worker: it must not block; it may send. A datagram already in
+// flight when Close is called may still be delivered, so fn must tolerate
+// invocation after shutdown. Pass nil to drop what arrives.
 func (c *Conn) Handle(fn func(*Datagram)) {
 	if fn == nil {
 		c.handler.Store(nil)
@@ -492,30 +522,29 @@ func (c *Conn) LocalPort() uint16 { return c.port }
 func (c *Conn) Host() *Host { return c.host }
 
 // WriteTo sends data to the given node and port, stamped with this port as
-// the source. data is copied; the caller may reuse it at once.
+// the source. data is the caller's again when it returns (see Frame).
 func (c *Conn) WriteTo(data []byte, dst NodeID, dstPort uint16) error {
 	h := c.host
-	if dst != h.id {
-		if h.closedFlag.Load() {
-			return ErrClosed
-		}
-		if next, ok := h.nextHop(dst); ok {
-			// A remote node with a live route: header and data go straight
-			// into the one buffer the frame carries.
-			h.stats.sent.Add(1)
-			dg := Datagram{SrcNode: h.id, DstNode: dst, SrcPort: c.port, DstPort: dstPort, TTL: DefaultTTL, Data: data}
-			return h.transmit(&dg, next, false)
-		}
+	if h.closedFlag.Load() {
+		return ErrClosed
 	}
-	// Loopback, or no route yet: the datagram is delivered or queued as a
-	// value, so it needs the data to itself.
-	return h.SendDatagram(&Datagram{
-		SrcNode: h.id,
-		DstNode: dst,
-		SrcPort: c.port,
-		DstPort: dstPort,
-		Data:    append([]byte(nil), data...),
-	})
+	// Stays on the stack: loopback copies it into a delivery, and a live
+	// route encodes it straight into the one buffer the frame carries.
+	dg := Datagram{SrcNode: h.id, DstNode: dst, SrcPort: c.port, DstPort: dstPort, TTL: DefaultTTL, Data: data}
+	if dst == h.id {
+		h.stats.sent.Add(1)
+		h.scheduleLocal(&dg)
+		return nil
+	}
+	if next, ok := h.nextHop(dst); ok {
+		h.stats.sent.Add(1)
+		return h.transmit(&dg, next, false)
+	}
+	// No route yet: the default handler is offered the datagram, and failing
+	// that a copy waits in the pending-discovery queue. A function value sees
+	// it, so this one lives on the heap.
+	slow := dg
+	return h.SendDatagram(&slow)
 }
 
 // Close unbinds the port.

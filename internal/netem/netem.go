@@ -68,17 +68,38 @@ func (k FrameKind) String() string {
 // Frame is a link-layer frame on the radio medium. Dst == Broadcast delivers
 // to all neighbours of Src.
 //
-// Payload ownership: once a frame has been handed to the medium (SendFrame,
-// or the forwarding engine's own transmissions) the sender must not touch
-// Payload again. A unicast payload then belongs to its one receiver, which
-// may rewrite it — a relay decrements a datagram's hop limit in place and
-// sends the same bytes on. A broadcast payload is shared by every receiver
-// and is read-only.
+// Ownership. This is the one statement of who may touch which bytes when;
+// everything that hands storage across a netem boundary points here.
+//
+// Frames: once a frame has been handed to the medium (SendFrame, or the
+// forwarding engine's own transmissions) the sender must not touch Payload
+// again. A unicast payload then belongs to its one receiver, which may
+// rewrite it — a relay decrements a datagram's hop limit in place and sends
+// the same bytes on. A broadcast payload is shared by every receiver and is
+// read-only.
+//
+// Datagrams are borrowed across every boundary, in both directions. What a
+// port handler (Conn.Handle), sink (SetSink) or default handler
+// (SetDefaultHandler) is given — the *Datagram and its Data — is its to use
+// until it returns and not a moment longer: the header lives in a recycled
+// delivery and Data in a recycled wire buffer, which is overwritten with
+// poison as soon as the handler is back. The node IDs are the exception: they
+// are the network's own strings (or fresh copies of IDs it does not know) and
+// may be kept. A handler that keeps anything else calls Clone. In the other
+// direction SendDatagram, InjectDatagram and WriteTo may be handed storage the
+// caller reuses at once: by the time they return netem has encoded the
+// datagram into a wire buffer of its own, or copied it at the only two places
+// it holds one past the call (the pending-discovery queue and the loopback
+// hand-off).
 type Frame struct {
 	Src     NodeID
 	Dst     NodeID
 	Kind    FrameKind
 	Payload []byte
+
+	// pooled marks a Payload taken from the wire-buffer free list: whoever
+	// ends the frame's life (a local delivery, a drop) gives it back.
+	pooled bool
 }
 
 // Datagram is the network/transport-layer unit carried inside KindData
@@ -91,6 +112,14 @@ type Datagram struct {
 	DstPort uint16
 	TTL     uint8
 	Data    []byte
+}
+
+// Clone returns a copy of d with Data of its own: what a handler that keeps a
+// delivered datagram past its return calls (see Frame for the rule).
+func (d *Datagram) Clone() *Datagram {
+	c := *d
+	c.Data = append([]byte(nil), d.Data...)
+	return &c
 }
 
 // DefaultTTL is the initial hop limit for datagrams, ample for the paper's
@@ -153,7 +182,12 @@ func UnmarshalDatagramInto(d *Datagram, b []byte) error {
 //
 //	srcLen u8 | src | dstLen u8 | dst | srcPort u16 | dstPort u16 | ttl u8 | data
 func marshalDatagram(d *Datagram) ([]byte, error) {
-	return AppendDatagram(make([]byte, 0, 2+len(d.SrcNode)+len(d.DstNode)+5+len(d.Data)), d)
+	return AppendDatagram(make([]byte, 0, datagramWireLen(d)), d)
+}
+
+// datagramWireLen is the length of d's wire encoding.
+func datagramWireLen(d *Datagram) int {
+	return 2 + len(d.SrcNode) + len(d.DstNode) + 5 + len(d.Data)
 }
 
 // unmarshalDatagram decodes wire format produced by marshalDatagram. Data

@@ -33,10 +33,11 @@ func newFastNetwork(t *testing.T) *Network {
 }
 
 // inbox makes c a port the test body reads: a handler feeding a channel
-// roomy enough for any test here. Install it before anything is sent.
+// roomy enough for any test here, with a copy of each datagram, which the
+// handler only borrows. Install it before anything is sent.
 func inbox(c *Conn) <-chan *Datagram {
 	ch := make(chan *Datagram, 256)
-	c.Handle(func(dg *Datagram) { ch <- dg })
+	c.Handle(func(dg *Datagram) { ch <- dg.Clone() })
 	return ch
 }
 

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -194,12 +195,14 @@ type delivery struct {
 	frame Frame
 	one   *Host
 	many  []*Host
-	// dg/dgHost carry a zero-delay local (loopback) datagram: routing it
-	// through the host's shard instead of invoking the receiver inline keeps
-	// per-host delivery serialized and prevents reentrant handler nesting when
-	// an application answers its own host.
-	dg     *Datagram
-	dgHost *Host
+	// hdr is the header of the datagram the frame delivers, lent to the
+	// receiving handler for the length of its call (see Frame).
+	hdr Datagram
+	// local carries a zero-delay loopback datagram, hdr with its Data in
+	// frame.Payload: routing it through the host's shard instead of invoking
+	// the receiver inline keeps per-host delivery serialized and prevents
+	// reentrant handler nesting when an application answers its own host.
+	local *Host
 }
 
 var deliveryPool sync.Pool // of *delivery; no New, which would be an init cycle
@@ -213,21 +216,82 @@ func newDelivery() *delivery {
 	return d
 }
 
-// run delivers on the shard worker and returns d to the pool. A delivery
-// dropped by the scheduler's shutdown is simply garbage.
+// run delivers on the shard worker, gives the frame's wire buffer back unless
+// a relay sent it on, and returns d to the pool. A delivery dropped by the
+// scheduler's shutdown is simply garbage.
 func (d *delivery) run(time.Time) {
+	sentOn := false
 	switch {
-	case d.dg != nil:
-		d.dgHost.deliverLocal(d.dg)
+	case d.local != nil:
+		d.local.deliverLocal(&d.hdr)
 	case d.one != nil:
-		d.one.enqueue(d.frame)
+		sentOn = d.one.enqueue(d.frame, &d.hdr)
 	default:
 		for _, h := range d.many {
-			h.enqueue(d.frame)
+			h.enqueue(d.frame, &d.hdr)
 		}
 	}
-	d.frame, d.one, d.many, d.dg, d.dgHost = Frame{}, nil, nil, nil, nil
+	if !sentOn {
+		giveWire(d.frame)
+	}
+	d.frame, d.one, d.many, d.hdr, d.local = Frame{}, nil, nil, Datagram{}, nil
 	deliveryPool.Put(d)
+}
+
+// voiceWireBytes is the small wire-buffer size: a G.711 frame (160 bytes of
+// audio under a 12-byte RTP header) under a datagram header with room for two
+// node IDs of 38 bytes.
+const voiceWireBytes = 256
+
+// The wire-buffer free list. A datagram on the medium is its encoding in one
+// buffer, taken by the host that originates it and given back by whatever
+// ends the frame's life. There are two sizes and the length alone picks one.
+// The pools hold array pointers, so Put boxes nothing, and being sync.Pools
+// they pin nothing across a collection.
+var (
+	voiceWires sync.Pool // of *[voiceWireBytes]byte
+	mtuWires   sync.Pool // of *[MTU]byte
+)
+
+// poison is what a wire buffer is overwritten with on its way back to the
+// free list, so that a handler which kept an alias of a delivered datagram
+// (see Frame) reads the same wrong bytes on every run instead of a later
+// frame's.
+var poison = bytes.Repeat([]byte{0xDB}, MTU)
+
+// takeWire returns an empty buffer with room for n bytes, and whether it came
+// from the free list. Only a loopback datagram can be larger than the MTU.
+func takeWire(n int) (buf []byte, pooled bool) {
+	switch {
+	case n <= voiceWireBytes:
+		b, _ := voiceWires.Get().(*[voiceWireBytes]byte)
+		if b == nil {
+			b = new([voiceWireBytes]byte)
+		}
+		return b[:0], true
+	case n <= MTU:
+		b, _ := mtuWires.Get().(*[MTU]byte)
+		if b == nil {
+			b = new([MTU]byte)
+		}
+		return b[:0], true
+	}
+	return make([]byte, 0, n), false
+}
+
+// giveWire ends f's life: a payload that came from the free list is poisoned
+// and goes back; any other is left to the collector.
+func giveWire(f Frame) {
+	if !f.pooled {
+		return
+	}
+	b := f.Payload
+	copy(b, poison)
+	if cap(b) == voiceWireBytes {
+		voiceWires.Put((*[voiceWireBytes]byte)(b[:voiceWireBytes]))
+	} else {
+		mtuWires.Put((*[MTU]byte)(b[:MTU]))
+	}
 }
 
 // deliver queues f for one receiver or many at due. The shard is the
@@ -411,8 +475,11 @@ func (n *Network) ClearLinkQuality(a, b NodeID) {
 }
 
 // qualityFor returns the effective loss rate and extra delay for one link
-// under the override map m.
+// under the override map m, nil when there are no overrides anywhere.
 func qualityFor(m *map[linkKey]LinkQuality, a, b NodeID, global float64) (rate float64, extra time.Duration) {
+	if m == nil {
+		return global, 0
+	}
 	q, ok := (*m)[orderedKey(a, b)]
 	if !ok {
 		return global, 0
@@ -635,52 +702,41 @@ func (n *Network) send(f Frame) error {
 		if n.cfg.DelayJitter > 0 {
 			delay += time.Duration(n.rng.Int63n(int64(n.cfg.DelayJitter)))
 		}
-		switch {
-		case lq != nil:
-			if one != nil {
-				rate, extra := qualityFor(lq, f.Src, f.Dst, lossRate)
-				if rate > 0 && n.rng.Float64() < rate {
-					one = nil
-					n.stats.lost.Add(1)
-					n.obsLost.Inc()
-				} else {
-					delay += extra
-				}
-			} else if len(many) > 0 {
-				kept := make([]*Host, 0, len(many))
-				for _, h := range many {
-					rate, extra := qualityFor(lq, f.Src, h.ID(), lossRate)
-					if rate > 0 && n.rng.Float64() < rate {
-						n.stats.lost.Add(1)
-						n.obsLost.Inc()
-						continue
-					}
-					if extra > 0 {
-						slow = append(slow, h)
-						slowExtra = append(slowExtra, extra)
-						continue
-					}
-					kept = append(kept, h)
-				}
-				many = kept
+		if one != nil {
+			rate, extra := qualityFor(lq, f.Src, f.Dst, lossRate)
+			if rate > 0 && n.rng.Float64() < rate {
+				one = nil
+				n.stats.lost.Add(1)
+				n.obsLost.Inc()
+			} else {
+				delay += extra
 			}
-		case lossRate > 0:
-			if one != nil {
-				if n.rng.Float64() < lossRate {
-					one = nil
+		} else if lossRate > 0 || lq != nil {
+			// many is the cached neighbourhood, shared with every other
+			// broadcast from f.Src: it is copied when the first receiver is
+			// peeled off and not before, which on a 1 %-loss radio is for a
+			// few broadcasts in a hundred.
+			var kept []*Host
+			for i, h := range many {
+				rate, extra := qualityFor(lq, f.Src, h.id, lossRate)
+				switch {
+				case rate > 0 && n.rng.Float64() < rate:
 					n.stats.lost.Add(1)
 					n.obsLost.Inc()
-				}
-			} else if len(many) > 0 {
-				kept := make([]*Host, 0, len(many))
-				for _, h := range many {
-					if n.rng.Float64() < lossRate {
-						n.stats.lost.Add(1)
-						n.obsLost.Inc()
-						continue
+				case extra > 0:
+					slow = append(slow, h)
+					slowExtra = append(slowExtra, extra)
+				default:
+					if kept != nil {
+						kept = append(kept, h)
 					}
-					kept = append(kept, h)
+					continue
 				}
+				if kept == nil {
+					kept = append(make([]*Host, 0, len(many)-1), many[:i]...)
+				}
+			}
+			if kept != nil {
 				many = kept
 			}
 		}
@@ -703,6 +759,8 @@ func (n *Network) send(f Frame) error {
 		// One delivery object covers the whole receiver set (broadcast shares
 		// the cached host slice), one heap insertion.
 		n.deliver(f, one, many, due)
+	} else {
+		giveWire(f) // out of range or lost: nobody will
 	}
 	// Per-link delay overrides split the fan-out across deadlines: each
 	// peeled receiver is a delivery of its own on its own host's shard.

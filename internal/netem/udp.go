@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // UDPConfig configures a process-level MANET node whose link layer runs
@@ -132,7 +133,10 @@ func (u *udpUnderlay) recvLoop(h *Host) {
 		if f.Dst != Broadcast && f.Dst != u.self {
 			continue
 		}
-		h.enqueue(*f)
+		// Handled inline, on this goroutine, as the delivery it is.
+		d := newDelivery()
+		d.frame, d.one = *f, h
+		d.run(time.Time{})
 	}
 }
 

@@ -152,7 +152,7 @@ func TestEndToEndDatagramViaAODV(t *testing.T) {
 	defer cs.Close()
 	defer cd.Close()
 	arrived := make(chan *netem.Datagram, 1)
-	cd.Handle(func(dg *netem.Datagram) { arrived <- dg })
+	cd.Handle(func(dg *netem.Datagram) { arrived <- dg.Clone() })
 	if err := cs.WriteTo([]byte("voice"), hosts[3].ID(), 200); err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestEndToEndDatagramViaOLSR(t *testing.T) {
 	defer cs.Close()
 	defer cd.Close()
 	arrived := make(chan *netem.Datagram, 1)
-	cd.Handle(func(dg *netem.Datagram) { arrived <- dg })
+	cd.Handle(func(dg *netem.Datagram) { arrived <- dg.Clone() })
 	if err := cs.WriteTo([]byte("olsr-data"), hosts[3].ID(), 200); err != nil {
 		t.Fatal(err)
 	}

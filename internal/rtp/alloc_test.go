@@ -1,8 +1,12 @@
 package rtp
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 // TestZeroAllocSendPath pins the steady-state per-frame cost of a stream's
@@ -86,5 +90,61 @@ func TestZeroAllocReceiveSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, feed)
 	if allocs != 0 {
 		t.Fatalf("receive path allocates %.1f/frame steady-state, want 0", allocs)
+	}
+	t.Run("session", sessionReceiveAllocFree)
+}
+
+// sessionReceiveAllocFree is the same pin through the real thing: a frame
+// written to a Conn, carried by the medium in a recycled wire buffer and
+// handled by Session.onDatagram, which buffers its header only, costs no
+// allocation at either end once playout has started.
+func sessionReceiveAllocFree(t *testing.T) {
+	if testutil.Race {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n := netem.NewNetwork(netem.Config{BaseDelay: -1})
+	defer n.Close()
+	a, _ := n.AddHost("a", netem.Position{})
+	b, _ := n.AddHost("b", netem.Position{X: 50})
+	a.SetRouteProvider(directRoutes{})
+	ca, err := a.Listen(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := b.Listen(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(cb, 22)
+	defer s.Close()
+	wire := make([]byte, 0, headerLen+PayloadBytes)
+	payload := make([]byte, 0, PayloadBytes)
+	seq := uint32(0)
+	feed := func() {
+		payload = AppendVoicePayload(payload[:0], seq, time.Now())
+		p := Packet{PayloadType: PayloadTypePCMU, Seq: uint16(seq), Timestamp: seq * SamplesPerFrame, SSRC: 11, Payload: payload}
+		wire = p.AppendTo(wire[:0])
+		if err := ca.WriteTo(wire, "b", 4000); err != nil {
+			panic(err)
+		}
+		seq++
+		for s.Stats().Received < int64(seq) {
+			runtime.Gosched()
+		}
+	}
+	// Frames arrive as fast as they are handled, so the jitter buffer fills
+	// for one playout delay and is steady after it.
+	for start := time.Now(); time.Since(start) < 2*DefaultPlayoutDelay; {
+		feed()
+	}
+	if played, _, _ := s.PlayoutStats(); played == 0 {
+		t.Fatal("playout never started")
+	}
+	allocs := testing.AllocsPerRun(1000, feed)
+	if allocs != 0 {
+		t.Fatalf("WriteTo → Session.onDatagram allocates %.1f/frame steady-state, want 0", allocs)
+	}
+	if st := s.Stats(); st.Lost != 0 {
+		t.Fatalf("lost %d of %d frames on a lossless medium", st.Lost, seq)
 	}
 }

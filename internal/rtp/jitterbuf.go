@@ -100,8 +100,9 @@ func NewJitterBuffer(delay time.Duration) *JitterBuffer {
 }
 
 // Put inserts a received packet. now is the arrival time. The packet is
-// copied by value; the caller may not mutate pkt.Payload afterwards (the
-// zero-copy receive path hands each frame's datagram buffer over here).
+// copied by value, Payload slice and all: the caller may not mutate the bytes
+// it points at until the frame is popped. (A Session, whose payloads borrow a
+// datagram buffer, buffers headers only.)
 func (j *JitterBuffer) Put(pkt *Packet, now time.Time) {
 	if !j.started {
 		j.started = true

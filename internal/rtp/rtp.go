@@ -49,9 +49,8 @@ func (p *Packet) Marshal() []byte {
 }
 
 // ParseInto decodes an RTP packet into p without copying: p.Payload aliases
-// b. The caller owns b and must keep it immutable until the frame is played
-// or dropped — the receive path hands each frame's datagram buffer to the
-// jitter buffer and never reuses it, so borrowing is safe there.
+// b, so p is good for as long as b is — for a session's receive path, which
+// parses the datagram it was lent, until its handler returns (netem.Frame).
 func ParseInto(p *Packet, b []byte) error {
 	if len(b) < headerLen {
 		return fmt.Errorf("rtp: short packet (%d bytes)", len(b))

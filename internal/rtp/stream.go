@@ -149,9 +149,9 @@ func (s *Session) Close() {
 
 // onDatagram is the receive side, called by conn for every arriving datagram.
 func (s *Session) onDatagram(dg *netem.Datagram) {
-	// Zero-copy parse: the payload borrows dg.Data, which the network hands
-	// over per frame and never reuses; the jitter buffer owns it until the
-	// frame is played or dropped.
+	// Zero-copy parse: the payload borrows dg.Data, which is the network's
+	// again when this returns (see netem.Frame). The session plays by count
+	// and never reads a buffered payload, so only the header is buffered.
 	var pkt Packet
 	if err := ParseInto(&pkt, dg.Data); err != nil {
 		return
@@ -161,6 +161,7 @@ func (s *Session) onDatagram(dg *netem.Datagram) {
 	first := s.onFirstRecv
 	s.onFirstRecv = nil
 	s.recv.Observe(&pkt, now)
+	pkt.Payload = nil
 	s.jb.Put(&pkt, now)
 	played := s.jb.FlushDue(now)
 	s.mu.Unlock()
