@@ -324,9 +324,10 @@ func BenchmarkSIPMarshal(b *testing.B) {
 func BenchmarkAODVRREQCodec(b *testing.B) {
 	m := &aodv.RREQ{ID: 42, HopCount: 3, TTL: 30, Orig: "10.0.0.1", OrigSeq: 7,
 		Dst: "10.0.0.9", DstSeq: 5, UnknownSeq: true}
+	var raw []byte
 	b.ReportAllocs()
 	for b.Loop() {
-		raw := m.Marshal()
+		raw = m.AppendTo(raw[:0])
 		if _, err := aodv.ParseRREQ(raw); err != nil {
 			b.Fatal(err)
 		}

@@ -11,10 +11,12 @@
 // heap_alloc_mb / gc_pause_ms. (gc_cycles is reported but not gated: at fixed
 // GOGC a smaller live heap is collected more often, so the count rises when
 // the program improves.) The time/alloc metrics may grow at most 25% over
-// the committed value, and one committed at zero must stay zero; the noisier
-// GC metrics get wider per-metric tolerances. Benchmarks present only in the fresh run (new grid
-// sizes) or only in the snapshot (retired ones) are reported and skipped, so
-// adding a scale point never trips the gate.
+// the committed value (allocs/node/s, committed near zero, also a few
+// allocations of absolute slack), and an allocs/op committed at zero must stay
+// zero; the noisier GC metrics get wider per-metric tolerances. Benchmarks
+// present only in the fresh run (new grid sizes) or only in the snapshot
+// (retired ones) are reported and skipped, so adding a scale point never trips
+// the gate.
 package main
 
 import (
@@ -50,13 +52,20 @@ var guarded = []struct {
 	name      string
 	tolerance float64
 	floor     float64 // skip the gate when the committed value is below this
+	slack     float64 // absolute growth allowed on top of the ratio
 }{
-	{"convergence_ms", 1.25, 0},
-	{"allocs/node/s", 1.25, 0},
-	{"lookup_ms", 1.25, 0},
-	{"allocs/op", 1.25, 0},
-	{"heap_alloc_mb", 1.5, 8},
-	{"gc_pause_ms", 2.0, 1},
+	{"convergence_ms", 1.25, 0, 0},
+	// The steady-state control plane allocates next to nothing per node
+	// (frames ride recycled buffers), and a value that close to zero has no
+	// ratio to speak of: a collection that empties the free lists mid-window
+	// moves it by a multiple. The slack is far below what one allocation per
+	// frame costs (70-350 at the committed grid sizes), which is the
+	// regression the gate is for.
+	{"allocs/node/s", 1.25, 0, 5},
+	{"lookup_ms", 1.25, 0, 0},
+	{"allocs/op", 1.25, 0, 0},
+	{"heap_alloc_mb", 1.5, 8, 0},
+	{"gc_pause_ms", 2.0, 1, 0},
 }
 
 func load(path string) (Report, error) {
@@ -105,7 +114,7 @@ func main() {
 			if !okOld || !okNew || ov < 0 || ov < g.floor {
 				continue
 			}
-			if ov == 0 {
+			if ov == 0 && g.slack == 0 {
 				// Nothing to ratio against: a committed zero (an
 				// allocation-free path) is held at zero.
 				if nv > 0 {
@@ -116,13 +125,11 @@ func main() {
 				}
 				continue
 			}
-			ratio := nv / ov
-			if ratio > g.tolerance {
+			if limit := ov*g.tolerance + g.slack; nv > limit {
 				failed = true
-				fmt.Printf("%s: %s regressed %.0f -> %.0f (%.2fx, limit %.2fx)\n",
-					nb.Name, g.name, ov, nv, ratio, g.tolerance)
+				fmt.Printf("%s: %s regressed %.4g -> %.4g (limit %.4g)\n", nb.Name, g.name, ov, nv, limit)
 			} else {
-				fmt.Printf("%s: %s %.0f -> %.0f (%.2fx) ok\n", nb.Name, g.name, ov, nv, ratio)
+				fmt.Printf("%s: %s %.4g -> %.4g (limit %.4g) ok\n", nb.Name, g.name, ov, nv, limit)
 			}
 		}
 	}

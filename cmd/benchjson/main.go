@@ -40,7 +40,8 @@ func main() {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			// A snapshot fed from several packages names them all.
+			rep.Package = strings.TrimSpace(rep.Package + " " + strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseLine(line); ok {
 				rep.Benchmarks = append(rep.Benchmarks, r)

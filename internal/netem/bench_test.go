@@ -103,3 +103,51 @@ func BenchmarkConnWriteTo(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBroadcastFrame is a link broadcast's whole life, one at a time:
+// from the send to the last of four neighbours' handlers, at a HELLO's size
+// and at that of a frame carrying a burst of adverts. SendFrame is handed a
+// slice that stays the caller's; SendWire is how the routing protocols send, a
+// frame built in a lent wire buffer (see Frame). allocs/op is the gated number.
+func BenchmarkBroadcastFrame(b *testing.B) {
+	for _, size := range []int{120, 900} {
+		for _, how := range []string{"SendFrame", "SendWire"} {
+			b.Run(fmt.Sprintf("%dB/%s", size, how), func(b *testing.B) {
+				n := NewNetwork(Config{BaseDelay: -1, BytesPerSecond: -1})
+				defer n.Close()
+				centre, err := n.AddHost("c", Position{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var heard atomic.Int64
+				done := make(chan struct{}, 1)
+				for i, pos := range []Position{{X: 50}, {X: -50}, {Y: 50}, {Y: -50}} {
+					h, err := n.AddHost(NodeName("n", i), pos)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := h.HandleFrames(KindRouting, func(Frame) {
+						if heard.Add(1)%4 == 0 {
+							done <- struct{}{}
+						}
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				payload := make([]byte, size)
+				b.ReportAllocs()
+				for b.Loop() {
+					if how == "SendWire" {
+						err = centre.SendWire(Broadcast, KindRouting, append(TakeWire(size), payload...))
+					} else {
+						err = centre.SendFrame(Broadcast, KindRouting, payload)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					<-done
+				}
+			})
+		}
+	}
+}

@@ -127,14 +127,33 @@ func (h *Host) Neighbors() []NodeID { return h.net.Neighbors(h.id) }
 // Stats returns a snapshot of the host's forwarding counters.
 func (h *Host) Stats() HostStats { return h.stats.snapshot() }
 
-// SendFrame transmits a raw link frame (routing protocols use this).
+// SendFrame transmits a raw link frame whose payload stays the caller's: the
+// medium and the receivers only read it, so the caller may send the same bytes
+// again but must not write to them while a frame is in flight (see Frame).
 func (h *Host) SendFrame(dst NodeID, kind FrameKind, payload []byte) error {
 	return h.net.send(Frame{Src: h.id, Dst: dst, Kind: kind, Payload: payload})
 }
 
+// SendWire transmits a frame its caller built in place, by appending to a
+// buffer TakeWire lent it (routing protocols use this). The storage is netem's
+// from this call on, whatever it returns (see Frame). Appends that outgrew the
+// lent buffer moved the frame to the heap and left the buffer to the collector;
+// it moves once more here, into a wire buffer of the larger class, so that what
+// goes on the air is always one. The capacity alone tells the two apart: a
+// slice with a class's capacity is as good as a buffer of that class.
+func (h *Host) SendWire(dst NodeID, kind FrameKind, b []byte) error {
+	if c := cap(b); c != voiceWireBytes && c != MTU {
+		if len(b) > MTU {
+			return ErrFrameTooBig
+		}
+		b = append(TakeWire(len(b)), b...)
+	}
+	return h.net.send(Frame{Src: h.id, Dst: dst, Kind: kind, Payload: b, pooled: true})
+}
+
 // HandleFrames registers fn as the receiver for incoming frames of the given
 // kind. KindData is handled internally by the forwarding engine and cannot
-// be overridden.
+// be overridden. fn borrows the frame's Payload (see Frame).
 func (h *Host) HandleFrames(kind FrameKind, fn func(Frame)) error {
 	if kind == KindData {
 		return fmt.Errorf("netem: KindData is reserved for the forwarding engine")

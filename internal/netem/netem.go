@@ -71,26 +71,36 @@ func (k FrameKind) String() string {
 // Ownership. This is the one statement of who may touch which bytes when;
 // everything that hands storage across a netem boundary points here.
 //
-// Frames: once a frame has been handed to the medium (SendFrame, or the
-// forwarding engine's own transmissions) the sender must not touch Payload
-// again. A unicast payload then belongs to its one receiver, which may
-// rewrite it — a relay decrements a datagram's hop limit in place and sends
-// the same bytes on. A broadcast payload is shared by every receiver and is
-// read-only.
+// Every byte slice that crosses a netem boundary is borrowed, in both
+// directions, frames and datagrams alike. What goes on the air from the
+// forwarding engine or a routing protocol lives in a wire buffer from a free
+// list, which is overwritten with poison and recycled as soon as the frame's
+// life ends.
 //
-// Datagrams are borrowed across every boundary, in both directions. What a
-// port handler (Conn.Handle), sink (SetSink) or default handler
-// (SetDefaultHandler) is given — the *Datagram and its Data — is its to use
-// until it returns and not a moment longer: the header lives in a recycled
-// delivery and Data in a recycled wire buffer, which is overwritten with
-// poison as soon as the handler is back. The node IDs are the exception: they
-// are the network's own strings (or fresh copies of IDs it does not know) and
-// may be kept. A handler that keeps anything else calls Clone. In the other
-// direction SendDatagram, InjectDatagram and WriteTo may be handed storage the
-// caller reuses at once: by the time they return netem has encoded the
-// datagram into a wire buffer of its own, or copied it at the only two places
-// it holds one past the call (the pending-discovery queue and the loopback
-// hand-off).
+// Frames: a handler installed with HandleFrames is lent Payload for the
+// length of its call and not a moment longer — a broadcast's buffer goes back
+// when the last receiver of the fan-out has returned — so it copies what it
+// keeps, and so does a tap (SetTap), which runs before the frame is scheduled.
+// A broadcast payload is shared by every receiver and is read-only; a unicast
+// data payload belongs to its one receiver, which may rewrite it — a relay
+// decrements a datagram's hop limit in place and sends the same bytes on. On
+// the way in there are two shapes. SendFrame is handed storage that stays the
+// caller's: netem only reads it and never recycles or poisons it, so the same
+// slice may be sent again, but it must not be written to while a frame is in
+// flight. A sender that builds its frame in a buffer TakeWire lent it hands it
+// back with SendWire and must not touch it again: the frame costs no
+// allocation and no copy, which is how every routing control frame is sent.
+//
+// Datagrams: what a port handler (Conn.Handle), sink (SetSink) or default
+// handler (SetDefaultHandler) is given — the *Datagram and its Data — is its to
+// use until it returns: the header lives in a recycled delivery and Data in a
+// wire buffer. The node IDs are the exception: they are the network's own
+// strings (or fresh copies of IDs it does not know) and may be kept. A handler
+// that keeps anything else calls Clone. In the other direction SendDatagram,
+// InjectDatagram and WriteTo may be handed storage the caller reuses at once:
+// by the time they return netem has encoded the datagram into a wire buffer of
+// its own, or copied it at the only two places it holds one past the call (the
+// pending-discovery queue and the loopback hand-off).
 type Frame struct {
 	Src     NodeID
 	Dst     NodeID

@@ -216,9 +216,10 @@ func newDelivery() *delivery {
 	return d
 }
 
-// run delivers on the shard worker, gives the frame's wire buffer back unless
-// a relay sent it on, and returns d to the pool. A delivery dropped by the
-// scheduler's shutdown is simply garbage.
+// run delivers on the shard worker, gives the frame's wire buffer back once the
+// last receiver of the fan-out has returned — unless a relay sent it on — and
+// returns d to the pool. A delivery dropped by the scheduler's shutdown is
+// simply garbage.
 func (d *delivery) run(time.Time) {
 	sentOn := false
 	switch {
@@ -245,7 +246,9 @@ const voiceWireBytes = 256
 
 // The wire-buffer free list. A datagram on the medium is its encoding in one
 // buffer, taken by the host that originates it and given back by whatever
-// ends the frame's life. There are two sizes and the length alone picks one.
+// ends the frame's life; a routing control frame is built in one by its
+// protocol (TakeWire, SendWire). There are two sizes and the length alone
+// picks one.
 // The pools hold array pointers, so Put boxes nothing, and being sync.Pools
 // they pin nothing across a collection.
 var (
@@ -254,9 +257,9 @@ var (
 )
 
 // poison is what a wire buffer is overwritten with on its way back to the
-// free list, so that a handler which kept an alias of a delivered datagram
-// (see Frame) reads the same wrong bytes on every run instead of a later
-// frame's.
+// free list, so that a handler which kept an alias of a delivered frame or
+// datagram (see Frame) reads the same wrong bytes on every run instead of a
+// later frame's.
 var poison = bytes.Repeat([]byte{0xDB}, MTU)
 
 // takeWire returns an empty buffer with room for n bytes, and whether it came
@@ -277,6 +280,13 @@ func takeWire(n int) (buf []byte, pooled bool) {
 		return b[:0], true
 	}
 	return make([]byte, 0, n), false
+}
+
+// TakeWire lends the caller an empty wire buffer with room for n bytes, or for
+// the MTU if n is more, to build a frame in and hand to SendWire (see Frame).
+func TakeWire(n int) []byte {
+	buf, _ := takeWire(min(n, MTU))
+	return buf
 }
 
 // giveWire ends f's life: a payload that came from the free list is poisoned
@@ -409,10 +419,10 @@ func (n *Network) ClearLink(a, b NodeID) {
 // SetTap installs a packet-analyzer hook invoked synchronously for every
 // frame transmitted on the medium — the emulator's Wireshark, used to
 // reproduce the paper's Figure 5 capture. The tap must not call back into
-// the Network. It runs before the frame is scheduled and may read the
-// payload only until it returns: after that a unicast payload belongs to its
-// receiver (see Frame), so a tap that keeps one must copy it. Pass nil to
-// remove.
+// the Network. It runs before the frame is scheduled and borrows the payload
+// until it returns (see Frame): after that a unicast payload belongs to its
+// receiver and a wire buffer to the free list, so a tap that keeps one must
+// copy it. Pass nil to remove.
 func (n *Network) SetTap(fn func(Frame)) {
 	if fn == nil {
 		n.tap.Store(nil)
@@ -649,6 +659,7 @@ func (n *Network) Nodes() []NodeID {
 // hands the frame to the scheduler with its deadline.
 func (n *Network) send(f Frame) error {
 	if len(f.Payload) > MTU {
+		giveWire(f)
 		return ErrFrameTooBig
 	}
 	var one *Host
@@ -656,10 +667,12 @@ func (n *Network) send(f Frame) error {
 	n.mu.RLock()
 	if n.closed {
 		n.mu.RUnlock()
+		giveWire(f)
 		return ErrClosed
 	}
 	if _, ok := n.hosts[f.Src]; !ok {
 		n.mu.RUnlock()
+		giveWire(f)
 		return ErrUnknownNode
 	}
 	if f.Dst == Broadcast {
@@ -755,17 +768,24 @@ func (n *Network) send(f Frame) error {
 		(*tap)(f)
 	}
 	due := n.cfg.Clock.Now().Add(delay)
+	// Per-link delay overrides split the fan-out across deadlines: each
+	// peeled receiver is a delivery of its own on its own host's shard, and
+	// of a copy of its own when the payload is a wire buffer, whose life the
+	// shared delivery ends. The copies are taken first, while f is still ours.
+	for i, h := range slow {
+		c := f
+		if f.pooled {
+			buf, _ := takeWire(len(f.Payload))
+			c.Payload = append(buf, f.Payload...)
+		}
+		n.deliver(c, h, nil, due.Add(slowExtra[i]))
+	}
 	if one != nil || len(many) > 0 {
 		// One delivery object covers the whole receiver set (broadcast shares
 		// the cached host slice), one heap insertion.
 		n.deliver(f, one, many, due)
 	} else {
-		giveWire(f) // out of range or lost: nobody will
-	}
-	// Per-link delay overrides split the fan-out across deadlines: each
-	// peeled receiver is a delivery of its own on its own host's shard.
-	for i, h := range slow {
-		n.deliver(f, h, nil, due.Add(slowExtra[i]))
+		giveWire(f) // out of range, lost or peeled off: nobody else will
 	}
 	return nil
 }

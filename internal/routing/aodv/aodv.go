@@ -360,25 +360,22 @@ func (p *Protocol) sendRREQ(dst netem.NodeID, ttl uint8) {
 	p.seen[seenKey{m.Orig, m.ID}] = p.clk.Now()
 	p.stats.RREQSent++
 	p.mu.Unlock()
-	p.sendControl(netem.Broadcast, KindRREQ, m.Marshal())
+	p.send(netem.Broadcast, m.AppendTo(p.begin(KindRREQ, m.wireLen())))
 }
 
-// sendControl wraps body in the routing envelope, offers the piggyback
-// handler its extension slot, and transmits.
-func (p *Protocol) sendControl(dst netem.NodeID, kind uint8, body []byte) {
+// begin starts a control frame of the given kind for a body of bodyLen bytes;
+// the caller appends the body and hands the frame to send.
+func (p *Protocol) begin(kind uint8, bodyLen int) []byte {
+	return p.framer.Begin(routing.ProtoAODV, kind, bodyLen)
+}
+
+// send offers the piggyback handler the frame's extension slot and transmits
+// it. A frame the medium refuses is a lost frame.
+func (p *Protocol) send(dst netem.NodeID, frame []byte) {
 	p.mu.Lock()
 	pb := p.pb
 	p.mu.Unlock()
-	raw, err := p.framer.Frame(pb, routing.Outgoing{
-		Proto: routing.ProtoAODV,
-		Kind:  kind,
-		Kind2: KindName(kind),
-		Dst:   dst,
-	}, body)
-	if err != nil {
-		return
-	}
-	_ = p.host.SendFrame(dst, netem.KindRouting, raw)
+	_ = p.framer.Send(p.host, pb, dst, KindName(frame[1]), frame)
 }
 
 func (p *Protocol) onFrame(f netem.Frame) {
@@ -475,7 +472,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 		}
 		p.stats.RREPSent++
 		p.mu.Unlock()
-		p.sendControl(from, KindRREP, rep.Marshal())
+		p.send(from, rep.AppendTo(p.begin(KindRREP, rep.wireLen())))
 		return
 	}
 	// Intermediate node with a fresh-enough route may answer on behalf of
@@ -491,7 +488,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 		p.mu.Lock()
 		p.stats.RREPSent++
 		p.mu.Unlock()
-		p.sendControl(from, KindRREP, rep.Marshal())
+		p.send(from, rep.AppendTo(p.begin(KindRREP, rep.wireLen())))
 		return
 	}
 	// Otherwise keep flooding.
@@ -504,7 +501,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 	p.mu.Lock()
 	p.stats.RREQFwd++
 	p.mu.Unlock()
-	p.sendControl(netem.Broadcast, KindRREQ, fwd.Marshal())
+	p.send(netem.Broadcast, fwd.AppendTo(p.begin(KindRREQ, fwd.wireLen())))
 }
 
 func (p *Protocol) onRREP(from netem.NodeID, m *RREP) {
@@ -523,7 +520,7 @@ func (p *Protocol) onRREP(from netem.NodeID, m *RREP) {
 	p.mu.Lock()
 	p.stats.RREPFwd++
 	p.mu.Unlock()
-	p.sendControl(e.NextHop, KindRREP, fwd.Marshal())
+	p.send(e.NextHop, fwd.AppendTo(p.begin(KindRREP, fwd.wireLen())))
 }
 
 func (p *Protocol) onRERR(from netem.NodeID, m *RERR) {
@@ -539,7 +536,8 @@ func (p *Protocol) onRERR(from netem.NodeID, m *RERR) {
 		p.mu.Lock()
 		p.stats.RERRSent++
 		p.mu.Unlock()
-		p.sendControl(netem.Broadcast, KindRERR, (&RERR{Unreachable: cascade}).Marshal())
+		rerr := &RERR{Unreachable: cascade}
+		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR, rerr.wireLen())))
 	}
 }
 
@@ -583,7 +581,8 @@ func (p *Protocol) helloTick() {
 	seq := p.seq
 	p.stats.HelloSent++
 	p.mu.Unlock()
-	p.sendControl(netem.Broadcast, KindHello, (&Hello{Seq: seq}).Marshal())
+	m := Hello{Seq: seq}
+	p.send(netem.Broadcast, m.AppendTo(p.begin(KindHello, m.wireLen())))
 	p.expireNeighbors()
 }
 
@@ -613,6 +612,6 @@ func (p *Protocol) expireNeighbors() {
 		p.mu.Lock()
 		p.stats.RERRSent++
 		p.mu.Unlock()
-		p.sendControl(netem.Broadcast, KindRERR, rerr.Marshal())
+		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR, rerr.wireLen())))
 	}
 }

@@ -44,23 +44,22 @@ type RREQ struct {
 	UnknownSeq bool
 }
 
-// Marshal encodes the request body.
-func (m *RREQ) Marshal() []byte {
-	w := wire.NewWriter(32)
-	w.U32(m.ID)
-	w.U8(m.HopCount)
-	w.U8(m.TTL)
-	w.String(string(m.Orig))
-	w.U32(m.OrigSeq)
-	w.String(string(m.Dst))
-	w.U32(m.DstSeq)
+// AppendTo appends the request body to b.
+func (m *RREQ) AppendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, m.ID)
+	b = append(b, m.HopCount, m.TTL)
+	b = wire.AppendString(b, string(m.Orig))
+	b = binary.BigEndian.AppendUint32(b, m.OrigSeq)
+	b = wire.AppendString(b, string(m.Dst))
+	b = binary.BigEndian.AppendUint32(b, m.DstSeq)
 	if m.UnknownSeq {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		return append(b, 1)
 	}
-	return w.Bytes()
+	return append(b, 0)
 }
+
+// wireLen is the length of the body AppendTo writes.
+func (m *RREQ) wireLen() int { return 19 + len(m.Orig) + len(m.Dst) }
 
 // ParseRREQ decodes a request body.
 func ParseRREQ(b []byte) (*RREQ, error) {
@@ -90,16 +89,17 @@ type RREP struct {
 	LifetimeMs uint32
 }
 
-// Marshal encodes the reply body.
-func (m *RREP) Marshal() []byte {
-	w := wire.NewWriter(32)
-	w.U8(m.HopCount)
-	w.String(string(m.Orig))
-	w.String(string(m.Dst))
-	w.U32(m.DstSeq)
-	w.U32(m.LifetimeMs)
-	return w.Bytes()
+// AppendTo appends the reply body to b.
+func (m *RREP) AppendTo(b []byte) []byte {
+	b = append(b, m.HopCount)
+	b = wire.AppendString(b, string(m.Orig))
+	b = wire.AppendString(b, string(m.Dst))
+	b = binary.BigEndian.AppendUint32(b, m.DstSeq)
+	return binary.BigEndian.AppendUint32(b, m.LifetimeMs)
 }
+
+// wireLen is the length of the body AppendTo writes.
+func (m *RREP) wireLen() int { return 13 + len(m.Orig) + len(m.Dst) }
 
 // ParseRREP decodes a reply body.
 func ParseRREP(b []byte) (*RREP, error) {
@@ -126,15 +126,23 @@ type RERR struct {
 	Unreachable []Unreachable
 }
 
-// Marshal encodes the error body.
-func (m *RERR) Marshal() []byte {
-	w := wire.NewWriter(8 + 16*len(m.Unreachable))
-	w.U8(uint8(len(m.Unreachable)))
+// AppendTo appends the error body to b.
+func (m *RERR) AppendTo(b []byte) []byte {
+	b = append(b, uint8(len(m.Unreachable)))
 	for _, u := range m.Unreachable {
-		w.String(string(u.Dst))
-		w.U32(u.Seq)
+		b = wire.AppendString(b, string(u.Dst))
+		b = binary.BigEndian.AppendUint32(b, u.Seq)
 	}
-	return w.Bytes()
+	return b
+}
+
+// wireLen is the length of the body AppendTo writes.
+func (m *RERR) wireLen() int {
+	n := 1
+	for _, u := range m.Unreachable {
+		n += 2 + len(u.Dst) + 4
+	}
+	return n
 }
 
 // ParseRERR decodes an error body.
@@ -159,12 +167,11 @@ type Hello struct {
 	Seq uint32
 }
 
-// Marshal encodes the hello body.
-func (m *Hello) Marshal() []byte {
-	// A buffer of constant size, so that it stays on the stack of a caller
-	// that only copies it into a frame.
-	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), m.Seq)
-}
+// AppendTo appends the hello body to b.
+func (m *Hello) AppendTo(b []byte) []byte { return binary.BigEndian.AppendUint32(b, m.Seq) }
+
+// wireLen is the length of the body AppendTo writes.
+func (m *Hello) wireLen() int { return 4 }
 
 // ParseHello decodes a hello body.
 func ParseHello(b []byte) (*Hello, error) {

@@ -8,14 +8,14 @@ import (
 )
 
 func FuzzParseHello(f *testing.F) {
-	f.Add((&Hello{Neighbors: []HelloNeighbor{{Addr: "a", Link: LinkSym, MPR: true}}}).Marshal())
+	f.Add((&Hello{Neighbors: []HelloNeighbor{{Addr: "a", Link: LinkSym, MPR: true}}}).AppendTo(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseHello(data)
 		if err != nil {
 			return
 		}
-		m2, err := ParseHello(m.Marshal())
+		m2, err := ParseHello(m.AppendTo(nil))
 		if err != nil {
 			t.Fatalf("round trip parse: %v", err)
 		}
@@ -26,14 +26,14 @@ func FuzzParseHello(f *testing.F) {
 }
 
 func FuzzParseTC(f *testing.F) {
-	f.Add((&TC{Orig: "a", Seq: 1, ANSN: 2, TTL: 3, Selectors: []netem.NodeID{"x"}}).Marshal())
+	f.Add((&TC{Orig: "a", Seq: 1, ANSN: 2, TTL: 3, Selectors: []netem.NodeID{"x"}}).AppendTo(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseTC(data)
 		if err != nil {
 			return
 		}
-		m2, err := ParseTC(m.Marshal())
+		m2, err := ParseTC(m.AppendTo(nil))
 		if err != nil || !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip: %+v vs %+v (%v)", m, m2, err)
 		}

@@ -215,7 +215,7 @@ func TestHelloSteadyStateZeroAlloc(t *testing.T) {
 	// Pin the wire path itself: the frame handler hands handleHello the raw
 	// body, so the pre-marshalled bytes here measure exactly what a received
 	// broadcast costs — parse, link sensing, 2-hop compare.
-	body := m.Marshal()
+	body := m.AppendTo(nil)
 	p.handleHello("n1", body) // installs link + 2-hop set
 	if allocs := testing.AllocsPerRun(200, func() { p.handleHello("n1", body) }); allocs != 0 {
 		t.Fatalf("steady-state HELLO processing allocates %.1f times per run, want 0", allocs)

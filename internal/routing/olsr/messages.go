@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"siphoc/internal/netem"
@@ -45,20 +46,27 @@ type Hello struct {
 	Neighbors []HelloNeighbor
 }
 
-// Marshal encodes the hello body.
-func (m *Hello) Marshal() []byte {
-	w := wire.NewWriter(8 + 24*len(m.Neighbors))
-	w.U16(uint16(len(m.Neighbors)))
+// AppendTo appends the hello body to b.
+func (m *Hello) AppendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Neighbors)))
 	for _, nb := range m.Neighbors {
-		w.String(string(nb.Addr))
-		w.U8(nb.Link)
+		b = wire.AppendString(b, string(nb.Addr))
+		var mpr uint8
 		if nb.MPR {
-			w.U8(1)
-		} else {
-			w.U8(0)
+			mpr = 1
 		}
+		b = append(b, nb.Link, mpr)
 	}
-	return w.Bytes()
+	return b
+}
+
+// wireLen is the length of the body AppendTo writes.
+func (m *Hello) wireLen() int {
+	n := 2
+	for _, nb := range m.Neighbors {
+		n += 2 + len(nb.Addr) + 2
+	}
+	return n
 }
 
 // ParseHello decodes a hello body.
@@ -88,18 +96,26 @@ type TC struct {
 	Selectors []netem.NodeID
 }
 
-// Marshal encodes the TC body.
-func (m *TC) Marshal() []byte {
-	w := wire.NewWriter(16 + 20*len(m.Selectors))
-	w.String(string(m.Orig))
-	w.U16(m.Seq)
-	w.U16(m.ANSN)
-	w.U8(m.TTL)
-	w.U16(uint16(len(m.Selectors)))
+// AppendTo appends the TC body to b.
+func (m *TC) AppendTo(b []byte) []byte {
+	b = wire.AppendString(b, string(m.Orig))
+	b = binary.BigEndian.AppendUint16(b, m.Seq)
+	b = binary.BigEndian.AppendUint16(b, m.ANSN)
+	b = append(b, m.TTL)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Selectors)))
 	for _, s := range m.Selectors {
-		w.String(string(s))
+		b = wire.AppendString(b, string(s))
 	}
-	return w.Bytes()
+	return b
+}
+
+// wireLen is the length of the body AppendTo writes.
+func (m *TC) wireLen() int {
+	n := 2 + len(m.Orig) + 7
+	for _, s := range m.Selectors {
+		n += 2 + len(s)
+	}
+	return n
 }
 
 // ParseTC decodes a TC body.

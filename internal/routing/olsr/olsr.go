@@ -477,27 +477,19 @@ func (p *Protocol) MPRs() []netem.NodeID {
 	return out
 }
 
-// sendControl broadcasts body as a control frame of the given kind. A
-// forwarded message is sent as it came but for its TTL: ttlOff is where in
-// body that byte sits, to be decremented in the frame (-1 for a message of
-// this node's own). body is copied, so it may alias a received frame.
-func (p *Protocol) sendControl(kind uint8, body []byte, ttlOff int) {
+// begin starts a control frame of the given kind for a body of bodyLen bytes;
+// the caller appends the body and hands the frame to send.
+func (p *Protocol) begin(kind uint8, bodyLen int) []byte {
+	return p.framer.Begin(routing.ProtoOLSR, kind, bodyLen)
+}
+
+// send offers the piggyback handler the frame's extension slot and broadcasts
+// it. A frame the medium refuses is a lost frame.
+func (p *Protocol) send(frame []byte) {
 	p.mu.Lock()
 	pb := p.pb
 	p.mu.Unlock()
-	raw, err := p.framer.Frame(pb, routing.Outgoing{
-		Proto: routing.ProtoOLSR,
-		Kind:  kind,
-		Kind2: KindName(kind),
-		Dst:   netem.Broadcast,
-	}, body)
-	if err != nil {
-		return
-	}
-	if ttlOff >= 0 {
-		raw[routing.HeaderLen+ttlOff]--
-	}
-	_ = p.host.SendFrame(netem.Broadcast, netem.KindRouting, raw)
+	_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(frame[1]), frame)
 }
 
 func (p *Protocol) onFrame(f netem.Frame) {
@@ -535,7 +527,7 @@ func (p *Protocol) onFrame(f netem.Frame) {
 // onHello feeds a decoded HELLO through the wire path; tests drive the
 // protocol with message structs, the frame handler with raw bodies.
 func (p *Protocol) onHello(from netem.NodeID, m *Hello) {
-	p.handleHello(from, m.Marshal())
+	p.handleHello(from, m.AppendTo(nil))
 }
 
 // handleHello processes a HELLO body straight off the wire. Node references
@@ -642,19 +634,20 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 // onTC feeds a decoded TC through the wire path; tests drive the protocol
 // with message structs, the frame handler with raw bodies.
 func (p *Protocol) onTC(from netem.NodeID, m *TC) {
-	p.handleTC(from, m.Marshal())
+	p.handleTC(from, m.AppendTo(nil))
 }
 
 // handleTC processes a TC body straight off the wire, mirroring handleHello:
 // origin and selectors resolve against the interner by raw bytes (zero
-// allocations once the nodes are known), and the MPR retransmission reuses
-// the received body with the TTL byte patched instead of re-marshalling.
+// allocations once the nodes are known), and the MPR retransmission copies the
+// received body into its own frame and patches the TTL byte there instead of
+// re-marshalling. body is only lent (see netem.Frame) and is not written to.
 func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 	r := wire.NewReader(body)
 	origB := r.StringBytes()
 	seq := r.U16()
 	ansn := r.U16()
-	// Offset of the TTL byte within body: the forward path patches it in a
+	// Offset of the TTL byte within body: the forward path patches it in its
 	// copy of the received bytes rather than rebuilding the message.
 	ttlOff := 2 + len(origB) + 4
 	ttl := r.U8()
@@ -782,7 +775,9 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 		p.mu.Lock()
 		p.stats.TCFwd++
 		p.mu.Unlock()
-		p.sendControl(KindTC, body, ttlOff)
+		frame := append(p.begin(KindTC, len(body)), body...)
+		frame[routing.HeaderLen+ttlOff]--
+		p.send(frame)
 	}
 }
 
@@ -806,10 +801,10 @@ func (p *Protocol) sendHello() {
 		})
 	})
 	m := Hello{Neighbors: p.helloNbs}
-	body := m.Marshal() // under mu: Neighbors aliases pooled scratch
+	frame := m.AppendTo(p.begin(KindHello, m.wireLen())) // under mu: Neighbors aliases pooled scratch
 	p.stats.HelloSent++
 	p.mu.Unlock()
-	p.sendControl(KindHello, body, -1)
+	p.send(frame)
 }
 
 func (p *Protocol) sendTC() {
@@ -849,10 +844,10 @@ func (p *Protocol) sendTC() {
 		p.ansn++
 	}
 	m.ANSN = p.ansn
-	body := m.Marshal() // under mu: Selectors aliases pooled scratch
+	frame := m.AppendTo(p.begin(KindTC, m.wireLen())) // under mu: Selectors aliases pooled scratch
 	p.stats.TCSent++
 	p.mu.Unlock()
-	p.sendControl(KindTC, body, -1)
+	p.send(frame)
 }
 
 // expire drops stale links, selectors and topology tuples.

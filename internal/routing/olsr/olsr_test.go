@@ -14,12 +14,16 @@ func TestHelloCodec(t *testing.T) {
 		{Addr: "a", Link: LinkSym, MPR: true},
 		{Addr: "b", Link: LinkAsym},
 	}}
-	out, err := ParseHello(in.Marshal())
+	body := in.AppendTo(nil)
+	out, err := ParseHello(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("mismatch: %+v vs %+v", in, out)
+	}
+	if len(body) != in.wireLen() {
+		t.Fatalf("wireLen %d, body is %d bytes", in.wireLen(), len(body))
 	}
 	if _, err := ParseHello([]byte{0, 9}); err == nil {
 		t.Fatal("truncated HELLO accepted")
@@ -28,7 +32,7 @@ func TestHelloCodec(t *testing.T) {
 
 func TestTCCodec(t *testing.T) {
 	in := &TC{Orig: "router-7", Seq: 1000, ANSN: 42, TTL: 16, Selectors: []netem.NodeID{"x", "y"}}
-	out, err := ParseTC(in.Marshal())
+	out, err := ParseTC(in.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +53,9 @@ func TestTCCodecQuick(t *testing.T) {
 			}
 			in.Selectors = append(in.Selectors, netem.NodeID(s))
 		}
-		out, err := ParseTC(in.Marshal())
-		return err == nil && reflect.DeepEqual(in, out)
+		body := in.AppendTo(nil)
+		out, err := ParseTC(body)
+		return err == nil && reflect.DeepEqual(in, out) && len(body) == in.wireLen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -55,15 +55,17 @@ type Protocol interface {
 
 // PiggybackHandler is the paper's "routing handler plugin": a software
 // module that receives routing packets and produces altered packets carrying
-// piggybacked service information.
+// piggybacked service information. Both ways it works on bytes it is lent
+// (see netem.Frame for the rule).
 type PiggybackHandler interface {
 	// AppendOutgoing is invoked for every control message about to be sent,
-	// with the frame built so far. It may append up to msg.Budget bytes of
-	// extension payload, and returns b as it is to leave the message
-	// untouched.
+	// with the frame built so far, in the wire buffer it goes out in. It may
+	// append up to msg.Budget bytes of extension payload, and returns b as it
+	// is to leave the message untouched; an extension over budget is dropped
+	// and the message sent bare.
 	AppendOutgoing(b []byte, msg Outgoing) []byte
 	// Incoming is invoked for every received control message that
-	// carries an extension.
+	// carries an extension, which is the handler's to read until it returns.
 	Incoming(msg Incoming)
 }
 
@@ -76,7 +78,9 @@ type Outgoing struct {
 	Budget int
 }
 
-// Incoming describes a received control message carrying an extension.
+// Incoming describes a received control message carrying an extension. Ext
+// aliases the received frame: a handler copies what it keeps (see
+// netem.Frame).
 type Incoming struct {
 	From  netem.NodeID
 	Proto uint8
@@ -99,59 +103,65 @@ type Envelope struct {
 	Ext   []byte
 }
 
-// AppendEnvelope appends the wire form of an envelope to b, sparing send
-// paths the intermediate Envelope struct and its escape to the heap.
-func AppendEnvelope(b []byte, proto, kind uint8, body, ext []byte) ([]byte, error) {
-	if len(body) > 0xffff || len(ext) > 0xffff {
-		return nil, fmt.Errorf("routing: envelope section too large")
-	}
-	if b == nil {
-		b = make([]byte, 0, 6+len(body)+len(ext))
-	}
-	b = append(b, proto, kind)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(body)))
-	b = append(b, body...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ext)))
-	b = append(b, ext...)
-	return b, nil
-}
-
 // HeaderLen is the length of the envelope's header: byte i of the body is
 // byte HeaderLen+i of the frame.
 const HeaderLen = 4
 
-// Framer builds a protocol's control frames, each in one buffer: header and
-// body, then the extension the piggyback handler writes straight behind them.
-// The buffer is sized for the extension the previous frame carried, which in
-// steady state (a digest and nothing else) is the one this frame carries.
+// Framer sends a protocol's control frames, each written once: header, body
+// and the extension the piggyback handler puts behind them go straight into
+// the wire buffer the frame crosses the medium in (see netem.Frame), so a
+// control frame costs no allocation. The buffer's size class is picked for the
+// extension the previous frame carried, which in steady state (a digest and
+// nothing else) is the one this frame carries. A Framer may be used from
+// several goroutines at once.
 type Framer struct {
 	extHint atomic.Int32
 }
 
-// Frame returns the control frame for body, which it copies. msg names the
-// protocol and kind; its Budget is filled in here. A nil pb, or one that adds
-// nothing, leaves the extension empty.
-func (f *Framer) Frame(pb PiggybackHandler, msg Outgoing, body []byte) ([]byte, error) {
-	b := make([]byte, 0, HeaderLen+len(body)+2+int(f.extHint.Load()))
-	b, err := AppendEnvelope(b, msg.Proto, msg.Kind, body, nil)
-	if err != nil {
-		return nil, err
-	}
+// Begin takes a wire buffer for a message whose body will be bodyLen bytes and
+// writes the envelope header into it. The caller appends the body and hands
+// the result to Send. A body that outgrows the buffer costs a move (see
+// netem.Host.SendWire), never the frame.
+func (f *Framer) Begin(proto, kind uint8, bodyLen int) []byte {
+	b := netem.TakeWire(HeaderLen + bodyLen + 2 + int(f.extHint.Load()))
+	return append(b, proto, kind, 0, 0)
+}
+
+// Send completes the frame in b — Begin's header with the body behind it — and
+// transmits it to dst from host: it fills in the body's length, lets pb append
+// its extension (a nil pb, or one that adds nothing, leaves it empty) and
+// hands the buffer to the medium. b is not the caller's any more when Send
+// returns.
+func (f *Framer) Send(host *netem.Host, pb PiggybackHandler, dst netem.NodeID, kind2 string, b []byte) error {
+	b = f.finish(pb, Outgoing{Proto: b[0], Kind: b[1], Kind2: kind2, Dst: dst}, b)
+	return host.SendWire(dst, netem.KindRouting, b)
+}
+
+// finish is Send without the medium. The extension's bound is checked here,
+// where it is known: an extension over msg.Budget, which finish fills in,
+// would take the frame past the MTU and the medium would refuse the whole
+// message, so it is cut back to empty and the message goes out bare.
+func (f *Framer) finish(pb PiggybackHandler, msg Outgoing, b []byte) []byte {
+	bodyLen := len(b) - HeaderLen
+	binary.BigEndian.PutUint16(b[2:], uint16(bodyLen))
+	b = append(b, 0, 0)
 	ext := len(b) // where the empty extension ends and a real one starts
 	if pb != nil {
-		msg.Budget = ExtBudget(len(body))
-		b = pb.AppendOutgoing(b, msg)
+		msg.Budget = ExtBudget(bodyLen)
+		if e := pb.AppendOutgoing(b, msg); len(e) >= ext && len(e)-ext <= msg.Budget {
+			b = e
+		}
 	}
 	binary.BigEndian.PutUint16(b[ext-2:], uint16(len(b)-ext))
 	f.extHint.Store(int32(len(b) - ext))
-	return b, nil
+	return b
 }
 
 // ParseEnvelopeInto decodes a routing frame into a caller-supplied envelope: a
 // stack-local Envelope filled here never escapes. Body and Ext alias the
-// input rather than copying: frame payloads are freshly marshalled per
-// transmit and never mutated after delivery, and every decoder downstream
-// (wire.Reader.String, slp.ParsePayload) copies what it keeps.
+// input rather than copying: a received frame's payload is lent to its handler
+// (see netem.Frame), and every decoder downstream (wire.Reader.String, the
+// interner's internBytes, slp's item.advert) copies what it keeps.
 func ParseEnvelopeInto(e *Envelope, b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("routing: short envelope")

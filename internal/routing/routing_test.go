@@ -9,10 +9,19 @@ import (
 	"siphoc/internal/netem"
 )
 
+// extension piggybacks itself on every frame it is offered.
+type extension []byte
+
+func (x extension) AppendOutgoing(b []byte, _ Outgoing) []byte { return append(b, x...) }
+func (extension) Incoming(Incoming)                            {}
+
 // marshal and parse are the envelope codec in the value-returning shape the
-// tests read best in.
-func marshal(e *Envelope) ([]byte, error) {
-	return AppendEnvelope(nil, e.Proto, e.Kind, e.Body, e.Ext)
+// tests read best in. marshal is the Framer's encoding, short of the medium:
+// an extension over its budget is left out.
+func marshal(e *Envelope) []byte {
+	var f Framer
+	b := append([]byte{e.Proto, e.Kind, 0, 0}, e.Body...)
+	return f.finish(extension(e.Ext), Outgoing{}, b)
 }
 
 func parse(b []byte) (*Envelope, error) {
@@ -25,10 +34,7 @@ func parse(b []byte) (*Envelope, error) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	in := &Envelope{Proto: ProtoAODV, Kind: 2, Body: []byte("rrep-body"), Ext: []byte("slp-ext")}
-	raw, err := marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := marshal(in)
 	out, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +46,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeNoExt(t *testing.T) {
 	in := &Envelope{Proto: ProtoOLSR, Kind: 1, Body: []byte{1, 2}}
-	raw, err := marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := marshal(in)
 	out, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -59,10 +62,7 @@ func TestEnvelopeQuick(t *testing.T) {
 			return true
 		}
 		in := &Envelope{Proto: proto, Kind: kind, Body: body, Ext: ext}
-		raw, err := marshal(in)
-		if err != nil {
-			return false
-		}
+		raw := marshal(in)
 		out, err := parse(raw)
 		if err != nil {
 			return false
@@ -86,10 +86,7 @@ func TestEnvelopeQuick(t *testing.T) {
 }
 
 func TestEnvelopeRejectsTruncation(t *testing.T) {
-	raw, err := marshal(&Envelope{Proto: 1, Kind: 1, Body: []byte("abcdef"), Ext: []byte("xy")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := marshal(&Envelope{Proto: 1, Kind: 1, Body: []byte("abcdef"), Ext: []byte("xy")})
 	for cut := range len(raw) {
 		if _, err := parse(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -107,10 +104,7 @@ func TestExtBudget(t *testing.T) {
 	// A full-budget extension must produce a frame that fits the MTU.
 	body := make([]byte, 100)
 	ext := make([]byte, ExtBudget(len(body)))
-	raw, err := marshal(&Envelope{Proto: 1, Kind: 1, Body: body, Ext: ext})
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := marshal(&Envelope{Proto: 1, Kind: 1, Body: body, Ext: ext})
 	if len(raw) > netem.MTU {
 		t.Fatalf("frame size %d exceeds MTU %d", len(raw), netem.MTU)
 	}
@@ -154,5 +148,56 @@ func TestTableReplaceAndSnapshot(t *testing.T) {
 	snap := tbl.Snapshot(time.Now())
 	if len(snap) != 2 || snap[0].Dst != "a" || snap[1].Dst != "b" {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
+// greedy appends one byte more than it is allowed.
+type greedy struct{}
+
+func (greedy) AppendOutgoing(b []byte, msg Outgoing) []byte {
+	return append(b, make([]byte, msg.Budget+1)...)
+}
+func (greedy) Incoming(Incoming) {}
+
+// TestOverBudgetExtensionIsCut: an extension over its budget would take the
+// frame past the MTU, where the medium refuses it whole; the framer drops the
+// extension instead, and the neighbour still hears the message.
+func TestOverBudgetExtensionIsCut(t *testing.T) {
+	net := netem.NewNetwork(netem.Config{BaseDelay: 10 * time.Microsecond})
+	defer net.Close()
+	hosts, err := netem.Chain(net, 2, 50, "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := make(chan Envelope, 1)
+	if err := hosts[1].HandleFrames(netem.KindRouting, func(f netem.Frame) {
+		var env Envelope
+		if ParseEnvelopeInto(&env, f.Payload) != nil {
+			t.Errorf("unparseable frame %x", f.Payload)
+		}
+		// Kept past the handler's return, so copied.
+		env.Body, env.Ext = append([]byte(nil), env.Body...), append([]byte(nil), env.Ext...)
+		heard <- env
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var f Framer
+	hello := []byte{0, 0, 0, 7}
+	for _, pb := range []PiggybackHandler{greedy{}, extension("digest-size")} {
+		if err := f.Send(hosts[0], pb, netem.Broadcast, "HELLO", append(f.Begin(ProtoAODV, 4, len(hello)), hello...)); err != nil {
+			t.Fatalf("%T: %v", pb, err)
+		}
+		select {
+		case env := <-heard:
+			want := ""
+			if x, ok := pb.(extension); ok {
+				want = string(x)
+			}
+			if env.Proto != ProtoAODV || env.Kind != 4 || string(env.Body) != string(hello) || string(env.Ext) != want {
+				t.Fatalf("%T: neighbour heard %+v, want the HELLO with extension %q", pb, env, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%T: the HELLO was lost with its extension", pb)
+		}
 	}
 }

@@ -507,6 +507,20 @@ func (a *Agent) LookupAsync(stype, key string, timeout time.Duration, done func(
 // errStopped ends the lookups in progress when the agent stops.
 var errStopped = fmt.Errorf("agent stopped: %w", ErrNotFound)
 
+// lookupError is what a lookup that found nothing returns. A node with nothing
+// to find misses all day (an idle connection provider, every probe round), so
+// the error carries its parts and is formatted only if somebody reads it.
+type lookupError struct {
+	ck    cacheKey
+	cause error
+}
+
+func (e *lookupError) Error() string {
+	return "lookup " + e.ck.stype + "/" + e.ck.key + ": " + e.cause.Error()
+}
+
+func (e *lookupError) Unwrap() error { return e.cause }
+
 // lookupLocal answers a lookup from what this node already knows: the cache,
 // or a remembered miss. ok is false when only the network can tell.
 func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Service, ok bool, err error) {
@@ -524,7 +538,7 @@ func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Servi
 		a.obsNegHits.Inc()
 		a.obsMisses.Inc()
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-		return Service{}, true, fmt.Errorf("lookup %s/%s: %w", stype, key, ErrNotFound)
+		return Service{}, true, &lookupError{cacheKey{stype, key}, ErrNotFound}
 	}
 	return Service{}, false, nil
 }
@@ -624,7 +638,7 @@ func (l *lookup) expire() {
 
 // fail hands done the error of an ended lookup.
 func (l *lookup) fail(err error) {
-	l.done(Service{}, fmt.Errorf("lookup %s/%s: %w", l.ck.stype, l.ck.key, err))
+	l.done(Service{}, &lookupError{l.ck, err})
 }
 
 // Services returns the live registrations known to this agent (local and
@@ -676,7 +690,8 @@ func (a *Agent) Dump() string {
 // The same state always encodes to the same bytes. The staging payload and
 // encoder are scratch state reused across calls (every HELLO/TC/RREQ the node
 // emits lands here), and the encoded bytes are appended to b, the routing
-// frame they go out in: nothing is allocated when b has the room.
+// frame they go out in, which is the wire buffer it crosses the medium in (see
+// netem.Frame): nothing is allocated when b has the room.
 func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 	budget := msg.Budget - digestSize
 	if budget < 0 {
@@ -752,7 +767,8 @@ func (a *Agent) sortedLocals() []Service {
 
 // Incoming handles extensions found on received routing messages: whatever
 // receive does with any payload, plus the sender's digest, which only a
-// neighbour's routing message can vouch for.
+// neighbour's routing message can vouch for. msg.Ext is lent (see
+// netem.Frame); receive copies what it installs.
 func (a *Agent) Incoming(msg routing.Incoming) {
 	if d, ok := a.receive(msg.Ext); ok {
 		a.cache.heardDigest(msg.From, d, a.clk.Now())

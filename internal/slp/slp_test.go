@@ -220,11 +220,22 @@ func TestMulticastLookup(t *testing.T) {
 	}
 }
 
+// TestLookupNotFound: a lookup nobody answers ends ErrNotFound, and so does the
+// next one, from the remembered miss; the error names what was looked for, in
+// the words it always did, though it is only formatted when read.
 func TestLookupNotFound(t *testing.T) {
 	_, agents, _ := buildChain(t, 2, ModePiggyback)
-	_, err := agents[0].Lookup("sip", "ghost@nowhere", 300*time.Millisecond)
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	for _, from := range []string{"the network", "the remembered miss"} {
+		_, err := agents[0].Lookup("sip", "ghost@nowhere", 300*time.Millisecond)
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("from %s: err = %v, want ErrNotFound", from, err)
+		}
+		if got, want := err.Error(), "lookup sip/ghost@nowhere: slp: service not found"; got != want {
+			t.Fatalf("from %s: err reads %q, want %q", from, got, want)
+		}
+	}
+	if st := agents[0].Stats(); st.NegativeHits != 1 {
+		t.Fatalf("NegativeHits = %d, want the second lookup answered from the miss", st.NegativeHits)
 	}
 }
 

@@ -45,12 +45,16 @@ func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 
 // String appends a u16-length-prefixed string. Strings longer than 65535
 // bytes are truncated — callers validate sizes at higher layers.
-func (w *Writer) String(s string) {
+func (w *Writer) String(s string) { w.buf = AppendString(w.buf, s) }
+
+// AppendString appends s to b as Writer.String encodes it, for messages that
+// are written straight into the buffer they are sent in.
+func AppendString(b []byte, s string) []byte {
 	if len(s) > 0xffff {
 		s = s[:0xffff]
 	}
-	w.U16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
 }
 
 // Raw appends bytes verbatim (no length prefix).
