@@ -2,6 +2,7 @@ package clock
 
 import (
 	"container/heap"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,12 @@ import (
 // its media streams — runs on one worker in one (due, seq) order and never
 // concurrently with itself.
 //
-// The scheduler runs against any Clock. On a Fake clock a worker arms one fake
-// timer per shard for the earliest deadline, so deterministic tests drive it
-// with Advance.
+// The scheduler runs against any Clock. A parked worker waits on its shard's
+// one alarm, set for the earliest deadline (alarm.go): on a Fake clock that is
+// one fake timer per shard, so deterministic tests drive it with Advance; on
+// the system clock on Linux it is a timerfd, so a task runs within tens of
+// microseconds of its deadline rather than at the runtime poller's next
+// millisecond.
 type Scheduler struct {
 	clk    Clock
 	shards []*schedShard
@@ -55,7 +59,9 @@ func (t *Task) Init(fn func(now time.Time), dropped func()) {
 }
 
 // Stop cancels the task: it never runs again, and is reaped when its deadline
-// passes. Safe to call multiple times and from the task's own callback.
+// passes or, sooner, when it reaches the head of a shard whose worker parks —
+// so a stopped timer neither sets the alarm nor wakes anyone. Safe to call
+// multiple times and from the task's own callback.
 func (t *Task) Stop() {
 	if t == nil {
 		return
@@ -90,21 +96,28 @@ func (h *taskHeap) Pop() any {
 }
 
 type schedShard struct {
-	clk Clock
+	clk   Clock
+	alarm alarm
 
 	mu     sync.Mutex
 	heap   taskHeap
 	seq    uint64
 	closed bool
-	// parked is set by the worker when it finds nothing due and goes to
-	// sleep, and cleared by whoever wakes it. A worker running a batch looks
-	// at the heap again before it sleeps, so a task queued meanwhile — a
-	// re-arm, a frame sent on by a transit hop — sends no wake-up, and none
-	// is ever left over for a later sleep to trip on.
+	// parked is set by the worker when it finds nothing due and is about to
+	// wait on the alarm, and cleared when it wakes. Only a task that becomes
+	// the head of a parked shard sets the alarm from At: a worker running a
+	// batch looks at the heap again before it parks, so a task queued
+	// meanwhile — a re-arm, a frame sent on by a transit hop — costs nothing.
+	// So the alarm is never set twice for one deadline: the worker sets it
+	// once per park, after the wake-up that spent it, and At only for a new
+	// head, which is earlier than anything it was set for.
 	parked bool
 
-	wake chan struct{}
-	stop chan struct{}
+	// Telemetry, written by the worker only (see SchedStats).
+	runs    atomic.Int64
+	wakeups atomic.Int64
+	lag     [LagBuckets]atomic.Int64
+
 	done chan struct{}
 }
 
@@ -123,10 +136,9 @@ func NewScheduler(clk Clock, shards int) *Scheduler {
 	s := &Scheduler{clk: clk, shards: make([]*schedShard, shards)}
 	for i := range s.shards {
 		sh := &schedShard{
-			clk:  clk,
-			wake: make(chan struct{}, 1),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
+			clk:   clk,
+			alarm: newAlarm(clk),
+			done:  make(chan struct{}),
 		}
 		s.shards[i] = sh
 		go sh.run()
@@ -205,15 +217,21 @@ func (s *Scheduler) Every(key string, interval time.Duration, fn func(now time.T
 // on work that will never happen. Safe to call more than once.
 func (s *Scheduler) Close() {
 	var queued []*Task
+	var alarms []alarm
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if !sh.closed {
 			sh.closed = true
-			close(sh.stop)
+			alarms = append(alarms, sh.alarm)
 		}
 		queued = append(queued, sh.heap...)
 		sh.heap = nil
 		sh.mu.Unlock()
+	}
+	// Nothing sets an alarm once its shard is closed, so closing it outside
+	// the lock is safe; a worker waiting on it returns.
+	for _, a := range alarms {
+		a.close()
 	}
 	for _, sh := range s.shards {
 		<-sh.done
@@ -240,68 +258,117 @@ func (sh *schedShard) at(t *Task, due time.Time) {
 	t.seq = sh.seq
 	sh.seq++
 	heap.Push(&sh.heap, t)
-	wake := sh.heap[0] == t && sh.parked
-	if wake {
-		sh.parked = false
+	if sh.parked && sh.heap[0] == t {
+		sh.alarm.arm(due)
 	}
 	sh.mu.Unlock()
-	if wake {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // run is the shard worker: batch-pop every due task under one lock
-// acquisition, run the callbacks outside the lock, then sleep until the next
-// deadline on the one timer the worker owns.
+// acquisition, run the callbacks outside the lock, and when nothing is due
+// park on the alarm, set for the next deadline.
 func (sh *schedShard) run() {
 	defer close(sh.done)
 	var batch []*Task
-	var timer Timer
 	for {
 		sh.mu.Lock()
+		if sh.closed {
+			sh.mu.Unlock()
+			return
+		}
+		// Awake. An At that set the alarm after it woke the worker and
+		// before this lock may leave one expiry behind, which costs a later
+		// wake-up that finds nothing due.
+		sh.parked = false
 		now := sh.clk.Now()
 		batch = batch[:0]
 		for len(sh.heap) > 0 && !sh.heap[0].due.After(now) {
 			batch = append(batch, heap.Pop(&sh.heap).(*Task))
 		}
-		wait, pending := time.Duration(0), false
-		if len(sh.heap) > 0 {
-			wait, pending = sh.heap[0].due.Sub(now), true
+		if len(batch) == 0 {
+			sh.park()
 		}
-		sh.parked = len(batch) == 0
 		sh.mu.Unlock()
 
-		for _, t := range batch {
-			if !t.stopped.Load() {
-				t.fn(now)
-			}
-		}
 		if len(batch) > 0 {
+			sh.runBatch(now, batch)
 			continue // deadlines may have passed while running callbacks
 		}
-		if !pending {
-			select {
-			case <-sh.stop:
-				return
-			case <-sh.wake:
-			}
+		if !sh.alarm.wait() {
+			return
+		}
+		sh.wakeups.Add(1)
+	}
+}
+
+// park reaps stopped tasks off the head of the heap — a cancelled timer
+// neither sets the alarm nor wakes the worker — and sets the alarm for the
+// earliest deadline left. With nothing queued the alarm stays unset and only
+// At sets it. Called with sh.mu held.
+func (sh *schedShard) park() {
+	for len(sh.heap) > 0 && sh.heap[0].stopped.Load() {
+		heap.Pop(&sh.heap)
+	}
+	if len(sh.heap) > 0 {
+		sh.alarm.arm(sh.heap[0].due)
+	}
+	sh.parked = true
+}
+
+// runBatch runs a batch's callbacks outside the lock and records how late
+// each ran against its deadline. A popped task belongs to its owner again
+// only once its callback runs, so its deadline is read before.
+func (sh *schedShard) runBatch(now time.Time, batch []*Task) {
+	ran := 0
+	for _, t := range batch {
+		if t.stopped.Load() {
 			continue
 		}
-		if timer == nil {
-			timer = sh.clk.NewTimer(wait)
-		} else {
-			timer.Reset(wait)
-		}
-		select {
-		case <-sh.stop:
-			timer.Stop()
-			return
-		case <-sh.wake:
-			timer.Stop()
-		case <-timer.C():
+		sh.lag[lagBucket(now.Sub(t.due))].Add(1)
+		t.fn(now)
+		ran++
+	}
+	sh.runs.Add(int64(ran))
+}
+
+// LagBuckets is the number of buckets in SchedStats.Lag.
+const LagBuckets = 24
+
+// SchedStats is what a scheduler's workers have done since it was created,
+// summed over its shards. Every counter is a per-shard atomic bumped by the
+// shard's worker, so keeping them costs no allocation and no lock.
+type SchedStats struct {
+	// Runs counts task callbacks run; a stopped task reaped unrun is not
+	// one.
+	Runs int64
+	// Wakeups counts the times a parked worker was woken by its alarm. A
+	// worker wakes once per distinct deadline it parks for, so Wakeups per
+	// second is what on-time wake-ups cost in CPU.
+	Wakeups int64
+	// Lag is a log2 histogram of how late tasks ran: the instant the worker
+	// passed to the callback minus the task's deadline. Lag[0] counts runs
+	// less than 1 µs late, Lag[i] those in [2^(i-1), 2^i) µs, and the last
+	// bucket everything later. On the real clock this is host latency plus
+	// backlog; on a Fake clock it is how far a step overshot the deadline,
+	// 0 when steps land on deadlines.
+	Lag [LagBuckets]int64
+}
+
+// lagBucket maps a lateness to its Lag bucket.
+func lagBucket(lag time.Duration) int {
+	return min(bits.Len64(uint64(max(lag, 0)/time.Microsecond)), LagBuckets-1)
+}
+
+// Stats returns the workers' counters summed over all shards. Safe to call
+// concurrently with running tasks; the sum is not one atomic snapshot.
+func (s *Scheduler) Stats() SchedStats {
+	var st SchedStats
+	for _, sh := range s.shards {
+		st.Runs += sh.runs.Load()
+		st.Wakeups += sh.wakeups.Load()
+		for i := range sh.lag {
+			st.Lag[i] += sh.lag[i].Load()
 		}
 	}
+	return st
 }

@@ -170,27 +170,159 @@ func TestSchedulerPending(t *testing.T) {
 	}
 }
 
-// TestSchedulerWakeupAllocFree pins a shard worker's wait for the next
-// deadline at zero allocations: it re-arms the one timer it owns.
-func TestSchedulerWakeupAllocFree(t *testing.T) {
-	s := NewScheduler(New(), 1)
-	defer s.Close()
-	tick := make(chan struct{}, 1)
-	s.Every("n", 200*time.Microsecond, func(time.Time) {
-		select {
-		case tick <- struct{}{}:
-		default:
+// timerClock is the system clock behind the alarm every OS without a timerfd
+// gives it, the clock's own Timer: newAlarm picks the timerfd for System
+// itself, and this is another type.
+type timerClock struct{ System }
+
+// realClocks are the system clock with each alarm it can get.
+var realClocks = []struct {
+	name string
+	clk  Clock
+}{{"system", New()}, {"system-timer", timerClock{}}}
+
+// waitParked waits until sh's worker has parked on its alarm.
+func waitParked(t *testing.T, sh *schedShard) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		sh.mu.Lock()
+		parked := sh.parked
+		sh.mu.Unlock()
+		if parked {
+			return
 		}
-	})
-	<-tick // the worker's first wait creates its timer
-	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
-		t.Errorf("%v allocations per shard wake-up, want 0", allocs)
+		if time.Now().After(deadline) {
+			t.Fatal("worker never parked")
+		}
+	}
+}
+
+// TestSchedulerWakeupAllocFree pins a shard worker's wait for the next
+// deadline at zero allocations, telemetry included, with either alarm: it
+// re-arms the one alarm its shard owns.
+func TestSchedulerWakeupAllocFree(t *testing.T) {
+	for _, c := range realClocks {
+		s := NewScheduler(c.clk, 1)
+		tick := make(chan struct{}, 1)
+		s.Every("n", 200*time.Microsecond, func(time.Time) {
+			select {
+			case tick <- struct{}{}:
+			default:
+			}
+		})
+		<-tick
+		if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
+			t.Errorf("%s: %v allocations per shard wake-up, want 0", c.name, allocs)
+		}
+		s.Close()
+	}
+}
+
+// TestSchedulerStats: on a Fake clock stepped onto each deadline, every run
+// is one wake-up and 0 µs late; a step past the deadline shows up in the lag
+// histogram as the overshoot; reading the counters allocates nothing.
+func TestSchedulerStats(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	var fired atomic.Int64
+	s.Every("n", 10*time.Millisecond, func(time.Time) { fired.Add(1) })
+	step := func(d time.Duration, want int64) {
+		for clk.PendingTimers() == 0 { // until the worker has set its alarm
+			runtime.Gosched()
+		}
+		clk.Advance(d)
+		waitCount(t, &fired, want, "after advance")
+	}
+	for i := int64(1); i <= 3; i++ {
+		step(10*time.Millisecond, i)
+	}
+	st := s.Stats()
+	if st.Runs != 3 || st.Wakeups != 3 || st.Lag[0] != 3 {
+		t.Fatalf("after three on-deadline steps: runs %d, wake-ups %d, Lag[0] %d; want 3, 3, 3", st.Runs, st.Wakeups, st.Lag[0])
+	}
+	step(15*time.Millisecond, 4) // 5 ms past the deadline: [4096, 8192) µs
+	if st = s.Stats(); st.Lag[13] != 1 || st.Lag[0] != 3 {
+		t.Fatalf("a run 5 ms late: Lag[13] = %d, Lag[0] = %d; want 1, 3", st.Lag[13], st.Lag[0])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st = s.Stats() }); allocs != 0 {
+		t.Errorf("%v allocations per Stats, want 0", allocs)
+	}
+}
+
+// TestSchedulerReapsStoppedHead: the only queued task, due in an hour, is
+// stopped; the next worker pass drops it from the heap instead of setting
+// the alarm for it.
+func TestSchedulerReapsStoppedHead(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	s.After("n", time.Hour, func(time.Time) { t.Error("a stopped task ran") }).Stop()
+	pass := make(chan struct{})
+	s.After("n", 0, func(time.Time) { close(pass) })
+	<-pass
+	for deadline := time.Now().Add(2 * time.Second); s.Pending() != 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending = %d after a worker pass, want 0", s.Pending())
+		}
+	}
+	waitParked(t, s.shards[0])
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("%d fake timers set with nothing but a stopped task queued, want 0", n)
+	}
+}
+
+// TestSchedulerEarlierDeadlineRearms: a parked worker set for an hour from
+// now runs a task queued two milliseconds out from another goroutine on
+// time, with either alarm.
+func TestSchedulerEarlierDeadlineRearms(t *testing.T) {
+	for _, c := range realClocks {
+		s := NewScheduler(c.clk, 1)
+		s.After("n", time.Hour, func(time.Time) {})
+		waitParked(t, s.shards[0])
+		ran := make(chan time.Duration, 1)
+		go func() {
+			start := time.Now()
+			s.After("n", 2*time.Millisecond, func(time.Time) { ran <- time.Since(start) })
+		}()
+		select {
+		case took := <-ran:
+			if took > 20*time.Millisecond {
+				t.Errorf("%s: a task 2ms out ran after %v, want within 20ms", c.name, took)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s: a task 2ms out behind one an hour out never ran", c.name)
+		}
+		s.Close()
+	}
+}
+
+// TestSchedulerCloseWakesParkedWorker: Close on a worker parked for an hour
+// returns at once, and the queued task's dropped hook runs.
+func TestSchedulerCloseWakesParkedWorker(t *testing.T) {
+	for _, c := range realClocks {
+		s := NewScheduler(c.clk, 1)
+		var dropped atomic.Bool
+		var task Task
+		task.Init(func(time.Time) { t.Errorf("%s: a task an hour out ran", c.name) }, func() { dropped.Store(true) })
+		s.At("n", &task, time.Now().Add(time.Hour))
+		waitParked(t, s.shards[0])
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(time.Second):
+			t.Fatalf("%s: Close on a parked worker did not return within 1s", c.name)
+		}
+		if !dropped.Load() {
+			t.Errorf("%s: the queued task's dropped hook did not run", c.name)
+		}
 	}
 }
 
 // TestTaskRearmAllocFree pins what a paced stream or a pooled delivery pays
 // per firing: a caller-owned Task re-armed from its own callback at an
-// absolute deadline allocates nothing, on either clock.
+// absolute deadline allocates nothing, on either clock and with either alarm.
 func TestTaskRearmAllocFree(t *testing.T) {
 	rearming := func(s *Scheduler, start time.Time, step time.Duration) chan struct{} {
 		tick := make(chan struct{}, 1)
@@ -208,19 +340,20 @@ func TestTaskRearmAllocFree(t *testing.T) {
 		return tick
 	}
 
-	sys := NewScheduler(New(), 1)
-	defer sys.Close()
-	tick := rearming(sys, time.Now(), 200*time.Microsecond)
-	<-tick
-	<-tick // the worker's first wait creates its timer
-	if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
-		t.Errorf("system clock: %v allocations per re-armed firing, want 0", allocs)
+	for _, c := range realClocks {
+		sys := NewScheduler(c.clk, 1)
+		tick := rearming(sys, time.Now(), 200*time.Microsecond)
+		<-tick
+		if allocs := testing.AllocsPerRun(100, func() { <-tick }); allocs != 0 {
+			t.Errorf("%s: %v allocations per re-armed firing, want 0", c.name, allocs)
+		}
+		sys.Close()
 	}
 
 	clk := NewFake(time.Unix(0, 0))
 	fake := NewScheduler(clk, 1)
 	defer fake.Close()
-	tick = rearming(fake, clk.Now(), time.Second)
+	tick := rearming(fake, clk.Now(), time.Second)
 	<-tick
 	step := func() {
 		for clk.PendingTimers() == 0 { // until the worker has re-armed its timer

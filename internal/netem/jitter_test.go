@@ -56,9 +56,13 @@ func TestDelayJitterSpreadsArrivals(t *testing.T) {
 	}
 	// With 30ms of jitter on a burst sent back-to-back, the arrival window
 	// must span at least ~10ms (no jitter would deliver within ~base delay
-	// of each other). The scale is the host's, not the medium's: a sleeping
-	// goroutine wakes a millisecond late as a rule and several now and then,
-	// which is the whole window at a tenth of these figures.
+	// of each other). The scale is the host's, not the medium's: the
+	// deliveries run within tens of microseconds of their deadlines (a
+	// system-clock shard on Linux waits on a timerfd), but this loop sees them
+	// through time.After, and a goroutine asleep on a Go timer — as are
+	// clock.System's NewTimer, After and Sleep — wakes a millisecond late as a
+	// rule and several now and then, which is the whole window at a tenth of
+	// these figures.
 	span := arrivals[len(arrivals)-1].Sub(arrivals[0])
 	if span < 10*time.Millisecond {
 		t.Fatalf("arrival span %v too tight for 30ms jitter", span)

@@ -184,6 +184,9 @@ func NewNetwork(cfg Config) *Network {
 // Clock returns the clock driving the medium.
 func (n *Network) Clock() clock.Clock { return n.cfg.Clock }
 
+// Sched returns the network's scheduler, the one Host.Sched hands out.
+func (n *Network) Sched() *clock.Scheduler { return n.sched }
+
 // delivery is one scheduled frame hand-off: a frame plus the receiver set it
 // must reach once its deadline passes, as a task on the network's scheduler.
 // Unicast frames use the inline host field so the common case allocates no

@@ -6,6 +6,9 @@ package siphoc
 type Metrics struct {
 	// Network counts traffic on the radio medium by frame class.
 	Network NetworkStats
+	// Scheduler counts the radio network's scheduler: tasks run, worker
+	// wake-ups, and the histogram of how late each task ran.
+	Scheduler SchedStats
 	// Proxies holds each node's SIPHoc proxy counters.
 	Proxies map[NodeID]ProxyStats
 	// Gateways holds each gateway node's Gateway Provider counters.
@@ -26,6 +29,7 @@ type Metrics struct {
 func (s *Scenario) Metrics() Metrics {
 	m := Metrics{
 		Network:       s.net.Stats(),
+		Scheduler:     s.net.Sched().Stats(),
 		Proxies:       make(map[NodeID]ProxyStats),
 		Gateways:      make(map[NodeID]GatewayStats),
 		ConnProviders: make(map[NodeID]ConnStats),

@@ -134,6 +134,13 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Network.TotalFrames() < 1 {
 		t.Errorf("Metrics().Network saw no frames: %+v", m.Network)
 	}
+	var lagged int64
+	for _, n := range m.Scheduler.Lag {
+		lagged += n
+	}
+	if st := m.Scheduler; st.Runs < 1 || st.Wakeups < 1 || lagged != st.Runs {
+		t.Errorf("Metrics().Scheduler: %d runs, %d wake-ups, %d in the lag histogram; want runs and wake-ups, every run in the histogram", st.Runs, st.Wakeups, lagged)
+	}
 	for _, n := range nodes {
 		id := n.ID()
 		if got, want := m.Proxies[id], n.Proxy().Stats(); got != want {

@@ -34,6 +34,7 @@
 package siphoc
 
 import (
+	"siphoc/internal/clock"
 	"siphoc/internal/core"
 	"siphoc/internal/internet"
 	"siphoc/internal/netem"
@@ -72,6 +73,10 @@ type (
 	SIPAddr = sip.Addr
 	// NetworkStats counts traffic on the radio medium by frame class.
 	NetworkStats = netem.Stats
+	// SchedStats counts what the scheduler that runs every delivery, timer
+	// and media frame has done: tasks run, worker wake-ups and how late the
+	// tasks ran.
+	SchedStats = clock.SchedStats
 	// FaultPlan is a deterministic, seeded schedule of network faults; see
 	// FaultScenario for the scenario-level harness built on it.
 	FaultPlan = netem.FaultPlan
