@@ -28,9 +28,11 @@ cover:
 # system. The lifecycle line closes and stops every protocol with work in flight
 # (the Connection Provider's, in internal/core, rides the Gateway|Proxy line), and
 # runs the SIP ownership rule (messages share header values and never write
-# through them) where a write-through would be a reported race; sip and
-# voip run three times because the race a stack's Close can lose to an
-# arriving request is intermittent. The borrowed-frame tests (ControlFrameIsBorrowed
+# through them) where a write-through would be a reported race, and the
+# transaction users that now run on the shard (a UAS answering from a task, a
+# lost ACK recovered by the retransmitted 200); sip and voip run three times
+# because the race a stack's Close can lose to an arriving request is
+# intermittent. The borrowed-frame tests (ControlFrameIsBorrowed
 # on the lifecycle line, SplitFanOut and the SendFrame/SendWire pair on the
 # netem line) run here because a handler that keeps a slice it was lent is a
 # reported race under the detector, not only wrong bytes. The scheduler's alarm
@@ -39,9 +41,9 @@ cover:
 # worker wakes is exactly the race the detector would report.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|DeliverKeepsFinalWhenFull|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
+	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
 	$(GO) test -race -count 3 ./internal/sip/ ./internal/voip/
-	$(GO) test -race -run 'TestGridGolden|TestEventLoopGoroutinesIndependentOfN|TestComponentsTakeHostClock' -count 1 .
+	$(GO) test -race -run 'TestGridGolden|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .

@@ -296,11 +296,7 @@ func BenchmarkSIPProxyHop(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		tx, err := stacks["ua"].SendRequest(invite.Clone(), sip.Addr{Node: "p", Port: sip.DefaultPort})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp, err := tx.Await(); err != nil || resp.StatusCode != sip.StatusOK {
+		if resp, err := stacks["ua"].Await(invite.Clone(), sip.Addr{Node: "p", Port: sip.DefaultPort}); err != nil || resp.StatusCode != sip.StatusOK {
 			b.Fatalf("INVITE through the proxy: %v, %v", resp, err)
 		}
 	}

@@ -156,13 +156,9 @@ func TestComponentsTakeHostClock(t *testing.T) {
 		req.From = (&sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: "u", Host: "x"}}).WithTag(stack.NewTag())
 		req.To = &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: "v", Host: "x"}}
 		req.CallID, req.CSeq = stack.NewCallID(), sip.CSeq{Seq: 1, Method: sip.MethodOptions}
-		tx, err := stack.SendRequest(req, sip.Addr{Node: bed.b.ID(), Port: sip.DefaultPort})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Nobody listens at b: Timer F, 64×T1 = 32 s, ends the transaction.
 		bed.failsIn(time.Minute, "OPTIONS to a silent node", func() error {
-			if resp, err := tx.Await(); err != nil || resp.StatusCode != sip.StatusRequestTimeout {
+			if resp, err := stack.Await(req, sip.Addr{Node: bed.b.ID(), Port: sip.DefaultPort}); err != nil || resp.StatusCode != sip.StatusRequestTimeout {
 				return err
 			}
 			return sip.ErrTimeout

@@ -203,3 +203,84 @@ func TestEventLoopGoroutinesIndependentOfN(t *testing.T) {
 		}
 	}
 }
+
+// TestEventLoopGoroutinesIndependentOfCalls extends the resource claim from
+// nodes to calls: with 64 calls ringing and 64 established between two full
+// nodes, the process runs on the network scheduler's shard workers and
+// nothing else. Every SIP transaction user — the proxies' routing and
+// re-resolution, a call's set-up, auto-answer — is a callback on a shard; a
+// goroutine per outgoing call or per request handler would show here.
+func TestEventLoopGoroutinesIndependentOfCalls(t *testing.T) {
+	const calls = 64
+	baseline := stableGoroutines()
+	sc, err := siphoc.NewScenarioWith(siphoc.WithoutObservability())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	nodes, err := sc.Chain(2, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const domain = "voicehoc.ch"
+	phone := func(n *siphoc.Node, user string, ring bool) *siphoc.Phone {
+		ph, err := n.NewPhoneWith(siphoc.PhoneConfig{User: user, Domain: domain, NoAutoAnswer: ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 5 {
+			if err = ph.Register(); err == nil {
+				break
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ph
+	}
+	alice := phone(nodes[0], "alice", false)
+	phone(nodes[1], "bob", true)
+	phone(nodes[1], "carol", false)
+	for _, aor := range []string{"bob@" + domain, "carol@" + domain} {
+		if _, err := nodes[0].SLP().Lookup("sip", aor, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ringing, established []*siphoc.Call
+	for range calls {
+		for _, to := range []string{"bob", "carol"} {
+			c, err := alice.Dial(to + "@" + domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if to == "bob" {
+				ringing = append(ringing, c)
+			} else {
+				established = append(established, c)
+			}
+		}
+	}
+	for _, c := range established {
+		if err := c.WaitEstablished(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		n := 0
+		for _, c := range ringing {
+			if c.State() == siphoc.CallRinging {
+				n++
+			}
+		}
+		if n == calls {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls ringing", n, calls)
+		}
+	}
+	if got, want := stableGoroutines()-baseline, runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("%d calls ringing and %d established run on %d goroutines, want the %d shard workers", calls, calls, got, want)
+	}
+}

@@ -50,11 +50,7 @@ func TestCancelWithoutMatchingInviteIs481(t *testing.T) {
 	cancel.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	cancel.CallID = "c-nomatch"
 	cancel.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodCancel}
-	tx, err := stack.SendRequest(cancel, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(cancel, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

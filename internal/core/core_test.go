@@ -318,11 +318,7 @@ func register(t *testing.T, host *netem.Host, proxy *Proxy, user string, expires
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodRegister}
 	req.Contact = []*sip.NameAddr{{URI: &sip.URI{Scheme: "sip", User: user, Host: "10.0.0.1", Port: 5070}}}
 	req.Expires = expires
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +372,7 @@ func TestProxyRejectsRemoteRegister(t *testing.T) {
 	req.CallID = "c1"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodRegister}
 	req.Contact = []*sip.NameAddr{{URI: &sip.URI{Scheme: "sip", Host: "10.0.0.9", Port: 5062}}}
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +400,7 @@ func TestProxyUnknownTargetIs404(t *testing.T) {
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:ghost@voicehoc.ch")}
 	req.CallID = "c-404"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +429,7 @@ func TestProxyLoopDetection(t *testing.T) {
 	// Forge a Via showing the request already passed through this proxy.
 	req.Via = []*sip.Via{{Transport: "UDP", Host: "10.0.0.1", Port: 5060,
 		Params: ";branch=z9hG4bK-old"}}
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +458,7 @@ func TestProxyMaxForwardsExhausted(t *testing.T) {
 	req.CallID = "c-mf"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
 	req.MaxForwards = 0
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

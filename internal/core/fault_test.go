@@ -261,8 +261,7 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 	}
 	fb.net.RemoveHost(old.ID())
 
-	// Bob reappears on the surviving node: a UA answering 200 OK, advertised
-	// under the same AOR by the new origin.
+	// Bob reappears on the surviving node: a UA answering 200 OK.
 	uaConn, err := fresh.Listen(5080)
 	if err != nil {
 		t.Fatal(err)
@@ -274,12 +273,6 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 		resp.To = resp.To.WithTag("bob-1")
 		_ = tx.Respond(resp)
 	})
-	if err := fb.agents[fresh.ID()].Register(slp.Service{
-		Type: SIPServiceType, Key: "bob@voicehoc.ch",
-		URL: slp.ServiceURL(SIPServiceType, string(fresh.ID())+":5080"),
-	}); err != nil {
-		t.Fatal(err)
-	}
 
 	callerConn, err := fb.node.Listen(0)
 	if err != nil {
@@ -293,13 +286,32 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-stale"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
-	tx, err := stack.SendRequest(req, caller.Addr())
-	if err != nil {
+	final := make(chan *sip.Message, 1)
+	if err := stack.SendRequest(req, caller.Addr(), func(m *sip.Message) {
+		if m.StatusCode >= 200 {
+			select {
+			case final <- m:
+			default:
+			}
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tx.Await()
-	if err != nil {
+	// Bob is advertised on the surviving node only once the INVITE has gone
+	// to the dead one: an advert that reached the caller's cache first would
+	// leave nothing stale to recover from.
+	waitCond(t, 5*time.Second, "first forward", func() bool { return caller.Stats().RequestsRouted >= 1 })
+	if err := fb.agents[fresh.ID()].Register(slp.Service{
+		Type: SIPServiceType, Key: "bob@voicehoc.ch",
+		URL: slp.ServiceURL(SIPServiceType, string(fresh.ID())+":5080"),
+	}); err != nil {
 		t.Fatal(err)
+	}
+	var resp *sip.Message
+	select {
+	case resp = <-final:
+	case <-time.After(15 * time.Second):
+		t.Fatal("INVITE never answered")
 	}
 	if resp.StatusCode != sip.StatusOK {
 		t.Fatalf("INVITE after callee moved = %d, want 200 (stats %+v, cached %+v)",
@@ -341,11 +353,7 @@ func TestProxyRetransmitExhaustionIs408(t *testing.T) {
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:ghost@voicehoc.ch")}
 	req.CallID = "c-408"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
-	tx, err := stack.SendRequest(req, proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, proxy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,18 +52,12 @@ type ProxyConfig struct {
 	// paper relies on ("the SIP proxy can be deduced from the domain part
 	// of the SIP URI").
 	DNS func(domain string) sip.Addr
-	// Resolvers replaces the proxy's routing policy with a custom chain.
-	// Nil keeps the paper's default — local registrar, MANET SLP, Internet
-	// DNS (see Proxy.DefaultResolvers). Deployments compose their own chain
-	// from the exported constructors, e.g. to make SLP cache-only in a
-	// federation or to splice a DHT overlay registrar between SLP and DNS.
-	Resolvers []Resolver
 	// Overlay plugs a P2P overlay registrar (DHT) into the proxy: the
 	// default chain gains an overlay hop between SLP and DNS, and local
 	// registrations are published into the overlay alongside their SLP
 	// adverts. Nil disables.
 	Overlay OverlayDirectory
-	// OverlayTimeout bounds a blocking overlay lookup during call routing
+	// OverlayTimeout bounds an overlay lookup during call routing
 	// (default 2s).
 	OverlayTimeout time.Duration
 	// Obs records resolution spans and routing counters; it is also
@@ -188,9 +182,9 @@ type Proxy struct {
 	mu       sync.Mutex
 	bindings map[string]localBinding // AOR -> local UA contact
 	upstream map[string]int          // AOR -> last upstream REGISTER status
-	// invites maps the upstream INVITE branch to its downstream forward,
+	// invites maps the upstream INVITE branch to its downstream attempt,
 	// so a hop-by-hop CANCEL can chase the INVITE (RFC 3261 §9.2).
-	invites map[string]*inviteForward
+	invites map[string]inviteForward
 	// creds holds provisioned digest credentials per AOR, used when the
 	// Internet provider challenges our upstream registration.
 	creds   map[string]upstreamCred
@@ -200,8 +194,6 @@ type Proxy struct {
 
 	stats proxyCounters
 	obs   *obs.Observer
-
-	wg sync.WaitGroup
 }
 
 // NewProxy creates the proxy. agent is the node's service directory (the
@@ -218,44 +210,32 @@ func NewProxy(host *netem.Host, agent ServiceDirectory, connp *ConnectionProvide
 		obs:      cfg.Obs,
 		bindings: make(map[string]localBinding),
 		upstream: make(map[string]int),
-		invites:  make(map[string]*inviteForward),
+		invites:  make(map[string]inviteForward),
 		creds:    make(map[string]upstreamCred),
 		recordRoute: &sip.NameAddr{URI: &sip.URI{
 			Scheme: "sip", Host: string(host.ID()), Port: cfg.Port, Params: ";lr",
 		}},
 	}
-	if len(cfg.Resolvers) > 0 {
-		p.resolvers = ResolverChain(cfg.Resolvers)
-	} else {
-		p.resolvers = p.DefaultResolvers()
-	}
-	return p
-}
-
-// DefaultResolvers is the paper's routing policy as a resolver chain: the
-// local registrar first, then MANET SLP, then — when attached — the Internet
-// provider. Custom chains usually start from this and splice backends in.
-func (p *Proxy) DefaultResolvers() ResolverChain {
-	chain := ResolverChain{
+	// The paper's routing policy: the local registrar first, then MANET SLP,
+	// then — when attached — the overlay and the Internet provider.
+	p.resolvers = ResolverChain{
 		NewRegistrarResolver(p),
 		NewSLPResolver(p.agent, SLPResolverConfig{
-			Timeout:         p.cfg.SLPTimeout,
-			TimeoutAttached: p.cfg.SLPTimeoutAttached,
-			CacheOnly:       p.cfg.SLPCacheOnly,
+			Timeout:         cfg.SLPTimeout,
+			TimeoutAttached: cfg.SLPTimeoutAttached,
+			CacheOnly:       cfg.SLPCacheOnly,
 			Self:            p.Addr(),
 		}),
 	}
-	if p.cfg.Overlay != nil {
-		chain = append(chain, NewOverlayResolver(p.cfg.Overlay, OverlayResolverConfig{
-			Timeout: p.cfg.OverlayTimeout,
+	if cfg.Overlay != nil {
+		p.resolvers = append(p.resolvers, NewOverlayResolver(host, cfg.Overlay, OverlayResolverConfig{
+			Timeout: cfg.OverlayTimeout,
 			Self:    p.Addr(),
 		}))
 	}
-	return append(chain, NewDNSResolver(p.cfg.DNS))
+	p.resolvers = append(p.resolvers, NewDNSResolver(cfg.DNS))
+	return p
 }
-
-// Resolvers returns the active resolver chain.
-func (p *Proxy) Resolvers() ResolverChain { return p.resolvers }
 
 // Start binds the SIP port and begins serving.
 func (p *Proxy) Start() error {
@@ -292,7 +272,11 @@ func (p *Proxy) Stop() {
 	p.closed = true
 	p.mu.Unlock()
 	p.stack.Close()
-	p.wg.Wait()
+}
+
+// after queues t on the node's shard, d from now.
+func (p *Proxy) after(t *clock.Task, d time.Duration) {
+	p.host.Sched().At(string(p.host.ID()), t, p.clk.Now().Add(d))
 }
 
 // Addr returns the proxy's SIP transport address.
@@ -403,40 +387,33 @@ func (p *Proxy) handleRegister(tx *sip.ServerTx) {
 	// official SIP address with their provider so calls from the Internet
 	// reach the MANET (paper §3.2).
 	if ttl > 0 && p.connp != nil && p.connp.Attached() {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.registerUpstream(aor)
-		}()
+		p.registerUpstream(aor)
 	}
 }
 
-// resolve maps a request's target to a next-hop transport address: explicit
-// endpoints are delivered directly, everything else walks the resolver chain
-// (the paper's policy by default — local registrar, MANET SLP, Internet
-// provider). It returns the failing status code when nothing matches.
-func (p *Proxy) resolve(req *sip.Message) (sip.Addr, string, int) {
-	uri := req.RequestURI
-	if uri.Port != 0 {
-		// Explicit endpoint (a UA contact): deliver directly.
-		return sip.Addr{Node: netem.NodeID(uri.Host), Port: uri.Port}, "endpoint", 0
+// nextHop picks the forwarding target for an already-prepared request and
+// hands it to done with its kind: the topmost remaining Route entry when
+// present (loose routing), an explicit endpoint (a UA contact) as it is, and
+// anything else through the resolver chain (the paper's policy by default —
+// local registrar, MANET SLP, Internet provider).
+func (p *Proxy) nextHop(fwd *sip.Message, done func(sip.Addr, string, error)) {
+	if len(fwd.Route) > 0 {
+		done(sip.Addr{
+			Node: netem.NodeID(fwd.Route[0].URI.Host),
+			Port: fwd.Route[0].URI.PortOrDefault(),
+		}, "route", nil)
+		return
 	}
-	q := ResolveQuery{
+	uri := fwd.RequestURI
+	if uri.Port != 0 {
+		done(sip.Addr{Node: netem.NodeID(uri.Host), Port: uri.Port}, "endpoint", nil)
+		return
+	}
+	p.resolvers.Resolve(ResolveQuery{
 		URI:      uri,
 		AOR:      uri.AddressOfRecord(),
 		Attached: p.connp != nil && p.connp.Attached(),
-	}
-	addr, kind, err := p.resolvers.ResolveE(q)
-	if err == nil {
-		return addr, kind, 0
-	}
-	if !errors.Is(err, ErrResolverMiss) {
-		// A typed backend failure (overlay timeout, closed node): the
-		// target may well exist, we just could not reach the backend.
-		p.stats.resolverErrors.Add(1)
-		return sip.Addr{}, "", sip.StatusTemporarilyUnavail
-	}
-	return sip.Addr{}, "", sip.StatusNotFound
+	}, done)
 }
 
 func (p *Proxy) recordResolution(kind string) {
@@ -457,30 +434,18 @@ func (p *Proxy) recordResolution(kind string) {
 	}
 }
 
-// nextHopFor picks the forwarding target for an already-prepared request:
-// the topmost remaining Route entry when present (loose routing), otherwise
-// the resolution policy on the Request-URI.
-func (p *Proxy) nextHopFor(fwd *sip.Message) (sip.Addr, string, int) {
-	if len(fwd.Route) > 0 {
-		return sip.Addr{
-			Node: netem.NodeID(fwd.Route[0].URI.Host),
-			Port: fwd.Route[0].URI.PortOrDefault(),
-		}, "route", 0
-	}
-	return p.resolve(fwd)
-}
-
 func (p *Proxy) routeStateless(tx *sip.ServerTx) {
 	fwd, err := sip.PrepareForward(tx.Request(), p.stack.Addr())
 	if err != nil {
 		return
 	}
-	dst, kind, _ := p.nextHopFor(fwd)
-	if kind == "" {
-		return
-	}
-	p.recordResolution(kind)
-	_ = p.stack.Send(fwd, dst)
+	p.nextHop(fwd, func(dst sip.Addr, kind string, err error) {
+		if err != nil {
+			return
+		}
+		p.recordResolution(kind)
+		_ = p.stack.Send(fwd, dst)
+	})
 }
 
 func (p *Proxy) routeStateful(tx *sip.ServerTx) {
@@ -494,126 +459,172 @@ func (p *Proxy) routeStateful(tx *sip.ServerTx) {
 		_ = tx.RespondCode(sip.StatusTooManyHops, "")
 		return
 	}
-	// The resolve step is where SLP (and possibly a route discovery
-	// triggered by the query traffic) spends the call-setup time the
-	// paper's Figure 6 decomposes; trace it per call on the INVITE path.
-	var resolveSpan obs.SpanHandle
-	if req.Method == sip.MethodInvite {
-		resolveSpan = p.obs.StartSpan(req.CallID, obs.PhaseSLPResolve, string(p.host.ID()))
+	f := &forward{p: p, tx: tx, invite: req.Method == sip.MethodInvite, fwd: fwd, pristine: *fwd}
+	if f.invite {
+		f.retries = p.cfg.ResolveRetries
+		if v := req.TopVia(); v != nil {
+			f.branch = v.Branch()
+		}
 	}
-	dst, kind, failCode := p.nextHopFor(fwd)
-	resolveSpan.End("kind=" + kind)
-	if kind == "" {
-		p.stats.unresolved.Add(1)
-		_ = tx.RespondCode(failCode, "")
+	f.task.Init(f.step, nil)
+	f.resolve()
+}
+
+// forward is one request routed statefully: resolve the next hop, send the
+// request there, relay the responses up. Every step runs on the node's shard:
+// a resolution answered elsewhere comes back through the forward's task.
+//
+// Recovery is bounded: when an SLP-resolved next hop has gone stale (callee
+// moved, node crashed), the downstream transaction exhausts its
+// retransmissions in silence. An INVITE that never drew a provisional then
+// evicts the stale cache entry, backs off on the task, re-resolves and tries
+// the fresh route — up to ResolveRetries times — before answering 408.
+type forward struct {
+	p      *Proxy
+	tx     *sip.ServerTx
+	invite bool
+	branch string // the upstream INVITE's, which a CANCEL names
+	// fwd is the prepared request, which the first attempt sends; pristine
+	// is a copy of it from before our Via went on, which every later
+	// attempt clones.
+	fwd      *sip.Message
+	pristine sip.Message
+
+	// dst, kind and err are the last resolution's.
+	dst         sip.Addr
+	kind        string
+	err         error
+	attempt     int
+	retries     int
+	provisional bool // an attempt drew one, so no other follows
+	span        obs.SpanHandle
+
+	// task runs the next step: the resolution that came back, or — after a
+	// back-off — the next resolution.
+	task            clock.Task
+	resolvedPending bool
+}
+
+// resolve looks the next hop up, tracing it on the INVITE path: this is
+// where SLP (and possibly a route discovery triggered by the query traffic)
+// spends the call-setup time the paper's Figure 6 decomposes.
+func (f *forward) resolve() {
+	if f.invite {
+		f.span = f.p.obs.StartSpan(f.tx.Request().CallID, obs.PhaseSLPResolve, string(f.p.host.ID()))
+	}
+	f.p.nextHop(&f.pristine, f.resolved)
+}
+
+func (f *forward) resolved(dst sip.Addr, kind string, err error) {
+	f.dst, f.kind, f.err, f.resolvedPending = dst, kind, err, true
+	f.p.after(&f.task, 0)
+}
+
+func (f *forward) step(time.Time) {
+	if !f.resolvedPending {
+		f.resolve() // the back-off is over
 		return
 	}
-	if req.Method == sip.MethodInvite {
-		_ = tx.RespondCode(sip.StatusTrying, "")
-		// Record-Route: keep this proxy on the path for in-dialog
-		// requests (RFC 3261 §16.6 step 4).
-		fwd.RecordRoute = append([]*sip.NameAddr{p.recordRoute}, fwd.RecordRoute...)
+	f.resolvedPending = false
+	p, tx := f.p, f.tx
+	retry := ""
+	if f.attempt > 0 {
+		retry = " retry"
 	}
-	// Stateful send with bounded recovery: when an SLP-resolved next hop has
-	// gone stale (callee moved, node crashed), the downstream transaction
-	// exhausts its retransmissions in silence. For INVITEs that never drew a
-	// provisional, evict the stale cache entry, back off, re-resolve and try
-	// the fresh route — capped by ResolveRetries — before answering 408.
-	aor := req.RequestURI.AddressOfRecord()
-	pristine := *fwd // as it was before our Via went on; each retry restarts from here
-	retries := p.cfg.ResolveRetries
-	if req.Method != sip.MethodInvite {
-		retries = 0
+	f.span.End("kind=" + f.kind + retry)
+	if f.err != nil {
+		p.stats.unresolved.Add(1)
+		code := sip.StatusNotFound
+		if !errors.Is(f.err, ErrResolverMiss) {
+			// A backend failure (overlay timeout): the target may well
+			// exist, we just could not reach the backend.
+			p.stats.resolverErrors.Add(1)
+			code = sip.StatusTemporarilyUnavail
+		}
+		_ = tx.RespondCode(code, "")
+		f.finish()
+		return
 	}
-	branch := ""
-	if req.Method == sip.MethodInvite {
-		if v := req.TopVia(); v != nil {
-			branch = v.Branch()
-			defer func() {
-				p.mu.Lock()
-				delete(p.invites, branch)
-				p.mu.Unlock()
-			}()
-		}
-	}
-	recorded := false
-	for attempt := 0; ; attempt++ {
-		msg := fwd
-		if attempt > 0 {
-			msg = pristine.Clone()
-		}
-		ct, err := p.stack.SendRequest(msg, dst)
-		if err != nil {
-			_ = tx.RespondCode(sip.StatusInternalError, "")
-			return
-		}
-		if branch != "" {
-			// Point the CANCEL chase at the latest downstream attempt.
-			p.mu.Lock()
-			p.invites[branch] = &inviteForward{fwd: msg, dst: dst}
-			p.mu.Unlock()
-		}
-		if !recorded {
-			p.recordResolution(kind)
-			recorded = true
-		}
-		gotProvisional := false
-		for resp := range ct.Responses() {
-			if resp.IsLocalTimeout() {
-				// The downstream transaction expired without any network
-				// response: a dead next hop, not a slow callee. Break out
-				// so the recovery logic below decides what the caller sees.
-				break
-			}
-			if len(resp.Via) < 2 || resp.StatusCode == sip.StatusTrying {
-				continue // nobody upstream, or hop-by-hop only
-			}
-			if resp.StatusCode < 200 {
-				gotProvisional = true
-			}
-			up := *resp
-			up.Via = up.Via[1:] // pop our Via
-			_ = tx.Respond(&up)
-			if resp.StatusCode >= 200 {
-				return
-			}
-		}
-		// Transaction exhausted. A provisional means the callee was reached
-		// and answered once — the route is live, so re-resolving cannot
-		// help; the same goes for non-SLP routes.
-		if gotProvisional || kind != "slp" || attempt >= retries {
-			break
-		}
-		p.agent.Evict(SIPServiceType, aor)
-		p.stats.slpEvictions.Add(1)
-		delay := p.cfg.ResolveBackoff << attempt
-		if max := 8 * p.cfg.ResolveBackoff; delay > max {
-			delay = max
-		}
-		if delay > 0 {
-			t := p.clk.NewTimer(delay)
-			<-t.C()
-		}
-		retrySpan := p.obs.StartSpan(req.CallID, obs.PhaseSLPResolve, string(p.host.ID()))
-		dst, kind, failCode = p.nextHopFor(&pristine)
-		retrySpan.End("kind=" + kind + " retry")
-		if kind == "" {
-			p.stats.unresolved.Add(1)
-			_ = tx.RespondCode(failCode, "")
-			return
-		}
+	switch {
+	case f.attempt > 0:
 		p.stats.slpReresolutions.Add(1)
 		// Refresh the caller's patience (its Proceeding deadline re-arms
 		// from the latest provisional) before the next downstream attempt.
 		_ = tx.RespondCode(sip.StatusTrying, "")
+	case f.invite:
+		_ = tx.RespondCode(sip.StatusTrying, "")
+		// Record-Route: keep this proxy on the path for in-dialog
+		// requests (RFC 3261 §16.6 step 4).
+		f.fwd.RecordRoute = append([]*sip.NameAddr{p.recordRoute}, f.fwd.RecordRoute...)
+		f.pristine.RecordRoute = f.fwd.RecordRoute
 	}
-	// No final response despite recovery attempts.
-	_ = tx.RespondCode(sip.StatusRequestTimeout, "")
+	msg := f.fwd
+	if f.attempt > 0 {
+		msg = f.pristine.Clone()
+	}
+	if err := p.stack.SendRequest(msg, f.dst, f.onResponse); err != nil {
+		_ = tx.RespondCode(sip.StatusInternalError, "")
+		f.finish()
+		return
+	}
+	if f.branch != "" {
+		// Point the CANCEL chase at the latest downstream attempt.
+		p.mu.Lock()
+		p.invites[f.branch] = inviteForward{fwd: msg, dst: f.dst}
+		p.mu.Unlock()
+	}
+	if f.attempt == 0 {
+		p.recordResolution(f.kind)
+	}
 }
 
-type inviteForward struct {
-	fwd *sip.Message // the downstream INVITE as sent (our Via on top)
-	dst sip.Addr
+// onResponse relays a downstream response upstream, with our Via popped.
+func (f *forward) onResponse(resp *sip.Message) {
+	if resp.IsLocalTimeout() {
+		// The downstream transaction expired without any network response:
+		// a dead next hop, not a slow callee.
+		f.exhausted()
+		return
+	}
+	if len(resp.Via) < 2 || resp.StatusCode == sip.StatusTrying {
+		return // nobody upstream, or hop-by-hop only
+	}
+	if resp.StatusCode < 200 {
+		f.provisional = true
+	}
+	up := *resp
+	up.Via = up.Via[1:]
+	_ = f.tx.Respond(&up)
+	if resp.StatusCode >= 200 {
+		f.finish()
+	}
+}
+
+// exhausted decides what follows an attempt that drew no final response. A
+// provisional means the callee was reached and answered once — the route is
+// live, so re-resolving cannot help; the same goes for non-SLP routes.
+func (f *forward) exhausted() {
+	p := f.p
+	if f.provisional || f.kind != "slp" || f.attempt >= f.retries {
+		_ = f.tx.RespondCode(sip.StatusRequestTimeout, "")
+		f.finish()
+		return
+	}
+	p.agent.Evict(SIPServiceType, f.pristine.RequestURI.AddressOfRecord())
+	p.stats.slpEvictions.Add(1)
+	delay := min(p.cfg.ResolveBackoff<<f.attempt, 8*p.cfg.ResolveBackoff)
+	f.attempt++
+	p.after(&f.task, delay)
+}
+
+// finish forgets the INVITE for the CANCEL chase.
+func (f *forward) finish() {
+	if f.branch == "" {
+		return
+	}
+	f.p.mu.Lock()
+	delete(f.p.invites, f.branch)
+	f.p.mu.Unlock()
 }
 
 // handleCancel implements hop-by-hop CANCEL (RFC 3261 §9.2): answer the
@@ -626,23 +637,20 @@ func (p *Proxy) handleCancel(tx *sip.ServerTx) {
 		branch = v.Branch()
 	}
 	p.mu.Lock()
-	fw := p.invites[branch]
+	fw, ok := p.invites[branch]
 	p.mu.Unlock()
-	if fw == nil {
+	if !ok {
 		_ = tx.RespondCode(sip.StatusCallDoesNotExist, "")
 		return
 	}
 	_ = tx.RespondCode(sip.StatusOK, "")
-	cancel := sip.BuildCancel(fw.fwd)
-	if ct, err := p.stack.SendRequestPreVia(cancel, fw.dst); err == nil {
-		// Drain in the background; the 487 for the INVITE travels on the
-		// INVITE transaction itself.
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			_, _ = ct.Await()
-		}()
-	}
+	// The 487 for the INVITE travels on the INVITE transaction itself.
+	_ = p.stack.SendRequestPreVia(sip.BuildCancel(fw.fwd), fw.dst, nil)
+}
+
+type inviteForward struct {
+	fwd *sip.Message // the downstream INVITE as sent (our Via on top)
+	dst sip.Addr
 }
 
 // registerUpstreamAll re-registers every local binding with its provider,
@@ -658,12 +666,7 @@ func (p *Proxy) registerUpstreamAll() {
 	}
 	p.mu.Unlock()
 	for _, aor := range aors {
-		aor := aor
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.registerUpstream(aor)
-		}()
+		p.registerUpstream(aor)
 	}
 }
 
@@ -704,41 +707,46 @@ func (p *Proxy) registerUpstream(aor string) {
 		req.Expires = int(p.cfg.BindingTTL / time.Second)
 		return req
 	}
-	send := func(req *sip.Message) (*sip.Message, int) {
-		ct, err := p.stack.SendRequest(req, dst)
-		if err != nil {
-			return nil, sip.StatusInternalError
+	finish := func(code int) {
+		p.mu.Lock()
+		p.upstream[aor] = code
+		p.mu.Unlock()
+		if code == sip.StatusOK {
+			p.stats.upstreamRegOK.Add(1)
+		} else {
+			p.stats.upstreamRegFail.Add(1)
 		}
-		resp, err := ct.Await()
-		if err != nil {
-			return nil, sip.StatusRequestTimeout
-		}
-		return resp, resp.StatusCode
 	}
-	resp, code := send(buildReq(1))
-	if code == sip.StatusUnauthorized && resp != nil {
-		if challenge, ok := resp.Challenge(); ok {
-			p.mu.Lock()
-			cred, have := p.creds[aor]
-			p.nc++
-			nc := p.nc
-			p.mu.Unlock()
-			if have {
-				retry := buildReq(2)
-				retry.SetAuthorization(challenge.Answer(
-					cred.username, cred.password, sip.MethodRegister,
-					retry.RequestURI.String(), "cn-"+p.stack.NewTag(), nc,
-				))
-				_, code = send(retry)
+	send := func(req *sip.Message, onFinal func(*sip.Message)) {
+		err := p.stack.SendRequest(req, dst, func(resp *sip.Message) {
+			if resp.StatusCode >= 200 {
+				onFinal(resp)
 			}
+		})
+		if err != nil {
+			finish(sip.StatusInternalError)
 		}
 	}
-	p.mu.Lock()
-	p.upstream[aor] = code
-	p.mu.Unlock()
-	if code == sip.StatusOK {
-		p.stats.upstreamRegOK.Add(1)
-	} else {
-		p.stats.upstreamRegFail.Add(1)
-	}
+	send(buildReq(1), func(resp *sip.Message) {
+		challenge, ok := resp.Challenge()
+		if resp.StatusCode != sip.StatusUnauthorized || !ok {
+			finish(resp.StatusCode)
+			return
+		}
+		p.mu.Lock()
+		cred, have := p.creds[aor]
+		p.nc++
+		nc := p.nc
+		p.mu.Unlock()
+		if !have {
+			finish(resp.StatusCode)
+			return
+		}
+		retry := buildReq(2)
+		retry.SetAuthorization(challenge.Answer(
+			cred.username, cred.password, sip.MethodRegister,
+			retry.RequestURI.String(), "cn-"+p.stack.NewTag(), nc,
+		))
+		send(retry, func(resp *sip.Message) { finish(resp.StatusCode) })
+	})
 }

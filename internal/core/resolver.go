@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"siphoc/internal/netem"
@@ -28,10 +30,8 @@ type ServiceDirectory interface {
 	InvalidateOrigin(origin netem.NodeID) int
 	// LookupCached answers from the local cache only.
 	LookupCached(stype, key string) (slp.Service, bool)
-	// Lookup answers from the cache or queries the network within timeout.
-	Lookup(stype, key string, timeout time.Duration) (slp.Service, error)
-	// LookupAsync is Lookup for callers that must not block: done gets the
-	// answer, at once or later on a scheduler worker.
+	// LookupAsync answers from the cache or queries the network within
+	// timeout: done gets the answer, at once or later on a scheduler worker.
 	LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error))
 	// Services lists known services of a type (local and cached).
 	Services(stype string) []slp.Service
@@ -52,66 +52,74 @@ type ResolveQuery struct {
 	Attached bool
 }
 
-// Resolver is one lookup backend in the proxy's routing policy. Implementers
-// answer with the next-hop transport address for the query, or ok=false to
-// let the next resolver in the chain try. The built-in chain is the paper's
-// policy — local registrar, then MANET SLP, then the Internet provider — and
-// the interface is the extension point for alternative backends (the DHT
-// overlay registrar of ROADMAP item 3 slots in between SLP and DNS).
+// Resolver is one lookup backend in the proxy's routing policy. The built-in
+// chain is the paper's policy — local registrar, then MANET SLP, then the
+// Internet provider — and the interface is the extension point for
+// alternative backends (the DHT overlay registrar slots in between SLP and
+// DNS).
 type Resolver interface {
 	// Kind names the resolver in stats and traces ("local", "slp",
 	// "internet", ...).
 	Kind() string
-	// Resolve maps the query to a next hop.
-	Resolve(q ResolveQuery) (sip.Addr, bool)
+	// Resolve maps the query to a next hop and calls done exactly once,
+	// before returning or later on a scheduler worker: with the address,
+	// with ErrResolverMiss to let the next resolver try, or with any other
+	// error for a backend failure, which ends the walk. done must not block.
+	Resolve(q ResolveQuery, done func(sip.Addr, error))
 }
 
-// ErrResolverMiss is the sentinel a typed resolver returns to mean "no
-// answer here, try the next backend". Any other error from a TypedResolver
-// stops the chain walk and propagates — a DHT lookup that timed out mid-churn
-// is an outage to report, not a silent fall-through to a wrong answer.
+// ErrResolverMiss is what a resolver answers to mean "no answer here, try the
+// next backend". Any other error stops the chain walk and propagates — a DHT
+// lookup that timed out mid-churn is an outage to report, not a silent
+// fall-through to a wrong answer.
 var ErrResolverMiss = errors.New("core: resolver miss")
-
-// TypedResolver is the optional typed-error surface of a Resolver. ResolveE
-// distinguishes a clean miss (ErrResolverMiss) from a backend failure; the
-// chain passes failures through to the caller unchanged.
-type TypedResolver interface {
-	Resolver
-	ResolveE(q ResolveQuery) (sip.Addr, error)
-}
 
 // ResolverChain tries each resolver in order; the first match wins.
 type ResolverChain []Resolver
 
-// Resolve walks the chain and returns the winning resolver's answer and
-// kind. The walk itself is allocation-free. Typed-resolver failures degrade
-// to a miss here; callers that care use ResolveE.
-func (c ResolverChain) Resolve(q ResolveQuery) (sip.Addr, string, bool) {
-	addr, kind, err := c.ResolveE(q)
-	return addr, kind, err == nil
+// Resolve walks the chain and calls done exactly once with the winning
+// resolver's answer and kind; a backend failure ends the walk with the
+// failing resolver's kind, and an exhausted chain answers ErrResolverMiss.
+// done runs before Resolve returns when every resolver on the way answers at
+// once — a walk that ends in a cache hit allocates nothing — and otherwise on
+// the scheduler worker of the resolver that answered last.
+func (c ResolverChain) Resolve(q ResolveQuery, done func(sip.Addr, string, error)) {
+	w, _ := walks.Get().(*chainWalk)
+	if w == nil {
+		w = new(chainWalk)
+		w.next = w.step
+	}
+	w.chain, w.i, w.q, w.done = c, -1, q, done
+	w.step(sip.Addr{}, ErrResolverMiss)
 }
 
-// ResolveE walks the chain with typed errors: a resolver's ErrResolverMiss
-// (or plain ok=false) moves on to the next backend, any other error aborts
-// the walk and is returned with the failing resolver's kind. An exhausted
-// chain returns ErrResolverMiss.
-func (c ResolverChain) ResolveE(q ResolveQuery) (sip.Addr, string, error) {
-	for _, r := range c {
-		if tr, ok := r.(TypedResolver); ok {
-			addr, err := tr.ResolveE(q)
-			if err == nil {
-				return addr, r.Kind(), nil
-			}
-			if errors.Is(err, ErrResolverMiss) {
-				continue
-			}
-			return sip.Addr{}, r.Kind(), err
-		}
-		if addr, ok := r.Resolve(q); ok {
-			return addr, r.Kind(), nil
-		}
+// chainWalk is one walk of a chain. Walks are recycled, each with its step
+// bound once, so that a walk costs no allocation.
+type chainWalk struct {
+	chain ResolverChain
+	i     int
+	q     ResolveQuery
+	done  func(sip.Addr, string, error)
+	next  func(sip.Addr, error) // step, bound
+}
+
+var walks sync.Pool
+
+// step takes resolver i's answer and asks resolver i+1 on a miss.
+func (w *chainWalk) step(addr sip.Addr, err error) {
+	if errors.Is(err, ErrResolverMiss) && w.i+1 < len(w.chain) {
+		w.i++
+		w.chain[w.i].Resolve(w.q, w.next)
+		return
 	}
-	return sip.Addr{}, "", ErrResolverMiss
+	kind := ""
+	if !errors.Is(err, ErrResolverMiss) {
+		kind = w.chain[w.i].Kind()
+	}
+	done := w.done
+	*w = chainWalk{next: w.next}
+	walks.Put(w)
+	done(addr, kind, err)
 }
 
 // registrarResolver answers from the proxy's own registrar bindings (the
@@ -123,16 +131,17 @@ func NewRegistrarResolver(p *Proxy) Resolver { return registrarResolver{p} }
 
 func (registrarResolver) Kind() string { return "local" }
 
-func (r registrarResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
+func (r registrarResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 	p := r.p
 	now := p.clk.Now()
 	p.mu.Lock()
 	b, ok := p.bindings[q.AOR]
 	p.mu.Unlock()
 	if ok && now.Before(b.expires) {
-		return b.contact, true
+		done(b.contact, nil)
+		return
 	}
-	return sip.Addr{}, false
+	done(sip.Addr{}, ErrResolverMiss)
 }
 
 // SLPResolverConfig tunes an SLP-backed resolver.
@@ -165,32 +174,40 @@ func NewSLPResolver(dir ServiceDirectory, cfg SLPResolverConfig) Resolver {
 
 func (slpResolver) Kind() string { return "slp" }
 
-func (r slpResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
-	var svc slp.Service
+func (r slpResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 	if r.cfg.CacheOnly {
-		var ok bool
-		if svc, ok = r.dir.LookupCached(SIPServiceType, q.AOR); !ok {
-			return sip.Addr{}, false
+		svc, ok := r.dir.LookupCached(SIPServiceType, q.AOR)
+		if !ok {
+			done(sip.Addr{}, ErrResolverMiss)
+			return
 		}
-	} else {
-		timeout := r.cfg.Timeout
-		if q.Attached && timeout > r.cfg.TimeoutAttached {
-			timeout = r.cfg.TimeoutAttached
-		}
-		var err error
-		if svc, err = r.dir.Lookup(SIPServiceType, q.AOR, timeout); err != nil {
-			return sip.Addr{}, false
-		}
+		done(r.nextHop(svc))
+		return
 	}
+	timeout := r.cfg.Timeout
+	if q.Attached && timeout > r.cfg.TimeoutAttached {
+		timeout = r.cfg.TimeoutAttached
+	}
+	r.dir.LookupAsync(SIPServiceType, q.AOR, timeout, func(svc slp.Service, err error) {
+		if err != nil {
+			done(sip.Addr{}, ErrResolverMiss)
+			return
+		}
+		done(r.nextHop(svc))
+	})
+}
+
+// nextHop reads the proxy address out of a SIP binding's service URL.
+func (r slpResolver) nextHop(svc slp.Service) (sip.Addr, error) {
 	_, addrStr, err := slp.ParseServiceURL(svc.URL)
 	if err != nil {
-		return sip.Addr{}, false
+		return sip.Addr{}, ErrResolverMiss
 	}
 	addr, err := sip.ParseAddr(addrStr)
 	if err != nil || addr == r.cfg.Self {
-		return sip.Addr{}, false
+		return sip.Addr{}, ErrResolverMiss
 	}
-	return addr, true
+	return addr, nil
 }
 
 // dnsResolver is the Internet fallback: when the node is attached and the
@@ -208,11 +225,12 @@ func NewDNSResolver(dns func(domain string) sip.Addr) Resolver {
 
 func (dnsResolver) Kind() string { return "internet" }
 
-func (r dnsResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
+func (r dnsResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 	if !q.Attached || !strings.Contains(q.URI.Host, ".") {
-		return sip.Addr{}, false
+		done(sip.Addr{}, ErrResolverMiss)
+		return
 	}
-	return r.dns(q.URI.Host), true
+	done(r.dns(q.URI.Host), nil)
 }
 
 // OverlayDirectory is the lookup/publish surface the proxy needs from a P2P
@@ -220,11 +238,10 @@ func (r dnsResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
 // (Config.Passive) is the usual proxy-side deployment — it queries and
 // publishes without serving storage itself.
 type OverlayDirectory interface {
-	// Lookup resolves an AOR to its current contact ("host:port"), blocking
-	// up to timeout. A converged negative answer is overlay.ErrNotFound;
-	// anything else (overlay.ErrTimeout, overlay.ErrClosed) is a backend
-	// failure.
-	Lookup(aor string, timeout time.Duration) (string, error)
+	// LookupAsync resolves an AOR to its current contact ("host:port") and
+	// calls cb exactly once, ok=false when the lookup converged without one.
+	// cb runs on a scheduler worker and must not block.
+	LookupAsync(aor string, cb func(contact string, ok bool))
 	// Publish announces (or refreshes) an AOR -> contact binding.
 	Publish(aor, contact string)
 	// Unpublish withdraws a binding.
@@ -235,7 +252,8 @@ var _ OverlayDirectory = (*overlay.Node)(nil)
 
 // OverlayResolverConfig tunes an overlay-backed resolver.
 type OverlayResolverConfig struct {
-	// Timeout bounds the blocking DHT lookup (default 2s).
+	// Timeout bounds the DHT lookup (default 2s); past it the resolver
+	// answers overlay.ErrTimeout, a backend failure.
 	Timeout time.Duration
 	// Self is the owning proxy's own address; overlay answers pointing back
 	// at it are ignored (we *are* that proxy).
@@ -243,44 +261,48 @@ type OverlayResolverConfig struct {
 }
 
 type overlayResolver struct {
-	dir OverlayDirectory
-	cfg OverlayResolverConfig
+	host *netem.Host
+	dir  OverlayDirectory
+	cfg  OverlayResolverConfig
 }
 
-// NewOverlayResolver resolves AORs through a P2P overlay registrar (the DHT).
-// It slots between SLP and DNS in the default chain: the MANET answers
-// first-hand bindings, the overlay answers federated peers without a central
-// provider tier, and DNS remains the fallback for true Internet domains.
-func NewOverlayResolver(dir OverlayDirectory, cfg OverlayResolverConfig) Resolver {
+// NewOverlayResolver resolves AORs through a P2P overlay registrar (the DHT),
+// timing its lookups out on host's scheduler. It slots between SLP and DNS in
+// the default chain: the MANET answers first-hand bindings, the overlay
+// answers federated peers without a central provider tier, and DNS remains
+// the fallback for true Internet domains.
+func NewOverlayResolver(host *netem.Host, dir OverlayDirectory, cfg OverlayResolverConfig) Resolver {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	return overlayResolver{dir: dir, cfg: cfg}
+	return overlayResolver{host: host, dir: dir, cfg: cfg}
 }
 
 func (overlayResolver) Kind() string { return "overlay" }
 
-func (r overlayResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
-	addr, err := r.ResolveE(q)
-	return addr, err == nil
-}
-
-func (r overlayResolver) ResolveE(q ResolveQuery) (sip.Addr, error) {
+func (r overlayResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 	if !q.Attached {
 		// The overlay lives on the Internet side of the gateway; a detached
 		// node cannot reach it.
-		return sip.Addr{}, ErrResolverMiss
+		done(sip.Addr{}, ErrResolverMiss)
+		return
 	}
-	contact, err := r.dir.Lookup(q.AOR, r.cfg.Timeout)
-	if err != nil {
-		if errors.Is(err, overlay.ErrNotFound) {
-			return sip.Addr{}, ErrResolverMiss
+	// The lookup and its deadline race; whichever comes first answers.
+	var answered atomic.Bool
+	answer := func(addr sip.Addr, err error) {
+		if answered.CompareAndSwap(false, true) {
+			done(addr, err)
 		}
-		return sip.Addr{}, err
 	}
-	addr, err := sip.ParseAddr(contact)
-	if err != nil || addr == r.cfg.Self {
-		return sip.Addr{}, ErrResolverMiss
-	}
-	return addr, nil
+	deadline := r.host.Sched().After(string(r.host.ID()), r.cfg.Timeout, func(time.Time) {
+		answer(sip.Addr{}, overlay.ErrTimeout)
+	})
+	r.dir.LookupAsync(q.AOR, func(contact string, ok bool) {
+		deadline.Stop()
+		if addr, err := sip.ParseAddr(contact); ok && err == nil && addr != r.cfg.Self {
+			answer(addr, nil)
+			return
+		}
+		answer(sip.Addr{}, ErrResolverMiss)
+	})
 }

@@ -38,20 +38,18 @@ func (s *stubDirectory) LookupCached(stype, key string) (slp.Service, bool) {
 	return svc, ok
 }
 
-func (s *stubDirectory) Lookup(stype, key string, timeout time.Duration) (slp.Service, error) {
+func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error)) {
 	if svc, ok := s.cached[stype+"/"+key]; ok {
 		s.cacheQ++
-		return svc, nil
+		done(svc, nil)
+		return
 	}
 	s.netQ++
 	if svc, ok := s.net[stype+"/"+key]; ok {
-		return svc, nil
+		done(svc, nil)
+		return
 	}
-	return slp.Service{}, fmt.Errorf("stub: %s/%s not found", stype, key)
-}
-
-func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error)) {
-	done(s.Lookup(stype, key, timeout))
+	done(slp.Service{}, fmt.Errorf("stub: %s/%s not found", stype, key))
 }
 
 func (s *stubDirectory) Services(stype string) []slp.Service { return nil }
@@ -79,11 +77,53 @@ type kindResolver struct {
 }
 
 func (r kindResolver) Kind() string { return r.kind }
-func (r kindResolver) Resolve(q ResolveQuery) (sip.Addr, bool) {
+func (r kindResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 	if q.AOR == r.aor {
-		return r.addr, true
+		done(r.addr, nil)
+		return
 	}
-	return sip.Addr{}, false
+	done(sip.Addr{}, ErrResolverMiss)
+}
+
+// resolved is one answer of a resolver or a chain.
+type resolved struct {
+	addr sip.Addr
+	kind string
+	err  error
+}
+
+// resolveNow walks chain for q and returns the answer, which must come before
+// Resolve returns: every resolver on the way answers from memory.
+func resolveNow(t *testing.T, chain ResolverChain, q ResolveQuery) (sip.Addr, string, bool) {
+	t.Helper()
+	var got *resolved
+	chain.Resolve(q, func(addr sip.Addr, kind string, err error) { got = &resolved{addr, kind, err} })
+	if got == nil {
+		t.Fatalf("resolve %s did not answer at once", q.AOR)
+	}
+	return got.addr, got.kind, got.err == nil
+}
+
+// resolveOne is resolveNow for a single resolver.
+func resolveOne(t *testing.T, r Resolver, q ResolveQuery) (sip.Addr, bool) {
+	t.Helper()
+	addr, _, ok := resolveNow(t, ResolverChain{r}, q)
+	return addr, ok
+}
+
+// resolveWait walks chain for q and waits for the answer, which may come
+// later on a scheduler worker.
+func resolveWait(t *testing.T, chain ResolverChain, q ResolveQuery) resolved {
+	t.Helper()
+	ch := make(chan resolved, 1)
+	chain.Resolve(q, func(addr sip.Addr, kind string, err error) { ch <- resolved{addr, kind, err} })
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatalf("resolve %s never answered", q.AOR)
+		return resolved{}
+	}
 }
 
 func TestResolverChainFirstMatchWins(t *testing.T) {
@@ -92,15 +132,15 @@ func TestResolverChainFirstMatchWins(t *testing.T) {
 		kindResolver{kind: "b", aor: "x@d.ch", addr: sip.Addr{Node: "n2", Port: 2}},
 		kindResolver{kind: "c", aor: "y@d.ch", addr: sip.Addr{Node: "n3", Port: 3}},
 	}
-	addr, kind, ok := chain.Resolve(query("x@d.ch", false))
+	addr, kind, ok := resolveNow(t, chain, query("x@d.ch", false))
 	if !ok || kind != "a" || addr.Node != "n1" {
 		t.Fatalf("resolve x = %v %q %v, want first resolver", addr, kind, ok)
 	}
-	addr, kind, ok = chain.Resolve(query("y@d.ch", false))
+	addr, kind, ok = resolveNow(t, chain, query("y@d.ch", false))
 	if !ok || kind != "c" || addr.Node != "n3" {
 		t.Fatalf("resolve y = %v %q %v, want third resolver", addr, kind, ok)
 	}
-	if _, _, ok := chain.Resolve(query("z@d.ch", false)); ok {
+	if _, _, ok := resolveNow(t, chain, query("z@d.ch", false)); ok {
 		t.Fatal("resolved an AOR no resolver knows")
 	}
 }
@@ -118,10 +158,10 @@ func TestSLPResolverModes(t *testing.T) {
 	}
 	r := NewSLPResolver(dir, SLPResolverConfig{Timeout: time.Second, TimeoutAttached: 100 * time.Millisecond})
 
-	if addr, ok := r.Resolve(query("alice@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.1" {
+	if addr, ok := resolveOne(t, r, query("alice@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.1" {
 		t.Fatalf("cached resolve = %v %v", addr, ok)
 	}
-	if addr, ok := r.Resolve(query("bob@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.2" {
+	if addr, ok := resolveOne(t, r, query("bob@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.2" {
 		t.Fatalf("network resolve = %v %v", addr, ok)
 	}
 	if dir.netQ != 1 {
@@ -131,10 +171,10 @@ func TestSLPResolverModes(t *testing.T) {
 	// Cache-only mode must never hit the network: the miss that would have
 	// triggered an epidemic query falls through instead.
 	co := NewSLPResolver(dir, SLPResolverConfig{CacheOnly: true})
-	if addr, ok := co.Resolve(query("alice@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.1" {
+	if addr, ok := resolveOne(t, co, query("alice@voicehoc.ch", false)); !ok || addr.Node != "10.0.0.1" {
 		t.Fatalf("cache-only hit = %v %v", addr, ok)
 	}
-	if _, ok := co.Resolve(query("carol@voicehoc.ch", false)); ok {
+	if _, ok := resolveOne(t, co, query("carol@voicehoc.ch", false)); ok {
 		t.Fatal("cache-only resolver answered a cache miss")
 	}
 	if dir.netQ != 1 {
@@ -146,7 +186,7 @@ func TestSLPResolverModes(t *testing.T) {
 		CacheOnly: true,
 		Self:      sip.Addr{Node: "10.0.0.1", Port: 5060},
 	})
-	if _, ok := self.Resolve(query("alice@voicehoc.ch", false)); ok {
+	if _, ok := resolveOne(t, self, query("alice@voicehoc.ch", false)); ok {
 		t.Fatal("resolver returned its own proxy as next hop")
 	}
 }
@@ -155,45 +195,57 @@ func TestDNSResolverGating(t *testing.T) {
 	r := NewDNSResolver(func(domain string) sip.Addr {
 		return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
 	})
-	if _, ok := r.Resolve(query("alice@voicehoc.ch", false)); ok {
+	if _, ok := resolveOne(t, r, query("alice@voicehoc.ch", false)); ok {
 		t.Fatal("DNS resolver answered while detached")
 	}
-	if _, ok := r.Resolve(query("alice@manet", true)); ok {
+	if _, ok := resolveOne(t, r, query("alice@manet", true)); ok {
 		t.Fatal("DNS resolver answered for a dotless (MANET-local) host")
 	}
-	if addr, ok := r.Resolve(query("alice@voicehoc.ch", true)); !ok || addr.Node != "voicehoc.ch" {
+	if addr, ok := resolveOne(t, r, query("alice@voicehoc.ch", true)); !ok || addr.Node != "voicehoc.ch" {
 		t.Fatalf("DNS resolve = %v %v", addr, ok)
 	}
 }
 
-// stubOverlay is a canned OverlayDirectory: fixed bindings, optional forced
-// error, and a lookup counter proving when the DHT was (not) consulted.
+// stubOverlay is a canned OverlayDirectory: fixed bindings, an optional
+// silence that never answers, and a lookup counter proving when the DHT was
+// (not) consulted.
 type stubOverlay struct {
 	bindings map[string]string
-	err      error // returned for every lookup when set
+	silent   bool
 	lookups  int
 }
 
-func (s *stubOverlay) Lookup(aor string, timeout time.Duration) (string, error) {
+func (s *stubOverlay) LookupAsync(aor string, cb func(string, bool)) {
 	s.lookups++
-	if s.err != nil {
-		return "", s.err
+	if s.silent {
+		return
 	}
-	if c, ok := s.bindings[aor]; ok {
-		return c, nil
-	}
-	return "", overlay.ErrNotFound
+	c, ok := s.bindings[aor]
+	cb(c, ok)
 }
 
 func (s *stubOverlay) Publish(aor, contact string) {}
 func (s *stubOverlay) Unpublish(aor string)        {}
 
+// overlayHost is a host whose scheduler times the overlay resolver's lookups
+// out.
+func overlayHost(t *testing.T) *netem.Host {
+	t.Helper()
+	net := netem.NewNetwork(netem.Config{})
+	t.Cleanup(net.Close)
+	h, err := net.AddHost("10.0.0.1", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // overlayChain builds the paper-policy tail under test: SLP (cache-only),
 // then overlay, then DNS — the registrar hop is irrelevant here.
-func overlayChain(dir *stubDirectory, ov *stubOverlay) ResolverChain {
+func overlayChain(t *testing.T, dir *stubDirectory, ov *stubOverlay) ResolverChain {
 	return ResolverChain{
 		NewSLPResolver(dir, SLPResolverConfig{CacheOnly: true}),
-		NewOverlayResolver(ov, OverlayResolverConfig{Timeout: time.Second}),
+		NewOverlayResolver(overlayHost(t), ov, OverlayResolverConfig{Timeout: 50 * time.Millisecond}),
 		NewDNSResolver(func(domain string) sip.Addr {
 			return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
 		}),
@@ -240,9 +292,9 @@ func TestResolverChainOverlayOrdering(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := &stubDirectory{cached: cachedSIP("alice@voicehoc.ch", "10.0.0.1:5060")}
 			ov := &stubOverlay{bindings: map[string]string{"bob@voicehoc.ch": "10.2.0.9:5060"}}
-			chain := overlayChain(dir, ov)
+			chain := overlayChain(t, dir, ov)
 
-			addr, kind, ok := chain.Resolve(query(tc.aor, tc.attached))
+			addr, kind, ok := resolveNow(t, chain, query(tc.aor, tc.attached))
 			if tc.wantMiss {
 				if ok {
 					t.Fatalf("resolve = %v %q, want miss", addr, kind)
@@ -259,33 +311,31 @@ func TestResolverChainOverlayOrdering(t *testing.T) {
 }
 
 // TestResolverChainTypedErrors pins the typed-error contract: a converged
-// overlay miss (ErrNotFound) falls through to DNS, while a backend failure
-// (timeout, closed) aborts the walk and surfaces unchanged to the caller —
-// a DHT outage must not silently masquerade as "user does not exist".
+// overlay miss falls through to DNS, while a backend failure (a lookup that
+// outlives its deadline) aborts the walk and surfaces unchanged to the
+// caller — a DHT outage must not silently masquerade as "user does not
+// exist".
 func TestResolverChainTypedErrors(t *testing.T) {
 	dir := &stubDirectory{}
 
-	for _, backendErr := range []error{overlay.ErrTimeout, overlay.ErrClosed} {
-		ov := &stubOverlay{err: backendErr}
-		_, kind, err := overlayChain(dir, ov).ResolveE(query("dave@voicehoc.ch", true))
-		if !errors.Is(err, backendErr) {
-			t.Fatalf("ResolveE error = %v, want passthrough of %v", err, backendErr)
-		}
-		if kind != "overlay" {
-			t.Fatalf("failing kind = %q, want overlay", kind)
-		}
+	got := resolveWait(t, overlayChain(t, dir, &stubOverlay{silent: true}), query("dave@voicehoc.ch", true))
+	if !errors.Is(got.err, overlay.ErrTimeout) {
+		t.Fatalf("Resolve error = %v, want passthrough of %v", got.err, overlay.ErrTimeout)
+	}
+	if got.kind != "overlay" {
+		t.Fatalf("failing kind = %q, want overlay", got.kind)
 	}
 
-	// ErrNotFound is a clean miss: the walk continues and DNS answers.
+	// A converged miss is a clean miss: the walk continues and DNS answers.
 	ov := &stubOverlay{}
-	addr, kind, err := overlayChain(dir, ov).ResolveE(query("dave@voicehoc.ch", true))
-	if err != nil || kind != "internet" || addr.Node != "voicehoc.ch" {
-		t.Fatalf("ResolveE after miss = %v %q %v, want DNS answer", addr, kind, err)
+	got = resolveWait(t, overlayChain(t, dir, ov), query("dave@voicehoc.ch", true))
+	if got.err != nil || got.kind != "internet" || got.addr.Node != "voicehoc.ch" {
+		t.Fatalf("Resolve after miss = %+v, want DNS answer", got)
 	}
 
 	// An exhausted chain reports ErrResolverMiss, not a backend failure.
-	if _, _, err := overlayChain(dir, ov).ResolveE(query("dave@manet", false)); !errors.Is(err, ErrResolverMiss) {
-		t.Fatalf("exhausted chain error = %v, want ErrResolverMiss", err)
+	if got := resolveWait(t, overlayChain(t, dir, ov), query("dave@manet", false)); !errors.Is(got.err, ErrResolverMiss) {
+		t.Fatalf("exhausted chain error = %v, want ErrResolverMiss", got.err)
 	}
 }
 
@@ -293,10 +343,10 @@ func TestResolverChainTypedErrors(t *testing.T) {
 // resolving proxy are a miss (we are that proxy; looping would 482).
 func TestOverlayResolverSelfRejection(t *testing.T) {
 	ov := &stubOverlay{bindings: map[string]string{"erin@voicehoc.ch": "10.1.0.4:5060"}}
-	r := NewOverlayResolver(ov, OverlayResolverConfig{
+	r := NewOverlayResolver(overlayHost(t), ov, OverlayResolverConfig{
 		Self: sip.Addr{Node: "10.1.0.4", Port: 5060},
 	})
-	if _, ok := r.Resolve(query("erin@voicehoc.ch", true)); ok {
+	if _, ok := resolveOne(t, r, query("erin@voicehoc.ch", true)); ok {
 		t.Fatal("overlay resolver returned its own proxy as next hop")
 	}
 }
@@ -309,32 +359,25 @@ func TestResolverChainCachedLookupAllocFree(t *testing.T) {
 		NewSLPResolver(dir, SLPResolverConfig{CacheOnly: true}),
 	}
 	q := query("alice@voicehoc.ch", true)
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := chain.Resolve(q); !ok {
+	done := func(_ sip.Addr, _ string, err error) {
+		if err != nil {
 			t.Fatal("lookup missed")
 		}
-	}); allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(200, func() { chain.Resolve(q, done) }); allocs != 0 {
 		t.Fatalf("resolver chain cached lookup allocates %.1f times per call, want 0", allocs)
 	}
 }
 
-// resolveOnFake walks the chain on its own goroutine. With wait > 0 the walk
-// is expected to block in an SLP network query: the fake clock is advanced by
-// wait once that query has armed its deadline. With wait == 0 the walk must
-// finish without the clock moving at all.
+// resolveOnFake walks the chain. With wait > 0 the walk is expected to wait
+// on an SLP network query: the fake clock is advanced by wait once that query
+// has armed its deadline. With wait == 0 the walk must finish without the
+// clock moving at all.
 func resolveOnFake(t *testing.T, chain ResolverChain, fc *clock.Fake, q ResolveQuery, wait time.Duration) (sip.Addr, string, bool) {
 	t.Helper()
-	type answer struct {
-		addr sip.Addr
-		kind string
-		ok   bool
-	}
 	before := fc.Now()
-	done := make(chan answer, 1)
-	go func() {
-		addr, kind, ok := chain.Resolve(q)
-		done <- answer{addr, kind, ok}
-	}()
+	done := make(chan resolved, 1)
+	chain.Resolve(q, func(addr sip.Addr, kind string, err error) { done <- resolved{addr, kind, err} })
 	if wait > 0 {
 		for deadline := time.Now().Add(5 * time.Second); fc.PendingTimers() == 0; runtime.Gosched() {
 			if time.Now().After(deadline) {
@@ -348,7 +391,7 @@ func resolveOnFake(t *testing.T, chain ResolverChain, fc *clock.Fake, q ResolveQ
 		if got := fc.Now().Sub(before); got != wait {
 			t.Fatalf("resolve %s took %v of virtual time, want %v", q.AOR, got, wait)
 		}
-		return a.addr, a.kind, a.ok
+		return a.addr, a.kind, a.err == nil
 	case <-time.After(5 * time.Second):
 		t.Fatalf("resolve %s still blocked after %v of virtual time", q.AOR, wait)
 		return sip.Addr{}, "", false

@@ -91,11 +91,7 @@ func TestProviderRegistrar(t *testing.T) {
 	ua := uaStack(t, inet, "ua.alice.net")
 
 	// Unknown account: rejected.
-	tx, err := ua.SendRequest(registerReq(ua, "mallory", "voicehoc.ch", ua.Addr(), 60), prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := ua.Await(registerReq(ua, "mallory", "voicehoc.ch", ua.Addr(), 60), prov.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +100,7 @@ func TestProviderRegistrar(t *testing.T) {
 	}
 
 	// Known account: accepted, binding stored.
-	tx, err = ua.SendRequest(registerReq(ua, "alice", "voicehoc.ch", ua.Addr(), 60), prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = tx.Await()
+	resp, err = ua.Await(registerReq(ua, "alice", "voicehoc.ch", ua.Addr(), 60), prov.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +113,7 @@ func TestProviderRegistrar(t *testing.T) {
 	}
 
 	// Expires: 0 removes the binding.
-	tx, err = ua.SendRequest(registerReq(ua, "alice", "voicehoc.ch", ua.Addr(), 0), prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Await(); err != nil {
+	if _, err := ua.Await(registerReq(ua, "alice", "voicehoc.ch", ua.Addr(), 0), prov.ProxyAddr()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := prov.Binding("alice@voicehoc.ch"); ok {
@@ -147,11 +135,7 @@ func TestProviderBindingExpiry(t *testing.T) {
 	ua := uaStack(t, inet, "ua.net")
 	req := registerReq(ua, "alice", "x.ch", ua.Addr(), -1) // -1: no Expires header, use TTL default
 	req.Expires = -1
-	tx, err := ua.SendRequest(req, prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Await(); err != nil {
+	if _, err := ua.Await(req, prov.ProxyAddr()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := prov.Binding("alice@x.ch"); !ok {
@@ -175,11 +159,7 @@ func TestProviderForwardsInviteToBinding(t *testing.T) {
 	bob.OnRequest(func(tx *sip.ServerTx) {
 		_ = tx.RespondCode(sip.StatusOK, "")
 	})
-	tx, err := bob.SendRequest(registerReq(bob, "bob", "voicehoc.ch", bob.Addr(), 60), prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Await(); err != nil {
+	if _, err := bob.Await(registerReq(bob, "bob", "voicehoc.ch", bob.Addr(), 60), prov.ProxyAddr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,11 +170,7 @@ func TestProviderForwardsInviteToBinding(t *testing.T) {
 	inv.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	inv.CallID = alice.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
-	itx, err := alice.SendRequest(inv, prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := itx.Await()
+	resp, err := alice.Await(inv, prov.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +197,7 @@ func TestProviderInviteWithoutBindingIs480(t *testing.T) {
 	inv.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	inv.CallID = alice.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
-	itx, err := alice.SendRequest(inv, prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := itx.Await()
+	resp, err := alice.Await(inv, prov.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +220,8 @@ func TestOutboundProxyProviderHasSilentDomainNode(t *testing.T) {
 	// REGISTER sent there times out — the paper's failure mode.
 	ua := uaStack(t, inet, "ua.net")
 	prov.AddAccount("alice")
-	tx, err := ua.SendRequest(registerReq(ua, "alice", "polyphone.ethz.ch", ua.Addr(), 60),
+	resp, err := ua.Await(registerReq(ua, "alice", "polyphone.ethz.ch", ua.Addr(), 60),
 		sip.Addr{Node: "polyphone.ethz.ch", Port: sip.DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +229,7 @@ func TestOutboundProxyProviderHasSilentDomainNode(t *testing.T) {
 		t.Fatalf("status = %d, want 408 timeout", resp.StatusCode)
 	}
 	// Sending to the real proxy host works.
-	tx, err = ua.SendRequest(registerReq(ua, "alice", "polyphone.ethz.ch", ua.Addr(), 60), prov.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = tx.Await()
+	resp, err = ua.Await(registerReq(ua, "alice", "polyphone.ethz.ch", ua.Addr(), 60), prov.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,7 +307,8 @@ func (p *Provider) countShardForward() {
 }
 
 // relay forwards the transaction's request to dst and, for stateful relays,
-// shuttles the downstream responses back up with our Via popped.
+// passes the downstream responses back up with our Via popped — a
+// retransmitted 2xx included, so that the caller's ACK is sent again.
 func (p *Provider) relay(tx *sip.ServerTx, dst sip.Addr, stateless bool) {
 	req := tx.Request()
 	fwd, err := sip.PrepareForward(req, p.stack.Addr())
@@ -321,7 +322,14 @@ func (p *Provider) relay(tx *sip.ServerTx, dst sip.Addr, stateless bool) {
 		_ = p.stack.Send(fwd, dst)
 		return
 	}
-	ct, err := p.stack.SendRequest(fwd, dst)
+	err = p.stack.SendRequest(fwd, dst, func(resp *sip.Message) {
+		if len(resp.Via) < 2 {
+			return // nobody upstream
+		}
+		up := *resp
+		up.Via = up.Via[1:] // pop our Via
+		_ = tx.Respond(&up)
+	})
 	if err != nil {
 		_ = tx.RespondCode(sip.StatusInternalError, "")
 		return
@@ -329,15 +337,4 @@ func (p *Provider) relay(tx *sip.ServerTx, dst sip.Addr, stateless bool) {
 	p.mu.Lock()
 	p.stats.Forwarded++
 	p.mu.Unlock()
-	for resp := range ct.Responses() {
-		if len(resp.Via) < 2 {
-			continue // nobody upstream
-		}
-		up := *resp
-		up.Via = up.Via[1:] // pop our Via
-		_ = tx.Respond(&up)
-		if resp.StatusCode >= 200 {
-			return
-		}
-	}
 }

@@ -98,11 +98,7 @@ func TestProviderPoolCrossShardRegisterAndInvite(t *testing.T) {
 	pool.AddAccount(user)
 	ua := uaStack(t, inet, "ua.net")
 	ua.OnRequest(func(tx *sip.ServerTx) { _ = tx.RespondCode(sip.StatusOK, "") })
-	tx, err := ua.SendRequest(registerReq(ua, user, "voicehoc.ch", ua.Addr(), 60), pool.ProxyAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := ua.Await(registerReq(ua, user, "voicehoc.ch", ua.Addr(), 60), pool.ProxyAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +125,7 @@ func TestProviderPoolCrossShardRegisterAndInvite(t *testing.T) {
 	inv.CallID = caller.NewCallID()
 	inv.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodInvite}
 	other := (owner + 1) % pool.Shards()
-	itx, err := caller.SendRequest(inv, pool.Map().Addr(other))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = itx.Await()
+	resp, err = caller.Await(inv, pool.Map().Addr(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +152,7 @@ func TestProviderPoolCrashMovesOwnershipAndRestartRestoresIt(t *testing.T) {
 	ua := uaStack(t, inet, "ua.net")
 	register := func() int {
 		t.Helper()
-		tx, err := ua.SendRequest(registerReq(ua, user, "voicehoc.ch", ua.Addr(), 60), pool.ProxyAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := tx.Await()
+		resp, err := ua.Await(registerReq(ua, user, "voicehoc.ch", ua.Addr(), 60), pool.ProxyAddr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,11 +135,7 @@ func TestWireBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := registrant.SendRequest(register, sip.Addr{Node: "pb", Port: sip.DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := tx.Await(); err != nil || resp.StatusCode != sip.StatusOK {
+	if resp, err := registrant.Await(register, sip.Addr{Node: "pb", Port: sip.DefaultPort}); err != nil || resp.StatusCode != sip.StatusOK {
 		t.Fatalf("register bob: %v %v", resp, err)
 	}
 

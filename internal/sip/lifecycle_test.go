@@ -109,20 +109,14 @@ func TestCloseUnblocksAwait(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sa, sb, n, fake := fakePair(t)
 	sb.OnRequest(func(*ServerTx) {}) // never answers
-	tx, err := sa.SendRequest(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
 	awaited := make(chan error, 1)
 	go func() {
-		_, err := tx.Await()
+		_, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
 		awaited <- err
 	}()
 	// Let the request and a retransmission or two go out first.
 	if !advanceUntil(fake, time.Second, func() bool {
-		tx.mu.Lock()
-		defer tx.mu.Unlock()
-		return tx.retrans >= 2
+		return n.Stats().DataFrames >= 3
 	}) {
 		t.Fatal("request was never retransmitted")
 	}
@@ -159,11 +153,11 @@ func TestServerTxExpiry(t *testing.T) {
 		_ = tx.RespondCode(StatusRinging, "")
 		got <- tx
 	})
-	ctx, err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
+	req := testRequest(sa, MethodInvite)
+	if err := sa.SendRequest(req, Addr{Node: "b", Port: DefaultPort}, nil); err != nil {
 		t.Fatal(err)
 	}
-	branch := ctx.Request().TopVia().Branch()
+	branch := req.TopVia().Branch()
 	var stx *ServerTx
 	if !advanceUntil(fake, time.Second, func() bool {
 		select {
@@ -213,14 +207,15 @@ func TestProceedingReplaysProvisional(t *testing.T) {
 		_ = tx.RespondCode(StatusTrying, "")
 		n.SetLink("a", "b", true)
 	})
-	tx, err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
+	responses := make(chan *Message, 8)
+	if err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort},
+		func(m *Message) { responses <- m }); err != nil {
 		t.Fatal(err)
 	}
 	var got *Message
 	if !advanceUntil(fake, 16*fakeT1, func() bool {
 		select {
-		case got = <-tx.Responses():
+		case got = <-responses:
 		default:
 		}
 		return got != nil

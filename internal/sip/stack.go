@@ -40,8 +40,10 @@ func SimConfig() Config {
 	return Config{T1: 25 * time.Millisecond, T2: 200 * time.Millisecond}.withDefaults()
 }
 
-// RequestHandler receives new server transactions. It runs on its own
-// goroutine per transaction and may block.
+// RequestHandler is the transaction user for new server transactions. It
+// runs on the node's shard, inline with the delivery of the request, and
+// must not block: a handler that has to wait — for a lookup, a downstream
+// transaction, a timer — goes on from that wait's callback.
 type RequestHandler func(tx *ServerTx)
 
 // Stack binds SIP message I/O and the transaction layer to one UDP-like
@@ -49,8 +51,9 @@ type RequestHandler func(tx *ServerTx)
 //
 // Datagrams arrive by conn callback on a delivery worker, and the
 // retransmission, linger and expiry timers are tasks on the host's
-// scheduler, keyed by the node so they never run concurrently. The only
-// goroutines a stack starts are the TU request handlers, which may block.
+// scheduler, keyed by the node so they never run concurrently. The
+// transaction users — the request handler and each client transaction's
+// response callback — run inline there too. A stack starts no goroutine.
 type Stack struct {
 	conn *netem.Conn
 	cfg  Config
@@ -61,8 +64,13 @@ type Stack struct {
 	clientTxs map[txKey]*ClientTx
 	serverTxs map[txKey]*ServerTx
 	handler   RequestHandler
-	strayResp func(*Message, Addr)
 	closed    bool
+	// done is closed by Close, releasing Await.
+	done chan struct{}
+	// running is held while a datagram or a retransmission step is being
+	// handled, so that Close can wait out the one in progress: no transaction
+	// user runs once Close has returned.
+	running sync.Mutex
 
 	// sendBuf is what Send marshals into; the connection copies what it is
 	// given, so one buffer serves every message whose bytes nobody keeps.
@@ -70,9 +78,6 @@ type Stack struct {
 	sendBuf []byte
 
 	seq atomic.Uint64
-	// wg counts running request handlers. Add only under mu with closed
-	// false, so Close's Wait never races an Add from zero.
-	wg sync.WaitGroup
 
 	// Pre-resolved obs handles; all nil when cfg.Obs is nil.
 	obs         *obs.Observer
@@ -91,6 +96,7 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
 		clientTxs: make(map[txKey]*ClientTx),
 		serverTxs: make(map[txKey]*ServerTx),
+		done:      make(chan struct{}),
 	}
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
@@ -118,18 +124,11 @@ func (s *Stack) OnRequest(h RequestHandler) {
 	s.handler = h
 }
 
-// OnStrayResponse installs a handler for responses that match no client
-// transaction (e.g. retransmitted 200 OK after transaction termination).
-func (s *Stack) OnStrayResponse(h func(*Message, Addr)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.strayResp = h
-}
-
-// Close terminates the stack: requests arriving from now on are dropped,
-// all client transactions end (so Await callers unblock) and Close returns
-// once the request handlers already running have. The underlying connection
-// is closed too.
+// Close terminates the stack: what arrives from now on is dropped, pending
+// client transactions end without telling their callbacks (Await returns
+// ErrTimeout), and Close returns once a transaction user already running has.
+// The underlying connection is closed too. Close must not be called from a
+// transaction user of this stack.
 func (s *Stack) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -137,17 +136,11 @@ func (s *Stack) Close() {
 		return
 	}
 	s.closed = true
-	txs := make([]*ClientTx, 0, len(s.clientTxs))
-	for _, tx := range s.clientTxs {
-		txs = append(txs, tx)
-	}
 	s.mu.Unlock()
 	s.conn.Close()
-	// terminate is idempotent, so a timer step racing this is harmless.
-	for _, tx := range txs {
-		tx.terminate()
-	}
-	s.wg.Wait()
+	s.running.Lock()
+	s.running.Unlock()
+	close(s.done)
 }
 
 func (s *Stack) isClosed() bool {
@@ -197,35 +190,62 @@ func (s *Stack) Send(m *Message, dst Addr) error {
 
 // SendRequest starts a client transaction: it pushes a fresh Via for this
 // stack onto req (a new Via slice; the request's other fields are left as
-// they are), transmits with retransmissions, and returns the transaction
-// whose Responses channel delivers provisional and final responses. The
-// request belongs to the transaction from here on.
-func (s *Stack) SendRequest(req *Message, dst Addr) (*ClientTx, error) {
+// they are) and transmits with retransmissions. onResp gets the responses as
+// ClientTx describes, on the node's shard; nil ignores them. The request
+// belongs to the transaction from here on.
+func (s *Stack) SendRequest(req *Message, dst Addr, onResp func(*Message)) error {
 	block := &struct { // the Via and the list it goes on top of, in one
 		via  Via
 		list [4]*Via
 	}{via: *s.NewVia()}
 	req.Via = append(append(block.list[:0], &block.via), req.Via...)
-	return s.SendRequestPreVia(req, dst)
+	return s.SendRequestPreVia(req, dst, onResp)
 }
 
 // SendRequestPreVia starts a client transaction for a request whose Via
 // stack is already in place — the CANCEL case, which must reuse the branch
 // of the INVITE it cancels (RFC 3261 §9.1).
-func (s *Stack) SendRequestPreVia(req *Message, dst Addr) (*ClientTx, error) {
+func (s *Stack) SendRequestPreVia(req *Message, dst Addr, onResp func(*Message)) error {
 	if req.TopVia() == nil {
-		return nil, fmt.Errorf("sip: SendRequestPreVia needs a Via")
+		return fmt.Errorf("sip: SendRequestPreVia needs a Via")
 	}
-	tx := newClientTx(s, req, dst)
+	if onResp == nil {
+		onResp = func(*Message) {}
+	}
+	tx := &ClientTx{stack: s, key: req.txKey(), req: req, dst: dst, onResp: onResp}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("sip: stack closed")
+		return fmt.Errorf("sip: stack closed")
 	}
 	s.clientTxs[tx.key] = tx
 	s.mu.Unlock()
 	tx.start()
-	return tx, nil
+	return nil
+}
+
+// Await is the blocking form of SendRequest: it returns the request's final
+// response, the synthetic 408 included, or ErrTimeout if the stack closes
+// first. It parks its caller, so it must not be called on a shard worker.
+func (s *Stack) Await(req *Message, dst Addr) (*Message, error) {
+	final := make(chan *Message, 1)
+	err := s.SendRequest(req, dst, func(m *Message) {
+		if m.StatusCode >= 200 {
+			select {
+			case final <- m:
+			default: // a retransmitted 2xx
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case m := <-final:
+		return m, nil
+	case <-s.done:
+		return nil, ErrTimeout
+	}
 }
 
 // BuildCancel constructs the CANCEL for a previously sent request per
@@ -268,29 +288,28 @@ func (s *Stack) removeServerTx(key txKey) {
 }
 
 func (s *Stack) dispatch(dg *netem.Datagram) {
+	s.running.Lock()
+	defer s.running.Unlock()
 	m, err := Parse(dg.Data)
 	if err != nil {
 		return // malformed datagrams are dropped, as a UA would
 	}
-	src := Addr{Node: dg.SrcNode, Port: dg.SrcPort}
 	if m.IsResponse() {
-		s.dispatchResponse(m, src)
+		s.dispatchResponse(m)
 	} else {
-		s.dispatchRequest(m, src)
+		s.dispatchRequest(m, Addr{Node: dg.SrcNode, Port: dg.SrcPort})
 	}
 }
 
-func (s *Stack) dispatchResponse(m *Message, src Addr) {
+func (s *Stack) dispatchResponse(m *Message) {
 	s.mu.Lock()
 	tx := s.clientTxs[m.txKey()]
-	stray := s.strayResp
+	if s.closed {
+		tx = nil
+	}
 	s.mu.Unlock()
 	if tx != nil {
 		tx.onResponse(m)
-		return
-	}
-	if stray != nil {
-		stray(m, src)
 	}
 }
 
@@ -319,9 +338,6 @@ func (s *Stack) dispatchRequest(m *Message, src Addr) {
 	if !ackOnly {
 		s.serverTxs[key] = tx
 	}
-	if handler != nil {
-		s.wg.Add(1)
-	}
 	s.mu.Unlock()
 	if !ackOnly {
 		tx.scheduleExpiry()
@@ -330,8 +346,5 @@ func (s *Stack) dispatchRequest(m *Message, src Addr) {
 		_ = tx.RespondCode(StatusServiceUnavail, "")
 		return
 	}
-	go func() {
-		defer s.wg.Done()
-		handler(tx)
-	}()
+	handler(tx)
 }

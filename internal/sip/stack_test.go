@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
@@ -73,11 +74,7 @@ func TestRequestResponseExchange(t *testing.T) {
 		}
 		_ = tx.RespondCode(StatusOK, "")
 	})
-	tx, err := sa.SendRequest(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,28 +86,32 @@ func TestRequestResponseExchange(t *testing.T) {
 	}
 }
 
+// TestProvisionalThenFinal: the UAS rings at once and answers from a task
+// 10 ms later; the UAC's callback sees the 180 and then the 200.
 func TestProvisionalThenFinal(t *testing.T) {
 	sa, sb, _ := pair(t, netem.Config{})
 	sb.OnRequest(func(tx *ServerTx) {
 		_ = tx.RespondCode(StatusRinging, "")
-		time.Sleep(10 * time.Millisecond)
-		_ = tx.RespondCode(StatusOK, "")
+		sb.conn.Host().Sched().After("b", 10*time.Millisecond, func(time.Time) {
+			_ = tx.RespondCode(StatusOK, "")
+		})
 	})
-	tx, err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
+	got := make(chan int, 4)
+	if err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort},
+		func(m *Message) { got <- m.StatusCode }); err != nil {
 		t.Fatal(err)
 	}
-	var sawRinging bool
-	final, err := tx.AwaitWithProvisional(func(m *Message) {
-		if m.StatusCode == StatusRinging {
-			sawRinging = true
+	var codes []int
+	for len(codes) == 0 || codes[len(codes)-1] < 200 {
+		select {
+		case code := <-got:
+			codes = append(codes, code)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("responses %v, no final", codes)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if !sawRinging || final.StatusCode != StatusOK {
-		t.Fatalf("ringing=%v final=%d", sawRinging, final.StatusCode)
+	if len(codes) != 2 || codes[0] != StatusRinging || codes[1] != StatusOK {
+		t.Fatalf("responses %v, want 180 then 200", codes)
 	}
 }
 
@@ -122,11 +123,7 @@ func TestRetransmissionOverLossyLink(t *testing.T) {
 		handled.Add(1)
 		_ = tx.RespondCode(StatusOK, "")
 	})
-	tx, err := sa.SendRequest(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +140,7 @@ func TestRetransmissionOverLossyLink(t *testing.T) {
 func TestTimeoutYields408(t *testing.T) {
 	sa, _, n := pair(t, netem.Config{})
 	n.SetLink("a", "b", false) // black hole
-	tx, err := sa.SendRequest(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,23 +151,21 @@ func TestTimeoutYields408(t *testing.T) {
 
 func TestInviteNon2xxGetsAck(t *testing.T) {
 	sa, sb, _ := pair(t, netem.Config{})
-	acked := make(chan struct{}, 1)
+	acked := make(chan struct{})
 	sb.OnRequest(func(tx *ServerTx) {
 		_ = tx.RespondCode(StatusBusyHere, "")
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
+		// Look for the ACK on a task every 2 ms.
+		check := new(clock.Task)
+		check.Init(func(time.Time) {
 			if tx.Acked() {
-				acked <- struct{}{}
+				close(acked)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
+			sb.after(check, 2*time.Millisecond)
+		}, nil)
+		sb.after(check, 0)
 	})
-	tx, err := sa.SendRequest(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(testRequest(sa, MethodInvite), Addr{Node: "b", Port: DefaultPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +182,7 @@ func TestInviteNon2xxGetsAck(t *testing.T) {
 func TestDefaultHandlerRejects(t *testing.T) {
 	sa, _, _ := pair(t, netem.Config{})
 	// Peer stack has no handler installed: it must answer 503.
-	tx, err := sa.SendRequest(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,23 +294,5 @@ func TestBranchlessRequestsDoNotCollide(t *testing.T) {
 	case id := <-calls:
 		t.Fatalf("retransmission of %s reached the handler again", id)
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// TestDeliverKeepsFinalWhenFull: a TU that is not draining its transaction
-// loses provisionals, never the final response.
-func TestDeliverKeepsFinalWhenFull(t *testing.T) {
-	req := testRequest(&Stack{}, MethodInvite)
-	tx := newClientTx(&Stack{}, req, Addr{})
-	for range cap(tx.responses) + 3 {
-		tx.deliver(NewResponse(req, StatusRinging, ""))
-	}
-	tx.deliver(NewResponse(req, StatusOK, ""))
-	var last *Message
-	for range cap(tx.responses) {
-		last = <-tx.responses
-	}
-	if last.StatusCode != StatusOK {
-		t.Fatalf("last queued response is a %d, want the 200", last.StatusCode)
 	}
 }

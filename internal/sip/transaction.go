@@ -12,24 +12,25 @@ import (
 
 // ClientTx is a client transaction (RFC 3261 §17.1): it retransmits the
 // request over the unreliable transport until a response arrives or the
-// transaction times out, and delivers responses to the TU.
+// transaction times out, and hands every response to the TU's callback.
 type ClientTx struct {
 	stack *Stack
 	key   txKey
 	req   *Message
 	dst   Addr
+	// onResp is the TU: it gets every provisional, then exactly one final —
+	// a synthetic 408 when nothing final arrived in time — and, for an
+	// INVITE, every retransmission of a 2xx while the transaction lingers.
+	// It runs on the node's shard and must not block.
+	onResp func(*Message)
 
-	mu         sync.Mutex
-	finalSent  bool
-	terminated bool
-	retrans    int
+	mu        sync.Mutex
+	finalSent bool
+	retrans   int
 	// lastProv stamps the most recent provisional response. For INVITE it
 	// moves the transaction to Proceeding: retransmissions stop and the
 	// Timer B deadline is re-armed from it (RFC 3261 §17.1.1.2).
-	lastProv  time.Time
-	responses chan *Message
-	done      chan struct{}
-	doneOnce  sync.Once
+	lastProv time.Time
 
 	// The retransmission schedule and the linger behind a final response are
 	// tasks of the transaction's own, queued under the node's key so that
@@ -46,8 +47,9 @@ type ClientTx struct {
 	span obs.SpanHandle
 }
 
-// ErrTimeout is delivered as a synthetic 408 response when a client
-// transaction expires without any response.
+// ErrTimeout is what Await returns when the stack closes before the request
+// drew a final response. A transaction that simply expires gets a synthetic
+// 408 instead (see IsLocalTimeout).
 var ErrTimeout = fmt.Errorf("sip: transaction timeout")
 
 // localTimeoutReason marks the synthetic 408 a client transaction delivers
@@ -60,53 +62,6 @@ const localTimeoutReason = "Request Timeout (local)"
 // slow callee.
 func (m *Message) IsLocalTimeout() bool {
 	return m.StatusCode == StatusRequestTimeout && m.Reason == localTimeoutReason
-}
-
-func newClientTx(s *Stack, req *Message, dst Addr) *ClientTx {
-	return &ClientTx{
-		stack:     s,
-		key:       req.txKey(),
-		req:       req,
-		dst:       dst,
-		responses: make(chan *Message, 8),
-		done:      make(chan struct{}),
-	}
-}
-
-// Request returns the request as sent (with this stack's Via on top).
-func (tx *ClientTx) Request() *Message { return tx.req }
-
-// Responses delivers provisional and final responses in arrival order. The
-// channel is closed when the transaction terminates. On timeout a synthetic
-// 408 with Reason "Request Timeout (local)" is delivered.
-func (tx *ClientTx) Responses() <-chan *Message { return tx.responses }
-
-// Done is closed when the transaction terminates.
-func (tx *ClientTx) Done() <-chan struct{} { return tx.done }
-
-// Await blocks until a final (>=200) response or transaction termination and
-// returns it; provisional responses are discarded.
-func (tx *ClientTx) Await() (*Message, error) {
-	for m := range tx.responses {
-		if m.StatusCode >= 200 {
-			return m, nil
-		}
-	}
-	return nil, ErrTimeout
-}
-
-// AwaitWithProvisional blocks like Await but invokes onProv for each
-// provisional response on the way (e.g. to surface 180 Ringing to the user).
-func (tx *ClientTx) AwaitWithProvisional(onProv func(*Message)) (*Message, error) {
-	for m := range tx.responses {
-		if m.StatusCode >= 200 {
-			return m, nil
-		}
-		if onProv != nil {
-			onProv(m)
-		}
-	}
-	return nil, ErrTimeout
 }
 
 func (tx *ClientTx) start() {
@@ -126,14 +81,12 @@ func (tx *ClientTx) start() {
 // deadline, otherwise send the request again and re-arm at twice the interval.
 func (tx *ClientTx) retransmitStep(time.Time) {
 	s := tx.stack
-	if s.isClosed() {
-		tx.terminate()
-		return
-	}
+	s.running.Lock()
+	defer s.running.Unlock()
 	tx.mu.Lock()
-	settled, lastProv := tx.finalSent || tx.terminated, tx.lastProv
+	settled, lastProv := tx.finalSent, tx.lastProv
 	tx.mu.Unlock()
-	if settled {
+	if settled || s.isClosed() {
 		return
 	}
 	if tx.req.Method == MethodInvite && !lastProv.IsZero() {
@@ -151,11 +104,14 @@ func (tx *ClientTx) retransmitStep(time.Time) {
 		}
 	}
 	if !s.clk.Now().Before(tx.deadline) {
-		// Timeout: synthesize a 408 so callers see a final answer.
+		// Timeout: synthesize a 408 so the TU sees a final answer.
+		tx.mu.Lock()
+		tx.finalSent = true
+		tx.mu.Unlock()
 		s.obsTimeouts.Inc()
 		tx.endSpan("timeout")
-		tx.deliver(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
-		tx.terminate()
+		s.removeClientTx(tx.key)
+		tx.onResp(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
 		return
 	}
 	_ = s.Send(tx.req, tx.dst)
@@ -183,74 +139,37 @@ func (tx *ClientTx) endSpan(outcome string) {
 }
 
 func (tx *ClientTx) onResponse(m *Message) {
-	tx.mu.Lock()
-	if tx.finalSent {
-		tx.mu.Unlock()
-		return // absorb retransmitted finals
-	}
 	final := m.StatusCode >= 200
-	if final {
+	tx.mu.Lock()
+	first := !tx.finalSent
+	if first && final {
 		tx.finalSent = true
-	} else {
+	} else if first {
 		tx.lastProv = tx.stack.clk.Now()
 	}
 	tx.mu.Unlock()
+	if !first {
+		// Completed. A retransmitted 2xx of an INVITE still goes up: the
+		// callee repeats its 200 until the ACK, which is the TU's to send
+		// again (RFC 3261 §13.2.2.4). Anything else is absorbed.
+		if final && m.StatusCode < 300 && tx.req.Method == MethodInvite {
+			tx.onResp(m)
+		}
+		return
+	}
 	if final {
 		tx.endSpan("final=" + strconv.Itoa(m.StatusCode))
-	}
-	tx.deliver(m)
-	if !final {
-		return
-	}
-	// INVITE with non-2xx final: transaction-level ACK (RFC 3261
-	// §17.1.1.3), sent to the same destination as the INVITE.
-	if tx.req.Method == MethodInvite && m.StatusCode >= 300 {
-		ack := buildTxAck(tx.req, m)
-		_ = tx.stack.Send(ack, tx.dst)
-	}
-	// Linger briefly (Timer D/K) so retransmitted finals are absorbed,
-	// then terminate.
-	tx.linger.Init(func(time.Time) { tx.terminate() }, nil)
-	tx.stack.after(&tx.linger, 4*tx.stack.cfg.T1)
-}
-
-func (tx *ClientTx) deliver(m *Message) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.terminated {
-		return // the channel is closed or closing
-	}
-	select {
-	case tx.responses <- m:
-		return
-	default:
-		// TU is not draining; dropping beats blocking the stack.
-	}
-	if m.StatusCode >= 200 {
-		// Not the final, though: everything queued is a provisional (a final
-		// is delivered once, and last), so the oldest makes room for it.
-		select {
-		case <-tx.responses:
-		default:
+		// INVITE with non-2xx final: transaction-level ACK (RFC 3261
+		// §17.1.1.3), sent to the same destination as the INVITE.
+		if tx.req.Method == MethodInvite && m.StatusCode >= 300 {
+			_ = tx.stack.Send(buildTxAck(tx.req, m), tx.dst)
 		}
-		select {
-		case tx.responses <- m:
-		default:
-		}
+		// Linger briefly (Timer D/K) so retransmitted finals are absorbed,
+		// then terminate.
+		tx.linger.Init(func(time.Time) { tx.stack.removeClientTx(tx.key) }, nil)
+		tx.stack.after(&tx.linger, 4*tx.stack.cfg.T1)
 	}
-}
-
-func (tx *ClientTx) terminate() {
-	tx.doneOnce.Do(func() {
-		tx.stack.removeClientTx(tx.key)
-		// Order matters: mark terminated under the mutex so no deliver
-		// can be mid-send when the channel closes.
-		tx.mu.Lock()
-		tx.terminated = true
-		tx.mu.Unlock()
-		close(tx.done)
-		close(tx.responses)
-	})
+	tx.onResp(m)
 }
 
 // buildTxAck constructs the transaction-level ACK for a non-2xx INVITE
@@ -332,13 +251,41 @@ func (tx *ServerTx) Acked() bool {
 	return tx.acked
 }
 
+// RetransmitFinal re-sends the 2xx the TU answered an INVITE with until
+// confirmed reports true — the TU has seen the ACK, which matches no
+// transaction — first after T1, then at doubling intervals capped at T2, and
+// gives up silently after 64×T1 (RFC 3261 §13.3.1.4). Call it once, after
+// Respond. confirmed runs on the node's shard and must not block.
+func (tx *ServerTx) RetransmitFinal(confirmed func() bool) {
+	s := tx.stack
+	interval, giveUp := s.cfg.T1, s.clk.Now().Add(64*s.cfg.T1)
+	t := new(clock.Task)
+	t.Init(func(now time.Time) {
+		if confirmed() || !now.Before(giveUp) || s.isClosed() {
+			return
+		}
+		tx.replay()
+		interval = min(2*interval, s.cfg.T2)
+		s.after(t, interval)
+	}, nil)
+	s.after(t, interval)
+}
+
 // onRequest handles retransmissions and transaction-level ACKs.
 func (tx *ServerTx) onRequest(m *Message) {
+	if m.Method == MethodAck {
+		tx.mu.Lock()
+		tx.acked = true
+		tx.mu.Unlock()
+		return
+	}
+	tx.replay()
+}
+
+// replay sends the last response again, if there is one.
+func (tx *ServerTx) replay() {
 	tx.mu.Lock()
 	raw := tx.lastResp
-	if m.Method == MethodAck {
-		tx.acked, raw = true, nil
-	}
 	tx.mu.Unlock()
 	if raw != nil {
 		_ = tx.stack.conn.WriteTo(raw, tx.src.Node, tx.src.Port)

@@ -190,11 +190,7 @@ func TestCloneIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := sa.SendRequest(fwd, sb.Addr()) // pushes a Via, draws a 486 and its ACK
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := sa.Await(fwd, sb.Addr()) // pushes a Via, draws a 486 and its ACK
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatalf("response relay: %v, %+v", err, up)
 	}
 	mutate(NewResponse(m, StatusRinging, ""))
-	mutate(BuildCancel(tx.Request()))
+	mutate(BuildCancel(fwd))
 	if got := string(m.AppendTo(nil)); got != want {
 		t.Fatalf("forwarding a message changed it:\n got %q\nwant %q", got, want)
 	}

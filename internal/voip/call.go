@@ -60,10 +60,15 @@ type Call struct {
 	remoteContact *sip.URI
 	remoteSDP     *sdp.Session
 	inviteTx      *sip.ServerTx // incoming calls: pending INVITE transaction
-	inviteReq     *sip.Message
-	inviteSent    *sip.Message // outgoing calls: the INVITE as transmitted
-	routeSet      []*sip.NameAddr
-	answered      bool // a 200 OK was already sent for the INVITE
+	inviteSent    *sip.Message  // outgoing calls: the INVITE as transmitted
+	// ack is the outgoing call's ACK for the 200, sent again for every
+	// retransmitted 200.
+	ack      *sip.Message
+	routeSet []*sip.NameAddr
+	answered bool // a 200 OK was already sent for the INVITE
+	// stopWatch stops the context watcher of DialContext once the call
+	// settles.
+	stopWatch func() bool
 
 	media       *rtp.Session
 	mediaNode   netem.NodeID
@@ -72,7 +77,6 @@ type Call struct {
 	establishAt time.Time
 
 	established chan struct{}
-	estOnce     sync.Once
 	ended       chan struct{}
 	endOnce     sync.Once
 
@@ -123,7 +127,6 @@ func (p *Phone) newIncomingCall(tx *sip.ServerTx) (*Call, error) {
 		localTag:    p.stack.NewTag(),
 		remoteTag:   req.From.Tag(),
 		inviteTx:    tx,
-		inviteReq:   req,
 		media:       rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
 		setupAt:     p.clk.Now(),
 		established: make(chan struct{}),
@@ -174,9 +177,18 @@ func (c *Call) SetupDuration() time.Duration {
 	return c.establishAt.Sub(c.setupAt)
 }
 
-func (c *Call) setState(s State) {
+// pending reports whether the call is still being set up. Called with c.mu
+// held.
+func (c *Call) pending() bool {
+	return c.state == StateSetup || c.state == StateRinging
+}
+
+// ring moves a call being set up to Ringing.
+func (c *Call) ring() {
 	c.mu.Lock()
-	c.state = s
+	if c.state == StateSetup {
+		c.state = StateRinging
+	}
 	c.mu.Unlock()
 }
 
@@ -207,41 +219,6 @@ func (c *Call) waitEstablished(timeoutC <-chan time.Time, done <-chan struct{}, 
 		return fmt.Errorf("voip: call establishment timed out")
 	case <-done:
 		return doneErr()
-	}
-}
-
-// watchContext abandons a still-ringing outgoing call when ctx is cancelled.
-func (c *Call) watchContext(ctx context.Context) {
-	select {
-	case <-c.established:
-		return
-	case <-c.ended:
-		return
-	case <-ctx.Done():
-	}
-	for {
-		select {
-		case <-c.established:
-			return
-		case <-c.ended:
-			return
-		default:
-		}
-		// Cancel fails while the INVITE is still in flight or once the
-		// call has settled; retry until one or the other holds.
-		if err := c.Cancel(); err == nil {
-			return
-		}
-		timer := c.phone.clk.NewTimer(5 * time.Millisecond)
-		select {
-		case <-c.established:
-			timer.Stop()
-			return
-		case <-c.ended:
-			timer.Stop()
-			return
-		case <-timer.C():
-		}
 	}
 }
 
@@ -300,8 +277,9 @@ func (c *Call) MediaStats() rtp.Stats {
 	return media.Stats()
 }
 
-// runOutgoing drives the UAC INVITE transaction.
-func (c *Call) runOutgoing() {
+// invite sends the INVITE; the call goes on from the responses to it, on
+// the node's shard.
+func (c *Call) invite() {
 	p := c.phone
 	offer := sdp.NewAudioOffer(p.cfg.User, string(p.host.ID()), c.media.Port())
 
@@ -315,29 +293,38 @@ func (c *Call) runOutgoing() {
 	req.Body = offer.Marshal()
 	req.UserAgent = "siphoc-softphone/1.0"
 
-	tx, err := p.stack.SendRequest(req, p.cfg.OutboundProxy)
-	if err != nil {
-		c.endLocal(sip.StatusInternalError)
-		return
-	}
 	c.mu.Lock()
-	c.inviteSent = tx.Request()
+	c.inviteSent = req
 	c.mu.Unlock()
-	final, err := tx.AwaitWithProvisional(func(m *sip.Message) {
-		if m.StatusCode == sip.StatusRinging {
-			c.setState(StateRinging)
-		}
-	})
-	if err != nil {
-		c.endLocal(sip.StatusRequestTimeout)
-		return
+	if err := p.stack.SendRequest(req, p.cfg.OutboundProxy, c.onInviteResponse); err != nil {
+		c.endLocal(sip.StatusInternalError)
 	}
-	if final.StatusCode != sip.StatusOK {
-		c.endLocal(final.StatusCode)
-		return
+}
+
+func (c *Call) onInviteResponse(m *sip.Message) {
+	switch {
+	case m.StatusCode == sip.StatusRinging:
+		c.ring()
+	case m.StatusCode < 200:
+	case m.StatusCode == sip.StatusOK:
+		c.accepted(m)
+	default:
+		c.endLocal(m.StatusCode)
 	}
-	// Success: capture dialog and media state from the 200.
+}
+
+// accepted takes the 200 for the INVITE: the dialog and media state come
+// from it, and the ACK goes back through the outbound proxy carrying the
+// dialog's route set (RFC 3261 §13.2.2.4). A retransmitted 200 means that
+// ACK was lost, and it goes again.
+func (c *Call) accepted(final *sip.Message) {
+	p := c.phone
 	c.mu.Lock()
+	if ack := c.ack; ack != nil {
+		c.mu.Unlock()
+		_ = p.stack.Send(ack, p.cfg.OutboundProxy)
+		return
+	}
 	c.remoteTag = final.To.Tag()
 	if len(final.Contact) > 0 {
 		c.remoteContact = final.Contact[0].URI
@@ -354,41 +341,36 @@ func (c *Call) runOutgoing() {
 			}
 		}
 	}
-	remote, routes := c.remoteContact, c.routeSet
-	c.mu.Unlock()
-
-	// ACK the 200 through the outbound proxy (RFC 3261 §13.2.2.4),
-	// carrying the dialog's route set.
-	ack := sip.NewRequest(sip.MethodAck, remote)
+	invite := c.inviteSent
+	ack := sip.NewRequest(sip.MethodAck, c.remoteContact)
 	ack.Via = []*sip.Via{p.stack.NewVia()}
-	ack.From = req.From
+	ack.From = invite.From
 	ack.To = final.To
 	ack.CallID = c.callID
-	ack.CSeq = sip.CSeq{Seq: req.CSeq.Seq, Method: sip.MethodAck}
-	ack.Route = routes
+	ack.CSeq = sip.CSeq{Seq: invite.CSeq.Seq, Method: sip.MethodAck}
+	ack.Route = c.routeSet
+	c.ack = ack
+	c.mu.Unlock()
 	_ = p.stack.Send(ack, p.cfg.OutboundProxy)
-
 	c.confirmEstablished()
 }
 
 // Answer accepts an incoming ringing call with an SDP answer.
 func (c *Call) Answer() error {
 	c.mu.Lock()
-	if c.answered || (c.state != StateRinging && c.state != StateSetup) {
+	if c.answered || !c.pending() {
 		state, answered := c.state, c.answered
 		c.mu.Unlock()
 		return fmt.Errorf("voip: answer in state %s (answered=%v)", state, answered)
 	}
-	c.answered = true
-	tx := c.inviteTx
-	req := c.inviteReq
-	offer := c.remoteSDP
+	tx, offer := c.inviteTx, c.remoteSDP
+	c.answered = tx != nil
 	c.mu.Unlock()
-	if tx == nil || req == nil {
+	if tx == nil {
 		return fmt.Errorf("voip: no pending INVITE")
 	}
 	p := c.phone
-	resp := sip.NewResponse(req, sip.StatusOK, "")
+	resp := sip.NewResponse(tx.Request(), sip.StatusOK, "")
 	resp.To = resp.To.WithTag(c.localTag)
 	resp.Contact = p.contact
 	if offer != nil {
@@ -401,7 +383,17 @@ func (c *Call) Answer() error {
 		resp.ContentType = sdp.ContentType
 		resp.Body = answer.Marshal()
 	}
-	return tx.Respond(resp)
+	if err := tx.Respond(resp); err != nil {
+		return err
+	}
+	// The 200 goes again until the ACK confirms the call (RFC 3261
+	// §13.3.1.4); past 64×T1 the call is left unconfirmed, not torn down.
+	tx.RetransmitFinal(func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return !c.pending()
+	})
+	return nil
 }
 
 // Reject declines an incoming ringing call.
@@ -426,7 +418,7 @@ func (c *Call) Reject(code int) error {
 // answered yet, conclude it with 487 Request Terminated.
 func (c *Call) cancelRemote() {
 	c.mu.Lock()
-	pending := !c.answered && (c.state == StateSetup || c.state == StateRinging)
+	pending := !c.answered && c.pending()
 	c.mu.Unlock()
 	if pending {
 		c.rejectPending(sip.StatusRequestTerminated)
@@ -445,35 +437,24 @@ func (c *Call) rejectPending(code int) {
 }
 
 // Cancel abandons an outgoing call that has not been answered yet
-// (RFC 3261 §9.1). The call ends with 487 Request Terminated once the
-// callee acknowledges the cancellation.
+// (RFC 3261 §9.1): it sends the CANCEL and returns. The call ends with 487
+// Request Terminated once the callee acknowledges the cancellation; the 200
+// for the CANCEL itself is hop-by-hop and says nothing about the call.
 func (c *Call) Cancel() error {
 	c.mu.Lock()
 	if !c.outgoing {
 		c.mu.Unlock()
 		return fmt.Errorf("voip: cancel on an incoming call (use Reject)")
 	}
-	if c.state != StateSetup && c.state != StateRinging {
+	if !c.pending() {
 		st := c.state
 		c.mu.Unlock()
 		return fmt.Errorf("voip: cancel in state %s", st)
 	}
 	invite := c.inviteSent
 	c.mu.Unlock()
-	if invite == nil {
-		return fmt.Errorf("voip: INVITE not sent yet")
-	}
 	p := c.phone
-	tx, err := p.stack.SendRequestPreVia(sip.BuildCancel(invite), p.cfg.OutboundProxy)
-	if err != nil {
-		return err
-	}
-	// The 200 for the CANCEL is hop-by-hop; the call itself concludes via
-	// the 487 arriving on the INVITE transaction.
-	if _, err := tx.Await(); err != nil {
-		return fmt.Errorf("voip: cancel: %w", err)
-	}
-	return nil
+	return p.stack.SendRequestPreVia(sip.BuildCancel(invite), p.cfg.OutboundProxy, nil)
 }
 
 // Hangup terminates an established call with BYE.
@@ -498,46 +479,45 @@ func (c *Call) Hangup() error {
 	}
 	bye.CallID = c.callID
 	bye.CSeq = sip.CSeq{Seq: p.nextCSeq(), Method: sip.MethodBye}
-	tx, err := p.stack.SendRequest(bye, p.cfg.OutboundProxy)
+	_, err := p.stack.Await(bye, p.cfg.OutboundProxy)
+	c.endLocal(0)
 	if err != nil {
-		c.endLocal(0)
-		return err
-	}
-	if _, err := tx.Await(); err != nil {
-		c.endLocal(0)
 		return fmt.Errorf("voip: bye: %w", err)
 	}
-	c.endLocal(0)
 	return nil
 }
 
-// confirmEstablished transitions to Established exactly once.
+// confirmEstablished moves a call being set up to Established.
 func (c *Call) confirmEstablished() {
-	c.estOnce.Do(func() {
-		c.mu.Lock()
-		c.state = StateEstablished
-		c.establishAt = c.phone.clk.Now()
-		establishAt := c.establishAt
-		media := c.media
+	c.mu.Lock()
+	if !c.pending() {
 		c.mu.Unlock()
-		c.spanOnce.Do(func() {
-			// End exactly at establishAt so the trace's setup window
-			// matches SetupDuration to the nanosecond.
-			c.setupSpan.EndAt(establishAt, "established")
-		})
-		p := c.phone
-		if c.outgoing {
-			p.obsEstablished.Inc()
-			p.obsSetupDelay.Observe(c.SetupDuration())
-		}
-		if p.obs.Enabled() && media != nil {
-			span := p.obs.StartSpan(c.callID, obs.PhaseMediaStart, string(p.host.ID()))
-			media.OnFirstRecv(func(t time.Time) {
-				span.EndAt(t, "first rtp packet")
-			})
-		}
-		close(c.established)
+		return
+	}
+	c.state = StateEstablished
+	c.establishAt = c.phone.clk.Now()
+	establishAt, media, stop := c.establishAt, c.media, c.stopWatch
+	c.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	c.spanOnce.Do(func() {
+		// End exactly at establishAt so the trace's setup window
+		// matches SetupDuration to the nanosecond.
+		c.setupSpan.EndAt(establishAt, "established")
 	})
+	p := c.phone
+	if c.outgoing {
+		p.obsEstablished.Inc()
+		p.obsSetupDelay.Observe(c.SetupDuration())
+	}
+	if p.obs.Enabled() && media != nil {
+		span := p.obs.StartSpan(c.callID, obs.PhaseMediaStart, string(p.host.ID()))
+		media.OnFirstRecv(func(t time.Time) {
+			span.EndAt(t, "first rtp packet")
+		})
+	}
+	close(c.established)
 }
 
 // endLocal finishes the call from this side; code != 0 marks failure.
@@ -556,8 +536,11 @@ func (c *Call) endLocal(code int) {
 		} else {
 			c.state = StateEnded
 		}
-		media := c.media
+		media, stop := c.media, c.stopWatch
 		c.mu.Unlock()
+		if stop != nil {
+			stop()
+		}
 		if media != nil {
 			media.Close()
 		}

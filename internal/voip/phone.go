@@ -32,16 +32,10 @@ type Config struct {
 	OutboundProxy sip.Addr
 	// Port is the UA's SIP port (default 5062).
 	Port uint16
-	// AutoAnswer answers incoming calls automatically after RingDelay
-	// (default true — handy for experiments; interactive callers use
-	// the Incoming channel instead).
-	AutoAnswer bool
-	// NoAutoAnswer disables AutoAnswer (kept separate so the zero value
-	// of Config auto-answers).
+	// NoAutoAnswer leaves incoming calls ringing until the application
+	// answers them off the Incoming channel. By default a phone answers
+	// every call the moment it rings — handy for experiments.
 	NoAutoAnswer bool
-	// RingDelay is how long the phone "rings" before auto-answering
-	// (default 0).
-	RingDelay time.Duration
 	// RegisterTTL is the registration lifetime requested (default 60s).
 	RegisterTTL time.Duration
 	// SIP tunes the transaction layer (default sip.SimConfig()).
@@ -93,8 +87,6 @@ type Phone struct {
 	incoming chan *Call
 	started  bool
 	closed   bool
-
-	wg sync.WaitGroup
 }
 
 // New creates a phone on host with the given account configuration.
@@ -129,8 +121,8 @@ func (p *Phone) Addr() sip.Addr {
 	return sip.Addr{Node: p.host.ID(), Port: p.cfg.Port}
 }
 
-// Incoming delivers calls that are ringing; with AutoAnswer they are also
-// delivered, already being answered.
+// Incoming delivers calls that are ringing; with auto-answer they are also
+// delivered, already answered.
 func (p *Phone) Incoming() <-chan *Call { return p.incoming }
 
 // Start binds the UA port.
@@ -168,7 +160,6 @@ func (p *Phone) Stop() {
 		c.endLocal(0)
 	}
 	p.stack.Close()
-	p.wg.Wait()
 }
 
 func (p *Phone) nextCSeq() uint32 {
@@ -200,11 +191,7 @@ func (p *Phone) register(expires int) error {
 		return req
 	}
 	send := func(req *sip.Message) (*sip.Message, error) {
-		tx, err := p.stack.SendRequest(req, p.cfg.OutboundProxy)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := tx.Await()
+		resp, err := p.stack.Await(req, p.cfg.OutboundProxy)
 		if err != nil {
 			return nil, fmt.Errorf("voip: register: %w", err)
 		}
@@ -235,8 +222,8 @@ func (p *Phone) register(expires int) error {
 }
 
 // Dial places a call to target (an AOR like "bob@voicehoc.ch" or a full SIP
-// URI) and returns immediately; use Call.WaitEstablished. It is DialContext
-// with a background context.
+// URI) and returns once the INVITE is sent; use Call.WaitEstablished. It is
+// DialContext with a background context.
 func (p *Phone) Dial(target string) (*Call, error) {
 	return p.DialContext(context.Background(), target)
 }
@@ -254,17 +241,13 @@ func (p *Phone) DialContext(ctx context.Context, target string) (*Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		c.runOutgoing()
-	}()
+	c.invite()
 	if ctx.Done() != nil {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			c.watchContext(ctx)
-		}()
+		c.mu.Lock()
+		if c.pending() {
+			c.stopWatch = context.AfterFunc(ctx, func() { _ = c.Cancel() })
+		}
+		c.mu.Unlock()
 	}
 	return c, nil
 }
@@ -325,23 +308,15 @@ func (p *Phone) onInvite(tx *sip.ServerTx) {
 	}
 	p.addCall(c)
 	_ = tx.RespondCode(sip.StatusRinging, "")
-	c.setState(StateRinging)
+	c.ring()
 	// Announced only once it rings: whoever takes it off Incoming sees
 	// StateRinging, and an Answer from there cannot overtake the 180.
 	select {
 	case p.incoming <- c:
 	default:
 	}
-	if p.cfg.AutoAnswer || !p.cfg.NoAutoAnswer {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			if p.cfg.RingDelay > 0 {
-				timer := p.clk.NewTimer(p.cfg.RingDelay)
-				<-timer.C()
-			}
-			_ = c.Answer()
-		}()
+	if !p.cfg.NoAutoAnswer {
+		_ = c.Answer()
 	}
 }
 

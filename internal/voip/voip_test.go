@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/core"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/sip"
 	"siphoc/internal/slp"
+	"siphoc/internal/testutil"
 )
 
 // fixture builds two SIPHoc nodes with proxies and returns phones on each.
@@ -247,11 +249,7 @@ func TestOptionsAnswered(t *testing.T) {
 	req.To = &sip.NameAddr{URI: sip.MustParseURI("sip:bob@voicehoc.ch")}
 	req.CallID = "c-options"
 	req.CSeq = sip.CSeq{Seq: 1, Method: sip.MethodOptions}
-	tx, err := stack.SendRequest(req, bob.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := tx.Await()
+	resp, err := stack.Await(req, bob.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,4 +263,67 @@ func TestAORFormat(t *testing.T) {
 	if aor := f.phones["alice"].AOR(); !strings.HasPrefix(aor, "alice@") {
 		t.Fatalf("AOR = %q", aor)
 	}
+}
+
+// direct routes every destination as a 1-hop neighbour.
+type direct struct{}
+
+func (direct) NextHop(dst netem.NodeID) (netem.NodeID, bool)  { return dst, true }
+func (direct) RequestRoute(dst netem.NodeID, done func(bool)) { done(true) }
+
+// TestLostAckIsRecovered drops the caller's first ACK on a fake clock: the
+// callee sends its 200 again (RFC 3261 §13.3.1.4), the caller answers the
+// retransmission with the ACK again, and the callee reaches Established
+// instead of ringing forever.
+func TestLostAckIsRecovered(t *testing.T) {
+	fake := clock.NewFake(time.Unix(3_000_000, 0))
+	net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1, BaseDelay: time.Millisecond})
+	t.Cleanup(net.Close)
+	phones := make(map[netem.NodeID]*Phone)
+	for i, id := range []netem.NodeID{"a", "b"} {
+		h, err := net.AddHost(id, netem.Position{X: float64(10 * i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetRouteProvider(direct{})
+		peer := netem.NodeID("b")
+		if id == "b" {
+			peer = "a"
+		}
+		// No proxies: each phone's outbound proxy is the other phone.
+		ph := New(h, Config{User: string(id), Domain: "x", NoAutoAnswer: true,
+			OutboundProxy: sip.Addr{Node: peer, Port: 5062}})
+		if err := ph.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ph.Stop)
+		phones[id] = ph
+	}
+	advanceUntil := func(what string, cond func() bool) {
+		t.Helper()
+		if !testutil.AdvanceUntil(fake, time.Millisecond, 2*time.Second, cond) {
+			t.Fatalf("%s: not within 2 s of virtual time", what)
+		}
+	}
+
+	call, err := phones["a"].Dial("b@b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inc *Call
+	advanceUntil("callee rings", func() bool {
+		select {
+		case inc = <-phones["b"].Incoming():
+		default:
+		}
+		return inc != nil && call.State() == StateRinging
+	})
+	if err := inc.Answer(); err != nil {
+		t.Fatal(err)
+	}
+	// The 200 is on its way; the ACK it draws goes nowhere.
+	net.SetLink("a", "b", false)
+	advanceUntil("caller established", func() bool { return call.State() == StateEstablished })
+	net.ClearLink("a", "b")
+	advanceUntil("callee confirmed", func() bool { return inc.State() == StateEstablished })
 }

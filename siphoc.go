@@ -98,9 +98,6 @@ type (
 	PoolConfig = internet.PoolConfig
 	// PoolStats aggregates provider counters across a pool's shards.
 	PoolStats = internet.PoolStats
-	// Resolver is one lookup backend in the proxy's routing policy; see
-	// core.ResolverChain and ProxyConfig.Resolvers for composing chains.
-	Resolver = core.Resolver
 	// ConnStats counts Connection Provider activity (attaches, frames).
 	ConnStats = core.ConnStats
 	// SLPStats counts MANET SLP agent activity (lookups, cache hits).
