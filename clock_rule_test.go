@@ -96,7 +96,7 @@ func TestComponentsTakeHostClock(t *testing.T) {
 		if err := a.Register(slp.Service{Type: "sip", Key: "u@x", URL: slp.ServiceURL("sip", "10.8.0.1:5060")}); err != nil {
 			t.Fatal(err)
 		}
-		if svcs := a.Services("sip"); len(svcs) != 1 || !bed.onFake(svcs[0].Expires) {
+		if svcs := a.AppendServices(nil, "sip"); len(svcs) != 1 || !bed.onFake(svcs[0].Expires) {
 			t.Fatalf("advert expires at %v, fake time is %v", svcs, bed.fake.Now())
 		}
 	})

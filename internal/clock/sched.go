@@ -36,18 +36,29 @@ type Scheduler struct {
 // trunk flow), binds it once with Init and queues it with At as often as it
 // likes, which allocates nothing.
 //
-// A Task is single-owner: it must not be queued again while it is still
-// queued. Its callback may queue it again, and that is how recurring work
-// re-arms itself. Stop is permanent; a run already in progress may still
-// complete concurrently, so callbacks must tolerate one post-Stop invocation
-// (every protocol guards with its own started/closed flag).
+// A Task is single-owner and queued once at a time. At on a task that is still
+// queued moves it to the new deadline, and Cancel takes it off the queue; in
+// both cases the run it was queued for does not happen unless it has already
+// begun, so a wait that ends early or moves needs no guard of its own. Its
+// callback may queue it again, and that is how recurring work re-arms itself.
+// Stop is permanent; a run already in progress may still complete
+// concurrently, so callbacks must tolerate one post-Stop invocation (every
+// protocol guards with its own started/closed flag).
 type Task struct {
 	fn      func(now time.Time)
 	dropped func()
 
-	// due/seq belong to the shard the task is queued on.
-	due     time.Time
-	seq     uint64
+	// due, seq and pos belong to the shard the task is queued on; pos is one
+	// more than the task's index in the shard's heap, 0 when it is in none.
+	due time.Time
+	seq uint64
+	pos int
+	// arms counts the times the task has been queued, and armed is the count
+	// of the queuing still to run (0: none). A worker runs a task it took off
+	// the heap only if the queuing it took is still armed, so a task moved or
+	// cancelled between the pop and its turn in the batch does not run.
+	arms    uint64
+	armed   atomic.Uint64
 	stopped atomic.Bool
 }
 
@@ -84,15 +95,31 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
+func (h taskHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i+1, j+1
+}
+func (h *taskHeap) Push(x any) {
+	t := x.(*Task)
+	*h = append(*h, t)
+	t.pos = len(*h)
+}
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.pos = 0
 	return t
+}
+
+// popped is a task a worker took off its heap for a batch, with the deadline
+// and the queuing it was taken for.
+type popped struct {
+	t   *Task
+	due time.Time
+	arm uint64
 }
 
 type schedShard struct {
@@ -108,9 +135,10 @@ type schedShard struct {
 	// the head of a parked shard sets the alarm from At: a worker running a
 	// batch looks at the heap again before it parks, so a task queued
 	// meanwhile — a re-arm, a frame sent on by a transit hop — costs nothing.
-	// So the alarm is never set twice for one deadline: the worker sets it
-	// once per park, after the wake-up that spent it, and At only for a new
-	// head, which is earlier than anything it was set for.
+	// So the worker sets the alarm once per park, after the wake-up that spent
+	// it, and At only for a new head: one earlier than anything it was set
+	// for, or the head itself moved. A head moved later or cancelled leaves
+	// the alarm early, which costs one wake-up that finds nothing due.
 	parked bool
 
 	// Telemetry, written by the worker only (see SchedStats).
@@ -183,9 +211,29 @@ func (s *Scheduler) shardFor(key string) *schedShard {
 // At queues t on key's shard to run once the clock reaches due; a due that has
 // already passed runs on the worker's next tick. The deadline is absolute, so
 // work that re-arms itself at due+interval keeps its cadence however late any
-// one run was.
+// one run was. If t is still queued, At moves it: it runs once, at due, and
+// after the tasks already queued for due. A queued task moves only under the
+// key it was queued under; under another key it may be queued once it has run
+// or been cancelled.
 func (s *Scheduler) At(key string, t *Task, due time.Time) {
 	s.shardFor(key).at(t, due)
+}
+
+// Cancel takes t, queued under key, off the queue and reports whether the run
+// it was queued for is now not going to happen: false when t was not queued or
+// its run has already begun. Unlike Stop it is not permanent — t may be queued
+// again at once — and nothing runs in its place, not even the dropped hook.
+func (s *Scheduler) Cancel(key string, t *Task) bool {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if t.armed.Swap(0) == 0 {
+		return false
+	}
+	if t.pos > 0 {
+		heap.Remove(&sh.heap, t.pos-1)
+	}
+	return true
 }
 
 // After queues a one-shot task firing once after d. d <= 0 fires on the
@@ -224,6 +272,9 @@ func (s *Scheduler) Close() {
 			sh.closed = true
 			alarms = append(alarms, sh.alarm)
 		}
+		for _, t := range sh.heap {
+			t.pos = 0
+		}
 		queued = append(queued, sh.heap...)
 		sh.heap = nil
 		sh.mu.Unlock()
@@ -237,7 +288,9 @@ func (s *Scheduler) Close() {
 		<-sh.done
 	}
 	for _, t := range queued {
-		t.drop()
+		if t.armed.Swap(0) != 0 { // not cancelled since
+			t.drop()
+		}
 	}
 }
 
@@ -257,7 +310,13 @@ func (sh *schedShard) at(t *Task, due time.Time) {
 	t.due = due
 	t.seq = sh.seq
 	sh.seq++
-	heap.Push(&sh.heap, t)
+	t.arms++
+	t.armed.Store(t.arms)
+	if t.pos > 0 {
+		heap.Fix(&sh.heap, t.pos-1)
+	} else {
+		heap.Push(&sh.heap, t)
+	}
 	if sh.parked && sh.heap[0] == t {
 		sh.alarm.arm(due)
 	}
@@ -269,7 +328,7 @@ func (sh *schedShard) at(t *Task, due time.Time) {
 // park on the alarm, set for the next deadline.
 func (sh *schedShard) run() {
 	defer close(sh.done)
-	var batch []*Task
+	var batch []popped
 	for {
 		sh.mu.Lock()
 		if sh.closed {
@@ -283,7 +342,8 @@ func (sh *schedShard) run() {
 		now := sh.clk.Now()
 		batch = batch[:0]
 		for len(sh.heap) > 0 && !sh.heap[0].due.After(now) {
-			batch = append(batch, heap.Pop(&sh.heap).(*Task))
+			t := heap.Pop(&sh.heap).(*Task)
+			batch = append(batch, popped{t, t.due, t.arms})
 		}
 		if len(batch) == 0 {
 			sh.park()
@@ -316,16 +376,18 @@ func (sh *schedShard) park() {
 }
 
 // runBatch runs a batch's callbacks outside the lock and records how late
-// each ran against its deadline. A popped task belongs to its owner again
-// only once its callback runs, so its deadline is read before.
-func (sh *schedShard) runBatch(now time.Time, batch []*Task) {
+// each ran against its deadline. A task runs only if the queuing it was popped
+// for is still armed: its owner may have moved or cancelled it since. The run
+// claims the queuing before it begins, so Cancel can tell whether the run was
+// still to come.
+func (sh *schedShard) runBatch(now time.Time, batch []popped) {
 	ran := 0
-	for _, t := range batch {
-		if t.stopped.Load() {
+	for _, p := range batch {
+		if p.t.stopped.Load() || !p.t.armed.CompareAndSwap(p.arm, 0) {
 			continue
 		}
-		sh.lag[lagBucket(now.Sub(t.due))].Add(1)
-		t.fn(now)
+		sh.lag[lagBucket(now.Sub(p.due))].Add(1)
+		p.t.fn(now)
 		ran++
 	}
 	sh.runs.Add(int64(ran))

@@ -436,3 +436,115 @@ func TestSchedulerCloseDropsQueued(t *testing.T) {
 		t.Fatalf("%d callbacks ran, want 0", ran.Load())
 	}
 }
+
+// TestSchedulerAtMovesQueuedTask: At on a task still queued moves it, later
+// or earlier, and it runs once, at the last deadline it was given.
+func TestSchedulerAtMovesQueuedTask(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	var fired, at atomic.Int64
+	var task Task
+	task.Init(func(now time.Time) { at.Store(int64(now.Sub(time.Unix(0, 0)))); fired.Add(1) }, nil)
+	start := clk.Now()
+	s.At("n", &task, start.Add(10*time.Millisecond))
+	s.At("n", &task, start.Add(30*time.Millisecond)) // later
+	s.At("n", &task, start.Add(20*time.Millisecond)) // earlier again
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after moving one task twice, want 1", got)
+	}
+	clk.Advance(10 * time.Millisecond)
+	settle(t, &fired, 0, "a task moved past its first deadline")
+	clk.Advance(10 * time.Millisecond)
+	waitCount(t, &fired, 1, "a moved task at its new deadline")
+	clk.Advance(time.Second)
+	settle(t, &fired, 1, "a moved task runs once")
+	if got := time.Duration(at.Load()); got != 20*time.Millisecond {
+		t.Fatalf("moved task ran at +%v, want +20ms", got)
+	}
+}
+
+// TestSchedulerCancel: a cancelled task does not run and no dropped hook runs
+// for it at Close, Cancel reports whether there was a run to call off, and the
+// task can be queued again at once.
+func TestSchedulerCancel(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	var fired, dropped atomic.Int64
+	var task Task
+	task.Init(func(time.Time) { fired.Add(1) }, func() { dropped.Add(1) })
+	if s.Cancel("n", &task) {
+		t.Fatal("Cancel of a task never queued = true")
+	}
+	s.At("n", &task, clk.Now().Add(10*time.Millisecond))
+	if !s.Cancel("n", &task) {
+		t.Fatal("Cancel of a queued task = false")
+	}
+	if s.Cancel("n", &task) {
+		t.Fatal("second Cancel = true")
+	}
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after Cancel, want 0", got)
+	}
+	clk.Advance(10 * time.Millisecond)
+	settle(t, &fired, 0, "a cancelled task")
+	s.At("n", &task, clk.Now().Add(10*time.Millisecond))
+	clk.Advance(10 * time.Millisecond)
+	waitCount(t, &fired, 1, "a task queued again after Cancel")
+	if s.Cancel("n", &task) {
+		t.Fatal("Cancel of a task that has run = true")
+	}
+	s.At("n", &task, clk.Now().Add(time.Hour))
+	s.Cancel("n", &task)
+	s.Close()
+	if got := dropped.Load(); got != 0 {
+		t.Fatalf("dropped hooks at Close for a cancelled task = %d, want 0", got)
+	}
+}
+
+// TestSchedulerCancelInBatch: a task cancelled, or moved, by an earlier task
+// of the batch it was popped for does not run for its old deadline.
+func TestSchedulerCancelInBatch(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	due := clk.Now().Add(10 * time.Millisecond)
+	var fired, cancelled, moved atomic.Int64
+	var first, victim, mover, target Task
+	victim.Init(func(time.Time) { fired.Add(1) }, nil)
+	target.Init(func(time.Time) { moved.Add(1) }, nil)
+	first.Init(func(time.Time) {
+		if s.Cancel("n", &victim) {
+			cancelled.Add(1)
+		}
+	}, nil)
+	mover.Init(func(time.Time) { s.At("n", &target, due.Add(time.Second)) }, nil)
+	s.At("n", &first, due)
+	s.At("n", &mover, due)
+	s.At("n", &victim, due)
+	s.At("n", &target, due)
+	clk.Advance(10 * time.Millisecond)
+	waitCount(t, &cancelled, 1, "Cancel of a task popped but not run")
+	settle(t, &fired, 0, "a task cancelled within its batch")
+	settle(t, &moved, 0, "a task moved within its batch")
+	clk.Advance(time.Second)
+	waitCount(t, &moved, 1, "a task moved within its batch, at its new deadline")
+}
+
+// TestTaskMoveAllocFree: moving a queued task and cancelling it allocate
+// nothing.
+func TestTaskMoveAllocFree(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	var task Task
+	task.Init(func(time.Time) {}, nil)
+	due := clk.Now().Add(time.Hour)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.At("n", &task, due)
+		s.At("n", &task, due.Add(time.Second))
+		s.Cancel("n", &task)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per move and cancel, want 0", allocs)
+	}
+}

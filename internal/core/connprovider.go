@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,13 +123,23 @@ type connCounters struct {
 // timer task on the host's shard. An SLP answer can arrive on another shard
 // and Stop on any goroutine, so every step takes mu and checks that the cycle
 // still waits where the step left it.
+//
+// An idle round allocates nothing: the task and the lookup's callback are
+// bound once, candidates are listed into a slice kept from round to round, and
+// every tunnel message is built in the send scratch (see tunnelTx).
 type ConnectionProvider struct {
 	host  *netem.Host
 	agent ServiceDirectory
 	cfg   ConnProviderConfig
 	clk   clock.Clock
+	sched *clock.Scheduler
+	key   string // the host's shard key
 
 	conn *netem.Conn
+	tx   tunnelTx
+	// rx is the header a tunnelled datagram is decoded into; conn serializes
+	// onDatagram, so one is enough.
+	rx netem.Datagram
 
 	mu       sync.Mutex
 	attached bool
@@ -140,18 +151,23 @@ type ConnectionProvider struct {
 	// changes: what WaitAttached waits on.
 	changed chan struct{}
 
-	// wait counts the waits of the cycle: a timer or lookup answer carries
-	// the wait it belongs to and is void once the cycle has moved on. timer
-	// is the current wait's: the next probe, or the time-out of the OPEN or
-	// PING in flight, whose answer is the one message admitted — kind expect
-	// (0: none) from the gateway asked.
-	wait   uint64
-	timer  *clock.Task
-	expect uint8
-	asked  tunnelPeer
-	// candidates are the gateways still to try in this attach round, freshest
-	// first, should asked not answer.
-	candidates  []gatewayCandidate
+	// The cycle waits on time through timer, queued for the end of the
+	// current wait and moved by every step: the next probe when expect is 0,
+	// otherwise the time-out of the OPEN or PING in flight, whose answer is
+	// the one message admitted — kind expect from the gateway asked. While
+	// querying, it waits on the wildcard SLP lookup instead, whose answer is
+	// lookupDone (onLookup, bound once).
+	timer      clock.Task
+	expect     uint8
+	asked      tunnelPeer
+	querying   bool
+	lookupDone func(slp.Service, error)
+	// cands are the gateways of this attach round, freshest first; next
+	// indexes the one to try should asked not answer. Both it and services,
+	// the scratch they are read from, are reused from round to round.
+	cands       []tunnelPeer
+	next        int
+	services    []slp.Service
 	attachStart time.Time
 	attachSpan  obs.SpanHandle
 
@@ -183,16 +199,21 @@ type ConnectionProvider struct {
 // agent used for gateway discovery.
 func NewConnectionProvider(host *netem.Host, agent ServiceDirectory, cfg ConnProviderConfig) *ConnectionProvider {
 	cfg = cfg.withDefaults()
-	return &ConnectionProvider{
+	p := &ConnectionProvider{
 		host:        host,
 		agent:       agent,
 		cfg:         cfg,
 		clk:         host.Clock(),
+		sched:       host.Sched(),
+		key:         string(host.ID()),
 		obs:         cfg.Obs,
 		obsFailover: cfg.Obs.Histogram("connp.failover.delay", nil),
 		blacklist:   make(map[netem.NodeID]time.Time),
 		changed:     make(chan struct{}),
 	}
+	p.timer.Init(p.onTimer, nil)
+	p.lookupDone = p.onLookup
+	return p
 }
 
 // Stats returns a snapshot of the provider counters.
@@ -244,7 +265,7 @@ func (p *ConnectionProvider) Stop() {
 	attached, gw := p.attached, p.gw
 	p.mu.Unlock()
 	if attached {
-		_ = p.conn.WriteTo((&tunnelMsg{Kind: tunClose}).marshal(), gw.node, gw.port)
+		_ = p.tx.send(p.conn, tunnelMsg{Kind: tunClose}, gw)
 	}
 	p.detach()
 	p.conn.Close()
@@ -287,80 +308,92 @@ func (p *ConnectionProvider) signalChange() {
 	p.changed = make(chan struct{})
 }
 
-// await starts the cycle's next wait: step runs d from now unless the message
-// expect admits (0: none), from the gateway asked, arrives first. Whatever was
-// awaited before is void. Caller holds p.mu.
-func (p *ConnectionProvider) await(expect uint8, asked tunnelPeer, d time.Duration, step func(wait uint64)) {
-	p.timer.Stop()
-	p.expect, p.asked = expect, asked
-	p.wait++
-	wait := p.wait
-	p.timer = p.host.Sched().After(string(p.host.ID()), d, func(time.Time) { step(wait) })
-}
-
-// endRound arms the next probe ProbeInterval after the round that just ended,
-// the cadence of a loop that sleeps between rounds. Caller holds p.mu.
+// endRound ends whatever the cycle waited for and arms the next probe
+// ProbeInterval after the round that just ended, the cadence of a loop that
+// sleeps between rounds. Caller holds p.mu.
 func (p *ConnectionProvider) endRound() {
-	p.await(0, tunnelPeer{}, p.cfg.ProbeInterval, p.probe)
+	p.expect, p.asked = 0, tunnelPeer{}
+	p.sched.At(p.key, &p.timer, p.clk.Now().Add(p.cfg.ProbeInterval))
 }
 
-// enter takes p.mu for a step of wait. If the cycle has moved on, or the
-// provider stopped, it releases the lock again and reports false.
-func (p *ConnectionProvider) enter(wait uint64) bool {
+// ask waits AckTimeout for the answer of kind expect from the gateway asked,
+// the request for which the caller sends. Caller holds p.mu.
+func (p *ConnectionProvider) ask(expect uint8, asked tunnelPeer) {
+	p.expect, p.asked = expect, asked
+	p.sched.At(p.key, &p.timer, p.clk.Now().Add(p.cfg.AckTimeout))
+}
+
+// onTimer is the timer's run: the current wait has run out. With no request
+// in flight the next probe is due; otherwise the OPEN or PING has gone
+// unanswered for AckTimeout.
+func (p *ConnectionProvider) onTimer(time.Time) {
 	p.mu.Lock()
-	if p.closed || wait != p.wait {
+	switch {
+	case p.closed:
 		p.mu.Unlock()
-		return false
+	case p.expect == 0:
+		p.probe()
+	case p.expect == tunPong:
+		p.pingTimedOut()
+	default:
+		p.openFailed()
 	}
-	return true
 }
 
 // probe starts a round: a ping of the gateway when attached, otherwise an
 // attempt to find and open one. A request that cannot be sent is one more
-// that goes unanswered: its time-out deals with it.
-func (p *ConnectionProvider) probe(wait uint64) {
-	if !p.enter(wait) {
-		return
-	}
+// that goes unanswered: its time-out deals with it. Caller holds p.mu, which
+// probe releases.
+func (p *ConnectionProvider) probe() {
 	if p.attached {
 		gw := p.gw
-		p.await(tunPong, gw, p.cfg.AckTimeout, p.pingTimedOut)
+		p.ask(tunPong, gw)
 		p.mu.Unlock()
-		_ = p.conn.WriteTo((&tunnelMsg{Kind: tunPing}).marshal(), gw.node, gw.port)
+		_ = p.tx.send(p.conn, tunnelMsg{Kind: tunPing}, gw)
 		return
 	}
-	// The attach span covers the whole acquisition: SLP gateway discovery
-	// plus the tunnel OPEN handshake. It is node-scoped (no Call-ID) and is
-	// stitched into call traces by time proximity.
-	p.attachSpan = p.obs.StartSpan("", obs.PhaseGatewayAttach, string(p.host.ID()))
-	p.attachStart = p.clk.Now()
-	candidates := p.gatewayCandidates()
-	p.mu.Unlock()
-	if len(candidates) > 0 {
-		p.openNext(wait, candidates)
+	p.startAttach()
+	if p.gatewayCandidates(); len(p.cands) > 0 {
+		p.openNext()
 		return
 	}
 	// Nothing cached: issue a wildcard query and go on when it is answered,
 	// as it always is, at its own deadline at the latest. The answer may only
 	// contain blacklisted gateways, in which case the round still fails.
-	p.agent.LookupAsync(GatewayServiceType, "", p.cfg.LookupTimeout, func(_ slp.Service, err error) {
-		if err == nil && p.enter(wait) {
-			candidates = p.gatewayCandidates()
-			p.mu.Unlock()
-		}
-		p.openNext(wait, candidates)
-	})
+	p.querying = true
+	p.mu.Unlock()
+	p.agent.LookupAsync(GatewayServiceType, "", p.cfg.LookupTimeout, p.lookupDone)
 }
 
-// openNext sends OPEN to the first of candidates, which are tried
-// freshest-advert-first, so a dead gateway whose stale advert still lingers in
-// the cache only costs one OPEN timeout before the live one is used. With
-// none left the round has failed.
-func (p *ConnectionProvider) openNext(wait uint64, candidates []gatewayCandidate) {
-	if !p.enter(wait) {
+// startAttach opens an attach span. It covers the whole acquisition: SLP
+// gateway discovery plus the tunnel OPEN handshake. It is node-scoped (no
+// Call-ID) and is stitched into call traces by time proximity. Caller holds
+// p.mu.
+func (p *ConnectionProvider) startAttach() {
+	p.attachSpan = p.obs.StartSpan("", obs.PhaseGatewayAttach, p.key)
+	p.attachStart = p.clk.Now()
+}
+
+// onLookup takes the answer to the round's wildcard lookup.
+func (p *ConnectionProvider) onLookup(_ slp.Service, err error) {
+	p.mu.Lock()
+	if p.closed || !p.querying {
+		p.mu.Unlock()
 		return
 	}
-	if len(candidates) == 0 {
+	p.querying = false
+	if err == nil {
+		p.gatewayCandidates()
+	}
+	p.openNext()
+}
+
+// openNext sends OPEN to the next candidate; they are tried
+// freshest-advert-first, so a dead gateway whose stale advert still lingers in
+// the cache only costs one OPEN timeout before the live one is used. With
+// none left the round has failed. Caller holds p.mu, which openNext releases.
+func (p *ConnectionProvider) openNext() {
+	if p.next == len(p.cands) {
 		// One more failed round. Once the budget is spent ErrNoGateway is
 		// surfaced via LastError/WaitAttached; probing goes on regardless, so
 		// later rounds can still recover.
@@ -373,48 +406,53 @@ func (p *ConnectionProvider) openNext(wait uint64, candidates []gatewayCandidate
 		p.mu.Unlock()
 		return
 	}
-	p.candidates = candidates[1:]
-	p.await(tunOpenAck, candidates[0].tunnelPeer, p.cfg.AckTimeout, p.openFailed)
+	gw := p.cands[p.next]
+	p.next++
+	p.ask(tunOpenAck, gw)
 	p.mu.Unlock()
-	_ = p.conn.WriteTo((&tunnelMsg{Kind: tunOpen}).marshal(), candidates[0].node, candidates[0].port)
+	_ = p.tx.send(p.conn, tunnelMsg{Kind: tunOpen}, gw)
 }
 
 // openFailed handles an OPEN that was refused or timed out: the candidate is
 // quarantined, so that the next round moves straight to an alternative, and
-// the next one is tried.
-func (p *ConnectionProvider) openFailed(wait uint64) {
-	if !p.enter(wait) {
-		return
-	}
+// the next one is tried. Caller holds p.mu, which openFailed releases.
+func (p *ConnectionProvider) openFailed() {
 	p.blacklistGateway(p.asked.node)
-	rest := p.candidates
-	p.mu.Unlock()
 	p.stats.attachFails.Add(1)
-	p.openNext(wait, rest)
+	p.openNext()
 }
 
 // onAnswer handles a tunOpenAck or tunPong. Only the answer the cycle waits
 // for is listened to, and only from the node and port that were asked: a
 // gateway that answers after its OPEN timed out has been given up on, and its
-// ACK says nothing about the candidate being opened now.
+// ACK says nothing about the candidate being opened now. A pinged gateway that
+// answers as it answers a refused OPEN holds no tunnel for this node (see
+// reopen).
 func (p *ConnectionProvider) onAnswer(msg *tunnelMsg, from tunnelPeer) {
 	p.mu.Lock()
-	if p.closed || msg.Kind != p.expect || from != p.asked {
+	switch {
+	case p.closed || from != p.asked:
 		p.mu.Unlock()
-		return
-	}
-	if msg.Kind == tunPong {
+	case msg.Kind == tunPong && p.expect == tunPong:
 		p.missedProbes = 0
 		p.endRound()
 		p.mu.Unlock()
-		return
-	}
-	if !msg.OK {
-		wait := p.wait
+	case msg.Kind != tunOpenAck:
 		p.mu.Unlock()
-		p.openFailed(wait)
-		return
+	case p.expect == tunPong && !msg.OK:
+		p.reopen()
+	case p.expect != tunOpenAck:
+		p.mu.Unlock()
+	case !msg.OK:
+		p.openFailed()
+	default:
+		p.attach(from)
 	}
+}
+
+// attach completes the OPEN the gateway from acknowledged. Caller holds
+// p.mu, which attach releases.
+func (p *ConnectionProvider) attach(from tunnelPeer) {
 	now := p.clk.Now()
 	p.attached = true
 	p.gw = from
@@ -443,13 +481,26 @@ func (p *ConnectionProvider) onAnswer(msg *tunnelMsg, from tunnelPeer) {
 	p.notify(true)
 }
 
+// reopen handles a gateway that holds no tunnel for this node — it restarted,
+// or evicted the client — and says so in answer to a PING. The gateway is
+// alive, so it is not quarantined: the provider detaches and sends OPEN to it
+// at once. Caller holds p.mu, which reopen releases.
+func (p *ConnectionProvider) reopen() {
+	gw := p.gw
+	p.attached, p.gw = false, tunnelPeer{}
+	p.detachedAt = p.clk.Now()
+	p.startAttach()
+	p.cands, p.next = append(p.cands[:0], gw), 0
+	p.openNext()
+	p.stats.detaches.Add(1)
+	p.host.SetDefaultHandler(nil)
+	p.notify(false)
+}
+
 // pingTimedOut counts a PING that got no PONG within AckTimeout against the
 // live tunnel; at MissedProbeLimit the gateway is lost, and the next probe
-// looks for another.
-func (p *ConnectionProvider) pingTimedOut(wait uint64) {
-	if !p.enter(wait) {
-		return
-	}
+// looks for another. Caller holds p.mu, which pingTimedOut releases.
+func (p *ConnectionProvider) pingTimedOut() {
 	p.missedProbes++
 	lost, gw := p.missedProbes >= p.cfg.MissedProbeLimit, p.asked.node
 	p.endRound()
@@ -521,23 +572,20 @@ type tunnelPeer struct {
 	port uint16
 }
 
-type gatewayCandidate struct {
-	tunnelPeer
-	expires time.Time
-}
-
-// gatewayCandidates lists reachable-looking gateways from the SLP cache,
-// freshest first. Caller holds p.mu.
-func (p *ConnectionProvider) gatewayCandidates() []gatewayCandidate {
+// gatewayCandidates lists reachable-looking gateways from the SLP cache into
+// p.cands, freshest first, and starts the attach round at the first. Caller
+// holds p.mu.
+func (p *ConnectionProvider) gatewayCandidates() {
 	now := p.clk.Now()
 	for gw, until := range p.blacklist {
 		if now.After(until) {
 			delete(p.blacklist, gw)
 		}
 	}
-	var out []gatewayCandidate
-	for _, svc := range p.agent.Services(GatewayServiceType) {
-		_, addr, err := slp.ParseServiceURL(svc.URL)
+	p.services = p.agent.AppendServices(p.services[:0], GatewayServiceType)
+	p.cands, p.next = p.cands[:0], 0
+	for i := range p.services {
+		_, addr, err := slp.ParseServiceURL(p.services[i].URL)
 		if err != nil {
 			continue
 		}
@@ -545,8 +593,8 @@ func (p *ConnectionProvider) gatewayCandidates() []gatewayCandidate {
 		if !ok {
 			continue
 		}
-		var port uint16
-		if _, err := fmt.Sscanf(portStr, "%d", &port); err != nil {
+		port, err := strconv.ParseUint(portStr, 10, 16)
+		if err != nil {
 			continue
 		}
 		gw := netem.NodeID(host)
@@ -556,26 +604,30 @@ func (p *ConnectionProvider) gatewayCandidates() []gatewayCandidate {
 		if _, quarantined := p.blacklist[gw]; quarantined {
 			continue // known-dead until the blacklist TTL expires
 		}
-		out = append(out, gatewayCandidate{tunnelPeer{gw, port}, svc.Expires})
+		p.cands = append(p.cands, tunnelPeer{gw, uint16(port)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].expires.After(out[j].expires) })
-	return out
+	clear(p.services) // the scratch must not pin the adverts' strings
 }
 
 // gatewayLost handles a dead tunnel: quarantine the gateway, purge its SLP
 // adverts locally so subsequent resolutions do not return stale routes, stamp
-// the failover clock, then detach and notify watchers.
+// the failover clock, then detach and notify watchers — unless reopen already
+// detached, and stamped the clock.
 func (p *ConnectionProvider) gatewayLost(gw netem.NodeID) {
 	p.agent.InvalidateOrigin(gw)
 	p.mu.Lock()
 	p.blacklistGateway(gw)
-	p.detachedAt = p.clk.Now()
+	if p.detachedAt.IsZero() {
+		p.detachedAt = p.clk.Now()
+	}
 	p.mu.Unlock()
-	p.detach()
-	p.notify(false)
+	if p.detach() {
+		p.notify(false)
+	}
 }
 
-func (p *ConnectionProvider) detach() {
+// detach drops the tunnel, and reports whether there was one.
+func (p *ConnectionProvider) detach() bool {
 	p.mu.Lock()
 	wasAttached := p.attached
 	p.attached = false
@@ -585,6 +637,7 @@ func (p *ConnectionProvider) detach() {
 		p.stats.detaches.Add(1)
 		p.host.SetDefaultHandler(nil)
 	}
+	return wasAttached
 }
 
 // tunnelOut is the host's default handler: it encapsulates Internet-bound
@@ -596,15 +649,10 @@ func (p *ConnectionProvider) tunnelOut(dg *netem.Datagram) bool {
 	p.mu.Lock()
 	attached, gw := p.attached, p.gw
 	p.mu.Unlock()
-	if !attached {
-		return false
+	if !attached || dg.DstNode == gw.node {
+		return false // the tunnel's own messages are no tunnel traffic
 	}
-	data, err := encapsulate(dg)
-	if err != nil {
-		return false
-	}
-	p.stats.framesOut.Add(1)
-	return p.conn.WriteTo(data, gw.node, gw.port) == nil
+	return p.tx.sendDatagram(p.conn, dg, gw, &p.stats.framesOut)
 }
 
 // onDatagram serves the tunnel port, inline on the delivery that brought the
@@ -616,21 +664,22 @@ func (p *ConnectionProvider) onDatagram(dg *netem.Datagram) {
 	}
 	switch msg.Kind {
 	case tunOpenAck, tunPong:
-		p.onAnswer(msg, tunnelPeer{dg.SrcNode, dg.SrcPort})
+		p.onAnswer(&msg, tunnelPeer{dg.SrcNode, dg.SrcPort})
 	case tunData:
-		inner, err := netem.UnmarshalDatagram(msg.Inner)
-		if err != nil {
+		if decapsulate(&p.rx, msg.Inner, p.host.Network()) != nil {
 			return
 		}
 		p.stats.framesIn.Add(1)
-		p.host.InjectDatagram(inner)
+		p.host.InjectDatagram(&p.rx)
 	case tunClose:
 		// The gateway announced a graceful shutdown: fail over now instead
-		// of waiting for the next ping to time out. A PING in flight will
-		// get no PONG; its round is over.
+		// of waiting for the next ping to time out, or for an answer to the
+		// OPEN sent when, stopping, it refused a PING (see reopen). The
+		// request in flight will get no answer; its round is over.
 		p.mu.Lock()
-		current := !p.closed && p.attached && dg.SrcNode == p.gw.node
-		if current && p.expect == tunPong {
+		current := !p.closed && (p.attached && dg.SrcNode == p.gw.node ||
+			p.expect == tunOpenAck && dg.SrcNode == p.asked.node)
+		if current && p.expect != 0 {
 			p.endRound()
 		}
 		p.mu.Unlock()

@@ -26,7 +26,7 @@ func TestTunnelMsgCodec(t *testing.T) {
 		{Kind: tunPong},
 	}
 	for _, in := range cases {
-		out, err := parseTunnelMsg(in.marshal())
+		out, err := parseTunnelMsg(in.appendTo(nil))
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
@@ -43,6 +43,8 @@ func TestTunnelMsgCodec(t *testing.T) {
 }
 
 func TestEncapsulateRoundTrip(t *testing.T) {
+	owner := netem.NewNetwork(netem.Config{})
+	defer owner.Close()
 	f := func(src, dst string, sp, dp uint16, data []byte) bool {
 		if len(src) > 200 || len(dst) > 200 {
 			return true
@@ -51,16 +53,17 @@ func TestEncapsulateRoundTrip(t *testing.T) {
 			SrcNode: netem.NodeID(src), DstNode: netem.NodeID(dst),
 			SrcPort: sp, DstPort: dp, TTL: 3, Data: data,
 		}
-		raw, err := encapsulate(dg)
-		if err != nil {
+		raw, err := encapsulate([]byte("scratch"), dg)
+		if err != nil || string(raw[:len("scratch")]) != "scratch" {
 			return false
 		}
-		msg, err := parseTunnelMsg(raw)
+		msg, err := parseTunnelMsg(raw[len("scratch"):])
 		if err != nil || msg.Kind != tunData {
 			return false
 		}
-		out, err := netem.UnmarshalDatagram(msg.Inner)
-		if err != nil {
+		want, _ := netem.AppendDatagram(nil, dg)
+		var out netem.Datagram
+		if string(msg.Inner) != string(want) || decapsulate(&out, msg.Inner, owner) != nil {
 			return false
 		}
 		return out.SrcNode == dg.SrcNode && out.DstNode == dg.DstNode &&

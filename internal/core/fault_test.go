@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,6 +207,14 @@ func TestGatewayFailureMatrix(t *testing.T) {
 	}
 }
 
+// candidates lists the gateways an attach round would try, in order.
+func (p *ConnectionProvider) candidates() []tunnelPeer {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.gatewayCandidates()
+	return slices.Clone(p.cands)
+}
+
 // TestBlacklistedGatewaySkipped pins the candidate filter directly: a
 // quarantined gateway is not offered for attachment until its TTL lapses.
 func TestBlacklistedGatewaySkipped(t *testing.T) {
@@ -219,10 +228,10 @@ func TestBlacklistedGatewaySkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, 5*time.Second, "both adverts cached", func() bool {
-		return len(cp.gatewayCandidates()) == 2
+		return len(cp.candidates()) == 2
 	})
 	cp.blacklistGateway(fb.gws[0].ID())
-	cands := cp.gatewayCandidates()
+	cands := cp.candidates()
 	if len(cands) != 1 || cands[0].node != fb.gws[1].ID() {
 		t.Fatalf("candidates with blacklist = %+v", cands)
 	}
@@ -315,7 +324,7 @@ func TestProxyReresolvesStaleSLP(t *testing.T) {
 	}
 	if resp.StatusCode != sip.StatusOK {
 		t.Fatalf("INVITE after callee moved = %d, want 200 (stats %+v, cached %+v)",
-			resp.StatusCode, caller.Stats(), fb.agents[fb.node.ID()].Services(SIPServiceType))
+			resp.StatusCode, caller.Stats(), fb.agents[fb.node.ID()].AppendServices(nil, SIPServiceType))
 	}
 	st := caller.Stats()
 	if st.SLPEvictions < 1 || st.SLPReresolutions < 1 {

@@ -84,8 +84,12 @@ type GatewayProvider struct {
 	clk   clock.Clock
 
 	conn     *netem.Conn
+	tx       tunnelTx
 	selfHost *netem.Host   // the gateway's own Internet presence
 	trunk    *gatewayTrunk // nil unless cfg.Trunk is set
+	// rx is the header a tunnelled datagram is decoded into; conn serializes
+	// onDatagram, so one is enough.
+	rx netem.Datagram
 
 	mu      sync.Mutex
 	clients map[netem.NodeID]*tunnelClient
@@ -147,8 +151,7 @@ func (g *GatewayProvider) Start() error {
 		g.host.InjectDatagram(dg)
 	})
 	g.host.SetDefaultHandler(func(dg *netem.Datagram) bool {
-		cp := *dg
-		return g.selfHost.SendDatagram(&cp) == nil
+		return g.selfHost.SendDatagram(dg) == nil
 	})
 
 	if g.cfg.Trunk != nil {
@@ -203,7 +206,7 @@ func (g *GatewayProvider) Stop() {
 		// Graceful shutdown: tell each client the tunnel is gone so its
 		// Connection Provider fails over immediately instead of waiting for
 		// a ping timeout.
-		_ = g.conn.WriteTo((&tunnelMsg{Kind: tunClose}).marshal(), c.node, c.peer)
+		_ = g.tx.send(g.conn, tunnelMsg{Kind: tunClose}, tunnelPeer{c.node, c.peer})
 		if g.trunk != nil {
 			g.inet.UnregisterTrunkClient(c.node, g.host.ID())
 		}
@@ -260,8 +263,15 @@ func (g *GatewayProvider) onDatagram(dg *netem.Datagram) {
 	case tunClose:
 		g.closeClient(dg.SrcNode)
 	case tunPing:
-		g.touch(dg.SrcNode)
-		_ = g.conn.WriteTo((&tunnelMsg{Kind: tunPong}).marshal(), dg.SrcNode, dg.SrcPort)
+		// A PONG vouches for a tunnel this gateway holds. A client it holds
+		// none for — after a restart, or once evictIdle dropped it — gets
+		// the answer to a refused OPEN instead, and opens its tunnel again
+		// rather than sending traffic that handleData would drop.
+		answer := tunnelMsg{Kind: tunPong}
+		if !g.touch(dg.SrcNode) {
+			answer = tunnelMsg{Kind: tunOpenAck, OK: false}
+		}
+		_ = g.tx.send(g.conn, answer, tunnelPeer{dg.SrcNode, dg.SrcPort})
 	}
 }
 
@@ -276,14 +286,14 @@ func (g *GatewayProvider) handleOpen(node netem.NodeID, peerPort uint16) {
 		c.peer = peerPort
 		c.lastSeen = g.clk.Now()
 		g.mu.Unlock()
-		_ = g.conn.WriteTo((&tunnelMsg{Kind: tunOpenAck, OK: true}).marshal(), node, peerPort)
+		_ = g.tx.send(g.conn, tunnelMsg{Kind: tunOpenAck, OK: true}, tunnelPeer{node, peerPort})
 		return
 	}
 	g.mu.Unlock()
 
 	vhost, err := g.inet.AddHost(node)
 	if err != nil {
-		_ = g.conn.WriteTo((&tunnelMsg{Kind: tunOpenAck, OK: false}).marshal(), node, peerPort)
+		_ = g.tx.send(g.conn, tunnelMsg{Kind: tunOpenAck, OK: false}, tunnelPeer{node, peerPort})
 		return
 	}
 	if g.trunk != nil {
@@ -291,15 +301,10 @@ func (g *GatewayProvider) handleOpen(node netem.NodeID, peerPort uint16) {
 	}
 	c := &tunnelClient{node: node, peer: peerPort, vhost: vhost, lastSeen: g.clk.Now()}
 	vhost.SetSink(func(dg *netem.Datagram) {
-		data, err := encapsulate(dg)
-		if err != nil {
-			return
-		}
 		g.mu.Lock()
 		peer := c.peer
 		g.mu.Unlock()
-		g.stats.framesOut.Add(1)
-		_ = g.conn.WriteTo(data, node, peer)
+		g.tx.sendDatagram(g.conn, dg, tunnelPeer{node, peer}, &g.stats.framesOut)
 	})
 	g.mu.Lock()
 	g.clients[node] = c
@@ -307,7 +312,7 @@ func (g *GatewayProvider) handleOpen(node netem.NodeID, peerPort uint16) {
 	g.mu.Unlock()
 	g.stats.tunnelsOpened.Add(1)
 	g.obsClients.Set(int64(active))
-	_ = g.conn.WriteTo((&tunnelMsg{Kind: tunOpenAck, OK: true}).marshal(), node, peerPort)
+	_ = g.tx.send(g.conn, tunnelMsg{Kind: tunOpenAck, OK: true}, tunnelPeer{node, peerPort})
 }
 
 func (g *GatewayProvider) handleData(node netem.NodeID, inner []byte) {
@@ -321,8 +326,10 @@ func (g *GatewayProvider) handleData(node netem.NodeID, inner []byte) {
 		return
 	}
 	g.stats.framesIn.Add(1)
-	dg, err := netem.UnmarshalDatagram(inner)
-	if err != nil {
+	// Both node IDs are Internet hosts' (the client's own presence is one),
+	// so the Internet's copies of them cost nothing.
+	dg := &g.rx
+	if decapsulate(dg, inner, g.inet.Network()) != nil {
 		return
 	}
 	// When the destination is another trunk-enabled gateway's tunnel client,
@@ -352,24 +359,21 @@ func (g *GatewayProvider) deliverTrunked(dg *netem.Datagram) {
 	}
 	g.mu.Unlock()
 	if c == nil {
-		cp := *dg
-		_ = g.selfHost.SendDatagram(&cp)
+		_ = g.selfHost.SendDatagram(dg)
 		return
 	}
-	data, err := encapsulate(dg)
-	if err != nil {
-		return
-	}
-	g.stats.framesOut.Add(1)
-	_ = g.conn.WriteTo(data, c.node, peer)
+	g.tx.sendDatagram(g.conn, dg, tunnelPeer{c.node, peer}, &g.stats.framesOut)
 }
 
-func (g *GatewayProvider) touch(node netem.NodeID) {
+// touch refreshes node's tunnel, and reports whether the gateway holds one.
+func (g *GatewayProvider) touch(node netem.NodeID) bool {
 	g.mu.Lock()
-	if c := g.clients[node]; c != nil {
+	defer g.mu.Unlock()
+	c := g.clients[node]
+	if c != nil {
 		c.lastSeen = g.clk.Now()
 	}
-	g.mu.Unlock()
+	return c != nil
 }
 
 func (g *GatewayProvider) closeClient(node netem.NodeID) {

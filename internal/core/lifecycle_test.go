@@ -282,10 +282,18 @@ func TestLifecycleWaitAttachedBudget(t *testing.T) {
 // of gateways and learns nothing more.
 type gatewayList struct {
 	stubDirectory
-	gateways []slp.Service
+	gateways    []slp.Service
+	invalidated atomic.Int32
 }
 
-func (g *gatewayList) Services(string) []slp.Service { return g.gateways }
+func (g *gatewayList) AppendServices(dst []slp.Service, _ string) []slp.Service {
+	return append(dst, g.gateways...)
+}
+
+func (g *gatewayList) InvalidateOrigin(netem.NodeID) int {
+	g.invalidated.Add(1)
+	return 0
+}
 
 // TestLateAckFromTimedOutGatewayIgnored is the regression test for ACK
 // matching. Two gateways are advertised. The first answers its OPEN only after
@@ -313,7 +321,7 @@ func TestLateAckFromTimedOutGatewayIgnored(t *testing.T) {
 	slow.Handle(func(dg *netem.Datagram) {
 		peer, port := dg.SrcNode, dg.SrcPort
 		b.hosts[lcGW1].Sched().After(string(lcGW1), cfg.AckTimeout+cfg.AckTimeout/2, func(time.Time) {
-			_ = slow.WriteTo((&tunnelMsg{Kind: tunOpenAck, OK: true}).marshal(), peer, port)
+			_ = slow.WriteTo((&tunnelMsg{Kind: tunOpenAck, OK: true}).appendTo(nil), peer, port)
 		})
 	})
 	silent, err := b.hosts[lcGW2].Listen(9000)
@@ -346,5 +354,148 @@ func TestLateAckFromTimedOutGatewayIgnored(t *testing.T) {
 	cp.Stop()
 	slow.Close()
 	silent.Close()
+	b.drained()
+}
+
+// TestGatewayRestartReopensTunnel is the regression test for a gateway that
+// PONGed a node it held no tunnel for. The gateway provider restarts between
+// two pings and its tunClose is lost on the way out, so the new provider
+// knows nothing of the client, which still believes itself attached. The old
+// provider's PONG kept it believing that, while the gateway dropped all its
+// Internet traffic. Now the PING is answered as a refused OPEN, and the client
+// opens the same gateway again within one round — without quarantining it —
+// and a datagram to an Internet host gets through.
+func TestGatewayRestartReopensTunnel(t *testing.T) {
+	b := newLifecycleBed(t)
+	cfg := b.config()
+	gw := b.gateway(lcGW1)
+	cp := b.provider(cfg)
+	if !b.within(5*time.Second, cp.Attached) {
+		t.Fatal("never attached")
+	}
+	// Restart while no PING is in flight: between a PONG and the next probe.
+	for testutil.AdvanceParked(b.fake, time.Millisecond, func() bool { return cp.expecting() == 0 }) {
+	}
+	if cp.expecting() != 0 {
+		t.Fatal("the provider never stopped pinging")
+	}
+	b.net.SetLink(lcClient, lcGW1, false)
+	gw.Stop()
+	b.net.ClearLink(lcClient, lcGW1)
+	gw = b.gateway(lcGW1)
+
+	if !b.within(cfg.ProbeInterval+10*time.Millisecond, func() bool { return len(gw.Clients()) == 1 && cp.Attached() }) {
+		t.Fatalf("one round after the restart: attached = %v to %q, gateway clients %v", cp.Attached(), cp.Gateway(), gw.Clients())
+	}
+	if st := cp.Stats(); cp.Gateway() != lcGW1 || st.Attaches != 2 || st.Detaches != 1 || st.AttachFails != 0 || len(cp.Blacklisted()) != 0 {
+		t.Fatalf("re-opened %q with stats %+v and blacklist %v, want the same gateway, not quarantined", cp.Gateway(), st, cp.Blacklisted())
+	}
+
+	sink, err := b.probe.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int32
+	sink.Handle(func(dg *netem.Datagram) {
+		if dg.SrcNode == lcClient && string(dg.Data) == "hello, Internet" {
+			arrived.Add(1)
+		}
+	})
+	local, err := b.hosts[lcClient].Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.WriteTo([]byte("hello, Internet"), b.probe.ID(), 7); err != nil {
+		t.Fatal(err)
+	}
+	if !b.within(time.Second, func() bool { return arrived.Load() == 1 }) {
+		t.Fatal("a datagram to an Internet host never arrived through the re-opened tunnel")
+	}
+	local.Close()
+	sink.Close()
+	cp.Stop()
+	gw.Stop()
+	b.drained()
+}
+
+// TestStoppingGatewayRefusesPingThenCloses covers a PING that reaches a
+// gateway while it stops: after it has let go of its clients and before it has
+// sent them tunClose. The PING is refused, so the client detaches and sends an
+// OPEN the stopping gateway drops. The tunClose that follows must still count:
+// the wait for the OPEN's answer ends at once, the gateway is quarantined and
+// its adverts purged, without an attach failure or a second detach — not one
+// AckTimeout later, as an OPEN that went unanswered.
+func TestStoppingGatewayRefusesPingThenCloses(t *testing.T) {
+	b := newLifecycleBed(t)
+	cfg := b.config()
+	dir := &gatewayList{gateways: []slp.Service{{
+		Type: GatewayServiceType, Key: string(lcGW1), Origin: lcGW1, Expires: b.fake.Now().Add(time.Hour),
+		URL: slp.ServiceURL(GatewayServiceType, string(lcGW1)+":9000"),
+	}}}
+	gw, err := b.hosts[lcGW1].Listen(9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stopping atomic.Bool
+	var dropped atomic.Int32
+	gw.Handle(func(dg *netem.Datagram) {
+		msg, err := parseTunnelMsg(dg.Data)
+		if err != nil {
+			return
+		}
+		peer, port := dg.SrcNode, dg.SrcPort
+		reply := func(m tunnelMsg) { _ = gw.WriteTo(m.appendTo(nil), peer, port) }
+		switch {
+		case msg.Kind == tunOpen && stopping.Load():
+			dropped.Add(1)
+		case msg.Kind == tunOpen:
+			reply(tunnelMsg{Kind: tunOpenAck, OK: true})
+		case msg.Kind == tunPing && stopping.Load():
+			// The tunClose goes out a moment later, once the rest of Stop
+			// has run.
+			reply(tunnelMsg{Kind: tunOpenAck, OK: false})
+			b.hosts[lcGW1].Sched().After(string(lcGW1), time.Millisecond, func(time.Time) { reply(tunnelMsg{Kind: tunClose}) })
+		case msg.Kind == tunPing:
+			reply(tunnelMsg{Kind: tunPong})
+		}
+	})
+	cp := NewConnectionProvider(b.hosts[lcClient], dir, cfg)
+	var downs atomic.Int32
+	cp.OnChange(func(up bool) {
+		if !up {
+			downs.Add(1)
+		}
+	})
+	if err := cp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !b.within(time.Second, cp.Attached) {
+		t.Fatal("never attached")
+	}
+	// Begin stopping between a PONG and the next PING.
+	for testutil.AdvanceParked(b.fake, time.Millisecond, func() bool { return cp.expecting() == 0 }) {
+	}
+	stopping.Store(true)
+
+	if !b.within(cfg.ProbeInterval+cfg.AckTimeout/2, func() bool { return dir.invalidated.Load() == 1 }) {
+		t.Fatalf("the tunClose after a refused PING went unheeded: stats %+v, waiting for kind %d", cp.Stats(), cp.expecting())
+	}
+	if cp.Attached() || cp.expecting() != 0 {
+		t.Fatalf("attached = %v, waiting for kind %d; want detached, between rounds", cp.Attached(), cp.expecting())
+	}
+	if st := cp.Stats(); st.AttachFails != 0 || st.Detaches != 1 || downs.Load() != 1 {
+		t.Fatalf("stats %+v with %d detach notifications, want no attach failure and one detach", st, downs.Load())
+	}
+	if got := cp.Blacklisted(); !slices.Equal(got, []netem.NodeID{lcGW1}) {
+		t.Fatalf("blacklist = %v, want the stopped gateway", got)
+	}
+	// The next round leaves the quarantined gateway alone: the one OPEN it
+	// saw is the one sent when its PING was refused.
+	b.within(cfg.ProbeInterval+10*time.Millisecond, testutil.Never)
+	if dropped.Load() != 1 {
+		t.Fatalf("%d OPENs sent to the stopped gateway, want 1", dropped.Load())
+	}
+	cp.Stop()
+	gw.Close()
 	b.drained()
 }

@@ -33,8 +33,9 @@ type ServiceDirectory interface {
 	// LookupAsync answers from the cache or queries the network within
 	// timeout: done gets the answer, at once or later on a scheduler worker.
 	LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error))
-	// Services lists known services of a type (local and cached).
-	Services(stype string) []slp.Service
+	// AppendServices appends the known services of a type (local and
+	// cached) to dst, freshest first, and returns the extended slice.
+	AppendServices(dst []slp.Service, stype string) []slp.Service
 }
 
 var _ ServiceDirectory = (*slp.Agent)(nil)

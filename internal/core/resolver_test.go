@@ -52,7 +52,7 @@ func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, do
 	done(slp.Service{}, fmt.Errorf("stub: %s/%s not found", stype, key))
 }
 
-func (s *stubDirectory) Services(stype string) []slp.Service { return nil }
+func (s *stubDirectory) AppendServices(dst []slp.Service, _ string) []slp.Service { return dst }
 
 func cachedSIP(aor, addr string) map[string]slp.Service {
 	return map[string]slp.Service{

@@ -11,7 +11,7 @@ import (
 func trunkTestPayloads(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
-		wire, err := netem.MarshalDatagram(&netem.Datagram{
+		wire, err := netem.AppendDatagram(nil, &netem.Datagram{
 			SrcNode: netem.NodeID(fmt.Sprintf("10.1.0.%d", i)),
 			DstNode: netem.NodeID(fmt.Sprintf("10.2.0.%d", i)),
 			SrcPort: uint16(7000 + i),

@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// TestAppendDatagramMatchesMarshal pins AppendDatagram's bytes to the wire
+// layout it documents, appended after whatever buf already holds.
 func TestAppendDatagramMatchesMarshal(t *testing.T) {
 	d := &Datagram{
 		SrcNode: "10.1.0.3",
@@ -14,10 +16,7 @@ func TestAppendDatagramMatchesMarshal(t *testing.T) {
 		TTL:     17,
 		Data:    []byte("trunked media payload"),
 	}
-	want, err := MarshalDatagram(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := []byte("\x0810.1.0.3\x0810.2.0.9\x1b\x9e\x1f\x90\x11trunked media payload")
 	got, err := AppendDatagram([]byte("prefix"), d)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +25,10 @@ func TestAppendDatagramMatchesMarshal(t *testing.T) {
 		t.Fatal("AppendDatagram clobbered the prefix")
 	}
 	if !bytes.Equal(got[len("prefix"):], want) {
-		t.Fatal("AppendDatagram wire bytes differ from MarshalDatagram")
+		t.Fatalf("AppendDatagram wire bytes %x, want %x", got[len("prefix"):], want)
+	}
+	if len(want) != datagramWireLen(d) {
+		t.Fatalf("datagramWireLen = %d, the encoding is %d bytes", datagramWireLen(d), len(want))
 	}
 }
 
@@ -39,7 +41,7 @@ func TestUnmarshalDatagramIntoRoundTrip(t *testing.T) {
 		TTL:     32,
 		Data:    []byte("REGISTER"),
 	}
-	wire, err := MarshalDatagram(d)
+	wire, err := AppendDatagram(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestUnmarshalDatagramIntoRoundTrip(t *testing.T) {
 // UnmarshalDatagramInto exists for per-packet receive loops; it must not
 // allocate.
 func TestUnmarshalDatagramIntoAllocFree(t *testing.T) {
-	wire, err := MarshalDatagram(&Datagram{
+	wire, err := AppendDatagram(nil, &Datagram{
 		SrcNode: "10.1.0.3",
 		DstNode: "10.2.0.9",
 		SrcPort: 7070,

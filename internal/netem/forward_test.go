@@ -81,7 +81,7 @@ func TestTransitHopAllocFree(t *testing.T) {
 		}
 		a.SetRouteProvider(staticRoutes{"z": "b"})
 		b.SetRouteProvider(staticRoutes{"z": "a"})
-		payload, err := marshalDatagram(&Datagram{SrcNode: "a", DstNode: "z", DstPort: 9, Data: make([]byte, 172)})
+		payload, err := AppendDatagram(nil, &Datagram{SrcNode: "a", DstNode: "z", DstPort: 9, Data: make([]byte, 172)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +527,7 @@ func TestDeliveredNodeIDsDoNotAliasTheFrame(t *testing.T) {
 		rx, _ := b.Listen(9)
 		rxIn := inbox(rx)
 		for _, src := range []NodeID{"a.example", "ghost.example"} {
-			payload, err := marshalDatagram(&Datagram{SrcNode: src, DstNode: "b.example", DstPort: 9, TTL: 5, Data: []byte("x")})
+			payload, err := AppendDatagram(nil, &Datagram{SrcNode: src, DstNode: "b.example", DstPort: 9, TTL: 5, Data: []byte("x")})
 			if err != nil {
 				t.Fatal(err)
 			}

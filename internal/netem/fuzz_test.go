@@ -8,7 +8,7 @@ import (
 // FuzzUnmarshalDatagram: any input either errors or round-trips through the
 // datagram codec.
 func FuzzUnmarshalDatagram(f *testing.F) {
-	good, _ := MarshalDatagram(&Datagram{
+	good, _ := AppendDatagram(nil, &Datagram{
 		SrcNode: "10.0.0.1", DstNode: "10.0.0.2",
 		SrcPort: 5060, DstPort: 427, TTL: 8, Data: []byte("payload"),
 	})
@@ -20,7 +20,7 @@ func FuzzUnmarshalDatagram(f *testing.F) {
 		if err != nil {
 			return
 		}
-		raw, err := MarshalDatagram(dg)
+		raw, err := AppendDatagram(nil, dg)
 		if err != nil {
 			t.Fatalf("accepted datagram fails to marshal: %v", err)
 		}
@@ -64,7 +64,7 @@ func FuzzUnmarshalUDPFrame(f *testing.F) {
 // data one byte longer or shorter: each receiver's Clone holds what was sent
 // to it, after both are back on the free list.
 func FuzzDatagramForwardInPlace(f *testing.F) {
-	good, _ := MarshalDatagram(&Datagram{
+	good, _ := AppendDatagram(nil, &Datagram{
 		SrcNode: "10.0.0.1", DstNode: "10.0.0.2",
 		SrcPort: 5060, DstPort: 427, TTL: 8, Data: []byte("payload"),
 	})

@@ -249,7 +249,7 @@ func (h *Host) handleData(f Frame, dg *Datagram) (sentOn bool) {
 	// datagram, so it gets a header whose node IDs it may keep. Data still
 	// aliases payload.
 	*dg = Datagram{
-		SrcNode: h.net.ownedID(hdr.SrcNode),
+		SrcNode: h.net.OwnedID(hdr.SrcNode),
 		DstNode: h.id,
 		SrcPort: hdr.SrcPort,
 		DstPort: hdr.DstPort,
@@ -257,7 +257,7 @@ func (h *Host) handleData(f Frame, dg *Datagram) (sentOn bool) {
 		Data:    hdr.Data,
 	}
 	if hdr.DstNode != h.id {
-		dg.DstNode = h.net.ownedID(hdr.DstNode)
+		dg.DstNode = h.net.OwnedID(hdr.DstNode)
 	}
 	// We are already on this host's delivery shard, so a local delivery may
 	// run directly without re-scheduling.
@@ -561,9 +561,14 @@ func (c *Conn) WriteTo(data []byte, dst NodeID, dstPort uint16) error {
 	}
 	// No route yet: the default handler is offered the datagram, and failing
 	// that a copy waits in the pending-discovery queue. A function value sees
-	// it, so this one lives on the heap.
-	slow := dg
-	return h.SendDatagram(&slow)
+	// it, so it is lent from the header of a pooled delivery, which is back in
+	// the pool once SendDatagram is done with it, rather than from this frame.
+	d := newDelivery()
+	d.hdr = dg
+	err := h.SendDatagram(&d.hdr)
+	d.hdr = Datagram{}
+	deliveryPool.Put(d)
+	return err
 }
 
 // Close unbinds the port.

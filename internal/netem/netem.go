@@ -95,12 +95,14 @@ func (k FrameKind) String() string {
 // handler (SetDefaultHandler) is given — the *Datagram and its Data — is its to
 // use until it returns: the header lives in a recycled delivery and Data in a
 // wire buffer. The node IDs are the exception: they are the network's own
-// strings (or fresh copies of IDs it does not know) and may be kept. A handler
-// that keeps anything else calls Clone. In the other direction SendDatagram,
-// InjectDatagram and WriteTo may be handed storage the caller reuses at once:
-// by the time they return netem has encoded the datagram into a wire buffer of
-// its own, or copied it at the only two places it holds one past the call (the
-// pending-discovery queue and the loopback hand-off).
+// strings (see Network.OwnedID) and may be kept. A handler that keeps anything
+// else calls Clone. In the other direction SendDatagram, InjectDatagram and
+// WriteTo may be handed storage the caller reuses at once: by the time they
+// return netem has encoded the datagram into a wire buffer of its own, or
+// copied it at the only two places it holds one past the call (the
+// pending-discovery queue and the loopback hand-off). Those two keep the node
+// IDs as given, so a caller whose IDs alias a buffer of its own hands in
+// OwnedID's instead.
 type Frame struct {
 	Src     NodeID
 	Dst     NodeID
@@ -151,17 +153,17 @@ var (
 // budget is enforced here.
 const MTU = 2304
 
-// MarshalDatagram encodes d into the wire format used on KindData frames.
-// It is exported for tunnel endpoints that encapsulate whole datagrams.
-func MarshalDatagram(d *Datagram) ([]byte, error) { return marshalDatagram(d) }
-
-// UnmarshalDatagram decodes the wire format produced by MarshalDatagram.
-// The returned datagram's Data aliases b; callers that reuse b must copy.
+// UnmarshalDatagram decodes the wire format AppendDatagram produces into a
+// datagram of its own. Data aliases b; callers that reuse b must copy.
 func UnmarshalDatagram(b []byte) (*Datagram, error) { return unmarshalDatagram(b) }
 
 // AppendDatagram appends d's wire encoding to buf and returns the extended
-// slice. It is the allocation-free flavour of MarshalDatagram for callers
-// that batch many datagrams into one buffer (gateway trunk frames).
+// slice:
+//
+//	srcLen u8 | src | dstLen u8 | dst | srcPort u16 | dstPort u16 | ttl u8 | data
+//
+// It allocates nothing when buf has the room: the forwarding engine encodes
+// into a wire buffer, the tunnel and the trunk into scratch of their own.
 func AppendDatagram(buf []byte, d *Datagram) ([]byte, error) {
 	if len(d.SrcNode) > 255 || len(d.DstNode) > 255 {
 		return buf, fmt.Errorf("netem: node id too long")
@@ -180,19 +182,13 @@ func AppendDatagram(buf []byte, d *Datagram) ([]byte, error) {
 // UnmarshalDatagramInto decodes b into d, reusing the caller's Datagram.
 // Unlike UnmarshalDatagram, every field of d — the node IDs included —
 // aliases b, so d is only valid while b is: callers that retain d or reuse b
-// must copy first. This is the allocation-free flavour for per-packet
-// receive loops (the gateway trunk fan-out).
+// must copy first (Network.OwnedID gives node IDs that may be kept). This is
+// the allocation-free flavour for per-packet receive paths: both tunnel ends
+// and the gateway trunk fan-out.
 func UnmarshalDatagramInto(d *Datagram, b []byte) error {
 	*d = Datagram{}
 	_, err := decodeDatagramZeroCopy(d, b)
 	return err
-}
-
-// marshalDatagram encodes d into a buffer of its own, in wire format:
-//
-//	srcLen u8 | src | dstLen u8 | dst | srcPort u16 | dstPort u16 | ttl u8 | data
-func marshalDatagram(d *Datagram) ([]byte, error) {
-	return AppendDatagram(make([]byte, 0, datagramWireLen(d)), d)
 }
 
 // datagramWireLen is the length of d's wire encoding.
@@ -200,7 +196,7 @@ func datagramWireLen(d *Datagram) int {
 	return 2 + len(d.SrcNode) + len(d.DstNode) + 5 + len(d.Data)
 }
 
-// unmarshalDatagram decodes wire format produced by marshalDatagram. Data
+// unmarshalDatagram decodes wire format produced by AppendDatagram. Data
 // aliases the input rather than copying; the node IDs are copied.
 func unmarshalDatagram(b []byte) (*Datagram, error) {
 	d := &Datagram{}

@@ -68,7 +68,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 		SrcPort: 5060, DstPort: 427, TTL: 17,
 		Data: []byte("REGISTER sip:alice@voicehoc.ch SIP/2.0"),
 	}
-	b, err := marshalDatagram(in)
+	b, err := AppendDatagram(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDatagramRoundTripProperty(t *testing.T) {
 			SrcNode: NodeID(src), DstNode: NodeID(dst),
 			SrcPort: sp, DstPort: dp, TTL: ttl, Data: data,
 		}
-		b, err := marshalDatagram(in)
+		b, err := AppendDatagram(nil, in)
 		if err != nil {
 			return false
 		}
@@ -109,7 +109,7 @@ func TestDatagramRoundTripProperty(t *testing.T) {
 }
 
 func TestUnmarshalDatagramRejectsTruncation(t *testing.T) {
-	full, err := marshalDatagram(&Datagram{SrcNode: "a", DstNode: "b", Data: []byte("x")})
+	full, err := AppendDatagram(nil, &Datagram{SrcNode: "a", DstNode: "b", Data: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}

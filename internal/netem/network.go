@@ -121,6 +121,10 @@ type Network struct {
 	nodesCache []NodeID
 	closed     bool
 
+	// foreign holds OwnedID's copies of IDs that name no attached host.
+	foreignMu sync.Mutex
+	foreign   map[NodeID]NodeID
+
 	// rngMu serializes loss/jitter draws so a given Seed yields one
 	// deterministic sequence, independent of stats or topology locking.
 	rngMu sync.Mutex
@@ -170,6 +174,7 @@ func NewNetwork(cfg Config) *Network {
 		positions:    make(map[NodeID]Position),
 		linkOverride: make(map[linkKey]bool),
 		adj:          make(map[NodeID]*neighborhood),
+		foreign:      make(map[NodeID]NodeID),
 		sched:        clock.NewScheduler(cfg.Clock, cfg.Shards),
 	}
 	n.lossBits.Store(math.Float64bits(cfg.LossRate))
@@ -362,14 +367,32 @@ func (n *Network) hostID(id NodeID) (NodeID, bool) {
 	return "", false
 }
 
-// ownedID is hostID falling back to a fresh copy for an ID the network does
-// not know (an Internet host behind a gateway, a node that has just left).
-func (n *Network) ownedID(id NodeID) NodeID {
+// OwnedID returns a NodeID equal to id that aliases nothing a caller lends:
+// the ID of the attached host it names, or else the network's one copy of an
+// ID it has been asked for before (an Internet peer behind a gateway, a node
+// that has left). Code that decoded id out of a borrowed buffer (see Frame)
+// keeps what this returns, and pays an allocation only for an ID new to the
+// network.
+func (n *Network) OwnedID(id NodeID) NodeID {
 	if own, ok := n.hostID(id); ok {
 		return own
 	}
-	return NodeID(strings.Clone(string(id)))
+	n.foreignMu.Lock()
+	defer n.foreignMu.Unlock()
+	if own, ok := n.foreign[id]; ok {
+		return own
+	}
+	if len(n.foreign) >= maxForeignIDs {
+		clear(n.foreign)
+	}
+	own := NodeID(strings.Clone(string(id)))
+	n.foreign[own] = own
+	return own
 }
+
+// maxForeignIDs bounds the copies OwnedID keeps of IDs no host answers to;
+// past it they are forgotten at once, and the next ask copies again.
+const maxForeignIDs = 1024
 
 // RemoveHost detaches and closes the node, simulating a crash or power-off.
 func (n *Network) RemoveHost(id NodeID) {

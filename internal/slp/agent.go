@@ -109,7 +109,8 @@ type qkey struct {
 }
 
 // pendingQuery is the one in-flight query all concurrent lookups of a
-// (type, key) share; the last lookup to leave removes it.
+// (type, key) share; the last lookup to leave removes it and puts it back on
+// the agent's free list.
 type pendingQuery struct {
 	q    Query
 	refs int
@@ -117,7 +118,8 @@ type pendingQuery struct {
 
 // lookup is one caller waiting on the network for a (type, key): it ends
 // exactly once, by whichever comes first of a matching advert, its deadline
-// and the agent stopping.
+// and the agent stopping. Lookups are recycled through the agent's free list,
+// their tasks bound once when they are made (see end).
 type lookup struct {
 	a       *Agent
 	ck      cacheKey
@@ -125,6 +127,7 @@ type lookup struct {
 	start   time.Time
 	pq      *pendingQuery
 	done    func(Service, error)
+	q       Query // multicast mode: the SrvRqst the re-flood reissues
 
 	ended atomic.Bool
 	// deadline ends the lookup with ErrNotFound; reflood (multicast mode
@@ -236,6 +239,15 @@ type Agent struct {
 	// lookups are the lookups waiting on the network, so that Stop can end
 	// them; nil once the agent has stopped.
 	lookups map[*lookup]struct{}
+	// spareL and spareQ are the free lists of lookups and pending queries:
+	// a node that polls looks up the same key round after round.
+	spareL []*lookup
+	spareQ []*pendingQuery
+	// notFound is the error a miss of a key returns, one per key (see
+	// missError); types are this agent's copies of the service types it has
+	// relayed queries for (see handleQuery).
+	notFound map[cacheKey]error
+	types    map[string]string
 
 	// pb* is the piggyback encoding scratch reused across Outgoing calls
 	// (serialized by pbMu): staging payload, its digest and the writer.
@@ -272,6 +284,8 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		relayQ:   make(map[qkey]relayEntry),
 		seenQ:    make(map[qkey]time.Time),
 		lookups:  make(map[*lookup]struct{}),
+		notFound: make(map[cacheKey]error),
+		types:    make(map[string]string),
 		pbW:      wire.NewWriter(256),
 	}
 	if cfg.Obs.Enabled() {
@@ -347,8 +361,8 @@ func (a *Agent) Stop() {
 	a.lookups = nil
 	a.qmu.Unlock()
 	for l := range waiting {
-		if l.finish() {
-			l.fail(errStopped)
+		if l.claim() {
+			l.end(nil, &lookupError{l.ck, errStopped}, nil)
 		}
 	}
 	a.conn.Close()
@@ -507,9 +521,8 @@ func (a *Agent) LookupAsync(stype, key string, timeout time.Duration, done func(
 // errStopped ends the lookups in progress when the agent stops.
 var errStopped = fmt.Errorf("agent stopped: %w", ErrNotFound)
 
-// lookupError is what a lookup that found nothing returns. A node with nothing
-// to find misses all day (an idle connection provider, every probe round), so
-// the error carries its parts and is formatted only if somebody reads it.
+// lookupError is what a lookup that found nothing returns. It carries its
+// parts and is formatted only if somebody reads it.
 type lookupError struct {
 	ck    cacheKey
 	cause error
@@ -520,6 +533,24 @@ func (e *lookupError) Error() string {
 }
 
 func (e *lookupError) Unwrap() error { return e.cause }
+
+// missError is the error a lookup of ck that found nothing returns. A node
+// with nothing to find misses the same few keys all day — an idle Connection
+// Provider, every probe round — so each key's error is made once and shared:
+// an error is never written to once made. Past missHardCap keys a miss makes
+// its own.
+func (a *Agent) missError(ck cacheKey) error {
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	if err, ok := a.notFound[ck]; ok {
+		return err
+	}
+	err := &lookupError{ck, ErrNotFound}
+	if len(a.notFound) < missHardCap {
+		a.notFound[ck] = err
+	}
+	return err
+}
 
 // lookupLocal answers a lookup from what this node already knows: the cache,
 // or a remembered miss. ok is false when only the network can tell.
@@ -538,7 +569,7 @@ func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Servi
 		a.obsNegHits.Inc()
 		a.obsMisses.Inc()
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-		return Service{}, true, &lookupError{cacheKey{stype, key}, ErrNotFound}
+		return Service{}, true, a.missError(cacheKey{stype, key})
 	}
 	return Service{}, false, nil
 }
@@ -549,27 +580,34 @@ func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Servi
 // the host's shard, and so is the re-flood of multicast mode, which reissues
 // the SrvRqst every timeout/3 as an SLP UA would.
 func (a *Agent) query(stype, key string, timeout time.Duration, done func(Service, error)) {
-	l := &lookup{a: a, ck: cacheKey{stype, key}, timeout: timeout, start: a.clk.Now(), done: done}
+	ck, now := cacheKey{stype, key}, a.clk.Now()
 	a.qmu.Lock()
 	if a.lookups == nil {
 		a.qmu.Unlock()
-		l.fail(errStopped)
+		done(Service{}, &lookupError{ck, errStopped})
 		return
 	}
+	l := a.takeLookupLocked()
+	l.ended.Store(false)
+	l.ck, l.timeout, l.start, l.done = ck, timeout, now, done
 	a.lookups[l] = struct{}{}
-	l.pq = a.pendingQ[l.ck]
+	l.pq = a.pendingQ[ck]
 	if l.pq == nil {
 		a.qid++
-		l.pq = &pendingQuery{q: Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}}
-		a.markSeenLocked(qkey{l.pq.q.Origin, l.pq.q.ID}, l.start)
-		a.pendingQ[l.ck] = l.pq
+		if l.pq = popSpare(&a.spareQ); l.pq == nil {
+			l.pq = new(pendingQuery)
+		}
+		l.pq.q = Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}
+		a.markSeenLocked(qkey{l.pq.q.Origin, l.pq.q.ID}, now)
+		a.pendingQ[ck] = l.pq
 	}
 	l.pq.refs++
-	q, first := l.pq.q, l.pq.refs == 1
+	l.q = l.pq.q
+	first := l.pq.refs == 1
 	a.qmu.Unlock()
 
 	// From here on an advert ends the lookup; one installed since lookupLocal
-	// looked ends it now.
+	// looked ends it now, and its tasks are never queued.
 	a.cache.wait(l)
 	if svc, ok := a.LookupCached(stype, key); ok {
 		l.answer(svc)
@@ -578,73 +616,137 @@ func (a *Agent) query(stype, key string, timeout time.Duration, done func(Servic
 	sched, hostKey := a.host.Sched(), string(a.host.ID())
 	if a.cfg.Mode == ModeMulticast {
 		if first {
-			a.floodQuery(q)
+			a.floodQuery(l.q)
 		}
-		l.reflood.Init(func(now time.Time) {
-			a.qmu.Lock()
-			a.qid++
-			q.ID = a.qid
-			a.markSeenLocked(qkey{q.Origin, q.ID}, now)
-			a.qmu.Unlock()
-			a.floodQuery(q)
-			sched.At(hostKey, &l.reflood, now.Add(timeout/3))
-		}, nil)
-		sched.At(hostKey, &l.reflood, l.start.Add(timeout/3))
+		sched.At(hostKey, &l.reflood, now.Add(timeout/3))
 	}
 	// A network closed under the lookup drops the deadline instead of running
 	// it; the caller is released all the same.
-	l.deadline.Init(func(time.Time) { l.expire() }, l.expire)
-	sched.At(hostKey, &l.deadline, l.start.Add(timeout))
+	sched.At(hostKey, &l.deadline, now.Add(timeout))
 }
 
-// finish detaches the lookup from the agent and reports whether this call was
-// the one to end it; the caller then owes done its answer.
-func (l *lookup) finish() bool {
-	if !l.ended.CompareAndSwap(false, true) {
-		return false
+// takeLookupLocked returns a lookup off the free list, or a new one with its
+// tasks bound. Caller holds qmu.
+func (a *Agent) takeLookupLocked() *lookup {
+	if l := popSpare(&a.spareL); l != nil {
+		return l
 	}
+	l := &lookup{a: a}
+	l.deadline.Init(func(time.Time) { l.onDeadline() }, l.onDeadline)
+	l.reflood.Init(l.onReflood, nil)
+	return l
+}
+
+// popSpare takes the last item off a free list; nil when it is empty.
+func popSpare[T any](spare *[]*T) *T {
+	n := len(*spare)
+	if n == 0 {
+		return nil
+	}
+	x := (*spare)[n-1]
+	(*spare)[n-1] = nil
+	*spare = (*spare)[:n-1]
+	return x
+}
+
+// claim reports whether this call ends the lookup, which the caller then owes
+// its end.
+func (l *lookup) claim() bool {
+	return l.ended.CompareAndSwap(false, true)
+}
+
+// end finishes the lookup the caller claimed — in the run of the task
+// running, if a task's run ends it: it calls off the lookup's other tasks,
+// detaches it from the cache and the agent, and hands done the answer (svc,
+// or err when svc is nil).
+//
+// The lookup goes back on the free list only if nothing can touch it any
+// more: every task of it is running or was taken off the queue before its run
+// began. Otherwise — a task was running on another goroutine, or had yet to be
+// queued — it is left to the collector, and whatever still holds it finds it
+// ended. A cache commit or Stop holds no lookup it has not claimed (see
+// cache.commit; after Stop none is reused).
+func (l *lookup) end(svc *Service, err error, running *clock.Task) {
 	a := l.a
-	l.deadline.Stop()
-	l.reflood.Stop()
+	free := l.off(&l.deadline, running)
+	if a.cfg.Mode == ModeMulticast {
+		free = l.off(&l.reflood, running) && free
+	}
 	a.cache.unwait(l)
+	if svc != nil {
+		a.obsDelay.Observe(a.clk.Now().Sub(l.start))
+	}
+	done := l.done
 	a.qmu.Lock()
 	delete(a.lookups, l)
 	if l.pq.refs--; l.pq.refs == 0 {
 		delete(a.pendingQ, l.ck)
+		a.spareQ = append(a.spareQ, l.pq)
+	}
+	if free {
+		l.pq, l.done, l.q = nil, nil, Query{}
+		a.spareL = append(a.spareL, l)
 	}
 	a.qmu.Unlock()
-	return true
+	if svc != nil {
+		done(*svc, nil)
+		return
+	}
+	done(Service{}, err)
 }
 
-// answer ends the lookup with the advert it was waiting for.
+// off reports whether t, one of the lookup's tasks, will not run again for
+// this use: it is the one running, or it was called off before its run.
+func (l *lookup) off(t, running *clock.Task) bool {
+	return t == running || l.a.host.Sched().Cancel(string(l.a.host.ID()), t)
+}
+
+// answer ends the lookup with the advert it was waiting for, unless something
+// else ended it first.
 func (l *lookup) answer(svc Service) {
-	if l.finish() {
-		l.a.obsDelay.Observe(l.a.clk.Now().Sub(l.start))
-		l.done(svc, nil)
+	if l.claim() {
+		l.end(&svc, nil, nil)
 	}
 }
 
-// expire ends the lookup at its deadline, and remembers an exact-key miss.
-func (l *lookup) expire() {
-	if l.finish() {
-		a := l.a
-		a.obsMisses.Inc()
-		if l.ck.key != "" {
-			a.cache.noteMiss(l.ck, l.timeout, a.clk.Now(), a.refreshInterval())
-		}
-		l.fail(ErrNotFound)
+// onDeadline is the deadline task's run, and its drop when the scheduler
+// closes: the lookup ends with ErrNotFound unless it already has, and an
+// exact-key miss is remembered.
+func (l *lookup) onDeadline() {
+	if !l.claim() {
+		return
 	}
+	a := l.a
+	a.obsMisses.Inc()
+	if l.ck.key != "" {
+		a.cache.noteMiss(l.ck, l.timeout, a.clk.Now(), a.refreshInterval())
+	}
+	l.end(nil, a.missError(l.ck), &l.deadline)
 }
 
-// fail hands done the error of an ended lookup.
-func (l *lookup) fail(err error) {
-	l.done(Service{}, &lookupError{l.ck, err})
+// onReflood is the re-flood task's run (multicast mode): until the lookup
+// ends, the SrvRqst goes out again under a new ID and the task re-arms.
+func (l *lookup) onReflood(now time.Time) {
+	if l.ended.Load() {
+		return
+	}
+	a := l.a
+	a.qmu.Lock()
+	a.qid++
+	l.q.ID = a.qid
+	a.markSeenLocked(qkey{l.q.Origin, l.q.ID}, now)
+	a.qmu.Unlock()
+	a.floodQuery(l.q)
+	a.host.Sched().At(string(a.host.ID()), &l.reflood, now.Add(l.timeout/3))
 }
 
-// Services returns the live registrations known to this agent (local and
-// learned), optionally filtered by type.
-func (a *Agent) Services(stype string) []Service {
-	return a.cache.snapshot(stype, a.clk.Now())
+// AppendServices appends the live registrations of a type ("" for every
+// type) known to this agent to dst, freshest first — the one that expires
+// last, then by key: the order a wildcard lookup answers in — and returns the
+// extended slice. A caller that asks every round keeps dst and passes it back
+// emptied.
+func (a *Agent) AppendServices(dst []Service, stype string) []Service {
+	return a.cache.appendLive(dst, stype, a.clk.Now())
 }
 
 // Dump renders the agent state in the style of the paper's Figure 4: the
@@ -805,14 +907,20 @@ func (a *Agent) receive(b []byte) (d Digest, ok bool) {
 // passes it on with one hop less: in piggyback mode on this node's outgoing
 // routing messages for QueryRelayTTL, in multicast mode as a flood frame of
 // its own. Each query is handled once, however many copies arrive.
+//
+// The query outlives the frame it came in (seenQ, relayQ), so its strings must
+// not alias the frame; what a relay keeps of a wildcard query from a node of
+// its network are strings it already holds, so relaying one allocates nothing:
+// the network's own copy of the origin's ID and the agent's copy of the type.
 func (a *Agent) handleQuery(it *item, now time.Time) {
+	origin := a.host.Network().OwnedID(netem.NodeID(it.origin))
+	k := qkey{origin, it.seq}
 	a.qmu.Lock()
-	if _, seen := a.seenQ[qkey{netem.NodeID(it.origin), it.seq}]; seen {
+	if _, seen := a.seenQ[k]; seen {
 		a.qmu.Unlock()
 		return
 	}
-	q := it.query()
-	k := qkey{q.Origin, q.ID}
+	q := Query{Type: a.serviceTypeLocked(it.stype), Key: string(it.key), Origin: origin, ID: it.seq, Hops: it.hops}
 	a.markSeenLocked(k, now)
 	a.qmu.Unlock()
 
@@ -838,6 +946,24 @@ func (a *Agent) handleQuery(it *item, now time.Time) {
 	a.relayH.push(deadlineItem[qkey]{k: k, at: exp})
 	a.qmu.Unlock()
 }
+
+// serviceTypeLocked returns the agent's copy of the service type spelled by
+// b, made the first time it is seen: queries keep coming for the same few
+// types. Past maxServiceTypes a new type gets a copy of its own each time.
+// Caller holds qmu.
+func (a *Agent) serviceTypeLocked(b []byte) string {
+	if s, ok := a.types[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(a.types) < maxServiceTypes {
+		a.types[s] = s
+	}
+	return s
+}
+
+// maxServiceTypes bounds the service types an agent keeps a copy of.
+const maxServiceTypes = 64
 
 // queryMatch resolves a query against the cache; an empty key matches any
 // service of the type.

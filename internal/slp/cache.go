@@ -194,9 +194,17 @@ func (c *cache) commit(k cacheKey, e *entry) {
 		delete(c.waiters, wk)
 	}
 	svc := e.svc
-	c.mu.Unlock()
+	// The waiters are claimed under c.mu, so that commit holds none past it
+	// that another end may already have put back for reuse (see lookup.end).
+	claimed := waiters[:0]
 	for _, l := range waiters {
-		l.answer(svc)
+		if l.claim() {
+			claimed = append(claimed, l)
+		}
+	}
+	c.mu.Unlock()
+	for _, l := range claimed {
+		l.end(&svc, nil, nil)
 	}
 }
 
@@ -315,17 +323,45 @@ func advertOf(svc *Service, now time.Time) Advert {
 	}
 }
 
-// getAny returns any live service of the given type (wildcard lookup).
+// getAny returns the freshest live service of the given type (wildcard
+// lookup), the first appendLive would list, so that a wildcard answer — a
+// node's own or a relay's reply — is the same on every run of a seed.
 func (c *cache) getAny(stype string, now time.Time) (Service, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire(now)
+	var best *Service
 	for k, e := range c.entries {
-		if k.stype == stype {
-			return e.svc, true
+		if k.stype == stype && (best == nil || fresherFirst(&e.svc, best) < 0) {
+			best = &e.svc
 		}
 	}
-	return Service{}, false
+	if best == nil {
+		return Service{}, false
+	}
+	return *best, true
+}
+
+// appendLive appends the live entries of a type ("" for every type) to out,
+// freshest first.
+func (c *cache) appendLive(out []Service, stype string, now time.Time) []Service {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expire(now)
+	n := len(out)
+	for _, e := range c.entries {
+		if stype == "" || e.svc.Type == stype {
+			out = append(out, e.svc)
+		}
+	}
+	slices.SortFunc(out[n:], func(a, b Service) int { return fresherFirst(&a, &b) })
+	return out
+}
+
+// fresherFirst orders services by expiry, the latest first, and then by
+// (type, key): the order a wildcard lookup answers in.
+func fresherFirst(a, b *Service) int {
+	return cmp.Or(b.Expires.Compare(a.Expires), compareKeys(a, b))
 }
 
 func (c *cache) get(stype, key string, now time.Time) (Service, bool) {
@@ -346,7 +382,9 @@ func (c *cache) wait(l *lookup) {
 	c.mu.Unlock()
 }
 
-// unwait withdraws l, if commit has not already taken it.
+// unwait withdraws l, if commit has not already taken it. The key keeps its
+// emptied list, so that the next lookup of it — a poll's next round — waits
+// without growing one.
 func (c *cache) unwait(l *lookup) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -417,15 +455,7 @@ func (c *cache) removeOrigin(origin netem.NodeID) int {
 // snapshot returns live entries, optionally filtered by type, sorted by
 // (type, key).
 func (c *cache) snapshot(stype string, now time.Time) []Service {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expire(now)
-	out := make([]Service, 0, len(c.entries))
-	for _, e := range c.entries {
-		if stype == "" || e.svc.Type == stype {
-			out = append(out, e.svc)
-		}
-	}
+	out := c.appendLive(nil, stype, now)
 	slices.SortFunc(out, func(a, b Service) int { return compareKeys(&a, &b) })
 	return out
 }

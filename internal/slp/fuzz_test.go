@@ -98,7 +98,7 @@ func FuzzIncomingMatchesParse(f *testing.F) {
 		a.Incoming(routing.Incoming{From: "nb", Ext: data})
 		p, err := ParsePayload(data)
 		if err != nil {
-			if got := a.Services(""); len(got) != 0 {
+			if got := a.AppendServices(nil, ""); len(got) != 0 {
 				t.Fatalf("rejected payload installed %+v", got)
 			}
 			return
@@ -117,7 +117,7 @@ func FuzzIncomingMatchesParse(f *testing.F) {
 				accepted++
 			}
 		}
-		got, want := a.Services(""), ref.snapshot("", fc.Now())
+		got, want := a.cache.snapshot("", fc.Now()), ref.snapshot("", fc.Now())
 		for _, svcs := range [][]Service{got, want} {
 			for i := range svcs {
 				if len(svcs[i].Attrs) == 0 {

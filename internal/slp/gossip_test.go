@@ -98,9 +98,10 @@ func converge(t *testing.T, agents ...*Agent) {
 
 func keySet(a *Agent) []string {
 	var out []string
-	for _, svc := range a.Services("") {
+	for _, svc := range a.AppendServices(nil, "") {
 		out = append(out, svc.Type+"/"+svc.Key+"@"+string(svc.Origin))
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -111,7 +112,7 @@ func TestGossipSteadyStateConstant(t *testing.T) {
 		agents, fc := newMesh(t, 3)
 		registerN(t, agents[0], "u", n)
 		converge(t, agents...)
-		if got := len(agents[2].Services("sip")); got != n {
+		if got := len(agents[2].AppendServices(nil, "sip")); got != n {
 			t.Fatalf("%d services: neighbour holds %d after converging", n, got)
 		}
 		for step := 0; step < 50; step++ {
@@ -355,7 +356,7 @@ func TestIncomingKnownAdvertsAllocs(t *testing.T) {
 	registerN(t, source, "u", 16)
 	in := routing.Incoming{From: source.host.ID(), Ext: source.Outgoing(routing.Outgoing{Budget: netem.MTU})}
 	sink.Incoming(in)
-	if got := len(sink.Services("sip")); got != 16 {
+	if got := len(sink.AppendServices(nil, "sip")); got != 16 {
 		t.Fatalf("sink holds %d services, want 16", got)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { sink.Incoming(in) }); allocs > 0 {
@@ -564,7 +565,6 @@ func runConvergence(t *testing.T, seed int64) {
 		ref := nodes[comp[0]].agent
 		for _, j := range comp {
 			got := keySet(nodes[j].agent)
-			slices.Sort(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d: node %d of component %v holds\n%v\nwant\n%v\nplan:\n%v", seed, j, comp, got, want, plan.Log())
 			}

@@ -361,14 +361,14 @@ func TestGossipRotation(t *testing.T) {
 	}
 
 	learn(64)
-	for i := 0; i < 16 && len(b.Services("sip")) < 64; i++ {
+	for i := 0; i < 16 && len(b.AppendServices(nil, "sip")) < 64; i++ {
 		ext := a.Outgoing(routing.Outgoing{Budget: budget})
 		if len(ext) > budget {
 			t.Fatalf("ext %d bytes over budget %d", len(ext), budget)
 		}
 		b.Incoming(routing.Incoming{From: "self", Ext: ext})
 	}
-	if got := len(b.Services("sip")); got != 64 {
+	if got := len(b.AppendServices(nil, "sip")); got != 64 {
 		t.Fatalf("neighbour learned %d of 64 services after 16 messages", got)
 	}
 }

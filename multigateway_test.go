@@ -38,12 +38,12 @@ func TestTwoGatewaysCoexist(t *testing.T) {
 	// Both gateway services must be visible in the node's SLP cache.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(node.SLP().Services("gateway")) >= 2 {
+		if len(node.SLP().AppendServices(nil, "gateway")) >= 2 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := node.SLP().Services("gateway"); len(got) < 2 {
+	if got := node.SLP().AppendServices(nil, "gateway"); len(got) < 2 {
 		t.Fatalf("gateway services visible = %d, want 2: %+v", len(got), got)
 	}
 	// Kill whichever gateway is in use; the node must fail over to the
