@@ -28,9 +28,12 @@ cover:
 # system. The lifecycle line closes and stops every protocol with work in flight
 # (the Connection Provider's, in internal/core, rides the Gateway|Proxy line), and
 # runs the SIP ownership rule (messages share header values and never write
-# through them) where a write-through would be a reported race, and the
+# through them) where a write-through would be a reported race, the
 # transaction users that now run on the shard (a UAS answering from a task, a
-# lost ACK recovered by the retransmitted 200); sip and voip run three times
+# lost ACK recovered by the retransmitted 200), and the AODV routing-loop fix
+# (an echoed RREQ leaves a relay's one-hop route to its requester alone while
+# the test goroutine injects a frame into the shard's stream); sip and voip
+# run three times
 # because the race a stack's Close can lose to an arriving request is
 # intermittent. The borrowed-frame tests (ControlFrameIsBorrowed
 # on the lifecycle line, SplitFanOut and the SendFrame/SendWire pair on the
@@ -50,7 +53,7 @@ cover:
 # no longer follow map order.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
+	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls|EchoedRREQKeepsNeighbourRoute' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/
 	$(GO) test -race -count 3 ./internal/sip/ ./internal/voip/
 	$(GO) test -race -run 'TestGridGolden|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics|TestDialContext' .

@@ -10,7 +10,7 @@ import (
 // challenges with provisioned credentials; the Internet-side phone answers
 // with its own password; wrong credentials stay out.
 func TestAuthenticatingProvider(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{Internet: true})
+	sc, err := NewScenarioWith(WithInternet(0))
 	if err != nil {
 		t.Fatal(err)
 	}

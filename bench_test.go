@@ -22,7 +22,7 @@ import (
 // benchChain builds a registered Alice/Bob pair on an n-node chain.
 func benchChain(b *testing.B, n int, routing siphoc.RoutingKind) (*siphoc.Scenario, *siphoc.Phone) {
 	b.Helper()
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Routing: routing})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithRoutingKind(routing))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func BenchmarkE9DiscoveryOverhead(b *testing.B) {
 // BenchmarkE5InternetCall measures a MANET-to-Internet call through the
 // gateway tunnel (experiment E5's steady-state cost).
 func BenchmarkE5InternetCall(b *testing.B) {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package siphoc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,39 +18,31 @@ type CallGenConfig struct {
 	// Concurrent is the number of simultaneously established calls the
 	// workload ramps to and holds (default 50).
 	Concurrent int
-	// Stages is the number of arrival-rate ramp stages; stage s launches
-	// its share of calls at (s+1)× the base rate (default 4).
-	Stages int
-	// BaseInterval is the inter-arrival gap of the first (slowest) stage
-	// (default 20ms).
-	BaseInterval time.Duration
 	// VoiceFrames is how many 20 ms voice frames each side streams while
 	// the call is held (default 25, half a second of audio).
 	VoiceFrames int
 	// EstablishTimeout bounds each call's setup (default 30s).
 	EstablishTimeout time.Duration
-	// Seed drives caller/callee pairing (default 1).
-	Seed int64
 }
+
+// The arrival ramp: rampStages stages, stage s launching its share of the
+// calls at (s+1)× the rate of the first, whose inter-arrival gap is
+// rampInterval. callGenSeed drives caller/callee pairing.
+const (
+	rampStages   = 4
+	rampInterval = 20 * time.Millisecond
+	callGenSeed  = 1
+)
 
 func (c CallGenConfig) withDefaults() CallGenConfig {
 	if c.Concurrent == 0 {
 		c.Concurrent = 50
-	}
-	if c.Stages == 0 {
-		c.Stages = 4
-	}
-	if c.BaseInterval == 0 {
-		c.BaseInterval = 20 * time.Millisecond
 	}
 	if c.VoiceFrames == 0 {
 		c.VoiceFrames = 25
 	}
 	if c.EstablishTimeout == 0 {
 		c.EstablishTimeout = 30 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -119,7 +110,7 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	// Provision one caller and one callee phone per call slot. Callees are
 	// deliberately placed on a different island than their caller so every
 	// call crosses gateways and the provider tier.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(callGenSeed))
 	islandOf := func(n *Node) int {
 		for i, sc := range fed.Islands() {
 			if sc.Node(n.ID()) != nil {
@@ -231,9 +222,7 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 		peak        atomic.Int64
 		holdMu      sync.Mutex
 		holdCond    = sync.NewCond(&holdMu)
-		setupsMu    sync.Mutex
-		setups      []time.Duration
-		moss        []float64
+		failuresMu  sync.Mutex
 		failures    = make(map[string]int)
 	)
 	// wake runs whenever a call's setup resolves so holders re-check the
@@ -248,9 +237,9 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	}
 	recordFailure := func(err error) {
 		failed.Add(1)
-		setupsMu.Lock()
+		failuresMu.Lock()
 		failures[err.Error()]++
-		setupsMu.Unlock()
+		failuresMu.Unlock()
 		wake()
 	}
 
@@ -283,9 +272,6 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 		}
 		setup := clk.Now().Sub(t0)
 		setupHist.Observe(setup)
-		setupsMu.Lock()
-		setups = append(setups, setup)
-		setupsMu.Unlock()
 		established.Add(1)
 		cur := concurrent.Add(1)
 		for {
@@ -308,9 +294,6 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 		stats := call.MediaStats()
 		if stats.Received > 0 {
 			mosHist.Observe(time.Duration(stats.MOS * float64(mosUnit)))
-			setupsMu.Lock()
-			moss = append(moss, stats.MOS)
-			setupsMu.Unlock()
 		}
 		_ = call.Hangup()
 		concurrent.Add(-1)
@@ -318,9 +301,9 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 
 	// Arrival-rate ramp: later stages launch their share at a higher rate.
 	next := 0
-	perStage := (len(pairs) + cfg.Stages - 1) / cfg.Stages
-	for s := 0; s < cfg.Stages && next < len(pairs); s++ {
-		interval := cfg.BaseInterval / time.Duration(s+1)
+	perStage := (len(pairs) + rampStages - 1) / rampStages
+	for s := 0; s < rampStages && next < len(pairs); s++ {
+		interval := rampInterval / time.Duration(s+1)
 		for i := 0; i < perStage && next < len(pairs); i++ {
 			callWG.Add(1)
 			go runCall(pairs[next])
@@ -356,45 +339,18 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	if len(failures) > 0 {
 		report.FailureReasons = failures
 	}
-	if observer.Enabled() {
-		snap := observer.Snapshot()
-		if h, ok := snap.Histograms["fed.setup.delay"]; ok {
-			report.SetupP50 = h.Quantile(0.50)
-			report.SetupP90 = h.Quantile(0.90)
-			report.SetupP99 = h.Quantile(0.99)
-		}
-		if h, ok := snap.Histograms["fed.mos"]; ok && h.Count > 0 {
-			report.MOSMean = float64(h.Mean()) / float64(mosUnit)
-			report.MOSP10 = float64(h.Quantile(0.10)) / float64(mosUnit)
-			report.MOSP50 = float64(h.Quantile(0.50)) / float64(mosUnit)
-		}
-	} else {
-		// No observer: fall back to the locally collected samples.
-		report.SetupP50, report.SetupP90, report.SetupP99 = durQuantiles(setups)
-		if len(moss) > 0 {
-			sort.Float64s(moss)
-			var sum float64
-			for _, v := range moss {
-				sum += v
-			}
-			report.MOSMean = sum / float64(len(moss))
-			report.MOSP10 = moss[len(moss)/10]
-			report.MOSP50 = moss[len(moss)/2]
-		}
+	snap := observer.Snapshot()
+	if h, ok := snap.Histograms["fed.setup.delay"]; ok {
+		report.SetupP50 = h.Quantile(0.50)
+		report.SetupP90 = h.Quantile(0.90)
+		report.SetupP99 = h.Quantile(0.99)
+	}
+	if h, ok := snap.Histograms["fed.mos"]; ok && h.Count > 0 {
+		report.MOSMean = float64(h.Mean()) / float64(mosUnit)
+		report.MOSP10 = float64(h.Quantile(0.10)) / float64(mosUnit)
+		report.MOSP50 = float64(h.Quantile(0.50)) / float64(mosUnit)
 	}
 	return report, nil
-}
-
-func durQuantiles(ds []time.Duration) (p50, p90, p99 time.Duration) {
-	if len(ds) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	at := func(q float64) time.Duration {
-		i := int(q * float64(len(ds)-1))
-		return ds[i]
-	}
-	return at(0.50), at(0.90), at(0.99)
 }
 
 // retryRegister retries a phone's upstream registration a few times: with

@@ -371,8 +371,14 @@ func TestComponentsTakeHostClock(t *testing.T) {
 		bed := &clockBed{t: t, fake: fake}
 		bed.failsIn(time.Minute, "REGISTER with custom SIP timings at a silent proxy", ph.Register)
 
-		other := clock.NewFake(time.Unix(1, 0))
-		if _, err := siphoc.NewScenarioWith(siphoc.WithClock(other), siphoc.WithRadio(netem.Config{Clock: fake})); err == nil {
+		// A federation island takes the federation's clock; a radio naming
+		// another is refused.
+		fed, err := siphoc.NewFederationScenario(siphoc.FederationConfig{Islands: 1, GatewaysPerIsland: 1, ClientsPerIsland: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fed.Close()
+		if _, err := siphoc.NewScenarioWith(siphoc.WithFederation(fed, "10.9.0"), siphoc.WithRadio(netem.Config{Clock: fake})); err == nil {
 			t.Fatal("a scenario with two clocks was built")
 		}
 	})

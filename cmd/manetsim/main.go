@@ -44,10 +44,10 @@ func run(args []string) error {
 	} else if *routingF != "aodv" {
 		return fmt.Errorf("unknown routing %q", *routingF)
 	}
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{
-		Radio:   netem.Config{LossRate: *loss, Seed: *seed},
-		Routing: routing,
-	})
+	sc, err := siphoc.NewScenarioWith(
+		siphoc.WithRadio(netem.Config{LossRate: *loss, Seed: *seed}),
+		siphoc.WithRoutingKind(routing),
+	)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 // ends of a multihop MANET chain call each other with no centralized SIP
 // server anywhere.
 func Example() {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		fmt.Println("scenario:", err)
 		return
@@ -59,7 +59,7 @@ func Example() {
 // gateway node exists, a MANET user's official SIP address reaches an
 // Internet subscriber through the layer-2 tunnel.
 func ExampleScenario_internet() {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		fmt.Println("scenario:", err)
 		return

@@ -22,9 +22,8 @@ func main() {
 }
 
 func run() error {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{
-		Routing: siphoc.RoutingOLSR, // proactive routing suits a dense campus
-	})
+	// Proactive routing suits a dense campus.
+	sc, err := siphoc.NewScenarioWith(siphoc.WithRoutingKind(siphoc.RoutingOLSR))
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@ func main() {
 }
 
 func run() error {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ func main() {
 }
 
 func run() error {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return err
 	}

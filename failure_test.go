@@ -14,9 +14,7 @@ import (
 // SIP retransmissions must still complete the call, and media quality must
 // degrade (lower MOS) rather than collapse.
 func TestCallSurvivesPacketLoss(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{
-		Radio: netem.Config{LossRate: 0.15, Seed: 42},
-	})
+	sc, err := NewScenarioWith(WithRadio(netem.Config{LossRate: 0.15, Seed: 42}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestCallSurvivesPacketLoss(t *testing.T) {
 // TestCalleeNodeDiesMidSetup kills the callee's node right after dialing:
 // the caller must get a clean failure, not a hang.
 func TestCalleeNodeDiesMidSetup(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestCalleeNodeDiesMidSetup(t *testing.T) {
 // call; once a replacement relay appears, AODV re-discovers the path and
 // media flows again.
 func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
 func TestSLPStaleBindingExpires(t *testing.T) {
 	slpCfg := &struct{}{}
 	_ = slpCfg
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // detach-to-reattach measurement; p50/p99 land in BENCH_faults.json via
 // `make faults`.
 func BenchmarkGatewayFailover(b *testing.B) {
-	sc, err := NewScenario(ScenarioConfig{Internet: true, NoObservability: true})
+	sc, err := NewScenarioWith(WithInternet(0), WithoutObservability())
 	if err != nil {
 		b.Fatal(err)
 	}

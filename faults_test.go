@@ -145,7 +145,7 @@ func TestFaultMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			sc, err := NewScenario(ScenarioConfig{})
+			sc, err := NewScenarioWith()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,12 +28,6 @@ type FederationConfig struct {
 	// Domain is the federation's SIP domain (default "fed.example").
 	// Every phone in every island registers user@Domain.
 	Domain string
-	// Spacing is the intra-island distance between neighbouring nodes in
-	// metres (default 80, one radio hop at the default 100 m range).
-	Spacing float64
-	// InternetDelay is the Internet per-hop latency (0 keeps the 5 ms
-	// default).
-	InternetDelay time.Duration
 	// Trunk enables gateway-side trunk multiplexing: concurrent RTP
 	// streams crossing the same gateway pair collapse into one paced
 	// inter-gateway flow.
@@ -47,18 +41,11 @@ type FederationConfig struct {
 	// OverlayNodes is the number of full DHT nodes in the overlay tier
 	// (default 8; only used when Overlay is set).
 	OverlayNodes int
-	// Routing selects each island's MANET routing protocol (default OLSR —
-	// proactive routing keeps SLP caches warm across the island).
-	Routing RoutingKind
-	// TimeScale stretches protocol timers (default 1).
-	TimeScale float64
-	// Clock is the clock of the federation's networks — the Internet and
-	// every island's MANET — and so of everything on them (default the
-	// system clock).
-	Clock clock.Clock
-	// NoObservability disables the federation-wide observer.
-	NoObservability bool
 }
+
+// islandSpacing is the distance between neighbouring island nodes in
+// metres: one radio hop at the default 100 m range.
+const islandSpacing = 80
 
 func (c FederationConfig) withDefaults() FederationConfig {
 	if c.Islands == 0 {
@@ -76,26 +63,19 @@ func (c FederationConfig) withDefaults() FederationConfig {
 	if c.Domain == "" {
 		c.Domain = "fed.example"
 	}
-	if c.Spacing == 0 {
-		c.Spacing = 80
-	}
-	if c.Routing == 0 {
-		c.Routing = RoutingOLSR
-	}
 	if c.Overlay && c.OverlayNodes == 0 {
 		c.OverlayNodes = 8
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
 	}
 	return c
 }
 
 // FederationScenario wires K MANET islands × M gateways each × a sharded
 // provider pool into one deployment. Every island is an ordinary Scenario
-// built with WithFederation, so the whole per-island API (nodes, phones,
-// faults, metrics) keeps working; the federation owns the shared pieces —
-// clock, observer, simulated Internet and the provider pool.
+// built with WithFederation and OLSR routing (proactive routing keeps SLP
+// caches warm across the island), so the whole per-island API (nodes,
+// phones, faults, metrics) keeps working; the federation owns the shared
+// pieces — clock, observer, simulated Internet and the provider pool — and
+// runs on the system clock.
 //
 // Island i owns the address prefix "10.<i+1>.0": its nodes are
 // "10.<i+1>.0.1" … with the gateways first. Calls between islands resolve
@@ -120,11 +100,8 @@ type FederationScenario struct {
 // for WaitAttached/phone provisioning.
 func NewFederationScenario(cfg FederationConfig) (*FederationScenario, error) {
 	cfg = cfg.withDefaults()
-	f := &FederationScenario{cfg: cfg}
-	if !cfg.NoObservability {
-		f.observer = obs.New(cfg.Clock)
-	}
-	f.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: cfg.Clock})
+	f := &FederationScenario{cfg: cfg, observer: obs.New(nil)}
+	f.inet = internet.New(internet.Config{})
 
 	pool, err := internet.NewProviderPool(f.inet, internet.PoolConfig{
 		Domain: cfg.Domain,
@@ -216,7 +193,7 @@ func (f *FederationScenario) addIsland(i int) (*Scenario, error) {
 	prefix := f.IslandPrefix(i)
 	opts := []ScenarioOption{
 		WithFederation(f, prefix),
-		WithRoutingKind(f.cfg.Routing),
+		WithRoutingKind(RoutingOLSR),
 	}
 	if f.oclients != nil {
 		opts = append(opts, WithOverlayDirectory(f.oclients[i]))
@@ -232,7 +209,7 @@ func (f *FederationScenario) addIsland(i int) (*Scenario, error) {
 	for j := range total {
 		specs = append(specs, nodeSpec{
 			id:  NodeID(fmt.Sprintf("%s.%d", prefix, j+1)),
-			pos: Position{X: float64(j) * f.cfg.Spacing, Y: float64(i) * 10_000},
+			pos: Position{X: float64(j) * islandSpacing, Y: float64(i) * 10_000},
 		})
 	}
 	gws, clients := specs[:f.cfg.GatewaysPerIsland], specs[f.cfg.GatewaysPerIsland:]
@@ -275,8 +252,7 @@ func (f *FederationScenario) Internet() *internet.Internet { return f.inet }
 // Clock returns the federation-wide time source.
 func (f *FederationScenario) Clock() clock.Clock { return f.inet.Network().Clock() }
 
-// Observer returns the federation-wide observability handle (nil with
-// NoObservability; a nil Observer is valid and no-ops).
+// Observer returns the federation-wide observability handle.
 func (f *FederationScenario) Observer() *Observer { return f.observer }
 
 // Clients returns every non-gateway node across all islands, island by

@@ -22,22 +22,18 @@ type Config struct {
 	// Interval is the re-flood period (default 1s; the original proposal
 	// floods on registration and refresh).
 	Interval time.Duration
-	// BindingTTL is how long learned bindings stay valid (default 3×
-	// Interval).
-	BindingTTL time.Duration
-	// Hops bounds flood propagation (default 16).
-	Hops uint8
 }
+
+// A learned binding stays valid for bindingIntervals flood intervals, and a
+// flood travels at most floodHops hops.
+const (
+	bindingIntervals = 3
+	floodHops        = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = time.Second
-	}
-	if c.BindingTTL == 0 {
-		c.BindingTTL = 3 * c.Interval
-	}
-	if c.Hops == 0 {
-		c.Hops = 16
 	}
 	return c
 }
@@ -166,7 +162,7 @@ func (a *Agent) flood() {
 	w := wire.NewWriter(64)
 	w.U32(a.seq)
 	w.String(string(a.host.ID()))
-	w.U8(a.cfg.Hops)
+	w.U8(floodHops)
 	w.U16(uint16(len(a.local)))
 	for aor, addr := range a.local {
 		w.String(aor)
@@ -204,7 +200,7 @@ func (a *Agent) onFrame(f netem.Frame) {
 	a.seen[k] = now
 	if len(a.seen) > 8192 {
 		for key, t := range a.seen {
-			if now.Sub(t) > a.cfg.BindingTTL {
+			if now.Sub(t) > bindingIntervals*a.cfg.Interval {
 				delete(a.seen, key)
 			}
 		}
@@ -214,7 +210,7 @@ func (a *Agent) onFrame(f netem.Frame) {
 		if ok && cur.origin == origin && cur.seq > seq {
 			continue
 		}
-		a.learned[p.aor] = binding{addr: p.addr, origin: origin, seq: seq, expires: now.Add(a.cfg.BindingTTL)}
+		a.learned[p.aor] = binding{addr: p.addr, origin: origin, seq: seq, expires: now.Add(bindingIntervals * a.cfg.Interval)}
 		a.stats.BindingsLearned++
 	}
 	relay := hops > 1

@@ -21,17 +21,15 @@ import (
 type Config struct {
 	// HelloInterval is the table-broadcast period (default 1s).
 	HelloInterval time.Duration
-	// EntryTTL is how long unrefreshed mappings stay valid (default 4×
-	// HelloInterval).
-	EntryTTL time.Duration
 }
+
+// entryIntervals is how many hello intervals an unrefreshed mapping stays
+// valid.
+const entryIntervals = 4
 
 func (c Config) withDefaults() Config {
 	if c.HelloInterval == 0 {
 		c.HelloInterval = time.Second
-	}
-	if c.EntryTTL == 0 {
-		c.EntryTTL = 4 * c.HelloInterval
 	}
 	return c
 }
@@ -205,11 +203,11 @@ func (a *Agent) onFrame(f netem.Frame) {
 		cur, ok := a.table[aor]
 		if ok && cur.origin == origin && cur.seq >= seq {
 			// Refresh expiry on equal freshness.
-			cur.expires = now.Add(a.cfg.EntryTTL)
+			cur.expires = now.Add(entryIntervals * a.cfg.HelloInterval)
 			a.table[aor] = cur
 			continue
 		}
-		a.table[aor] = mapping{addr: addr, origin: origin, seq: seq, expires: now.Add(a.cfg.EntryTTL)}
+		a.table[aor] = mapping{addr: addr, origin: origin, seq: seq, expires: now.Add(entryIntervals * a.cfg.HelloInterval)}
 		a.stats.MappingsLearned++
 	}
 }

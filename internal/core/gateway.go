@@ -15,23 +15,18 @@ import (
 
 // GatewayConfig tunes the Gateway Provider.
 type GatewayConfig struct {
-	// TunnelPort is the MANET-side tunnel server port (default 9000).
-	TunnelPort uint16
 	// ClientTTL evicts tunnel clients that stop pinging (default 10s).
 	ClientTTL time.Duration
 	// Obs records tunnel gauges and counters. Nil disables.
 	Obs *obs.Observer
-	// Trunk, when set, enables inter-gateway media trunking: tunnelled
-	// datagrams destined to another trunk-enabled gateway's client are
-	// batched into paced trunk frames instead of crossing the Internet one
-	// datagram per RTP packet.
-	Trunk *TrunkConfig
+	// Trunk enables inter-gateway media trunking: tunnelled datagrams
+	// destined to another trunk-enabled gateway's client are batched into
+	// paced trunk frames instead of crossing the Internet one datagram per
+	// RTP packet.
+	Trunk bool
 }
 
 func (c GatewayConfig) withDefaults() GatewayConfig {
-	if c.TunnelPort == 0 {
-		c.TunnelPort = TunnelPort
-	}
 	if c.ClientTTL == 0 {
 		c.ClientTTL = 10 * time.Second
 	}
@@ -132,7 +127,7 @@ func (g *GatewayProvider) Start() error {
 	g.started = true
 	g.mu.Unlock()
 
-	conn, err := g.host.Listen(g.cfg.TunnelPort)
+	conn, err := g.host.Listen(TunnelPort)
 	if err != nil {
 		return fmt.Errorf("core: gateway bind: %w", err)
 	}
@@ -154,8 +149,8 @@ func (g *GatewayProvider) Start() error {
 		return g.selfHost.SendDatagram(dg) == nil
 	})
 
-	if g.cfg.Trunk != nil {
-		trunk, err := newGatewayTrunk(g, *g.cfg.Trunk)
+	if g.cfg.Trunk {
+		trunk, err := newGatewayTrunk(g)
 		if err != nil {
 			g.inet.RemoveHost(g.host.ID())
 			g.host.SetDefaultHandler(nil)
@@ -170,7 +165,7 @@ func (g *GatewayProvider) Start() error {
 	if err := g.agent.Register(slp.Service{
 		Type: GatewayServiceType,
 		Key:  string(g.host.ID()),
-		URL:  slp.ServiceURL(GatewayServiceType, fmt.Sprintf("%s:%d", g.host.ID(), g.cfg.TunnelPort)),
+		URL:  slp.ServiceURL(GatewayServiceType, fmt.Sprintf("%s:%d", g.host.ID(), TunnelPort)),
 	}); err != nil {
 		conn.Close()
 		return err

@@ -27,10 +27,6 @@ type ProxyConfig struct {
 	// SLPTimeout bounds MANET SLP lookups during call routing
 	// (default 2s).
 	SLPTimeout time.Duration
-	// SLPTimeoutAttached bounds the MANET SLP lookup when the node is
-	// Internet-attached: with a provider available as fallback, a missing
-	// MANET binding should fail over quickly (default 500ms).
-	SLPTimeoutAttached time.Duration
 	// SLPCacheOnly makes the default resolver chain's SLP hop answer from
 	// the local cache without ever querying the MANET. Federated islands
 	// set this: intra-island peers are already in the cache from their
@@ -47,23 +43,26 @@ type ProxyConfig struct {
 	// ResolveBackoff is the wait before the first re-resolution; it doubles
 	// per retry and is capped at 8x (default 100ms).
 	ResolveBackoff time.Duration
-	// DNS resolves an Internet SIP domain to its proxy address. The
-	// default maps a domain to host <domain>:5060, the RFC 3261 rule the
-	// paper relies on ("the SIP proxy can be deduced from the domain part
-	// of the SIP URI").
-	DNS func(domain string) sip.Addr
 	// Overlay plugs a P2P overlay registrar (DHT) into the proxy: the
 	// default chain gains an overlay hop between SLP and DNS, and local
 	// registrations are published into the overlay alongside their SLP
 	// adverts. Nil disables.
 	Overlay OverlayDirectory
-	// OverlayTimeout bounds an overlay lookup during call routing
-	// (default 2s).
-	OverlayTimeout time.Duration
 	// Obs records resolution spans and routing counters; it is also
 	// propagated to the embedded SIP stack unless SIP.Obs is already set.
 	// Nil disables.
 	Obs *obs.Observer
+}
+
+// slpTimeoutAttached bounds an attached node's SLP lookup: with a provider
+// to fall back on, a missing MANET binding fails over quickly.
+const slpTimeoutAttached = 500 * time.Millisecond
+
+// providerProxy is the deployment's DNS: an Internet SIP domain's proxy is
+// host <domain>:5060, the RFC 3261 rule the paper relies on ("the SIP proxy
+// can be deduced from the domain part of the SIP URI").
+func providerProxy(domain string) sip.Addr {
+	return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
 }
 
 func (c ProxyConfig) withDefaults() ProxyConfig {
@@ -76,9 +75,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	if c.SLPTimeout == 0 {
 		c.SLPTimeout = 2 * time.Second
 	}
-	if c.SLPTimeoutAttached == 0 {
-		c.SLPTimeoutAttached = 500 * time.Millisecond
-	}
 	if c.BindingTTL == 0 {
 		c.BindingTTL = 60 * time.Second
 	}
@@ -87,14 +83,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	}
 	if c.ResolveBackoff == 0 {
 		c.ResolveBackoff = 100 * time.Millisecond
-	}
-	if c.OverlayTimeout == 0 {
-		c.OverlayTimeout = 2 * time.Second
-	}
-	if c.DNS == nil {
-		c.DNS = func(domain string) sip.Addr {
-			return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
-		}
 	}
 	if c.SIP.Obs == nil {
 		c.SIP.Obs = c.Obs
@@ -222,18 +210,15 @@ func NewProxy(host *netem.Host, agent ServiceDirectory, connp *ConnectionProvide
 		NewRegistrarResolver(p),
 		NewSLPResolver(p.agent, SLPResolverConfig{
 			Timeout:         cfg.SLPTimeout,
-			TimeoutAttached: cfg.SLPTimeoutAttached,
+			TimeoutAttached: slpTimeoutAttached,
 			CacheOnly:       cfg.SLPCacheOnly,
 			Self:            p.Addr(),
 		}),
 	}
 	if cfg.Overlay != nil {
-		p.resolvers = append(p.resolvers, NewOverlayResolver(host, cfg.Overlay, OverlayResolverConfig{
-			Timeout: cfg.OverlayTimeout,
-			Self:    p.Addr(),
-		}))
+		p.resolvers = append(p.resolvers, NewOverlayResolver(host, cfg.Overlay, OverlayResolverConfig{Self: p.Addr()}))
 	}
-	p.resolvers = append(p.resolvers, NewDNSResolver(cfg.DNS))
+	p.resolvers = append(p.resolvers, NewDNSResolver(providerProxy))
 	return p
 }
 
@@ -694,7 +679,7 @@ func (p *Proxy) registerUpstream(aor string) {
 	if !ok {
 		return
 	}
-	dst := p.cfg.DNS(domain)
+	dst := providerProxy(domain)
 	buildReq := func(seq uint32) *sip.Message {
 		req := sip.NewRequest(sip.MethodRegister, &sip.URI{Scheme: "sip", Host: domain})
 		req.To = &sip.NameAddr{URI: &sip.URI{Scheme: "sip", User: user, Host: domain}}

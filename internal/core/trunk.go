@@ -74,35 +74,17 @@ func walkTrunkFrame(frame []byte, fn func(payload []byte)) error {
 	return nil
 }
 
-// TrunkConfig enables and tunes inter-gateway media trunking. When two
-// trunk-enabled gateways carry concurrent tunnelled flows toward each other,
-// the sender batches every datagram of a batching window into one trunk frame
-// instead of paying per-RTP-packet Internet datagram overhead.
-type TrunkConfig struct {
-	// Port is the Internet-side trunk listener port (default TrunkPort).
-	Port uint16
-	// Interval is the batching window (default rtp.FrameDuration, so
-	// trunking adds at most one media frame of queueing delay — and none at
-	// all to a flow that is alone on its trunk).
-	Interval time.Duration
-	// MaxFrame bounds a trunk frame's size in bytes; a flow flushes early
-	// rather than exceed it, and oversized single payloads bypass the trunk
-	// (default netem.MTU - 128).
-	MaxFrame int
-}
-
-func (c TrunkConfig) withDefaults() TrunkConfig {
-	if c.Port == 0 {
-		c.Port = TrunkPort
-	}
-	if c.Interval == 0 {
-		c.Interval = rtp.FrameDuration
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = netem.MTU - 128
-	}
-	return c
-}
+// When two trunk-enabled gateways carry concurrent tunnelled flows toward
+// each other, the sender batches every datagram of a batching window into one
+// trunk frame instead of paying per-RTP-packet Internet datagram overhead.
+// The window is one media frame, so trunking adds at most one frame of
+// queueing delay — and none at all to a flow that is alone on its trunk. A
+// flow flushes early rather than let a frame exceed trunkMaxFrame bytes, and
+// an oversized single payload bypasses the trunk.
+const (
+	trunkInterval = rtp.FrameDuration
+	trunkMaxFrame = netem.MTU - 128
+)
 
 // TrunkStats counts trunk activity on one gateway.
 type TrunkStats struct {
@@ -140,7 +122,6 @@ func (c *trunkCounters) snapshot() TrunkStats {
 // flush is a task on the Internet host's shard of its network's scheduler.
 type gatewayTrunk struct {
 	g     *GatewayProvider
-	cfg   TrunkConfig
 	conn  *netem.Conn
 	sched *clock.Scheduler
 	key   string
@@ -172,15 +153,13 @@ type trunkFlow struct {
 	task      clock.Task
 }
 
-func newGatewayTrunk(g *GatewayProvider, cfg TrunkConfig) (*gatewayTrunk, error) {
-	cfg = cfg.withDefaults()
-	conn, err := g.selfHost.Listen(cfg.Port)
+func newGatewayTrunk(g *GatewayProvider) (*gatewayTrunk, error) {
+	conn, err := g.selfHost.Listen(TrunkPort)
 	if err != nil {
 		return nil, fmt.Errorf("core: trunk bind: %w", err)
 	}
 	t := &gatewayTrunk{
 		g:     g,
-		cfg:   cfg,
 		conn:  conn,
 		sched: g.selfHost.Sched(),
 		key:   string(g.selfHost.ID()),
@@ -213,7 +192,7 @@ func (t *gatewayTrunk) flow(dst netem.NodeID) *trunkFlow {
 // It reports false when the payload cannot be trunked (oversized) and must
 // travel the untrunked path instead.
 func (t *gatewayTrunk) enqueue(dst netem.NodeID, payload []byte) bool {
-	if trunkHeaderLen+2+len(payload) > t.cfg.MaxFrame {
+	if trunkHeaderLen+2+len(payload) > trunkMaxFrame {
 		return false
 	}
 	t.mu.Lock()
@@ -231,7 +210,7 @@ func (f *trunkFlow) enqueue(payload []byte) {
 	t := f.t
 	now := t.g.clk.Now()
 	f.mu.Lock()
-	if f.count == 0 && !now.Before(f.lastFlush.Add(t.cfg.Interval)) {
+	if f.count == 0 && !now.Before(f.lastFlush.Add(trunkInterval)) {
 		// Idle flow, window elapsed: send immediately so a lone stream sees
 		// exactly the untrunked packet timing.
 		f.buf = appendTrunkPayload(f.buf, payload)
@@ -240,7 +219,7 @@ func (f *trunkFlow) enqueue(payload []byte) {
 		f.mu.Unlock()
 		return
 	}
-	if f.count > 0 && len(f.buf)+2+len(payload) > t.cfg.MaxFrame {
+	if f.count > 0 && len(f.buf)+2+len(payload) > trunkMaxFrame {
 		// Window still open but the frame is full: flush early.
 		f.flushLocked(now, &t.stats.pacedFlushes)
 	}
@@ -248,7 +227,7 @@ func (f *trunkFlow) enqueue(payload []byte) {
 	f.count++
 	if !f.scheduled {
 		f.scheduled = true
-		due := f.lastFlush.Add(t.cfg.Interval)
+		due := f.lastFlush.Add(trunkInterval)
 		if due.Before(now) {
 			due = now
 		}
@@ -273,7 +252,7 @@ func (f *trunkFlow) fire(time.Time) {
 func (f *trunkFlow) flushLocked(now time.Time, kind *atomic.Int64) {
 	t := f.t
 	frame := finishTrunkFrame(f.buf, f.count)
-	if err := t.conn.WriteTo(frame, f.dst, t.cfg.Port); err == nil {
+	if err := t.conn.WriteTo(frame, f.dst, TrunkPort); err == nil {
 		t.stats.framesSent.Add(1)
 		kind.Add(1)
 	}

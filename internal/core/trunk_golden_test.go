@@ -78,11 +78,7 @@ func buildTrunkIsland(t *testing.T, clk clock.Clock, prefix string, inet *intern
 		agents[h.ID()] = agent
 	}
 
-	gwCfg := GatewayConfig{ClientTTL: time.Hour}
-	if trunked {
-		gwCfg.Trunk = &TrunkConfig{}
-	}
-	is.gw = NewGatewayProvider(is.gwHost, inet, agents[gwID], gwCfg)
+	is.gw = NewGatewayProvider(is.gwHost, inet, agents[gwID], GatewayConfig{ClientTTL: time.Hour, Trunk: trunked})
 	if err := is.gw.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // run and asserts the harness invariants on top of the narrative.
 func E10(w io.Writer) error {
 	header(w, "E10: transparency under gateway churn (paper §3.2)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func RunE11(sides []int) ([]E11Row, error) {
 
 func runE11Point(side int) (E11Row, error) {
 	row := E11Row{Nodes: side * side, Diameter: 2 * (side - 1)}
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return row, err
 	}

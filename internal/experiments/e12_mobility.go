@@ -71,7 +71,7 @@ func RunE12(speeds []float64) ([]E12Row, error) {
 
 func runE12Point(speed float64) (E12Row, error) {
 	row := E12Row{Speed: speed}
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return row, err
 	}

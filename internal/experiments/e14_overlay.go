@@ -85,7 +85,7 @@ func RunE14(concurrent int) ([]E14Row, error) {
 // resolves from the caller's epidemic SLP cache, never leaving the island.
 func runE14SLP(calls int) (E14Row, error) {
 	row := E14Row{Backend: "manet-slp", Calls: calls}
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return row, err
 	}

@@ -14,7 +14,7 @@ import (
 // resolved via MANET SLP — no centralized server anywhere.
 func E1(w io.Writer) error {
 	header(w, "E1: call setup in an isolated MANET (paper Figure 3)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 // routing plugin.
 func E2(w io.Writer) error {
 	header(w, "E2: MANET SLP process state (paper Figure 4)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ const waitLong = 10 * time.Second
 // SIP binding in its extension.
 func E3(w io.Writer) error {
 	header(w, "E3: AODV RREP with encapsulated SIP contact (paper Figure 5)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return err
 	}

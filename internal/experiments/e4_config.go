@@ -14,7 +14,7 @@ import (
 // Internet account configuration.
 func E4(w io.Writer) error {
 	header(w, "E4: out-of-the-box client configuration (paper Figure 2)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 // as soon as one node in the MANET is connected and acts as a gateway.
 func E5(w io.Writer) error {
 	header(w, "E5: phone calls to/from the Internet (paper §3.2)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 // field with localhost — "an open issue which we plan to address".
 func E6(w io.Writer) error {
 	header(w, "E6: SIP provider interoperability matrix (paper §3.2)")
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Internet: true})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}

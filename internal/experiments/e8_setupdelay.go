@@ -106,7 +106,7 @@ func RunE8(trials int, hopCounts []int) ([]E8Result, error) {
 // second (warm-route) call setup delays; the cold call additionally yields
 // its trace-derived phase breakdown.
 func measureAODV(hops int) (cold, warm time.Duration, phases []siphoc.PhaseDuration, err error) {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{})
+	sc, err := siphoc.NewScenarioWith()
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -138,7 +138,7 @@ func measureAODV(hops int) (cold, warm time.Duration, phases []siphoc.PhaseDurat
 }
 
 func measureOLSR(hops int) (time.Duration, error) {
-	sc, err := siphoc.NewScenario(siphoc.ScenarioConfig{Routing: siphoc.RoutingOLSR})
+	sc, err := siphoc.NewScenarioWith(siphoc.WithRoutingKind(siphoc.RoutingOLSR))
 	if err != nil {
 		return 0, err
 	}

@@ -49,8 +49,6 @@ type Config struct {
 	// Delay is the per-hop latency between Internet hosts (default 5ms,
 	// a metropolitan RTT of 10ms).
 	Delay time.Duration
-	// Seed seeds the loss RNG (losses default to zero).
-	Seed int64
 	// Clock drives the medium's delivery timers (default: real time).
 	// Federation tests and scenarios share one fake clock across every
 	// island MANET and the Internet for deterministic schedules.
@@ -68,7 +66,6 @@ func New(cfg Config) *Internet {
 	n := netem.NewNetwork(netem.Config{
 		Range:     1e12, // everyone reaches everyone
 		BaseDelay: cfg.Delay,
-		Seed:      cfg.Seed,
 		Clock:     cfg.Clock,
 		Shards:    cfg.Shards,
 	})

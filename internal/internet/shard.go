@@ -145,10 +145,6 @@ type PoolConfig struct {
 	// the bare domain host (the DNS front door); extra shards run on
 	// "s<i>.<domain>".
 	Shards int
-	// RequireAuth makes every shard challenge REGISTERs with digest auth.
-	RequireAuth bool
-	// SIP tunes each shard's transaction layer (default sip.SimConfig()).
-	SIP sip.Config
 	// BindingTTL is how long registrations stay valid (default 60s).
 	BindingTTL time.Duration
 }
@@ -208,12 +204,10 @@ func NewProviderPool(inet *Internet, cfg PoolConfig) (*ProviderPool, error) {
 
 func (p *ProviderPool) startShard(i int) (*Provider, error) {
 	return NewProvider(p.inet, ProviderConfig{
-		Domain:      p.cfg.Domain,
-		ProxyHost:   p.smap.Host(i),
-		RequireAuth: p.cfg.RequireAuth,
-		SIP:         p.cfg.SIP,
-		BindingTTL:  p.cfg.BindingTTL,
-		Shard:       &ShardRole{Map: p.smap, Index: i},
+		Domain:     p.cfg.Domain,
+		ProxyHost:  p.smap.Host(i),
+		BindingTTL: p.cfg.BindingTTL,
+		Shard:      &ShardRole{Map: p.smap, Index: i},
 	})
 }
 

@@ -21,9 +21,6 @@ type UDPConfig struct {
 	// Peers maps neighbour node IDs to their UDP addresses. Only listed
 	// peers are reachable — the moral equivalent of radio range.
 	Peers map[NodeID]string
-	// Base tunes queueing; delays and losses are left to the real
-	// network.
-	Base Config
 }
 
 // udpUnderlay sends and receives link frames over a real socket.
@@ -41,9 +38,7 @@ func NewUDPNetwork(cfg UDPConfig) (*Network, *Host, error) {
 	if cfg.Self == Broadcast {
 		return nil, nil, fmt.Errorf("netem: udp node needs a non-empty id")
 	}
-	base := cfg.Base
-	base.BaseDelay = -1 // real network provides latency; no simulated delay
-	n := NewNetwork(base)
+	n := NewNetwork(Config{BaseDelay: -1}) // the real network provides delay and loss
 	h, err := n.AddHost(cfg.Self, Position{})
 	if err != nil {
 		return nil, nil, err

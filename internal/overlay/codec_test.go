@@ -27,9 +27,9 @@ func sampleMessage() *Message {
 // re-encoding is byte-identical to the input — ParseInto rejects trailing
 // bytes, so the wire form is canonical and the round trip is exact.
 func FuzzOverlayMessage(f *testing.F) {
-	f.Add(sampleMessage().Marshal())
-	f.Add((&Message{Kind: KindPing, RPC: 1, From: 9}).Marshal())
-	f.Add((&Message{Kind: KindFindValue, Key: 0xffffffff, AOR: []byte("x")}).Marshal())
+	f.Add(sampleMessage().AppendTo(nil))
+	f.Add((&Message{Kind: KindPing, RPC: 1, From: 9}).AppendTo(nil))
+	f.Add((&Message{Kind: KindFindValue, Key: 0xffffffff, AOR: []byte("x")}).AppendTo(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -47,7 +47,7 @@ func FuzzOverlayMessage(f *testing.F) {
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := sampleMessage()
-	wire := m.Marshal()
+	wire := m.AppendTo(nil)
 	var got Message
 	if err := ParseInto(&got, wire); err != nil {
 		t.Fatalf("parse: %v", err)
@@ -69,18 +69,12 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageAllocs pins the codec's allocation budget: Marshal pays exactly
-// its one output buffer, AppendTo into a pre-sized buffer and ParseInto with
-// a reused Message pay nothing. The DHT hot path (parse request, build reply
-// into the node's tx buffer) rides on the zero-alloc pair.
+// TestMessageAllocs pins the codec's allocation budget: AppendTo into a
+// pre-sized buffer and ParseInto with a reused Message pay nothing. The DHT
+// hot path (parse request, build reply into the node's tx buffer) rides on
+// the zero-alloc pair.
 func TestMessageAllocs(t *testing.T) {
 	m := sampleMessage()
-
-	if n := testing.AllocsPerRun(100, func() {
-		_ = m.Marshal()
-	}); n > 1 {
-		t.Errorf("Marshal allocs = %v, want <= 1", n)
-	}
 
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() {
@@ -89,7 +83,7 @@ func TestMessageAllocs(t *testing.T) {
 		t.Errorf("AppendTo (pre-sized) allocs = %v, want 0", n)
 	}
 
-	wire := m.Marshal()
+	wire := m.AppendTo(nil)
 	var rx Message
 	if err := ParseInto(&rx, wire); err != nil { // warm the Nodes backing array
 		t.Fatalf("parse: %v", err)

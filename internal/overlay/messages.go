@@ -84,8 +84,7 @@ var (
 )
 
 // AppendTo appends m's wire encoding to dst and returns the extended slice.
-// With a pre-sized dst it allocates nothing; Marshal is the convenience
-// wrapper that allocates a fresh buffer.
+// With a pre-sized dst it allocates nothing.
 func (m *Message) AppendTo(dst []byte) []byte {
 	dst = append(dst, m.Kind)
 	dst = binary.BigEndian.AppendUint32(dst, m.RPC)
@@ -104,15 +103,6 @@ func (m *Message) AppendTo(dst []byte) []byte {
 		dst = append(dst, m.Nodes[i].Addr...)
 	}
 	return dst
-}
-
-// Marshal encodes m into a fresh buffer (one allocation).
-func (m *Message) Marshal() []byte {
-	size := msgFixedHeader + 2 + len(m.AOR) + 2 + len(m.Value) + 1
-	for i := range m.Nodes {
-		size += 4 + 1 + len(m.Nodes[i].Addr)
-	}
-	return m.AppendTo(make([]byte, 0, size))
 }
 
 // ParseInto decodes b into m, reusing m's Nodes backing array. AOR, Value

@@ -28,11 +28,6 @@ type Config struct {
 	ActiveRouteTimeout time.Duration
 	// DiscoveryTimeout is how long one RREQ attempt waits (default 1s).
 	DiscoveryTimeout time.Duration
-	// RREQRetries is the number of additional discovery attempts
-	// (default 2).
-	RREQRetries int
-	// NetDiameter bounds RREQ flooding (default 32 hops).
-	NetDiameter uint8
 	// ExpandingRing enables RFC 3561 §6.4 expanding-ring search: route
 	// requests probe small TTL rings (2 then 5 hops, with shorter
 	// timeouts) before flooding the whole network, trading worst-case
@@ -59,14 +54,15 @@ func (c Config) withDefaults() Config {
 	if c.DiscoveryTimeout == 0 {
 		c.DiscoveryTimeout = time.Second
 	}
-	if c.RREQRetries == 0 {
-		c.RREQRetries = 2
-	}
-	if c.NetDiameter == 0 {
-		c.NetDiameter = 32
-	}
 	return c
 }
+
+// A discovery floods at most netDiameter hops and is retried rreqRetries
+// times after its first network-wide attempt.
+const (
+	netDiameter = 32
+	rreqRetries = 2
+)
 
 // DefaultConfig returns RFC-flavoured defaults with hellos enabled.
 func DefaultConfig() Config {
@@ -81,7 +77,6 @@ func SimConfig() Config {
 		AllowedHelloLoss:   3,
 		ActiveRouteTimeout: 10 * time.Second,
 		DiscoveryTimeout:   150 * time.Millisecond,
-		RREQRetries:        2,
 		EnableHello:        true,
 		ExpandingRing:      true,
 	}.withDefaults()
@@ -273,9 +268,6 @@ func (c Config) attemptPlan() []rreqAttempt {
 	var plan []rreqAttempt
 	if c.ExpandingRing {
 		for _, ttl := range []uint8{2, 5} {
-			if ttl >= c.NetDiameter {
-				continue
-			}
 			// Ring traversal time scales with the ring radius, with a
 			// floor so tiny rings still get a sane round trip.
 			t := c.DiscoveryTimeout * time.Duration(ttl) / 8
@@ -285,8 +277,8 @@ func (c Config) attemptPlan() []rreqAttempt {
 			plan = append(plan, rreqAttempt{ttl: ttl, timeout: t})
 		}
 	}
-	for range 1 + c.RREQRetries {
-		plan = append(plan, rreqAttempt{ttl: c.NetDiameter, timeout: c.DiscoveryTimeout})
+	for range 1 + rreqRetries {
+		plan = append(plan, rreqAttempt{ttl: netDiameter, timeout: c.DiscoveryTimeout})
 	}
 	return plan
 }
@@ -417,7 +409,10 @@ func (p *Protocol) onFrame(f netem.Frame) {
 }
 
 // touchNeighbor refreshes the 1-hop route and liveness record for a
-// neighbour we just heard.
+// neighbour we just heard. The route keeps the freshest sequence number the
+// table knew for the neighbour (Table.Upsert never lowers one): at 0, any
+// longer route that carries one would count as fresher and displace the
+// direct link.
 func (p *Protocol) touchNeighbor(nb netem.NodeID) {
 	now := p.clk.Now()
 	p.mu.Lock()
@@ -443,18 +438,20 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 	if m.Orig == p.host.ID() {
 		return // our own flood echoed back
 	}
-	// Install/refresh the reverse route toward the originator.
-	p.installRoute(m.Orig, from, int(m.HopCount)+1, m.OrigSeq)
-
+	// A copy of an RREQ already handled is dropped before it touches a route
+	// (RFC 3561 §6.5): the next relay's echo offers a longer reverse route
+	// with the same sequence number.
 	key := seenKey{m.Orig, m.ID}
 	p.mu.Lock()
-	if t, dup := p.seen[key]; dup && now.Sub(t) < 2*p.cfg.DiscoveryTimeout*time.Duration(1+p.cfg.RREQRetries) {
+	if t, dup := p.seen[key]; dup && now.Sub(t) < 2*p.cfg.DiscoveryTimeout*time.Duration(1+rreqRetries) {
 		p.mu.Unlock()
 		return
 	}
 	p.seen[key] = now
 	p.gcSeenLocked(now)
 	p.mu.Unlock()
+	// Install/refresh the reverse route toward the originator.
+	p.installRoute(m.Orig, from, int(m.HopCount)+1, m.OrigSeq)
 
 	if m.Dst == p.host.ID() {
 		// We are the destination: answer with our own sequence number.
@@ -566,7 +563,7 @@ func (p *Protocol) gcSeenLocked(now time.Time) {
 	if len(p.seen) < 4096 {
 		return
 	}
-	horizon := 2 * p.cfg.DiscoveryTimeout * time.Duration(1+p.cfg.RREQRetries)
+	horizon := 2 * p.cfg.DiscoveryTimeout * time.Duration(1+rreqRetries)
 	for k, t := range p.seen {
 		if now.Sub(t) > horizon {
 			delete(p.seen, k)

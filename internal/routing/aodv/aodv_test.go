@@ -214,7 +214,7 @@ func TestConcurrentDiscoveriesCoalesce(t *testing.T) {
 		}
 	}
 	// All eight callers share at most (1+retries) RREQ transmissions.
-	if s := protos[0].Stats(); s.RREQSent > int64(1+SimConfig().RREQRetries) {
+	if s := protos[0].Stats(); s.RREQSent > int64(1+rreqRetries) {
 		t.Fatalf("RREQSent = %d; coalescing broken", s.RREQSent)
 	}
 }

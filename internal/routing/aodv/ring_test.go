@@ -35,7 +35,6 @@ func noHelloConfig(ring bool) Config {
 	// Hellos off so RREQ forwarding counts are exactly the flood size.
 	c := Config{
 		DiscoveryTimeout:   200 * time.Millisecond,
-		RREQRetries:        2,
 		ActiveRouteTimeout: 10 * time.Second,
 		ExpandingRing:      ring,
 	}.withDefaults()
@@ -139,7 +138,7 @@ func TestAttemptPlanShape(t *testing.T) {
 		t.Fatalf("ring ttls = %d, %d", plan[0].ttl, plan[1].ttl)
 	}
 	for _, a := range plan[2:] {
-		if a.ttl != cfg.NetDiameter {
+		if a.ttl != netDiameter {
 			t.Fatalf("full flood ttl = %d", a.ttl)
 		}
 	}
@@ -148,7 +147,7 @@ func TestAttemptPlanShape(t *testing.T) {
 	}
 	// Without the ring: only full floods.
 	cfg = noHelloConfig(false).withDefaults()
-	if plan2 := cfg.attemptPlan(); len(plan2) != 3 || plan2[0].ttl != cfg.NetDiameter {
+	if plan2 := cfg.attemptPlan(); len(plan2) != 3 || plan2[0].ttl != netDiameter {
 		t.Fatalf("no-ring plan = %+v", plan2)
 	}
 }

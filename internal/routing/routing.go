@@ -231,10 +231,15 @@ func NewTable() *Table {
 	}
 }
 
-// Upsert installs or replaces the route for e.Dst.
+// Upsert installs or replaces the route for e.Dst. It never lowers the
+// destination's sequence number: e takes the current route's when that is
+// fresher (RFC 3561 §6.2).
 func (t *Table) Upsert(e Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if cur, ok := t.entries[e.Dst]; ok && cur.SeqNo > e.SeqNo {
+		e.SeqNo = cur.SeqNo
+	}
 	t.entries[e.Dst] = e
 }
 

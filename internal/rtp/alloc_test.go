@@ -38,7 +38,7 @@ func TestZeroAllocSendPath(t *testing.T) {
 // TestZeroAllocParse pins the zero-copy decode at zero allocations: the
 // payload borrows the wire buffer instead of copying.
 func TestZeroAllocParse(t *testing.T) {
-	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).Marshal()
+	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).AppendTo(nil)
 	var pkt Packet
 	var parseErr error
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -11,7 +11,7 @@ import (
 )
 
 // The micro-benchmarks pin the per-frame codec cost of the old allocating
-// API (NewVoiceFrame/Marshal, Parse) against the zero-alloc fast path the
+// API (NewVoiceFrame and a fresh buffer, Parse) against the zero-alloc fast path the
 // pacer and receive loop use (AppendVoicePayload/AppendTo, ParseInto). The
 // allocs/op columns are the ≥10× claim in DESIGN.md §9: the old send path
 // pays three allocations per frame and the old parse one, the new paths pay
@@ -23,7 +23,8 @@ func BenchmarkVoiceFrameMarshal(b *testing.B) {
 	sentAt := time.Unix(1000, 0)
 	b.ReportAllocs()
 	for i := 0; b.N > i; i++ {
-		benchWire = NewVoiceFrame(7, uint32(i), sentAt).Marshal()
+		pkt := NewVoiceFrame(7, uint32(i), sentAt)
+		benchWire = pkt.AppendTo(make([]byte, 0, headerLen+len(pkt.Payload)))
 	}
 }
 
@@ -49,7 +50,7 @@ func BenchmarkVoiceFrameAppendTo(b *testing.B) {
 var benchPkt *Packet
 
 func BenchmarkPacketParseInto(b *testing.B) {
-	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).Marshal()
+	wire := NewVoiceFrame(7, 3, time.Unix(1000, 0)).AppendTo(nil)
 	var pkt Packet
 	b.ReportAllocs()
 	for i := 0; b.N > i; i++ {

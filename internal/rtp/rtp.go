@@ -43,11 +43,6 @@ func (p *Packet) AppendTo(dst []byte) []byte {
 	return append(dst, p.Payload...)
 }
 
-// Marshal encodes the packet into a fresh buffer.
-func (p *Packet) Marshal() []byte {
-	return p.AppendTo(make([]byte, 0, headerLen+len(p.Payload)))
-}
-
 // ParseInto decodes an RTP packet into p without copying: p.Payload aliases
 // b, so p is good for as long as b is — for a session's receive path, which
 // parses the datagram it was lent, until its handler returns (netem.Frame).

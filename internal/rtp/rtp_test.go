@@ -16,7 +16,7 @@ func parse(b []byte) (*Packet, error) {
 
 func TestPacketRoundTrip(t *testing.T) {
 	in := NewVoiceFrame(0xdeadbeef, 42, time.Unix(0, 123456789))
-	out, err := parse(in.Marshal())
+	out, err := parse(in.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPacketRoundTrip(t *testing.T) {
 func TestPacketQuick(t *testing.T) {
 	f := func(pt uint8, seq uint16, ts, ssrc uint32, payload []byte) bool {
 		in := &Packet{PayloadType: pt & 0x7f, Seq: seq, Timestamp: ts, SSRC: ssrc, Payload: payload}
-		out, err := parse(in.Marshal())
+		out, err := parse(in.AppendTo(nil))
 		if err != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestParseRejects(t *testing.T) {
 	if _, err := parse([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short packet accepted")
 	}
-	bad := NewVoiceFrame(1, 1, time.Now()).Marshal()
+	bad := NewVoiceFrame(1, 1, time.Now()).AppendTo(nil)
 	bad[0] = 0 // version 0
 	if _, err := parse(bad); err == nil {
 		t.Fatal("bad version accepted")

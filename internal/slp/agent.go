@@ -67,8 +67,6 @@ type Config struct {
 	Mode Mode
 	// AdvertTTL is the service registration lifetime (default 30s).
 	AdvertTTL time.Duration
-	// QueryHops bounds epidemic/flood propagation of queries (default 8).
-	QueryHops uint8
 	// QueryRelayTTL is how long foreign queries keep riding our outgoing
 	// routing messages (default 2s).
 	QueryRelayTTL time.Duration
@@ -76,15 +74,15 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// queryHops bounds the epidemic propagation of a query.
+const queryHops = 8
+
 func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = ModePiggyback
 	}
 	if c.AdvertTTL == 0 {
 		c.AdvertTTL = 30 * time.Second
-	}
-	if c.QueryHops == 0 {
-		c.QueryHops = 8
 	}
 	if c.QueryRelayTTL == 0 {
 		c.QueryRelayTTL = 2 * time.Second
@@ -597,7 +595,7 @@ func (a *Agent) query(stype, key string, timeout time.Duration, done func(Servic
 		if l.pq = popSpare(&a.spareQ); l.pq == nil {
 			l.pq = new(pendingQuery)
 		}
-		l.pq.q = Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: a.cfg.QueryHops}
+		l.pq.q = Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: queryHops}
 		a.markSeenLocked(qkey{l.pq.q.Origin, l.pq.q.ID}, now)
 		a.pendingQ[ck] = l.pq
 	}

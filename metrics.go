@@ -19,7 +19,7 @@ type Metrics struct {
 	SLP map[NodeID]SLPStats
 	// Registry is the scenario-wide metrics registry (named counters,
 	// gauges and latency histograms recorded by the instrumentation
-	// hooks). Zero when the scenario was built with NoObservability.
+	// hooks). Zero when the scenario was built WithoutObservability.
 	Registry RegistrySnapshot
 }
 

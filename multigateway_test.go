@@ -10,7 +10,7 @@ import (
 // in use dies the Connection Provider fails over to the survivor without a
 // new gateway having to appear.
 func TestTwoGatewaysCoexist(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{Internet: true})
+	sc, err := NewScenarioWith(WithInternet(0))
 	if err != nil {
 		t.Fatal(err)
 	}

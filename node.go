@@ -21,17 +21,12 @@ type NodeOption func(*nodeOptions)
 
 type nodeOptions struct {
 	gateway     bool
-	routing     RoutingKind
 	noConnPrvdr bool
 }
 
 // WithGateway makes the node a gateway: it is attached to the scenario's
 // Internet and runs a Gateway Provider publishing the gateway SLP service.
 func WithGateway() NodeOption { return func(o *nodeOptions) { o.gateway = true } }
-
-// WithRouting overrides the scenario's routing protocol for this node.
-// All nodes of a MANET must normally agree.
-func WithRouting(k RoutingKind) NodeOption { return func(o *nodeOptions) { o.routing = k } }
 
 // WithoutConnectionProvider disables the node's Connection Provider, e.g.
 // for baseline experiments on isolated MANETs.
@@ -57,7 +52,7 @@ type Node struct {
 }
 
 func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, error) {
-	o := nodeOptions{routing: s.cfg.Routing}
+	var o nodeOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -75,35 +70,26 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	}
 
 	// MANET SLP agent (the routing-handler plugin owner).
-	slpCfg := slp.Config{Mode: s.cfg.SLPMode}
-	if s.cfg.SLP != nil {
-		slpCfg = *s.cfg.SLP
-	}
-	if slpCfg.Obs == nil {
-		slpCfg.Obs = s.obs
-	}
-	n.agent = slp.NewAgent(host, slpCfg)
+	n.agent = slp.NewAgent(host, slp.Config{Obs: s.obs})
 
 	// Routing protocol with the SLP plugin attached before start.
-	switch o.routing {
+	switch s.routing {
 	case RoutingAODV:
 		cfg := aodv.SimConfig()
 		cfg.Obs = s.obs
-		cfg = scaleAODV(cfg, s.cfg.TimeScale)
 		n.routing = aodv.New(host, cfg)
 	case RoutingOLSR:
 		cfg := olsr.SimConfig()
-		if s.cfg.OLSR != nil {
-			cfg = *s.cfg.OLSR
+		if s.olsr != nil {
+			cfg = *s.olsr
 		}
 		if cfg.Obs == nil {
 			cfg.Obs = s.obs
 		}
-		cfg = scaleOLSR(cfg, s.cfg.TimeScale)
 		n.routing = olsr.New(host, cfg)
 	default:
 		cleanup()
-		return nil, fmt.Errorf("siphoc: unknown routing kind %v", o.routing)
+		return nil, fmt.Errorf("siphoc: unknown routing kind %v", s.routing)
 	}
 	n.agent.AttachRouting(n.routing)
 	if err := n.routing.Start(); err != nil {
@@ -117,11 +103,7 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 
 	// Gateway Provider on Internet-connected nodes.
 	if o.gateway {
-		gwCfg := core.GatewayConfig{Obs: s.obs}
-		if s.trunk {
-			gwCfg.Trunk = &core.TrunkConfig{}
-		}
-		n.gateway = core.NewGatewayProvider(host, s.inet, n.agent, gwCfg)
+		n.gateway = core.NewGatewayProvider(host, s.inet, n.agent, core.GatewayConfig{Obs: s.obs, Trunk: s.trunk})
 		if err := n.gateway.Start(); err != nil {
 			cleanup()
 			return nil, err
@@ -132,9 +114,8 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	if !o.noConnPrvdr && !o.gateway {
 		cpCfg := core.ConnProviderConfig{
 			Obs:           s.obs,
-			ProbeInterval: scaleDur(250*time.Millisecond, s.cfg.TimeScale),
-			LookupTimeout: scaleDur(200*time.Millisecond, s.cfg.TimeScale),
-			AckTimeout:    scaleDur(time.Second, s.cfg.TimeScale),
+			ProbeInterval: 250 * time.Millisecond,
+			LookupTimeout: 200 * time.Millisecond,
 		}
 		if s.prefix != "" {
 			// Federation island: only addresses under the island's own
@@ -161,7 +142,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 	// The SIPHoc proxy.
 	proxyCfg := core.ProxyConfig{
 		Obs:          s.obs,
-		SLPTimeout:   scaleDur(2*time.Second, s.cfg.TimeScale),
 		SLPCacheOnly: s.prefix != "",
 	}
 	if s.prefix != "" {
@@ -175,7 +155,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		// the SLP cache and DNS, and every local registration is published
 		// into it (see core.ProxyConfig.Overlay).
 		proxyCfg.Overlay = s.overlay
-		proxyCfg.OverlayTimeout = scaleDur(2*time.Second, s.cfg.TimeScale)
 	}
 	n.proxy = core.NewProxy(host, n.agent, n.connp, proxyCfg)
 	if err := n.proxy.Start(); err != nil {
@@ -183,29 +162,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 		return nil, err
 	}
 	return n, nil
-}
-
-func scaleDur(d time.Duration, f float64) time.Duration {
-	if f == 1 {
-		return d
-	}
-	return time.Duration(float64(d) * f)
-}
-
-func scaleAODV(c aodv.Config, f float64) aodv.Config {
-	c.HelloInterval = scaleDur(c.HelloInterval, f)
-	c.ActiveRouteTimeout = scaleDur(c.ActiveRouteTimeout, f)
-	c.DiscoveryTimeout = scaleDur(c.DiscoveryTimeout, f)
-	return c
-}
-
-func scaleOLSR(c olsr.Config, f float64) olsr.Config {
-	c.HelloInterval = scaleDur(c.HelloInterval, f)
-	c.TCInterval = scaleDur(c.TCInterval, f)
-	c.NeighborHold = scaleDur(c.NeighborHold, f)
-	c.TopologyHold = scaleDur(c.TopologyHold, f)
-	c.RouteWait = scaleDur(c.RouteWait, f)
-	return c
 }
 
 // ID returns the node's address.

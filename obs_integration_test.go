@@ -30,7 +30,7 @@ func TestCallTraceThreeHop(t *testing.T) {
 		{"OLSR", RoutingOLSR},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc, nodes := newChainScenario(t, 3, ScenarioConfig{Routing: tc.kind})
+			sc, nodes := newChainScenario(t, 3, WithRoutingKind(tc.kind))
 			if sc.Observer() == nil {
 				t.Fatal("observability should be enabled by default")
 			}
@@ -112,7 +112,7 @@ func TestCallTraceThreeHop(t *testing.T) {
 // node's components and that the instrumentation counters actually moved
 // during a call.
 func TestMetricsSnapshot(t *testing.T) {
-	sc, nodes := newChainScenario(t, 2, ScenarioConfig{})
+	sc, nodes := newChainScenario(t, 2)
 	alice := registerPhone(t, nodes[0], "alice")
 	registerPhone(t, nodes[1], "bob")
 
@@ -170,7 +170,7 @@ func TestMetricsSnapshot(t *testing.T) {
 // live; run with -race this is the audit that Stats() never copies mutating
 // state.
 func TestMetricsConcurrentWithTraffic(t *testing.T) {
-	sc, nodes := newChainScenario(t, 3, ScenarioConfig{})
+	sc, nodes := newChainScenario(t, 3)
 	alice := registerPhone(t, nodes[0], "alice")
 	registerPhone(t, nodes[2], "bob")
 
@@ -210,7 +210,7 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 // TestDialContextCancelAbandonsSetup cancels the dial context while the
 // callee is still ringing and expects the call to conclude with 487.
 func TestDialContextCancelAbandonsSetup(t *testing.T) {
-	_, nodes := newChainScenario(t, 2, ScenarioConfig{})
+	_, nodes := newChainScenario(t, 2)
 	alice := registerPhone(t, nodes[0], "alice")
 	bob, err := nodes[1].NewPhoneWith(PhoneConfig{User: "bob", Domain: domain, NoAutoAnswer: true})
 	if err != nil {

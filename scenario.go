@@ -13,7 +13,6 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/routing/olsr"
-	"siphoc/internal/slp"
 	"siphoc/internal/voip"
 )
 
@@ -39,137 +38,63 @@ func (k RoutingKind) String() string {
 	}
 }
 
-// ScenarioConfig configures a whole deployment.
-//
-// ScenarioConfig is the legacy positional surface: new code should build
-// scenarios with NewScenarioWith and ScenarioOption values, which compose
-// (a federation island can also carry a fault plan) instead of growing this
-// struct. The fields remain as thin wrappers for one release.
-type ScenarioConfig struct {
-	// Radio tunes the MANET medium; the zero value uses netem defaults
-	// (100 m range, ~0.5 ms per-hop delay).
-	Radio netem.Config
-	// Routing selects the routing protocol (default AODV).
-	Routing RoutingKind
-	// SLPMode selects MANET SLP dissemination (default piggyback).
-	SLPMode slp.Mode
-	// SLP overrides the full SLP agent configuration; when set, SLPMode
-	// is ignored.
-	SLP *slp.Config
-	// OLSR overrides the OLSR protocol configuration for OLSR nodes
-	// (Obs is filled from the scenario when unset, and TimeScale still
-	// applies on top). Nil keeps olsr.SimConfig — whose
-	// timings suit small networks; large grids need intervals scaled
-	// with node count to keep the control-plane load inside the machine.
-	OLSR *olsr.Config
-	// Internet, when true, creates a simulated Internet that gateway
-	// nodes can bridge to.
-	Internet bool
-	// InternetDelay is the Internet per-hop latency (default 5ms).
-	InternetDelay time.Duration
-	// Shards is the MANET medium's shard count when Radio.Shards is unset
-	// (see netem.Config.Shards; 0 = GOMAXPROCS).
-	Shards int
-	// TimeScale stretches protocol timers; 1.0 (default) uses the fast
-	// simulation timings throughout.
-	TimeScale float64
-	// Clock is the MANET medium's time source, and so every component's
-	// (default the system clock). It is Radio.Clock under another name:
-	// setting both to different clocks is an error.
-	Clock clock.Clock
-	// NoObservability disables the scenario-wide metrics registry and call
-	// tracer (kept separate so the zero value of ScenarioConfig observes;
-	// disable for overhead-sensitive benchmarks). See Scenario.Observer,
-	// Scenario.Metrics and Call.Trace.
-	NoObservability bool
-}
-
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Routing == 0 {
-		c.Routing = RoutingAODV
-	}
-	if c.SLPMode == 0 {
-		c.SLPMode = slp.ModePiggyback
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 1
-	}
-	return c
-}
-
-// ScenarioOption customizes scenario construction. Options are the canonical
-// construction surface (NewScenarioWith); they compose where ScenarioConfig
-// fields fork — a federation island can also carry a fault plan and override
-// routing, all in one call.
+// ScenarioOption customizes scenario construction (NewScenarioWith). Options
+// compose: a federation island can also override routing and carry an
+// overlay directory, all in one call.
 type ScenarioOption func(*scenarioBuild)
 
 // scenarioBuild accumulates option state before the Scenario exists.
 type scenarioBuild struct {
-	cfg       ScenarioConfig
+	radio     netem.Config          // the MANET medium; the zero value uses netem defaults
+	routing   RoutingKind           // default AODV
+	olsr      *olsr.Config          // nil keeps olsr.SimConfig
+	internet  bool                  // create a simulated Internet
+	inetDelay time.Duration         // its per-hop latency (0 keeps the 5 ms default)
+	noObs     bool                  // no scenario-wide observer
+	clock     clock.Clock           // federation: the federation's clock
 	inet      *internet.Internet    // shared external Internet (not closed by Scenario.Close)
 	obs       *obs.Observer         // shared external observer
 	prefix    string                // federation: the island's address prefix ("10.2.0")
 	trunk     bool                  // enable gateway trunk multiplexing
-	faultSeed *int64                // attach a deterministic fault plan
 	overlay   core.OverlayDirectory // P2P overlay registrar shared by the scenario's proxies
 }
 
-// WithRadio tunes the MANET medium (range, delay, loss, seed).
+// WithRadio tunes the MANET medium (range, delay, loss, seed). Its Clock is
+// the scenario's time source, and so every component's (default the system
+// clock; fake clocks give deterministic schedules).
 func WithRadio(r netem.Config) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.Radio = r }
+	return func(b *scenarioBuild) { b.radio = r }
 }
 
-// WithRoutingKind selects the MANET routing protocol scenario-wide (the
-// per-node override remains WithRouting, a NodeOption).
+// WithRoutingKind selects the MANET routing protocol (default AODV).
 func WithRoutingKind(k RoutingKind) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.Routing = k }
+	return func(b *scenarioBuild) { b.routing = k }
 }
 
-// WithOLSR selects OLSR routing with an optional configuration override
-// (nil keeps olsr.SimConfig; see ScenarioConfig.OLSR for the scaling rules).
+// WithOLSR selects OLSR routing with an optional configuration override.
+// Nil keeps olsr.SimConfig, whose timings suit small networks; large grids
+// need intervals scaled with node count to keep the control-plane load
+// inside the machine. Obs is filled from the scenario when unset.
 func WithOLSR(cfg *olsr.Config) ScenarioOption {
 	return func(b *scenarioBuild) {
-		b.cfg.Routing = RoutingOLSR
-		b.cfg.OLSR = cfg
+		b.routing = RoutingOLSR
+		b.olsr = cfg
 	}
-}
-
-// WithSLPMode selects the MANET SLP dissemination mode.
-func WithSLPMode(m slp.Mode) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.SLPMode = m }
 }
 
 // WithInternet attaches a simulated Internet with the given per-hop latency
 // (0 keeps the 5 ms default) that gateway nodes can bridge to.
 func WithInternet(delay time.Duration) ScenarioOption {
 	return func(b *scenarioBuild) {
-		b.cfg.Internet = true
-		b.cfg.InternetDelay = delay
+		b.internet = true
+		b.inetDelay = delay
 	}
-}
-
-// WithTimeScale stretches protocol timers by the given factor.
-func WithTimeScale(f float64) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.TimeScale = f }
-}
-
-// WithClock sets the clock of the scenario's networks, which is the time
-// source of everything on them (fake clocks give deterministic schedules).
-func WithClock(c clock.Clock) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.Clock = c }
 }
 
 // WithoutObservability disables the scenario-wide metrics registry and call
 // tracer, for overhead-sensitive benchmarks.
 func WithoutObservability() ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg.NoObservability = true }
-}
-
-// WithTrunking enables gateway-side trunk multiplexing: concurrent RTP
-// streams crossing the same gateway pair are batched into one paced
-// inter-gateway flow (see core.TrunkConfig).
-func WithTrunking() ScenarioOption {
-	return func(b *scenarioBuild) { b.trunk = true }
+	return func(b *scenarioBuild) { b.noObs = true }
 }
 
 // WithOverlayDirectory hands every proxy in the scenario a P2P overlay
@@ -183,13 +108,6 @@ func WithOverlayDirectory(dir core.OverlayDirectory) ScenarioOption {
 	return func(b *scenarioBuild) { b.overlay = dir }
 }
 
-// WithFaultPlan attaches a deterministic, seeded fault plan to the scenario;
-// retrieve the harness with Scenario.Faults(). This replaces wrapping the
-// scenario in NewFaultScenario by hand and composes with WithFederation.
-func WithFaultPlan(seed int64) ScenarioOption {
-	return func(b *scenarioBuild) { b.faultSeed = &seed }
-}
-
 // WithFederation makes the scenario one island of a federation: it shares
 // the federation's clock, observer and simulated Internet (none of which
 // Scenario.Close touches), scopes the Connection Provider's
@@ -198,9 +116,8 @@ func WithFaultPlan(seed int64) ScenarioOption {
 // cache-only (see core.ProxyConfig.SLPCacheOnly for why).
 func WithFederation(f *FederationScenario, islandPrefix string) ScenarioOption {
 	return func(b *scenarioBuild) {
-		b.cfg.Internet = true
-		b.cfg.Clock = f.Clock()
-		b.cfg.TimeScale = f.cfg.TimeScale
+		b.internet = true
+		b.clock = f.Clock()
 		b.obs = f.observer
 		b.inet = f.inet
 		b.prefix = islandPrefix
@@ -208,16 +125,12 @@ func WithFederation(f *FederationScenario, islandPrefix string) ScenarioOption {
 	}
 }
 
-// withConfig seeds the build from a legacy positional config.
-func withConfig(cfg ScenarioConfig) ScenarioOption {
-	return func(b *scenarioBuild) { b.cfg = cfg }
-}
-
 // Scenario is a complete deployment: a MANET, optionally a simulated
 // Internet with SIP providers, and the set of SIPHoc nodes.
 type Scenario struct {
-	cfg ScenarioConfig
-	obs *obs.Observer // nil when NoObservability
+	routing RoutingKind
+	olsr    *olsr.Config
+	obs     *obs.Observer // nil under WithoutObservability
 
 	net  *netem.Network
 	inet *internet.Internet
@@ -226,7 +139,6 @@ type Scenario struct {
 	prefix  string                // federation island address prefix ("" = standalone)
 	trunk   bool                  // gateway nodes run trunk multiplexing
 	overlay core.OverlayDirectory // shared overlay registrar (not closed here)
-	faults  *FaultScenario
 
 	mu         sync.Mutex
 	nodes      map[netem.NodeID]*Node
@@ -235,38 +147,29 @@ type Scenario struct {
 	closed     bool
 }
 
-// NewScenario builds an empty deployment from the legacy positional config.
-// New code should prefer NewScenarioWith.
-func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
-	return NewScenarioWith(withConfig(cfg))
-}
-
 // NewScenarioWith builds an empty deployment from functional options.
 func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
-	var b scenarioBuild
+	b := scenarioBuild{routing: RoutingAODV}
 	for _, opt := range opts {
 		opt(&b)
 	}
-	cfg := b.cfg.withDefaults()
-	radio := cfg.Radio
+	radio := b.radio
 	switch {
 	case radio.Clock == nil:
-		radio.Clock = cfg.Clock
-	case cfg.Clock != nil && cfg.Clock != radio.Clock:
-		return nil, fmt.Errorf("siphoc: WithClock and Radio.Clock name different clocks; a scenario has one")
+		radio.Clock = b.clock
+	case b.clock != nil && b.clock != radio.Clock:
+		return nil, fmt.Errorf("siphoc: the radio's clock is not the federation's; a scenario has one")
 	}
 	observer := b.obs
-	if observer == nil && !cfg.NoObservability {
+	if observer == nil && !b.noObs {
 		observer = obs.New(radio.Clock) // nil is the system clock here as in the network
 	}
 	if radio.Obs == nil {
 		radio.Obs = observer
 	}
-	if radio.Shards == 0 {
-		radio.Shards = cfg.Shards
-	}
 	s := &Scenario{
-		cfg:     cfg,
+		routing: b.routing,
+		olsr:    b.olsr,
 		obs:     observer,
 		net:     netem.NewNetwork(radio),
 		prefix:  b.prefix,
@@ -277,26 +180,19 @@ func NewScenarioWith(opts ...ScenarioOption) (*Scenario, error) {
 	switch {
 	case b.inet != nil:
 		s.inet = b.inet
-	case cfg.Internet:
-		s.inet = internet.New(internet.Config{Delay: cfg.InternetDelay, Clock: radio.Clock})
+	case b.internet:
+		s.inet = internet.New(internet.Config{Delay: b.inetDelay, Clock: radio.Clock})
 		s.ownInet = true
-	}
-	if b.faultSeed != nil {
-		s.faults = NewFaultScenario(s, *b.faultSeed)
 	}
 	return s, nil
 }
-
-// Faults returns the scenario's deterministic fault harness, or nil unless
-// the scenario was built with WithFaultPlan.
-func (s *Scenario) Faults() *FaultScenario { return s.faults }
 
 // Network exposes the MANET medium (stats, topology control, mobility).
 func (s *Scenario) Network() *netem.Network { return s.net }
 
 // Observer returns the scenario-wide observability handle shared by every
 // node's components: the metrics registry and the call tracer. It is nil
-// when the scenario was created with NoObservability — and a nil Observer
+// when the scenario was created WithoutObservability — and a nil Observer
 // is itself valid (every method no-ops), so callers never need to check.
 func (s *Scenario) Observer() *Observer { return s.obs }
 
@@ -571,9 +467,6 @@ func (s *Scenario) Close() {
 	wg.Wait()
 	for _, p := range providers {
 		p.Close()
-	}
-	if s.faults != nil {
-		s.faults.Stop()
 	}
 	if s.inet != nil && s.ownInet {
 		s.inet.Close()

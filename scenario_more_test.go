@@ -1,12 +1,9 @@
 package siphoc
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestScenarioErrorPaths(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +28,18 @@ func TestScenarioErrorPaths(t *testing.T) {
 		t.Fatal("internet phone without Internet accepted")
 	}
 	// Unknown routing kind.
-	if _, err := sc.AddNode("n2", Position{}, WithRouting(RoutingKind(99))); err == nil {
+	bad, err := NewScenarioWith(WithRoutingKind(RoutingKind(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if _, err := bad.AddNode("n2", Position{}); err == nil {
 		t.Fatal("unknown routing kind accepted")
 	}
 }
 
 func TestScenarioNodeAccessors(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{Routing: RoutingOLSR})
+	sc, err := NewScenarioWith(WithRoutingKind(RoutingOLSR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestScenarioNodeAccessors(t *testing.T) {
 }
 
 func TestScenarioRemoveNodeAndClose(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestScenarioRemoveNodeAndClose(t *testing.T) {
 }
 
 func TestWithoutConnectionProviderOption(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{})
+	sc, err := NewScenarioWith()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,30 +109,6 @@ func TestWithoutConnectionProviderOption(t *testing.T) {
 	if n.ConnectionProvider() != nil {
 		t.Fatal("connection provider present despite option")
 	}
-}
-
-func TestTimeScaleStretchesTimers(t *testing.T) {
-	// A scenario with TimeScale 3 must still complete a call (the scale
-	// multiplies protocol timers uniformly).
-	sc, err := NewScenario(ScenarioConfig{TimeScale: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	nodes, err := sc.Chain(2, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice := registerPhone(t, nodes[0], "alice")
-	registerPhone(t, nodes[1], "bob")
-	call, err := alice.Dial("bob@" + domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := call.WaitEstablished(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	_ = call.Hangup()
 }
 
 func TestRoutingKindString(t *testing.T) {

@@ -11,9 +11,9 @@ const (
 	callTimeout = 15 * time.Second
 )
 
-func newChainScenario(t *testing.T, n int, cfg ScenarioConfig) (*Scenario, []*Node) {
+func newChainScenario(t *testing.T, n int, opts ...ScenarioOption) (*Scenario, []*Node) {
 	t.Helper()
-	sc, err := NewScenario(cfg)
+	sc, err := NewScenarioWith(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func registerPhone(t *testing.T, n *Node, user string) *Phone {
 // opposite ends of a multihop chain register with their local proxies and
 // establish a call with no centralized server anywhere.
 func TestCallWithinMANET(t *testing.T) {
-	_, nodes := newChainScenario(t, 3, ScenarioConfig{})
+	_, nodes := newChainScenario(t, 3)
 	alice := registerPhone(t, nodes[0], "alice")
 	bob := registerPhone(t, nodes[2], "bob")
 	_ = bob
@@ -103,7 +103,7 @@ func TestCallWithinMANET(t *testing.T) {
 }
 
 func TestCallWithinMANETOverOLSR(t *testing.T) {
-	_, nodes := newChainScenario(t, 4, ScenarioConfig{Routing: RoutingOLSR})
+	_, nodes := newChainScenario(t, 4, WithRoutingKind(RoutingOLSR))
 	alice := registerPhone(t, nodes[0], "alice")
 	bob := registerPhone(t, nodes[3], "bob")
 	_ = bob
@@ -120,7 +120,7 @@ func TestCallWithinMANETOverOLSR(t *testing.T) {
 }
 
 func TestCallToUnknownUserFails(t *testing.T) {
-	_, nodes := newChainScenario(t, 2, ScenarioConfig{})
+	_, nodes := newChainScenario(t, 2)
 	alice := registerPhone(t, nodes[0], "alice")
 	call, err := alice.Dial("nobody@" + domain)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestCallToUnknownUserFails(t *testing.T) {
 }
 
 func TestCalleeRejectsCall(t *testing.T) {
-	sc, nodes := newChainScenario(t, 2, ScenarioConfig{})
+	sc, nodes := newChainScenario(t, 2)
 	_ = sc
 	alice := registerPhone(t, nodes[0], "alice")
 	bobNode := nodes[1]
@@ -177,7 +177,7 @@ func TestCalleeRejectsCall(t *testing.T) {
 }
 
 func TestSLPDumpShowsRegistration(t *testing.T) {
-	_, nodes := newChainScenario(t, 1, ScenarioConfig{})
+	_, nodes := newChainScenario(t, 1)
 	registerPhone(t, nodes[0], "alice")
 	dump := nodes[0].SLP().Dump()
 	for _, want := range []string{"loaded routing plugin: AODV", "sip/alice@" + domain} {
@@ -192,7 +192,7 @@ func TestSLPDumpShowsRegistration(t *testing.T) {
 // carol@voicehoc.ch.
 func internetScenario(t *testing.T, n int) (*Scenario, []*Node, *Provider, *Phone) {
 	t.Helper()
-	sc, err := NewScenario(ScenarioConfig{Internet: true})
+	sc, err := NewScenarioWith(WithInternet(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestInboundInternetCall(t *testing.T) {
 // provider requiring a special outbound proxy breaks because SIPHoc
 // overwrites the outbound proxy with localhost (§3.2, open issue).
 func TestProviderInteropMatrix(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{Internet: true})
+	sc, err := NewScenarioWith(WithInternet(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestProviderInteropMatrix(t *testing.T) {
 // TestGatewayChurnTransparency (E10): calls keep working after the gateway
 // disappears and a new one shows up.
 func TestGatewayFailover(t *testing.T) {
-	sc, err := NewScenario(ScenarioConfig{Internet: true})
+	sc, err := NewScenarioWith(WithInternet(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@
 // automatically runs the full SIPHoc service set), create phones on nodes,
 // and place calls:
 //
-//	sc, _ := siphoc.NewScenario(siphoc.ScenarioConfig{})
+//	sc, _ := siphoc.NewScenarioWith()
 //	defer sc.Close()
 //	nodes, _ := sc.Chain(3, 90)
 //	alice, _ := nodes[0].NewPhone("alice", "voicehoc.ch")
@@ -137,12 +137,6 @@ const (
 	CallEstablished = voip.StateEstablished
 	CallEnded       = voip.StateEnded
 	CallFailed      = voip.StateFailed
-)
-
-// SLP dissemination modes (the E9 ablation).
-const (
-	SLPPiggyback = slp.ModePiggyback
-	SLPMulticast = slp.ModeMulticast
 )
 
 // ErrNoGateway is the typed error surfaced when a node exhausts its gateway
