@@ -141,6 +141,8 @@ faults:
 fuzz:
 	$(GO) test ./internal/sip/ -run XXX -fuzz FuzzParse$$ -fuzztime 30s
 	$(GO) test ./internal/sdp/ -run XXX -fuzz FuzzParse$$ -fuzztime 15s
+	$(GO) test ./internal/sdp/ -run XXX -fuzz FuzzParseMatchesReference$$ -fuzztime 15s
+	$(GO) test ./internal/sdp/ -run XXX -fuzz FuzzMarshalParses$$ -fuzztime 10s
 	$(GO) test ./internal/slp/ -run XXX -fuzz FuzzParsePayload$$ -fuzztime 15s
 	$(GO) test ./internal/slp/ -run XXX -fuzz FuzzIncomingMatchesParse$$ -fuzztime 15s
 	$(GO) test ./internal/routing/ -run XXX -fuzz FuzzParseEnvelope$$ -fuzztime 15s

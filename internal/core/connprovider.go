@@ -476,7 +476,9 @@ func (p *ConnectionProvider) attach(from tunnelPeer) {
 		p.stats.failovers.Add(1)
 		p.obsFailover.Observe(failover)
 	}
-	span.End("gw=" + string(from.node))
+	if span.Active() {
+		span.End("gw=" + string(from.node))
+	}
 	p.host.SetDefaultHandler(p.tunnelOut)
 	p.notify(true)
 }

@@ -512,11 +512,13 @@ func (f *forward) step(time.Time) {
 	}
 	f.resolvedPending = false
 	p, tx := f.p, f.tx
-	retry := ""
-	if f.attempt > 0 {
-		retry = " retry"
+	if f.span.Active() {
+		retry := ""
+		if f.attempt > 0 {
+			retry = " retry"
+		}
+		f.span.End("kind=" + f.kind + retry)
 	}
-	f.span.End("kind=" + f.kind + retry)
 	if f.err != nil {
 		p.stats.unresolved.Add(1)
 		code := sip.StatusNotFound
@@ -577,9 +579,9 @@ func (f *forward) onResponse(resp *sip.Message) {
 	if resp.StatusCode < 200 {
 		f.provisional = true
 	}
-	up := *resp
-	up.Via = up.Via[1:]
-	_ = f.tx.Respond(&up)
+	// The response is ours: popping the Via off it hands it upstream as is.
+	resp.Via = resp.Via[1:]
+	_ = f.tx.Respond(resp)
 	if resp.StatusCode >= 200 {
 		f.finish()
 	}

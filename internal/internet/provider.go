@@ -326,9 +326,8 @@ func (p *Provider) relay(tx *sip.ServerTx, dst sip.Addr, stateless bool) {
 		if len(resp.Via) < 2 {
 			return // nobody upstream
 		}
-		up := *resp
-		up.Via = up.Via[1:] // pop our Via
-		_ = tx.Respond(&up)
+		resp.Via = resp.Via[1:] // pop our Via
+		_ = tx.Respond(resp)
 	})
 	if err != nil {
 		_ = tx.RespondCode(sip.StatusInternalError, "")

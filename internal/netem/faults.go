@@ -278,7 +278,9 @@ func (p *FaultPlan) run(events []faultEvent) {
 		}
 		span := p.obs.StartSpan("", obs.PhaseFault, ev.node)
 		ev.apply()
-		span.End(string(ev.kind) + " " + ev.detail)
+		if span.Active() {
+			span.End(string(ev.kind) + " " + ev.detail)
+		}
 		p.obsInjected.Inc()
 		p.mu.Lock()
 		p.log = append(p.log, FaultRecord{Seq: ev.seq, Offset: ev.offset, Kind: ev.kind, Detail: ev.detail})

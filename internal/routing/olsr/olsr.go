@@ -451,13 +451,14 @@ func (p *Protocol) RequestRoute(dst netem.NodeID, done func(bool)) {
 		p.mu.Lock()
 		started := p.started
 		p.mu.Unlock()
-		if !started {
-			span.End("olsr dst=" + string(dst) + " stopped")
-			done(false)
-			return
-		}
-		if p.clk.Now().After(deadline) {
-			span.End("olsr dst=" + string(dst) + " timeout")
+		if !started || p.clk.Now().After(deadline) {
+			if span.Active() {
+				outcome := " timeout"
+				if !started {
+					outcome = " stopped"
+				}
+				span.End("olsr dst=" + string(dst) + outcome)
+			}
 			done(false)
 			return
 		}

@@ -2,9 +2,11 @@ package rtp
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/testutil"
 )
@@ -146,5 +148,65 @@ func sessionReceiveAllocFree(t *testing.T) {
 	}
 	if st := s.Stats(); st.Lost != 0 {
 		t.Fatalf("lost %d of %d frames on a lossless medium", st.Lost, seq)
+	}
+}
+
+// TestMediaSessionDoesNotGrow pins what a call's media costs — a session at
+// each end and a stream each way, from NewSession to Close — at a count that
+// does not depend on how long the call talks: the streams' scratch, the
+// jitter buffer, its deadline heap and the stream list are inline or sized
+// up front, so neither 5 nor 400 frames make anything grow.
+func TestMediaSessionDoesNotGrow(t *testing.T) {
+	if testutil.Race {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	clk := clock.NewFake(time.Unix(3_000_000, 0))
+	n := netem.NewNetwork(netem.Config{BaseDelay: 200 * time.Microsecond, Clock: clk})
+	defer n.Close()
+	a, _ := n.AddHost("a", netem.Position{})
+	b, _ := n.AddHost("b", netem.Position{X: 50})
+	a.SetRouteProvider(directRoutes{})
+	b.SetRouteProvider(directRoutes{})
+	media := func(frames int) uint64 {
+		ca, err := a.Listen(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := b.Listen(4001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sa, sb := NewSession(ca, 1), NewSession(cb, 2)
+		out, back := sa.StartStream("b", 4001, frames), sb.StartStream("a", 4000, frames)
+		for sa.Stats().Received < int64(frames) || sb.Stats().Received < int64(frames) {
+			clk.Advance(FrameDuration)
+			time.Sleep(50 * time.Microsecond)
+		}
+		out.Wait()
+		back.Wait()
+		sa.Close()
+		sb.Close()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// The medium's deliveries and wire buffers come from sync.Pools, which a
+	// collection empties and which grow per processor: either costs
+	// allocations that have nothing to do with the media plane.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	media(5) // warm those pools
+	short, long := media(5), media(400)
+	t.Logf("a call's media: %d allocations for 5 frames each way, %d for 400", short, long)
+	if long != short {
+		t.Errorf("400 frames each way cost %d allocations, 5 cost %d: something grows", long, short)
+	}
+	// 18 measured, each end's Listen and Close included. A jitter buffer of
+	// its own, a deadline heap grown 1→2→4, a stream list grown from nil and
+	// two scratch buffers per stream made it 34.
+	const budget = 18
+	if short > budget {
+		t.Errorf("a call's media costs %d allocations, budget %d", short, budget)
 	}
 }

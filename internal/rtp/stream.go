@@ -29,10 +29,12 @@ type Session struct {
 
 	mu          sync.Mutex
 	recv        Receiver
-	jb          *JitterBuffer
+	jb          JitterBuffer
 	onFirstRecv func(time.Time) // one-shot; cleared after firing
-	streams     []*Stream
-	closed      bool
+	// streams starts on inline, room for the one stream a call sends.
+	streams []*Stream
+	inline  [1]*Stream
+	closed  bool
 }
 
 // NewSession wraps conn and starts receiving. Incoming frames pass through
@@ -43,8 +45,9 @@ func NewSession(conn *netem.Conn, ssrc uint32) *Session {
 		clk:   conn.Host().Clock(),
 		sched: conn.Host().Sched(),
 		key:   string(conn.Host().ID()),
-		jb:    NewJitterBuffer(DefaultPlayoutDelay),
 	}
+	s.jb.init(DefaultPlayoutDelay)
+	s.streams = s.inline[:0]
 	conn.Handle(s.onDatagram)
 	return s
 }
@@ -74,9 +77,7 @@ func (s *Session) OnFirstRecv(fn func(time.Time)) {
 func (s *Session) StartStream(dst netem.NodeID, port uint16, frames int) *Stream {
 	st := &Stream{
 		sess: s, dst: dst, port: port, frames: frames,
-		payload: make([]byte, 0, PayloadBytes),
-		wire:    make([]byte, 0, headerLen+PayloadBytes),
-		done:    make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed || frames <= 0 {
@@ -137,9 +138,10 @@ func (s *Session) PlayoutStats() (played, late, missing int64) {
 // Close stops the session: active streams finish immediately (their waiters
 // see the frames sent so far) and the port is released.
 func (s *Session) Close() {
+	var scratch [len(s.inline)]*Stream
 	s.mu.Lock()
 	s.closed = true
-	streams := append([]*Stream(nil), s.streams...)
+	streams := append(scratch[:0], s.streams...)
 	s.mu.Unlock()
 	for _, st := range streams {
 		st.Stop()
@@ -190,9 +192,9 @@ type Stream struct {
 	i    int
 
 	// payload/wire/pkt are per-stream scratch reused every frame so the
-	// steady-state send path allocates nothing.
-	payload []byte
-	wire    []byte
+	// send path allocates nothing.
+	payload [PayloadBytes]byte
+	wire    [headerLen + PayloadBytes]byte
 	pkt     Packet
 
 	sent     atomic.Int64
@@ -232,16 +234,14 @@ func (st *Stream) finish() {
 // Called only from the host's shard worker.
 func (st *Stream) step(time.Time) {
 	s := st.sess
-	st.payload = AppendVoicePayload(st.payload[:0], uint32(st.i), s.clk.Now())
 	st.pkt = Packet{
 		PayloadType: PayloadTypePCMU,
 		Seq:         uint16(st.i),
 		Timestamp:   uint32(st.i) * SamplesPerFrame,
 		SSRC:        s.ssrc,
-		Payload:     st.payload,
+		Payload:     AppendVoicePayload(st.payload[:0], uint32(st.i), s.clk.Now()),
 	}
-	st.wire = st.pkt.AppendTo(st.wire[:0])
-	if err := s.conn.WriteTo(st.wire, st.dst, st.port); err == nil {
+	if err := s.conn.WriteTo(st.pkt.AppendTo(st.wire[:0]), st.dst, st.port); err == nil {
 		st.sent.Add(1)
 	}
 	s.sent.Add(1)

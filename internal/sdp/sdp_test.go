@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"siphoc/internal/testutil"
 )
 
 func TestOfferRoundTrip(t *testing.T) {
@@ -90,5 +92,55 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarshalSkipsEmptyMedia: a stream whose type, protocol or formats
+// sanitize to nothing is left out rather than written as an m= line Parse
+// rejects.
+func TestMarshalSkipsEmptyMedia(t *testing.T) {
+	for _, m := range []Media{
+		{Type: "audio", Port: 4000, Proto: "RTP/AVP", Formats: []string{" ", ""}},
+		{Type: "audio", Port: 4000, Proto: "RTP/AVP"},
+		{Type: " ", Port: 4000, Proto: "RTP/AVP", Formats: []string{"0"}},
+		{Type: "audio", Port: 4000, Proto: "\t", Formats: []string{"0"}},
+	} {
+		s := &Session{Address: "10.0.0.1", Media: []Media{m, {Type: "audio", Port: 5000, Proto: "RTP/AVP", Formats: []string{"0"}}}}
+		out, err := Parse(s.Marshal())
+		if err != nil {
+			t.Fatalf("%+v: %v\n%q", m, err, s.Marshal())
+		}
+		if len(out.Media) != 1 || out.Media[0].Port != 5000 {
+			t.Fatalf("%+v: media = %+v, want only the stream on 5000", m, out.Media)
+		}
+	}
+}
+
+// TestCodecAllocs pins what a call's offer and answer cost: Marshal is the
+// body alone, Parse the copy of the input and the session block, and an offer
+// or an answer the block.
+func TestCodecAllocs(t *testing.T) {
+	if testutil.Race {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	offer := NewAudioOffer("alice", "10.0.0.1", 40000)
+	wire := offer.Marshal()
+	var err error
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Marshal", 1, func() { wire = offer.Marshal() }},
+		{"Parse", 2, func() { _, err = Parse(wire) }},
+		{"NewAudioOffer", 1, func() { offer = NewAudioOffer("alice", "10.0.0.1", 40000) }},
+		{"Answer", 1, func() { _, err = Answer(offer, "bob", "10.0.0.2", 40002) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
+			t.Errorf("%s: %.1f allocations, want at most %.0f", c.name, got, c.max)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }

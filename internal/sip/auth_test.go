@@ -90,7 +90,7 @@ func TestAuthHeadersSurviveWire(t *testing.T) {
 	req.CSeq = CSeq{Seq: 2, Method: MethodRegister}
 	req.SetAuthorization(&DigestCredentials{Username: "alice", Realm: "voicehoc.ch",
 		Nonce: "n", URI: "sip:voicehoc.ch", CNonce: "c", NC: 1, Response: "abc"})
-	wire := req.Marshal()
+	wire := req.AppendTo(nil)
 	if !strings.Contains(string(wire), "Authorization: Digest") {
 		t.Fatalf("wire missing Authorization:\n%s", wire)
 	}

@@ -5,7 +5,7 @@ import (
 )
 
 // FuzzParse hammers the message parser: any input must either error or
-// produce a message whose Marshal output reparses cleanly (no panics, no
+// produce a message whose rendering (AppendTo) reparses cleanly (no panics, no
 // drift).
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(sampleInvite))
@@ -23,13 +23,13 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		wire := m.Marshal()
+		wire := m.AppendTo(nil)
 		m2, err := Parse(wire)
 		if err != nil {
 			t.Fatalf("marshal output unparseable: %v\ninput: %q\nwire: %q", err, data, wire)
 		}
 		// Second round trip must be a fixed point.
-		wire2 := m2.Marshal()
+		wire2 := m2.AppendTo(nil)
 		if string(wire) != string(wire2) {
 			t.Fatalf("marshal not a fixed point:\n%q\n%q", wire, wire2)
 		}

@@ -113,7 +113,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Parse(m.Marshal())
+	m2, err := Parse(m.AppendTo(nil))
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestSplitTopLevel(t *testing.T) {
 }
 
 // TestQuickRequestRoundTrip builds random-ish requests from constrained
-// components and asserts Marshal→Parse is the identity.
+// components and asserts AppendTo→Parse is the identity.
 func TestQuickRequestRoundTrip(t *testing.T) {
 	sanitize := func(s string, max int) string {
 		var b strings.Builder
@@ -249,9 +249,9 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 		if len(body) > 0 {
 			m.ContentType = "application/octet-stream"
 		}
-		m2, err := Parse(m.Marshal())
+		m2, err := Parse(m.AppendTo(nil))
 		if err != nil {
-			t.Logf("parse failed for %q: %v", m.Marshal(), err)
+			t.Logf("parse failed for %q: %v", m.AppendTo(nil), err)
 			return false
 		}
 		if len(m.Body) == 0 && len(m2.Body) == 0 {

@@ -194,12 +194,9 @@ func (s *Stack) Send(m *Message, dst Addr) error {
 // ClientTx describes, on the node's shard; nil ignores them. The request
 // belongs to the transaction from here on.
 func (s *Stack) SendRequest(req *Message, dst Addr, onResp func(*Message)) error {
-	block := &struct { // the Via and the list it goes on top of, in one
-		via  Via
-		list [4]*Via
-	}{via: *s.NewVia()}
-	req.Via = append(append(block.list[:0], &block.via), req.Via...)
-	return s.SendRequestPreVia(req, dst, onResp)
+	tx := &ClientTx{via: *s.NewVia()}
+	req.Via = append(append(tx.vias[:0], &tx.via), req.Via...)
+	return s.startClientTx(tx, req, dst, onResp)
 }
 
 // SendRequestPreVia starts a client transaction for a request whose Via
@@ -209,10 +206,16 @@ func (s *Stack) SendRequestPreVia(req *Message, dst Addr, onResp func(*Message))
 	if req.TopVia() == nil {
 		return fmt.Errorf("sip: SendRequestPreVia needs a Via")
 	}
+	return s.startClientTx(new(ClientTx), req, dst, onResp)
+}
+
+// startClientTx registers tx as req's client transaction and sends req.
+func (s *Stack) startClientTx(tx *ClientTx, req *Message, dst Addr, onResp func(*Message)) error {
 	if onResp == nil {
 		onResp = func(*Message) {}
 	}
-	tx := &ClientTx{stack: s, key: req.txKey(), req: req, dst: dst, onResp: onResp}
+	tx.stack, tx.key, tx.req, tx.dst, tx.onResp = s, req.txKey(), req, dst, onResp
+	tx.timer.Init(tx.fire, nil)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -1,12 +1,15 @@
 package sip
 
 import (
+	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 // pair builds two directly-connected hosts with SIP stacks on port 5060.
@@ -294,5 +297,127 @@ func TestBranchlessRequestsDoNotCollide(t *testing.T) {
 	case id := <-calls:
 		t.Fatalf("retransmission of %s reached the handler again", id)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestRetransmissionDrawsSameBytes: a retransmitted INVITE and a
+// retransmitted BYE are answered with the very bytes of the first final
+// response — the server transaction renders the response it keeps again —
+// and the TU is not asked twice.
+func TestRetransmissionDrawsSameBytes(t *testing.T) {
+	n := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	t.Cleanup(n.Close)
+	ha, _ := n.AddHost("a", netem.Position{})
+	hb, _ := n.AddHost("b", netem.Position{X: 10})
+	ha.SetRouteProvider(direct{})
+	hb.SetRouteProvider(direct{})
+	ca, err := ha.Listen(DefaultPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := hb.Listen(DefaultPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewStack(cb, SimConfig())
+	t.Cleanup(sb.Close)
+	var handled atomic.Int32
+	sb.OnRequest(func(tx *ServerTx) {
+		handled.Add(1)
+		req := tx.Request()
+		if req.Method == MethodInvite {
+			_ = tx.RespondCode(StatusRinging, "")
+		}
+		resp := NewResponse(req, StatusOK, "")
+		resp.To = resp.To.WithTag(sb.NewTag())
+		resp.Contact = []*NameAddr{{URI: MustParseURI("sip:bob@b:5060")}}
+		resp.ContentType, resp.Body = "application/sdp", []byte("v=0\r\no=bob 1 1 IN IP4 b\r\n")
+		_ = tx.Respond(resp)
+	})
+	got := make(chan []byte, 8)
+	ca.Handle(func(dg *netem.Datagram) { got <- bytes.Clone(dg.Data) })
+	final := func() []byte {
+		t.Helper()
+		for {
+			select {
+			case raw := <-got:
+				if bytes.HasPrefix(raw, []byte("SIP/2.0 200 ")) {
+					return raw
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("no 200")
+			}
+		}
+	}
+	for _, method := range []string{MethodInvite, MethodBye} {
+		req := NewRequest(method, MustParseURI("sip:bob@b:5060"))
+		req.Via = []*Via{{Transport: "UDP", Host: "a", Port: DefaultPort, Params: Params(";branch=" + BranchPrefix + "-" + method)}}
+		req.From = (&NameAddr{URI: MustParseURI("sip:alice@a")}).WithTag("a1")
+		req.To = &NameAddr{URI: MustParseURI("sip:bob@b")}
+		req.CallID, req.CSeq = "same-bytes@a", CSeq{Seq: 1, Method: method}
+		wire := req.AppendTo(nil)
+		if err := ca.WriteTo(wire, "b", DefaultPort); err != nil {
+			t.Fatal(err)
+		}
+		first := final()
+		if err := ca.WriteTo(wire, "b", DefaultPort); err != nil {
+			t.Fatal(err)
+		}
+		if again := final(); !bytes.Equal(again, first) {
+			t.Errorf("%s retransmitted: 200 differs from the first\nfirst %q\nagain %q", method, first, again)
+		}
+	}
+	if handled.Load() != 2 {
+		t.Errorf("TU handled %d requests, want 2", handled.Load())
+	}
+}
+
+// TestTransactionAllocs pins what the transaction layer adds to a message: a
+// client transaction is three allocations — one block with its Via and Via
+// list, the branch, the bound timer callback — and a response sent, kept and
+// replayed none.
+func TestTransactionAllocs(t *testing.T) {
+	if testutil.Race {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// No timer fires while the counts are taken. What is sent lands on a
+	// port that only counts it, and each run waits for its frames to land so
+	// that the medium recycles their buffers.
+	sa, sb, n := pairWith(t, netem.Config{}, Config{T1: time.Hour, T2: time.Hour})
+	sink, err := n.Host("b").Listen(DefaultPort + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var landed atomic.Int64
+	sink.Handle(func(*netem.Datagram) { landed.Add(1) })
+	wait := func(want int64) {
+		for landed.Load() < want {
+			runtime.Gosched()
+		}
+	}
+	sinkAddr := Addr{Node: "b", Port: DefaultPort + 1}
+	req := testRequest(sa, MethodOptions)
+	sent := int64(0)
+	if got := testing.AllocsPerRun(100, func() {
+		req.Via = nil
+		if err := sa.SendRequest(req, sinkAddr, nil); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		wait(sent)
+	}); got != 3 {
+		t.Errorf("SendRequest: %.0f allocations, want 3", got)
+	}
+	inv := testRequest(sb, MethodInvite)
+	inv.Via = []*Via{sb.NewVia()}
+	tx := newServerTx(sb, inv, sinkAddr, false)
+	resp := NewResponse(inv, StatusOK, "")
+	if got := testing.AllocsPerRun(100, func() {
+		_ = tx.Respond(resp)
+		tx.replay()
+		sent += 2
+		wait(sent)
+	}); got != 0 {
+		t.Errorf("Respond and replay: %.0f allocations, want 0", got)
 	}
 }

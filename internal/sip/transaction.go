@@ -21,7 +21,8 @@ type ClientTx struct {
 	// onResp is the TU: it gets every provisional, then exactly one final —
 	// a synthetic 408 when nothing final arrived in time — and, for an
 	// INVITE, every retransmission of a 2xx while the transaction lingers.
-	// It runs on the node's shard and must not block.
+	// Each response is the TU's to keep or change (a proxy pops its Via off
+	// and responds with it). It runs on the node's shard and must not block.
 	onResp func(*Message)
 
 	mu        sync.Mutex
@@ -32,19 +33,24 @@ type ClientTx struct {
 	// Timer B deadline is re-armed from it (RFC 3261 §17.1.1.2).
 	lastProv time.Time
 
-	// The retransmission schedule and the linger behind a final response are
-	// tasks of the transaction's own, queued under the node's key so that
-	// they are serialized with every other SIP timer on this node, and
-	// re-armed rather than allocated per step. The schedule's state belongs
-	// to its task.
-	retransmit, linger clock.Task
-	interval           time.Duration
-	deadline           time.Time // Timer B / F
-	proceeding         bool
+	// timer is the transaction's one task, bound once and queued under the
+	// node's key so that it is serialized with every other SIP timer on this
+	// node: the retransmission schedule until a final response arrives, then
+	// the linger behind it. Queuing it for the linger takes it off the
+	// retransmission it was queued for. The schedule's state belongs to it.
+	timer      clock.Task
+	interval   time.Duration
+	deadline   time.Time // Timer B / F
+	proceeding bool
 
 	// span traces this leg (INVITE only, observer enabled only); the zero
 	// handle no-ops.
 	span obs.SpanHandle
+
+	// via and vias are the Via SendRequest pushes onto the request and the
+	// list it heads, allocated with the transaction.
+	via  Via
+	vias [4]*Via
 }
 
 // ErrTimeout is what Await returns when the stack closes before the request
@@ -72,21 +78,39 @@ func (tx *ClientTx) start() {
 			string(s.self.Node)+"->"+string(tx.dst.Node))
 	}
 	_ = s.Send(tx.req, tx.dst)
-	tx.interval, tx.deadline = s.cfg.T1, s.clk.Now().Add(64*s.cfg.T1)
-	tx.retransmit.Init(tx.retransmitStep, nil)
-	s.after(&tx.retransmit, tx.interval)
+	// A caller off the shard may see the final response arrive first; the
+	// linger it armed then stands.
+	tx.mu.Lock()
+	if !tx.finalSent {
+		tx.interval, tx.deadline = s.cfg.T1, s.clk.Now().Add(64*s.cfg.T1)
+		s.after(&tx.timer, tx.interval)
+	}
+	tx.mu.Unlock()
+}
+
+// fire is the transaction's timer: the end of the linger once a final
+// response has arrived, a step of the retransmission schedule before.
+func (tx *ClientTx) fire(time.Time) {
+	tx.mu.Lock()
+	settled := tx.finalSent
+	tx.mu.Unlock()
+	if settled {
+		tx.stack.removeClientTx(tx.key)
+		return
+	}
+	tx.retransmitStep()
 }
 
 // retransmitStep is one step of the retransmission schedule: give up at the
 // deadline, otherwise send the request again and re-arm at twice the interval.
-func (tx *ClientTx) retransmitStep(time.Time) {
+func (tx *ClientTx) retransmitStep() {
 	s := tx.stack
 	s.running.Lock()
 	defer s.running.Unlock()
 	tx.mu.Lock()
-	settled, lastProv := tx.finalSent, tx.lastProv
+	lastProv := tx.lastProv
 	tx.mu.Unlock()
-	if settled || s.isClosed() {
+	if s.isClosed() {
 		return
 	}
 	if tx.req.Method == MethodInvite && !lastProv.IsZero() {
@@ -109,7 +133,7 @@ func (tx *ClientTx) retransmitStep(time.Time) {
 		tx.finalSent = true
 		tx.mu.Unlock()
 		s.obsTimeouts.Inc()
-		tx.endSpan("timeout")
+		tx.endSpan(0)
 		s.removeClientTx(tx.key)
 		tx.onResp(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
 		return
@@ -123,14 +147,19 @@ func (tx *ClientTx) retransmitStep(time.Time) {
 	if (tx.req.Method != MethodInvite || tx.proceeding) && tx.interval > s.cfg.T2 {
 		tx.interval = s.cfg.T2
 	}
-	s.after(&tx.retransmit, tx.interval)
+	s.after(&tx.timer, tx.interval)
 }
 
-// endSpan closes the leg span with the outcome and retransmit count. Callers
-// hold the finalSent transition, so it runs at most once per transaction.
-func (tx *ClientTx) endSpan(outcome string) {
+// endSpan closes the leg span with the outcome — the final status, 0 for a
+// timeout — and the retransmit count. Callers hold the finalSent transition,
+// so it runs at most once per transaction.
+func (tx *ClientTx) endSpan(status int) {
 	if !tx.span.Active() {
 		return
+	}
+	outcome := "timeout"
+	if status != 0 {
+		outcome = "final=" + strconv.Itoa(status)
 	}
 	tx.mu.Lock()
 	n := tx.retrans
@@ -158,7 +187,7 @@ func (tx *ClientTx) onResponse(m *Message) {
 		return
 	}
 	if final {
-		tx.endSpan("final=" + strconv.Itoa(m.StatusCode))
+		tx.endSpan(m.StatusCode)
 		// INVITE with non-2xx final: transaction-level ACK (RFC 3261
 		// §17.1.1.3), sent to the same destination as the INVITE.
 		if tx.req.Method == MethodInvite && m.StatusCode >= 300 {
@@ -166,8 +195,7 @@ func (tx *ClientTx) onResponse(m *Message) {
 		}
 		// Linger briefly (Timer D/K) so retransmitted finals are absorbed,
 		// then terminate.
-		tx.linger.Init(func(time.Time) { tx.stack.removeClientTx(tx.key) }, nil)
-		tx.stack.after(&tx.linger, 4*tx.stack.cfg.T1)
+		tx.stack.after(&tx.timer, 4*tx.stack.cfg.T1)
 	}
 	tx.onResp(m)
 }
@@ -193,10 +221,10 @@ type ServerTx struct {
 	ackOnly bool
 
 	mu sync.Mutex
-	// lastResp is the last response sent, as sent, replayed to a
+	// lastResp is the last response sent, rendered again for a
 	// retransmitted request: a provisional while the TU owes the final
 	// (RFC 3261 §17.2.1), the final once finalSent.
-	lastResp  []byte
+	lastResp  *Message
 	finalSent bool
 	acked     bool
 
@@ -220,19 +248,20 @@ func (tx *ServerTx) Request() *Message { return tx.req }
 // responses must be sent (RFC 3261 §18.2.2 "received" behaviour).
 func (tx *ServerTx) Source() Addr { return tx.src }
 
-// Respond sends a response built by the TU and records it, so that request
-// retransmissions are answered without bothering the TU again.
+// Respond sends a response built by the TU and keeps it, so that request
+// retransmissions are answered without bothering the TU again: each replay
+// renders the same message, so it goes out with the same bytes. The response
+// belongs to the transaction from here on and must not be changed.
 func (tx *ServerTx) Respond(resp *Message) error {
 	if tx.ackOnly {
 		return fmt.Errorf("sip: ACK takes no response")
 	}
-	raw := resp.Marshal()
 	tx.mu.Lock()
 	if final := resp.StatusCode >= 200; final || !tx.finalSent {
-		tx.lastResp, tx.finalSent = raw, final
+		tx.lastResp, tx.finalSent = resp, final
 	}
 	tx.mu.Unlock()
-	return tx.stack.conn.WriteTo(raw, tx.src.Node, tx.src.Port)
+	return tx.stack.Send(resp, tx.src)
 }
 
 // RespondCode is a convenience wrapper building a response from the request.
@@ -285,10 +314,10 @@ func (tx *ServerTx) onRequest(m *Message) {
 // replay sends the last response again, if there is one.
 func (tx *ServerTx) replay() {
 	tx.mu.Lock()
-	raw := tx.lastResp
+	resp := tx.lastResp
 	tx.mu.Unlock()
-	if raw != nil {
-		_ = tx.stack.conn.WriteTo(raw, tx.src.Node, tx.src.Port)
+	if resp != nil {
+		_ = tx.stack.Send(resp, tx.src)
 	}
 }
 

@@ -5,17 +5,19 @@ import (
 	"strconv"
 )
 
-// Marshal renders the message in SIP wire format with CRLF line endings and
-// an accurate Content-Length, in a slice of its own.
-func (m *Message) Marshal() []byte {
-	var scratch [1024]byte // on the stack; a longer message moves to the heap
-	return bytes.Clone(m.AppendTo(scratch[:0]))
+// AppendTo appends the wire form of the message — CRLF line endings and an
+// accurate Content-Length — to b and returns the extended slice; callers that
+// reuse buffers serialize with zero allocations. AppendTo(nil) renders on the
+// stack and returns a copy of its own, one allocation.
+func (m *Message) AppendTo(b []byte) []byte {
+	if b == nil {
+		var scratch [1024]byte // a longer message moves to the heap
+		return bytes.Clone(m.appendTo(scratch[:0]))
+	}
+	return m.appendTo(b)
 }
 
-// AppendTo appends the wire form of the message to b and returns the
-// extended slice; callers that reuse buffers serialize with zero
-// allocations.
-func (m *Message) AppendTo(b []byte) []byte {
+func (m *Message) appendTo(b []byte) []byte {
 	if m.IsRequest() {
 		b = append(b, m.Method...)
 		b = append(b, ' ')

@@ -524,7 +524,9 @@ func (c *Call) confirmEstablished() {
 func (c *Call) endLocal(code int) {
 	c.endOnce.Do(func() {
 		c.spanOnce.Do(func() {
-			c.setupSpan.End(fmt.Sprintf("failed status=%d", code))
+			if c.setupSpan.Active() {
+				c.setupSpan.End(fmt.Sprintf("failed status=%d", code))
+			}
 		})
 		if c.outgoing && code != 0 {
 			c.phone.obsFailed.Inc()

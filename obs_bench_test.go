@@ -87,7 +87,7 @@ func BenchmarkObsOverheadSIPMarshal(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				_ = m.Marshal()
+				_ = m.AppendTo(nil)
 			}
 		})
 	}
