@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"siphoc/internal/netem"
-	"siphoc/internal/routing"
 )
 
 // This file is the memory model of the dense-state routing core: an
@@ -194,10 +193,7 @@ type recomputeScratch struct {
 	uncovered bitset     // 2-hop nodes not yet covered by an MPR
 	mprNew    bitset     // MPR set under construction (swapped into place)
 	adj       [][]uint32 // dense adjacency lists, truncated and refilled
-	dist      []int32    // BFS hop count; 0 = unvisited
-	next      []uint32   // BFS first hop, valid where dist > 0
 	queue     []uint32   // BFS frontier
-	entries   []routing.Entry // route rows handed to Table.Replace, which copies
 }
 
 // grow sizes every scratch structure for n interned nodes.
@@ -206,11 +202,5 @@ func (s *recomputeScratch) grow(n int) {
 	s.mprNew.grow(n)
 	for len(s.adj) < n {
 		s.adj = append(s.adj, nil)
-	}
-	for len(s.dist) < n {
-		s.dist = append(s.dist, 0)
-	}
-	for len(s.next) < n {
-		s.next = append(s.next, 0)
 	}
 }

@@ -353,7 +353,7 @@ func TestDenseReferenceEquivalence(t *testing.T) {
 // interned, a refresh TC (new seq, same ANSN and selector set) must update
 // expiries, maintain the duplicate set and allocate nothing. The tiny
 // TCInterval makes each call prune the previous seq's dup entry, so the dup
-// map and heap stay at their steady-state size instead of growing.
+// map and queue stay at their steady-state size instead of growing.
 func TestTCSteadyStateZeroAlloc(t *testing.T) {
 	net := netem.NewNetwork(netem.Config{})
 	defer net.Close()
@@ -385,9 +385,9 @@ func TestTCSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestRecomputeAllocBound is the recompute-allocation regression bound: with
-// the pooled scratch and the double-buffered table, a full rebuild over a
-// settled topology must not allocate at all once the pools have seen the
-// topology's high-water size. Before the dense-state rewrite this path
+// the pooled scratch and the route table written in place, a full rebuild
+// over a settled topology must not allocate at all once the pools have seen
+// the topology's high-water size. Before the dense-state rewrite this path
 // minted fresh maps and slices on every rebuild — 77% of all bytes the
 // 1024-node scale study allocated.
 func TestRecomputeAllocBound(t *testing.T) {
@@ -421,6 +421,83 @@ func TestRecomputeAllocBound(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, p.recomputeFull); allocs != 0 {
 		t.Fatalf("settled full recompute allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestNextHopAllocFree pins the forwarding path's route lookup at zero
+// allocations: the destination resolves through the interner and the route is
+// read out of the table the BFS wrote, with no clock read and no row copied.
+func TestNextHopAllocFree(t *testing.T) {
+	net := netem.NewNetwork(netem.Config{})
+	defer net.Close()
+	h, err := net.AddHost("self", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(h, Config{TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p.onHello("nb", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}, {Addr: "two", Link: LinkSym}}})
+	p.onTC("nb", &TC{Orig: "two", Seq: 1, ANSN: 1, TTL: 1, Selectors: []netem.NodeID{"far"}})
+	p.recomputeFull()
+	var via netem.NodeID
+	var ok bool
+	if allocs := testing.AllocsPerRun(200, func() { via, ok = p.NextHop("far") }); allocs != 0 {
+		t.Fatalf("NextHop allocates %.1f times per lookup, want 0", allocs)
+	}
+	if !ok || via != "nb" {
+		t.Fatalf("NextHop(far) = %q, %v; want nb", via, ok)
+	}
+	for _, dst := range []netem.NodeID{"self", "unknown"} {
+		if via, ok := p.NextHop(dst); ok {
+			t.Fatalf("NextHop(%s) = %q, want no route", dst, via)
+		}
+	}
+	want := []routing.Entry{{Dst: "far", NextHop: "nb", Hops: 3}, {Dst: "nb", NextHop: "nb", Hops: 1}, {Dst: "two", NextHop: "nb", Hops: 2}}
+	if got := p.Routes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Routes() = %+v, want %+v", got, want)
+	}
+}
+
+// TestRecomputeWithoutNewNodeAllocFree pins a recompute that changes the routes
+// but meets no node it has not interned — a TC moving an origin's selector
+// between known nodes, then back — at zero allocations: the BFS rewrites the
+// route table in place.
+func TestRecomputeWithoutNewNodeAllocFree(t *testing.T) {
+	net := netem.NewNetwork(netem.Config{})
+	defer net.Close()
+	h, err := net.AddHost("self", netem.Position{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tiny TCInterval keeps the duplicate set at its steady-state size.
+	p := New(h, Config{TCInterval: time.Nanosecond, TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p.onHello("nb", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}, {Addr: "two", Link: LinkSym}}})
+	tcs := [2][]byte{
+		(&TC{Orig: "two", TTL: 1, Selectors: []netem.NodeID{"far"}}).AppendTo(nil),
+		(&TC{Orig: "two", TTL: 1, Selectors: []netem.NodeID{"other"}}).AppendTo(nil),
+	}
+	seqOff := 2 + len("two")
+	seq := uint16(0)
+	flip := func() {
+		seq++
+		tc := tcs[seq%2]
+		binary.BigEndian.PutUint16(tc[seqOff:], seq)
+		binary.BigEndian.PutUint16(tc[seqOff+2:], seq) // a new ANSN purges the other selector
+		p.handleTC("nb", tc)
+		p.recompute()
+	}
+	flip()
+	flip() // both selectors interned, the stores at their high water
+	before := p.Stats().Recompute
+	if allocs := testing.AllocsPerRun(100, flip); allocs != 0 {
+		t.Fatalf("a changed recompute over known nodes allocates %.1f times, want 0", allocs)
+	}
+	if got := p.Stats().Recompute - before; got != 101 {
+		t.Fatalf("%d of 101 changed TCs rebuilt the routes", got)
+	}
+	_, toFar := p.NextHop("far")
+	_, toOther := p.NextHop("other")
+	if toFar == toOther {
+		t.Fatalf("routes to far (%v) and other (%v) did not follow the last TC", toFar, toOther)
 	}
 }
 

@@ -69,23 +69,6 @@ func (m *Hello) wireLen() int {
 	return n
 }
 
-// ParseHello decodes a hello body.
-func ParseHello(b []byte) (*Hello, error) {
-	r := wire.NewReader(b)
-	n := int(r.U16())
-	m := &Hello{}
-	for range n {
-		nb := HelloNeighbor{Addr: netem.NodeID(r.String())}
-		nb.Link = r.U8()
-		nb.MPR = r.U8() == 1
-		m.Neighbors = append(m.Neighbors, nb)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("olsr: parse HELLO: %w", err)
-	}
-	return m, nil
-}
-
 // TC is a topology-control message flooded through the MPR backbone
 // (RFC 3626 §9): the originator advertises links to its MPR selectors.
 type TC struct {
@@ -116,21 +99,4 @@ func (m *TC) wireLen() int {
 		n += 2 + len(s)
 	}
 	return n
-}
-
-// ParseTC decodes a TC body.
-func ParseTC(b []byte) (*TC, error) {
-	r := wire.NewReader(b)
-	m := &TC{Orig: netem.NodeID(r.String())}
-	m.Seq = r.U16()
-	m.ANSN = r.U16()
-	m.TTL = r.U8()
-	n := int(r.U16())
-	for range n {
-		m.Selectors = append(m.Selectors, netem.NodeID(r.String()))
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("olsr: parse TC: %w", err)
-	}
-	return m, nil
 }

@@ -157,62 +157,9 @@ type dupVal struct {
 
 // dupHardCap bounds the duplicate set: at 1024 nodes a single TC round puts
 // ~N entries here, so without a cap a long-running node grows it without
-// bound between the old opportunistic sweeps. Same bug class — and same
-// deadline-heap fix — as the SLP seenQ hard cap.
+// bound between the old opportunistic sweeps. Same bug class — and same fix,
+// eviction of the oldest entry — as the SLP seenQ hard cap.
 const dupHardCap = 8192
-
-// dupQItem pairs a duplicate-set key with its expiry for lazy heap pruning.
-type dupQItem struct {
-	key       dupKey
-	expiresNs int64
-}
-
-// dupHeap is a min-heap on expiresNs. Keys are pushed exactly once (a dupKey
-// is inserted into the map exactly once), so each heap item maps to one map
-// entry and popping may delete unconditionally. The heap is hand-rolled
-// rather than container/heap because the interface-based API boxes every
-// pushed item — an allocation per received TC on what must be a zero-alloc
-// steady-state path.
-type dupHeap []dupQItem
-
-func (h *dupHeap) push(it dupQItem) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].expiresNs <= q[i].expiresNs {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *dupHeap) pop() dupQItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	*h = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && q[l].expiresNs < q[s].expiresNs {
-			s = l
-		}
-		if r < n && q[r].expiresNs < q[s].expiresNs {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i], q[s] = q[s], q[i]
-		i = s
-	}
-	return top
-}
 
 // Protocol is an OLSR instance bound to one host.
 //
@@ -246,10 +193,15 @@ type Protocol struct {
 	topo    [][]topoEdge
 	topoSet bitset // origins with at least one stored edge
 	dups    map[dupKey]dupVal
-	dupQ    dupHeap // expiry order over dups, for lazy pruning
+	dupQ    routing.ExpiryQueue[dupKey] // dups in expiry order: each lives 2×TCInterval
 	seq     uint16
 	ansn    uint16
 	scratch recomputeScratch // pooled recompute working memory, under mu
+	// The route table by dense destination index, written in place by
+	// recompute's BFS under mu: hops is the hop count (0: no route) and via
+	// the first hop's dense index.
+	hops []int32
+	via  []uint32
 	// Pooled emission scratch: sendHello/sendTC rebuild these in place
 	// every beat instead of minting fresh slices.
 	helloNbs []HelloNeighbor
@@ -263,7 +215,6 @@ type Protocol struct {
 	farPhase uint64
 	selHash  uint64
 	selInit  bool
-	table    *routing.Table
 	pb       routing.PiggybackHandler
 	framer   routing.Framer
 	stats    Stats
@@ -297,7 +248,6 @@ func New(host *netem.Host, cfg Config) *Protocol {
 		clk:   host.Clock(),
 		nodes: newNodeIndex(),
 		dups:  make(map[dupKey]dupVal),
-		table: routing.NewTable(),
 	}
 	// Self is always dense index 0: HELLO/TC processing and the BFS skip it
 	// by integer compare.
@@ -331,6 +281,10 @@ func (p *Protocol) growTo(n int) {
 	}
 	for len(p.topo) < n {
 		p.topo = append(p.topo, nil)
+	}
+	for len(p.hops) < n {
+		p.hops = append(p.hops, 0)
+		p.via = append(p.via, 0)
 	}
 	p.linkSet.grow(n)
 	p.selSet.grow(n)
@@ -399,18 +353,30 @@ func (p *Protocol) Stats() Stats {
 	return p.stats
 }
 
-// Routes implements routing.Protocol.
+// Routes implements routing.Protocol: the table as rows, built on request in
+// the destinations' lexical order.
 func (p *Protocol) Routes() []routing.Entry {
-	return p.table.Snapshot(p.clk.Now())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]routing.Entry, 0, len(p.nodes.order))
+	for _, i := range p.nodes.order {
+		if p.hops[i] > 0 {
+			out = append(out, routing.Entry{Dst: p.nodes.ids[i], NextHop: p.nodes.ids[p.via[i]], Hops: int(p.hops[i])})
+		}
+	}
+	return out
 }
 
-// NextHop implements netem.RouteProvider.
+// NextHop implements netem.RouteProvider: an interner probe and two array
+// reads, and no clock, since proactive routes do not expire.
 func (p *Protocol) NextHop(dst netem.NodeID) (netem.NodeID, bool) {
-	e, ok := p.table.Lookup(dst, p.clk.Now())
-	if !ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, ok := p.nodes.lookup(dst)
+	if !ok || p.hops[i] == 0 {
 		return "", false
 	}
-	return e.NextHop, true
+	return p.nodes.ids[p.via[i]], true
 }
 
 // RequestRoute implements netem.RouteProvider. OLSR is proactive: either the
@@ -512,11 +478,12 @@ func (p *Protocol) onFrame(f netem.Frame) {
 			})
 		}
 	}
-	// Bodies are handled straight off the wire bytes (handleHello/handleTC)
-	// rather than through ParseHello/ParseTC: a converged grid's receive
-	// rate is degree×HELLO plus the TC flood, and decoding each copy into a
-	// fresh message struct with one string per node reference made the parse
-	// path the system's largest steady-state allocation site.
+	// Bodies are handled straight off the wire bytes (handleHello/handleTC),
+	// never decoded into message structs: a converged grid's receive rate is
+	// degree×HELLO plus the TC flood, and decoding each copy into a fresh
+	// struct with one string per node reference made the parse path the
+	// system's largest steady-state allocation site. FuzzHandleHello and
+	// FuzzHandleTC hold the two to what the bodies advertise.
 	switch env.Kind {
 	case KindHello:
 		p.handleHello(f.Src, env.Body)
@@ -525,20 +492,13 @@ func (p *Protocol) onFrame(f netem.Frame) {
 	}
 }
 
-// onHello feeds a decoded HELLO through the wire path; tests drive the
-// protocol with message structs, the frame handler with raw bodies.
-func (p *Protocol) onHello(from netem.NodeID, m *Hello) {
-	p.handleHello(from, m.AppendTo(nil))
-}
-
 // handleHello processes a HELLO body straight off the wire. Node references
 // are resolved against the interner by raw bytes, so a steady-state arrival
 // (all nodes known, advertised neighbourhood unchanged) performs zero
 // allocations — no message struct, no per-neighbour string.
 func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	// Validate the framing before touching state: the streaming walk below
-	// mutates as it reads, and a truncated HELLO must stay a no-op, exactly
-	// as when ParseHello rejected it up front.
+	// mutates as it reads, and a truncated HELLO must stay a no-op.
 	v := wire.NewReader(body)
 	n := int(v.U16())
 	for range n {
@@ -632,12 +592,6 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	}
 }
 
-// onTC feeds a decoded TC through the wire path; tests drive the protocol
-// with message structs, the frame handler with raw bodies.
-func (p *Protocol) onTC(from netem.NodeID, m *TC) {
-	p.handleTC(from, m.AppendTo(nil))
-}
-
 // handleTC processes a TC body straight off the wire, mirroring handleHello:
 // origin and selectors resolve against the interner by raw bytes (zero
 // allocations once the nodes are known), and the MPR retransmission copies the
@@ -689,19 +643,21 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 		// re-arriving copies into fresh re-forwards — a flood multiplier
 		// exactly when the network is busiest. Two TC intervals cover any
 		// copy still in flight by the time its seq is superseded.
-		p.dupQ.push(dupQItem{key: key, expiresNs: nowNs + 2*int64(p.cfg.TCInterval)})
+		p.dupQ.Push(key, nowNs+2*int64(p.cfg.TCInterval))
 	}
 	if doFwd {
 		dv.fwd = true
 	}
 	p.dups[key] = dv
-	// Lazy pruning off the deadline heap: drop entries past their hold time,
-	// and under the hard cap keep evicting the soonest-to-expire so a
-	// 1024-node TC storm cannot grow the set without bound. O(evicted log n)
-	// instead of the old full-map sweep.
-	for len(p.dupQ) > 0 && (nowNs > p.dupQ[0].expiresNs || len(p.dups) > dupHardCap) {
-		it := p.dupQ.pop()
-		delete(p.dups, it.key)
+	// Lazy pruning off the head of the expiry queue: drop entries past their
+	// hold time, and under the hard cap keep evicting the oldest so a
+	// 1024-node TC storm cannot grow the set without bound. A key is queued
+	// once, when it enters the set, so a popped key is deleted outright.
+	for p.dupQ.Len() > 0 {
+		if _, at := p.dupQ.Next(); nowNs <= at && len(p.dups) <= dupHardCap {
+			break
+		}
+		delete(p.dups, p.dupQ.Pop())
 	}
 	// Install/refresh the advertised tuples first, then purge whatever the
 	// new ANSN no longer advertises. Only an edge appearing or vanishing
@@ -1001,9 +957,10 @@ func (p *Protocol) recomputeFull() { p.recomputeImpl(true) }
 // cover + BFS shortest paths over 1-hop links and TC-advertised edges). The
 // traversal is deterministic — neighbour lists are expanded in lexical node
 // order (via the interner's rank table) — so identical inputs always produce
-// a bit-identical table. All working memory comes from the pooled scratch:
-// before pooling, this function plus Table.Replace minted 77% of every byte
-// the 1024-node scale study allocated.
+// a bit-identical table. All working memory comes from the pooled scratch,
+// and the BFS writes the table itself (hops, via) in place: before pooling,
+// this function and the map it refilled minted 77% of every byte the
+// 1024-node scale study allocated.
 func (p *Protocol) recomputeImpl(force bool) {
 	nowNs := p.clk.Now().UnixNano()
 	p.mu.Lock()
@@ -1067,13 +1024,14 @@ func (p *Protocol) recomputeImpl(force bool) {
 	// rebuild's scratch.
 	p.mprSet, s.mprNew = s.mprNew, p.mprSet
 
-	// --- Route computation: BFS over sym links + topology edges, on dense
-	// arrays (dist doubles as the visited set; next is the first hop).
-	clear(s.dist[:n])
+	// --- Route computation: BFS over sym links + topology edges, straight
+	// into the route table (hops doubles as the visited set), under mu so no
+	// reader sees it half built.
+	clear(p.hops[:n])
 	s.queue = s.queue[:0]
 	for _, nb := range s.symNbs {
-		s.dist[nb] = 1
-		s.next[nb] = nb
+		p.hops[nb] = 1
+		p.via[nb] = nb
 		s.queue = append(s.queue, nb)
 	}
 	// Adjacency from TC tuples: last -> dest (treated as bidirectional,
@@ -1104,31 +1062,15 @@ func (p *Protocol) recomputeImpl(force bool) {
 	}
 	for head := 0; head < len(s.queue); head++ {
 		cur := s.queue[head]
-		curNext, curDist := s.next[cur], s.dist[cur]
+		curVia, curHops := p.via[cur], p.hops[cur]
 		for _, nxt := range s.adj[cur] {
-			if nxt == selfIdx || s.dist[nxt] != 0 {
+			if nxt == selfIdx || p.hops[nxt] != 0 {
 				continue
 			}
-			s.dist[nxt] = curDist + 1
-			s.next[nxt] = curNext
+			p.hops[nxt] = curHops + 1
+			p.via[nxt] = curVia
 			s.queue = append(s.queue, nxt)
 		}
 	}
-	s.entries = s.entries[:0]
-	for i := 0; i < n; i++ {
-		if s.dist[i] > 0 {
-			s.entries = append(s.entries, routing.Entry{
-				Dst:     p.nodes.ids[i],
-				NextHop: p.nodes.ids[s.next[i]],
-				Hops:    int(s.dist[i]),
-			})
-		}
-	}
-	// Replace under p.mu: with the hash gate, a stale table installed by a
-	// concurrent rebuild racing Replace outside the lock would persist
-	// (the next arrival would hash "unchanged" and skip the fix). Replace
-	// copies into its double-buffered map, so the pooled entries slice is
-	// free for reuse the moment it returns.
-	p.table.Replace(s.entries)
 	p.mu.Unlock()
 }

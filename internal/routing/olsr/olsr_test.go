@@ -15,9 +15,9 @@ func TestHelloCodec(t *testing.T) {
 		{Addr: "b", Link: LinkAsym},
 	}}
 	body := in.AppendTo(nil)
-	out, err := ParseHello(body)
-	if err != nil {
-		t.Fatal(err)
+	out, ok := decodeHello(body)
+	if !ok {
+		t.Fatal("HELLO rejected")
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("mismatch: %+v vs %+v", in, out)
@@ -25,16 +25,16 @@ func TestHelloCodec(t *testing.T) {
 	if len(body) != in.wireLen() {
 		t.Fatalf("wireLen %d, body is %d bytes", in.wireLen(), len(body))
 	}
-	if _, err := ParseHello([]byte{0, 9}); err == nil {
+	if _, ok := decodeHello([]byte{0, 9}); ok {
 		t.Fatal("truncated HELLO accepted")
 	}
 }
 
 func TestTCCodec(t *testing.T) {
 	in := &TC{Orig: "router-7", Seq: 1000, ANSN: 42, TTL: 16, Selectors: []netem.NodeID{"x", "y"}}
-	out, err := ParseTC(in.AppendTo(nil))
-	if err != nil {
-		t.Fatal(err)
+	out, ok := decodeTC(in.AppendTo(nil))
+	if !ok {
+		t.Fatal("TC rejected")
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("mismatch: %+v vs %+v", in, out)
@@ -54,8 +54,8 @@ func TestTCCodecQuick(t *testing.T) {
 			in.Selectors = append(in.Selectors, netem.NodeID(s))
 		}
 		body := in.AppendTo(nil)
-		out, err := ParseTC(body)
-		return err == nil && reflect.DeepEqual(in, out) && len(body) == in.wireLen()
+		out, ok := decodeTC(body)
+		return ok && reflect.DeepEqual(in, out) && len(body) == in.wireLen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -24,18 +24,6 @@ const (
 	ProtoOLSR uint8 = 2
 )
 
-// ProtoName returns a human-readable protocol name.
-func ProtoName(p uint8) string {
-	switch p {
-	case ProtoAODV:
-		return "AODV"
-	case ProtoOLSR:
-		return "OLSR"
-	default:
-		return fmt.Sprintf("proto(%d)", p)
-	}
-}
-
 // Protocol is a runnable MANET routing protocol bound to one host.
 type Protocol interface {
 	netem.RouteProvider
@@ -208,27 +196,16 @@ type Entry struct {
 	Expires time.Time // zero means no expiry (proactive protocols)
 }
 
-// Table is a concurrency-safe route table shared by protocol
-// implementations. Expiry is evaluated lazily against the supplied clock
-// time on lookup.
+// Table is AODV's concurrency-safe route table. Expiry is evaluated lazily
+// against the supplied clock time on lookup.
 type Table struct {
 	mu      sync.Mutex
 	entries map[netem.NodeID]Entry
-	// spare is the previous generation's map, kept for Replace to clear and
-	// refill: proactive protocols call Replace on every recompute, and
-	// minting a fresh map each time made Replace the system's second
-	// largest allocation site (16% of all bytes in the 1024-node scale
-	// study). Double-buffering means steady traffic reuses two maps
-	// forever, growing only when the route count reaches a new high water.
-	spare map[netem.NodeID]Entry
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		entries: make(map[netem.NodeID]Entry),
-		spare:   make(map[netem.NodeID]Entry),
-	}
+	return &Table{entries: make(map[netem.NodeID]Entry)}
 }
 
 // Upsert installs or replaces the route for e.Dst. It never lowers the
@@ -308,17 +285,17 @@ func (t *Table) RemoveByNextHop(nh netem.NodeID) []Entry {
 	return removed
 }
 
-// Replace swaps in a whole new table atomically (proactive recomputation).
-// The input slice is copied into the table's double-buffered map; the caller
-// may reuse it immediately.
+// Replace swaps in a whole new table atomically: the map is cleared and
+// refilled under the lock, so it is reused, and the caller may reuse entries
+// at once. No protocol calls it (OLSR keeps its routes in its own dense
+// arrays); it stays for the layer benchmark that prices a whole-table swap.
 func (t *Table) Replace(entries []Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	clear(t.spare)
+	clear(t.entries)
 	for _, e := range entries {
-		t.spare[e.Dst] = e
+		t.entries[e.Dst] = e
 	}
-	t.entries, t.spare = t.spare, t.entries
 }
 
 // Snapshot returns all live entries sorted by destination.

@@ -133,12 +133,7 @@ type lookup struct {
 	deadline, reflood clock.Task
 }
 
-type relayEntry struct {
-	q       Query
-	expires time.Time
-}
-
-// deadlineItem orders map keys by expiry so seenQ/relayQ and the miss set
+// deadlineItem orders map keys by expiry so the advert cache and the miss set
 // can be pruned lazily in deadline order instead of full map sweeps.
 type deadlineItem[K comparable] struct {
 	k  K
@@ -230,10 +225,11 @@ type Agent struct {
 	qmu      sync.Mutex
 	qid      uint32
 	pendingQ map[cacheKey]*pendingQuery
-	relayQ   map[qkey]relayEntry
-	seenQ    map[qkey]time.Time // value: deadline after which the key may be pruned
-	seenH    deadlineHeap[qkey]
-	relayH   deadlineHeap[qkey]
+	// relayQ holds the foreign queries riding this node's outgoing routing
+	// messages, each for QueryRelayTTL; seenQ the foreign query keys already
+	// handled, each for 4×QueryRelayTTL.
+	relayQ queryTable[Query]
+	seenQ  queryTable[struct{}]
 	// lookups are the lookups waiting on the network, so that Stop can end
 	// them; nil once the agent has stopped.
 	lookups map[*lookup]struct{}
@@ -279,13 +275,13 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		cache:    newCache(),
 		local:    make(map[cacheKey]Service),
 		pendingQ: make(map[cacheKey]*pendingQuery),
-		relayQ:   make(map[qkey]relayEntry),
-		seenQ:    make(map[qkey]time.Time),
 		lookups:  make(map[*lookup]struct{}),
 		notFound: make(map[cacheKey]error),
 		types:    make(map[string]string),
 		pbW:      wire.NewWriter(256),
 	}
+	a.relayQ.task.Init(a.onRelayExpiry, nil)
+	a.seenQ.task.Init(a.onSeenExpiry, nil)
 	if cfg.Obs.Enabled() {
 		a.obsLookups = cfg.Obs.Counter("slp.lookups")
 		a.obsCacheHits = cfg.Obs.Counter("slp.lookups.cachehits")
@@ -305,13 +301,6 @@ func (a *Agent) AttachRouting(p routing.Protocol) {
 	if a.cfg.Mode == ModePiggyback {
 		p.SetPiggyback(a)
 	}
-}
-
-// Plugin returns the name of the attached routing plugin ("" if none).
-func (a *Agent) Plugin() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.plugin
 }
 
 // Mode returns the dissemination mode.
@@ -356,8 +345,11 @@ func (a *Agent) Stop() {
 	refresh.Stop()
 	a.qmu.Lock()
 	waiting := a.lookups
-	a.lookups = nil
+	a.lookups = nil // from here on no expiry task is queued (see armLocked)
 	a.qmu.Unlock()
+	sched, key := a.host.Sched(), string(a.host.ID())
+	sched.Cancel(key, &a.relayQ.task)
+	sched.Cancel(key, &a.seenQ.task)
 	for l := range waiting {
 		if l.claim() {
 			l.end(nil, &lookupError{l.ck, errStopped}, nil)
@@ -379,38 +371,109 @@ func (a *Agent) Stats() AgentStats {
 	}
 }
 
-// markSeenLocked records a query key in the dedup set. Expired entries are
-// pruned lazily in deadline order (no map sweeps), and the hard cap evicts
-// the oldest entries so sustained query load can never grow seenQ without
-// bound. Caller holds qmu.
+// markSeenLocked records a foreign query key in the dedup set. What is due is
+// dropped first, and the hard cap evicts the oldest entries so sustained query
+// load can never grow seenQ without bound. Caller holds qmu.
 func (a *Agent) markSeenLocked(k qkey, now time.Time) {
+	nowNs := now.UnixNano()
+	a.seenQ.expire(nowNs)
+	for len(a.seenQ.m) >= seenQHardCap && a.seenQ.q.Len() > 0 {
+		delete(a.seenQ.m, a.seenQ.q.Pop())
+	}
 	// Keys stay deduped well past the relay TTL so a straggler copy still
 	// relaying through a distant node is not re-processed here.
-	deadline := now.Add(4 * a.cfg.QueryRelayTTL)
-	for len(a.seenH) > 0 && !now.Before(a.seenH[0].at) {
-		top := a.seenH.pop()
-		// A key can appear twice in the heap after cap-eviction and
-		// re-admission; only drop it if the live deadline really passed.
-		if at, ok := a.seenQ[top.k]; ok && !now.Before(at) {
-			delete(a.seenQ, top.k)
-		}
-	}
-	for len(a.seenQ) >= seenQHardCap && len(a.seenH) > 0 {
-		top := a.seenH.pop()
-		delete(a.seenQ, top.k)
-	}
-	a.seenQ[k] = deadline
-	a.seenH.push(deadlineItem[qkey]{k: k, at: deadline})
+	a.seenQ.put(a, k, struct{}{}, nowNs+int64(4*a.cfg.QueryRelayTTL))
 }
 
-// pruneRelayLocked drops relay entries whose TTL passed, in deadline order.
-// Caller holds qmu.
-func (a *Agent) pruneRelayLocked(now time.Time) {
-	for len(a.relayH) > 0 && !now.Before(a.relayH[0].at) {
-		top := a.relayH.pop()
-		if re, ok := a.relayQ[top.k]; ok && !now.Before(re.expires) {
-			delete(a.relayQ, top.k)
+// queryTable is one of the agent's query tables, guarded by qmu: every key
+// lives one fixed span from when it is put in, so its queue is in expiry
+// order. Its one task is queued at the head's deadline; each run drops what is
+// due and moves on to the next deadline, and the run that empties the table
+// hands back what a burst grew it to (see routing.ExpiryQueue.Trim).
+type queryTable[V any] struct {
+	m    map[qkey]timed[V] // nil when empty
+	q    routing.ExpiryQueue[qkey]
+	task clock.Task
+}
+
+// timed is a table entry and its deadline, Unix ns.
+type timed[V any] struct {
+	v  V
+	at int64
+}
+
+// expire drops the entries whose deadline has passed. A key handled again
+// after its entry expired is queued again, so a popped key goes only if its
+// entry's own deadline has passed too.
+func (t *queryTable[V]) expire(nowNs int64) {
+	for t.q.Len() > 0 {
+		k, at := t.q.Next()
+		if nowNs < at {
+			return
 		}
+		t.q.Pop()
+		if e, ok := t.m[k]; ok && nowNs >= e.at {
+			delete(t.m, k)
+		}
+	}
+}
+
+// put enters k, due at at. A key that finds the queue empty is its head, so
+// the task is queued — or moved, if still queued for a key gone since — to
+// its deadline; otherwise it is queued already, for an earlier one.
+func (t *queryTable[V]) put(a *Agent, k qkey, v V, at int64) {
+	if t.m == nil {
+		t.m = make(map[qkey]timed[V])
+	}
+	t.m[k] = timed[V]{v, at}
+	if t.q.Len() == 0 {
+		a.armLocked(&t.task, at)
+	}
+	t.q.Push(k, at)
+}
+
+// run is the task's run. It reports whether the table gave its storage back.
+func (t *queryTable[V]) run(a *Agent, now time.Time) (trimmed bool) {
+	t.expire(now.UnixNano())
+	if t.q.Len() > 0 {
+		_, at := t.q.Next()
+		a.armLocked(&t.task, at)
+	} else if trimmed = t.q.Trim(); trimmed {
+		t.m = nil
+	}
+	return trimmed
+}
+
+// armLocked queues a table's task for at, unless the agent has stopped.
+// Caller holds qmu.
+func (a *Agent) armLocked(t *clock.Task, at int64) {
+	if a.lookups != nil {
+		a.host.Sched().At(string(a.host.ID()), t, time.Unix(0, at))
+	}
+}
+
+// onSeenExpiry is the dedup set's task.
+func (a *Agent) onSeenExpiry(now time.Time) {
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	a.seenQ.run(a, now)
+}
+
+// onRelayExpiry is the relay set's task. A relay set that hands its storage
+// back takes the outgoing query scratch with it, unless a query of this
+// node's own still rides along.
+func (a *Agent) onRelayExpiry(now time.Time) {
+	a.qmu.Lock()
+	trimmed := a.relayQ.run(a, now)
+	a.qmu.Unlock()
+	if trimmed {
+		a.pbMu.Lock() // before qmu, as AppendOutgoing takes them
+		a.qmu.Lock()
+		if len(a.relayQ.m) == 0 && len(a.pendingQ) == 0 {
+			a.pbPayload.Queries = nil
+		}
+		a.qmu.Unlock()
+		a.pbMu.Unlock()
 	}
 }
 
@@ -596,7 +659,6 @@ func (a *Agent) query(stype, key string, timeout time.Duration, done func(Servic
 			l.pq = new(pendingQuery)
 		}
 		l.pq.q = Query{Type: stype, Key: key, Origin: a.host.ID(), ID: a.qid, Hops: queryHops}
-		a.markSeenLocked(qkey{l.pq.q.Origin, l.pq.q.ID}, now)
 		a.pendingQ[ck] = l.pq
 	}
 	l.pq.refs++
@@ -732,7 +794,6 @@ func (l *lookup) onReflood(now time.Time) {
 	a.qmu.Lock()
 	a.qid++
 	l.q.ID = a.qid
-	a.markSeenLocked(qkey{l.q.Origin, l.q.ID}, now)
 	a.qmu.Unlock()
 	a.floodQuery(l.q)
 	a.host.Sched().At(string(a.host.ID()), &l.reflood, now.Add(l.timeout/3))
@@ -807,9 +868,9 @@ func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 	for _, pq := range a.pendingQ {
 		p.Queries = append(p.Queries, pq.q)
 	}
-	a.pruneRelayLocked(now)
-	for _, re := range a.relayQ {
-		p.Queries = append(p.Queries, re.q)
+	a.relayQ.expire(now.UnixNano())
+	for _, e := range a.relayQ.m {
+		p.Queries = append(p.Queries, e.v)
 	}
 	a.qmu.Unlock()
 	slices.SortFunc(p.Queries, func(x, y Query) int {
@@ -910,11 +971,13 @@ func (a *Agent) receive(b []byte) (d Digest, ok bool) {
 // not alias the frame; what a relay keeps of a wildcard query from a node of
 // its network are strings it already holds, so relaying one allocates nothing:
 // the network's own copy of the origin's ID and the agent's copy of the type.
+// A key counts as seen only until its deadline, dropped yet or not: a restarted
+// node numbers its queries from 1 again, and after a quiet spell they are new.
 func (a *Agent) handleQuery(it *item, now time.Time) {
 	origin := a.host.Network().OwnedID(netem.NodeID(it.origin))
 	k := qkey{origin, it.seq}
 	a.qmu.Lock()
-	if _, seen := a.seenQ[k]; seen {
+	if e, seen := a.seenQ.m[k]; seen && now.UnixNano() < e.at {
 		a.qmu.Unlock()
 		return
 	}
@@ -938,10 +1001,8 @@ func (a *Agent) handleQuery(it *item, now time.Time) {
 		return
 	}
 	a.stats.queriesRelayed.Add(1)
-	exp := now.Add(a.cfg.QueryRelayTTL)
 	a.qmu.Lock()
-	a.relayQ[k] = relayEntry{q: q, expires: exp}
-	a.relayH.push(deadlineItem[qkey]{k: k, at: exp})
+	a.relayQ.put(a, k, q, now.Add(a.cfg.QueryRelayTTL).UnixNano())
 	a.qmu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package slp
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,13 +41,13 @@ func (a *Agent) handlePayload(p *Payload) { a.receive(p.Marshal()) }
 func (a *Agent) seenLen() int {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
-	return len(a.seenQ)
+	return len(a.seenQ.m)
 }
 
 func (a *Agent) relayLen() int {
 	a.qmu.Lock()
 	defer a.qmu.Unlock()
-	return len(a.relayQ)
+	return len(a.relayQ.m)
 }
 
 // TestSeenQueryBoundedUnderLoad pins the fix for the unbounded seenQ growth:
@@ -92,8 +93,9 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 }
 
 // TestSeenQueryInsertExpiryAllocFree pins the dedup set's steady state — one
-// key expires off the deadline heap as the next is inserted — at zero
-// allocations: the heap is typed, so nothing is boxed on push or pop.
+// key expires off the head of the expiry queue as the next is inserted — at
+// zero allocations: the queue is typed and reuses its ring, so nothing is
+// boxed or grown on push or pop.
 func TestSeenQueryInsertExpiryAllocFree(t *testing.T) {
 	a, fc := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
 	keys := [2]qkey{{"n1", 1}, {"n2", 2}}
@@ -162,5 +164,102 @@ func TestOutgoingScratchDoesNotAlias(t *testing.T) {
 	}
 	if p, err := ParsePayload(second); err != nil || len(p.Adverts) != 2 {
 		t.Fatalf("second payload parse = %v, adverts = %+v", err, p)
+	}
+}
+
+// TestExpiredQueryKeyIsRelayedAgain: a dedup key counts only until its
+// deadline. A node that restarts numbers its queries from 1 again, and after a
+// quiet spell longer than the dedup lifetime its (origin, 1) is a new query,
+// to be relayed, not a duplicate of the one its earlier life sent.
+func TestExpiredQueryKeyIsRelayedAgain(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	q := &Payload{Queries: []Query{{Type: "sip", Key: "bob@x", Origin: "X", ID: 1, Hops: 4}}}
+	a.handlePayload(q)
+	if got := a.Stats().QueriesRelayed; got != 1 {
+		t.Fatalf("first query relayed %d times, want 1", got)
+	}
+	a.handlePayload(q)
+	if got := a.Stats().QueriesRelayed; got != 1 {
+		t.Fatalf("a duplicate within the dedup lifetime was relayed (%d)", got)
+	}
+	fc.Advance(4 * ttl)
+	a.handlePayload(q)
+	if got := a.Stats().QueriesRelayed; got != 2 {
+		t.Fatalf("(X,1) after the dedup lifetime: relayed %d times in all, want 2", got)
+	}
+}
+
+// TestQueryTablesGiveMemoryBack: after a burst of relayed queries and the
+// dedup lifetime with no traffic, the dedup set, the relay set, their queues
+// and the outgoing query scratch are empty and hold no storage — their expiry
+// tasks drained them — and the agent relays the next query as before.
+func TestQueryTablesGiveMemoryBack(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	for i := range 1000 {
+		a.handlePayload(&Payload{Queries: []Query{{
+			Type: "sip", Key: fmt.Sprintf("user%d@x", i), Origin: netem.NodeID(fmt.Sprintf("n%d", i)), ID: 1, Hops: 4,
+		}}})
+	}
+	a.Outgoing(routing.Outgoing{Dst: netem.Broadcast, Budget: 1200})
+	if a.seenLen() != 1000 || a.relayLen() != 1000 {
+		t.Fatalf("burst left %d seen and %d relayed queries, want 1000 of each", a.seenLen(), a.relayLen())
+	}
+	released := func() bool {
+		a.pbMu.Lock()
+		defer a.pbMu.Unlock()
+		a.qmu.Lock()
+		defer a.qmu.Unlock()
+		return a.seenQ.m == nil && a.relayQ.m == nil && a.pbPayload.Queries == nil &&
+			reflect.DeepEqual(a.seenQ.q, routing.ExpiryQueue[qkey]{}) &&
+			reflect.DeepEqual(a.relayQ.q, routing.ExpiryQueue[qkey]{})
+	}
+	fc.Advance(4 * ttl)
+	for deadline := time.Now().Add(5 * time.Second); !released(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the query tables still hold storage after the dedup lifetime")
+		}
+	}
+	a.handlePayload(&Payload{Queries: []Query{{Type: "sip", Key: "late", Origin: "late", ID: 1, Hops: 4}}})
+	if a.seenLen() != 1 || a.relayLen() != 1 || a.Stats().QueriesRelayed != 1001 {
+		t.Fatalf("after the drain: %d seen, %d relayed, %d relayed in all; want 1, 1, 1001",
+			a.seenLen(), a.relayLen(), a.Stats().QueriesRelayed)
+	}
+}
+
+// TestQueryExpiryTaskAllocFree pins a run of each query table's expiry task —
+// drop the entry that is due, move the task on to the next head's deadline —
+// at zero allocations, alongside the relayed query that keeps both tables in
+// steady state.
+func TestQueryExpiryTaskAllocFree(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	origin, err := a.host.Network().AddHost("10.0.0.7", netem.Position{X: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	items := make([]item, runs+2) // AllocsPerRun adds a warm-up run
+	for i := range items {
+		b := (&Payload{Queries: []Query{{Type: "gateway", Origin: origin.ID(), ID: uint32(i + 1), Hops: 8}}}).Marshal()
+		if dec := newDecoder(b); !dec.next(&items[i]) {
+			t.Fatal("query does not decode")
+		}
+	}
+	now, i := fc.Now(), 0
+	step := func() {
+		a.handleQuery(&items[i], now)
+		a.onRelayExpiry(now)
+		a.onSeenExpiry(now)
+		now, i = now.Add(ttl/2), i+1
+	}
+	step()
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Errorf("relayed query plus one run of each expiry task: %v allocations, want 0", allocs)
+	}
+	// Relay entries live two steps and dedup keys eight.
+	if a.relayLen() != 2 || a.seenLen() != 8 {
+		t.Fatalf("tables hold %d relayed and %d seen queries, want 2 and 8", a.relayLen(), a.seenLen())
 	}
 }
