@@ -2,7 +2,7 @@
 // host. No component's config names a clock, so on a network that runs on a
 // clock.Fake every time a component stamps — an advert's Expires, a binding's
 // expiry, a blacklist entry, a transaction's deadline — is fake time, and
-// passes only when the test advances it.
+// passes only while the test waits.
 package siphoc_test
 
 import (
@@ -19,12 +19,10 @@ import (
 	"siphoc/internal/internet"
 	"siphoc/internal/netem"
 	"siphoc/internal/overlay"
-	"siphoc/internal/routing"
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/routing/olsr"
 	"siphoc/internal/sip"
 	"siphoc/internal/slp"
-	"siphoc/internal/testutil"
 	"siphoc/internal/voip"
 )
 
@@ -52,11 +50,6 @@ func newClockBed(t *testing.T) *clockBed {
 	return bed
 }
 
-// within steps virtual time until cond holds, for at most limit.
-func (bed *clockBed) within(limit time.Duration, cond func() bool) bool {
-	return testutil.AdvanceUntil(bed.fake, limit/2000+time.Millisecond, limit, cond)
-}
-
 // onFake reports whether ts is a time of the fake clock's epoch (1970), not
 // the wall's.
 func (bed *clockBed) onFake(ts time.Time) bool {
@@ -64,24 +57,18 @@ func (bed *clockBed) onFake(ts time.Time) bool {
 	return -24*time.Hour < d && d < 24*time.Hour
 }
 
-// returns runs a blocking call while virtual time passes, for at most limit,
-// and reports whether it returned, and what.
+// returns runs a blocking call and reports whether it returned within limit
+// of virtual time, and what. A call whose timers are not on the network's
+// clock waits on them in vain, and the fake clock panics once nothing else is
+// left to run.
 func (bed *clockBed) returns(limit time.Duration, call func() error) (ended bool, err error) {
-	done := make(chan error, 1)
-	go func() { done <- call() }()
-	ended = bed.within(limit, func() bool {
-		select {
-		case err = <-done:
-			return true
-		default:
-			return false
-		}
-	})
-	return ended, err
+	start := bed.fake.Now()
+	err = call()
+	return bed.fake.Now().Sub(start) <= limit, err
 }
 
 // failsIn runs a blocking call that can only end by a timer, and checks that
-// it ends, with an error, once limit of virtual time has passed.
+// it ends, with an error, within limit of virtual time.
 func (bed *clockBed) failsIn(limit time.Duration, what string, call func() error) {
 	bed.t.Helper()
 	if ended, err := bed.returns(limit, call); !ended || err == nil {
@@ -113,8 +100,9 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			protos = append(protos, p)
 		}
 		protos[0].RequestRoute(bed.b.ID(), func(bool) {})
-		var routes []routing.Entry
-		if !bed.within(5*time.Second, func() bool { routes = protos[0].Routes(); return len(routes) > 0 }) {
+		bed.fake.Sleep(time.Second)
+		routes := protos[0].Routes()
+		if len(routes) == 0 {
 			t.Fatal("no route discovered")
 		}
 		if !bed.onFake(routes[0].Expires) {
@@ -134,12 +122,14 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			protos = append(protos, p)
 		}
 		linked := func() bool { _, ok := protos[0].NextHop(bed.b.ID()); return ok }
-		if !bed.within(time.Minute, linked) {
+		bed.fake.Sleep(time.Minute)
+		if !linked() {
 			t.Fatal("neighbours never linked")
 		}
 		// A link tuple is held for NeighborHold of the protocol's clock.
 		bed.net.SetLink(bed.a.ID(), bed.b.ID(), false)
-		if !bed.within(time.Minute, func() bool { return !linked() }) {
+		bed.fake.Sleep(time.Minute)
+		if linked() {
 			t.Fatal("a cut link outlived a minute of virtual time: its hold time is not on the network's clock")
 		}
 	})
@@ -197,7 +187,8 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			t.Fatalf("phone never registered with its proxy: %v", err)
 		}
 		// The binding lives 60 s, of the proxy's clock.
-		if !bed.within(2*time.Minute, func() bool { return len(proxy.Bindings()) == 0 }) {
+		bed.fake.Sleep(2 * time.Minute)
+		if len(proxy.Bindings()) != 0 {
 			t.Fatal("binding outlived two minutes of virtual time")
 		}
 	})
@@ -226,11 +217,13 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cp.Stop()
-		if !bed.within(time.Minute, func() bool { return slices.Equal(cp.Blacklisted(), []netem.NodeID{bed.c.ID()}) }) {
+		bed.fake.Sleep(2 * time.Second)
+		if !slices.Equal(cp.Blacklisted(), []netem.NodeID{bed.c.ID()}) {
 			t.Fatalf("blacklist = %v, want the silent gateway", cp.Blacklisted())
 		}
 		agents[bed.a].Deregister(bogus.Type, bogus.Key)
-		if !bed.within(time.Minute, func() bool { return len(cp.Blacklisted()) == 0 }) {
+		bed.fake.Sleep(time.Minute)
+		if len(cp.Blacklisted()) != 0 {
 			t.Fatal("blacklist entry outlived a minute of virtual time")
 		}
 		// Gateway Provider: a client that vanishes is evicted after ClientTTL
@@ -240,11 +233,13 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer gw.Stop()
-		if !bed.within(time.Minute, cp.Attached) || len(gw.Clients()) != 1 {
+		bed.fake.Sleep(time.Minute)
+		if !cp.Attached() || len(gw.Clients()) != 1 {
 			t.Fatalf("attached = %v, gateway clients = %v", cp.Attached(), gw.Clients())
 		}
 		bed.net.RemoveHost(bed.a.ID())
-		if !bed.within(time.Minute, func() bool { return len(gw.Clients()) == 0 }) {
+		bed.fake.Sleep(time.Minute)
+		if len(gw.Clients()) != 0 {
 			t.Fatal("a vanished tunnel client outlived a minute of virtual time")
 		}
 	})
@@ -282,7 +277,8 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			if ok, err := bed.returns(time.Minute, ph.Register); !ok || err != nil || !bound() {
 				t.Fatalf("phone never registered at %s: %v", domain, err)
 			}
-			if !bed.within(2*time.Minute, func() bool { return !bound() }) {
+			bed.fake.Sleep(2 * time.Minute)
+			if bound() {
 				t.Fatalf("binding at %s outlived two minutes of virtual time", domain)
 			}
 		}
@@ -327,11 +323,13 @@ func TestComponentsTakeHostClock(t *testing.T) {
 			}
 			pair.register("u@x", "10.8.0.1:5060")
 			known := func() bool { _, ok := pair.lookup("u@x"); return ok }
-			if !bed.within(time.Minute, known) {
+			bed.fake.Sleep(time.Minute)
+			if !known() {
 				t.Fatalf("%s: binding never reached the neighbour", name)
 			}
 			bed.net.SetLink(bed.a.ID(), bed.b.ID(), false)
-			if !bed.within(time.Minute, func() bool { return !known() }) {
+			bed.fake.Sleep(time.Minute)
+			if known() {
 				t.Fatalf("%s: binding outlived a minute of virtual time without refreshes", name)
 			}
 			bed.net.SetLink(bed.a.ID(), bed.b.ID(), true)

@@ -120,17 +120,12 @@ func (f *FaultScenario) CheckInvariants(settle time.Duration) error {
 		return fmt.Errorf("siphoc: fault callbacks failed: %v", errs)
 	}
 
-	deadline := f.sc.Clock().Now().Add(settle)
+	clk := f.sc.Clock()
+	deadline := clk.Now().Add(settle)
 	for _, c := range tracked {
-		for {
-			st := c.State()
-			if st == CallEstablished || st == CallEnded || st == CallFailed {
-				break
-			}
-			if f.sc.Clock().Now().After(deadline) {
-				return fmt.Errorf("siphoc: call %s stuck in state %v past deadline", c.ID(), st)
-			}
-			f.sc.Clock().Sleep(10 * time.Millisecond)
+		_ = c.WaitEstablished(max(deadline.Sub(clk.Now()), 0)) // returns once the call leaves setup
+		if st := c.State(); st != CallEstablished && st != CallEnded && st != CallFailed {
+			return fmt.Errorf("siphoc: call %s stuck in state %v past deadline", c.ID(), st)
 		}
 	}
 	for _, c := range tracked {

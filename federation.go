@@ -277,12 +277,7 @@ func (f *FederationScenario) WaitAttached(timeout time.Duration) error {
 	clk := f.Clock()
 	deadline := clk.Now().Add(timeout)
 	for _, n := range f.Clients() {
-		remain := deadline.Sub(clk.Now())
-		if remain <= 0 {
-			remain = time.Millisecond
-		}
-		sc := n.scenario
-		if err := sc.WaitAttached(n, remain); err != nil {
+		if err := n.scenario.WaitAttached(n, max(deadline.Sub(clk.Now()), time.Millisecond)); err != nil {
 			return err
 		}
 	}

@@ -19,12 +19,9 @@ import (
 	"siphoc/internal/routing/olsr"
 )
 
-// goldenRun drives a 5×5 OLSR grid on a fake clock for 1.5 s of virtual
-// time, stepping 1 ms at a time and letting each step's work drain before
-// the next, and returns a per-node fingerprint: timer-fire counts plus the
-// converged route table. Stepping at 1 ms — the per-hop delivery delay, and
-// a divisor of every protocol interval — keeps all deadlines on integer
-// milliseconds, so every run sees the same timer schedule.
+// goldenRun runs a 5×5 OLSR grid on a fake clock for 1.5 s of virtual time
+// and returns a per-node fingerprint: timer-fire counts plus the converged
+// route table.
 func goldenRun(t *testing.T) map[netem.NodeID]string {
 	t.Helper()
 	fake := clock.NewFake(time.Unix(1_000_000, 0))
@@ -48,45 +45,7 @@ func goldenRun(t *testing.T) map[netem.NodeID]string {
 		t.Fatal(err)
 	}
 
-	// activity changes whenever any node transmits, forwards, recomputes or
-	// (re-)arms a timer; a stable reading means the current virtual instant
-	// has drained. The pending-timer count is part of the fingerprint so a
-	// loop that has fired but not yet re-armed still reads as busy.
-	activity := func() [2]int64 {
-		st := sc.Network().Stats()
-		sum := st.RoutingFrames + st.Deliveries
-		for _, n := range nodes {
-			s := n.Routing().(*olsr.Protocol).Stats()
-			sum += s.HelloSent + s.TCSent + s.TCFwd + s.Recompute + s.RecomputeSkipped
-		}
-		return [2]int64{sum, int64(fake.PendingTimers())}
-	}
-	settle := func() {
-		last, stable := activity(), 0
-		for i := 0; i < 4000 && stable < 5; i++ {
-			runtime.Gosched()
-			time.Sleep(100 * time.Microsecond)
-			if cur := activity(); cur == last {
-				stable++
-			} else {
-				last, stable = cur, 0
-			}
-		}
-	}
-	// Start registers a node's HELLO and TC tasks synchronously, but the
-	// shard worker arms its one timer for the earliest deadline on its own
-	// goroutine; stepping the clock before it has would fire nothing.
-	for i := 0; i < 10000 && fake.PendingTimers() < 1; i++ {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if fake.PendingTimers() < 1 {
-		t.Fatal("no timer armed before first advance")
-	}
-	settle()
-	for step := 0; step < 1500; step++ {
-		fake.Advance(time.Millisecond)
-		settle()
-	}
+	fake.Sleep(1500 * time.Millisecond)
 
 	out := make(map[netem.NodeID]string, len(nodes))
 	for _, n := range nodes {

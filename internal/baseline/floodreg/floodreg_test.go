@@ -6,7 +6,6 @@ import (
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
-	"siphoc/internal/testutil"
 )
 
 func simConfig() Config {
@@ -14,16 +13,11 @@ func simConfig() Config {
 }
 
 // chain is an n-node line of agents on a fake clock: the agents take it
-// from their hosts, and the tests step it.
+// from their hosts, and the tests sleep on it.
 type chain struct {
 	net    *netem.Network
 	fake   *clock.Fake
 	agents []*Agent
-}
-
-// within steps virtual time until cond holds, for at most limit.
-func (c *chain) within(limit time.Duration, cond func() bool) bool {
-	return testutil.AdvanceUntil(c.fake, time.Millisecond, limit, cond)
 }
 
 func buildChain(t *testing.T, n int) *chain {
@@ -49,8 +43,9 @@ func buildChain(t *testing.T, n int) *chain {
 func TestFloodPropagatesBindings(t *testing.T) {
 	c := buildChain(t, 5)
 	c.agents[0].Register("alice@voicehoc.ch", "f.1:5060")
-	var addr string
-	if !c.within(5*time.Second, func() (ok bool) { addr, ok = c.agents[4].Lookup("alice@voicehoc.ch"); return ok }) {
+	c.fake.Sleep(5 * time.Second)
+	addr, ok := c.agents[4].Lookup("alice@voicehoc.ch")
+	if !ok {
 		t.Fatal("binding never reached the far node")
 	}
 	if addr != "f.1:5060" {
@@ -73,12 +68,14 @@ func TestBindingExpires(t *testing.T) {
 	c := buildChain(t, 2)
 	c.agents[0].Register("alice@x", "f.1:5060")
 	known := func() bool { _, ok := c.agents[1].Lookup("alice@x"); return ok }
-	if !c.within(5*time.Second, known) {
+	c.fake.Sleep(5 * time.Second)
+	if !known() {
 		t.Fatal("binding never reached the neighbour")
 	}
 	// Partition the nodes; refreshes stop arriving and the binding ages out.
 	c.net.SetLink("f.1", "f.2", false)
-	if !c.within(5*time.Second, func() bool { return !known() }) {
+	c.fake.Sleep(5 * time.Second)
+	if known() {
 		t.Fatal("binding never expired after partition")
 	}
 }
@@ -87,9 +84,9 @@ func TestOverheadScalesWithTime(t *testing.T) {
 	c := buildChain(t, 3)
 	c.agents[0].Register("alice@x", "f.1:5060")
 	c.net.ResetStats()
-	c.within(300*time.Millisecond, testutil.Never)
+	c.fake.Sleep(300 * time.Millisecond)
 	early := c.net.Stats().ServiceFrames
-	c.within(300*time.Millisecond, testutil.Never)
+	c.fake.Sleep(300 * time.Millisecond)
 	late := c.net.Stats().ServiceFrames
 	// Flooding never stops — the inefficiency the paper calls out.
 	if late <= early {

@@ -6,7 +6,6 @@ import (
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
-	"siphoc/internal/testutil"
 )
 
 func simConfig() Config {
@@ -14,16 +13,11 @@ func simConfig() Config {
 }
 
 // chain is an n-node line of agents on a fake clock: the agents take it
-// from their hosts, and the tests step it.
+// from their hosts, and the tests sleep on it.
 type chain struct {
 	net    *netem.Network
 	fake   *clock.Fake
 	agents []*Agent
-}
-
-// within steps virtual time until cond holds, for at most limit.
-func (c *chain) within(limit time.Duration, cond func() bool) bool {
-	return testutil.AdvanceUntil(c.fake, time.Millisecond, limit, cond)
 }
 
 func buildChain(t *testing.T, n int) *chain {
@@ -49,8 +43,9 @@ func buildChain(t *testing.T, n int) *chain {
 func TestMappingGossipsAcrossChain(t *testing.T) {
 	c := buildChain(t, 4)
 	c.agents[0].Register("alice@x", "p.1:5060")
-	var addr string
-	if !c.within(5*time.Second, func() (ok bool) { addr, ok = c.agents[3].Lookup("alice@x"); return ok }) {
+	c.fake.Sleep(5 * time.Second)
+	addr, ok := c.agents[3].Lookup("alice@x")
+	if !ok {
 		t.Fatal("mapping never gossiped to the far node")
 	}
 	if addr != "p.1:5060" {
@@ -71,7 +66,8 @@ func TestEveryNodeCarriesFullTable(t *testing.T) {
 		}
 		return true
 	}
-	if !c.within(5*time.Second, full) {
+	c.fake.Sleep(5 * time.Second)
+	if !full() {
 		t.Fatal("not every node learned every mapping")
 	}
 }
@@ -80,7 +76,7 @@ func TestStandingOverheadWithoutCalls(t *testing.T) {
 	c := buildChain(t, 3)
 	c.agents[0].Register("alice@x", "p.1:5060")
 	c.net.ResetStats()
-	c.within(300*time.Millisecond, testutil.Never)
+	c.fake.Sleep(300 * time.Millisecond)
 	st := c.net.Stats()
 	// Pro-active HELLOs keep flowing even though nobody ever looks
 	// anything up — the resource waste the paper criticizes.
@@ -93,11 +89,13 @@ func TestMappingExpires(t *testing.T) {
 	c := buildChain(t, 2)
 	c.agents[0].Register("alice@x", "p.1:5060")
 	known := func() bool { _, ok := c.agents[1].Lookup("alice@x"); return ok }
-	if !c.within(5*time.Second, known) {
+	c.fake.Sleep(5 * time.Second)
+	if !known() {
 		t.Fatal("mapping never reached the neighbour")
 	}
 	c.net.SetLink("p.1", "p.2", false)
-	if !c.within(5*time.Second, func() bool { return !known() }) {
+	c.fake.Sleep(5 * time.Second)
+	if known() {
 		t.Fatal("mapping never expired after partition")
 	}
 }

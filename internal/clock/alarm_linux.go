@@ -7,15 +7,13 @@ import (
 	"unsafe"
 )
 
-// newAlarm gives the system clock a timerfd and every other clock its own
-// Timer. A system that refuses the timerfd gets the Timer too.
-func newAlarm(clk Clock) alarm {
-	if _, ok := clk.(System); ok {
-		if a, err := newFDAlarm(); err == nil {
-			return a
-		}
+// newSystemAlarm gives the system clock a timerfd. A system that refuses it
+// gets a time.Timer.
+func newSystemAlarm() alarm {
+	if a, err := newFDAlarm(); err == nil {
+		return a
 	}
-	return newTimerAlarm(clk)
+	return newTimerAlarm()
 }
 
 // fdAlarm is a CLOCK_MONOTONIC timerfd, non-blocking and registered with the

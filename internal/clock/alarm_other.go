@@ -2,6 +2,6 @@
 
 package clock
 
-// newAlarm gives every clock its own Timer: without a timerfd, a system-clock
+// newSystemAlarm gives the system clock a time.Timer: without a timerfd, a
 // worker wakes at the runtime poller's granularity.
-func newAlarm(clk Clock) alarm { return newTimerAlarm(clk) }
+func newSystemAlarm() alarm { return newTimerAlarm() }

@@ -1,7 +1,9 @@
 package clock
 
 import (
-	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -13,92 +15,168 @@ func TestFakeNowAdvance(t *testing.T) {
 	if got := f.Now(); !got.Equal(epoch) {
 		t.Fatalf("Now() = %v, want %v", got, epoch)
 	}
-	f.Advance(90 * time.Second)
+	f.Sleep(90 * time.Second)
 	if got, want := f.Now(), epoch.Add(90*time.Second); !got.Equal(want) {
-		t.Fatalf("Now() after Advance = %v, want %v", got, want)
+		t.Fatalf("Now() after Sleep = %v, want %v", got, want)
 	}
 }
 
+// TestFakeTimerFiresAtDeadline: a wait nothing releases ends at its timeout,
+// to the nanosecond.
 func TestFakeTimerFiresAtDeadline(t *testing.T) {
 	f := NewFake(epoch)
-	tm := f.NewTimer(10 * time.Second)
-	select {
-	case <-tm.C():
-		t.Fatal("timer fired before Advance")
-	default:
+	var never Gate
+	never.Init(f)
+	if got := Wait("timed out", 10*time.Second, &never); got != -1 {
+		t.Fatalf("Wait = %d, want -1 (timeout)", got)
 	}
-	f.Advance(9 * time.Second)
-	select {
-	case <-tm.C():
-		t.Fatal("timer fired too early")
-	default:
-	}
-	f.Advance(1 * time.Second)
-	select {
-	case at := <-tm.C():
-		if want := epoch.Add(10 * time.Second); !at.Equal(want) {
-			t.Fatalf("fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire at deadline")
+	if got, want := f.Now(), epoch.Add(10*time.Second); !got.Equal(want) {
+		t.Fatalf("timed-out waiter resumed at %v, want %v", got, want)
 	}
 }
 
+// TestFakeTimerOrdering: tasks on two shards run in deadline order, each at
+// its own instant.
 func TestFakeTimerOrdering(t *testing.T) {
 	f := NewFake(epoch)
-	t1 := f.NewTimer(3 * time.Second)
-	t2 := f.NewTimer(1 * time.Second)
-	t3 := f.NewTimer(2 * time.Second)
-	f.Advance(5 * time.Second)
-	at1, at2, at3 := <-t1.C(), <-t2.C(), <-t3.C()
-	if !at2.Before(at3) || !at3.Before(at1) {
-		t.Fatalf("firing order wrong: t1=%v t2=%v t3=%v", at1, at2, at3)
+	s := NewScheduler(f, 2)
+	defer s.Close()
+	var mu sync.Mutex
+	var ran []time.Duration
+	for i, d := range []time.Duration{3 * time.Second, time.Second, 2 * time.Second} {
+		s.After(string(rune('a'+i)), d, func(now time.Time) {
+			mu.Lock()
+			ran = append(ran, now.Sub(epoch))
+			mu.Unlock()
+		})
+	}
+	f.Sleep(5 * time.Second)
+	if want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}; !slices.Equal(ran, want) {
+		t.Fatalf("ran at %v, want %v", ran, want)
 	}
 }
 
+// TestFakeStopPreventsFire: neither a stopped nor a cancelled task runs when
+// the clock passes its deadline.
 func TestFakeStopPreventsFire(t *testing.T) {
 	f := NewFake(epoch)
-	tm := f.NewTimer(time.Second)
-	if !tm.Stop() {
-		t.Fatal("Stop() = false for pending timer")
+	s := NewScheduler(f, 1)
+	defer s.Close()
+	s.After("n", time.Second, func(time.Time) { t.Error("a stopped task ran") }).Stop()
+	var cancelled Task
+	cancelled.Init(func(time.Time) { t.Error("a cancelled task ran") }, nil)
+	s.At("n", &cancelled, f.Now().Add(time.Second))
+	if !s.Cancel("n", &cancelled) {
+		t.Fatal("Cancel of a queued task = false")
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop() = true")
-	}
-	f.Advance(2 * time.Second)
-	select {
-	case <-tm.C():
-		t.Fatal("stopped timer fired")
-	default:
-	}
-	if n := f.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers() = %d, want 0", n)
+	f.Sleep(2 * time.Second)
+	if st := s.Stats(); st.Runs != 0 {
+		t.Fatalf("%d runs, want 0", st.Runs)
 	}
 }
 
+// TestFakeZeroDurationFiresImmediately: a sleep or a wait of zero returns at
+// once, at the same instant.
 func TestFakeZeroDurationFiresImmediately(t *testing.T) {
 	f := NewFake(epoch)
-	tm := f.NewTimer(0)
-	select {
-	case <-tm.C():
-	default:
-		t.Fatal("zero-duration timer did not fire immediately")
+	var never Gate
+	never.Init(f)
+	f.Sleep(0)
+	if got := Wait("zero", 0, &never); got != -1 {
+		t.Fatalf("Wait(0) = %d, want -1", got)
+	}
+	if got := f.Now(); !got.Equal(epoch) {
+		t.Fatalf("Now() = %v after zero waits, want %v", got, epoch)
 	}
 }
 
+// TestFakeSet: the clock never runs backwards. A negative sleep returns at
+// once, and a task queued in the past runs at the present.
 func TestFakeSet(t *testing.T) {
 	f := NewFake(epoch)
-	ch := f.After(time.Minute)
-	f.Set(epoch.Add(2 * time.Minute))
-	select {
-	case <-ch:
-	default:
-		t.Fatal("After channel not ready following Set past deadline")
+	s := NewScheduler(f, 1)
+	defer s.Close()
+	f.Sleep(-time.Minute)
+	var at time.Time
+	s.After("n", -time.Hour, func(now time.Time) { at = now })
+	f.Sleep(0)
+	if got := f.Now(); !got.Equal(epoch) || !at.Equal(epoch) {
+		t.Fatalf("Now() = %v, task ran at %v; want both %v", got, at, epoch)
 	}
-	// Set to a time in the past must not rewind.
-	f.Set(epoch)
-	if got := f.Now(); got.Before(epoch.Add(2 * time.Minute)) {
-		t.Fatalf("Set rewound the clock to %v", got)
+}
+
+// TestFakeTimerReset: from whatever state a task is in, At leaves it as a
+// fresh queuing would — it runs once, at the new deadline.
+func TestFakeTimerReset(t *testing.T) {
+	states := []struct {
+		name    string
+		prepare func(f *Fake, s *Scheduler, task *Task)
+	}{
+		{"pending", func(f *Fake, s *Scheduler, task *Task) { s.At("n", task, f.Now().Add(time.Minute)) }},
+		{"fired_and_drained", func(f *Fake, s *Scheduler, task *Task) {
+			s.At("n", task, f.Now().Add(time.Second))
+			f.Sleep(time.Second)
+		}},
+		// Popped for a batch and moved by an earlier task of that batch
+		// before its turn.
+		{"fired_and_undrained", func(f *Fake, s *Scheduler, task *Task) {
+			due := f.Now().Add(time.Second)
+			s.After("n", time.Second, func(time.Time) { s.At("n", task, f.Now().Add(10*time.Second)) })
+			s.At("n", task, due)
+			f.Sleep(time.Second)
+		}},
+		{"stopped", func(f *Fake, s *Scheduler, task *Task) {
+			s.At("n", task, f.Now().Add(time.Minute))
+			s.Cancel("n", task)
+		}},
+	}
+	for _, st := range states {
+		t.Run(st.name, func(t *testing.T) {
+			f := NewFake(epoch)
+			s := NewScheduler(f, 1)
+			defer s.Close()
+			var runs []time.Time
+			var task Task
+			task.Init(func(now time.Time) { runs = append(runs, now) }, nil)
+			st.prepare(f, s, &task)
+			before := len(runs)
+			want := f.Now().Add(10 * time.Second)
+			s.At("n", &task, want)
+			f.Sleep(time.Minute)
+			if got := runs[before:]; len(got) != 1 || !got[0].Equal(want) {
+				t.Fatalf("ran at %v after the re-arm, want once at %v", got, want)
+			}
+		})
+	}
+}
+
+// TestFakeTimerResetTieOrder: tasks due at one instant run in the order they
+// were queued, and a task moved there queues behind those already due then —
+// exactly where cancelling it and queuing it afresh would. The event-loop
+// goldens rest on this.
+func TestFakeTimerResetTieOrder(t *testing.T) {
+	order := func(rearm func(s *Scheduler, a *Task, due time.Time)) string {
+		f := NewFake(epoch)
+		s := NewScheduler(f, 1)
+		defer s.Close()
+		due := f.Now().Add(5 * time.Second)
+		var got []byte
+		tasks := map[byte]*Task{}
+		for _, name := range []byte("abc") {
+			tasks[name] = new(Task)
+			tasks[name].Init(func(time.Time) { got = append(got, name) }, nil)
+		}
+		s.At("n", tasks['a'], due)
+		s.At("n", tasks['b'], due)
+		rearm(s, tasks['a'], due)
+		s.At("n", tasks['c'], due)
+		f.Sleep(5 * time.Second)
+		return string(got)
+	}
+	viaAt := order(func(s *Scheduler, a *Task, due time.Time) { s.At("n", a, due) })
+	viaCancel := order(func(s *Scheduler, a *Task, due time.Time) { s.Cancel("n", a); s.At("n", a, due) })
+	if viaAt != "bac" || viaCancel != "bac" {
+		t.Fatalf("run order: moved %q, cancelled and queued again %q, want \"bac\"", viaAt, viaCancel)
 	}
 }
 
@@ -106,172 +184,178 @@ func TestSystemClockMonotone(t *testing.T) {
 	c := New()
 	a := c.Now()
 	c.Sleep(time.Millisecond)
-	b := c.Now()
-	if !b.After(a) {
+	if b := c.Now(); !b.After(a) {
 		t.Fatalf("system clock did not advance: %v then %v", a, b)
 	}
-	tm := c.NewTimer(time.Millisecond)
-	select {
-	case <-tm.C():
-	case <-time.After(time.Second):
-		t.Fatal("system timer did not fire")
-	}
 }
 
-// ticked reports whether a tick is waiting on the timer, without consuming
-// more than that one.
-func ticked(tm Timer) bool {
-	select {
-	case <-tm.C():
-		return true
-	default:
-		return false
-	}
-}
-
-// TestFakeTimerReset: from whatever state, Reset leaves the timer as a fresh
-// NewTimer(d) would be, with no tick from before the Reset left to receive.
-func TestFakeTimerReset(t *testing.T) {
-	states := []struct {
-		name    string
-		prepare func(f *Fake) Timer
-		pending bool // what Reset reports
-	}{
-		{"pending", func(f *Fake) Timer { return f.NewTimer(time.Minute) }, true},
-		{"fired and drained", func(f *Fake) Timer {
-			tm := f.NewTimer(time.Second)
-			f.Advance(time.Second)
-			<-tm.C()
-			return tm
-		}, false},
-		{"fired and undrained", func(f *Fake) Timer {
-			tm := f.NewTimer(time.Second)
-			f.Advance(time.Second)
-			return tm
-		}, false},
-		{"stopped", func(f *Fake) Timer {
-			tm := f.NewTimer(time.Minute)
-			tm.Stop()
-			return tm
-		}, false},
-	}
-	for _, st := range states {
-		t.Run(st.name, func(t *testing.T) {
-			f := NewFake(epoch)
-			tm := st.prepare(f)
-			if got := tm.Reset(10 * time.Second); got != st.pending {
-				t.Errorf("Reset() = %v, want %v", got, st.pending)
-			}
-			want := f.Now().Add(10 * time.Second)
-			if n := f.PendingTimers(); n != 1 {
-				t.Errorf("PendingTimers() = %d after Reset, want 1", n)
-			}
-			if at, ok := f.NextDeadline(); !ok || !at.Equal(want) {
-				t.Errorf("NextDeadline() = %v, %v; want %v", at, ok, want)
-			}
-			if ticked(tm) {
-				t.Fatal("stale tick after Reset")
-			}
-			f.Advance(10*time.Second - 1)
-			if ticked(tm) {
-				t.Fatal("fired before the new deadline")
-			}
-			f.Advance(1)
-			select {
-			case at := <-tm.C():
-				if !at.Equal(want) {
-					t.Errorf("fired at %v, want %v", at, want)
-				}
-			default:
-				t.Fatal("did not fire at the new deadline")
-			}
-			if ticked(tm) || f.PendingTimers() != 0 {
-				t.Error("fired twice or still queued")
-			}
-
-			// d <= 0 fires at once, like NewTimer(0), and queues nothing.
-			if tm.Reset(0) {
-				t.Error("Reset(0) on a fired timer = true")
-			}
-			if f.PendingTimers() != 0 || !ticked(tm) || ticked(tm) {
-				t.Error("Reset(0) did not fire exactly once, immediately")
-			}
-			if tm.Stop() {
-				t.Error("Stop() = true after Reset(0) fired")
-			}
-		})
-	}
-}
-
-// TestFakeTimerResetTieOrder: timers with equal deadlines fire in the order
-// they were queued, and a Reset queues exactly where Stop + NewTimer would —
-// at the back. The event-loop goldens rest on this. Ticks of one Advance all
-// carry the same instant, so the order is read off the queue.
-func TestFakeTimerResetTieOrder(t *testing.T) {
-	order := func(rearm func(f *Fake, a Timer) Timer) []string {
-		f := NewFake(epoch)
-		a := f.NewTimer(5 * time.Second)
-		names := map[Timer]string{f.NewTimer(5 * time.Second): "b"}
-		names[rearm(f, a)] = "a"
-		names[f.NewTimer(5*time.Second)] = "c"
-		var got []string
-		for _, tm := range f.timers {
-			got = append(got, names[tm])
-		}
-		f.Advance(5 * time.Second)
-		for tm, name := range names {
-			if !ticked(tm) {
-				t.Fatalf("timer %s did not fire", name)
-			}
-		}
-		return got
-	}
-	viaReset := order(func(_ *Fake, a Timer) Timer { a.Reset(5 * time.Second); return a })
-	viaNew := order(func(f *Fake, a Timer) Timer { a.Stop(); return f.NewTimer(5 * time.Second) })
-	if want := []string{"b", "a", "c"}; !reflect.DeepEqual(viaReset, want) || !reflect.DeepEqual(viaNew, want) {
-		t.Fatalf("queue order: Reset %v, Stop+NewTimer %v, want %v", viaReset, viaNew, want)
-	}
-}
-
-// TestSystemTimerReset: a fired, undrained system timer delivers no stale
-// tick after Reset (go 1.23+ timer channels), then fires once at the new
-// deadline.
+// TestSystemTimerReset: the system clock's time.Timer alarm, fired and never
+// waited on, delivers no stale wake-up once re-armed (go 1.23+ timer
+// channels), and then fires once at the new deadline.
 func TestSystemTimerReset(t *testing.T) {
-	c := New()
-	tm := c.NewTimer(time.Millisecond)
-	time.Sleep(5 * time.Millisecond) // fired; tick never received
-	tm.Reset(time.Hour)
-	if ticked(tm) {
-		t.Fatal("stale tick after Reset")
-	}
-	if !tm.Reset(time.Millisecond) {
-		t.Error("Reset() = false for a pending timer")
-	}
+	a := newTimerAlarm()
+	defer a.close()
+	a.arm(time.Now().Add(time.Millisecond))
+	time.Sleep(5 * time.Millisecond) // fired; never waited on
+	a.arm(time.Now().Add(time.Hour))
+	woke := make(chan bool, 1)
+	go func() { woke <- a.wait() }()
 	select {
-	case <-tm.C():
+	case <-woke:
+		t.Fatal("stale wake-up after a re-arm")
+	case <-time.After(20 * time.Millisecond):
+	}
+	a.arm(time.Now().Add(time.Millisecond))
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Fatal("wait reported the alarm closed")
+		}
 	case <-time.After(time.Second):
-		t.Fatal("system timer did not fire after Reset")
+		t.Fatal("the re-armed alarm never fired")
 	}
 }
 
-// TestRearmAllocFree pins what the shard worker pays to wait: nothing, once
-// it owns its timer and re-arms it with Reset.
+// TestRearmAllocFree pins what a wait on the fake clock pays once the clock
+// has parked a goroutine before: nothing, the worker's wake-ups included.
 func TestRearmAllocFree(t *testing.T) {
-	sys := New().NewTimer(10 * time.Microsecond)
-	<-sys.C()
-	if allocs := testing.AllocsPerRun(100, func() {
-		sys.Reset(10 * time.Microsecond)
-		<-sys.C()
-	}); allocs != 0 {
-		t.Errorf("system clock: %v allocations per re-arm, want 0", allocs)
-	}
 	f := NewFake(epoch)
-	fake := f.NewTimer(time.Second)
+	s := NewScheduler(f, 1)
+	defer s.Close()
+	s.Every("n", 100*time.Millisecond, func(time.Time) {})
+	var never Gate
+	never.Init(f)
+	f.Sleep(time.Second)
 	if allocs := testing.AllocsPerRun(100, func() {
-		fake.Reset(time.Second)
-		f.Advance(time.Second)
-		<-fake.C()
+		f.Sleep(time.Second)
+		Wait("rearm", time.Second, &never)
 	}); allocs != 0 {
-		t.Errorf("fake clock: %v allocations per re-arm, want 0", allocs)
+		t.Errorf("%v allocations per fake-clock wait, want 0", allocs)
 	}
+}
+
+// TestTaskSeesOneInstant: a task that reads Now before and after CPU-bound
+// work sees one instant, although the test body is parked on a later
+// deadline the whole time.
+func TestTaskSeesOneInstant(t *testing.T) {
+	f := NewFake(epoch)
+	s := NewScheduler(f, 1)
+	defer s.Close()
+	var before, after time.Time
+	s.After("n", time.Second, func(now time.Time) {
+		before = f.Now()
+		for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); {
+		}
+		after = f.Now()
+	})
+	f.Sleep(time.Hour)
+	if want := epoch.Add(time.Second); !before.Equal(want) || !after.Equal(want) {
+		t.Fatalf("task read Now() = %v then %v, want %v both times", before, after, want)
+	}
+}
+
+// TestWaitResumesAtRelease: a waiter released by a task at T resumes with
+// Now() == T, and a wait on a gate already open returns at once.
+func TestWaitResumesAtRelease(t *testing.T) {
+	f := NewFake(epoch)
+	s := NewScheduler(f, 2)
+	defer s.Close()
+	var g Gate
+	g.Init(f)
+	s.After("n", 5*time.Second, func(time.Time) { g.Open() })
+	if got := Wait("released", time.Minute, &g); got != 0 {
+		t.Fatalf("Wait = %d, want 0 (the gate)", got)
+	}
+	if got, want := f.Now(), epoch.Add(5*time.Second); !got.Equal(want) {
+		t.Fatalf("released waiter resumed at %v, want %v", got, want)
+	}
+	var never Gate
+	never.Init(f)
+	if got := Wait("open", -1, &never, &g); got != 1 {
+		t.Fatalf("Wait on an open gate = %d, want 1", got)
+	}
+}
+
+// TestVirtualTimeDeterministic: two shards that hand work to each other plus
+// a sleeping test body give the same (instant, task) log on every run. Runs
+// at one instant on different shards are concurrent, so each instant's
+// entries are compared as a set.
+func TestVirtualTimeDeterministic(t *testing.T) {
+	run := func() []string {
+		f := NewFake(epoch)
+		s := NewScheduler(f, 2)
+		defer s.Close()
+		var mu sync.Mutex
+		var log []string
+		note := func(who string) {
+			mu.Lock()
+			log = append(log, f.Now().Sub(epoch).String()+" "+who)
+			mu.Unlock()
+		}
+		for _, key := range []string{"a", "b"} {
+			other := map[string]string{"a": "b", "b": "a"}[key]
+			s.Every(key, 3*time.Millisecond, func(time.Time) {
+				note(key)
+				s.After(other, time.Millisecond, func(time.Time) { note(key + "->" + other) })
+			})
+		}
+		for range 20 {
+			f.Sleep(2 * time.Millisecond)
+			note("body")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// Entries start with their instant, so a sort keeps instants in
+		// order and orders the entries within one.
+		slices.Sort(log)
+		return log
+	}
+	want := run()
+	if len(want) < 60 {
+		t.Fatalf("only %d log entries", len(want))
+	}
+	for i := range 50 {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: log differs:\n%v\nwant\n%v", i, got, want)
+		}
+	}
+}
+
+// TestWaitOnClosedScheduler: a wait whose release is a queued task returns
+// when the scheduler closes, through the task's dropped hook, and a sleep on
+// a clock whose only scheduler is closed still returns.
+func TestWaitOnClosedScheduler(t *testing.T) {
+	f := NewFake(epoch)
+	s := NewScheduler(f, 2)
+	s.Close()
+	var g Gate
+	g.Init(f)
+	var task Task
+	task.Init(func(time.Time) { t.Error("a task ran on a closed scheduler") }, g.Open)
+	s.At("n", &task, f.Now().Add(time.Hour))
+	if got := Wait("closed", -1, &g); got != 0 {
+		t.Fatalf("Wait = %d, want 0", got)
+	}
+	f.Sleep(time.Hour)
+	if got, want := f.Now(), epoch.Add(time.Hour); !got.Equal(want) {
+		t.Fatalf("Now() = %v after a sleep, want %v", got, want)
+	}
+}
+
+// TestStuckWaitPanics: with every worker parked and nothing queued, a wait
+// without a deadline can never return; the clock panics and names it.
+func TestStuckWaitPanics(t *testing.T) {
+	f := NewFake(epoch)
+	s := NewScheduler(f, 1)
+	defer s.Close()
+	var g Gate
+	g.Init(f)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "test.stuck") {
+			t.Fatalf("recovered %q, want a panic naming the wait", msg)
+		}
+	}()
+	Wait("test.stuck", -1, &g)
+	t.Fatal("a wait nothing can release returned")
 }

@@ -21,11 +21,11 @@ import (
 // concurrently with itself.
 //
 // The scheduler runs against any Clock. A parked worker waits on its shard's
-// one alarm, set for the earliest deadline (alarm.go): on a Fake clock that is
-// one fake timer per shard, so deterministic tests drive it with Advance; on
-// the system clock on Linux it is a timerfd, so a task runs within tens of
-// microseconds of its deadline rather than at the runtime poller's next
-// millisecond.
+// one alarm, set for the earliest deadline (alarm.go): on a Fake clock the
+// clock fires it when it advances itself, which it does only once every worker
+// is parked (see Fake); on the system clock on Linux it is a timerfd, so a
+// task runs within tens of microseconds of its deadline rather than at the
+// runtime poller's next millisecond.
 type Scheduler struct {
 	clk    Clock
 	shards []*schedShard
@@ -411,8 +411,8 @@ type SchedStats struct {
 	// passed to the callback minus the task's deadline. Lag[0] counts runs
 	// less than 1 µs late, Lag[i] those in [2^(i-1), 2^i) µs, and the last
 	// bucket everything later. On the real clock this is host latency plus
-	// backlog; on a Fake clock it is how far a step overshot the deadline,
-	// 0 when steps land on deadlines.
+	// backlog; on a Fake clock, which stops at every deadline, it is 0 for
+	// every task queued with a deadline not yet past.
 	Lag [LagBuckets]int64
 }
 

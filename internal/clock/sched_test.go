@@ -8,29 +8,9 @@ import (
 	"time"
 )
 
-// waitCount polls until the counter reaches want or the (real-time) timeout
-// expires. Scheduler workers process fake-clock firings asynchronously, so
-// assertions after Advance must wait for the worker to catch up.
-func waitCount(t *testing.T, c *atomic.Int64, want int64, msg string) {
+// expect fails the test unless the counter reads want.
+func expect(t *testing.T, c *atomic.Int64, want int64, msg string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.Load() >= want {
-			if got := c.Load(); got != want {
-				t.Fatalf("%s: count %d, want %d", msg, got, want)
-			}
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	t.Fatalf("%s: count %d, want %d (timeout)", msg, c.Load(), want)
-}
-
-// settle gives the worker a moment to process anything outstanding, then
-// asserts the counter did NOT move past want.
-func settle(t *testing.T, c *atomic.Int64, want int64, msg string) {
-	t.Helper()
-	time.Sleep(20 * time.Millisecond)
 	if got := c.Load(); got != want {
 		t.Fatalf("%s: count %d, want %d", msg, got, want)
 	}
@@ -44,15 +24,16 @@ func TestSchedulerEveryFake(t *testing.T) {
 	var fired atomic.Int64
 	task := s.Every("node-a", 10*time.Millisecond, func(time.Time) { fired.Add(1) })
 
-	settle(t, &fired, 0, "before first interval")
+	clk.Sleep(10*time.Millisecond - 1)
+	expect(t, &fired, 0, "before first interval")
 	for i := 1; i <= 3; i++ {
-		clk.Advance(10 * time.Millisecond)
-		waitCount(t, &fired, int64(i), "after advance")
+		clk.Sleep(10 * time.Millisecond)
+		expect(t, &fired, int64(i), "after an interval")
 	}
 
 	task.Stop()
-	clk.Advance(50 * time.Millisecond)
-	settle(t, &fired, 3, "after Stop")
+	clk.Sleep(50 * time.Millisecond)
+	expect(t, &fired, 3, "after Stop")
 }
 
 func TestSchedulerAfterFiresOnce(t *testing.T) {
@@ -63,10 +44,10 @@ func TestSchedulerAfterFiresOnce(t *testing.T) {
 	var fired atomic.Int64
 	s.After("node-a", 5*time.Millisecond, func(time.Time) { fired.Add(1) })
 
-	clk.Advance(5 * time.Millisecond)
-	waitCount(t, &fired, 1, "one-shot fire")
-	clk.Advance(50 * time.Millisecond)
-	settle(t, &fired, 1, "one-shot must not re-fire")
+	clk.Sleep(5 * time.Millisecond)
+	expect(t, &fired, 1, "one-shot fire")
+	clk.Sleep(50 * time.Millisecond)
+	expect(t, &fired, 1, "one-shot must not re-fire")
 }
 
 func TestSchedulerStopBeforeDue(t *testing.T) {
@@ -77,8 +58,8 @@ func TestSchedulerStopBeforeDue(t *testing.T) {
 	var fired atomic.Int64
 	task := s.After("node-a", 5*time.Millisecond, func(time.Time) { fired.Add(1) })
 	task.Stop()
-	clk.Advance(50 * time.Millisecond)
-	settle(t, &fired, 0, "stopped task must not fire")
+	clk.Sleep(50 * time.Millisecond)
+	expect(t, &fired, 0, "stopped task must not fire")
 }
 
 func TestSchedulerEqualDeadlineOrder(t *testing.T) {
@@ -98,8 +79,8 @@ func TestSchedulerEqualDeadlineOrder(t *testing.T) {
 			fired.Add(1)
 		})
 	}
-	clk.Advance(5 * time.Millisecond)
-	waitCount(t, &fired, 3, "all three fire")
+	clk.Sleep(5 * time.Millisecond)
+	expect(t, &fired, 3, "all three fire")
 	mu.Lock()
 	defer mu.Unlock()
 	for i, got := range order {
@@ -171,8 +152,8 @@ func TestSchedulerPending(t *testing.T) {
 }
 
 // timerClock is the system clock behind the alarm every OS without a timerfd
-// gives it, the clock's own Timer: newAlarm picks the timerfd for System
-// itself, and this is another type.
+// gives it, a time.Timer: newAlarm picks the timerfd for System itself, and
+// this is another type.
 type timerClock struct{ System }
 
 // realClocks are the system clock with each alarm it can get.
@@ -218,30 +199,24 @@ func TestSchedulerWakeupAllocFree(t *testing.T) {
 	}
 }
 
-// TestSchedulerStats: on a Fake clock stepped onto each deadline, every run
-// is one wake-up and 0 µs late; a step past the deadline shows up in the lag
-// histogram as the overshoot; reading the counters allocates nothing.
+// TestSchedulerStats: on a Fake clock, which stops at every deadline, every
+// run is one wake-up and 0 µs late; a task queued 5 ms in the past shows up in
+// the lag histogram as 5 ms late; reading the counters allocates nothing.
 func TestSchedulerStats(t *testing.T) {
 	clk := NewFake(time.Unix(0, 0))
 	s := NewScheduler(clk, 1)
 	defer s.Close()
 	var fired atomic.Int64
 	s.Every("n", 10*time.Millisecond, func(time.Time) { fired.Add(1) })
-	step := func(d time.Duration, want int64) {
-		for clk.PendingTimers() == 0 { // until the worker has set its alarm
-			runtime.Gosched()
-		}
-		clk.Advance(d)
-		waitCount(t, &fired, want, "after advance")
-	}
-	for i := int64(1); i <= 3; i++ {
-		step(10*time.Millisecond, i)
-	}
+	clk.Sleep(35 * time.Millisecond)
 	st := s.Stats()
 	if st.Runs != 3 || st.Wakeups != 3 || st.Lag[0] != 3 {
-		t.Fatalf("after three on-deadline steps: runs %d, wake-ups %d, Lag[0] %d; want 3, 3, 3", st.Runs, st.Wakeups, st.Lag[0])
+		t.Fatalf("after three deadlines: runs %d, wake-ups %d, Lag[0] %d; want 3, 3, 3", st.Runs, st.Wakeups, st.Lag[0])
 	}
-	step(15*time.Millisecond, 4) // 5 ms past the deadline: [4096, 8192) µs
+	var late Task
+	late.Init(func(time.Time) {}, nil)
+	s.At("n", &late, clk.Now().Add(-5*time.Millisecond)) // [4096, 8192) µs late
+	clk.Sleep(0)
 	if st = s.Stats(); st.Lag[13] != 1 || st.Lag[0] != 3 {
 		t.Fatalf("a run 5 ms late: Lag[13] = %d, Lag[0] = %d; want 1, 3", st.Lag[13], st.Lag[0])
 	}
@@ -252,23 +227,23 @@ func TestSchedulerStats(t *testing.T) {
 
 // TestSchedulerReapsStoppedHead: the only queued task, due in an hour, is
 // stopped; the next worker pass drops it from the heap instead of setting
-// the alarm for it.
+// the alarm for it, so the worker does not wake at its deadline.
 func TestSchedulerReapsStoppedHead(t *testing.T) {
 	clk := NewFake(time.Unix(0, 0))
 	s := NewScheduler(clk, 1)
 	defer s.Close()
 	s.After("n", time.Hour, func(time.Time) { t.Error("a stopped task ran") }).Stop()
-	pass := make(chan struct{})
-	s.After("n", 0, func(time.Time) { close(pass) })
-	<-pass
-	for deadline := time.Now().Add(2 * time.Second); s.Pending() != 0; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("Pending = %d after a worker pass, want 0", s.Pending())
-		}
+	var ran atomic.Int64
+	s.After("n", 0, func(time.Time) { ran.Add(1) })
+	clk.Sleep(0)
+	expect(t, &ran, 1, "a task due now")
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after a worker pass, want 0", got)
 	}
-	waitParked(t, s.shards[0])
-	if n := clk.PendingTimers(); n != 0 {
-		t.Fatalf("%d fake timers set with nothing but a stopped task queued, want 0", n)
+	wakeups := s.Stats().Wakeups
+	clk.Sleep(2 * time.Hour)
+	if got := s.Stats().Wakeups; got != wakeups {
+		t.Fatalf("the worker woke %d times past a stopped task's deadline, want 0", got-wakeups)
 	}
 }
 
@@ -322,7 +297,7 @@ func TestSchedulerCloseWakesParkedWorker(t *testing.T) {
 
 // TestTaskRearmAllocFree pins what a paced stream or a pooled delivery pays
 // per firing: a caller-owned Task re-armed from its own callback at an
-// absolute deadline allocates nothing, on either clock and with either alarm.
+// absolute deadline allocates nothing, with either alarm of the system clock.
 func TestTaskRearmAllocFree(t *testing.T) {
 	rearming := func(s *Scheduler, start time.Time, step time.Duration) chan struct{} {
 		tick := make(chan struct{}, 1)
@@ -349,43 +324,25 @@ func TestTaskRearmAllocFree(t *testing.T) {
 		}
 		sys.Close()
 	}
-
-	clk := NewFake(time.Unix(0, 0))
-	fake := NewScheduler(clk, 1)
-	defer fake.Close()
-	tick := rearming(fake, clk.Now(), time.Second)
-	<-tick
-	step := func() {
-		for clk.PendingTimers() == 0 { // until the worker has re-armed its timer
-			runtime.Gosched()
-		}
-		clk.Advance(time.Second)
-		<-tick
-	}
-	step()
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("fake clock: %v allocations per re-armed firing, want 0", allocs)
-	}
 }
 
-// TestTaskAbsoluteDeadlineNoDrift re-arms a task at due+interval while the
-// clock is stepped coarsely: firing i is due at start+i*interval however late
-// firing i-1 ran, so the 50th lands within one step of start+49*interval.
-// Every's Now()+interval re-arm would have drifted a step per firing.
+// TestTaskAbsoluteDeadlineNoDrift re-arms a task at due+interval from a first
+// deadline three intervals past: the first four firings run at once, and the
+// 50th still lands at start+46*interval. Every's Now()+interval re-arm would
+// have carried the lateness into every later firing.
 func TestTaskAbsoluteDeadlineNoDrift(t *testing.T) {
 	clk := NewFake(time.Unix(0, 0))
 	s := NewScheduler(clk, 1)
 	defer s.Close()
 	const (
 		interval = 20 * time.Millisecond
-		step     = 33 * time.Millisecond
 		firings  = 50
 	)
 	start := clk.Now()
 	var fired atomic.Int64
 	var lastAt atomic.Int64
 	var task Task
-	due := start
+	due := start.Add(-3 * interval)
 	task.Init(func(now time.Time) {
 		lastAt.Store(int64(now.Sub(start)))
 		due = due.Add(interval)
@@ -394,20 +351,10 @@ func TestTaskAbsoluteDeadlineNoDrift(t *testing.T) {
 		}
 	}, nil)
 	s.At("n", &task, due)
-	deadline := time.Now().Add(5 * time.Second)
-	for fired.Load() < firings {
-		if time.Now().After(deadline) {
-			t.Fatalf("fired %d of %d", fired.Load(), firings)
-		}
-		if clk.PendingTimers() == 0 { // the worker has not parked on its timer yet
-			runtime.Gosched()
-			continue
-		}
-		clk.Advance(step)
-	}
-	want := time.Duration(firings-1) * interval
-	if got := time.Duration(lastAt.Load()); got < want || got >= want+step {
-		t.Fatalf("firing %d ran at +%v, want within one %v step of +%v", firings, got, step, want)
+	clk.Sleep(firings * interval)
+	expect(t, &fired, firings, "firings")
+	if got, want := time.Duration(lastAt.Load()), (firings-4)*interval; got != want {
+		t.Fatalf("firing %d ran at +%v, want +%v", firings, got, want)
 	}
 }
 
@@ -453,12 +400,12 @@ func TestSchedulerAtMovesQueuedTask(t *testing.T) {
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending = %d after moving one task twice, want 1", got)
 	}
-	clk.Advance(10 * time.Millisecond)
-	settle(t, &fired, 0, "a task moved past its first deadline")
-	clk.Advance(10 * time.Millisecond)
-	waitCount(t, &fired, 1, "a moved task at its new deadline")
-	clk.Advance(time.Second)
-	settle(t, &fired, 1, "a moved task runs once")
+	clk.Sleep(10 * time.Millisecond)
+	expect(t, &fired, 0, "a task moved past its first deadline")
+	clk.Sleep(10 * time.Millisecond)
+	expect(t, &fired, 1, "a moved task at its new deadline")
+	clk.Sleep(time.Second)
+	expect(t, &fired, 1, "a moved task runs once")
 	if got := time.Duration(at.Load()); got != 20*time.Millisecond {
 		t.Fatalf("moved task ran at +%v, want +20ms", got)
 	}
@@ -486,11 +433,11 @@ func TestSchedulerCancel(t *testing.T) {
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending = %d after Cancel, want 0", got)
 	}
-	clk.Advance(10 * time.Millisecond)
-	settle(t, &fired, 0, "a cancelled task")
+	clk.Sleep(10 * time.Millisecond)
+	expect(t, &fired, 0, "a cancelled task")
 	s.At("n", &task, clk.Now().Add(10*time.Millisecond))
-	clk.Advance(10 * time.Millisecond)
-	waitCount(t, &fired, 1, "a task queued again after Cancel")
+	clk.Sleep(10 * time.Millisecond)
+	expect(t, &fired, 1, "a task queued again after Cancel")
 	if s.Cancel("n", &task) {
 		t.Fatal("Cancel of a task that has run = true")
 	}
@@ -523,12 +470,12 @@ func TestSchedulerCancelInBatch(t *testing.T) {
 	s.At("n", &mover, due)
 	s.At("n", &victim, due)
 	s.At("n", &target, due)
-	clk.Advance(10 * time.Millisecond)
-	waitCount(t, &cancelled, 1, "Cancel of a task popped but not run")
-	settle(t, &fired, 0, "a task cancelled within its batch")
-	settle(t, &moved, 0, "a task moved within its batch")
-	clk.Advance(time.Second)
-	waitCount(t, &moved, 1, "a task moved within its batch, at its new deadline")
+	clk.Sleep(10 * time.Millisecond)
+	expect(t, &cancelled, 1, "Cancel of a task popped but not run")
+	expect(t, &fired, 0, "a task cancelled within its batch")
+	expect(t, &moved, 0, "a task moved within its batch")
+	clk.Sleep(time.Second)
+	expect(t, &moved, 1, "a task moved within its batch, at its new deadline")
 }
 
 // TestTaskMoveAllocFree: moving a queued task and cancelling it allocate

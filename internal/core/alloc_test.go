@@ -1,12 +1,11 @@
 package core
 
 // Allocation pins for the connectivity plane at rest: an idle node's gateway
-// poll and an attached node's tunnel, each driven a step at a time on a fake
-// clock, with testing.AllocsPerRun counting what every goroutine allocates —
-// the shard workers that do the work included.
+// poll and an attached node's tunnel, each run on a fake clock, with
+// testing.AllocsPerRun counting what every goroutine allocates — the shard
+// workers that do the work included.
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,17 +16,6 @@ import (
 	"siphoc/internal/testutil"
 )
 
-// parked waits until the workers of every scheduler on fake have run what is
-// due and parked, each on its one fake timer. A worker only parks on a timer
-// when its shard holds a task, so each scheduler counted must always have one.
-func parked(t testing.TB, fake *clock.Fake, workers int) {
-	for giveUp := time.Now().Add(10 * time.Second); fake.PendingTimers() < workers; runtime.Gosched() {
-		if time.Now().After(giveUp) {
-			t.Fatalf("%d of %d scheduler workers parked", fake.PendingTimers(), workers)
-		}
-	}
-}
-
 // skipAllocCount ends a pin under the race detector once the path has run:
 // there the instrumentation allocates and sync.Pool drops a quarter of what it
 // is given, so a count is not the program's own.
@@ -35,14 +23,6 @@ func skipAllocCount(t *testing.T) {
 	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-}
-
-// step moves fake to its next deadline and lets what is due then run.
-func step(t testing.TB, fake *clock.Fake, workers int) {
-	parked(t, fake, workers)
-	next, _ := fake.NextDeadline()
-	fake.Set(next)
-	parked(t, fake, workers)
 }
 
 // TestIdleProbeRoundAllocFree pins the poll of a node with no gateway in
@@ -69,12 +49,7 @@ func TestIdleProbeRoundAllocFree(t *testing.T) {
 	}
 	defer cp.Stop()
 
-	round := cfg.ProbeInterval + cfg.LookupTimeout
-	pollRound := func() {
-		for end := fake.Now().Add(round); fake.Now().Before(end); {
-			step(t, fake, 1)
-		}
-	}
+	pollRound := func() { fake.Sleep(cfg.ProbeInterval + cfg.LookupTimeout) }
 	for range 3 { // free lists filled, ErrNoGateway raised
 		pollRound()
 	}
@@ -91,19 +66,13 @@ func TestIdleProbeRoundAllocFree(t *testing.T) {
 	}
 }
 
-// tunnelBed is lifecycleBed with a client attached to a gateway, ready to be
-// stepped: each of its two networks keeps a task queued a minute off, longer
-// than a test steps and shorter than drained waits, so that both workers park
-// on a timer (see parked).
+// tunnelBed is lifecycleBed with a client attached to a gateway.
 func tunnelBed(t *testing.T) (*lifecycleBed, *ConnectionProvider, *GatewayProvider) {
 	b := newLifecycleBed(t)
 	gw := b.gateway(lcGW1)
 	cp := b.provider(b.config())
-	if !b.within(5*time.Second, cp.Attached) {
-		t.Fatal("never attached")
-	}
-	for _, h := range []*netem.Host{b.hosts[lcClient], b.probe} {
-		h.Sched().After(string(h.ID()), time.Minute, func(time.Time) {})
+	if err := cp.WaitAttached(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		cp.Stop()
@@ -117,12 +86,7 @@ func tunnelBed(t *testing.T) (*lifecycleBed, *ConnectionProvider, *GatewayProvid
 // gateway's PONG, the next round's arming — at no allocation, at either end.
 func TestTunnelPingAllocFree(t *testing.T) {
 	b, cp, gw := tunnelBed(t)
-	client := b.hosts[lcClient]
-	ping := func() {
-		for want := client.Stats().Received + 1; client.Stats().Received < want; {
-			step(t, b.fake, 2)
-		}
-	}
+	ping := func() { b.fake.Sleep(b.config().ProbeInterval) }
 	ping()
 	skipAllocCount(t)
 	if allocs := testing.AllocsPerRun(100, ping); allocs != 0 {
@@ -164,8 +128,9 @@ func TestTunnelDatagramAllocFree(t *testing.T) {
 		if err := local.WriteTo(data, b.probe.ID(), 7); err != nil {
 			t.Fatal(err)
 		}
-		for echoed.Load() < want {
-			step(t, b.fake, 2)
+		b.fake.Sleep(10 * time.Millisecond)
+		if echoed.Load() != want {
+			t.Fatal("the echo did not come back within 10 ms")
 		}
 	}
 	roundTrip()

@@ -147,9 +147,9 @@ type ConnectionProvider struct {
 	watchers []func(bool)
 	started  bool
 	closed   bool
-	// changed is closed, and replaced, whenever attached, lastErr or closed
+	// changed is opened, and replaced, whenever attached, lastErr or closed
 	// changes: what WaitAttached waits on.
-	changed chan struct{}
+	changed *clock.Gate
 
 	// The cycle waits on time through timer, queued for the end of the
 	// current wait and moved by every step: the next probe when expect is 0,
@@ -209,8 +209,9 @@ func NewConnectionProvider(host *netem.Host, agent ServiceDirectory, cfg ConnPro
 		obs:         cfg.Obs,
 		obsFailover: cfg.Obs.Histogram("connp.failover.delay", nil),
 		blacklist:   make(map[netem.NodeID]time.Time),
-		changed:     make(chan struct{}),
+		changed:     new(clock.Gate),
 	}
+	p.changed.Init(p.clk)
 	p.timer.Init(p.onTimer, nil)
 	p.lookupDone = p.onLookup
 	return p
@@ -304,8 +305,10 @@ func (p *ConnectionProvider) notify(attached bool) {
 
 // signalChange wakes every WaitAttached. Caller holds p.mu.
 func (p *ConnectionProvider) signalChange() {
-	close(p.changed)
-	p.changed = make(chan struct{})
+	old := p.changed
+	p.changed = new(clock.Gate)
+	p.changed.Init(p.clk)
+	old.Open()
 }
 
 // endRound ends whatever the cycle waited for and arms the next probe
@@ -546,7 +549,7 @@ func (p *ConnectionProvider) LastError() error {
 // budget is exhausted, or the timeout elapses. Both failure returns satisfy
 // errors.Is(err, ErrNoGateway).
 func (p *ConnectionProvider) WaitAttached(timeout time.Duration) error {
-	expired := p.clk.After(timeout)
+	deadline := p.clk.Now().Add(timeout)
 	for {
 		p.mu.Lock()
 		attached, lastErr, closed, changed := p.attached, p.lastErr, p.closed, p.changed
@@ -560,9 +563,7 @@ func (p *ConnectionProvider) WaitAttached(timeout time.Duration) error {
 		if lastErr != nil {
 			return lastErr
 		}
-		select {
-		case <-changed:
-		case <-expired:
+		if clock.Wait("core.ConnectionProvider.WaitAttached", max(deadline.Sub(p.clk.Now()), 0), changed) < 0 {
 			return fmt.Errorf("core: no gateway after %v: %w", timeout, ErrNoGateway)
 		}
 	}

@@ -91,11 +91,6 @@ func (b *lifecycleBed) config() ConnProviderConfig {
 	}
 }
 
-// within steps virtual time until cond holds, for at most limit.
-func (b *lifecycleBed) within(limit time.Duration, cond func() bool) bool {
-	return testutil.AdvanceUntil(b.fake, time.Millisecond, limit, cond)
-}
-
 func (b *lifecycleBed) gateway(id netem.NodeID) *GatewayProvider {
 	b.t.Helper()
 	gw := NewGatewayProvider(b.hosts[id], b.inet, b.agents[id], GatewayConfig{ClientTTL: time.Second})
@@ -129,9 +124,9 @@ func (b *lifecycleBed) drained() {
 	for _, a := range b.agents {
 		a.Stop()
 	}
-	pending := func() int { return b.hosts[lcClient].Sched().Pending() + b.probe.Sched().Pending() }
-	if !testutil.AdvanceUntil(b.fake, 100*time.Millisecond, time.Minute, func() bool { return pending() == 0 }) {
-		b.t.Errorf("%d tasks still queued after everything stopped", pending())
+	b.fake.Sleep(time.Minute)
+	if n := b.hosts[lcClient].Sched().Pending() + b.probe.Sched().Pending(); n != 0 {
+		b.t.Errorf("%d tasks still queued after everything stopped", n)
 	}
 	b.net.Close()
 	b.inet.Close()
@@ -151,8 +146,8 @@ func TestLifecycleFailover(t *testing.T) {
 	// A waiter that arrived first is released by the attach itself.
 	waited := make(chan error, 1)
 	go func() { waited <- cp.WaitAttached(time.Hour) }()
-	if !b.within(5*time.Second, cp.Attached) || cp.Gateway() != lcGW1 {
-		t.Fatalf("attached = %v to %q, want %s", cp.Attached(), cp.Gateway(), lcGW1)
+	if err := cp.WaitAttached(5 * time.Second); err != nil || cp.Gateway() != lcGW1 {
+		t.Fatalf("WaitAttached = %v, attached to %q, want %s", err, cp.Gateway(), lcGW1)
 	}
 	if err := <-waited; err != nil {
 		t.Fatalf("WaitAttached = %v after the attach", err)
@@ -164,7 +159,7 @@ func TestLifecycleFailover(t *testing.T) {
 	// Ten probe intervals of pings: each PONG is matched to its PING, or the
 	// first time-out would detach (MissedProbeLimit is 1) — and the gateway
 	// would evict a client whose pings it did not see (ClientTTL is 1 s).
-	b.within(10*b.config().ProbeInterval, testutil.Never)
+	b.fake.Sleep(10 * b.config().ProbeInterval)
 	if st := cp.Stats(); !cp.Attached() || st.Detaches != 0 || len(gw1.Clients()) != 1 {
 		t.Fatalf("after ten pings: attached = %v, stats %+v, gateway clients %v", cp.Attached(), st, gw1.Clients())
 	}
@@ -173,19 +168,21 @@ func TestLifecycleFailover(t *testing.T) {
 	// it, and the next round finds the other one by asking the network.
 	gw2 := b.gateway(lcGW2)
 	gw1.Stop()
-	if !b.within(time.Second, func() bool { return !cp.Attached() }) {
+	b.fake.Sleep(10 * time.Millisecond)
+	if cp.Attached() {
 		t.Fatal("still attached after the gateway's tunClose")
 	}
 	if got := cp.Blacklisted(); !slices.Equal(got, []netem.NodeID{lcGW1}) {
 		t.Fatalf("blacklist = %v, want the stopped gateway", got)
 	}
-	if !b.within(5*time.Second, cp.Attached) || cp.Gateway() != lcGW2 {
-		t.Fatalf("fail-over: attached = %v to %q, want %s", cp.Attached(), cp.Gateway(), lcGW2)
+	if err := cp.WaitAttached(5 * time.Second); err != nil || cp.Gateway() != lcGW2 {
+		t.Fatalf("fail-over: WaitAttached = %v, attached to %q, want %s", err, cp.Gateway(), lcGW2)
 	}
 	if st := cp.Stats(); st.Failovers != 1 || st.Attaches != 2 || st.LastFailoverDur <= 0 {
 		t.Fatalf("stats after fail-over = %+v", st)
 	}
-	if !b.within(2*b.config().BlacklistTTL, func() bool { return len(cp.Blacklisted()) == 0 }) {
+	b.fake.Sleep(2 * b.config().BlacklistTTL)
+	if len(cp.Blacklisted()) != 0 {
 		t.Fatalf("blacklist = %v after its TTL", cp.Blacklisted())
 	}
 
@@ -193,7 +190,8 @@ func TestLifecycleFailover(t *testing.T) {
 	if cp.Attached() || !errors.Is(cp.WaitAttached(time.Hour), ErrNoGateway) {
 		t.Fatal("a stopped provider still attached, or still worth waiting for")
 	}
-	if !b.within(5*time.Second, func() bool { return len(gw2.Clients()) == 0 }) {
+	b.fake.Sleep(time.Second)
+	if len(gw2.Clients()) != 0 {
 		t.Fatalf("gateway kept clients %v after the provider's tunClose", gw2.Clients())
 	}
 	gw2.Stop()
@@ -213,12 +211,13 @@ func TestLifecycleStopMidCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := b.provider(b.config())
-	if !b.within(5*time.Second, func() bool { return cp.expecting() == tunOpenAck }) {
+	b.fake.Sleep(b.config().ProbeInterval + b.config().AckTimeout/2)
+	if cp.expecting() != tunOpenAck {
 		t.Fatal("provider never sent an OPEN")
 	}
 	cp.Stop()
 	cp.onAnswer(&tunnelMsg{Kind: tunOpenAck, OK: true}, tunnelPeer{lcGW1, 9000})
-	b.within(2*b.config().AckTimeout, testutil.Never)
+	b.fake.Sleep(2 * b.config().AckTimeout)
 	if st := cp.Stats(); cp.Attached() || st.Attaches != 0 || st.AttachFails != 0 || len(cp.Blacklisted()) != 0 {
 		t.Fatalf("a stopped provider went on with its OPEN: attached = %v, stats %+v, blacklist %v", cp.Attached(), st, cp.Blacklisted())
 	}
@@ -228,11 +227,12 @@ func TestLifecycleStopMidCycle(t *testing.T) {
 	b.agents[lcClient].InvalidateOrigin(lcGW1)
 	lookups := b.agents[lcClient].Stats().Lookups
 	cp = b.provider(b.config())
-	if !b.within(5*time.Second, func() bool { return b.agents[lcClient].Stats().Lookups > lookups }) {
+	b.fake.Sleep(b.config().ProbeInterval)
+	if b.agents[lcClient].Stats().Lookups == lookups {
 		t.Fatal("provider never asked the network for a gateway")
 	}
 	cp.Stop()
-	b.within(2*b.config().LookupTimeout, testutil.Never)
+	b.fake.Sleep(2 * b.config().LookupTimeout)
 	if got := b.agents[lcClient].Stats().Lookups; got != lookups+1 {
 		t.Fatalf("%d lookups after Stop, want the one that was in flight", got-lookups)
 	}
@@ -249,19 +249,7 @@ func TestLifecycleWaitAttachedBudget(t *testing.T) {
 	cfg.MaxLookupRetries = 3
 	cp := b.provider(cfg)
 	start := b.fake.Now()
-	waited := make(chan error, 1)
-	go func() { waited <- cp.WaitAttached(time.Hour) }()
-	var err error
-	if !b.within(time.Minute, func() bool {
-		select {
-		case err = <-waited:
-			return true
-		default:
-			return false
-		}
-	}) {
-		t.Fatal("WaitAttached outlived the retry budget")
-	}
+	err := cp.WaitAttached(time.Hour)
 	// Three rounds of ProbeInterval + LookupTimeout each.
 	if spent := b.fake.Now().Sub(start); !errors.Is(err, ErrNoGateway) || spent > 2*time.Second {
 		t.Fatalf("WaitAttached = %v after %v, want ErrNoGateway as soon as three rounds failed", err, spent)
@@ -270,7 +258,8 @@ func TestLifecycleWaitAttachedBudget(t *testing.T) {
 		t.Fatalf("LastError = %v", cp.LastError())
 	}
 	gw := b.gateway(lcGW2)
-	if !b.within(5*time.Second, cp.Attached) || cp.LastError() != nil {
+	b.fake.Sleep(5 * time.Second)
+	if !cp.Attached() || cp.LastError() != nil {
 		t.Fatalf("late gateway: attached = %v, LastError = %v", cp.Attached(), cp.LastError())
 	}
 	cp.Stop()
@@ -337,7 +326,8 @@ func TestLateAckFromTimedOutGatewayIgnored(t *testing.T) {
 	}
 	// One round: OPEN to the slow gateway times out, OPEN to the silent one
 	// times out with the slow one's ACK arriving half-way through.
-	if b.within(cfg.ProbeInterval+3*cfg.AckTimeout, cp.Attached) {
+	b.fake.Sleep(cfg.ProbeInterval + 3*cfg.AckTimeout)
+	if cp.Attached() {
 		t.Fatalf("attached to %s on the strength of another gateway's late ACK", cp.Gateway())
 	}
 	if st := cp.Stats(); st.Attaches != 0 || st.AttachFails != 2 || opens.Load() != 1 {
@@ -370,21 +360,21 @@ func TestGatewayRestartReopensTunnel(t *testing.T) {
 	cfg := b.config()
 	gw := b.gateway(lcGW1)
 	cp := b.provider(cfg)
-	if !b.within(5*time.Second, cp.Attached) {
-		t.Fatal("never attached")
+	if err := cp.WaitAttached(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	// Restart while no PING is in flight: between a PONG and the next probe.
-	for testutil.AdvanceParked(b.fake, time.Millisecond, func() bool { return cp.expecting() == 0 }) {
-	}
+	// Restart while no PING is in flight: between the attach and the first
+	// probe.
 	if cp.expecting() != 0 {
-		t.Fatal("the provider never stopped pinging")
+		t.Fatal("the provider is still waiting for an answer after attaching")
 	}
 	b.net.SetLink(lcClient, lcGW1, false)
 	gw.Stop()
 	b.net.ClearLink(lcClient, lcGW1)
 	gw = b.gateway(lcGW1)
 
-	if !b.within(cfg.ProbeInterval+10*time.Millisecond, func() bool { return len(gw.Clients()) == 1 && cp.Attached() }) {
+	b.fake.Sleep(cfg.ProbeInterval + 10*time.Millisecond)
+	if len(gw.Clients()) != 1 || !cp.Attached() {
 		t.Fatalf("one round after the restart: attached = %v to %q, gateway clients %v", cp.Attached(), cp.Gateway(), gw.Clients())
 	}
 	if st := cp.Stats(); cp.Gateway() != lcGW1 || st.Attaches != 2 || st.Detaches != 1 || st.AttachFails != 0 || len(cp.Blacklisted()) != 0 {
@@ -408,7 +398,8 @@ func TestGatewayRestartReopensTunnel(t *testing.T) {
 	if err := local.WriteTo([]byte("hello, Internet"), b.probe.ID(), 7); err != nil {
 		t.Fatal(err)
 	}
-	if !b.within(time.Second, func() bool { return arrived.Load() == 1 }) {
+	b.fake.Sleep(time.Second)
+	if arrived.Load() != 1 {
 		t.Fatal("a datagram to an Internet host never arrived through the re-opened tunnel")
 	}
 	local.Close()
@@ -469,15 +460,17 @@ func TestStoppingGatewayRefusesPingThenCloses(t *testing.T) {
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if !b.within(time.Second, cp.Attached) {
-		t.Fatal("never attached")
+	if err := cp.WaitAttached(time.Second); err != nil {
+		t.Fatal(err)
 	}
-	// Begin stopping between a PONG and the next PING.
-	for testutil.AdvanceParked(b.fake, time.Millisecond, func() bool { return cp.expecting() == 0 }) {
+	// Begin stopping between the attach and the first PING.
+	if cp.expecting() != 0 {
+		t.Fatal("the provider is still waiting for an answer after attaching")
 	}
 	stopping.Store(true)
 
-	if !b.within(cfg.ProbeInterval+cfg.AckTimeout/2, func() bool { return dir.invalidated.Load() == 1 }) {
+	b.fake.Sleep(cfg.ProbeInterval + cfg.AckTimeout/2)
+	if dir.invalidated.Load() != 1 {
 		t.Fatalf("the tunClose after a refused PING went unheeded: stats %+v, waiting for kind %d", cp.Stats(), cp.expecting())
 	}
 	if cp.Attached() || cp.expecting() != 0 {
@@ -491,7 +484,7 @@ func TestStoppingGatewayRefusesPingThenCloses(t *testing.T) {
 	}
 	// The next round leaves the quarantined gateway alone: the one OPEN it
 	// saw is the one sent when its PING was refused.
-	b.within(cfg.ProbeInterval+10*time.Millisecond, testutil.Never)
+	b.fake.Sleep(cfg.ProbeInterval + 10*time.Millisecond)
 	if dropped.Load() != 1 {
 		t.Fatalf("%d OPENs sent to the stopped gateway, want 1", dropped.Load())
 	}

@@ -22,9 +22,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // pollGoldenRun brings up an isolated 3×3 OLSR grid whose nodes all run a
 // Connection Provider — the paper's main setting: every node polls for a
 // gateway nobody offers — on a fake clock driving a one-shard network, and
-// records every frame on the air for span of virtual time. The clock is moved
-// straight to the next deadline once the worker has parked, so every task runs
-// exactly at its due time and the run is one total order. Each node's line is
+// records every frame on the air for span of virtual time. The clock stops at
+// every deadline, so every task runs exactly at its due time and the run is
+// one total order. Each node's line is
 // its frame count and an order-free sum of a hash of every frame it sent: the
 // instant, the destination, the kind and the payload bytes.
 func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
@@ -72,7 +72,7 @@ func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
 		}
 	}()
 	// One node at a time, so that the tasks each start queues are queued in
-	// the same order on every run; nothing is sent before the clock moves.
+	// the same order on every run; nothing is sent before the test sleeps.
 	for i := range 9 {
 		h, err := net.AddHost(netem.NodeName("10.0.0", i+1), netem.Position{X: float64(i%3) * 80, Y: float64(i/3) * 80})
 		if err != nil {
@@ -101,9 +101,7 @@ func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
 		providers = append(providers, cp)
 	}
 
-	for fake.Now().Sub(start) < span {
-		step(t, fake, 1)
-	}
+	fake.Sleep(span)
 
 	for _, a := range agents {
 		if st := a.Stats(); st.Lookups < int64(span/(500*time.Millisecond)) || st.QueriesRelayed == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -370,29 +369,25 @@ func TestResolverChainCachedLookupAllocFree(t *testing.T) {
 }
 
 // resolveOnFake walks the chain. With wait > 0 the walk is expected to wait
-// on an SLP network query: the fake clock is advanced by wait once that query
-// has armed its deadline. With wait == 0 the walk must finish without the
-// clock moving at all.
+// on an SLP network query for exactly wait of virtual time; with wait == 0
+// it must finish without the clock moving at all.
 func resolveOnFake(t *testing.T, chain ResolverChain, fc *clock.Fake, q ResolveQuery, wait time.Duration) (sip.Addr, string, bool) {
 	t.Helper()
 	before := fc.Now()
+	var took time.Duration
 	done := make(chan resolved, 1)
-	chain.Resolve(q, func(addr sip.Addr, kind string, err error) { done <- resolved{addr, kind, err} })
-	if wait > 0 {
-		for deadline := time.Now().Add(5 * time.Second); fc.PendingTimers() == 0; runtime.Gosched() {
-			if time.Now().After(deadline) {
-				t.Fatalf("resolve %s never queried the MANET", q.AOR)
-			}
-		}
-		fc.Advance(wait)
-	}
+	chain.Resolve(q, func(addr sip.Addr, kind string, err error) {
+		took = fc.Now().Sub(before)
+		done <- resolved{addr, kind, err}
+	})
+	fc.Sleep(wait)
 	select {
 	case a := <-done:
-		if got := fc.Now().Sub(before); got != wait {
-			t.Fatalf("resolve %s took %v of virtual time, want %v", q.AOR, got, wait)
+		if took != wait {
+			t.Fatalf("resolve %s took %v of virtual time, want %v", q.AOR, took, wait)
 		}
 		return a.addr, a.kind, a.err == nil
-	case <-time.After(5 * time.Second):
+	default:
 		t.Fatalf("resolve %s still blocked after %v of virtual time", q.AOR, wait)
 		return sip.Addr{}, "", false
 	}

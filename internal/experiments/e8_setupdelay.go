@@ -15,7 +15,8 @@ type E8Result struct {
 	AODVWarm time.Duration
 	OLSR     time.Duration
 	// ColdPhases decomposes the cold-AODV setup delay into its trace
-	// phases (the paper's Figure 5/6 breakdown), averaged over trials:
+	// phases (set-up delay vs. hops, the paper's §4/§6 scalability
+	// claim), averaged over trials:
 	// obs.PhaseSLPResolve, obs.PhaseRouteDiscovery, obs.PhaseSIPTransaction.
 	ColdPhases map[string]time.Duration
 }
@@ -40,7 +41,7 @@ func E8(w io.Writer) error {
 			r.Hops, r.AODVCold.Round(100*time.Microsecond),
 			r.AODVWarm.Round(100*time.Microsecond), r.OLSR.Round(100*time.Microsecond))
 	}
-	fmt.Fprintf(w, "\ncold-AODV breakdown from call traces (Figure 5/6 decomposition):\n")
+	fmt.Fprintf(w, "\ncold-AODV breakdown from call traces (paper §4/§6: set-up delay vs. hops):\n")
 	fmt.Fprintf(w, "%-6s %14s %16s %16s\n", "hops", "slp.resolve", "route.discovery", "sip.transaction")
 	for _, r := range results {
 		fmt.Fprintf(w, "%-6d %14v %16v %16v\n", r.Hops,

@@ -64,19 +64,6 @@ func (m *ShardMap) SetLive(i int, up bool) {
 	m.mu.Unlock()
 }
 
-// Live lists the indices of live shards.
-func (m *ShardMap) Live() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.live))
-	for i, up := range m.live {
-		if up {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // mix finalizes a combined hash so rendezvous scores of nearby inputs spread
 // (xorshift-multiply avalanche).
 func mix(h uint32) uint32 {
@@ -105,15 +92,6 @@ func (m *ShardMap) OwnerIndex(aor string) int {
 		}
 	}
 	return best
-}
-
-// OwnerAddr resolves aor to its owner shard's address.
-func (m *ShardMap) OwnerAddr(aor string) (sip.Addr, int, bool) {
-	i := m.OwnerIndex(aor)
-	if i < 0 {
-		return sip.Addr{}, -1, false
-	}
-	return m.Addr(i), i, true
 }
 
 // FrontDoor returns the lowest-index live shard's address — the stable entry

@@ -65,9 +65,11 @@ type faultEvent struct {
 // FaultPlan is a deterministic schedule of faults against a Network: link
 // cuts and heals, per-link quality degradation, partitions, loss-rate
 // changes, and arbitrary callbacks (node crash/restart, gateway churn) hung
-// off At. Events are executed by a single runner goroutine on the network's
-// clock, in (offset, insertion) order — on clock.Fake the same plan replays
-// bit-identically: same mutations, same log, same medium RNG draw sequence.
+// off At. Each event is a task on the network's scheduler, queued under one
+// key, so events run one at a time in (offset, insertion) order and in order
+// with the frames and timers due at the same instant — on clock.Fake the same
+// plan replays bit-identically: same mutations, same log, same medium RNG draw
+// sequence. A callback therefore runs on a shard worker and must not block.
 //
 // Build the schedule first (the builder is not safe for concurrent use with
 // Run), then Run it and Wait for completion.
@@ -83,11 +85,14 @@ type FaultPlan struct {
 	events  []faultEvent
 	log     []FaultRecord
 	running bool
+	tasks   []clock.Task
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// done opens when the last event has run, or the plan stopped.
+	done clock.Gate
 }
+
+// faultKey is the scheduler key every event of every plan is queued under.
+const faultKey = "netem.faults"
 
 // NewFaultPlan creates an empty plan against net, scheduled on net's clock.
 func NewFaultPlan(net *Network, cfg FaultPlanConfig) *FaultPlan {
@@ -95,13 +100,12 @@ func NewFaultPlan(net *Network, cfg FaultPlanConfig) *FaultPlan {
 		cfg.Seed = 1
 	}
 	p := &FaultPlan{
-		net:  net,
-		clk:  net.Clock(),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		obs:  cfg.Obs,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		net: net,
+		clk: net.Clock(),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		obs: cfg.Obs,
 	}
+	p.done.Init(p.clk)
 	if cfg.Obs.Enabled() {
 		p.obsInjected = cfg.Obs.Counter("netem.faults.injected")
 	}
@@ -123,8 +127,8 @@ func (p *FaultPlan) add(offset time.Duration, kind FaultKind, node, detail strin
 }
 
 // At schedules an arbitrary fault callback — the hook scenario layers use
-// for node crash/restart and gateway churn. fn runs on the plan's runner
-// goroutine.
+// for node crash/restart and gateway churn. fn runs as a task on a shard
+// worker, so it must not block.
 func (p *FaultPlan) At(offset time.Duration, detail string, fn func()) *FaultPlan {
 	return p.add(offset, FaultCustom, "", detail, fn)
 }
@@ -221,19 +225,6 @@ func (p *FaultPlan) Len() int {
 	return len(p.events)
 }
 
-// Duration returns the offset of the last scheduled event.
-func (p *FaultPlan) Duration() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var d time.Duration
-	for _, ev := range p.events {
-		if ev.offset > d {
-			d = ev.offset
-		}
-	}
-	return d
-}
-
 // Run starts executing the plan relative to the clock's current time. The
 // builder must not be used after Run.
 func (p *FaultPlan) Run() error {
@@ -243,64 +234,59 @@ func (p *FaultPlan) Run() error {
 		return fmt.Errorf("netem: fault plan already running")
 	}
 	p.running = true
-	events := make([]faultEvent, len(p.events))
-	copy(events, p.events)
-	p.mu.Unlock()
 	// Stable order: offset first, insertion order breaking ties, so a plan
 	// built the same way always executes the same way.
+	events := p.events
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].offset != events[j].offset {
 			return events[i].offset < events[j].offset
 		}
 		return events[i].seq < events[j].seq
 	})
-	go p.run(events)
+	p.tasks = make([]clock.Task, len(events))
+	for i := range events {
+		ev, last := &events[i], i == len(events)-1
+		p.tasks[i].Init(func(time.Time) {
+			p.inject(ev)
+			if last {
+				p.done.Open()
+			}
+		}, p.done.Open)
+	}
+	p.mu.Unlock()
+	if len(events) == 0 {
+		p.done.Open()
+	}
+	start := p.clk.Now()
+	for i := range events {
+		p.net.Sched().At(faultKey, &p.tasks[i], start.Add(events[i].offset))
+	}
 	return nil
 }
 
-func (p *FaultPlan) run(events []faultEvent) {
-	defer close(p.done)
-	start := p.clk.Now()
-	for _, ev := range events {
-		if wait := ev.offset - p.clk.Now().Sub(start); wait > 0 {
-			t := p.clk.NewTimer(wait)
-			select {
-			case <-p.stop:
-				t.Stop()
-				return
-			case <-t.C():
-			}
-		}
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		span := p.obs.StartSpan("", obs.PhaseFault, ev.node)
-		ev.apply()
-		if span.Active() {
-			span.End(string(ev.kind) + " " + ev.detail)
-		}
-		p.obsInjected.Inc()
-		p.mu.Lock()
-		p.log = append(p.log, FaultRecord{Seq: ev.seq, Offset: ev.offset, Kind: ev.kind, Detail: ev.detail})
-		p.mu.Unlock()
+// inject applies one event and logs it.
+func (p *FaultPlan) inject(ev *faultEvent) {
+	span := p.obs.StartSpan("", obs.PhaseFault, ev.node)
+	ev.apply()
+	if span.Active() {
+		span.End(string(ev.kind) + " " + ev.detail)
 	}
+	p.obsInjected.Inc()
+	p.mu.Lock()
+	p.log = append(p.log, FaultRecord{Seq: ev.seq, Offset: ev.offset, Kind: ev.kind, Detail: ev.detail})
+	p.mu.Unlock()
 }
 
 // Wait blocks until every scheduled fault has been injected (or the plan was
 // stopped).
-func (p *FaultPlan) Wait() { <-p.done }
+func (p *FaultPlan) Wait() { clock.Wait("netem.FaultPlan.Wait", -1, &p.done) }
 
-// Stop cancels outstanding faults; already-injected ones are not undone.
+// Stop cancels the faults still to come; injected ones are not undone.
 func (p *FaultPlan) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.mu.Lock()
-	running := p.running
-	p.mu.Unlock()
-	if running {
-		<-p.done
+	for i := range p.tasks {
+		p.net.Sched().Cancel(faultKey, &p.tasks[i])
 	}
+	p.done.Open()
 }
 
 // Log returns a snapshot of the executed-fault log, in execution order.

@@ -86,12 +86,12 @@ func TestSplitFanOutCopiesPerReceiver(t *testing.T) {
 	s.net.SetLinkQuality("c", "n.0", LinkQuality{ExtraDelay: 40 * time.Millisecond})
 	s.sendWire(t, first)
 	s.sendWire(t, second)
-	clk.Advance(2 * time.Millisecond)
+	clk.Sleep(2 * time.Millisecond)
 	s.await(t, 4) // n.1 and n.2 have both; their buffers are back on the list
 	s.sendWire(t, string(third))
-	clk.Advance(2 * time.Millisecond)
+	clk.Sleep(2 * time.Millisecond)
 	s.await(t, 2)
-	clk.Advance(45 * time.Millisecond)
+	clk.Sleep(45 * time.Millisecond)
 	s.await(t, 3) // n.0 catches up
 	for i := range want {
 		want[i] = append(want[i], first, second, string(third))
@@ -102,7 +102,7 @@ func TestSplitFanOutCopiesPerReceiver(t *testing.T) {
 	}
 	s.sendWire(t, first)
 	s.sendWire(t, second)
-	clk.Advance(45 * time.Millisecond)
+	clk.Sleep(45 * time.Millisecond)
 	s.await(t, 6)
 	for i := range want {
 		want[i] = append(want[i], first, second)

@@ -3,15 +3,21 @@ package netem
 import (
 	"testing"
 	"time"
+
+	"siphoc/internal/clock"
 )
 
 // TestDelayJitterSpreadsArrivals sends a burst of frames over a jittery
 // link and verifies arrival spacing varies (and that everything arrives).
+// The arrivals are stamped in virtual time, so the span is the medium's
+// seeded jitter and nothing of the host's.
 func TestDelayJitterSpreadsArrivals(t *testing.T) {
+	clk := clock.NewFake(time.Unix(6_000_000, 0))
 	n := NewNetwork(Config{
 		BaseDelay:   200 * time.Microsecond,
 		DelayJitter: 30 * time.Millisecond,
 		Seed:        5,
+		Clock:       clk,
 	})
 	defer n.Close()
 	ha, err := n.AddHost("a", Position{})
@@ -31,9 +37,10 @@ func TestDelayJitterSpreadsArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbIn := inbox(cb)
 	defer ca.Close()
 	defer cb.Close()
+	var arrivals []time.Time
+	cb.Handle(func(*Datagram) { arrivals = append(arrivals, clk.Now()) })
 
 	const frames = 30
 	for range frames {
@@ -41,28 +48,13 @@ func TestDelayJitterSpreadsArrivals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var arrivals []time.Time
-	deadline := time.After(10 * time.Second)
-	for len(arrivals) < frames {
-		if arrived(cbIn) {
-			arrivals = append(arrivals, time.Now())
-			continue
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("only %d/%d frames arrived", len(arrivals), frames)
-		case <-time.After(100 * time.Microsecond):
-		}
+	clk.Sleep(100 * time.Millisecond)
+	if len(arrivals) != frames {
+		t.Fatalf("only %d/%d frames arrived", len(arrivals), frames)
 	}
 	// With 30ms of jitter on a burst sent back-to-back, the arrival window
 	// must span at least ~10ms (no jitter would deliver within ~base delay
-	// of each other). The scale is the host's, not the medium's: the
-	// deliveries run within tens of microseconds of their deadlines (a
-	// system-clock shard on Linux waits on a timerfd), but this loop sees them
-	// through time.After, and a goroutine asleep on a Go timer — as are
-	// clock.System's NewTimer, After and Sleep — wakes a millisecond late as a
-	// rule and several now and then, which is the whole window at a tenth of
-	// these figures.
+	// of each other).
 	span := arrivals[len(arrivals)-1].Sub(arrivals[0])
 	if span < 10*time.Millisecond {
 		t.Fatalf("arrival span %v too tight for 30ms jitter", span)

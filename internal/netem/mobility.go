@@ -121,6 +121,3 @@ func (w *Waypoint) Step(dt float64) {
 
 // Pin fixes a node in place (e.g. the gateway); Step skips pinned nodes.
 func (w *Waypoint) Pin(id NodeID) { w.pinned[id] = true }
-
-// Unpin lets a pinned node move again.
-func (w *Waypoint) Unpin(id NodeID) { delete(w.pinned, id) }

@@ -22,7 +22,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -327,15 +326,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 // JSON renders the snapshot as indented JSON.
 func (s RegistrySnapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// CounterNames returns the counter names in sorted order, for deterministic
-// iteration in reports.
-func (s RegistrySnapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

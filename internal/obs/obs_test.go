@@ -170,7 +170,7 @@ func TestSpanHandleUsesClock(t *testing.T) {
 	clk := clock.NewFake(time.Unix(3000, 0))
 	o := New(clk)
 	h := o.StartSpan("c9", PhaseSLPResolve, "n")
-	clk.Advance(7 * time.Millisecond)
+	clk.Sleep(7 * time.Millisecond)
 	h.End("cache-miss")
 	tr := o.Trace("c9")
 	if got := tr.Phase(PhaseSLPResolve); got != 7*time.Millisecond {

@@ -27,7 +27,7 @@ func BenchmarkOverlayLookup(b *testing.B) {
 		d.node(netem.NodeID(fmt.Sprintf("dht-%d", i+1))).
 			Publish(aors[i], fmt.Sprintf("10.8.%d.1:5060", i))
 	}
-	d.run(100 * time.Millisecond)
+	d.fake.Sleep(100 * time.Millisecond)
 
 	client := d.node("dht-0")
 	b.ReportAllocs()

@@ -10,16 +10,14 @@ import (
 	"siphoc/internal/netem"
 )
 
-// churnLookup is one recorded lookup outcome. Its virtual-time latency is
-// deliberately not recorded: the harness advances clock.Fake by settle()
-// (yield and short wall sleeps until counters stop moving), so on a host with
-// real parallelism the same seed can take a different number of RPC timeouts
-// to reach the same answer. Latency replay waits for the deterministic
-// executor (ROADMAP "One deterministic discrete-event executor").
+// churnLookup is one recorded lookup outcome, with its virtual-time latency:
+// the clock advances only when every worker is parked, so the same seed takes
+// the same RPC timeouts to reach the same answer.
 type churnLookup struct {
-	AOR   string
-	Value string
-	OK    bool
+	AOR     string
+	Value   string
+	OK      bool
+	Elapsed time.Duration
 }
 
 // churnResult is everything a seeded churn run produces that a replay must
@@ -47,7 +45,7 @@ func runChurn(t *testing.T, seed int64, nNodes, nPublishers, nEvents, nLookups i
 		d.node(netem.NodeID(fmt.Sprintf("dht-%d", i+1))).
 			Publish(aors[i], fmt.Sprintf("10.8.%d.1:5060", i))
 	}
-	d.run(100 * time.Millisecond)
+	d.fake.Sleep(100 * time.Millisecond)
 
 	// Churn schedule: crash a random currently-up pool node every stepGap,
 	// restart it outage later. The schedule is a pure function of the seed —
@@ -87,14 +85,15 @@ func runChurn(t *testing.T, seed int64, nNodes, nPublishers, nEvents, nLookups i
 	res := churnResult{Lookups: make([]churnLookup, nLookups)}
 	client := d.node("dht-0")
 	for i := 0; i < nLookups; i++ {
+		start := d.fake.Now()
 		v, ok := d.lookupVia(client, aors[i%len(aors)], 2*time.Second)
-		res.Lookups[i] = churnLookup{AOR: aors[i%len(aors)], Value: v, OK: ok}
-		d.run(30 * time.Millisecond)
+		res.Lookups[i] = churnLookup{AOR: aors[i%len(aors)], Value: v, OK: ok, Elapsed: d.fake.Now().Sub(start)}
+		d.fake.Sleep(30 * time.Millisecond)
 	}
 
 	// Let any remaining scheduled faults fire so the log is complete.
 	if rest := planEnd + time.Second - d.fake.Now().Sub(d.start); rest > 0 {
-		d.run(rest)
+		d.fake.Sleep(rest)
 	}
 	plan.Wait()
 	res.Faults = plan.Log()
@@ -104,7 +103,8 @@ func runChurn(t *testing.T, seed int64, nNodes, nPublishers, nEvents, nLookups i
 // TestOverlayChurnProperty is the seeded churn acceptance test: under a
 // crash/restart schedule hitting the overlay every 400 ms, a stable client's
 // lookup success rate stays >= 99% with K=2 replication, and every lookup
-// outcome and the executed fault log replay identically for the same seed.
+// outcome, its latency and the executed fault log replay identically for the
+// same seed.
 func TestOverlayChurnProperty(t *testing.T) {
 	nNodes, nPublishers, nEvents, nLookups := 64, 12, 24, 240
 	if testing.Short() || raceEnabled {

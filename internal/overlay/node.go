@@ -360,23 +360,23 @@ func (n *Node) Lookup(aor string, timeout time.Duration) (string, error) {
 	if closed {
 		return "", ErrClosed
 	}
-	type outcome struct {
+	var out struct {
+		done  clock.Gate
 		value string
 		ok    bool
 	}
-	ch := make(chan outcome, 1)
-	n.LookupAsync(aor, func(v string, ok bool) { ch <- outcome{v, ok} })
-	t := n.clk.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case out := <-ch:
-		if !out.ok {
-			return "", ErrNotFound
-		}
-		return out.value, nil
-	case <-t.C():
+	out.done.Init(n.clk)
+	n.LookupAsync(aor, func(v string, ok bool) {
+		out.value, out.ok = v, ok
+		out.done.Open()
+	})
+	switch {
+	case clock.Wait("overlay.Node.Lookup", timeout, &out.done) != 0:
 		return "", ErrTimeout
+	case !out.ok:
+		return "", ErrNotFound
 	}
+	return out.value, nil
 }
 
 // Peers returns the number of distinct peers across all k-buckets.

@@ -1,6 +1,7 @@
 package overlay_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,10 +15,8 @@ import (
 )
 
 // dhtNet is the deterministic overlay test harness: a one-shard Internet on
-// a fake clock, driven with 1 ms Advance steps
-// (the per-hop delay) and the activity-fingerprint settle idiom from the
-// event-loop golden tests. Every deadline stays on integer milliseconds, so
-// seeded runs replay bit-identically.
+// a fake clock, which the test body moves by sleeping on it and by blocking
+// lookups, so seeded runs replay bit-identically.
 type dhtNet struct {
 	t     testing.TB
 	fake  *clock.Fake
@@ -25,7 +24,7 @@ type dhtNet struct {
 	inet  *internet.Internet
 
 	// mu guards nodes and order: churn tests crash and restart nodes from
-	// the FaultPlan runner goroutine while the driver polls activity.
+	// FaultPlan tasks.
 	mu    sync.Mutex
 	nodes map[netem.NodeID]*overlay.Node
 	order []netem.NodeID
@@ -95,7 +94,7 @@ func (d *dhtNet) addNode(name netem.NodeID, cfg overlay.Config) *overlay.Node {
 }
 
 // crash closes a node and removes its host, simulating a power-off. Safe to
-// call from a FaultPlan runner goroutine.
+// call from a FaultPlan task.
 func (d *dhtNet) crash(name netem.NodeID) {
 	d.mu.Lock()
 	n := d.nodes[name]
@@ -109,7 +108,7 @@ func (d *dhtNet) crash(name netem.NodeID) {
 
 // restart brings a crashed node back with the same host name (hence the same
 // overlay ID) and an empty record store, bootstrapping off boot. Safe to call
-// from a FaultPlan runner goroutine.
+// from a FaultPlan task.
 func (d *dhtNet) restart(name netem.NodeID, cfg overlay.Config, boot netem.NodeID) {
 	host, err := d.inet.AddHost(name)
 	if err != nil {
@@ -132,68 +131,6 @@ func (d *dhtNet) restart(name netem.NodeID, cfg overlay.Config, boot netem.NodeI
 	d.mu.Unlock()
 }
 
-// activity fingerprints the overlay's progress: message counters plus the
-// pending fake-timer count, so a handler that fired but has not re-armed yet
-// still reads as busy.
-func (d *dhtNet) activity() [2]int64 {
-	var sum int64
-	d.mu.Lock()
-	for _, id := range d.order {
-		if n := d.nodes[id]; n != nil {
-			s := n.Stats()
-			sum += s.Sent + s.Received + s.Timeouts + s.StoresServed
-		}
-	}
-	d.mu.Unlock()
-	return [2]int64{sum, int64(d.fake.PendingTimers())}
-}
-
-// settle polls until the current virtual instant has drained.
-func (d *dhtNet) settle() {
-	last, stable := d.activity(), 0
-	for i := 0; i < 4000 && stable < 4; i++ {
-		runtime.Gosched()
-		time.Sleep(50 * time.Microsecond)
-		if cur := d.activity(); cur == last {
-			stable++
-		} else {
-			last, stable = cur, 0
-		}
-	}
-}
-
-// advanceStep jumps virtual time toward limit: straight to the next pending
-// timer deadline when one is armed, else by a bounded idle step. The bound
-// matters — event-loop workers re-arm their shard timer asynchronously after
-// it fires, so NextDeadline can transiently report nothing while tasks are
-// still queued; an unbounded jump in that window would push the re-armed
-// deadline past the target. Capping the step bounds the overshoot to one hop.
-func (d *dhtNet) advanceStep(limit time.Time) {
-	const maxIdleStep = 25 * time.Millisecond
-	now := d.fake.Now()
-	step := limit.Sub(now)
-	if step > maxIdleStep {
-		step = maxIdleStep
-	}
-	if dl, ok := d.fake.NextDeadline(); ok {
-		if due := dl.Sub(now); due > 0 && due < step {
-			step = due
-		}
-	}
-	d.fake.Advance(step)
-	d.settle()
-}
-
-// run advances virtual time through dur, settling after each jump so every
-// event instant drains before the next. Idle stretches cost a handful of
-// bounded jumps instead of a 1 ms sweep.
-func (d *dhtNet) run(dur time.Duration) {
-	end := d.fake.Now().Add(dur)
-	for d.fake.Now().Before(end) {
-		d.advanceStep(end)
-	}
-}
-
 // buildCluster starts n nodes dht-0 … dht-<n-1>, all bootstrapped off dht-0,
 // and lets the join lookups complete.
 func (d *dhtNet) buildCluster(n int, cfg overlay.Config) {
@@ -206,8 +143,7 @@ func (d *dhtNet) buildCluster(n int, cfg overlay.Config) {
 		}
 		d.addNode(netem.NodeID(fmt.Sprintf("dht-%d", i)), c)
 	}
-	d.settle()
-	d.run(100 * time.Millisecond)
+	d.fake.Sleep(100 * time.Millisecond)
 }
 
 func baseConfig() overlay.Config {
@@ -220,38 +156,15 @@ func baseConfig() overlay.Config {
 	}
 }
 
-// lookupVia drives an async lookup to completion and returns its outcome.
-// The completion callback fires on an event-loop goroutine, so the result is
-// mutex-guarded.
+// lookupVia resolves aor through n and fails the test if the lookup does not
+// complete within wait.
 func (d *dhtNet) lookupVia(n *overlay.Node, aor string, wait time.Duration) (string, bool) {
 	d.t.Helper()
-	var (
-		mu   sync.Mutex
-		got  string
-		ok   bool
-		done bool
-	)
-	n.LookupAsync(aor, func(v string, o bool) {
-		mu.Lock()
-		got, ok, done = v, o, true
-		mu.Unlock()
-	})
-	deadline := d.fake.Now().Add(wait)
-	for {
-		mu.Lock()
-		fin := done
-		mu.Unlock()
-		if fin || !d.fake.Now().Before(deadline) {
-			break
-		}
-		d.advanceStep(deadline)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !done {
+	v, err := n.Lookup(aor, wait)
+	if errors.Is(err, overlay.ErrTimeout) {
 		d.t.Fatalf("lookup %q did not complete within %v", aor, wait)
 	}
-	return got, ok
+	return v, err == nil
 }
 
 func TestOverlayPublishLookup(t *testing.T) {
@@ -260,7 +173,7 @@ func TestOverlayPublishLookup(t *testing.T) {
 	d.buildCluster(8, baseConfig())
 
 	d.node("dht-3").Publish("alice@dht.example", "10.9.9.1:5060")
-	d.run(50 * time.Millisecond)
+	d.fake.Sleep(50 * time.Millisecond)
 
 	if v, ok := d.lookupVia(d.node("dht-7"), "alice@dht.example", time.Second); !ok || v != "10.9.9.1:5060" {
 		t.Fatalf("lookup alice = %q, %v; want 10.9.9.1:5060, true", v, ok)
@@ -288,7 +201,7 @@ func TestOverlayRepublishHealsFullReplicaLoss(t *testing.T) {
 	d.buildCluster(16, baseConfig())
 
 	d.node("dht-0").Publish("alice@dht.example", "10.9.9.1:5060")
-	d.run(50 * time.Millisecond)
+	d.fake.Sleep(50 * time.Millisecond)
 
 	var storers []netem.NodeID
 	for _, id := range d.order {
@@ -303,7 +216,7 @@ func TestOverlayRepublishHealsFullReplicaLoss(t *testing.T) {
 		d.crash(id)
 	}
 	// One full republish interval plus slack for the placement lookup.
-	d.run(2*time.Second + 500*time.Millisecond)
+	d.fake.Sleep(2*time.Second + 500*time.Millisecond)
 
 	if v, ok := d.lookupVia(d.node("dht-15"), "alice@dht.example", time.Second); !ok || v != "10.9.9.1:5060" {
 		t.Fatalf("lookup after replica loss = %q, %v; want hit", v, ok)
@@ -321,12 +234,12 @@ func TestOverlayUnpublishExpires(t *testing.T) {
 	d.buildCluster(8, cfg)
 
 	d.node("dht-2").Publish("bob@dht.example", "10.9.9.2:5060")
-	d.run(50 * time.Millisecond)
+	d.fake.Sleep(50 * time.Millisecond)
 	if _, ok := d.lookupVia(d.node("dht-6"), "bob@dht.example", time.Second); !ok {
 		t.Fatal("binding not visible after publish")
 	}
 	d.node("dht-2").Unpublish("bob@dht.example")
-	d.run(5 * time.Second)
+	d.fake.Sleep(5 * time.Second)
 	if v, ok := d.lookupVia(d.node("dht-6"), "bob@dht.example", time.Second); ok {
 		t.Fatalf("binding still resolvable %v after unpublish: %q", 5*time.Second, v)
 	}

@@ -220,9 +220,12 @@ func (p *Protocol) Routes() []routing.Entry {
 	return p.table.Snapshot(p.clk.Now())
 }
 
-// NextHop implements netem.RouteProvider.
+// NextHop implements netem.RouteProvider. A route asked for is about to carry
+// a packet, so asking refreshes it and the route to its next hop for another
+// ActiveRouteTimeout (RFC 3561 §6.2).
 func (p *Protocol) NextHop(dst netem.NodeID) (netem.NodeID, bool) {
-	e, ok := p.table.Lookup(dst, p.clk.Now())
+	now := p.clk.Now()
+	e, ok := p.table.Use(dst, now, now.Add(p.cfg.ActiveRouteTimeout))
 	if !ok {
 		return "", false
 	}

@@ -44,9 +44,10 @@ func TestStopFailsPendingDiscoveriesOnce(t *testing.T) {
 	p.RequestRoute("ghost", done(1)) // joins the first
 	p.RequestRoute("wraith", done(2))
 
-	// Into the schedule: both discoveries have retried at least once.
-	step := cfg.DiscoveryTimeout / 8
-	if !testutil.AdvanceUntil(fake, step, 100*step, func() bool { return p.Stats().RREQSent >= 4 }) {
+	// Into the schedule: both discoveries have retried once.
+	plan := cfg.attemptPlan()
+	fake.Sleep(plan[0].timeout)
+	if p.Stats().RREQSent < 4 {
 		t.Fatalf("discoveries never retried: %+v", p.Stats())
 	}
 	if calls != [3]int{} {
@@ -63,7 +64,7 @@ func TestStopFailsPendingDiscoveriesOnce(t *testing.T) {
 	}
 
 	// The retry steps armed before Stop come due, and so would every HELLO.
-	testutil.AdvanceUntil(fake, step, 3*time.Duration(len(cfg.attemptPlan()))*cfg.DiscoveryTimeout, testutil.Never)
+	fake.Sleep(3 * time.Duration(len(plan)) * cfg.DiscoveryTimeout)
 	if got := p.Stats(); got != stopped {
 		t.Fatalf("stopped protocol kept working: %+v, was %+v", got, stopped)
 	}

@@ -1,7 +1,6 @@
 package aodv
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -41,26 +40,9 @@ func TestEchoedRREQKeepsNeighbourRoute(t *testing.T) {
 	req, relay := protos[0], protos[1]
 	reqID, dstID := hosts[0].ID(), hosts[3].ID()
 
-	// next lets the worker run what is due, then moves the clock to the next
-	// deadline and lets that run. The discovery's retry is always queued, so
-	// the worker always parks on a timer.
-	settle := func() {
-		for giveUp := time.Now().Add(10 * time.Second); fake.PendingTimers() == 0; runtime.Gosched() {
-			if time.Now().After(giveUp) {
-				t.Fatal("scheduler worker never parked")
-			}
-		}
-	}
-	next := func() {
-		settle()
-		due, _ := fake.NextDeadline()
-		fake.Set(due)
-		settle()
-	}
-
 	found := make(chan bool, 1)
 	req.RequestRoute(dstID, func(ok bool) { found <- ok })
-	next() // +1 ms: A has the first copy from R and rebroadcasts it
+	fake.Sleep(hop) // A has the first copy from R and rebroadcasts it
 	if e, ok := relay.table.Lookup(reqID, fake.Now()); !ok || e.Hops != 1 {
 		t.Fatalf("relay's route to the requester after the first copy: %+v %t", e, ok)
 	}
@@ -70,15 +52,13 @@ func TestEchoedRREQKeepsNeighbourRoute(t *testing.T) {
 	req.send(netem.Broadcast, hello.AppendTo(req.begin(KindHello, hello.wireLen())))
 
 	var ok bool
-	for i := 0; i < 20 && !ok; i++ {
-		next()
-		select {
-		case ok = <-found:
-			if !ok {
-				t.Fatal("discovery failed")
-			}
-		default:
+	fake.Sleep(20 * hop)
+	select {
+	case ok = <-found:
+		if !ok {
+			t.Fatal("discovery failed")
 		}
+	default:
 	}
 	if e, live := relay.table.Lookup(reqID, fake.Now()); !live || e.Hops != 1 || e.NextHop != reqID {
 		t.Errorf("relay's route to the requester is %+v (live %t), want one hop to it", e, live)
@@ -100,16 +80,13 @@ func TestEchoedRREQKeepsNeighbourRoute(t *testing.T) {
 	if err := src.WriteTo([]byte("voice"), dstID, 7000); err != nil {
 		t.Fatal(err)
 	}
-	for range 20 {
-		next()
-		select {
-		case got := <-ttl:
-			if want := uint8(netem.DefaultTTL - 2); got != want {
-				t.Fatalf("data arrived with TTL %d, want %d: it crossed %d relays, not 2", got, want, netem.DefaultTTL-int(got))
-			}
-			return
-		default:
+	fake.Sleep(20 * hop)
+	select {
+	case got := <-ttl:
+		if want := uint8(netem.DefaultTTL - 2); got != want {
+			t.Fatalf("data arrived with TTL %d, want %d: it crossed %d relays, not 2", got, want, netem.DefaultTTL-int(got))
 		}
+	default:
+		t.Fatal("the data never arrived")
 	}
-	t.Fatal("the data never arrived")
 }

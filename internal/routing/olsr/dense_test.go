@@ -324,7 +324,7 @@ func TestDenseReferenceEquivalence(t *testing.T) {
 					p.onTC(orig, m)
 					model.onTC(now, m)
 				case 7, 8: // time passes
-					fake.Advance(time.Duration(rng.Intn(120)) * time.Millisecond)
+					fake.Sleep(time.Duration(rng.Intn(120)) * time.Millisecond)
 				case 9: // expiry sweep
 					now := fake.Now()
 					p.expire()

@@ -6,25 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
-// gridConfig returns protocol timing sustainable for a ~100-node grid on
-// modest hardware. SimConfig's 40 ms HELLO / 80 ms TC is fine for small
-// chains and cliques, but at 100 nodes the O(N²) TC flood volume outruns
-// available CPU, timers slip past the hold times and links flap — churn
-// that is real protocol behaviour under starvation, not a bug to hide.
-// Under the race detector the same reasoning applies one level up: the
-// several-fold instrumentation cost turns even this cadence into
-// starvation on small hosts, so the intervals stretch further.
+// gridConfig is the grid tests' cadence: slower than SimConfig's 40 ms
+// HELLO / 80 ms TC, which a 100-node grid does not need to converge and
+// whose O(N²) TC flood would only cost simulation time.
 func gridConfig() Config {
-	if raceEnabled {
-		return Config{
-			HelloInterval: 400 * time.Millisecond,
-			TCInterval:    time.Second,
-			RouteWait:     15 * time.Second,
-		}
-	}
 	return Config{
 		HelloInterval: 200 * time.Millisecond,
 		TCInterval:    500 * time.Millisecond,
@@ -32,23 +21,16 @@ func gridConfig() Config {
 	}
 }
 
-// goldenGridSide is the grid edge for the quiescence-checkpoint tests:
-// 10×10 normally, scaled down under -race so the TC flood (O(N²) forwarded
-// volume) stays inside what an instrumented single-core host can process at
-// protocol cadence — otherwise the grid never quiesces and the test flakes
-// on load, not on correctness.
-func goldenGridSide() int {
-	if raceEnabled {
-		return 6
-	}
-	return 10
-}
+// gridSide is the edge of the grid the equivalence tests run on.
+const gridSide = 10
 
 // startGrid builds a side×side OLSR grid with 80 m spacing (4-neighbour
-// connectivity at 100 m range) and returns the network and protocols.
-func startGrid(t *testing.T, side int) (*netem.Network, []*netem.Host, []*Protocol) {
+// connectivity at 100 m range) on a fake clock, and returns the clock, the
+// network and the protocols.
+func startGrid(t *testing.T, side int) (*clock.Fake, *netem.Network, []*netem.Host, []*Protocol) {
 	t.Helper()
-	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: fake})
 	t.Cleanup(net.Close)
 	hosts, err := netem.Grid(net, side, side, 80, "g")
 	if err != nil {
@@ -66,38 +48,44 @@ func startGrid(t *testing.T, side int) (*netem.Network, []*netem.Host, []*Protoc
 			p.Stop()
 		}
 	})
-	return net, hosts, protos
+	return fake, net, hosts, protos
 }
 
-// waitQuiescent blocks until no node has executed a recompute for a full
-// stability window: at that point every scheduled trailing rebuild has
-// drained, so the incremental tables are in sync with the link-state inputs
-// and a golden comparison races nothing. (The hold-down coalescing lets the
-// table legitimately lag arrivals by HelloInterval/2, so comparing while
-// changes are still propagating would report phantom divergence.)
-func waitQuiescent(t *testing.T, protos []*Protocol, timeout time.Duration) {
+// recomputes sums the executed recomputes over protos.
+func recomputes(protos []*Protocol) int64 {
+	var n int64
+	for _, p := range protos {
+		n += p.Stats().Recompute
+	}
+	return n
+}
+
+// converged lets the grid run for a while after its last change and then
+// fails the test unless no node recomputes for a full second: every trailing
+// rebuild has drained, so the incremental tables are in sync with the
+// link-state inputs and a golden comparison races nothing. (The hold-down
+// coalescing lets the table legitimately lag arrivals by HelloInterval/2, so
+// comparing while changes are still propagating would report phantom
+// divergence.)
+func converged(t *testing.T, fake *clock.Fake, protos []*Protocol) {
 	t.Helper()
-	total := func() int64 {
-		var n int64
-		for _, p := range protos {
-			n += p.Stats().Recompute
-		}
-		return n
+	fake.Sleep(10 * time.Second)
+	before := recomputes(protos)
+	fake.Sleep(time.Second)
+	if after := recomputes(protos); after != before {
+		t.Fatalf("%d recomputes a full second after the last change", after-before)
 	}
-	const stable = 1 * time.Second
-	deadline := time.Now().Add(timeout)
-	last, since := total(), time.Now()
-	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-		if cur := total(); cur != last {
-			last, since = cur, time.Now()
-			continue
-		}
-		if time.Since(since) >= stable {
-			return
-		}
+}
+
+// routeAt fails the test unless p has a route to dst and returns its next
+// hop.
+func routeAt(t *testing.T, p *Protocol, dst netem.NodeID) netem.NodeID {
+	t.Helper()
+	nh, ok := p.NextHop(dst)
+	if !ok {
+		t.Fatalf("no route to %s; table: %+v", dst, p.Routes())
 	}
-	t.Fatalf("network never quiesced within %v (recomputes still advancing)", timeout)
+	return nh
 }
 
 // checkGolden asserts, for every node, that the incrementally maintained
@@ -121,29 +109,25 @@ func checkGolden(t *testing.T, protos []*Protocol, phase string) {
 // verifies the incremental route maintenance (dirty tracking + input-hash
 // skipping) produces exactly the table a full recompute would.
 func TestIncrementalFullEquivalenceGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mobility trace too slow for -short")
-	}
-	side := goldenGridSide()
-	net, hosts, protos := startGrid(t, side)
+	fake, net, hosts, protos := startGrid(t, gridSide)
 
 	// Let the static grid converge corner-to-corner, drain the trailing
 	// rebuilds, then check the baseline.
-	waitForRoute(t, protos[0], hosts[len(hosts)-1].ID(), 30*time.Second)
-	waitQuiescent(t, protos, 30*time.Second)
+	converged(t, fake, protos)
+	routeAt(t, protos[0], hosts[len(hosts)-1].ID())
 	checkGolden(t, protos, "static grid")
 
-	// Seeded mobility: a few movement bursts, each followed by a settle
-	// to quiescence so in-flight updates drain before the equivalence
-	// check. The arena tracks the grid footprint (80 m spacing).
-	arena := float64(side) * 80
+	// Seeded mobility: a few movement bursts, each followed by a quiet
+	// spell so in-flight updates drain before the equivalence check. The
+	// arena tracks the grid footprint (80 m spacing).
+	arena := float64(gridSide) * 80
 	wp := netem.NewWaypoint(net, arena, arena, 20, 40, 42)
 	for burst := range 3 {
 		for range 5 {
 			wp.Step(0.5)
-			time.Sleep(30 * time.Millisecond)
+			fake.Sleep(30 * time.Millisecond)
 		}
-		waitQuiescent(t, protos, 30*time.Second)
+		converged(t, fake, protos)
 		checkGolden(t, protos, fmt.Sprintf("after mobility burst %d", burst))
 	}
 }
@@ -154,22 +138,18 @@ func TestIncrementalFullEquivalenceGolden(t *testing.T) {
 // far below both the arrival count and the coalesced PR-3 baseline (which
 // still ran one rebuild per hold-down window, ~2/interval/node).
 func TestRecomputeRegressionBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid convergence too slow for -short")
-	}
-	_, hosts, protos := startGrid(t, goldenGridSide())
+	fake, _, hosts, protos := startGrid(t, gridSide)
 	// Converge: opposite corners route to each other.
-	last := hosts[len(hosts)-1].ID()
-	waitForRoute(t, protos[0], last, 30*time.Second)
-	waitForRoute(t, protos[len(protos)-1], hosts[0].ID(), 30*time.Second)
-	waitQuiescent(t, protos, 30*time.Second)
+	converged(t, fake, protos)
+	routeAt(t, protos[0], hosts[len(hosts)-1].ID())
+	routeAt(t, protos[len(protos)-1], hosts[0].ID())
 
 	before := make([]Stats, len(protos))
 	for i, p := range protos {
 		before[i] = p.Stats()
 	}
 	const window = 2 * time.Second
-	time.Sleep(window)
+	fake.Sleep(window)
 
 	var arrivals, recomputes int64
 	for i, p := range protos {

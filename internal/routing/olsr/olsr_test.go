@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
@@ -231,7 +232,8 @@ func TestTopologyExpiresAfterNodeDeath(t *testing.T) {
 // bounded per interval (instead of one full MPR+route rebuild per arriving
 // message) while routes still converge to the 1-hop clique.
 func TestRecomputeCoalescing(t *testing.T) {
-	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: fake})
 	defer net.Close()
 	const n = 8
 	hosts := make([]*netem.Host, n)
@@ -252,8 +254,9 @@ func TestRecomputeCoalescing(t *testing.T) {
 			p.Stop()
 		}
 	}()
+	fake.Sleep(2 * time.Second)
 	for _, other := range hosts[1:] {
-		if nh := waitForRoute(t, protos[0], other.ID(), 10*time.Second); nh != other.ID() {
+		if nh := routeAt(t, protos[0], other.ID()); nh != other.ID() {
 			t.Fatalf("clique route to %s via %s, want direct", other.ID(), nh)
 		}
 	}
@@ -261,7 +264,7 @@ func TestRecomputeCoalescing(t *testing.T) {
 	for i, p := range protos {
 		before[i] = p.Stats()
 	}
-	time.Sleep(800 * time.Millisecond)
+	fake.Sleep(800 * time.Millisecond)
 	// Node 0 hears every control message the others broadcast; without
 	// coalescing it would recompute once per arrival.
 	var arrivals int64

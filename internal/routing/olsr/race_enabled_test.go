@@ -2,11 +2,6 @@
 
 package olsr
 
-// raceEnabled reports whether this test binary was built with -race. The
-// detector multiplies CPU cost several-fold, which matters to tests whose
-// assertions depend on the machine keeping a real-time protocol cadence: a
-// grid whose control traffic saturates the host makes timers slip past hold
-// times and links flap — real protocol behaviour under starvation, but not
-// what an equivalence test is probing. Those tests scale their workload down
-// (smaller grid, slower cadence) instead of flaking.
+// raceEnabled reports whether this test binary was built with -race, under
+// which allocation counts are not meaningful.
 const raceEnabled = true

@@ -245,15 +245,29 @@ func (t *Table) UpsertIfFresher(e Entry) bool {
 
 // Lookup returns the live route for dst at time now.
 func (t *Table) Lookup(dst netem.NodeID, now time.Time) (Entry, bool) {
+	return t.Use(dst, now, time.Time{})
+}
+
+// Use is Lookup for a packet about to take the route: it also makes the route,
+// and the route to its next hop, live until at least until, so that a route
+// in use does not expire (RFC 3561 §6.2). A route without a lifetime keeps
+// none.
+func (t *Table) Use(dst netem.NodeID, now, until time.Time) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[dst]
-	if !ok {
-		return Entry{}, false
-	}
-	if !e.Expires.IsZero() && now.After(e.Expires) {
+	if !ok || !e.Expires.IsZero() && now.After(e.Expires) {
 		delete(t.entries, dst)
 		return Entry{}, false
+	}
+	if until.IsZero() {
+		return e, true
+	}
+	for _, id := range [2]netem.NodeID{dst, e.NextHop} {
+		if r, ok := t.entries[id]; ok && !r.Expires.IsZero() && !now.After(r.Expires) && until.After(r.Expires) {
+			r.Expires = until
+			t.entries[id] = r
+		}
 	}
 	return e, true
 }

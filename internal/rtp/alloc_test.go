@@ -180,12 +180,12 @@ func TestMediaSessionDoesNotGrow(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		sa, sb := NewSession(ca, 1), NewSession(cb, 2)
 		out, back := sa.StartStream("b", 4001, frames), sb.StartStream("a", 4000, frames)
-		for sa.Stats().Received < int64(frames) || sb.Stats().Received < int64(frames) {
-			clk.Advance(FrameDuration)
-			time.Sleep(50 * time.Microsecond)
-		}
 		out.Wait()
 		back.Wait()
+		clk.Sleep(FrameDuration)
+		if sa.Stats().Received != int64(frames) || sb.Stats().Received != int64(frames) {
+			t.Fatalf("received %d and %d of %d frames", sa.Stats().Received, sb.Stats().Received, frames)
+		}
 		sa.Close()
 		sb.Close()
 		runtime.ReadMemStats(&after)

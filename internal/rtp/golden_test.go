@@ -112,74 +112,21 @@ func lineChain(t *testing.T, n *netem.Network, ids []netem.NodeID) []*netem.Host
 	return hosts
 }
 
-// chainSnap is the quiescence snapshot for the settle-then-step fake-clock
-// driver: the simulation is idle when no medium, session or raw-capture
-// counter moves and no new clock timers appear across consecutive polls.
-type chainSnap struct {
-	frames  int64
-	deliv   int64
-	lost    int64
-	recv    [2]int64
-	raw     int
-	pending int
-}
-
+// chainSim is a lossy line of hosts on a fake clock, with a raw capture of
+// frame arrival order.
 type chainSim struct {
-	clk      *clock.Fake
-	net      *netem.Network
-	sessions [2]*Session
-	rawMu    sync.Mutex
-	rawSeqs  []uint16
-}
-
-func (c *chainSim) snap() chainSnap {
-	st := c.net.Stats()
-	s := chainSnap{
-		frames:  st.TotalFrames(),
-		deliv:   st.Deliveries,
-		lost:    st.Lost,
-		pending: c.clk.PendingTimers(),
-	}
-	for i, sess := range c.sessions {
-		if sess != nil {
-			s.recv[i] = sess.Stats().Received
-		}
-	}
-	c.rawMu.Lock()
-	s.raw = len(c.rawSeqs)
-	c.rawMu.Unlock()
-	return s
-}
-
-func (c *chainSim) settle() {
-	prev := c.snap()
-	stable := 0
-	for stable < 3 {
-		time.Sleep(150 * time.Microsecond)
-		cur := c.snap()
-		if cur == prev {
-			stable++
-		} else {
-			stable = 0
-			prev = cur
-		}
-	}
-}
-
-// step advances the fake clock in 2 ms increments (a divisor of the 20 ms
-// frame cadence, so every timer fires exactly on its deadline), settling to
-// quiescence after each increment so event causality — and therefore the
-// medium's seeded RNG draw order — is identical on every run.
-func (c *chainSim) step(n int) {
-	for range n {
-		c.clk.Advance(2 * time.Millisecond)
-		c.settle()
-	}
+	clk     *clock.Fake
+	net     *netem.Network
+	rawMu   sync.Mutex
+	rawSeqs []uint16
 }
 
 // TestChainGoldenPlayout streams 80 voice frames over a seeded lossy 3-hop
 // chain on a fake clock and checks every quality number against the golden
-// run of the pre-rewrite implementation.
+// run. The counts are the pre-rewrite implementation's; delay, jitter, R and
+// MOS were re-recorded when the clock began stopping at every deadline
+// instead of being stepped 2 ms at a time, which had added up to 2 ms of
+// step lag to every hop.
 func TestChainGoldenPlayout(t *testing.T) {
 	sim := &chainSim{clk: clock.NewFake(time.Unix(1_000_000, 0))}
 	sim.net = netem.NewNetwork(netem.Config{
@@ -203,23 +150,13 @@ func TestChainGoldenPlayout(t *testing.T) {
 	sd := NewSession(cd, 22)
 	defer sa.Close()
 	defer sd.Close()
-	sim.sessions = [2]*Session{sa, sd}
 
 	const frames = 80
 	st := sa.StartStream("d", 4001, frames)
-	sim.settle()
-	for {
-		sim.step(1)
-		select {
-		case <-st.Done():
-		default:
-			continue
-		}
-		break
-	}
-	sim.step(150) // 300 ms: flush in-flight deliveries and the playout buffer
+	sent := st.Wait()
+	sim.clk.Sleep(300 * time.Millisecond) // flush in-flight deliveries and the playout buffer
 
-	if sent := st.Wait(); sent != frames {
+	if sent != frames {
 		t.Fatalf("sent = %d, want %d", sent, frames)
 	}
 	played, late, missing := sd.PlayoutStats()
@@ -231,17 +168,17 @@ func TestChainGoldenPlayout(t *testing.T) {
 		t.Fatalf("received/lost/expected = %d/%d/%d, golden 61/18/79",
 			stats.Received, stats.Lost, stats.Expected)
 	}
-	if got := stats.AvgDelay.String(); got != "8.032786ms" {
-		t.Errorf("avg delay = %s, golden 8.032786ms", got)
+	if got := stats.AvgDelay.String(); got != "5.182574ms" {
+		t.Errorf("avg delay = %s, golden 5.182574ms", got)
 	}
-	if got := stats.Jitter.String(); got != "1.694104ms" {
-		t.Errorf("jitter = %s, golden 1.694104ms", got)
+	if got := stats.Jitter.String(); got != "901.071µs" {
+		t.Errorf("jitter = %s, golden 901.071µs", got)
 	}
-	if got := fmt.Sprintf("%.6f", stats.MOS); got != "2.493218" {
-		t.Errorf("MOS = %s, golden 2.493218", got)
+	if got := fmt.Sprintf("%.6f", stats.MOS); got != "2.496791" {
+		t.Errorf("MOS = %s, golden 2.496791", got)
 	}
-	if got := fmt.Sprintf("%.6f", stats.R); got != "48.438491" {
-		t.Errorf("R = %s, golden 48.438491", got)
+	if got := fmt.Sprintf("%.6f", stats.R); got != "48.506896" {
+		t.Errorf("R = %s, golden 48.506896", got)
 	}
 }
 
@@ -276,7 +213,6 @@ func runPacedChain(t *testing.T) (sent int, played, late, missing int64, stats S
 	sd := NewSession(cd, 22)
 	defer sa.Close()
 	defer sd.Close()
-	sim.sessions = [2]*Session{sa, sd}
 	raw.Handle(func(dg *netem.Datagram) {
 		var pkt Packet
 		if ParseInto(&pkt, dg.Data) != nil {
@@ -293,25 +229,11 @@ func runPacedChain(t *testing.T) (sent int, played, late, missing int64, stats S
 	// divergence can then only come from the pacer itself.
 	const frames = 40
 	st1 := sa.StartStream("d", 4001, frames)
-	sim.settle()
-	sim.step(5) // 10 ms
+	sim.clk.Sleep(10 * time.Millisecond)
 	st2 := sa.StartStream("d", 4002, frames)
-	sim.settle()
-	for {
-		sim.step(1)
-		select {
-		case <-st1.Done():
-		default:
-			continue
-		}
-		select {
-		case <-st2.Done():
-		default:
-			continue
-		}
-		break
-	}
-	sim.step(150)
+	st1.Wait()
+	st2.Wait()
+	sim.clk.Sleep(300 * time.Millisecond)
 
 	if got := st2.Wait(); got != frames {
 		t.Fatalf("raw stream sent = %d, want %d", got, frames)

@@ -138,25 +138,10 @@ func benchMediaScale(b *testing.B, streams int) {
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
 		b.StartTimer()
-		for {
-			done := true
-			for _, h := range handles {
-				select {
-				case <-h.Done():
-				default:
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-			clk.Advance(FrameDuration)
-			time.Sleep(100 * time.Microsecond)
+		for _, h := range handles {
+			h.Wait()
 		}
-		for range 10 { // flush in-flight deliveries and the playout buffers
-			clk.Advance(FrameDuration)
-			time.Sleep(100 * time.Microsecond)
-		}
+		clk.Sleep(10 * FrameDuration) // flush in-flight deliveries and the playout buffers
 		b.StopTimer()
 		streaming += time.Since(start)
 		runtime.ReadMemStats(&ms1)

@@ -77,8 +77,8 @@ func (s *Session) OnFirstRecv(fn func(time.Time)) {
 func (s *Session) StartStream(dst netem.NodeID, port uint16, frames int) *Stream {
 	st := &Stream{
 		sess: s, dst: dst, port: port, frames: frames,
-		done: make(chan struct{}),
 	}
+	st.done.Init(s.clk)
 	s.mu.Lock()
 	if s.closed || frames <= 0 {
 		s.mu.Unlock()
@@ -197,19 +197,15 @@ type Stream struct {
 	wire    [headerLen + PayloadBytes]byte
 	pkt     Packet
 
-	sent     atomic.Int64
-	done     chan struct{}
-	doneOnce sync.Once
+	sent atomic.Int64
+	done clock.Gate
 }
 
 // Wait blocks until the stream finishes and returns the frames sent.
 func (st *Stream) Wait() int {
-	<-st.done
+	clock.Wait("rtp.Stream.Wait", -1, &st.done)
 	return int(st.sent.Load())
 }
-
-// Done is closed when the stream finishes.
-func (st *Stream) Done() <-chan struct{} { return st.done }
 
 // Sent returns the frames handed to the network so far.
 func (st *Stream) Sent() int { return int(st.sent.Load()) }
@@ -224,10 +220,8 @@ func (st *Stream) Stop() {
 // a stream still queued when the network's scheduler closes finishes with the
 // frames sent so far.
 func (st *Stream) finish() {
-	st.doneOnce.Do(func() {
-		close(st.done)
-		st.sess.removeStream(st)
-	})
+	st.done.Open()
+	st.sess.removeStream(st)
 }
 
 // step sends the stream's next frame and queues itself for the one after.

@@ -21,7 +21,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 }
 
 // fakeT1 is the lifecycle tests' T1: short, so that a 64×T1 lifetime is a
-// few hundred steps of the fake clock.
+// quarter of a second of virtual time.
 const fakeT1 = 4 * time.Millisecond
 
 // fakePair is pair on a fake clock.
@@ -31,12 +31,6 @@ func fakePair(t *testing.T) (sa, sb *Stack, n *netem.Network, fake *clock.Fake) 
 	sa, sb, n = pairWith(t, netem.Config{Clock: fake, Shards: 1},
 		Config{T1: fakeT1, T2: 8 * fakeT1})
 	return sa, sb, n, fake
-}
-
-// advanceUntil steps the fake clock half a T1 at a time until cond holds or
-// limit of virtual time has passed, and reports whether cond held.
-func advanceUntil(fake *clock.Fake, limit time.Duration, cond func() bool) bool {
-	return testutil.AdvanceUntil(fake, fakeT1/2, limit, cond)
 }
 
 // TestCloseDuringTraffic closes a stack while requests are arriving at it,
@@ -109,28 +103,21 @@ func TestCloseUnblocksAwait(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sa, sb, n, fake := fakePair(t)
 	sb.OnRequest(func(*ServerTx) {}) // never answers
-	awaited := make(chan error, 1)
-	go func() {
-		_, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort})
-		awaited <- err
-	}()
-	// Let the request and a retransmission or two go out first.
-	if !advanceUntil(fake, time.Second, func() bool {
-		return n.Stats().DataFrames >= 3
-	}) {
+	// Close the stack from a task once the request and two retransmissions
+	// have gone out.
+	var sentBeforeClose int64
+	sa.conn.Host().Sched().After("a", 4*fakeT1, func(time.Time) {
+		sentBeforeClose = n.Stats().DataFrames
+		sa.Close()
+	})
+	if _, err := sa.Await(testRequest(sa, MethodOptions), Addr{Node: "b", Port: DefaultPort}); err != ErrTimeout {
+		t.Fatalf("Await after Close: err = %v, want ErrTimeout", err)
+	}
+	if sentBeforeClose < 3 {
 		t.Fatal("request was never retransmitted")
 	}
-	sa.Close()
-	select {
-	case err := <-awaited:
-		if err != ErrTimeout {
-			t.Fatalf("Await after Close: err = %v, want ErrTimeout", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Await still blocked after Close")
-	}
 	sent := n.Stats().DataFrames
-	advanceUntil(fake, 70*fakeT1, testutil.Never)
+	fake.Sleep(70 * fakeT1)
 	// b's stack is still up and a's retransmission chain had a step pending.
 	if got := n.Stats().DataFrames; got != sent {
 		t.Fatalf("closed stack sent %d more frames", got-sent)
@@ -159,13 +146,10 @@ func TestServerTxExpiry(t *testing.T) {
 	}
 	branch := req.TopVia().Branch()
 	var stx *ServerTx
-	if !advanceUntil(fake, time.Second, func() bool {
-		select {
-		case stx = <-got:
-		default:
-		}
-		return stx != nil
-	}) {
+	fake.Sleep(fakeT1)
+	select {
+	case stx = <-got:
+	default:
 		t.Fatal("INVITE never reached the handler")
 	}
 	present := func() bool {
@@ -175,17 +159,20 @@ func TestServerTxExpiry(t *testing.T) {
 
 	// Proceeding: three expiry steps pass and the transaction is still
 	// there. Stop half a lifetime before the fourth.
-	if advanceUntil(fake, 3*lifetime+lifetime/2, func() bool { return !present() }) {
+	fake.Sleep(3*lifetime + lifetime/2)
+	if !present() {
 		t.Fatal("server transaction expired while the TU still owed a final response")
 	}
 	if err := stx.RespondCode(StatusOK, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Completed: it stays until the fourth step, and goes with it.
-	if advanceUntil(fake, lifetime/4, func() bool { return !present() }) {
+	fake.Sleep(lifetime / 4)
+	if !present() {
 		t.Fatal("server transaction forgotten before its expiry step")
 	}
-	if !advanceUntil(fake, lifetime/2, func() bool { return !present() }) {
+	fake.Sleep(lifetime / 2)
+	if present() {
 		t.Fatal("completed server transaction survived its expiry step")
 	}
 	sa.Close()
@@ -213,13 +200,10 @@ func TestProceedingReplaysProvisional(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *Message
-	if !advanceUntil(fake, 16*fakeT1, func() bool {
-		select {
-		case got = <-responses:
-		default:
-		}
-		return got != nil
-	}) {
+	fake.Sleep(16 * fakeT1)
+	select {
+	case got = <-responses:
+	default:
 		t.Fatal("retransmitted INVITE drew no provisional from a transaction in Proceeding")
 	}
 	if got.StatusCode != StatusTrying || handled.Load() != 1 {

@@ -150,15 +150,6 @@ func (v *Via) String() string {
 	return string(v.appendTo(nil))
 }
 
-// ParseVia parses one Via header value.
-func ParseVia(s string) (*Via, error) {
-	v := &Via{}
-	if err := v.parse(s); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 func (v *Via) parse(s string) error {
 	s = strings.TrimSpace(s)
 	const pre = "SIP/2.0/"

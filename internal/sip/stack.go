@@ -65,8 +65,8 @@ type Stack struct {
 	serverTxs map[txKey]*ServerTx
 	handler   RequestHandler
 	closed    bool
-	// done is closed by Close, releasing Await.
-	done chan struct{}
+	// done is opened by Close, releasing Await.
+	done clock.Gate
 	// running is held while a datagram or a retransmission step is being
 	// handled, so that Close can wait out the one in progress: no transaction
 	// user runs once Close has returned.
@@ -96,8 +96,8 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
 		clientTxs: make(map[txKey]*ClientTx),
 		serverTxs: make(map[txKey]*ServerTx),
-		done:      make(chan struct{}),
 	}
+	s.done.Init(s.clk)
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
 		s.obsRetrans = cfg.Obs.Counter("sip.retransmits")
@@ -140,7 +140,7 @@ func (s *Stack) Close() {
 	s.conn.Close()
 	s.running.Lock()
 	s.running.Unlock()
-	close(s.done)
+	s.done.Open()
 }
 
 func (s *Stack) isClosed() bool {
@@ -194,9 +194,17 @@ func (s *Stack) Send(m *Message, dst Addr) error {
 // ClientTx describes, on the node's shard; nil ignores them. The request
 // belongs to the transaction from here on.
 func (s *Stack) SendRequest(req *Message, dst Addr, onResp func(*Message)) error {
+	if onResp == nil {
+		onResp = func(*Message) {}
+	}
+	return s.startClientTx(s.newClientTx(req), req, dst, onResp)
+}
+
+// newClientTx allocates req's transaction and pushes its Via.
+func (s *Stack) newClientTx(req *Message) *ClientTx {
 	tx := &ClientTx{via: *s.NewVia()}
 	req.Via = append(append(tx.vias[:0], &tx.via), req.Via...)
-	return s.startClientTx(tx, req, dst, onResp)
+	return tx
 }
 
 // SendRequestPreVia starts a client transaction for a request whose Via
@@ -206,14 +214,15 @@ func (s *Stack) SendRequestPreVia(req *Message, dst Addr, onResp func(*Message))
 	if req.TopVia() == nil {
 		return fmt.Errorf("sip: SendRequestPreVia needs a Via")
 	}
-	return s.startClientTx(new(ClientTx), req, dst, onResp)
-}
-
-// startClientTx registers tx as req's client transaction and sends req.
-func (s *Stack) startClientTx(tx *ClientTx, req *Message, dst Addr, onResp func(*Message)) error {
 	if onResp == nil {
 		onResp = func(*Message) {}
 	}
+	return s.startClientTx(new(ClientTx), req, dst, onResp)
+}
+
+// startClientTx registers tx as req's client transaction and sends req. A nil
+// onResp is Await's.
+func (s *Stack) startClientTx(tx *ClientTx, req *Message, dst Addr, onResp func(*Message)) error {
 	tx.stack, tx.key, tx.req, tx.dst, tx.onResp = s, req.txKey(), req, dst, onResp
 	tx.timer.Init(tx.fire, nil)
 	s.mu.Lock()
@@ -231,24 +240,15 @@ func (s *Stack) startClientTx(tx *ClientTx, req *Message, dst Addr, onResp func(
 // response, the synthetic 408 included, or ErrTimeout if the stack closes
 // first. It parks its caller, so it must not be called on a shard worker.
 func (s *Stack) Await(req *Message, dst Addr) (*Message, error) {
-	final := make(chan *Message, 1)
-	err := s.SendRequest(req, dst, func(m *Message) {
-		if m.StatusCode >= 200 {
-			select {
-			case final <- m:
-			default: // a retransmitted 2xx
-			}
-		}
-	})
-	if err != nil {
+	tx := s.newClientTx(req)
+	tx.final.Init(s.clk)
+	if err := s.startClientTx(tx, req, dst, nil); err != nil {
 		return nil, err
 	}
-	select {
-	case m := <-final:
-		return m, nil
-	case <-s.done:
+	if clock.Wait("sip.Stack.Await", -1, &tx.final, &s.done) != 0 {
 		return nil, ErrTimeout
 	}
+	return tx.awaited, nil
 }
 
 // BuildCancel constructs the CANCEL for a previously sent request per

@@ -23,7 +23,11 @@ type ClientTx struct {
 	// INVITE, every retransmission of a 2xx while the transaction lingers.
 	// Each response is the TU's to keep or change (a proxy pops its Via off
 	// and responds with it). It runs on the node's shard and must not block.
+	// Await leaves it nil and is handed the first final through final.
 	onResp func(*Message)
+	final  clock.Gate
+	// awaited is the final response Await returns, set before final opens.
+	awaited *Message
 
 	mu        sync.Mutex
 	finalSent bool
@@ -135,7 +139,7 @@ func (tx *ClientTx) retransmitStep() {
 		s.obsTimeouts.Inc()
 		tx.endSpan(0)
 		s.removeClientTx(tx.key)
-		tx.onResp(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
+		tx.respond(NewResponse(tx.req, StatusRequestTimeout, localTimeoutReason))
 		return
 	}
 	_ = s.Send(tx.req, tx.dst)
@@ -182,7 +186,7 @@ func (tx *ClientTx) onResponse(m *Message) {
 		// callee repeats its 200 until the ACK, which is the TU's to send
 		// again (RFC 3261 §13.2.2.4). Anything else is absorbed.
 		if final && m.StatusCode < 300 && tx.req.Method == MethodInvite {
-			tx.onResp(m)
+			tx.respond(m)
 		}
 		return
 	}
@@ -197,7 +201,18 @@ func (tx *ClientTx) onResponse(m *Message) {
 		// then terminate.
 		tx.stack.after(&tx.timer, 4*tx.stack.cfg.T1)
 	}
-	tx.onResp(m)
+	tx.respond(m)
+}
+
+// respond hands a response to the TU, or the first final one to Await.
+func (tx *ClientTx) respond(m *Message) {
+	switch {
+	case tx.onResp != nil:
+		tx.onResp(m)
+	case m.StatusCode >= 200 && !tx.final.IsOpen():
+		tx.awaited = m
+		tx.final.Open()
+	}
 }
 
 // buildTxAck constructs the transaction-level ACK for a non-2xx INVITE

@@ -556,13 +556,17 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 	if svc, ok, err := a.lookupLocal(stype, key, timeout); ok {
 		return svc, err
 	}
-	type answer struct {
-		svc Service
-		err error
+	var r struct {
+		done clock.Gate
+		svc  Service
+		err  error
 	}
-	ch := make(chan answer, 1)
-	a.query(stype, key, timeout, func(svc Service, err error) { ch <- answer{svc, err} })
-	r := <-ch
+	r.done.Init(a.clk)
+	a.query(stype, key, timeout, func(svc Service, err error) {
+		r.svc, r.err = svc, err
+		r.done.Open()
+	})
+	clock.Wait("slp.Agent.Lookup", -1, &r.done)
 	return r.svc, r.err
 }
 

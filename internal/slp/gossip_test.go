@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -116,7 +115,7 @@ func TestGossipSteadyStateConstant(t *testing.T) {
 			t.Fatalf("%d services: neighbour holds %d after converging", n, got)
 		}
 		for step := 0; step < 50; step++ {
-			fc.Advance(100 * time.Millisecond)
+			fc.Sleep(100 * time.Millisecond)
 			for i, a := range agents {
 				ext := a.Outgoing(routing.Outgoing{Budget: meshBudget})
 				if len(ext) != digestSize {
@@ -142,7 +141,7 @@ func TestGossipRepairsLostDelta(t *testing.T) {
 	a, b, c := agents[0], agents[1], agents[2]
 	registerN(t, a, "u", 8)
 	converge(t, a, b, c)
-	fc.Advance(5 * time.Second)
+	fc.Sleep(5 * time.Second)
 
 	registerN(t, a, "late", 1)
 	for range sendsPerChange {
@@ -182,7 +181,7 @@ func TestGossipJoinerCatchesUp(t *testing.T) {
 	a, b, joiner := agents[0], agents[1], agents[2]
 	registerN(t, a, "u", 12)
 	converge(t, a, b)
-	fc.Advance(5 * time.Second)
+	fc.Sleep(5 * time.Second)
 
 	say(t, joiner, b) // the joiner's first HELLO: an empty digest
 	if p := say(t, b, joiner); len(p.Adverts) != 12 {
@@ -211,7 +210,7 @@ func TestGossipResyncRateLimit(t *testing.T) {
 	const victim = "u03@voicehoc.ch"
 	var sentA, sentB, repaired int
 	for range seconds * int(time.Second/step) {
-		fc.Advance(step)
+		fc.Sleep(step)
 		b.Evict("sip", victim)
 		sentB += len(say(t, b, a).Adverts)
 		sentA += len(say(t, a, b).Adverts)
@@ -241,7 +240,7 @@ func TestGossipIsolatedSourceFullTable(t *testing.T) {
 	registerN(t, source, "u", 16)
 	var first []byte
 	for i := range 6 {
-		fc.Advance(10 * time.Millisecond)
+		fc.Sleep(10 * time.Millisecond)
 		ext := source.Outgoing(routing.Outgoing{Proto: routing.ProtoOLSR, Budget: netem.MTU})
 		p, err := ParsePayload(ext)
 		if err != nil || len(p.Adverts) != 16 {
@@ -268,7 +267,7 @@ func TestAdvertLifetimeSurvivesHops(t *testing.T) {
 	agents, fc := newMesh(t, hops+1)
 	registerN(t, agents[0], "u", 1)
 	for i := range hops {
-		fc.Advance(perHop)
+		fc.Sleep(perHop)
 		say(t, agents[i], agents[i+1])
 	}
 	svc, ok := agents[hops].LookupCached("sip", "u00@voicehoc.ch")
@@ -400,7 +399,7 @@ func runConvergence(t *testing.T, seed int64) {
 	nodes := make([]*gridNode, len(hosts))
 	// boot gives node i a fresh agent with an empty table and its own
 	// registrations: two keys of its own and, on the corners, one key that
-	// every corner claims. It runs on the plan's goroutine too, hence Error.
+	// every corner claims. It runs in a fault task too, hence Error.
 	boot := func(i int) {
 		n := nodes[i]
 		n.agent, n.up = NewAgent(n.host, Config{}), true
@@ -474,33 +473,11 @@ func runConvergence(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer plan.Stop()
-	// The plan's goroutine sleeps on the fake clock, the only timer on it.
-	// Before each tick the loop waits until that goroutine has injected every
-	// fault due so far and is asleep again on its next timer (or done): only
-	// then is its deadline measured from the time the loop is about to leave,
-	// and only then is it off the nodes this goroutine is about to touch.
-	planSettled := func(elapsed time.Duration) {
-		due := 0
-		for _, d := range offsets {
-			if d <= elapsed {
-				due++
-			}
-		}
-		for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
-			if n := len(plan.Log()); n >= due && (n == len(offsets) || fc.PendingTimers() > 0) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: fault plan stuck at %d of %d events", seed, len(plan.Log()), len(offsets))
-			}
-		}
-	}
-	planSettled(0)
-
+	// The plan's faults are tasks on the network's scheduler: when a sleep
+	// returns, every fault due by then has been injected.
 	refresh := nodes[0].agent.refreshInterval()
 	for elapsed := step; elapsed <= storm+quiet; elapsed += step {
-		fc.Advance(step)
-		planSettled(elapsed)
+		fc.Sleep(step)
 		for _, n := range nodes {
 			if n.up && elapsed%refresh == 0 {
 				n.agent.refreshTick()

@@ -60,27 +60,30 @@ func TestStopDropsReplies(t *testing.T) {
 	if err := sender.WriteTo(reply("early@x"), "a", Port); err != nil {
 		t.Fatal(err)
 	}
-	if !testutil.AdvanceUntil(fake, 100*time.Microsecond, 20*time.Millisecond, func() bool { return known("early@x") }) {
+	fake.Sleep(20 * time.Millisecond)
+	if !known("early@x") {
 		t.Fatal("reply to a running agent never installed")
 	}
 
-	// Replies keep coming while Stop runs, under -race.
+	// Replies keep reaching the port's handler while Stop runs, under -race.
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	stop, racing := make(chan struct{}), make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_ = sender.WriteTo(reply("racing@x"), "a", Port)
-			fake.Advance(100 * time.Microsecond)
+			a.onDatagram(&netem.Datagram{SrcNode: "b", DstNode: "a", SrcPort: Port, DstPort: Port, Data: reply("racing@x")})
+			if i == 10 {
+				close(racing)
+			}
 		}
 	}()
-	time.Sleep(time.Millisecond)
+	<-racing
 	a.Stop()
 	close(stop)
 	wg.Wait()
@@ -93,7 +96,8 @@ func TestStopDropsReplies(t *testing.T) {
 	}
 
 	// The refresh beat's last deadline passes and the scheduler is empty.
-	if !testutil.AdvanceUntil(fake, a.refreshInterval(), 10*a.refreshInterval(), func() bool { return ha.Sched().Pending() == 0 }) {
+	fake.Sleep(10 * a.refreshInterval())
+	if ha.Sched().Pending() != 0 {
 		t.Fatalf("%d tasks still queued for a stopped agent", ha.Sched().Pending())
 	}
 	net.Close()
@@ -133,7 +137,8 @@ func TestStopEndsLookups(t *testing.T) {
 			if a.waiting() != 0 || len(a.pendingQ) != 0 {
 				t.Fatalf("%d lookups, %d queries left behind", a.waiting(), len(a.pendingQ))
 			}
-			if !testutil.AdvanceUntil(fake, time.Minute, 10*time.Minute, func() bool { return h.Sched().Pending() == 0 }) {
+			fake.Sleep(10 * time.Minute)
+			if h.Sched().Pending() != 0 {
 				t.Fatalf("%d tasks still queued for a stopped agent", h.Sched().Pending())
 			}
 			net.Close()

@@ -10,7 +10,6 @@ import (
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
-	"siphoc/internal/testutil"
 )
 
 type lookupResult struct {
@@ -48,7 +47,7 @@ func (a *Agent) waiting() int {
 }
 
 // lookupAsync starts n concurrent lookups of one key and returns once all of
-// them are waiting on the network, so the caller can advance the fake clock
+// them are waiting on the network, so the caller can sleep on the fake clock
 // or deliver an advert knowing every lookup is in its wait.
 func lookupAsync(t *testing.T, look lookupForm, a *Agent, n int, stype, key string, timeout time.Duration) <-chan lookupResult {
 	t.Helper()
@@ -63,16 +62,6 @@ func lookupAsync(t *testing.T, look lookupForm, a *Agent, n int, stype, key stri
 		}
 	}
 	return out
-}
-
-// advance lets d of virtual time pass once the agent's shard worker — the
-// only one on newShardAgent's network — has parked on its timer: a worker
-// still computing its sleep would add d to it.
-func advance(t *testing.T, fc *clock.Fake, d time.Duration) {
-	t.Helper()
-	if !testutil.AdvanceParked(fc, d, testutil.Never) {
-		t.Fatal("the shard worker never parked on its timer")
-	}
 }
 
 // result waits, in real time, for a lookup the test has just released.
@@ -101,15 +90,15 @@ func lookupOnce(t *testing.T, look lookupForm, a *Agent, stype, key string, time
 func missOnNetwork(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
 	t.Helper()
 	out := lookupAsync(t, look, a, 1, stype, key, timeout)
-	advance(t, fc, timeout)
+	fc.Sleep(timeout)
 	if r := result(t, out); !errors.Is(r.err, ErrNotFound) {
 		t.Fatalf("lookup %s/%s = %+v, %v; want ErrNotFound", stype, key, r.svc, r.err)
 	}
 }
 
 // missAtOnce checks that a lookup is answered from a remembered miss: it
-// ends ErrNotFound without queueing a task or the clock being advanced, so no
-// virtual time can have passed.
+// ends ErrNotFound without queueing a task, so no virtual time can have
+// passed.
 func missAtOnce(t *testing.T, look lookupForm, a *Agent, fc *clock.Fake, stype, key string, timeout time.Duration) {
 	t.Helper()
 	before, hits, queued := fc.Now(), a.Stats().NegativeHits, a.host.Sched().Pending()
@@ -163,7 +152,7 @@ func TestNegativeCacheRemembersMiss(t *testing.T) {
 
 		// One refresh interval later the miss is forgotten and the key is
 		// queried again under a fresh query ID.
-		fc.Advance(a.refreshInterval())
+		fc.Sleep(a.refreshInterval())
 		a.qmu.Lock()
 		qid := a.qid
 		a.qmu.Unlock()
@@ -239,7 +228,7 @@ func TestNegativeCacheBounded(t *testing.T) {
 		t.Fatalf("miss set holds %d keys (%d heap items), cap %d", m, h, missHardCap)
 	}
 	// Past their lifetime the next miss drains them in deadline order.
-	fc.Advance(a.refreshInterval())
+	fc.Sleep(a.refreshInterval())
 	if _, err := a.Lookup("sip", "late@example", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatal(err)
 	}
@@ -285,14 +274,14 @@ func TestLookupCoalescing(t *testing.T) {
 		// air while another is still waiting on it.
 		short := lookupAsync(t, look, a, 1, "sip", "erin@voicehoc.ch", 500*time.Millisecond)
 		long := lookupAsync(t, look, a, 1, "sip", "erin@voicehoc.ch", 2*time.Second)
-		advance(t, fc, 500*time.Millisecond)
+		fc.Sleep(500 * time.Millisecond)
 		if r := <-short; !errors.Is(r.err, ErrNotFound) {
 			t.Fatalf("short lookup = %v", r.err)
 		}
 		if qs := outgoingQueries(t, a); len(qs) != 1 || qs[0].ID != 2 {
 			t.Fatalf("after the short lookup left, pending = %+v, want the shared query id 2", qs)
 		}
-		advance(t, fc, 1500*time.Millisecond)
+		fc.Sleep(1500 * time.Millisecond)
 		if r := <-long; !errors.Is(r.err, ErrNotFound) {
 			t.Fatalf("long lookup = %v", r.err)
 		}
@@ -315,7 +304,7 @@ func TestLookupRefloods(t *testing.T) {
 					t.Fatalf("FloodsSent = %d at %v, want %d", a.Stats().FloodsSent, time.Duration(floods-1)*timeout/3, floods)
 				}
 			}
-			advance(t, fc, timeout/3)
+			fc.Sleep(timeout / 3)
 		}
 		if r := result(t, out); !errors.Is(r.err, ErrNotFound) {
 			t.Fatalf("lookup = %+v, %v; want ErrNotFound", r.svc, r.err)
@@ -327,7 +316,7 @@ func TestLookupRefloods(t *testing.T) {
 			t.Fatalf("FloodsSent = %d under query IDs up to %d, want 3 floods with IDs 1..3", s.FloodsSent, qid)
 		}
 		// The lookup is over: nothing floods again.
-		fc.Advance(timeout)
+		fc.Sleep(timeout)
 		if s := a.Stats(); s.FloodsSent != 3 || a.waiting() != 0 {
 			t.Fatalf("after the deadline: FloodsSent = %d, %d lookups waiting", s.FloodsSent, a.waiting())
 		}

@@ -1,12 +1,12 @@
 package voip
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/rtp"
@@ -66,9 +66,6 @@ type Call struct {
 	ack      *sip.Message
 	routeSet []*sip.NameAddr
 	answered bool // a 200 OK was already sent for the INVITE
-	// stopWatch stops the context watcher of DialContext once the call
-	// settles.
-	stopWatch func() bool
 
 	media       *rtp.Session
 	mediaNode   netem.NodeID
@@ -76,8 +73,8 @@ type Call struct {
 	setupAt     time.Time
 	establishAt time.Time
 
-	established chan struct{}
-	ended       chan struct{}
+	established clock.Gate
+	ended       clock.Gate
 	endOnce     sync.Once
 
 	// setupSpan is the call.setup anchor span (outgoing calls only); it is
@@ -101,9 +98,9 @@ func (p *Phone) newOutgoingCall(uri *sip.URI) (*Call, error) {
 		remoteContact: uri,
 		media:         rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
 		setupAt:       p.clk.Now(),
-		established:   make(chan struct{}),
-		ended:         make(chan struct{}),
 	}
+	c.established.Init(p.clk)
+	c.ended.Init(p.clk)
 	// The call.setup span anchors the trace window: every other span that
 	// overlaps it (SLP resolve, route discovery, SIP legs, gateway attach)
 	// is stitched into this call's timeline.
@@ -121,17 +118,17 @@ func (p *Phone) newIncomingCall(tx *sip.ServerTx) (*Call, error) {
 		return nil, err
 	}
 	c := &Call{
-		phone:       p,
-		callID:      req.CallID,
-		state:       StateSetup,
-		localTag:    p.stack.NewTag(),
-		remoteTag:   req.From.Tag(),
-		inviteTx:    tx,
-		media:       rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
-		setupAt:     p.clk.Now(),
-		established: make(chan struct{}),
-		ended:       make(chan struct{}),
+		phone:     p,
+		callID:    req.CallID,
+		state:     StateSetup,
+		localTag:  p.stack.NewTag(),
+		remoteTag: req.From.Tag(),
+		inviteTx:  tx,
+		media:     rtp.NewSession(mediaConn, uint32(mediaConn.LocalPort())),
+		setupAt:   p.clk.Now(),
 	}
+	c.established.Init(p.clk)
+	c.ended.Init(p.clk)
 	if len(req.Contact) > 0 {
 		c.remoteContact = req.Contact[0].URI
 	}
@@ -193,33 +190,15 @@ func (c *Call) ring() {
 }
 
 // WaitEstablished blocks until the call connects, fails, or the timeout
-// elapses. The timeout runs on the phone's clock (so fake clocks work); it
-// is a thin wrapper over the same wait as WaitEstablishedContext.
+// elapses on the phone's clock.
 func (c *Call) WaitEstablished(timeout time.Duration) error {
-	timer := c.phone.clk.NewTimer(timeout)
-	defer timer.Stop()
-	return c.waitEstablished(timer.C(), nil, nil)
-}
-
-// WaitEstablishedContext blocks until the call connects, fails, or ctx is
-// cancelled (in which case it returns ctx.Err(); the call itself keeps
-// ringing — pair with DialContext to also abandon it).
-func (c *Call) WaitEstablishedContext(ctx context.Context) error {
-	return c.waitEstablished(nil, ctx.Done(), ctx.Err)
-}
-
-// waitEstablished is the shared wait; nil channels never fire.
-func (c *Call) waitEstablished(timeoutC <-chan time.Time, done <-chan struct{}, doneErr func() error) error {
-	select {
-	case <-c.established:
+	switch clock.Wait("voip.Call.WaitEstablished", timeout, &c.established, &c.ended) {
+	case 0:
 		return nil
-	case <-c.ended:
+	case 1:
 		return fmt.Errorf("voip: call failed with status %d", c.FailCode())
-	case <-timeoutC:
-		return fmt.Errorf("voip: call establishment timed out")
-	case <-done:
-		return doneErr()
 	}
+	return fmt.Errorf("voip: call establishment timed out")
 }
 
 // Trace returns the call's observability timeline: the recorded spans
@@ -232,14 +211,10 @@ func (c *Call) Trace() *obs.CallTrace {
 
 // WaitEnded blocks until the call is torn down or the timeout elapses.
 func (c *Call) WaitEnded(timeout time.Duration) error {
-	timer := c.phone.clk.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-c.ended:
-		return nil
-	case <-timer.C():
+	if clock.Wait("voip.Call.WaitEnded", timeout, &c.ended) != 0 {
 		return fmt.Errorf("voip: call teardown timed out")
 	}
+	return nil
 }
 
 // SendVoice streams n synthetic voice frames to the remote media endpoint,
@@ -496,11 +471,8 @@ func (c *Call) confirmEstablished() {
 	}
 	c.state = StateEstablished
 	c.establishAt = c.phone.clk.Now()
-	establishAt, media, stop := c.establishAt, c.media, c.stopWatch
+	establishAt, media := c.establishAt, c.media
 	c.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
 	c.spanOnce.Do(func() {
 		// End exactly at establishAt so the trace's setup window
 		// matches SetupDuration to the nanosecond.
@@ -517,7 +489,7 @@ func (c *Call) confirmEstablished() {
 			span.EndAt(t, "first rtp packet")
 		})
 	}
-	close(c.established)
+	c.established.Open()
 }
 
 // endLocal finishes the call from this side; code != 0 marks failure.
@@ -538,16 +510,13 @@ func (c *Call) endLocal(code int) {
 		} else {
 			c.state = StateEnded
 		}
-		media, stop := c.media, c.stopWatch
+		media := c.media
 		c.mu.Unlock()
-		if stop != nil {
-			stop()
-		}
 		if media != nil {
 			media.Close()
 		}
 		c.phone.removeCall(c.callID)
-		close(c.ended)
+		c.ended.Open()
 	})
 }
 

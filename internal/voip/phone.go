@@ -7,7 +7,6 @@
 package voip
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -222,17 +221,9 @@ func (p *Phone) register(expires int) error {
 }
 
 // Dial places a call to target (an AOR like "bob@voicehoc.ch" or a full SIP
-// URI) and returns once the INVITE is sent; use Call.WaitEstablished. It is
-// DialContext with a background context.
+// URI) and returns once the INVITE is sent; use Call.WaitEstablished, and
+// Call.Cancel to abandon it while it rings.
 func (p *Phone) Dial(target string) (*Call, error) {
-	return p.DialContext(context.Background(), target)
-}
-
-// DialContext places a call like Dial; additionally, cancelling ctx while
-// the call is still being set up abandons it with CANCEL (the call then
-// concludes with 487 Request Terminated). Cancelling ctx after the call is
-// established has no effect.
-func (p *Phone) DialContext(ctx context.Context, target string) (*Call, error) {
 	uri, err := parseTarget(target)
 	if err != nil {
 		return nil, err
@@ -242,13 +233,6 @@ func (p *Phone) DialContext(ctx context.Context, target string) (*Call, error) {
 		return nil, err
 	}
 	c.invite()
-	if ctx.Done() != nil {
-		c.mu.Lock()
-		if c.pending() {
-			c.stopWatch = context.AfterFunc(ctx, func() { _ = c.Cancel() })
-		}
-		c.mu.Unlock()
-	}
 	return c, nil
 }
 

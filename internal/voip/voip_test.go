@@ -11,7 +11,6 @@ import (
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/sip"
 	"siphoc/internal/slp"
-	"siphoc/internal/testutil"
 )
 
 // fixture builds two SIPHoc nodes with proxies and returns phones on each.
@@ -299,31 +298,30 @@ func TestLostAckIsRecovered(t *testing.T) {
 		t.Cleanup(ph.Stop)
 		phones[id] = ph
 	}
-	advanceUntil := func(what string, cond func() bool) {
-		t.Helper()
-		if !testutil.AdvanceUntil(fake, time.Millisecond, 2*time.Second, cond) {
-			t.Fatalf("%s: not within 2 s of virtual time", what)
-		}
-	}
-
 	call, err := phones["a"].Dial("b@b")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fake.Sleep(100 * time.Millisecond)
 	var inc *Call
-	advanceUntil("callee rings", func() bool {
-		select {
-		case inc = <-phones["b"].Incoming():
-		default:
-		}
-		return inc != nil && call.State() == StateRinging
-	})
+	select {
+	case inc = <-phones["b"].Incoming():
+	default:
+		t.Fatal("callee never rang")
+	}
+	if st := call.State(); st != StateRinging {
+		t.Fatalf("caller in state %s, want ringing", st)
+	}
 	if err := inc.Answer(); err != nil {
 		t.Fatal(err)
 	}
 	// The 200 is on its way; the ACK it draws goes nowhere.
 	net.SetLink("a", "b", false)
-	advanceUntil("caller established", func() bool { return call.State() == StateEstablished })
+	if err := call.WaitEstablished(2 * time.Second); err != nil {
+		t.Fatalf("caller: %v", err)
+	}
 	net.ClearLink("a", "b")
-	advanceUntil("callee confirmed", func() bool { return inc.State() == StateEstablished })
+	if err := inc.WaitEstablished(2 * time.Second); err != nil {
+		t.Fatalf("callee: %v", err)
+	}
 }

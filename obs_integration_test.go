@@ -1,8 +1,6 @@
 package siphoc
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -204,54 +202,5 @@ func TestMetricsConcurrentWithTraffic(t *testing.T) {
 	wg.Wait()
 	if err := call.Hangup(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDialContextCancelAbandonsSetup cancels the dial context while the
-// callee is still ringing and expects the call to conclude with 487.
-func TestDialContextCancelAbandonsSetup(t *testing.T) {
-	_, nodes := newChainScenario(t, 2)
-	alice := registerPhone(t, nodes[0], "alice")
-	bob, err := nodes[1].NewPhoneWith(PhoneConfig{User: "bob", Domain: domain, NoAutoAnswer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var regErr error
-	for range 5 {
-		if regErr = bob.Register(); regErr == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if regErr != nil {
-		t.Fatalf("register bob: %v", regErr)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	call, err := alice.DialContext(ctx, "bob@"+domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until bob is actually ringing.
-	select {
-	case <-bob.Incoming():
-	case <-time.After(callTimeout):
-		t.Fatal("callee never rang")
-	}
-
-	// A context-bound wait on a still-ringing call returns the ctx error.
-	wctx, wcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer wcancel()
-	if err := call.WaitEstablishedContext(wctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("WaitEstablishedContext = %v, want deadline exceeded", err)
-	}
-
-	cancel()
-	if err := call.WaitEnded(callTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if call.State() != CallFailed || call.FailCode() != 487 {
-		t.Errorf("call state %v code %d, want failed/487", call.State(), call.FailCode())
 	}
 }

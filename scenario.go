@@ -404,10 +404,7 @@ func (s *Scenario) AddInternetPhoneWithPassword(user, password, domain string, h
 func (s *Scenario) WaitAttached(n *Node, timeout time.Duration) error {
 	clk := s.Clock()
 	deadline := clk.Now().Add(timeout)
-	for {
-		if n.InternetAttached() {
-			return nil
-		}
+	for !n.InternetAttached() {
 		if clk.Now().After(deadline) {
 			if n.connp != nil {
 				return fmt.Errorf("siphoc: node %s not attached after %v: %w", n.ID(), timeout, core.ErrNoGateway)
@@ -416,6 +413,7 @@ func (s *Scenario) WaitAttached(n *Node, timeout time.Duration) error {
 		}
 		clk.Sleep(10 * time.Millisecond)
 	}
+	return nil
 }
 
 // RemoveNode stops a node and removes it from the MANET (simulating a crash
