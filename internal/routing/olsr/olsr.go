@@ -193,7 +193,7 @@ type Protocol struct {
 	topo    [][]topoEdge
 	topoSet bitset // origins with at least one stored edge
 	dups    map[dupKey]dupVal
-	dupQ    routing.ExpiryQueue[dupKey] // dups in expiry order: each lives 2×TCInterval
+	dupQ    clock.ExpiryQueue[dupKey] // dups in expiry order: each lives 2×TCInterval
 	seq     uint16
 	ansn    uint16
 	scratch recomputeScratch // pooled recompute working memory, under mu

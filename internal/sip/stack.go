@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
@@ -50,10 +51,10 @@ type RequestHandler func(tx *ServerTx)
 // port. Create with NewStack, release with Close.
 //
 // Datagrams arrive by conn callback on a delivery worker, and the
-// retransmission, linger and expiry timers are tasks on the host's
-// scheduler, keyed by the node so they never run concurrently. The
-// transaction users — the request handler and each client transaction's
-// response callback — run inline there too. A stack starts no goroutine.
+// retransmission and linger timers are tasks on the host's scheduler, keyed
+// by the node so they never run concurrently. The transaction users — the
+// request handler and each client transaction's response callback — run
+// inline there too. A stack starts no goroutine.
 type Stack struct {
 	conn *netem.Conn
 	cfg  Config
@@ -62,7 +63,13 @@ type Stack struct {
 
 	mu        sync.Mutex
 	clientTxs map[txKey]*ClientTx
+	// serverTxs holds the server transactions Proceeding or lingering; nil
+	// once the linger task gave a burst back. lingerQ holds the finished ones'
+	// keys in the order their finals went out, which is the order they
+	// expire in; linger is its task, queued at the head's deadline.
 	serverTxs map[txKey]*ServerTx
+	lingerQ   clock.ExpiryQueue[txKey]
+	linger    clock.Task
 	handler   RequestHandler
 	closed    bool
 	// done is opened by Close, releasing Await.
@@ -95,9 +102,9 @@ func NewStack(conn *netem.Conn, cfg Config) *Stack {
 		clk:       conn.Host().Clock(),
 		self:      Addr{Node: conn.Host().ID(), Port: conn.LocalPort()},
 		clientTxs: make(map[txKey]*ClientTx),
-		serverTxs: make(map[txKey]*ServerTx),
 	}
 	s.done.Init(s.clk)
+	s.linger.Init(s.onLinger, nil)
 	if cfg.Obs.Enabled() {
 		s.obs = cfg.Obs
 		s.obsRetrans = cfg.Obs.Counter("sip.retransmits")
@@ -126,8 +133,8 @@ func (s *Stack) OnRequest(h RequestHandler) {
 
 // Close terminates the stack: what arrives from now on is dropped, pending
 // client transactions end without telling their callbacks (Await returns
-// ErrTimeout), and Close returns once a transaction user already running has.
-// The underlying connection is closed too. Close must not be called from a
+// ErrTimeout), the linger queue stops, and Close returns once a transaction
+// user already running has. The underlying connection is closed too. Close must not be called from a
 // transaction user of this stack.
 func (s *Stack) Close() {
 	s.mu.Lock()
@@ -137,6 +144,7 @@ func (s *Stack) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	s.conn.Host().Sched().Cancel(string(s.self.Node), &s.linger)
 	s.conn.Close()
 	s.running.Lock()
 	s.running.Unlock()
@@ -157,9 +165,6 @@ func (s *Stack) branchParams() Params {
 	b = append(strconv.AppendUint(b, uint64(s.self.Port), 10), '-')
 	return Params(strconv.AppendUint(b, s.seq.Add(1), 36))
 }
-
-// NewBranch returns a fresh RFC 3261 branch token, unique across nodes.
-func (s *Stack) NewBranch() string { return s.branchParams().Get("branch") }
 
 // NewVia returns a Via for this stack with a fresh branch.
 func (s *Stack) NewVia() *Via {
@@ -269,25 +274,59 @@ func inTransactionOf(invite *Message, method string) *Message {
 	return r
 }
 
-// FindInviteServerTx returns the INVITE server transaction with the given
-// Via branch, used to match CANCEL requests.
-func (s *Stack) FindInviteServerTx(branch string) (*ServerTx, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tx, ok := s.serverTxs[txKey{branch: branch, method: MethodInvite}]
-	return tx, ok
-}
-
 func (s *Stack) removeClientTx(key txKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.clientTxs, key)
 }
 
-func (s *Stack) removeServerTx(key txKey) {
+// settle renders tx's first final response into one block of exact size,
+// followed by copies of the strings of key, tx's key, and returns the
+// response's bytes. The table's entry moves onto the copies, which pin
+// nothing of the request, and is queued to expire 64×T1 from now.
+func (s *Stack) settle(key txKey, tx *ServerTx, resp *Message) []byte {
+	s.sendMu.Lock()
+	s.sendBuf = resp.AppendTo(s.sendBuf[:0])
+	n := len(s.sendBuf)
+	b := append(make([]byte, 0, n+len(key.branch)+len(key.method)+len(key.callID)+len(key.sentBy.Node)), s.sendBuf...)
+	s.sendMu.Unlock()
+	b = append(append(append(append(b, key.branch...), key.method...), key.callID...), key.sentBy.Node...)
+	k, kept := unsafe.String(unsafe.SliceData(b[n:]), len(b)-n), key // b never changes
+	kept.branch, k = k[:len(key.branch)], k[len(key.branch):]
+	kept.method, k = k[:len(key.method)], k[len(key.method):]
+	kept.callID, kept.sentBy.Node = k[:len(key.callID)], netem.NodeID(k[len(key.callID):])
+	at := s.clk.Now().Add(64 * s.cfg.T1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.serverTxs, key)
+	if s.serverTxs[key] == tx && !s.closed {
+		s.serverTxs[kept] = tx // an equal key: the map now holds kept's strings
+		if s.lingerQ.Push(kept, at.UnixNano()); s.lingerQ.Len() == 1 {
+			s.conn.Host().Sched().At(string(s.self.Node), &s.linger, at)
+		}
+	}
+	return b[:n:n]
+}
+
+// onLinger is the linger queue's task: it forgets the finished server
+// transactions whose 64×T1 are over and moves itself to the next deadline.
+// The run that empties a queue that held more than a few keys, with no
+// transaction left Proceeding, drops the table and the ring too: Go maps
+// never shrink (see clock.ExpiryQueue.Trim).
+func (s *Stack) onLinger(now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.lingerQ.Len() > 0 {
+		if _, at := s.lingerQ.Next(); now.UnixNano() < at {
+			if !s.closed {
+				s.conn.Host().Sched().At(string(s.self.Node), &s.linger, time.Unix(0, at))
+			}
+			return
+		}
+		delete(s.serverTxs, s.lingerQ.Pop())
+	}
+	if len(s.serverTxs) == 0 && s.lingerQ.Trim() {
+		s.serverTxs = nil
+	}
 }
 
 func (s *Stack) dispatch(dg *netem.Datagram) {
@@ -339,12 +378,12 @@ func (s *Stack) dispatchRequest(m *Message, src Addr) {
 	}
 	tx = newServerTx(s, m, src, ackOnly)
 	if !ackOnly {
+		if s.serverTxs == nil {
+			s.serverTxs = make(map[txKey]*ServerTx)
+		}
 		s.serverTxs[key] = tx
 	}
 	s.mu.Unlock()
-	if !ackOnly {
-		tx.scheduleExpiry()
-	}
 	if handler == nil {
 		_ = tx.RespondCode(StatusServiceUnavail, "")
 		return

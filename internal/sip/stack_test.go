@@ -198,7 +198,7 @@ func TestBranchesUnique(t *testing.T) {
 	sa, _, _ := pair(t, netem.Config{})
 	seen := make(map[string]bool)
 	for range 100 {
-		b := sa.NewBranch()
+		b := sa.NewVia().Branch()
 		if seen[b] {
 			t.Fatalf("duplicate branch %q", b)
 		}
@@ -374,8 +374,8 @@ func TestRetransmissionDrawsSameBytes(t *testing.T) {
 
 // TestTransactionAllocs pins what the transaction layer adds to a message: a
 // client transaction is three allocations — one block with its Via and Via
-// list, the branch, the bound timer callback — and a response sent, kept and
-// replayed none.
+// list, the branch, the bound timer callback — and, once the first final is
+// kept, a later final sent and the kept one replayed none.
 func TestTransactionAllocs(t *testing.T) {
 	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -225,63 +225,71 @@ func buildTxAck(invite, resp *Message) *Message {
 }
 
 // ServerTx is a server transaction (RFC 3261 §17.2): it absorbs request
-// retransmissions by replaying the last response and expires after 64×T1.
+// retransmissions by replaying the last response. It has no expiry while the
+// TU owes the final, so a proxy retrying a dead route is not handed the
+// retransmitted request again, and lingers 64×T1 from the final (Timers H/J,
+// RFC 3261 §17.2.1–17.2.2; Timer L, RFC 6026).
 type ServerTx struct {
 	stack *Stack
-	key   txKey
-	req   *Message
 	src   Addr
 	// ackOnly marks synthetic transactions wrapping a 2xx ACK, which
 	// never send responses.
 	ackOnly bool
 
 	mu sync.Mutex
-	// lastResp is the last response sent, rendered again for a
-	// retransmitted request: a provisional while the TU owes the final
-	// (RFC 3261 §17.2.1), the final once finalSent.
-	lastResp  *Message
-	finalSent bool
-	acked     bool
-
-	expiry clock.Task
+	// req and lastResp, the provisional sent last (RFC 3261 §17.2.1), go
+	// when the first final does; final is its bytes (see Stack.settle).
+	req      *Message
+	lastResp *Message
+	final    []byte
+	acked    bool
 }
 
 func newServerTx(s *Stack, req *Message, src Addr, ackOnly bool) *ServerTx {
-	return &ServerTx{
-		stack:   s,
-		key:     req.txKey(),
-		req:     req,
-		src:     src,
-		ackOnly: ackOnly,
-	}
+	return &ServerTx{stack: s, req: req, src: src, ackOnly: ackOnly}
 }
 
-// Request returns the triggering request.
-func (tx *ServerTx) Request() *Message { return tx.req }
+// Request returns the triggering request until the final response is sent.
+func (tx *ServerTx) Request() *Message {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	return tx.req
+}
 
 // Source returns the transport address the request arrived from — where
 // responses must be sent (RFC 3261 §18.2.2 "received" behaviour).
 func (tx *ServerTx) Source() Addr { return tx.src }
 
-// Respond sends a response built by the TU and keeps it, so that request
-// retransmissions are answered without bothering the TU again: each replay
-// renders the same message, so it goes out with the same bytes. The response
-// belongs to the transaction from here on and must not be changed.
+// Respond sends a response built by the TU, which must not change it after.
+// A provisional is kept until the final; the first final is kept as its bytes
+// alone, which answer every retransmitted request. A later final — a proxy
+// relaying a retransmitted 2xx (RFC 3261 §16.7, RFC 6026) — is not kept.
 func (tx *ServerTx) Respond(resp *Message) error {
 	if tx.ackOnly {
 		return fmt.Errorf("sip: ACK takes no response")
 	}
 	tx.mu.Lock()
-	if final := resp.StatusCode >= 200; final || !tx.finalSent {
-		tx.lastResp, tx.finalSent = resp, final
+	if tx.final != nil || resp.StatusCode < 200 {
+		if tx.final == nil {
+			tx.lastResp = resp
+		}
+		tx.mu.Unlock()
+		return tx.stack.Send(resp, tx.src)
 	}
+	final := tx.stack.settle(tx.req.txKey(), tx, resp)
+	tx.final, tx.req, tx.lastResp = final, nil, nil
 	tx.mu.Unlock()
-	return tx.stack.Send(resp, tx.src)
+	return tx.stack.conn.WriteTo(final, tx.src.Node, tx.src.Port)
 }
 
 // RespondCode is a convenience wrapper building a response from the request.
+// After the final there is none: it returns an error and sends nothing.
 func (tx *ServerTx) RespondCode(code int, reason string) error {
-	resp := NewResponse(tx.req, code, reason)
+	req := tx.Request()
+	if req == nil {
+		return fmt.Errorf("sip: %d after the final response", code)
+	}
+	resp := NewResponse(req, code, reason)
 	if code > 100 && resp.To.Tag() == "" {
 		resp.To = resp.To.WithTag(tx.stack.NewTag())
 	}
@@ -329,31 +337,12 @@ func (tx *ServerTx) onRequest(m *Message) {
 // replay sends the last response again, if there is one.
 func (tx *ServerTx) replay() {
 	tx.mu.Lock()
-	resp := tx.lastResp
+	final, prov := tx.final, tx.lastResp
 	tx.mu.Unlock()
-	if resp != nil {
-		_ = tx.stack.Send(resp, tx.src)
+	switch {
+	case final != nil:
+		_ = tx.stack.conn.WriteTo(final, tx.src.Node, tx.src.Port)
+	case prov != nil:
+		_ = tx.stack.Send(prov, tx.src)
 	}
-}
-
-// scheduleExpiry arms the transaction lifetime (Timer J/H analogue). A
-// transaction still awaiting the TU's final response is kept alive — the
-// Proceeding state has no expiry (RFC 3261 §17.2.1) — so request
-// retransmissions keep hitting the same transaction while a proxy is off
-// retrying a dead route, instead of spawning a duplicate routing attempt.
-func (tx *ServerTx) scheduleExpiry() {
-	tx.expiry.Init(tx.expire, nil)
-	tx.stack.after(&tx.expiry, 64*tx.stack.cfg.T1)
-}
-
-func (tx *ServerTx) expire(time.Time) {
-	tx.mu.Lock()
-	done := tx.finalSent
-	tx.mu.Unlock()
-	if !done && !tx.stack.isClosed() {
-		// Proceeding: no expiry while the TU still owes a final.
-		tx.stack.after(&tx.expiry, 64*tx.stack.cfg.T1)
-		return
-	}
-	tx.stack.removeServerTx(tx.key)
 }

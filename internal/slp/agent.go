@@ -389,10 +389,10 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 // lives one fixed span from when it is put in, so its queue is in expiry
 // order. Its one task is queued at the head's deadline; each run drops what is
 // due and moves on to the next deadline, and the run that empties the table
-// hands back what a burst grew it to (see routing.ExpiryQueue.Trim).
+// hands back what a burst grew it to (see clock.ExpiryQueue.Trim).
 type queryTable[V any] struct {
 	m    map[qkey]timed[V] // nil when empty
-	q    routing.ExpiryQueue[qkey]
+	q    clock.ExpiryQueue[qkey]
 	task clock.Task
 }
 

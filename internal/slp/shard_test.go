@@ -212,8 +212,8 @@ func TestQueryTablesGiveMemoryBack(t *testing.T) {
 		a.qmu.Lock()
 		defer a.qmu.Unlock()
 		return a.seenQ.m == nil && a.relayQ.m == nil && a.pbPayload.Queries == nil &&
-			reflect.DeepEqual(a.seenQ.q, routing.ExpiryQueue[qkey]{}) &&
-			reflect.DeepEqual(a.relayQ.q, routing.ExpiryQueue[qkey]{})
+			reflect.DeepEqual(a.seenQ.q, clock.ExpiryQueue[qkey]{}) &&
+			reflect.DeepEqual(a.relayQ.q, clock.ExpiryQueue[qkey]{})
 	}
 	fc.Sleep(4 * ttl)
 	if !released() {

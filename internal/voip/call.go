@@ -371,13 +371,14 @@ func (c *Call) Answer() error {
 	return nil
 }
 
-// Reject declines an incoming ringing call.
+// Reject declines an incoming ringing call. An answered call is left alone:
+// a final after the 200 would not end the caller's dialog, Hangup does.
 func (c *Call) Reject(code int) error {
 	c.mu.Lock()
-	tx := c.inviteTx
+	tx, answered := c.inviteTx, c.answered
 	c.mu.Unlock()
-	if tx == nil {
-		return fmt.Errorf("voip: no pending INVITE")
+	if tx == nil || answered {
+		return fmt.Errorf("voip: no INVITE to reject (answered=%v)", answered)
 	}
 	if code == 0 {
 		code = sip.StatusBusyHere

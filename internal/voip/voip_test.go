@@ -1,7 +1,9 @@
 package voip
 
 import (
+	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,11 +272,11 @@ type direct struct{}
 func (direct) NextHop(dst netem.NodeID) (netem.NodeID, bool)  { return dst, true }
 func (direct) RequestRoute(dst netem.NodeID, done func(bool)) { done(true) }
 
-// TestLostAckIsRecovered drops the caller's first ACK on a fake clock: the
-// callee sends its 200 again (RFC 3261 §13.3.1.4), the caller answers the
-// retransmission with the ACK again, and the callee reaches Established
-// instead of ringing forever.
-func TestLostAckIsRecovered(t *testing.T) {
+// directPhones puts phones "a" and "b" on two neighbouring hosts of a
+// network on a fake clock, with no proxies: each phone's outbound proxy is
+// the other phone, and neither answers by itself.
+func directPhones(t *testing.T) (*clock.Fake, *netem.Network, map[netem.NodeID]*Phone) {
+	t.Helper()
 	fake := clock.NewFake(time.Unix(3_000_000, 0))
 	net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1, BaseDelay: time.Millisecond})
 	t.Cleanup(net.Close)
@@ -289,7 +291,6 @@ func TestLostAckIsRecovered(t *testing.T) {
 		if id == "b" {
 			peer = "a"
 		}
-		// No proxies: each phone's outbound proxy is the other phone.
 		ph := New(h, Config{User: string(id), Domain: "x", NoAutoAnswer: true,
 			OutboundProxy: sip.Addr{Node: peer, Port: 5062}})
 		if err := ph.Start(); err != nil {
@@ -298,12 +299,17 @@ func TestLostAckIsRecovered(t *testing.T) {
 		t.Cleanup(ph.Stop)
 		phones[id] = ph
 	}
+	return fake, net, phones
+}
+
+// ringing has phone a call b and returns both legs once b rings.
+func ringing(t *testing.T, fake *clock.Fake, phones map[netem.NodeID]*Phone) (call, inc *Call) {
+	t.Helper()
 	call, err := phones["a"].Dial("b@b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fake.Sleep(100 * time.Millisecond)
-	var inc *Call
 	select {
 	case inc = <-phones["b"].Incoming():
 	default:
@@ -312,6 +318,16 @@ func TestLostAckIsRecovered(t *testing.T) {
 	if st := call.State(); st != StateRinging {
 		t.Fatalf("caller in state %s, want ringing", st)
 	}
+	return call, inc
+}
+
+// TestLostAckIsRecovered drops the caller's first ACK on a fake clock: the
+// callee sends its 200 again (RFC 3261 §13.3.1.4), the caller answers the
+// retransmission with the ACK again, and the callee reaches Established
+// instead of ringing forever.
+func TestLostAckIsRecovered(t *testing.T) {
+	fake, net, phones := directPhones(t)
+	call, inc := ringing(t, fake, phones)
 	if err := inc.Answer(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +339,38 @@ func TestLostAckIsRecovered(t *testing.T) {
 	net.ClearLink("a", "b")
 	if err := inc.WaitEstablished(2 * time.Second); err != nil {
 		t.Fatalf("callee: %v", err)
+	}
+}
+
+// TestRejectAfterAnswerIsRefused: Reject on an answered call returns an error
+// and leaves the call alone. No 486 follows the 200 onto the air, and both
+// legs stay established.
+func TestRejectAfterAnswerIsRefused(t *testing.T) {
+	fake, net, phones := directPhones(t)
+	var busy atomic.Int32
+	net.SetTap(func(f netem.Frame) {
+		if bytes.Contains(f.Payload, []byte("SIP/2.0 486 ")) {
+			busy.Add(1)
+		}
+	})
+	call, inc := ringing(t, fake, phones)
+	if err := inc.Answer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.WaitEstablished(2 * time.Second); err != nil {
+		t.Fatalf("caller: %v", err)
+	}
+	if err := inc.WaitEstablished(2 * time.Second); err != nil {
+		t.Fatalf("callee: %v", err)
+	}
+	if err := inc.Reject(sip.StatusBusyHere); err == nil {
+		t.Fatal("Reject after Answer succeeded")
+	}
+	fake.Sleep(100 * time.Millisecond)
+	if a, b := call.State(), inc.State(); a != StateEstablished || b != StateEstablished {
+		t.Fatalf("caller %s, callee %s; want both established", a, b)
+	}
+	if n := busy.Load(); n != 0 {
+		t.Fatalf("%d 486 responses went out after the 200", n)
 	}
 }
