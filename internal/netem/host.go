@@ -61,8 +61,9 @@ func (c *hostCounters) snapshot() HostStats {
 // control frames run on the sender's shard and rely on the protocol
 // handlers' own locking.
 type Host struct {
-	net *Network
-	id  NodeID
+	net    *Network
+	id     NodeID
+	handle uint32
 
 	closedFlag atomic.Bool
 

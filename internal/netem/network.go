@@ -121,6 +121,11 @@ type Network struct {
 	nodesCache []NodeID
 	closed     bool
 
+	// handles is the node-handle table (see Handles); handleMu serializes
+	// the inserts that replace it.
+	handles  atomic.Pointer[Handles]
+	handleMu sync.Mutex
+
 	// foreign holds OwnedID's copies of IDs that name no attached host.
 	foreignMu sync.Mutex
 	foreign   map[NodeID]NodeID
@@ -177,6 +182,7 @@ func NewNetwork(cfg Config) *Network {
 		foreign:      make(map[NodeID]NodeID),
 		sched:        clock.NewScheduler(cfg.Clock, cfg.Shards),
 	}
+	n.handles.Store(&Handles{})
 	n.lossBits.Store(math.Float64bits(cfg.LossRate))
 	if cfg.Obs.Enabled() {
 		n.obsFrames = cfg.Obs.Counter("netem.frames")
@@ -344,6 +350,7 @@ func (n *Network) AddHost(id NodeID, pos Position) (*Host, error) {
 		return nil, fmt.Errorf("netem: duplicate node %q", id)
 	}
 	h := newHost(n, id)
+	h.handle = n.intern(id)
 	n.hosts[id] = h
 	n.positions[id] = pos
 	n.invalidateLocked()

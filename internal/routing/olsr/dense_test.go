@@ -21,7 +21,7 @@ import (
 // used before the dense-state rewrite, retained verbatim as an executable
 // specification: the property test below drives the dense core and this
 // model through the same random op sequence and demands bit-identical route
-// tables at every step. If the interner, the bitsets or the pooled BFS ever
+// tables at every step. If the handle ranks, the bitsets or the pooled BFS ever
 // diverge from the map semantics — tie-breaks, expiry edges, ANSN purges —
 // this is the test that names the op sequence that did it.
 // ---------------------------------------------------------------------------
@@ -352,8 +352,7 @@ func TestDenseReferenceEquivalence(t *testing.T) {
 // allocations: once the origin's edges are installed and every selector is
 // interned, a refresh TC (new seq, same ANSN and selector set) must update
 // expiries, maintain the duplicate set and allocate nothing. The tiny
-// TCInterval makes each call prune the previous seq's dup entry, so the dup
-// map and queue stay at their steady-state size instead of growing.
+// TCInterval lets each seq take an expired slot of the origin's row.
 func TestTCSteadyStateZeroAlloc(t *testing.T) {
 	net := netem.NewNetwork(netem.Config{})
 	defer net.Close()
@@ -425,7 +424,7 @@ func TestRecomputeAllocBound(t *testing.T) {
 }
 
 // TestNextHopAllocFree pins the forwarding path's route lookup at zero
-// allocations: the destination resolves through the interner and the route is
+// allocations: the destination resolves through the handle table and the route is
 // read out of the table the BFS wrote, with no clock read and no row copied.
 func TestNextHopAllocFree(t *testing.T) {
 	net := netem.NewNetwork(netem.Config{})
@@ -468,7 +467,6 @@ func TestRecomputeWithoutNewNodeAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The tiny TCInterval keeps the duplicate set at its steady-state size.
 	p := New(h, Config{TCInterval: time.Nanosecond, TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
 	p.onHello("nb", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}, {Addr: "two", Link: LinkSym}}})
 	tcs := [2][]byte{

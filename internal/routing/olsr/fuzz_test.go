@@ -1,13 +1,10 @@
 package olsr
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
-	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/wire"
 )
@@ -53,25 +50,24 @@ func decodeTC(b []byte) (*TC, bool) {
 }
 
 // olsrState is everything a received HELLO or TC can change. Two instances
-// fed the same messages on the same clock intern the same IDs in the same
-// order, so their states compare equal.
+// on one network fed the same messages on the same clock grow their stores to
+// the same handle count, so their states compare equal.
 type olsrState struct {
-	IDs                     []netem.NodeID
 	Links                   []linkState
 	LinkSet, SelSet, TopoSt bitset
 	TwoHop                  []bitset
 	SelExp                  []int64
 	Topo                    [][]topoEdge
-	Dups                    map[dupKey]dupVal
+	DupRows                 []dupRow
 }
 
 func stateOf(p *Protocol) olsrState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := olsrState{
-		IDs: slices.Clone(p.nodes.ids), Links: slices.Clone(p.links),
+		Links:   slices.Clone(p.links),
 		LinkSet: slices.Clone(p.linkSet), SelSet: slices.Clone(p.selSet), TopoSt: slices.Clone(p.topoSet),
-		SelExp: slices.Clone(p.selExp), Dups: maps.Clone(p.dups),
+		SelExp: slices.Clone(p.selExp), DupRows: slices.Clone(p.dupRows),
 	}
 	for _, b := range p.twoHop {
 		s.TwoHop = append(s.TwoHop, slices.Clone(b))
@@ -85,25 +81,14 @@ func stateOf(p *Protocol) olsrState {
 // idsOf names the members of a dense set.
 func idsOf(p *Protocol, b bitset) []netem.NodeID {
 	var out []netem.NodeID
-	b.forEach(func(i uint32) { out = append(out, p.nodes.ids[i]) })
+	b.forEach(func(i uint32) { out = append(out, p.net.Handles().ID(i)) })
 	slices.Sort(out)
 	return out
 }
 
-// fuzzHost is one unstarted host on a fake clock: each input gets fresh
-// protocol instances on it, which cost no goroutine and no timer.
-func fuzzHost(f *testing.F) *netem.Host {
-	net := netem.NewNetwork(netem.Config{Clock: clock.NewFake(time.Unix(1_000_000, 0)), Shards: 1})
-	f.Cleanup(net.Close)
-	h, err := net.AddHost("self", netem.Position{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return h
-}
-
 // FuzzHandleHello drives the receive path with raw HELLO bodies: one the
-// decoder rejects (a truncated body) changes nothing; one it accepts installs
+// decoder rejects (a truncated body) changes nothing, the network's handle
+// table included, so hostile bytes cannot grow it; one it accepts installs
 // the sender's link — symmetric when it lists this node, a selector when it
 // also marks this node MPR — and its symmetric neighbourhood as the sender's
 // 2-hop set; and the AppendTo encoding of what was decoded installs the same.
@@ -112,15 +97,18 @@ func FuzzHandleHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&Hello{Neighbors: []HelloNeighbor{{Addr: "a", Link: LinkSym}}}).AppendTo(nil))
 	f.Add([]byte{0, 2, 0, 1, 'a', 2, 0})
-	h := fuzzHost(f)
+	_, h := soloHost(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		p := New(h, Config{})
-		fresh := stateOf(p)
+		fresh, handles := stateOf(p), h.Network().Handles()
 		p.handleHello("n1", body)
 		m, ok := decodeHello(body)
 		if !ok {
 			if got := stateOf(p); !reflect.DeepEqual(got, fresh) {
 				t.Fatalf("rejected HELLO changed state:\n%+v\nwant %+v", got, fresh)
+			}
+			if h.Network().Handles() != handles {
+				t.Fatalf("rejected HELLO %q grew the handle table", body)
 			}
 			return
 		}
@@ -135,7 +123,7 @@ func FuzzHandleHello(f *testing.F) {
 			}
 		}
 		slices.Sort(two)
-		fi, known := p.nodes.lookup("n1")
+		fi, known := p.known("n1")
 		if !known || !p.linkSet.has(fi) || p.links[fi].sym != sym || p.selSet.has(fi) != mpr {
 			t.Fatalf("HELLO %+v: link known=%v sym=%v selector=%v, want sym=%v selector=%v",
 				m, known, known && p.links[fi].sym, known && p.selSet.has(fi), sym, mpr)
@@ -152,7 +140,8 @@ func FuzzHandleHello(f *testing.F) {
 }
 
 // FuzzHandleTC is FuzzHandleHello for TC bodies: one the decoder rejects, or
-// this node's own TC come back, changes nothing; any other installs the
+// this node's own TC come back, changes nothing, the network's handle table
+// included; any other installs the
 // origin's advertised selectors as its out-edges at the TC's ANSN and enters
 // (origin, seq) in the duplicate set; and the AppendTo encoding of what was
 // decoded installs the same.
@@ -161,23 +150,26 @@ func FuzzHandleTC(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&TC{Orig: "self", Seq: 1, ANSN: 1, TTL: 1}).AppendTo(nil))
 	f.Add([]byte{0, 1, 'a', 0, 1, 0, 1, 8, 0, 3, 0, 1, 'x'})
-	h := fuzzHost(f)
+	_, h := soloHost(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		p := New(h, Config{})
-		fresh := stateOf(p)
+		fresh, handles := stateOf(p), h.Network().Handles()
 		p.handleTC("n1", body)
 		m, ok := decodeTC(body)
 		if !ok || m.Orig == "self" {
 			if got := stateOf(p); !reflect.DeepEqual(got, fresh) {
 				t.Fatalf("TC %q (decoded %v) changed state:\n%+v\nwant %+v", body, ok, got, fresh)
 			}
+			if h.Network().Handles() != handles {
+				t.Fatalf("TC %q (decoded %v) grew the handle table", body, ok)
+			}
 			return
 		}
-		oi, known := p.nodes.lookup(m.Orig)
+		oi, known := p.known(m.Orig)
 		if !known {
 			t.Fatalf("TC %+v: origin not interned", m)
 		}
-		if _, dup := p.dups[dupKey{oi, m.Seq}]; !dup {
+		if p.dupRows[oi].find(m.Seq, h.Clock().Now().UnixNano()) < 0 {
 			t.Fatalf("TC %+v: not in the duplicate set", m)
 		}
 		want := slices.Clone(m.Selectors)
@@ -188,7 +180,7 @@ func FuzzHandleTC(f *testing.F) {
 			if e.ansn != m.ANSN {
 				t.Fatalf("TC %+v: edge at ANSN %d", m, e.ansn)
 			}
-			got = append(got, p.nodes.ids[e.dest])
+			got = append(got, p.net.Handles().ID(e.dest))
 		}
 		slices.Sort(got)
 		if !slices.Equal(got, want) || p.topoSet.has(oi) != (len(want) > 0) {

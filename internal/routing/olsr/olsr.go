@@ -6,6 +6,7 @@
 package olsr
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -127,7 +128,7 @@ type Stats struct {
 	RecomputeSkipped int64
 }
 
-// linkState is one live link tuple, indexed by the neighbour's dense index.
+// linkState is one live link tuple, indexed by the neighbour's handle.
 // Timestamps are int64 nanoseconds rather than time.Time so the whole links
 // slice is pointer-free: a time.Time carries a *Location the GC must chase,
 // and GC scanning of routing state is exactly what this core is built to
@@ -138,7 +139,7 @@ type linkState struct {
 }
 
 // topoEdge is one TC-advertised out-edge of an origin: the MPR selector it
-// points at (dense index), the ANSN that advertised it and its expiry.
+// points at (a handle), the ANSN that advertised it and its expiry.
 // Pointer-free for the same reason as linkState.
 type topoEdge struct {
 	expiresNs int64
@@ -146,60 +147,78 @@ type topoEdge struct {
 	ansn      uint16
 }
 
-type dupKey struct {
-	orig uint32 // dense index of the TC originator
-	seq  uint16
+// dupSlots is the duplicate set's row length. An origin sends one TC per
+// TCInterval and a number is held for two, so three are live at once; the
+// fourth is slack for copies that arrive out of order.
+const dupSlots = 4
+
+// dupRow is one origin's row of the duplicate set (RFC 3626 §3.4): seq[k] is
+// a duplicate until exp[k] (first sight + 2×TCInterval), and bit k of fwd says
+// this node retransmitted it. Pointer-free, like the other stores.
+type dupRow struct {
+	exp [dupSlots]int64
+	seq [dupSlots]uint16
+	fwd uint8
 }
 
-type dupVal struct {
-	fwd bool // already retransmitted through the MPR backbone
+// find returns the slot holding seq at nowNs, or -1.
+func (d *dupRow) find(seq uint16, nowNs int64) int {
+	for k := range d.seq {
+		if d.seq[k] == seq && nowNs <= d.exp[k] {
+			return k
+		}
+	}
+	return -1
 }
 
-// dupHardCap bounds the duplicate set: at 1024 nodes a single TC round puts
-// ~N entries here, so without a cap a long-running node grows it without
-// bound between the old opportunistic sweeps. Same bug class — and same fix,
-// eviction of the oldest entry — as the SLP seenQ hard cap.
-const dupHardCap = 8192
+// add holds seq until expNs in the slot that expires first, so a full row
+// evicts its oldest, and returns the slot.
+func (d *dupRow) add(seq uint16, expNs int64) int {
+	k := 0
+	for j := 1; j < dupSlots; j++ {
+		if d.exp[j] < d.exp[k] {
+			k = j
+		}
+	}
+	d.seq[k], d.exp[k] = seq, expNs
+	d.fwd &^= 1 << k
+	return k
+}
 
-// Protocol is an OLSR instance bound to one host.
-//
-// All hot routing state is dense: node IDs are interned to uint32 indices
-// (append-only, per instance) and the per-node stores are slices and bitsets
-// indexed by them. The previous string-keyed maps made the steady-state cost
-// of this protocol GC scanning plus map iteration — at 1024 nodes the
-// profile's top lines were runtime.findObject/scanobject and
-// maps.(*Iter).Next, not protocol work. Slices of pointer-free structs are
-// invisible to the GC, iterate at memory bandwidth in deterministic order,
-// and never rehash.
+// Protocol is an OLSR instance bound to one host. Its routing state is dense
+// (DESIGN.md §15): slices and bitsets of pointer-free structs indexed by node
+// handle (see netem.Handles), which the GC never scans, which iterate in
+// deterministic order and which never rehash.
 type Protocol struct {
 	host *netem.Host
 	cfg  Config
 	clk  clock.Clock
 
+	net  *netem.Network // whose handle table names every node below
+	self uint32         // this node's handle
+
+	// Stores indexed by handle. All have one length, grown to the network's
+	// handle count as handles turn up in frames; a handle past it is a node
+	// unknown here.
 	mu      sync.Mutex
-	nodes   *nodeIndex  // NodeID <-> dense index; self is index 0
-	links   []linkState // by dense index; live entries marked in linkSet
+	links   []linkState // live entries marked in linkSet
 	linkSet bitset      // indices with a live link tuple
 	twoHop  []bitset    // hello sender -> its advertised symmetric neighbourhood
 	mprSet  bitset      // our chosen MPRs
 	selSet  bitset      // neighbours that chose us as MPR
 	selExp  []int64     // selector expiry (ns), valid where selSet is set
-	// topo holds TC-advertised edges indexed by advertising node ("last
-	// hop") then MPR selector, so the per-TC stale-ANSN purge touches only
-	// that origin's out-edges — a flat map keyed by (last,dest) made every
-	// TC arrival an O(total edges) sweep, which at 1024 nodes was the
-	// single largest CPU sink in the system. Out-edge lists are small (the
-	// origin's selector set), so linear scans beat any per-origin map.
+	// topo holds TC-advertised edges by advertising node ("last hop"), then
+	// MPR selector: a TC's stale-ANSN purge touches only that origin's few
+	// out-edges, which a linear scan walks faster than any map.
 	topo    [][]topoEdge
-	topoSet bitset // origins with at least one stored edge
-	dups    map[dupKey]dupVal
-	dupQ    clock.ExpiryQueue[dupKey] // dups in expiry order: each lives 2×TCInterval
+	topoSet bitset   // origins with at least one stored edge
+	dupRows []dupRow // the duplicate set, by TC origin
 	seq     uint16
 	ansn    uint16
 	scratch recomputeScratch // pooled recompute working memory, under mu
-	// The route table by dense destination index, written in place by
+	// The route table by destination handle, written in place by
 	// recompute's BFS under mu: hops is the hop count (0: no route) and via
-	// the first hop's dense index.
+	// the first hop's handle.
 	hops []int32
 	via  []uint32
 	// Pooled emission scratch: sendHello/sendTC rebuild these in place
@@ -225,9 +244,7 @@ type Protocol struct {
 	recomputeHold   bool
 	recomputeQueued bool
 	// stateHash is the order-independent hash of the link-state inputs at
-	// the last executed rebuild; recompute skips the MPR+BFS work while the
-	// inputs still hash the same (the dirty-set second line of defence —
-	// the first is that unchanged HELLO/TC arrivals never schedule at all).
+	// the last executed rebuild; recompute skips the work while it holds.
 	stateHash uint64
 
 	tasks []*clock.Task // the HELLO and TC beats
@@ -243,16 +260,12 @@ var _ routing.Protocol = (*Protocol)(nil)
 func New(host *netem.Host, cfg Config) *Protocol {
 	cfg = cfg.withDefaults()
 	p := &Protocol{
-		host:  host,
-		cfg:   cfg,
-		clk:   host.Clock(),
-		nodes: newNodeIndex(),
-		dups:  make(map[dupKey]dupVal),
+		host: host,
+		cfg:  cfg,
+		clk:  host.Clock(),
+		net:  host.Network(),
+		self: host.Handle(),
 	}
-	// Self is always dense index 0: HELLO/TC processing and the BFS skip it
-	// by integer compare.
-	p.nodes.intern(host.ID())
-	p.growTo(1)
 	// Spread this node's full-TTL fisheye rounds against its peers' by
 	// hashing its own ID: nodes brought up together would otherwise emit
 	// their far floods in lockstep every FisheyeFarEvery-th round.
@@ -264,31 +277,47 @@ func New(host *netem.Host, cfg Config) *Protocol {
 	return p
 }
 
-// selfIdx is the dense index of this node's own ID, interned first in New.
-const selfIdx uint32 = 0
-
-// growTo extends every dense-indexed store to cover n interned nodes. Called
-// under p.mu after interning; append-only growth means indices never move.
+// growTo extends every store and the BFS adjacency to n handles, under p.mu.
+// The first sizing is exact (a network is normally built before its first
+// frame); later growth is append's, amortized O(1) per node.
 func (p *Protocol) growTo(n int) {
-	for len(p.links) < n {
-		p.links = append(p.links, linkState{})
+	if k := n - len(p.links); k > 0 {
+		p.links = append(p.links, make([]linkState, k)...)
+		p.twoHop = append(p.twoHop, make([]bitset, k)...)
+		p.selExp = append(p.selExp, make([]int64, k)...)
+		p.topo = append(p.topo, make([][]topoEdge, k)...)
+		p.dupRows = append(p.dupRows, make([]dupRow, k)...)
+		p.hops = append(p.hops, make([]int32, k)...)
+		p.via = append(p.via, make([]uint32, k)...)
+		p.scratch.adj = append(p.scratch.adj, make([][]uint32, k)...)
+		p.linkSet.grow(n)
+		p.selSet.grow(n)
+		p.topoSet.grow(n)
 	}
-	for len(p.twoHop) < n {
-		p.twoHop = append(p.twoHop, nil)
+}
+
+// internBytes returns the handle of the ID in b, interned on first sight and
+// covered by the stores. Under p.mu.
+func (p *Protocol) internBytes(b []byte) uint32 {
+	if h, ok := p.net.Handles().LookupBytes(b); ok {
+		return p.cover(h)
 	}
-	for len(p.selExp) < n {
-		p.selExp = append(p.selExp, 0)
+	return p.cover(p.net.Intern(netem.NodeID(b)))
+}
+
+// cover returns h, growing the stores to the network's handle count first if
+// h is past them.
+func (p *Protocol) cover(h uint32) uint32 {
+	if int(h) >= len(p.links) {
+		p.growTo(p.net.Handles().Len())
 	}
-	for len(p.topo) < n {
-		p.topo = append(p.topo, nil)
-	}
-	for len(p.hops) < n {
-		p.hops = append(p.hops, 0)
-		p.via = append(p.via, 0)
-	}
-	p.linkSet.grow(n)
-	p.selSet.grow(n)
-	p.topoSet.grow(n)
+	return h
+}
+
+// known returns id's handle if this instance's stores cover it.
+func (p *Protocol) known(id netem.NodeID) (uint32, bool) {
+	h, ok := p.net.Handles().Lookup(id)
+	return h, ok && int(h) < len(p.links)
 }
 
 // Name implements routing.Protocol.
@@ -358,25 +387,27 @@ func (p *Protocol) Stats() Stats {
 func (p *Protocol) Routes() []routing.Entry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]routing.Entry, 0, len(p.nodes.order))
-	for _, i := range p.nodes.order {
-		if p.hops[i] > 0 {
-			out = append(out, routing.Entry{Dst: p.nodes.ids[i], NextHop: p.nodes.ids[p.via[i]], Hops: int(p.hops[i])})
+	ids := p.net.Handles()
+	out := make([]routing.Entry, 0, len(p.hops))
+	for i, hops := range p.hops {
+		if hops > 0 {
+			out = append(out, routing.Entry{Dst: ids.ID(uint32(i)), NextHop: ids.ID(p.via[i]), Hops: int(hops)})
 		}
 	}
+	slices.SortFunc(out, func(a, b routing.Entry) int { return cmp.Compare(a.Dst, b.Dst) })
 	return out
 }
 
-// NextHop implements netem.RouteProvider: an interner probe and two array
+// NextHop implements netem.RouteProvider: a handle-table probe and two array
 // reads, and no clock, since proactive routes do not expire.
 func (p *Protocol) NextHop(dst netem.NodeID) (netem.NodeID, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i, ok := p.nodes.lookup(dst)
+	i, ok := p.known(dst)
 	if !ok || p.hops[i] == 0 {
 		return "", false
 	}
-	return p.nodes.ids[p.via[i]], true
+	return p.net.Handles().ID(p.via[i]), true
 }
 
 // RequestRoute implements netem.RouteProvider. OLSR is proactive: either the
@@ -438,25 +469,11 @@ func (p *Protocol) MPRs() []netem.NodeID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]netem.NodeID, 0, p.mprSet.count())
+	ids := p.net.Handles()
 	p.mprSet.forEach(func(i uint32) {
-		out = append(out, p.nodes.ids[i])
+		out = append(out, ids.ID(i))
 	})
 	return out
-}
-
-// begin starts a control frame of the given kind for a body of bodyLen bytes;
-// the caller appends the body and hands the frame to send.
-func (p *Protocol) begin(kind uint8, bodyLen int) []byte {
-	return p.framer.Begin(routing.ProtoOLSR, kind, bodyLen)
-}
-
-// send offers the piggyback handler the frame's extension slot and broadcasts
-// it. A frame the medium refuses is a lost frame.
-func (p *Protocol) send(frame []byte) {
-	p.mu.Lock()
-	pb := p.pb
-	p.mu.Unlock()
-	_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(frame[1]), frame)
 }
 
 func (p *Protocol) onFrame(f netem.Frame) {
@@ -493,7 +510,7 @@ func (p *Protocol) onFrame(f netem.Frame) {
 }
 
 // handleHello processes a HELLO body straight off the wire. Node references
-// are resolved against the interner by raw bytes, so a steady-state arrival
+// resolve against the handle table by raw bytes, so a steady-state arrival
 // (all nodes known, advertised neighbourhood unchanged) performs zero
 // allocations — no message struct, no per-neighbour string.
 func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
@@ -512,8 +529,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	nowNs := p.clk.Now().UnixNano()
 	self := string(p.host.ID())
 	p.mu.Lock()
-	fi := p.nodes.intern(from)
-	p.growTo(p.nodes.len())
+	fi := p.cover(p.net.Intern(from))
 	changed := false
 	if !p.linkSet.has(fi) {
 		p.linkSet.set(fi)
@@ -526,6 +542,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	// neighbourhood is compared against the stored 2-hop bitset
 	// (lookup-only, no interning) so an unchanged arrival rebuilds nothing
 	// and schedules no recompute.
+	ids := p.net.Handles()
 	sym := false
 	old := p.twoHop[fi]
 	matched := 0
@@ -547,7 +564,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 		if link != LinkSym {
 			continue
 		}
-		ni, known := p.nodes.lookupBytes(ab)
+		ni, known := ids.LookupBytes(ab)
 		if !known || !old.has(ni) {
 			same = false
 			continue
@@ -563,7 +580,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	}
 	if !same {
 		// Intern every advertised neighbour into scratch first: interning
-		// can grow the dense stores, so finish growth before re-reading
+		// can grow the stores, so finish growth before re-reading
 		// p.twoHop[fi].
 		r = wire.NewReader(body)
 		r.U16()
@@ -575,9 +592,8 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 			if string(ab) == self || link != LinkSym {
 				continue
 			}
-			p.helloIdx = append(p.helloIdx, p.nodes.internBytes(ab))
+			p.helloIdx = append(p.helloIdx, p.internBytes(ab))
 		}
-		p.growTo(p.nodes.len())
 		set := p.twoHop[fi]
 		set.reset()
 		for _, ni := range p.helloIdx {
@@ -593,7 +609,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 }
 
 // handleTC processes a TC body straight off the wire, mirroring handleHello:
-// origin and selectors resolve against the interner by raw bytes (zero
+// origin and selectors resolve against the handle table by raw bytes (zero
 // allocations once the nodes are known), and the MPR retransmission copies the
 // received body into its own frame and patches the TTL byte there instead of
 // re-marshalling. body is only lent (see netem.Frame) and is not written to.
@@ -618,54 +634,35 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 		return
 	}
 	p.mu.Lock()
-	oi := p.nodes.internBytes(origB)
-	p.growTo(p.nodes.len())
-	key := dupKey{oi, seq}
-	dv, dup := p.dups[key]
-	// RFC 3626 duplicate handling: the tuples are processed once (first
-	// copy), but any copy may trigger the single retransmission — the
-	// first copy often arrives from a neighbour that did not select us as
-	// MPR while a later copy comes from one that did. Without the fwd flag
-	// the TC would then never be relayed here at all, and distant nodes
-	// would miss whole TC rounds.
-	fi, known := p.nodes.lookup(from)
-	isSelector := known && p.selSet.has(fi)
-	doFwd := isSelector && ttl > 1 && !dv.fwd
+	oi := p.internBytes(origB)
+	d := &p.dupRows[oi] // not used past the selectors' interning, which may move dupRows
+	k := d.find(seq, nowNs)
+	dup := k >= 0
+	// RFC 3626 duplicate handling: the tuples are processed on the first
+	// copy, but any copy from an MPR selector may trigger the one
+	// retransmission, since the first often comes from a neighbour that did
+	// not select us.
+	fi, known := p.known(from)
+	doFwd := known && p.selSet.has(fi) && ttl > 1 && !(dup && d.fwd&(1<<k) != 0)
 	if dup && !doFwd {
 		p.mu.Unlock()
 		return
 	}
 	if !dup {
-		// Dup entries only need to outlive the flood's flight time (plus
-		// queueing slack under load), not the topology hold: holding them
-		// for TopologyHold made the set scale with hold×N and blow the
-		// hard cap at 1024 nodes, and evicting *live* entries turns
-		// re-arriving copies into fresh re-forwards — a flood multiplier
-		// exactly when the network is busiest. Two TC intervals cover any
-		// copy still in flight by the time its seq is superseded.
-		p.dupQ.Push(key, nowNs+2*int64(p.cfg.TCInterval))
+		// Two TC intervals cover any copy still in flight once its seq is
+		// superseded.
+		k = d.add(seq, nowNs+2*int64(p.cfg.TCInterval))
 	}
+	var pb routing.PiggybackHandler
 	if doFwd {
-		dv.fwd = true
-	}
-	p.dups[key] = dv
-	// Lazy pruning off the head of the expiry queue: drop entries past their
-	// hold time, and under the hard cap keep evicting the oldest so a
-	// 1024-node TC storm cannot grow the set without bound. A key is queued
-	// once, when it enters the set, so a popped key is deleted outright.
-	for p.dupQ.Len() > 0 {
-		if _, at := p.dupQ.Next(); nowNs <= at && len(p.dups) <= dupHardCap {
-			break
-		}
-		delete(p.dups, p.dupQ.Pop())
+		d.fwd |= 1 << k
+		p.stats.TCFwd++
+		pb = p.pb
 	}
 	// Install/refresh the advertised tuples first, then purge whatever the
 	// new ANSN no longer advertises. Only an edge appearing or vanishing
 	// dirties the route state; a periodic TC re-advertising the same
-	// selector set merely refreshes expiries and schedules nothing. The
-	// out-edge list is the origin's selector set — a handful of entries —
-	// so the membership scan is a short linear walk over a pointer-free
-	// slice, cheaper than any map it could be replaced with.
+	// selector set merely refreshes expiries and schedules nothing.
 	changed := false
 	if !dup {
 		// Re-walk the selector list off the wire bytes, interning into the
@@ -678,9 +675,8 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 		r.U16()
 		p.tcIdx = p.tcIdx[:0]
 		for range n {
-			p.tcIdx = append(p.tcIdx, p.nodes.internBytes(r.StringBytes()))
+			p.tcIdx = append(p.tcIdx, p.internBytes(r.StringBytes()))
 		}
-		p.growTo(p.nodes.len())
 		edges := p.topo[oi]
 		expNs := nowNs + int64(p.cfg.TopologyHold)
 		for _, si := range p.tcIdx {
@@ -728,13 +724,11 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 	}
 
 	if doFwd {
-		// Retransmit the received bytes with the TTL decremented.
-		p.mu.Lock()
-		p.stats.TCFwd++
-		p.mu.Unlock()
-		frame := append(p.begin(KindTC, len(body)), body...)
+		// Retransmit the received bytes with the TTL decremented. Here and on
+		// the beats, a frame the medium refuses is a lost frame.
+		frame := append(p.framer.Begin(routing.ProtoOLSR, KindTC, len(body)), body...)
 		frame[routing.HeaderLen+ttlOff]--
-		p.send(frame)
+		_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(KindTC), frame)
 	}
 }
 
@@ -745,6 +739,7 @@ func ansnOlder(a, b uint16) bool {
 
 func (p *Protocol) sendHello() {
 	p.mu.Lock()
+	ids := p.net.Handles()
 	p.helloNbs = p.helloNbs[:0]
 	p.linkSet.forEach(func(i uint32) {
 		link := LinkAsym
@@ -752,16 +747,17 @@ func (p *Protocol) sendHello() {
 			link = LinkSym
 		}
 		p.helloNbs = append(p.helloNbs, HelloNeighbor{
-			Addr: p.nodes.ids[i],
+			Addr: ids.ID(i),
 			Link: link,
 			MPR:  p.mprSet.has(i),
 		})
 	})
 	m := Hello{Neighbors: p.helloNbs}
-	frame := m.AppendTo(p.begin(KindHello, m.wireLen())) // under mu: Neighbors aliases pooled scratch
+	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindHello, m.wireLen())) // under mu: Neighbors aliases pooled scratch
 	p.stats.HelloSent++
+	pb := p.pb
 	p.mu.Unlock()
-	p.send(frame)
+	_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(KindHello), frame)
 }
 
 func (p *Protocol) sendTC() {
@@ -772,10 +768,11 @@ func (p *Protocol) sendTC() {
 	}
 	p.seq++
 	m := TC{Orig: p.host.ID(), Seq: p.seq, TTL: p.cfg.MaxTTL}
+	ids := p.net.Handles()
 	p.tcSels = p.tcSels[:0]
 	var selHash uint64
 	p.selSet.forEach(func(i uint32) {
-		p.tcSels = append(p.tcSels, p.nodes.ids[i])
+		p.tcSels = append(p.tcSels, ids.ID(i))
 		selHash += mix64(hashSel, i, 0)
 	})
 	m.Selectors = p.tcSels
@@ -801,10 +798,11 @@ func (p *Protocol) sendTC() {
 		p.ansn++
 	}
 	m.ANSN = p.ansn
-	frame := m.AppendTo(p.begin(KindTC, m.wireLen())) // under mu: Selectors aliases pooled scratch
+	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindTC, m.wireLen())) // under mu: Selectors aliases pooled scratch
 	p.stats.TCSent++
+	pb := p.pb
 	p.mu.Unlock()
-	p.send(frame)
+	_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(KindTC), frame)
 }
 
 // expire drops stale links, selectors and topology tuples.
@@ -920,9 +918,8 @@ const (
 // inputHashLocked digests everything the MPR selection and BFS read: the
 // symmetric link set, the 2-hop sets and the live topology edges. Expiry
 // timestamps are deliberately excluded — refreshes that keep the same edge
-// set do not change the computed routes. Dense indices are append-only per
-// instance, so index-based element hashes stay comparable across the
-// instance's lifetime.
+// set do not change the computed routes. A handle never changes, so
+// handle-based element hashes stay comparable across the instance's lifetime.
 func (p *Protocol) inputHashLocked(nowNs int64) uint64 {
 	var h uint64
 	p.linkSet.forEach(func(i uint32) {
@@ -956,11 +953,9 @@ func (p *Protocol) recomputeFull() { p.recomputeImpl(true) }
 // recomputeImpl reselects MPRs and rebuilds the route table (greedy MPR
 // cover + BFS shortest paths over 1-hop links and TC-advertised edges). The
 // traversal is deterministic — neighbour lists are expanded in lexical node
-// order (via the interner's rank table) — so identical inputs always produce
+// order (via the handle table's ranks) — so identical inputs always produce
 // a bit-identical table. All working memory comes from the pooled scratch,
-// and the BFS writes the table itself (hops, via) in place: before pooling,
-// this function and the map it refilled minted 77% of every byte the
-// 1024-node scale study allocated.
+// and the BFS writes the table itself (hops, via) in place.
 func (p *Protocol) recomputeImpl(force bool) {
 	nowNs := p.clk.Now().UnixNano()
 	p.mu.Lock()
@@ -972,10 +967,10 @@ func (p *Protocol) recomputeImpl(force bool) {
 	}
 	p.stateHash = h
 	p.stats.Recompute++
-	n := p.nodes.len()
+	n := len(p.links)
 	s := &p.scratch
-	s.grow(n)
-	rank := p.nodes.rank
+	ids := p.net.Handles() // ranks every handle the stores hold
+	rank := func(a, b uint32) int { return int(ids.Rank(a)) - int(ids.Rank(b)) }
 
 	// Symmetric neighbours in lexical order: the BFS start order — and
 	// therefore next-hop tie-breaks between equal-length paths — matches
@@ -986,13 +981,13 @@ func (p *Protocol) recomputeImpl(force bool) {
 			s.symNbs = append(s.symNbs, i)
 		}
 	})
-	slices.SortFunc(s.symNbs, func(a, b uint32) int { return int(rank[a]) - int(rank[b]) })
+	slices.SortFunc(s.symNbs, rank)
 
 	// --- MPR selection: greedy cover of the 2-hop neighbourhood.
 	s.uncovered.reset()
 	for _, nb := range s.symNbs {
 		p.twoHop[nb].forEach(func(two uint32) {
-			if two == selfIdx {
+			if two == p.self {
 				return
 			}
 			if p.linkSet.has(two) && p.links[two].sym {
@@ -1010,7 +1005,7 @@ func (p *Protocol) recomputeImpl(force bool) {
 				continue
 			}
 			cover := p.twoHop[nb].andCount(s.uncovered)
-			if cover > bestCover || (cover == bestCover && cover > 0 && (best < 0 || rank[nb] < rank[uint32(best)])) {
+			if cover > bestCover || (cover == bestCover && cover > 0 && (best < 0 || rank(nb, uint32(best)) < 0)) {
 				best, bestCover = int(nb), cover
 			}
 		}
@@ -1057,14 +1052,14 @@ func (p *Protocol) recomputeImpl(force bool) {
 	})
 	for i := range s.adj[:n] {
 		if len(s.adj[i]) > 1 {
-			slices.SortFunc(s.adj[i], func(a, b uint32) int { return int(rank[a]) - int(rank[b]) })
+			slices.SortFunc(s.adj[i], rank)
 		}
 	}
 	for head := 0; head < len(s.queue); head++ {
 		cur := s.queue[head]
 		curVia, curHops := p.via[cur], p.hops[cur]
 		for _, nxt := range s.adj[cur] {
-			if nxt == selfIdx || p.hops[nxt] != 0 {
+			if nxt == p.self || p.hops[nxt] != 0 {
 				continue
 			}
 			p.hops[nxt] = curHops + 1

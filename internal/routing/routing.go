@@ -149,7 +149,7 @@ func (f *Framer) finish(pb PiggybackHandler, msg Outgoing, b []byte) []byte {
 // stack-local Envelope filled here never escapes. Body and Ext alias the
 // input rather than copying: a received frame's payload is lent to its handler
 // (see netem.Frame), and every decoder downstream (wire.Reader.String, the
-// interner's internBytes, slp's item.advert) copies what it keeps.
+// network's handle table, slp's item.advert) copies what it keeps.
 func ParseEnvelopeInto(e *Envelope, b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("routing: short envelope")
