@@ -8,6 +8,7 @@
 package floodreg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -159,19 +160,18 @@ func (a *Agent) flood() {
 		return
 	}
 	a.seq++
-	w := wire.NewWriter(64)
-	w.U32(a.seq)
-	w.String(string(a.host.ID()))
-	w.U8(floodHops)
-	w.U16(uint16(len(a.local)))
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, 64), a.seq)
+	b = wire.AppendString(b, string(a.host.ID()))
+	b = append(b, floodHops)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(a.local)))
 	for aor, addr := range a.local {
-		w.String(aor)
-		w.String(addr)
+		b = wire.AppendString(b, aor)
+		b = wire.AppendString(b, addr)
 	}
 	a.seen[seenKey{a.host.ID(), a.seq}] = a.clk.Now()
 	a.stats.FloodsOriginated++
 	a.mu.Unlock()
-	_ = a.host.SendFrame(netem.Broadcast, netem.KindService, w.Bytes())
+	_ = a.host.SendFrame(netem.Broadcast, netem.KindService, b)
 }
 
 func (a *Agent) onFrame(f netem.Frame) {
@@ -220,15 +220,14 @@ func (a *Agent) onFrame(f netem.Frame) {
 	a.mu.Unlock()
 	if relay {
 		// Re-encode with a decremented hop budget.
-		w := wire.NewWriter(len(f.Payload))
-		w.U32(seq)
-		w.String(string(origin))
-		w.U8(hops - 1)
-		w.U16(uint16(len(pairs)))
+		b := binary.BigEndian.AppendUint32(make([]byte, 0, len(f.Payload)), seq)
+		b = wire.AppendString(b, string(origin))
+		b = append(b, hops-1)
+		b = binary.BigEndian.AppendUint16(b, uint16(len(pairs)))
 		for _, p := range pairs {
-			w.String(p.aor)
-			w.String(p.addr)
+			b = wire.AppendString(b, p.aor)
+			b = wire.AppendString(b, p.addr)
 		}
-		_ = a.host.SendFrame(netem.Broadcast, netem.KindService, w.Bytes())
+		_ = a.host.SendFrame(netem.Broadcast, netem.KindService, b)
 	}
 }

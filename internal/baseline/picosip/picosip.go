@@ -8,6 +8,7 @@
 package picosip
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -172,15 +173,14 @@ func (a *Agent) sendHello() {
 	}
 	a.stats.HellosSent++
 	a.mu.Unlock()
-	w := wire.NewWriter(16 + 48*len(entries))
-	w.U16(uint16(len(entries)))
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 16+48*len(entries)), uint16(len(entries)))
 	for _, e := range entries {
-		w.String(e.aor)
-		w.String(e.addr)
-		w.String(string(e.origin))
-		w.U32(e.seq)
+		b = wire.AppendString(b, e.aor)
+		b = wire.AppendString(b, e.addr)
+		b = wire.AppendString(b, string(e.origin))
+		b = binary.BigEndian.AppendUint32(b, e.seq)
 	}
-	_ = a.host.SendFrame(netem.Broadcast, netem.KindService, w.Bytes())
+	_ = a.host.SendFrame(netem.Broadcast, netem.KindService, b)
 }
 
 func (a *Agent) onFrame(f netem.Frame) {

@@ -1,6 +1,10 @@
 package netem
 
-import "strings"
+import (
+	"maps"
+	"slices"
+	"strings"
+)
 
 // Handles is one snapshot of a network's node-handle table: the dense uint32
 // each node ID was given, and the lexical rank of each. AddHost gives the next
@@ -44,32 +48,45 @@ func (n *Network) Intern(id NodeID) uint32 {
 	if h, ok := n.Handles().Lookup(id); ok {
 		return h
 	}
-	return n.intern(NodeID(strings.Clone(string(id))))
+	h, _ := n.InternAll(NodeID(strings.Clone(string(id)))).Lookup(id)
+	return h
 }
 
-// intern is Intern's insert: it copies the snapshot with id added, in
-// O(handles), and publishes the copy.
-func (n *Network) intern(id NodeID) uint32 {
+// InternAll gives each of ids not in the table the next handle, in the order
+// given, publishes them all in one snapshot — a batch of nodes about to be
+// added costs one copy of the table, not one per node — and returns it. Each
+// new ID is ranked in O(handles). The table keeps the strings given, so ids
+// must not alias a lent buffer. Intern and AddHost insert through it.
+func (n *Network) InternAll(ids ...NodeID) *Handles {
 	n.handleMu.Lock()
 	defer n.handleMu.Unlock()
 	cur := n.handles.Load()
-	if h, ok := cur.idx[id]; ok {
-		return h
-	}
-	h := uint32(len(cur.ids))
-	next := &Handles{idx: make(map[NodeID]uint32, h+1), ids: append(cur.ids[:h:h], id), rank: make([]uint32, h+1)}
-	for i, other := range cur.ids {
-		next.idx[other] = uint32(i)
-		next.rank[i] = cur.rank[i]
-		if other > id {
-			next.rank[i]++
-		} else {
-			next.rank[h]++
+	next := &Handles{idx: cur.idx, ids: slices.Clip(cur.ids), rank: slices.Clip(cur.rank)}
+	for _, id := range ids {
+		if _, ok := next.idx[id]; ok {
+			continue
+		}
+		if len(next.ids) == len(cur.ids) {
+			next.idx = make(map[NodeID]uint32, len(cur.ids)+len(ids))
+			maps.Copy(next.idx, cur.idx)
+		}
+		h := uint32(len(next.ids))
+		next.idx[id] = h
+		next.ids = append(next.ids, id)
+		next.rank = append(next.rank, 0)
+		for i, other := range next.ids[:h] {
+			if other > id {
+				next.rank[i]++
+			} else {
+				next.rank[h]++
+			}
 		}
 	}
-	next.idx[id] = h
+	if len(next.ids) == len(cur.ids) {
+		return cur
+	}
 	n.handles.Store(next)
-	return h
+	return next
 }
 
 // Handle returns the node's handle in its network's table.

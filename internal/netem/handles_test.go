@@ -3,8 +3,9 @@ package netem
 import "testing"
 
 // TestHandlesFollowAddHostOrder pins how handles are given: in AddHost order,
-// kept by a restarted ID, given on first sight by Intern, and ranked
-// lexically; and that every read of a snapshot is free of allocation.
+// kept by a restarted ID, given on first sight by Intern, in the order given
+// by InternAll, and ranked lexically; and that every read of a snapshot is
+// free of allocation.
 func TestHandlesFollowAddHostOrder(t *testing.T) {
 	n := NewNetwork(Config{})
 	defer n.Close()
@@ -50,5 +51,15 @@ func TestHandlesFollowAddHostOrder(t *testing.T) {
 	}
 	if n.Handles() != ids {
 		t.Fatal("reads published a new snapshot")
+	}
+	n.InternAll("ab", "a", "0", "ab") // new, known and repeated IDs
+	ids = n.Handles()
+	if ids.Len() != 6 || ids.ID(4) != "ab" || ids.ID(5) != "0" {
+		t.Fatalf("after a batch: %d handles, 4 is %q and 5 is %q; want 6, ab and 0", ids.Len(), ids.ID(4), ids.ID(5))
+	}
+	for h, want := range []uint32{4, 5, 1, 2, 3, 0} { // b c a aa ab 0
+		if got := ids.Rank(uint32(h)); got != want {
+			t.Fatalf("after a batch, %s ranks %d, want %d", ids.ID(uint32(h)), got, want)
+		}
 	}
 }

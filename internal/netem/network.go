@@ -350,7 +350,7 @@ func (n *Network) AddHost(id NodeID, pos Position) (*Host, error) {
 		return nil, fmt.Errorf("netem: duplicate node %q", id)
 	}
 	h := newHost(n, id)
-	h.handle = n.intern(id)
+	h.handle, _ = n.InternAll(id).Lookup(id)
 	n.hosts[id] = h
 	n.positions[id] = pos
 	n.invalidateLocked()

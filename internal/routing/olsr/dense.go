@@ -1,15 +1,19 @@
 package olsr
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"siphoc/internal/routing"
+)
 
 // This file is the memory model of the dense-state routing core: a
-// pointer-free bitset over node handles (see netem.Handles), and the scratch
-// pools recomputeImpl reuses across rebuilds. The point of both is the same —
-// the `make profile` run that motivated them showed the 1024-node ceiling was
-// GC scanning plus Go map iteration over routing state, so the hot state
-// moved into slices and bitsets indexed by handle: pointer-free (the GC never
-// scans them), iterable in deterministic handle order (no map-iteration cost,
-// no aeshash), and reusable across recomputes (no per-rebuild minting).
+// pointer-free bitset over node handles (see netem.Handles), and the rebuild
+// scratch recomputeImpl takes off a shared free list. Both exist because the
+// `make profile` run behind them showed the 1024-node ceiling was GC scanning
+// plus Go map iteration over routing state, so the hot state moved into
+// slices and bitsets indexed by handle: pointer-free (the GC never scans
+// them), iterable in deterministic handle order (no map-iteration cost, no
+// aeshash), and reusable across recomputes (no per-rebuild minting).
 
 // bitset is a dense set over node handles. The backing array is pointer-free
 // (the GC never descends into it) and only grows.
@@ -110,13 +114,17 @@ func mix64(kind byte, a, b uint32) uint64 {
 	return x
 }
 
-// recomputeScratch is the pooled working memory of recomputeImpl, reused
-// across rebuilds under the protocol mutex: a steady-state rebuild allocates
-// nothing once the high-water topology size has been seen.
+// recomputeScratch is the working memory of one rebuild, taken off
+// scratchFree at its start and given back at its end: one per rebuild in
+// progress, not one per instance. A steady-state rebuild allocates nothing
+// once the high-water topology size has been seen.
 type recomputeScratch struct {
-	symNbs    []uint32   // symmetric 1-hop neighbours, lexical (rank) order
+	symNbs    []int      // rows of the symmetric neighbours, lexical (rank) order
 	uncovered bitset     // 2-hop nodes not yet covered by an MPR
 	mprNew    bitset     // MPR set under construction (swapped into place)
-	adj       [][]uint32 // adjacency by handle (sized by growTo), refilled
+	adj       [][]uint32 // adjacency by handle, truncated and refilled
 	queue     []uint32   // BFS frontier
 }
+
+// scratchFree is the rebuild scratch not in use.
+var scratchFree routing.Spares[*recomputeScratch]

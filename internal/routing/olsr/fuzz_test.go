@@ -53,10 +53,8 @@ func decodeTC(b []byte) (*TC, bool) {
 // on one network fed the same messages on the same clock grow their stores to
 // the same handle count, so their states compare equal.
 type olsrState struct {
-	Links                   []linkState
+	Nbs                     []neighbour
 	LinkSet, SelSet, TopoSt bitset
-	TwoHop                  []bitset
-	SelExp                  []int64
 	Topo                    [][]topoEdge
 	DupRows                 []dupRow
 }
@@ -65,12 +63,12 @@ func stateOf(p *Protocol) olsrState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := olsrState{
-		Links:   slices.Clone(p.links),
 		LinkSet: slices.Clone(p.linkSet), SelSet: slices.Clone(p.selSet), TopoSt: slices.Clone(p.topoSet),
-		SelExp: slices.Clone(p.selExp), DupRows: slices.Clone(p.dupRows),
+		DupRows: slices.Clone(p.dupRows),
 	}
-	for _, b := range p.twoHop {
-		s.TwoHop = append(s.TwoHop, slices.Clone(b))
+	for _, nb := range p.nbs {
+		nb.twoHop = slices.Clone(nb.twoHop)
+		s.Nbs = append(s.Nbs, nb)
 	}
 	for _, edges := range p.topo {
 		s.Topo = append(s.Topo, slices.Clone(edges))
@@ -124,11 +122,12 @@ func FuzzHandleHello(f *testing.F) {
 		}
 		slices.Sort(two)
 		fi, known := p.known("n1")
-		if !known || !p.linkSet.has(fi) || p.links[fi].sym != sym || p.selSet.has(fi) != mpr {
+		nb := p.neighbour(fi)
+		if !known || nb == nil || nb.sym != sym || p.selSet.has(fi) != mpr {
 			t.Fatalf("HELLO %+v: link known=%v sym=%v selector=%v, want sym=%v selector=%v",
-				m, known, known && p.links[fi].sym, known && p.selSet.has(fi), sym, mpr)
+				m, known, nb != nil && nb.sym, known && p.selSet.has(fi), sym, mpr)
 		}
-		if got := idsOf(p, p.twoHop[fi]); !slices.Equal(got, two) {
+		if got := idsOf(p, nb.twoHop); !slices.Equal(got, two) {
 			t.Fatalf("HELLO %+v: 2-hop set %v, want %v", m, got, two)
 		}
 		q := New(h, Config{})

@@ -128,19 +128,23 @@ type Stats struct {
 	RecomputeSkipped int64
 }
 
-// linkState is one live link tuple, indexed by the neighbour's handle.
-// Timestamps are int64 nanoseconds rather than time.Time so the whole links
-// slice is pointer-free: a time.Time carries a *Location the GC must chase,
-// and GC scanning of routing state is exactly what this core is built to
+// neighbour is one row of the neighbour table: a node this one hears (its
+// link tuple), until when it has this node as its MPR, and the symmetric
+// neighbourhood its HELLO advertised (its 2-hop set). Timestamps are int64
+// nanoseconds rather than time.Time: a time.Time carries a *Location the GC
+// must chase, and GC scanning of routing state is what this core is built to
 // avoid.
-type linkState struct {
-	lastHeardNs int64
+type neighbour struct {
+	h           uint32 // the neighbour's handle
 	sym         bool
+	lastHeardNs int64
+	selExpNs    int64 // selector expiry, valid while selSet has h
+	twoHop      bitset
 }
 
 // topoEdge is one TC-advertised out-edge of an origin: the MPR selector it
 // points at (a handle), the ANSN that advertised it and its expiry.
-// Pointer-free for the same reason as linkState.
+// Pointer-free, like the other per-handle stores.
 type topoEdge struct {
 	expiresNs int64
 	dest      uint32
@@ -188,7 +192,9 @@ func (d *dupRow) add(seq uint16, expNs int64) int {
 // Protocol is an OLSR instance bound to one host. Its routing state is dense
 // (DESIGN.md §15): slices and bitsets of pointer-free structs indexed by node
 // handle (see netem.Handles), which the GC never scans, which iterate in
-// deterministic order and which never rehash.
+// deterministic order and which never rehash. What only a neighbour has — its
+// link tuple, selector expiry and 2-hop set — is in a table sized by the
+// node's degree instead.
 type Protocol struct {
 	host *netem.Host
 	cfg  Config
@@ -201,12 +207,10 @@ type Protocol struct {
 	// handle count as handles turn up in frames; a handle past it is a node
 	// unknown here.
 	mu      sync.Mutex
-	links   []linkState // live entries marked in linkSet
-	linkSet bitset      // indices with a live link tuple
-	twoHop  []bitset    // hello sender -> its advertised symmetric neighbourhood
+	nbs     []neighbour // the neighbour table, in handle order
+	linkSet bitset      // handles with a row in nbs
 	mprSet  bitset      // our chosen MPRs
 	selSet  bitset      // neighbours that chose us as MPR
-	selExp  []int64     // selector expiry (ns), valid where selSet is set
 	// topo holds TC-advertised edges by advertising node ("last hop"), then
 	// MPR selector: a TC's stale-ANSN purge touches only that origin's few
 	// out-edges, which a linear scan walks faster than any map.
@@ -215,7 +219,6 @@ type Protocol struct {
 	dupRows []dupRow // the duplicate set, by TC origin
 	seq     uint16
 	ansn    uint16
-	scratch recomputeScratch // pooled recompute working memory, under mu
 	// The route table by destination handle, written in place by
 	// recompute's BFS under mu: hops is the hop count (0: no route) and via
 	// the first hop's handle.
@@ -277,23 +280,28 @@ func New(host *netem.Host, cfg Config) *Protocol {
 	return p
 }
 
-// growTo extends every store and the BFS adjacency to n handles, under p.mu.
-// The first sizing is exact (a network is normally built before its first
-// frame); later growth is append's, amortized O(1) per node.
+// growTo extends every per-handle store to n handles, under p.mu. The first
+// sizing is exact (a network is normally built before its first frame); later
+// growth is append's, amortized O(1) per node.
 func (p *Protocol) growTo(n int) {
-	if k := n - len(p.links); k > 0 {
-		p.links = append(p.links, make([]linkState, k)...)
-		p.twoHop = append(p.twoHop, make([]bitset, k)...)
-		p.selExp = append(p.selExp, make([]int64, k)...)
-		p.topo = append(p.topo, make([][]topoEdge, k)...)
-		p.dupRows = append(p.dupRows, make([]dupRow, k)...)
-		p.hops = append(p.hops, make([]int32, k)...)
-		p.via = append(p.via, make([]uint32, k)...)
-		p.scratch.adj = append(p.scratch.adj, make([][]uint32, k)...)
+	if n > len(p.hops) {
+		p.topo = extend(p.topo, n)
+		p.dupRows = extend(p.dupRows, n)
+		p.hops = extend(p.hops, n)
+		p.via = extend(p.via, n)
 		p.linkSet.grow(n)
 		p.selSet.grow(n)
 		p.topoSet.grow(n)
 	}
+}
+
+// extend returns s grown to n elements, the new ones zero: made to size the
+// first time, by append after.
+func extend[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // internBytes returns the handle of the ID in b, interned on first sight and
@@ -308,7 +316,7 @@ func (p *Protocol) internBytes(b []byte) uint32 {
 // cover returns h, growing the stores to the network's handle count first if
 // h is past them.
 func (p *Protocol) cover(h uint32) uint32 {
-	if int(h) >= len(p.links) {
+	if int(h) >= len(p.hops) {
 		p.growTo(p.net.Handles().Len())
 	}
 	return h
@@ -317,8 +325,19 @@ func (p *Protocol) cover(h uint32) uint32 {
 // known returns id's handle if this instance's stores cover it.
 func (p *Protocol) known(id netem.NodeID) (uint32, bool) {
 	h, ok := p.net.Handles().Lookup(id)
-	return h, ok && int(h) < len(p.links)
+	return h, ok && int(h) < len(p.hops)
 }
+
+// neighbour returns h's row in the neighbour table, or nil. Under p.mu.
+func (p *Protocol) neighbour(h uint32) *neighbour {
+	if !p.linkSet.has(h) {
+		return nil
+	}
+	i, _ := slices.BinarySearchFunc(p.nbs, h, byHandle)
+	return &p.nbs[i]
+}
+
+func byHandle(nb neighbour, h uint32) int { return cmp.Compare(nb.h, h) }
 
 // Name implements routing.Protocol.
 func (p *Protocol) Name() string { return "OLSR" }
@@ -531,12 +550,14 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	p.mu.Lock()
 	fi := p.cover(p.net.Intern(from))
 	changed := false
-	if !p.linkSet.has(fi) {
+	nb := p.neighbour(fi) // stays valid: only growTo runs before the last use
+	if nb == nil {
+		i, _ := slices.BinarySearchFunc(p.nbs, fi, byHandle)
+		p.nbs = slices.Insert(p.nbs, i, neighbour{h: fi})
 		p.linkSet.set(fi)
-		p.links[fi] = linkState{}
-		changed = true
+		nb, changed = &p.nbs[i], true
 	}
-	p.links[fi].lastHeardNs = nowNs
+	nb.lastHeardNs = nowNs
 	// One walk does link sensing and change detection: the link is
 	// symmetric once the neighbour lists us, and the advertised symmetric
 	// neighbourhood is compared against the stored 2-hop bitset
@@ -544,7 +565,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	// and schedules no recompute.
 	ids := p.net.Handles()
 	sym := false
-	old := p.twoHop[fi]
+	old := nb.twoHop
 	matched := 0
 	same := true
 	r := wire.NewReader(body)
@@ -557,7 +578,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 			sym = true
 			if mpr {
 				p.selSet.set(fi)
-				p.selExp[fi] = nowNs + int64(p.cfg.NeighborHold)
+				nb.selExpNs = nowNs + int64(p.cfg.NeighborHold)
 			}
 			continue
 		}
@@ -574,14 +595,13 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	if same && matched != old.count() {
 		same = false
 	}
-	if sym != p.links[fi].sym {
-		p.links[fi].sym = sym
+	if sym != nb.sym {
+		nb.sym = sym
 		changed = true
 	}
 	if !same {
-		// Intern every advertised neighbour into scratch first: interning
-		// can grow the stores, so finish growth before re-reading
-		// p.twoHop[fi].
+		// Intern every advertised neighbour into scratch first, then rebuild
+		// the 2-hop set in place.
 		r = wire.NewReader(body)
 		r.U16()
 		p.helloIdx = p.helloIdx[:0]
@@ -594,12 +614,10 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 			}
 			p.helloIdx = append(p.helloIdx, p.internBytes(ab))
 		}
-		set := p.twoHop[fi]
-		set.reset()
+		nb.twoHop.reset()
 		for _, ni := range p.helloIdx {
-			set.set(ni)
+			nb.twoHop.set(ni)
 		}
-		p.twoHop[fi] = set
 		changed = true
 	}
 	p.mu.Unlock()
@@ -741,17 +759,17 @@ func (p *Protocol) sendHello() {
 	p.mu.Lock()
 	ids := p.net.Handles()
 	p.helloNbs = p.helloNbs[:0]
-	p.linkSet.forEach(func(i uint32) {
+	for _, nb := range p.nbs {
 		link := LinkAsym
-		if p.links[i].sym {
+		if nb.sym {
 			link = LinkSym
 		}
 		p.helloNbs = append(p.helloNbs, HelloNeighbor{
-			Addr: ids.ID(i),
+			Addr: ids.ID(nb.h),
 			Link: link,
-			MPR:  p.mprSet.has(i),
+			MPR:  p.mprSet.has(nb.h),
 		})
-	})
+	}
 	m := Hello{Neighbors: p.helloNbs}
 	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindHello, m.wireLen())) // under mu: Neighbors aliases pooled scratch
 	p.stats.HelloSent++
@@ -811,19 +829,21 @@ func (p *Protocol) expire() {
 	holdNs := int64(p.cfg.NeighborHold)
 	changed := false
 	p.mu.Lock()
-	p.linkSet.forEach(func(i uint32) {
-		if nowNs-p.links[i].lastHeardNs > holdNs {
-			p.linkSet.unset(i)
-			p.links[i] = linkState{}
-			p.twoHop[i].reset()
+	for i := 0; i < len(p.nbs); {
+		nb := p.nbs[i]
+		if nowNs > nb.selExpNs {
+			// Never after the link expires: both are held NeighborHold from
+			// the HELLO that refreshed them, and the link by every HELLO.
+			p.selSet.unset(nb.h)
+		}
+		if nowNs-nb.lastHeardNs > holdNs {
+			p.linkSet.unset(nb.h)
+			p.nbs = slices.Delete(p.nbs, i, i+1)
 			changed = true
+			continue
 		}
-	})
-	p.selSet.forEach(func(i uint32) {
-		if nowNs > p.selExp[i] {
-			p.selSet.unset(i)
-		}
-	})
+		i++
+	}
 	p.topoSet.forEach(func(oi uint32) {
 		edges := p.topo[oi]
 		kept := edges[:0]
@@ -922,14 +942,14 @@ const (
 // handle-based element hashes stay comparable across the instance's lifetime.
 func (p *Protocol) inputHashLocked(nowNs int64) uint64 {
 	var h uint64
-	p.linkSet.forEach(func(i uint32) {
-		if p.links[i].sym {
-			h += mix64(hashLink, i, 0)
+	for _, nb := range p.nbs {
+		if nb.sym {
+			h += mix64(hashLink, nb.h, 0)
 		}
-		p.twoHop[i].forEach(func(two uint32) {
-			h += mix64(hashTwo, i, two)
+		nb.twoHop.forEach(func(two uint32) {
+			h += mix64(hashTwo, nb.h, two)
 		})
-	})
+	}
 	p.topoSet.forEach(func(oi uint32) {
 		for _, e := range p.topo[oi] {
 			if nowNs > e.expiresNs {
@@ -954,21 +974,26 @@ func (p *Protocol) recomputeFull() { p.recomputeImpl(true) }
 // cover + BFS shortest paths over 1-hop links and TC-advertised edges). The
 // traversal is deterministic — neighbour lists are expanded in lexical node
 // order (via the handle table's ranks) — so identical inputs always produce
-// a bit-identical table. All working memory comes from the pooled scratch,
-// and the BFS writes the table itself (hops, via) in place.
+// a bit-identical table. The working memory is a scratch off the shared free
+// list, held for this rebuild only, and the BFS writes the table itself (hops,
+// via) in place.
 func (p *Protocol) recomputeImpl(force bool) {
 	nowNs := p.clk.Now().UnixNano()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	h := p.inputHashLocked(nowNs)
 	if !force && h == p.stateHash {
 		p.stats.RecomputeSkipped++
-		p.mu.Unlock()
 		return
 	}
 	p.stateHash = h
 	p.stats.Recompute++
-	n := len(p.links)
-	s := &p.scratch
+	n := len(p.hops)
+	s := scratchFree.Take()
+	if s == nil {
+		s = new(recomputeScratch)
+	}
+	defer scratchFree.Put(s)
 	ids := p.net.Handles() // ranks every handle the stores hold
 	rank := func(a, b uint32) int { return int(ids.Rank(a)) - int(ids.Rank(b)) }
 
@@ -976,21 +1001,21 @@ func (p *Protocol) recomputeImpl(force bool) {
 	// therefore next-hop tie-breaks between equal-length paths — matches
 	// the string-sorted traversal of the map-backed core bit for bit.
 	s.symNbs = s.symNbs[:0]
-	p.linkSet.forEach(func(i uint32) {
-		if p.links[i].sym {
+	for i, nb := range p.nbs {
+		if nb.sym {
 			s.symNbs = append(s.symNbs, i)
 		}
-	})
-	slices.SortFunc(s.symNbs, rank)
+	}
+	slices.SortFunc(s.symNbs, func(a, b int) int { return rank(p.nbs[a].h, p.nbs[b].h) })
 
 	// --- MPR selection: greedy cover of the 2-hop neighbourhood.
 	s.uncovered.reset()
-	for _, nb := range s.symNbs {
-		p.twoHop[nb].forEach(func(two uint32) {
+	for _, i := range s.symNbs {
+		p.nbs[i].twoHop.forEach(func(two uint32) {
 			if two == p.self {
 				return
 			}
-			if p.linkSet.has(two) && p.links[two].sym {
+			if nb := p.neighbour(two); nb != nil && nb.sym {
 				return // reachable in one hop anyway
 			}
 			s.uncovered.set(two)
@@ -998,33 +1023,35 @@ func (p *Protocol) recomputeImpl(force bool) {
 	}
 	s.mprNew.reset()
 	for !s.uncovered.empty() {
-		best := -1
+		var best *neighbour
 		bestCover := 0
-		for _, nb := range s.symNbs {
-			if s.mprNew.has(nb) {
+		for _, i := range s.symNbs {
+			nb := &p.nbs[i]
+			if s.mprNew.has(nb.h) {
 				continue
 			}
-			cover := p.twoHop[nb].andCount(s.uncovered)
-			if cover > bestCover || (cover == bestCover && cover > 0 && (best < 0 || rank(nb, uint32(best)) < 0)) {
-				best, bestCover = int(nb), cover
+			cover := nb.twoHop.andCount(s.uncovered)
+			if cover > bestCover || (cover == bestCover && cover > 0 && (best == nil || rank(nb.h, best.h) < 0)) {
+				best, bestCover = nb, cover
 			}
 		}
 		if bestCover == 0 {
 			break // remaining 2-hop nodes are not coverable
 		}
-		s.mprNew.set(uint32(best))
-		s.uncovered.andNot(p.twoHop[uint32(best)])
+		s.mprNew.set(best.h)
+		s.uncovered.andNot(best.twoHop)
 	}
-	// Swap the freshly built set into place; the displaced one becomes next
-	// rebuild's scratch.
+	// Swap the freshly built set into place; the displaced one goes back with
+	// the scratch.
 	p.mprSet, s.mprNew = s.mprNew, p.mprSet
 
 	// --- Route computation: BFS over sym links + topology edges, straight
 	// into the route table (hops doubles as the visited set), under mu so no
 	// reader sees it half built.
-	clear(p.hops[:n])
+	clear(p.hops)
 	s.queue = s.queue[:0]
-	for _, nb := range s.symNbs {
+	for _, i := range s.symNbs {
+		nb := p.nbs[i].h
 		p.hops[nb] = 1
 		p.via[nb] = nb
 		s.queue = append(s.queue, nb)
@@ -1032,6 +1059,7 @@ func (p *Protocol) recomputeImpl(force bool) {
 	// Adjacency from TC tuples: last -> dest (treated as bidirectional,
 	// since a TC edge reflects a symmetric MPR-selector link). Lists are
 	// truncated in place and refilled — no per-rebuild minting.
+	s.adj = extend(s.adj, max(n, len(s.adj)))
 	for i := range s.adj[:n] {
 		s.adj[i] = s.adj[i][:0]
 	}
@@ -1045,11 +1073,11 @@ func (p *Protocol) recomputeImpl(force bool) {
 		}
 	})
 	// Also 2-hop sets give edges nb -> two.
-	p.linkSet.forEach(func(i uint32) {
-		p.twoHop[i].forEach(func(two uint32) {
-			s.adj[i] = append(s.adj[i], two)
+	for _, nb := range p.nbs {
+		nb.twoHop.forEach(func(two uint32) {
+			s.adj[nb.h] = append(s.adj[nb.h], two)
 		})
-	})
+	}
 	for i := range s.adj[:n] {
 		if len(s.adj[i]) > 1 {
 			slices.SortFunc(s.adj[i], rank)
@@ -1067,5 +1095,4 @@ func (p *Protocol) recomputeImpl(force bool) {
 			s.queue = append(s.queue, nxt)
 		}
 	}
-	p.mu.Unlock()
 }

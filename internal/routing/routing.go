@@ -41,6 +41,32 @@ type Protocol interface {
 	Routes() []Entry
 }
 
+// Spares is a free list of scratch that components share — one value per
+// use in progress, not one per component. It is a mutex-guarded stack rather
+// than a sync.Pool, which drops values at random under the race detector and
+// would make a steady state allocate there.
+type Spares[T any] struct {
+	mu sync.Mutex
+	s  []T
+}
+
+// Take returns a spare, or the zero T when there is none.
+func (p *Spares[T]) Take() (x T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.s); n > 0 {
+		x, p.s = p.s[n-1], p.s[:n-1]
+	}
+	return x
+}
+
+// Put hands x back for the next Take.
+func (p *Spares[T]) Put(x T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.s = append(p.s, x)
+}
+
 // PiggybackHandler is the paper's "routing handler plugin": a software
 // module that receives routing packets and produces altered packets carrying
 // piggybacked service information. Both ways it works on bytes it is lent

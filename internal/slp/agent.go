@@ -33,7 +33,6 @@ import (
 	"siphoc/internal/netem"
 	"siphoc/internal/obs"
 	"siphoc/internal/routing"
-	"siphoc/internal/wire"
 )
 
 // Mode selects the dissemination strategy.
@@ -243,13 +242,6 @@ type Agent struct {
 	notFound map[cacheKey]error
 	types    map[string]string
 
-	// pb* is the piggyback encoding scratch reused across Outgoing calls
-	// (serialized by pbMu): staging payload, its digest and the writer.
-	pbMu      sync.Mutex
-	pbPayload Payload
-	pbDigest  Digest
-	pbW       *wire.Writer
-
 	stats agentCounters
 
 	refresh *clock.Task
@@ -278,7 +270,6 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		lookups:  make(map[*lookup]struct{}),
 		notFound: make(map[cacheKey]error),
 		types:    make(map[string]string),
-		pbW:      wire.NewWriter(256),
 	}
 	a.relayQ.task.Init(a.onRelayExpiry, nil)
 	a.seenQ.task.Init(a.onSeenExpiry, nil)
@@ -432,16 +423,15 @@ func (t *queryTable[V]) put(a *Agent, k qkey, v V, at int64) {
 	t.q.Push(k, at)
 }
 
-// run is the task's run. It reports whether the table gave its storage back.
-func (t *queryTable[V]) run(a *Agent, now time.Time) (trimmed bool) {
+// run is the task's run.
+func (t *queryTable[V]) run(a *Agent, now time.Time) {
 	t.expire(now.UnixNano())
 	if t.q.Len() > 0 {
 		_, at := t.q.Next()
 		a.armLocked(&t.task, at)
-	} else if trimmed = t.q.Trim(); trimmed {
+	} else if t.q.Trim() {
 		t.m = nil
 	}
-	return trimmed
 }
 
 // armLocked queues a table's task for at, unless the agent has stopped.
@@ -459,22 +449,11 @@ func (a *Agent) onSeenExpiry(now time.Time) {
 	a.seenQ.run(a, now)
 }
 
-// onRelayExpiry is the relay set's task. A relay set that hands its storage
-// back takes the outgoing query scratch with it, unless a query of this
-// node's own still rides along.
+// onRelayExpiry is the relay set's task.
 func (a *Agent) onRelayExpiry(now time.Time) {
 	a.qmu.Lock()
-	trimmed := a.relayQ.run(a, now)
-	a.qmu.Unlock()
-	if trimmed {
-		a.pbMu.Lock() // before qmu, as AppendOutgoing takes them
-		a.qmu.Lock()
-		if len(a.relayQ.m) == 0 && len(a.pendingQ) == 0 {
-			a.pbPayload.Queries = nil
-		}
-		a.qmu.Unlock()
-		a.pbMu.Unlock()
-	}
+	defer a.qmu.Unlock()
+	a.relayQ.run(a, now)
 }
 
 // Register publishes a service from this node. Type, Key and URL are
@@ -846,77 +825,85 @@ func (a *Agent) Dump() string {
 
 // ---- routing.PiggybackHandler ----
 
-// Outgoing fills the routing message's extension slot, within budget: the
-// digest of this node's table, the queries riding along, and — on a
+// AppendOutgoing fills the routing message's extension slot, within budget:
+// the digest of this node's table, the queries riding along, and — on a
 // broadcast — the adverts the table owes its neighbours (cache.gossip). A
 // message to one neighbour carries this node's own registrations instead, so
 // that a route reply delivers the replying node's bindings with the route
 // (the paper's Figure 5) and no broadcast debt is spent on a single listener.
-// The same state always encodes to the same bytes. The staging payload and
-// encoder are scratch state reused across calls (every HELLO/TC/RREQ the node
-// emits lands here), and the encoded bytes are appended to b, the routing
-// frame they go out in, which is the wire buffer it crosses the medium in (see
-// netem.Frame): nothing is allocated when b has the room.
+// The same state always encodes to the same bytes, the Payload.AppendTo
+// encoding of what was chosen. Everything is written straight into b, the
+// routing frame the extension goes out in, which is the wire buffer it
+// crosses the medium in (see netem.Frame): nothing is staged, and nothing is
+// allocated when b has the room.
 func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 	budget := msg.Budget - digestSize
 	if budget < 0 {
 		return b
 	}
 	now := a.clk.Now()
-	a.pbMu.Lock()
-	defer a.pbMu.Unlock()
-	p := &a.pbPayload
-
-	p.Queries = p.Queries[:0]
+	// The queries are chosen first, in (origin, ID) order, and go last.
+	qs := spareQueries.Take()
 	a.qmu.Lock()
 	for _, pq := range a.pendingQ {
-		p.Queries = append(p.Queries, pq.q)
+		qs = append(qs, pq.q)
 	}
 	a.relayQ.expire(now.UnixNano())
 	for _, e := range a.relayQ.m {
-		p.Queries = append(p.Queries, e.v)
+		qs = append(qs, e.v)
 	}
 	a.qmu.Unlock()
-	slices.SortFunc(p.Queries, func(x, y Query) int {
+	slices.SortFunc(qs, func(x, y Query) int {
 		return cmp.Or(strings.Compare(string(x.Origin), string(y.Origin)), cmp.Compare(x.ID, y.ID))
 	})
-	fit := p.Queries[:0]
-	for _, q := range p.Queries {
+	fit := qs[:0]
+	for _, q := range qs {
 		if s := sizeOfQuery(&q); s <= budget {
 			fit = append(fit, q)
 			budget -= s
 		}
 	}
-	p.Queries = fit
 
-	p.Adverts = p.Adverts[:0]
+	// The digest comes first but is known only once gossip has run: its
+	// slot is reserved here and written below.
+	at := len(b)
+	b = append(b, make([]byte, digestSize)...)
+	var d Digest
 	if msg.Dst == netem.Broadcast {
-		p.Adverts, a.pbDigest = a.cache.gossip(p.Adverts, budget, now)
+		b, d = a.cache.gossip(b, budget, now)
 	} else {
-		a.pbDigest = a.cache.digest(now)
+		d = a.cache.digest(now)
 		a.mu.Lock()
 		locals := a.sortedLocals()
 		a.mu.Unlock()
 		for i := range locals {
 			adv := advertOf(&locals[i], now)
 			if s := sizeOfAdvert(&adv); s <= budget {
-				p.Adverts = append(p.Adverts, adv)
+				b = appendAdvert(b, &adv)
 				budget -= s
 			}
 		}
 	}
-	p.Digest = &a.pbDigest
-	// Encode into the reused writer, then copy out: concurrent emitters (a
-	// protocol's timer tasks and the messages it forwards from a delivery
-	// worker) both land here, so what is returned must not alias the
-	// scratch buffer.
-	a.pbW.Reset()
-	return append(b, p.MarshalInto(a.pbW)...)
+	appendDigest(b[:at], &d) // into the reserved slot
+	for i := range fit {
+		b = appendQuery(b, &fit[i])
+	}
+	clear(qs) // a spare pins no strings
+	spareQueries.Put(qs[:0])
+	return b
 }
 
-// Outgoing returns the extension on its own, in a slice of its own.
+// spareQueries holds the slices AppendOutgoing sorts the riding queries in:
+// one per call in progress, whichever agent makes it.
+var spareQueries routing.Spares[[]Query]
+
+// Outgoing returns the extension on its own, in a slice of its own made to
+// the budget's size, or nil when the budget has no room for it.
 func (a *Agent) Outgoing(msg routing.Outgoing) []byte {
-	return a.AppendOutgoing(nil, msg)
+	if msg.Budget < digestSize {
+		return nil
+	}
+	return a.AppendOutgoing(make([]byte, 0, msg.Budget), msg)
 }
 
 // sortedLocals returns the local registrations in (type, key) order. Caller

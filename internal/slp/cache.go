@@ -270,12 +270,13 @@ func (c *cache) heardDigest(from netem.NodeID, d Digest, now time.Time) {
 	}
 }
 
-// gossip appends to out the adverts the next broadcast carries, within
-// budget bytes, and returns them with the table's digest: the entries that
+// gossip appends to b the encoded adverts the next broadcast carries, within
+// budget bytes, and returns the extended slice with the table's digest: the
+// entries that
 // owe broadcasts, after first re-arming the whole table if no neighbour is
 // known to hold it (see heard, mismatch). An entry that does not fit waits
 // for the next message without holding up smaller ones behind it.
-func (c *cache) gossip(out []Advert, budget int, now time.Time) ([]Advert, Digest) {
+func (c *cache) gossip(b []byte, budget int, now time.Time) ([]byte, Digest) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire(now)
@@ -303,7 +304,7 @@ func (c *cache) gossip(out []Advert, budget int, now time.Time) ([]Advert, Diges
 		case size > budget:
 			keep = append(keep, e)
 		default:
-			out = append(out, adv)
+			b = appendAdvert(b, &adv)
 			budget -= size
 			if e.sends--; e.sends > 0 {
 				keep = append(keep, e)
@@ -312,7 +313,7 @@ func (c *cache) gossip(out []Advert, budget int, now time.Time) ([]Advert, Diges
 	}
 	clear(c.pend[len(keep):])
 	c.pend = keep
-	return out, c.digestLocked()
+	return b, c.digestLocked()
 }
 
 // advertOf is svc as it goes on the wire at now: with the lifetime it has left.

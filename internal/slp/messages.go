@@ -1,6 +1,7 @@
 package slp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -109,37 +110,37 @@ type Payload struct {
 	Queries []Query
 }
 
-// Marshal encodes the payload.
-func (p *Payload) Marshal() []byte {
-	return p.MarshalInto(wire.NewWriter(64))
-}
+// Marshal encodes the payload into a slice of its own.
+func (p *Payload) Marshal() []byte { return p.AppendTo(make([]byte, 0, 64)) }
 
-// MarshalInto encodes the payload into w and returns the encoded bytes,
-// which alias w's buffer — callers reusing a scratch writer must copy the
-// result out before the next Reset. The encoding is canonical: digest, then
-// adverts, then queries, attributes in key order, so equal payloads are
-// equal bytes.
-func (p *Payload) MarshalInto(w *wire.Writer) []byte {
+// AppendTo appends the payload's encoding to b and returns the extended
+// slice. The encoding is canonical: digest, then adverts, then queries,
+// attributes in key order, so equal payloads are equal bytes.
+func (p *Payload) AppendTo(b []byte) []byte {
 	if p.Digest != nil {
-		w.U8(itemDigest)
-		w.U16(p.Digest.Count)
-		w.U64(p.Digest.Hash)
+		b = appendDigest(b, p.Digest)
 	}
 	for i := range p.Adverts {
-		marshalAdvert(w, &p.Adverts[i])
+		b = appendAdvert(b, &p.Adverts[i])
 	}
 	for i := range p.Queries {
-		marshalQuery(w, &p.Queries[i])
+		b = appendQuery(b, &p.Queries[i])
 	}
-	return w.Bytes()
+	return b
 }
 
-func marshalAdvert(w *wire.Writer, a *Advert) {
-	w.U8(itemAdvert)
-	w.String(a.Type)
-	w.String(a.Key)
-	w.String(a.URL)
-	w.U16(uint16(len(a.Attrs)))
+func appendDigest(b []byte, d *Digest) []byte {
+	b = append(b, itemDigest)
+	b = binary.BigEndian.AppendUint16(b, d.Count)
+	return binary.BigEndian.AppendUint64(b, d.Hash)
+}
+
+func appendAdvert(b []byte, a *Advert) []byte {
+	b = append(b, itemAdvert)
+	b = wire.AppendString(b, a.Type)
+	b = wire.AppendString(b, a.Key)
+	b = wire.AppendString(b, a.URL)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(a.Attrs)))
 	if len(a.Attrs) > 0 {
 		keys := make([]string, 0, len(a.Attrs))
 		for k := range a.Attrs {
@@ -147,22 +148,22 @@ func marshalAdvert(w *wire.Writer, a *Advert) {
 		}
 		slices.Sort(keys)
 		for _, k := range keys {
-			w.String(k)
-			w.String(a.Attrs[k])
+			b = wire.AppendString(b, k)
+			b = wire.AppendString(b, a.Attrs[k])
 		}
 	}
-	w.String(string(a.Origin))
-	w.U32(a.Seq)
-	w.U16(ttlUnits(a.TTL))
+	b = wire.AppendString(b, string(a.Origin))
+	b = binary.BigEndian.AppendUint32(b, a.Seq)
+	return binary.BigEndian.AppendUint16(b, ttlUnits(a.TTL))
 }
 
-func marshalQuery(w *wire.Writer, q *Query) {
-	w.U8(itemQuery)
-	w.String(q.Type)
-	w.String(q.Key)
-	w.String(string(q.Origin))
-	w.U32(q.ID)
-	w.U8(q.Hops)
+func appendQuery(b []byte, q *Query) []byte {
+	b = append(b, itemQuery)
+	b = wire.AppendString(b, q.Type)
+	b = wire.AppendString(b, q.Key)
+	b = wire.AppendString(b, string(q.Origin))
+	b = binary.BigEndian.AppendUint32(b, q.ID)
+	return append(b, q.Hops)
 }
 
 // ttlUnits is d on the wire: whole ttlUnits, rounded down.

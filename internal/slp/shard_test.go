@@ -167,6 +167,53 @@ func TestOutgoingScratchDoesNotAlias(t *testing.T) {
 	}
 }
 
+// TestAppendOutgoingAppendsInPlace: the extension is written straight into
+// the frame it is handed. What was in b stays as it was; what is appended is
+// the Payload.AppendTo encoding of a payload with the digest, adverts and
+// every query riding along, sorted, and parses back to it; and with room in
+// b, a broadcast's extension allocates nothing, however many queries it
+// sorts.
+func TestAppendOutgoingAppendsInPlace(t *testing.T) {
+	a, _ := newShardAgent(t, Config{})
+	if err := a.Register(Service{Type: "sip", Key: "alice@x", URL: ServiceURL("sip", "self:5060")}); err != nil {
+		t.Fatal(err)
+	}
+	const queries = 40
+	for i := range queries {
+		p := &Payload{Queries: []Query{{Type: "sip", Key: fmt.Sprintf("v%d@x", i), Origin: netem.NodeID(fmt.Sprintf("q%d", queries-i)), ID: 1, Hops: 4}}}
+		if i < 3 {
+			p.Adverts = []Advert{{Type: "sip", Key: fmt.Sprintf("u%d@x", i), URL: ServiceURL("sip", "n:5060"), Origin: netem.NodeID(fmt.Sprintf("n%d", i)), Seq: 1, TTL: time.Minute}}
+		}
+		a.handlePayload(p)
+	}
+	prefix := []byte("routing header")
+	b := append(make([]byte, 0, netem.MTU), prefix...)
+	budget := netem.MTU - len(prefix)
+	for _, dst := range []netem.NodeID{netem.Broadcast, "n1"} {
+		out := a.AppendOutgoing(b, routing.Outgoing{Dst: dst, Budget: budget})
+		if !bytes.Equal(out[:len(prefix)], prefix) || &out[0] != &b[0] {
+			t.Fatalf("to %q: the frame's prefix was moved or rewritten: %q", dst, out[:len(prefix)])
+		}
+		ext := out[len(prefix):]
+		p, err := ParsePayload(ext)
+		if err != nil || p.Digest == nil || len(p.Adverts) == 0 || len(p.Queries) != queries {
+			t.Fatalf("to %q: extension %+v (%v), want a digest, adverts and the %d queries", dst, p, err, queries)
+		}
+		if enc := p.AppendTo(nil); !bytes.Equal(enc, ext) {
+			t.Fatalf("to %q: appended\n%x\nbut its payload encodes as\n%x", dst, ext, enc)
+		}
+	}
+	var out []byte
+	if allocs := testing.AllocsPerRun(100, func() {
+		out = a.AppendOutgoing(b, routing.Outgoing{Dst: netem.Broadcast, Budget: budget})
+	}); allocs != 0 {
+		t.Fatalf("a broadcast's extension allocates %v times with room in the frame, want 0", allocs)
+	}
+	if p, err := ParsePayload(out[len(prefix):]); err != nil || len(p.Adverts) != 4 {
+		t.Fatalf("the last broadcast carried %+v (%v), want the whole table: no neighbour's digest was heard", p, err)
+	}
+}
+
 // TestExpiredQueryKeyIsRelayedAgain: a dedup key counts only until its
 // deadline. A node that restarts numbers its queries from 1 again, and after a
 // quiet spell longer than the dedup lifetime its (origin, 1) is a new query,
@@ -191,9 +238,9 @@ func TestExpiredQueryKeyIsRelayedAgain(t *testing.T) {
 }
 
 // TestQueryTablesGiveMemoryBack: after a burst of relayed queries and the
-// dedup lifetime with no traffic, the dedup set, the relay set, their queues
-// and the outgoing query scratch are empty and hold no storage — their expiry
-// tasks drained them — and the agent relays the next query as before.
+// dedup lifetime with no traffic, the dedup set, the relay set and their
+// queues are empty and hold no storage — their expiry tasks drained them —
+// and the agent relays the next query as before.
 func TestQueryTablesGiveMemoryBack(t *testing.T) {
 	const ttl = 100 * time.Millisecond
 	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
@@ -207,11 +254,9 @@ func TestQueryTablesGiveMemoryBack(t *testing.T) {
 		t.Fatalf("burst left %d seen and %d relayed queries, want 1000 of each", a.seenLen(), a.relayLen())
 	}
 	released := func() bool {
-		a.pbMu.Lock()
-		defer a.pbMu.Unlock()
 		a.qmu.Lock()
 		defer a.qmu.Unlock()
-		return a.seenQ.m == nil && a.relayQ.m == nil && a.pbPayload.Queries == nil &&
+		return a.seenQ.m == nil && a.relayQ.m == nil &&
 			reflect.DeepEqual(a.seenQ.q, clock.ExpiryQueue[qkey]{}) &&
 			reflect.DeepEqual(a.relayQ.q, clock.ExpiryQueue[qkey]{})
 	}

@@ -1,6 +1,8 @@
 // Package wire provides small helpers for hand-rolled binary message
 // encodings used by the routing protocols and SLP. All integers are
-// big-endian; strings are u16-length-prefixed.
+// big-endian; strings are u16-length-prefixed. Messages are appended to the
+// buffer they are sent in (AppendString, binary.BigEndian.Append*) and read
+// with a Reader.
 package wire
 
 import (
@@ -11,44 +13,9 @@ import (
 // ErrTruncated is returned by Reader methods once input is exhausted.
 var ErrTruncated = errors.New("wire: truncated input")
 
-// Writer accumulates an encoded message.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a Writer with the given capacity hint.
-func NewWriter(capHint int) *Writer {
-	return &Writer{buf: make([]byte, 0, capHint)}
-}
-
-// Bytes returns the encoded message.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Reset truncates the writer for reuse, keeping the allocated capacity.
-// Bytes slices obtained before Reset are invalidated by subsequent writes.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Len returns the current encoded length.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// U8 appends a byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// U16 appends a big-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-
-// U32 appends a big-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a big-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
-
-// String appends a u16-length-prefixed string. Strings longer than 65535
-// bytes are truncated — callers validate sizes at higher layers.
-func (w *Writer) String(s string) { w.buf = AppendString(w.buf, s) }
-
-// AppendString appends s to b as Writer.String encodes it, for messages that
-// are written straight into the buffer they are sent in.
+// AppendString appends s to b as a u16-length-prefixed string. Strings
+// longer than 65535 bytes are truncated — callers validate sizes at higher
+// layers. Integers are appended with encoding/binary's BigEndian.Append*.
 func AppendString(b []byte, s string) []byte {
 	if len(s) > 0xffff {
 		s = s[:0xffff]
@@ -57,11 +24,8 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// Raw appends bytes verbatim (no length prefix).
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
-
-// Reader decodes a message encoded with Writer. After any failure all
-// subsequent reads return zero values; check Err once at the end.
+// Reader decodes a message encoded with the append helpers. After any
+// failure all subsequent reads return zero values; check Err once at the end.
 type Reader struct {
 	b   []byte
 	err error

@@ -1,22 +1,22 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
 )
 
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter(64)
-	w.U8(7)
-	w.U16(65535)
-	w.U32(1 << 30)
-	w.U64(1 << 50)
-	w.String("alice@voicehoc.ch")
-	w.String("")
-	w.Raw([]byte{1, 2, 3})
+	b := []byte{7}
+	b = binary.BigEndian.AppendUint16(b, 65535)
+	b = binary.BigEndian.AppendUint32(b, 1<<30)
+	b = binary.BigEndian.AppendUint64(b, 1<<50)
+	b = AppendString(b, "alice@voicehoc.ch")
+	b = AppendString(b, "")
+	b = append(b, 1, 2, 3)
 
-	r := NewReader(w.Bytes())
+	r := NewReader(b)
 	if got := r.U8(); got != 7 {
 		t.Fatalf("U8 = %d", got)
 	}
@@ -44,9 +44,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestTruncation(t *testing.T) {
-	w := NewWriter(8)
-	w.String("hello")
-	b := w.Bytes()
+	b := AppendString(nil, "hello")
 	r := NewReader(b[:3])
 	if got := r.String(); got != "" {
 		t.Fatalf("truncated String = %q", got)
@@ -72,11 +70,10 @@ func TestQuickStringRoundTrip(t *testing.T) {
 		if len(a) > 0xffff || len(b) > 0xffff {
 			return true
 		}
-		w := NewWriter(len(a) + len(b) + 8)
-		w.String(a)
-		w.U32(x)
-		w.String(b)
-		r := NewReader(w.Bytes())
+		buf := AppendString(make([]byte, 0, len(a)+len(b)+8), a)
+		buf = binary.BigEndian.AppendUint32(buf, x)
+		buf = AppendString(buf, b)
+		r := NewReader(buf)
 		return r.String() == a && r.U32() == x && r.String() == b && r.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

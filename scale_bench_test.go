@@ -187,7 +187,7 @@ func runControlScalePoint(b *testing.B, side int) {
 
 // TestControlScaleSmoke is the `make check` scale gate, now at the size
 // that killed the goroutine core: a 32×32 (1024-node) OLSR grid on the
-// event-loop core must bring up in parallel, converge corner to corner,
+// event-loop core must bring up, converge corner to corner,
 // keep the post-bring-up goroutine count O(shards) — not O(N) — and hold
 // the incremental-recompute bound (steady-state rebuilds stay O(topology
 // changes), not O(control messages)).

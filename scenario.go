@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"siphoc/internal/clock"
@@ -244,7 +243,7 @@ func (s *Scenario) Nodes() []*Node {
 
 // Chain creates count nodes in a line with the given spacing, producing a
 // multihop path (the paper's firewalled-testbed topology). Node IDs are
-// "10.0.0.1" … "10.0.0.<count>". Nodes are brought up in parallel.
+// "10.0.0.1" … "10.0.0.<count>".
 func (s *Scenario) Chain(count int, spacing float64, opts ...NodeOption) ([]*Node, error) {
 	specs := make([]nodeSpec, count)
 	for i := range count {
@@ -254,7 +253,6 @@ func (s *Scenario) Chain(count int, spacing float64, opts ...NodeOption) ([]*Nod
 }
 
 // Grid creates rows×cols nodes on a regular grid (the campus scenario).
-// Nodes are brought up in parallel.
 func (s *Scenario) Grid(rows, cols int, spacing float64, opts ...NodeOption) ([]*Node, error) {
 	specs := make([]nodeSpec, 0, rows*cols)
 	for r := range rows {
@@ -273,7 +271,7 @@ type nodeSpec struct {
 	pos Position
 }
 
-// closeParallelism bounds concurrent node bring-up/teardown.
+// closeParallelism bounds concurrent node teardown (see Close).
 func closeParallelism() int {
 	limit := runtime.GOMAXPROCS(0) * 2
 	if limit < 4 {
@@ -282,54 +280,26 @@ func closeParallelism() int {
 	return limit
 }
 
-// addNodes brings up a batch of nodes with bounded parallelism: each node's
-// construction starts a few goroutines and a handful of port bindings, and
-// doing that for hundreds of nodes sequentially dominates large-scenario
-// setup. A semaphore caps the in-flight constructions; the first error wins,
-// later ones are dropped, and every node already up is torn down so the
-// caller never sees a half-built topology. Results keep spec order.
+// addNodes gives a batch of nodes their handles in spec order with one
+// publish, then brings them up one after another: handles, and with them the
+// order of HELLO neighbours and TC selectors, are the same on every run. The
+// first error tears down every node already up. Results keep spec order.
 func (s *Scenario) addNodes(specs []nodeSpec, opts ...NodeOption) ([]*Node, error) {
-	nodes := make([]*Node, len(specs))
-	limit := closeParallelism()
-	if limit > len(specs) {
-		limit = len(specs)
-	}
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, limit)
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-	)
+	ids := make([]NodeID, len(specs))
 	for i, sp := range specs {
-		if failed.Load() {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, sp nodeSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if failed.Load() {
-				return
-			}
-			n, err := s.AddNode(sp.id, sp.pos, opts...)
-			if err != nil {
-				failed.Store(true)
-				errOnce.Do(func() { firstErr = fmt.Errorf("siphoc: bring up node %s: %w", sp.id, err) })
-				return
-			}
-			nodes[i] = n
-		}(i, sp)
+		ids[i] = sp.id
 	}
-	wg.Wait()
-	if failed.Load() {
-		for _, n := range nodes {
-			if n != nil {
+	s.net.InternAll(ids...)
+	nodes := make([]*Node, 0, len(specs))
+	for _, sp := range specs {
+		n, err := s.AddNode(sp.id, sp.pos, opts...)
+		if err != nil {
+			for _, n := range nodes {
 				s.RemoveNode(n.ID())
 			}
+			return nil, fmt.Errorf("siphoc: bring up node %s: %w", sp.id, err)
 		}
-		return nil, firstErr
+		nodes = append(nodes, n)
 	}
 	return nodes, nil
 }
