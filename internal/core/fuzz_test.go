@@ -61,8 +61,8 @@ func FuzzParseTunnelMsg(f *testing.F) {
 		if !bytes.Equal(out, b) {
 			t.Fatalf("re-encapsulated %x, received %x", out, b)
 		}
-		want, err := netem.UnmarshalDatagram(m.Inner)
-		if err != nil {
+		var want netem.Datagram // aliases m.Inner, which stays as it is
+		if err := netem.UnmarshalDatagramInto(&want, m.Inner); err != nil {
 			t.Fatalf("a datagram both tunnel ends accept is refused: %v", err)
 		}
 		for i := range frame {

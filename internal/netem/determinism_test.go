@@ -122,43 +122,41 @@ func TestBroadcastUsesAdjacencyCache(t *testing.T) {
 }
 
 // TestGridPathMatchesScan cross-checks the spatial-grid neighbourhood
-// computation (used above gridThreshold nodes) against the brute-force
-// distance scan, including link overrides that defeat the grid's locality
-// assumption.
+// computation against a brute-force distance scan, on an 8×8 and a 3×3 grid,
+// including link overrides that defeat the grid's locality assumption.
 func TestGridPathMatchesScan(t *testing.T) {
-	n := NewNetwork(Config{BaseDelay: 20 * time.Microsecond})
-	defer n.Close()
-	// 64 nodes > gridThreshold: the grid path is live.
-	hosts, err := Grid(n, 8, 8, 70, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.hosts) <= gridThreshold {
-		t.Fatalf("test needs >%d nodes to exercise the grid", gridThreshold)
-	}
-	// Force one distant link up and one close link down.
-	n.SetLink("g.1", "g.64", true)
-	n.SetLink("g.1", "g.2", false)
-	scan := func(id NodeID) map[NodeID]bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		out := make(map[NodeID]bool)
-		for other := range n.hosts {
-			if other != id && n.connectedLocked(id, other) {
-				out[other] = true
+	for _, side := range []int{8, 3} {
+		n := NewNetwork(Config{BaseDelay: 20 * time.Microsecond})
+		defer n.Close()
+		hosts, err := Grid(n, side, side, 70, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Force one distant link up and one close link down.
+		far := NodeName("g", side*side)
+		n.SetLink("g.1", far, true)
+		n.SetLink("g.1", "g.2", false)
+		scan := func(id NodeID) map[NodeID]bool {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			out := make(map[NodeID]bool)
+			for other := range n.hosts {
+				if other != id && n.connectedLocked(id, other) {
+					out[other] = true
+				}
 			}
+			return out
 		}
-		return out
-	}
-	for _, h := range hosts {
-		want := scan(h.ID())
-		got := n.Neighbors(h.ID())
-		if len(got) != len(want) {
-			t.Fatalf("%s: grid neighbours %v != scan %v", h.ID(), got, want)
-		}
-		for _, nb := range got {
-			if !want[nb] {
-				t.Fatalf("%s: grid produced %s, not in scan set", h.ID(), nb)
+		for _, h := range hosts {
+			want := scan(h.ID())
+			got := n.Neighbors(h.ID())
+			if len(got) != len(want) {
+				t.Fatalf("%d×%d, %s: grid neighbours %v != scan %v", side, side, h.ID(), got, want)
+			}
+			for _, nb := range got {
+				if !want[nb] {
+					t.Fatalf("%d×%d, %s: grid produced %s, not in scan set", side, side, h.ID(), nb)
+				}
 			}
 		}
 	}

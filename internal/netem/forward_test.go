@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"siphoc/internal/testutil"
 )
 
 // forwardModes are the two ways a delivery comes due: at once (a negative
@@ -61,7 +63,7 @@ func staticChain(t testing.TB, cfg Config, k int) (*Network, []*Host) {
 // so the pooled delivery objects are allocated again at random.
 func skipAllocPin(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 }
@@ -387,7 +389,7 @@ func TestOversizeRefusedBeforeABufferIsTaken(t *testing.T) {
 	if got := n.Stats().TotalFrames(); got != 0 {
 		t.Errorf("%d frames on the medium, want 0", got)
 	}
-	if !raceEnabled {
+	if !testutil.Race {
 		if allocs := testing.AllocsPerRun(100, func() { _ = src.WriteTo(big, hosts[1].ID(), 9) }); allocs != 0 {
 			t.Errorf("refusing an oversize datagram allocates %v, want 0", allocs)
 		}

@@ -16,16 +16,15 @@ func FuzzUnmarshalDatagram(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dg, err := UnmarshalDatagram(data)
-		if err != nil {
+		var dg, dg2 Datagram
+		if UnmarshalDatagramInto(&dg, data) != nil {
 			return
 		}
-		raw, err := AppendDatagram(nil, dg)
+		raw, err := AppendDatagram(nil, &dg)
 		if err != nil {
 			t.Fatalf("accepted datagram fails to marshal: %v", err)
 		}
-		dg2, err := UnmarshalDatagram(raw)
-		if err != nil {
+		if err := UnmarshalDatagramInto(&dg2, raw); err != nil {
 			t.Fatalf("marshal output unparseable: %v", err)
 		}
 		if dg2.SrcNode != dg.SrcNode || dg2.DstNode != dg.DstNode ||

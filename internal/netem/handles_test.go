@@ -1,6 +1,10 @@
 package netem
 
-import "testing"
+import (
+	"testing"
+
+	"siphoc/internal/testutil"
+)
 
 // TestHandlesFollowAddHostOrder pins how handles are given: in AddHost order,
 // kept by a restarted ID, given on first sight by Intern, in the order given
@@ -46,7 +50,7 @@ func TestHandlesFollowAddHostOrder(t *testing.T) {
 			t.Fatal("unknown ID found")
 		}
 	})
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 && !testutil.Race {
 		t.Fatalf("a snapshot read allocates %.1f times", allocs)
 	}
 	if n.Handles() != ids {

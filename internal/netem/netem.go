@@ -153,10 +153,6 @@ var (
 // budget is enforced here.
 const MTU = 2304
 
-// UnmarshalDatagram decodes the wire format AppendDatagram produces into a
-// datagram of its own. Data aliases b; callers that reuse b must copy.
-func UnmarshalDatagram(b []byte) (*Datagram, error) { return unmarshalDatagram(b) }
-
 // AppendDatagram appends d's wire encoding to buf and returns the extended
 // slice:
 //
@@ -179,12 +175,12 @@ func AppendDatagram(buf []byte, d *Datagram) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalDatagramInto decodes b into d, reusing the caller's Datagram.
-// Unlike UnmarshalDatagram, every field of d — the node IDs included —
-// aliases b, so d is only valid while b is: callers that retain d or reuse b
-// must copy first (Network.OwnedID gives node IDs that may be kept). This is
-// the allocation-free flavour for per-packet receive paths: both tunnel ends
-// and the gateway trunk fan-out.
+// UnmarshalDatagramInto decodes the wire format AppendDatagram produces into
+// d, reusing the caller's Datagram. Every field of d — the node IDs included
+// — aliases b, so d is only valid while b is: callers that retain d or reuse
+// b must copy first (Network.OwnedID gives node IDs that may be kept). It
+// allocates nothing, for per-packet receive paths: both tunnel ends and the
+// gateway trunk fan-out.
 func UnmarshalDatagramInto(d *Datagram, b []byte) error {
 	*d = Datagram{}
 	_, err := decodeDatagramZeroCopy(d, b)
@@ -194,16 +190,6 @@ func UnmarshalDatagramInto(d *Datagram, b []byte) error {
 // datagramWireLen is the length of d's wire encoding.
 func datagramWireLen(d *Datagram) int {
 	return 2 + len(d.SrcNode) + len(d.DstNode) + 5 + len(d.Data)
-}
-
-// unmarshalDatagram decodes wire format produced by AppendDatagram. Data
-// aliases the input rather than copying; the node IDs are copied.
-func unmarshalDatagram(b []byte) (*Datagram, error) {
-	d := &Datagram{}
-	if _, err := decodeDatagramWith(d, b, func(s []byte) NodeID { return NodeID(s) }); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // zeroCopyNodeID views a byte slice as a NodeID without copying. The result
@@ -219,10 +205,6 @@ func zeroCopyNodeID(s []byte) NodeID {
 // returns the offset of the TTL byte in b — what a relay rewrites to forward
 // the datagram in place.
 func decodeDatagramZeroCopy(d *Datagram, b []byte) (ttlOff int, err error) {
-	return decodeDatagramWith(d, b, zeroCopyNodeID)
-}
-
-func decodeDatagramWith(d *Datagram, b []byte, nodeID func([]byte) NodeID) (ttlOff int, err error) {
 	if len(b) < 1 {
 		return 0, fmt.Errorf("netem: short datagram")
 	}
@@ -231,14 +213,14 @@ func decodeDatagramWith(d *Datagram, b []byte, nodeID func([]byte) NodeID) (ttlO
 	if len(b) < srcLen+1 {
 		return 0, fmt.Errorf("netem: truncated src node")
 	}
-	d.SrcNode = nodeID(b[:srcLen])
+	d.SrcNode = zeroCopyNodeID(b[:srcLen])
 	b = b[srcLen:]
 	dstLen := int(b[0])
 	b = b[1:]
 	if len(b) < dstLen+5 {
 		return 0, fmt.Errorf("netem: truncated dst node")
 	}
-	d.DstNode = nodeID(b[:dstLen])
+	d.DstNode = zeroCopyNodeID(b[:dstLen])
 	b = b[dstLen:]
 	d.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	d.DstPort = binary.BigEndian.Uint16(b[2:4])

@@ -72,11 +72,11 @@ func TestDatagramRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := unmarshalDatagram(b)
-	if err != nil {
+	var out Datagram
+	if err := UnmarshalDatagramInto(&out, b); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !reflect.DeepEqual(in, &out) {
 		t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", in, out)
 	}
 }
@@ -94,14 +94,14 @@ func TestDatagramRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := unmarshalDatagram(b)
-		if err != nil {
+		var out Datagram
+		if err := UnmarshalDatagramInto(&out, b); err != nil {
 			return false
 		}
 		if len(in.Data) == 0 && len(out.Data) == 0 {
 			out.Data, in.Data = nil, nil
 		}
-		return reflect.DeepEqual(in, out)
+		return reflect.DeepEqual(in, &out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -113,12 +113,13 @@ func TestUnmarshalDatagramRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var d Datagram
 	for cut := 0; cut < len(full)-1; cut++ {
-		if _, err := unmarshalDatagram(full[:cut]); err == nil && cut < 9 {
+		if err := UnmarshalDatagramInto(&d, full[:cut]); err == nil && cut < 9 {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
-	if _, err := unmarshalDatagram(nil); err == nil {
+	if err := UnmarshalDatagramInto(&d, nil); err == nil {
 		t.Fatal("nil input accepted")
 	}
 }

@@ -92,10 +92,6 @@ type neighborhood struct {
 	hosts []*Host
 }
 
-// gridThreshold is the node count above which neighbourhood recomputation
-// switches from a full scan to the spatial grid.
-const gridThreshold = 48
-
 // gridCell indexes the spatial grid; cells are Range metres on a side, so a
 // node's neighbours always lie within the 3x3 block around its own cell.
 type gridCell struct{ x, y int32 }
@@ -579,15 +575,7 @@ func (n *Network) neighborhoodOf(id NodeID) *neighborhood {
 
 func (n *Network) computeNeighborhoodLocked(id NodeID) *neighborhood {
 	nb := &neighborhood{}
-	if len(n.hosts) > gridThreshold {
-		n.gridNeighborsLocked(id, nb)
-	} else {
-		for other := range n.hosts {
-			if other != id && n.connectedLocked(id, other) {
-				nb.ids = append(nb.ids, other)
-			}
-		}
-	}
+	n.gridNeighborsLocked(id, nb)
 	sort.Slice(nb.ids, func(i, j int) bool { return nb.ids[i] < nb.ids[j] })
 	nb.hosts = make([]*Host, len(nb.ids))
 	for i, other := range nb.ids {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"siphoc/internal/netem"
+	"siphoc/internal/testutil"
 )
 
 // churnLookup is one recorded lookup outcome, with its virtual-time latency:
@@ -107,7 +108,9 @@ func runChurn(t *testing.T, seed int64, nNodes, nPublishers, nEvents, nLookups i
 // same seed.
 func TestOverlayChurnProperty(t *testing.T) {
 	nNodes, nPublishers, nEvents, nLookups := 64, 12, 24, 240
-	if testing.Short() || raceEnabled {
+	// The detector multiplies the run's CPU cost several-fold: under it the
+	// run takes the -short sizes, and the full size runs in the plain suite.
+	if testing.Short() || testutil.Race {
 		nNodes, nPublishers, nEvents, nLookups = 32, 8, 12, 96
 	}
 

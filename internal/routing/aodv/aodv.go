@@ -8,6 +8,7 @@ package aodv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,7 +121,6 @@ type Protocol struct {
 	seq       uint32
 	rreqID    uint32
 	table     *routing.Table
-	seen      map[seenKey]time.Time
 	neighbors map[netem.NodeID]time.Time
 	pending   map[netem.NodeID]*discovery
 	pb        routing.PiggybackHandler
@@ -128,6 +128,11 @@ type Protocol struct {
 	stats     Stats
 	started   bool
 	hello     *clock.Task
+	// seen is the RREQ duplicate set: each key's deadline, Unix ns. Every
+	// key is held one fixed span, so seenQ holds the keys in expiry order
+	// (see forgetSeenLocked).
+	seen  map[seenKey]int64
+	seenQ clock.ExpiryQueue[seenKey]
 
 	// Pre-resolved obs handles; nil when cfg.Obs is nil.
 	obs      *obs.Observer
@@ -144,7 +149,6 @@ func New(host *netem.Host, cfg Config) *Protocol {
 		cfg:       cfg,
 		clk:       host.Clock(),
 		table:     routing.NewTable(),
-		seen:      make(map[seenKey]time.Time),
 		neighbors: make(map[netem.NodeID]time.Time),
 		pending:   make(map[netem.NodeID]*discovery),
 	}
@@ -351,8 +355,6 @@ func (p *Protocol) sendRREQ(dst netem.NodeID, ttl uint8) {
 		Dst:        dst,
 		UnknownSeq: true,
 	}
-	// Mark our own RREQ as seen so neighbours' rebroadcasts are ignored.
-	p.seen[seenKey{m.Orig, m.ID}] = p.clk.Now()
 	p.stats.RREQSent++
 	p.mu.Unlock()
 	p.send(netem.Broadcast, m.AppendTo(p.begin(KindRREQ, m.wireLen())))
@@ -444,14 +446,19 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 	// A copy of an RREQ already handled is dropped before it touches a route
 	// (RFC 3561 §6.5): the next relay's echo offers a longer reverse route
 	// with the same sequence number.
-	key := seenKey{m.Orig, m.ID}
+	key, nowNs := seenKey{m.Orig, m.ID}, now.UnixNano()
 	p.mu.Lock()
-	if t, dup := p.seen[key]; dup && now.Sub(t) < 2*p.cfg.DiscoveryTimeout*time.Duration(1+rreqRetries) {
+	p.forgetSeenLocked(nowNs)
+	if at, dup := p.seen[key]; dup && nowNs < at {
 		p.mu.Unlock()
 		return
 	}
-	p.seen[key] = now
-	p.gcSeenLocked(now)
+	if p.seen == nil {
+		p.seen = make(map[seenKey]int64)
+	}
+	at := nowNs + int64(2*p.cfg.DiscoveryTimeout*time.Duration(1+rreqRetries))
+	p.seen[key] = at
+	p.seenQ.Push(key, at)
 	p.mu.Unlock()
 	// Install/refresh the reverse route toward the originator.
 	p.installRoute(m.Orig, from, int(m.HopCount)+1, m.OrigSeq)
@@ -562,15 +569,24 @@ func (p *Protocol) installRoute(dst, nextHop netem.NodeID, hops int, seq uint32)
 	}
 }
 
-func (p *Protocol) gcSeenLocked(now time.Time) {
-	if len(p.seen) < 4096 {
-		return
-	}
-	horizon := 2 * p.cfg.DiscoveryTimeout * time.Duration(1+rreqRetries)
-	for k, t := range p.seen {
-		if now.Sub(t) > horizon {
+// forgetSeenLocked drops the duplicate-set keys whose hold has passed, oldest
+// first, and the set's storage once a burst has drained (see
+// clock.ExpiryQueue.Trim). A key heard again after its hold is queued again,
+// so a popped key goes only if its own deadline has passed too. It runs on
+// every insert and on the HELLO beat. Caller holds p.mu.
+func (p *Protocol) forgetSeenLocked(nowNs int64) {
+	for p.seenQ.Len() > 0 {
+		k, at := p.seenQ.Next()
+		if nowNs < at {
+			return
+		}
+		p.seenQ.Pop()
+		if e, ok := p.seen[k]; ok && nowNs >= e {
 			delete(p.seen, k)
 		}
+	}
+	if p.seenQ.Trim() {
+		p.seen = nil
 	}
 }
 
@@ -580,6 +596,7 @@ func (p *Protocol) helloTick() {
 	p.mu.Lock()
 	seq := p.seq
 	p.stats.HelloSent++
+	p.forgetSeenLocked(p.clk.Now().UnixNano())
 	p.mu.Unlock()
 	m := Hello{Seq: seq}
 	p.send(netem.Broadcast, m.AppendTo(p.begin(KindHello, m.wireLen())))
@@ -587,7 +604,7 @@ func (p *Protocol) helloTick() {
 }
 
 // expireNeighbors detects broken links from missed hellos and emits RERRs
-// for routes through the lost neighbour.
+// for routes through the lost neighbours, in neighbour-ID order.
 func (p *Protocol) expireNeighbors() {
 	now := p.clk.Now()
 	deadline := time.Duration(p.cfg.AllowedHelloLoss) * p.cfg.HelloInterval
@@ -600,6 +617,7 @@ func (p *Protocol) expireNeighbors() {
 		}
 	}
 	p.mu.Unlock()
+	slices.Sort(lost)
 	for _, nb := range lost {
 		removed := p.table.RemoveByNextHop(nb)
 		if len(removed) == 0 {

@@ -12,6 +12,7 @@ import (
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
+	"siphoc/internal/testutil"
 )
 
 // ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ func (digestHandler) Incoming(routing.Incoming) {}
 // its own beats: a HELLO listing its neighbours and a TC listing its selectors,
 // each with a digest-sized extension.
 func TestOriginatedFrameAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	net := netem.NewNetwork(netem.Config{})
@@ -543,7 +544,7 @@ func TestOriginatedFrameAllocBudget(t *testing.T) {
 // frame's life ends — at once here, where nobody is in range, so that a
 // delivery's cost is not counted with it.
 func TestForwardedTCAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	net := netem.NewNetwork(netem.Config{})

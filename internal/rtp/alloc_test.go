@@ -62,8 +62,8 @@ func TestZeroAllocParse(t *testing.T) {
 
 // TestZeroAllocReceiveSteadyState pins the in-order receive hot path —
 // zero-copy parse, Receiver.Observe, jitter-buffer Put + FlushDue — at zero
-// steady-state allocations (the map and deadline heap reach a stable size
-// once playout keeps up with arrivals).
+// steady-state allocations (the map reaches a stable size once playout
+// keeps up with arrivals).
 func TestZeroAllocReceiveSteadyState(t *testing.T) {
 	var recv Receiver
 	jb := NewJitterBuffer(40 * time.Millisecond)
@@ -154,8 +154,8 @@ func sessionReceiveAllocFree(t *testing.T) {
 // TestMediaSessionDoesNotGrow pins what a call's media costs — a session at
 // each end and a stream each way, from NewSession to Close — at a count that
 // does not depend on how long the call talks: the streams' scratch, the
-// jitter buffer, its deadline heap and the stream list are inline or sized
-// up front, so neither 5 nor 400 frames make anything grow.
+// jitter buffer and the stream list are inline or sized up front, so
+// neither 5 nor 400 frames make anything grow.
 func TestMediaSessionDoesNotGrow(t *testing.T) {
 	if testutil.Race {
 		t.Skip("allocation counts are not meaningful under -race")

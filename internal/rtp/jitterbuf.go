@@ -15,14 +15,6 @@ type JitterBuffer struct {
 	delay time.Duration
 	// buf holds pending packets by value, keyed by sequence number.
 	buf map[uint16]bufEntry
-	// deadlines is a min-heap over buffered frames' playout deadlines with
-	// lazy deletion: popped/overwritten frames leave stale items behind that
-	// are pruned when they reach the top. Its minimum answers "is any
-	// buffered frame overdue" in O(1) instead of a full map scan per pop.
-	// It starts on inline, which a voice stream played out on time never
-	// outgrows.
-	deadlines deadlineHeap
-	inline    [inlineFrames]deadlineItem
 	// next is the next sequence number owed to the player.
 	next    uint16
 	started bool
@@ -39,61 +31,8 @@ type bufEntry struct {
 	deadline time.Time
 }
 
-type deadlineItem struct {
-	deadline time.Time
-	seq      uint16
-}
-
-// deadlineHeap is a hand-rolled min-heap on the typed slice: container/heap
-// would box every pushed item into an interface, costing one allocation per
-// received frame on the hot path.
-type deadlineHeap []deadlineItem
-
-func (j *JitterBuffer) heapPush(it deadlineItem) {
-	h := append(j.deadlines, it)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].deadline.Before(h[parent].deadline) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	j.deadlines = h
-}
-
-func (j *JitterBuffer) heapPop() {
-	h := j.deadlines
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && h[l].deadline.Before(h[min].deadline) {
-			min = l
-		}
-		if r < n && h[r].deadline.Before(h[min].deadline) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	j.deadlines = h
-}
-
 // DefaultPlayoutDelay is a typical interactive-voice playout buffer depth.
 const DefaultPlayoutDelay = 60 * time.Millisecond
-
-// inlineFrames is how many buffered frames the deadline heap holds before it
-// grows: the default playout window's three frames and the one arriving,
-// twice over for jitter.
-const inlineFrames = 2 * (int(DefaultPlayoutDelay/FrameDuration) + 1)
 
 // NewJitterBuffer creates a buffer with the given playout delay
 // (DefaultPlayoutDelay when zero).
@@ -110,7 +49,6 @@ func (j *JitterBuffer) init(delay time.Duration) {
 	}
 	j.delay = delay
 	j.buf = make(map[uint16]bufEntry)
-	j.deadlines = j.inline[:0]
 }
 
 // Put inserts a received packet. now is the arrival time. The packet is
@@ -133,9 +71,7 @@ func (j *JitterBuffer) Put(pkt *Packet, now time.Time) {
 			return
 		}
 	}
-	deadline := now.Add(j.delay)
-	j.buf[pkt.Seq] = bufEntry{pkt: *pkt, deadline: deadline}
-	j.heapPush(deadlineItem{deadline: deadline, seq: pkt.Seq})
+	j.buf[pkt.Seq] = bufEntry{pkt: *pkt, deadline: now.Add(j.delay)}
 }
 
 // PopDue returns, in sequence order, every frame whose playout deadline has
@@ -182,37 +118,21 @@ func (j *JitterBuffer) advance(now time.Time, out *[]*Packet) int {
 		j.missing++
 		j.next++
 	}
-	if n > 0 {
-		// Popped frames left stale items behind; in-order traffic never
-		// reaches laterFrameOverdue, so prune here to keep the heap bounded
-		// by the number of buffered frames.
-		j.pruneStale()
-	}
 	return n
 }
 
-// pruneStale pops heap items that no longer correspond to a buffered frame
-// (their frame was played, dropped, or overwritten by a duplicate).
-func (j *JitterBuffer) pruneStale() {
-	for len(j.deadlines) > 0 {
-		top := j.deadlines[0]
-		if e, ok := j.buf[top.seq]; ok && e.deadline.Equal(top.deadline) {
-			return
-		}
-		j.heapPop()
-	}
-}
-
-// laterFrameOverdue reports whether any buffered frame after next is past
-// its deadline. It is only called when buf[next] is absent, so every live
-// heap item refers to a frame after next; stale items (popped or overwritten
-// frames) are pruned as they surface.
+// laterFrameOverdue reports whether any buffered frame is past its deadline.
+// It is only called when buf[next] is absent, so every buffered frame comes
+// after next. A deadline is its arrival plus the fixed playout delay, so the
+// buffer holds about one delay's worth of frames (three or four at 60 ms)
+// and a scan of them answers as fast as any ordered index would.
 func (j *JitterBuffer) laterFrameOverdue(now time.Time) bool {
-	j.pruneStale()
-	if len(j.deadlines) == 0 {
-		return false
+	for _, e := range j.buf {
+		if !e.deadline.After(now) {
+			return true
+		}
 	}
-	return !j.deadlines[0].deadline.After(now)
+	return false
 }
 
 // Depth returns the number of buffered frames.

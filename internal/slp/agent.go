@@ -132,57 +132,6 @@ type lookup struct {
 	deadline, reflood clock.Task
 }
 
-// deadlineItem orders map keys by expiry so the advert cache and the miss set
-// can be pruned lazily in deadline order instead of full map sweeps.
-type deadlineItem[K comparable] struct {
-	k  K
-	at time.Time
-}
-
-// deadlineHeap is a min-heap by deadline with container/heap's algorithm
-// written out on the typed slice: through heap.Interface every item pushed or
-// popped is boxed into an `any`, one allocation apiece on the query path.
-type deadlineHeap[K comparable] []deadlineItem[K]
-
-func (h *deadlineHeap[K]) push(it deadlineItem[K]) {
-	s := append(*h, it)
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s[i].at.Before(s[parent].at) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
-}
-
-// pop removes and returns the earliest item; the heap must not be empty.
-func (h *deadlineHeap[K]) pop() deadlineItem[K] {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[n] = deadlineItem[K]{} // the spare capacity must not pin a key
-	s = s[:n]
-	for i := 0; ; {
-		min := 2*i + 1
-		if min >= n {
-			break
-		}
-		if r := min + 1; r < n && s[r].at.Before(s[min].at) {
-			min = r
-		}
-		if !s[min].at.Before(s[i].at) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	*h = s
-	return top
-}
-
 // agentCounters are the hot-path stats, kept atomic so counting never takes
 // a shard lock.
 type agentCounters struct {

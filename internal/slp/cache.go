@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
@@ -42,7 +43,7 @@ type entry struct {
 type cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*entry
-	expiry  deadlineHeap[cacheKey]
+	expiry  deadlineHeap
 	sum     uint64 // wrapping sum of the entries' digest terms
 
 	// pend queues the entries that still owe broadcasts, oldest debt first.
@@ -62,9 +63,10 @@ type cache struct {
 	waiters map[cacheKey][]*lookup
 	// misses remembers exact-key network queries that timed out, so the
 	// next lookup of the key need not wait the same timeout out again.
-	// Bounded and pruned in deadline order through missH, like seenQ.
+	// Every miss lives one refresh interval, so missQ holds the keys in
+	// expiry order; it is pruned on insert and bounded, like seenQ.
 	misses map[cacheKey]miss
-	missH  deadlineHeap[cacheKey]
+	missQ  clock.ExpiryQueue[cacheKey]
 }
 
 // miss is a remembered negative answer: a network query that waited this
@@ -74,8 +76,8 @@ type miss struct {
 	until  time.Time
 }
 
-// missHardCap bounds the miss set; beyond it the entries closest to expiry
-// are dropped (a forgotten miss only costs one more blocking query).
+// missHardCap bounds the miss set; beyond it the oldest entries are dropped
+// (a forgotten miss only costs one more blocking query).
 const missHardCap = 1024
 
 func newCache() *cache {
@@ -182,7 +184,7 @@ func (c *cache) commit(k cacheKey, e *entry) {
 	term := digestTerm(k.stype, k.key, e.svc.Origin)
 	c.sum += term - e.term
 	e.term = term
-	c.expiry.push(deadlineItem[cacheKey]{k: k, at: e.svc.Expires})
+	c.expiry.push(deadlineItem{k: k, at: e.svc.Expires})
 	c.arm(e, sendsPerChange)
 	// An advert is fresher evidence than any remembered miss.
 	delete(c.misses, k)
@@ -237,6 +239,60 @@ func (c *cache) expire(now time.Time) {
 			c.drop(top.k, e)
 		}
 	}
+}
+
+// deadlineItem orders the advert cache's keys by expiry, so that it is pruned
+// in deadline order instead of by a sweep of the whole table.
+type deadlineItem struct {
+	k  cacheKey
+	at time.Time
+}
+
+// deadlineHeap is a min-heap by deadline with container/heap's algorithm
+// written out on the typed slice: through heap.Interface every item pushed or
+// popped is boxed into an `any`, one allocation apiece on the query path. The
+// cache needs a heap and not a clock.ExpiryQueue, as the miss set and the
+// query tables use, because an advert's lifetime comes off the wire: each
+// origin sets its own TTL, so insertion order is not expiry order.
+type deadlineHeap []deadlineItem
+
+func (h *deadlineHeap) push(it deadlineItem) {
+	s := append(*h, it)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].at.Before(s[parent].at) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+// pop removes and returns the earliest item; the heap must not be empty.
+func (h *deadlineHeap) pop() deadlineItem {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = deadlineItem{} // the spare capacity must not pin a key
+	s = s[:n]
+	for i := 0; ; {
+		min := 2*i + 1
+		if min >= n {
+			break
+		}
+		if r := min + 1; r < n && s[r].at.Before(s[min].at) {
+			min = r
+		}
+		if !s[min].at.Before(s[i].at) {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	*h = s
+	return top
 }
 
 func (c *cache) digestLocked() Digest {
@@ -411,11 +467,15 @@ func (c *cache) noteMiss(k cacheKey, waited time.Duration, now time.Time, life t
 	until := now.Add(life)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.missH) > 0 && (len(c.missH) >= missHardCap || !now.Before(c.missH[0].at)) {
-		top := c.missH.pop()
-		// A key re-noted since has a later heap entry that still covers it.
-		if m, ok := c.misses[top.k]; ok && !m.until.After(top.at) {
-			delete(c.misses, top.k)
+	for nowNs := now.UnixNano(); c.missQ.Len() > 0; {
+		k, at := c.missQ.Next()
+		if c.missQ.Len() < missHardCap && nowNs < at {
+			break
+		}
+		c.missQ.Pop()
+		// A key re-noted since has a later queue entry that still covers it.
+		if m, ok := c.misses[k]; ok && m.until.UnixNano() <= at {
+			delete(c.misses, k)
 		}
 	}
 	if _, ok := c.entries[k]; ok {
@@ -425,7 +485,7 @@ func (c *cache) noteMiss(k cacheKey, waited time.Duration, now time.Time, life t
 		return
 	}
 	c.misses[k] = miss{waited: waited, until: until}
-	c.missH.push(deadlineItem[cacheKey]{k: k, at: until})
+	c.missQ.Push(k, until.UnixNano())
 }
 
 func (c *cache) remove(stype, key string) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -222,18 +223,54 @@ func TestNegativeCacheBounded(t *testing.T) {
 	sizes := func() (int, int) {
 		a.cache.mu.Lock()
 		defer a.cache.mu.Unlock()
-		return len(a.cache.misses), len(a.cache.missH)
+		return len(a.cache.misses), a.cache.missQ.Len()
 	}
-	if m, h := sizes(); m > missHardCap || h > missHardCap || m < missHardCap/2 {
-		t.Fatalf("miss set holds %d keys (%d heap items), cap %d", m, h, missHardCap)
+	if m, q := sizes(); m > missHardCap || q > missHardCap || m < missHardCap/2 {
+		t.Fatalf("miss set holds %d keys (%d queued), cap %d", m, q, missHardCap)
 	}
 	// Past their lifetime the next miss drains them in deadline order.
 	fc.Sleep(a.refreshInterval())
 	if _, err := a.Lookup("sip", "late@example", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatal(err)
 	}
-	if m, h := sizes(); m != 1 || h != 1 {
-		t.Fatalf("miss set holds %d keys (%d heap items) after every deadline passed, want 1", m, h)
+	if m, q := sizes(); m != 1 || q != 1 {
+		t.Fatalf("miss set holds %d keys (%d queued) after every deadline passed, want 1", m, q)
+	}
+}
+
+// TestMissSetExpiresOldestFirst: every miss lives one refresh interval, so
+// the miss set forgets a burst in the order it was noted — on the insert
+// after each deadline, and past missHardCap before any deadline.
+func TestMissSetExpiresOldestFirst(t *testing.T) {
+	const life = time.Second
+	t0 := time.Unix(5_000_000, 0)
+	key := func(i int) cacheKey { return cacheKey{"sip", fmt.Sprintf("user%d@example", i)} }
+	held := func(c *cache, n int) (kept []int) {
+		for i := range n {
+			if _, ok := c.misses[key(i)]; ok {
+				kept = append(kept, i)
+			}
+		}
+		return kept
+	}
+
+	c := newCache()
+	for i := range 10 {
+		c.noteMiss(key(i), life, t0.Add(time.Duration(i)*time.Millisecond), life)
+	}
+	// At the fifth miss's deadline the next insert forgets the first five.
+	c.noteMiss(key(10), life, t0.Add(life+4*time.Millisecond), life)
+	if got, want := held(c, 11), []int{5, 6, 7, 8, 9, 10}; !slices.Equal(got, want) || c.missQ.Len() != len(want) {
+		t.Fatalf("misses held %v (%d queued), want %v", got, c.missQ.Len(), want)
+	}
+
+	// A burst noted at one instant overflows the cap: the oldest go first.
+	c = newCache()
+	for i := range missHardCap + 3 {
+		c.noteMiss(key(i), life, t0, life)
+	}
+	if got := held(c, missHardCap+3); len(got) != missHardCap || got[0] != 3 || c.missQ.Len() != missHardCap {
+		t.Fatalf("after %d misses: %d held from %v on, %d queued; want %d held from 3 on", missHardCap+3, len(got), got[:min(1, len(got))], c.missQ.Len(), missHardCap)
 	}
 }
 

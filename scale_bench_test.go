@@ -15,6 +15,7 @@ import (
 	"siphoc"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing/olsr"
+	"siphoc/internal/testutil"
 )
 
 // controlScaleOLSR returns OLSR timing scaled to the node count. The TC flood
@@ -202,7 +203,7 @@ func runControlScalePoint(b *testing.B, side int) {
 func TestControlScaleSmoke(t *testing.T) {
 	side := 32
 	cfg := controlScaleOLSR(side * side)
-	if testing.Short() || raceEnabled {
+	if testing.Short() || testutil.Race {
 		side = 10
 		cfg = controlScaleOLSR(side * side)
 		cfg.HelloInterval = 500 * time.Millisecond
