@@ -352,7 +352,8 @@ func (sh *schedShard) run() {
 
 		if len(batch) > 0 {
 			sh.runBatch(now, batch)
-			continue // deadlines may have passed while running callbacks
+			clear(batch) // so that the reused slice pins no task that has run
+			continue     // deadlines may have passed while running callbacks
 		}
 		if !sh.alarm.wait() {
 			return

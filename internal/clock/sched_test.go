@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // expect fails the test unless the counter reads want.
@@ -493,5 +494,43 @@ func TestTaskMoveAllocFree(t *testing.T) {
 		s.Cancel("n", &task)
 	}); allocs != 0 {
 		t.Fatalf("%v allocations per move and cancel, want 0", allocs)
+	}
+}
+
+// TestSchedulerBatchReleasesTasks: a burst of tasks due together runs as one
+// batch, and once it has run the worker holds none of them. The slice it
+// reuses for its next batch is cleared, so a task's owner — a pooled frame
+// delivery, say — and whatever its callback reaches can be collected, and a
+// sync.Pool that holds it can let it go.
+func TestSchedulerBatchReleasesTasks(t *testing.T) {
+	clk := NewFake(time.Unix(0, 0))
+	s := NewScheduler(clk, 1)
+	defer s.Close()
+	type owner struct {
+		task    Task
+		payload [256]byte
+	}
+	const burst = 1000
+	owners := make([]weak.Pointer[owner], burst)
+	var ran atomic.Int64
+	due := clk.Now().Add(time.Millisecond)
+	for i := range owners {
+		o := new(owner)
+		o.task.Init(func(time.Time) { o.payload[0]++; ran.Add(1) }, nil)
+		s.At("n", &o.task, due)
+		owners[i] = weak.Make(o)
+	}
+	clk.Sleep(time.Second)
+	expect(t, &ran, burst, "the burst")
+	runtime.GC()
+	runtime.GC()
+	held := 0
+	for _, w := range owners {
+		if w.Value() != nil {
+			held++
+		}
+	}
+	if held > 0 {
+		t.Fatalf("%d of %d tasks still reachable after their batch ran", held, burst)
 	}
 }

@@ -13,36 +13,27 @@ import (
 
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
+	"siphoc/internal/routing"
 	"siphoc/internal/routing/olsr"
 	"siphoc/internal/slp"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// pollGoldenRun brings up an isolated 3×3 OLSR grid whose nodes all run a
-// Connection Provider — the paper's main setting: every node polls for a
-// gateway nobody offers — on a fake clock driving a one-shard network, and
-// records every frame on the air for span of virtual time. The clock stops at
-// every deadline, so every task runs exactly at its due time and the run is
-// one total order. Each node's line is
+// pollGoldenRun records every frame of runPollGrid's run. Each node's line is
 // its frame count and an order-free sum of a hash of every frame it sent: the
 // instant, the destination, the kind and the payload bytes.
 func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
 	t.Helper()
-	fake := clock.NewFake(time.Unix(2_000_000, 0))
-	start := fake.Now()
-	net := netem.NewNetwork(netem.Config{Range: 100, BaseDelay: time.Millisecond, Clock: fake, Shards: 1, Seed: 7})
-	defer net.Close()
-
 	type tally struct {
 		frames int
 		sum    uint64
 	}
 	var mu sync.Mutex
 	seen := make(map[netem.NodeID]*tally)
-	net.SetTap(func(f netem.Frame) {
+	runPollGrid(t, span, func(f netem.Frame, at time.Duration) {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s|%d|", fake.Now().Sub(start), f.Dst, f.Kind)
+		fmt.Fprintf(h, "%d|%s|%d|", at, f.Dst, f.Kind)
 		h.Write(f.Payload)
 		mu.Lock()
 		defer mu.Unlock()
@@ -54,6 +45,28 @@ func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
 		tl.frames++
 		tl.sum += h.Sum64()
 	})
+	mu.Lock()
+	defer mu.Unlock()
+	out := make(map[netem.NodeID]string, len(seen))
+	for id, tl := range seen {
+		out[id] = fmt.Sprintf("frames=%d sum=%016x", tl.frames, tl.sum)
+	}
+	return out
+}
+
+// runPollGrid brings up an isolated 3×3 OLSR grid whose nodes all run a
+// Connection Provider — the paper's main setting: every node polls for a
+// gateway nobody offers — on a fake clock driving a one-shard network, and
+// hands tap every frame on the air for span of virtual time, with the time
+// since the start. The clock stops at every deadline, so every task runs
+// exactly at its due time and the run is one total order.
+func runPollGrid(t *testing.T, span time.Duration, tap func(f netem.Frame, at time.Duration)) {
+	t.Helper()
+	fake := clock.NewFake(time.Unix(2_000_000, 0))
+	start := fake.Now()
+	net := netem.NewNetwork(netem.Config{Range: 100, BaseDelay: time.Millisecond, Clock: fake, Shards: 1, Seed: 7})
+	defer net.Close()
+	net.SetTap(func(f netem.Frame) { tap(f, fake.Now().Sub(start)) })
 
 	var (
 		protos    []*olsr.Protocol
@@ -108,22 +121,15 @@ func pollGoldenRun(t *testing.T, span time.Duration) map[netem.NodeID]string {
 			t.Fatalf("agent stats %+v: the grid is not polling", st)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	out := make(map[netem.NodeID]string, len(seen))
-	for id, tl := range seen {
-		out[id] = fmt.Sprintf("frames=%d sum=%016x", tl.frames, tl.sum)
-	}
-	return out
 }
 
 // TestIdlePollGolden pins the bytes and instants of an idle MANET's
 // connectivity plane: the HELLOs and TCs of a 3×3 OLSR grid carrying the SLP
 // digest and the wildcard gateway queries every node's Connection Provider
-// issues, relays and lets expire, round after round, for three virtual seconds
-// (testdata/poll3x3_olsr.golden). The golden was recorded before the poll was
-// made allocation-free; a change to how the poll is computed must not move a
-// byte or an instant. A deliberate wire change re-records it with -update.
+// issues and relays on two broadcasts each, round after round, for three
+// virtual seconds (testdata/poll3x3_olsr.golden). A change to how the poll is
+// computed must not move a byte or an instant. A deliberate change of what
+// goes on the air re-records it with -update.
 func TestIdlePollGolden(t *testing.T) {
 	const path = "testdata/poll3x3_olsr.golden"
 	got := pollGoldenRun(t, 3*time.Second)
@@ -160,5 +166,60 @@ func TestIdlePollGolden(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("node count differs: golden %d, got %d", len(want), len(got))
+	}
+}
+
+// TestRelayedQueryRidesTwoBroadcasts: in the idle poll's grid a relay carries
+// each foreign query on at most two of its broadcasts (the debt a changed
+// advert is owed, slp's sendsPerChange) and on no routing frame to one
+// neighbour. Only the origin's own query rides while its lookup waits.
+func TestRelayedQueryRidesTwoBroadcasts(t *testing.T) {
+	type relayedCopy struct {
+		relay, origin netem.NodeID
+		id            uint32
+	}
+	var mu sync.Mutex
+	broadcasts := make(map[relayedCopy]int)
+	var unicasts []relayedCopy
+	runPollGrid(t, 3*time.Second, func(f netem.Frame, _ time.Duration) {
+		var env routing.Envelope
+		if f.Kind != netem.KindRouting || routing.ParseEnvelopeInto(&env, f.Payload) != nil || env.Ext == nil {
+			return
+		}
+		p, err := slp.ParsePayload(env.Ext)
+		if err != nil {
+			t.Errorf("frame from %s: %v", f.Src, err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, q := range p.Queries {
+			if q.Origin == f.Src {
+				continue
+			}
+			c := relayedCopy{f.Src, q.Origin, q.ID}
+			if f.Dst != netem.Broadcast {
+				unicasts = append(unicasts, c)
+				continue
+			}
+			broadcasts[c]++
+		}
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	twice := 0
+	for c, n := range broadcasts {
+		if n > 2 {
+			t.Errorf("relay %s sent %s's query %d on %d broadcasts, want at most 2", c.relay, c.origin, c.id, n)
+		}
+		if n == 2 {
+			twice++
+		}
+	}
+	if twice == 0 {
+		t.Errorf("of %d relayed queries none went out twice", len(broadcasts))
+	}
+	if len(unicasts) > 0 {
+		t.Errorf("relayed queries rode %d unicast routing frames, e.g. %+v", len(unicasts), unicasts[0])
 	}
 }

@@ -148,7 +148,9 @@ func TestSendFrameLeavesCallerStorageAlone(t *testing.T) {
 
 // TestSendWireMovesWhatOutgrewItsBuffer: a frame whose appends outgrew the
 // buffer it was lent (and so sits on the heap) is delivered intact and still
-// goes on the air in a wire buffer; one past the MTU is refused.
+// goes on the air in a wire buffer; one built in an MTU buffer that fits the
+// small class goes on the air in one, intact, and the MTU buffer is poisoned
+// on its way back to the free list; one past the MTU is refused.
 func TestSendWireMovesWhatOutgrewItsBuffer(t *testing.T) {
 	s := newStar(t, Config{BaseDelay: 10 * time.Microsecond}, 1)
 	grown := append(TakeWire(16), bytes.Repeat([]byte("g"), 900)...)
@@ -165,6 +167,24 @@ func TestSendWireMovesWhatOutgrewItsBuffer(t *testing.T) {
 	s.mu.Lock()
 	if got := s.got[0][0]; got != string(grown) {
 		t.Errorf("the neighbour read %d bytes %q…", len(got), got[:16])
+	}
+	s.mu.Unlock()
+	roomy := append(TakeWire(MTU), "small"...)
+	s.net.SetTap(func(f Frame) { onAir = f })
+	if err := s.centre.SendWire(Broadcast, KindRouting, roomy); err != nil {
+		t.Fatal(err)
+	}
+	s.await(t, 1)
+	s.net.SetTap(nil)
+	if !onAir.pooled || cap(onAir.Payload) != voiceWireBytes {
+		t.Errorf("a 5-byte frame went on the air in a buffer of %d bytes, pooled=%v", cap(onAir.Payload), onAir.pooled)
+	}
+	if string(roomy) != "\xDB\xDB\xDB\xDB\xDB" {
+		t.Errorf("the MTU buffer it was built in reads %q, want poison", roomy)
+	}
+	s.mu.Lock()
+	if got := s.got[0][1]; got != "small" {
+		t.Errorf("the neighbour read %q, want %q", got, "small")
 	}
 	s.mu.Unlock()
 	huge := append(TakeWire(MTU), make([]byte, MTU+1)...)

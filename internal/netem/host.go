@@ -137,13 +137,21 @@ func (h *Host) SendFrame(dst NodeID, kind FrameKind, payload []byte) error {
 
 // SendWire transmits a frame its caller built in place, by appending to a
 // buffer TakeWire lent it (routing protocols use this). The storage is netem's
-// from this call on, whatever it returns (see Frame). Appends that outgrew the
-// lent buffer moved the frame to the heap and left the buffer to the collector;
-// it moves once more here, into a wire buffer of the larger class, so that what
-// goes on the air is always one. The capacity alone tells the two apart: a
-// slice with a class's capacity is as good as a buffer of that class.
+// from this call on, whatever it returns (see Frame). The frame crosses the
+// medium in the smallest class that holds it: one built in an MTU buffer that
+// fits the small class is copied down into one, and the MTU buffer goes back
+// to the free list at once. Appends that outgrew the lent buffer moved the
+// frame to the heap and left the buffer to the collector; it moves once more
+// here, into a wire buffer, so that what goes on the air is always one. The
+// capacity alone tells the cases apart: a slice with a class's capacity is as
+// good as a buffer of that class.
 func (h *Host) SendWire(dst NodeID, kind FrameKind, b []byte) error {
-	if c := cap(b); c != voiceWireBytes && c != MTU {
+	switch c := cap(b); {
+	case c == MTU && len(b) <= voiceWireBytes:
+		small := append(TakeWire(len(b)), b...)
+		giveWire(Frame{Payload: b, pooled: true})
+		b = small
+	case c != voiceWireBytes && c != MTU:
 		if len(b) > MTU {
 			return ErrFrameTooBig
 		}

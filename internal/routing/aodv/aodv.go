@@ -357,13 +357,13 @@ func (p *Protocol) sendRREQ(dst netem.NodeID, ttl uint8) {
 	}
 	p.stats.RREQSent++
 	p.mu.Unlock()
-	p.send(netem.Broadcast, m.AppendTo(p.begin(KindRREQ, m.wireLen())))
+	p.send(netem.Broadcast, m.AppendTo(p.begin(KindRREQ)))
 }
 
-// begin starts a control frame of the given kind for a body of bodyLen bytes;
-// the caller appends the body and hands the frame to send.
-func (p *Protocol) begin(kind uint8, bodyLen int) []byte {
-	return p.framer.Begin(routing.ProtoAODV, kind, bodyLen)
+// begin starts a control frame of the given kind; the caller appends the body
+// and hands the frame to send.
+func (p *Protocol) begin(kind uint8) []byte {
+	return p.framer.Begin(routing.ProtoAODV, kind)
 }
 
 // send offers the piggyback handler the frame's extension slot and transmits
@@ -479,7 +479,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 		}
 		p.stats.RREPSent++
 		p.mu.Unlock()
-		p.send(from, rep.AppendTo(p.begin(KindRREP, rep.wireLen())))
+		p.send(from, rep.AppendTo(p.begin(KindRREP)))
 		return
 	}
 	// Intermediate node with a fresh-enough route may answer on behalf of
@@ -495,7 +495,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 		p.mu.Lock()
 		p.stats.RREPSent++
 		p.mu.Unlock()
-		p.send(from, rep.AppendTo(p.begin(KindRREP, rep.wireLen())))
+		p.send(from, rep.AppendTo(p.begin(KindRREP)))
 		return
 	}
 	// Otherwise keep flooding.
@@ -508,7 +508,7 @@ func (p *Protocol) onRREQ(from netem.NodeID, m *RREQ) {
 	p.mu.Lock()
 	p.stats.RREQFwd++
 	p.mu.Unlock()
-	p.send(netem.Broadcast, fwd.AppendTo(p.begin(KindRREQ, fwd.wireLen())))
+	p.send(netem.Broadcast, fwd.AppendTo(p.begin(KindRREQ)))
 }
 
 func (p *Protocol) onRREP(from netem.NodeID, m *RREP) {
@@ -527,7 +527,7 @@ func (p *Protocol) onRREP(from netem.NodeID, m *RREP) {
 	p.mu.Lock()
 	p.stats.RREPFwd++
 	p.mu.Unlock()
-	p.send(e.NextHop, fwd.AppendTo(p.begin(KindRREP, fwd.wireLen())))
+	p.send(e.NextHop, fwd.AppendTo(p.begin(KindRREP)))
 }
 
 func (p *Protocol) onRERR(from netem.NodeID, m *RERR) {
@@ -544,7 +544,7 @@ func (p *Protocol) onRERR(from netem.NodeID, m *RERR) {
 		p.stats.RERRSent++
 		p.mu.Unlock()
 		rerr := &RERR{Unreachable: cascade}
-		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR, rerr.wireLen())))
+		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR)))
 	}
 }
 
@@ -599,7 +599,7 @@ func (p *Protocol) helloTick() {
 	p.forgetSeenLocked(p.clk.Now().UnixNano())
 	p.mu.Unlock()
 	m := Hello{Seq: seq}
-	p.send(netem.Broadcast, m.AppendTo(p.begin(KindHello, m.wireLen())))
+	p.send(netem.Broadcast, m.AppendTo(p.begin(KindHello)))
 	p.expireNeighbors()
 }
 
@@ -630,6 +630,6 @@ func (p *Protocol) expireNeighbors() {
 		p.mu.Lock()
 		p.stats.RERRSent++
 		p.mu.Unlock()
-		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR, rerr.wireLen())))
+		p.send(netem.Broadcast, rerr.AppendTo(p.begin(KindRERR)))
 	}
 }

@@ -49,7 +49,7 @@ func TestEchoedRREQKeepsNeighbourRoute(t *testing.T) {
 	// Another frame from R, on the air while A's rebroadcast travels: it
 	// reaches A at +2 ms, B's echo of the RREQ at +3 ms.
 	hello := Hello{Seq: 1}
-	req.send(netem.Broadcast, hello.AppendTo(req.begin(KindHello, hello.wireLen())))
+	req.send(netem.Broadcast, hello.AppendTo(req.begin(KindHello)))
 
 	var ok bool
 	fake.Sleep(20 * hop)

@@ -58,9 +58,6 @@ func (m *RREQ) AppendTo(b []byte) []byte {
 	return append(b, 0)
 }
 
-// wireLen is the length of the body AppendTo writes.
-func (m *RREQ) wireLen() int { return 19 + len(m.Orig) + len(m.Dst) }
-
 // ParseRREQ decodes a request body.
 func ParseRREQ(b []byte) (*RREQ, error) {
 	r := wire.NewReader(b)
@@ -98,9 +95,6 @@ func (m *RREP) AppendTo(b []byte) []byte {
 	return binary.BigEndian.AppendUint32(b, m.LifetimeMs)
 }
 
-// wireLen is the length of the body AppendTo writes.
-func (m *RREP) wireLen() int { return 13 + len(m.Orig) + len(m.Dst) }
-
 // ParseRREP decodes a reply body.
 func ParseRREP(b []byte) (*RREP, error) {
 	r := wire.NewReader(b)
@@ -136,15 +130,6 @@ func (m *RERR) AppendTo(b []byte) []byte {
 	return b
 }
 
-// wireLen is the length of the body AppendTo writes.
-func (m *RERR) wireLen() int {
-	n := 1
-	for _, u := range m.Unreachable {
-		n += 2 + len(u.Dst) + 4
-	}
-	return n
-}
-
 // ParseRERR decodes an error body.
 func ParseRERR(b []byte) (*RERR, error) {
 	r := wire.NewReader(b)
@@ -169,9 +154,6 @@ type Hello struct {
 
 // AppendTo appends the hello body to b.
 func (m *Hello) AppendTo(b []byte) []byte { return binary.BigEndian.AppendUint32(b, m.Seq) }
-
-// wireLen is the length of the body AppendTo writes.
-func (m *Hello) wireLen() int { return 4 }
 
 // ParseHello decodes a hello body.
 func ParseHello(b []byte) (*Hello, error) {

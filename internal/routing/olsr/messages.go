@@ -60,15 +60,6 @@ func (m *Hello) AppendTo(b []byte) []byte {
 	return b
 }
 
-// wireLen is the length of the body AppendTo writes.
-func (m *Hello) wireLen() int {
-	n := 2
-	for _, nb := range m.Neighbors {
-		n += 2 + len(nb.Addr) + 2
-	}
-	return n
-}
-
 // TC is a topology-control message flooded through the MPR backbone
 // (RFC 3626 §9): the originator advertises links to its MPR selectors.
 type TC struct {
@@ -90,13 +81,4 @@ func (m *TC) AppendTo(b []byte) []byte {
 		b = wire.AppendString(b, string(s))
 	}
 	return b
-}
-
-// wireLen is the length of the body AppendTo writes.
-func (m *TC) wireLen() int {
-	n := 2 + len(m.Orig) + 7
-	for _, s := range m.Selectors {
-		n += 2 + len(s)
-	}
-	return n
 }

@@ -744,7 +744,7 @@ func (p *Protocol) handleTC(from netem.NodeID, body []byte) {
 	if doFwd {
 		// Retransmit the received bytes with the TTL decremented. Here and on
 		// the beats, a frame the medium refuses is a lost frame.
-		frame := append(p.framer.Begin(routing.ProtoOLSR, KindTC, len(body)), body...)
+		frame := append(p.framer.Begin(routing.ProtoOLSR, KindTC), body...)
 		frame[routing.HeaderLen+ttlOff]--
 		_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(KindTC), frame)
 	}
@@ -771,7 +771,7 @@ func (p *Protocol) sendHello() {
 		})
 	}
 	m := Hello{Neighbors: p.helloNbs}
-	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindHello, m.wireLen())) // under mu: Neighbors aliases pooled scratch
+	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindHello)) // under mu: Neighbors aliases pooled scratch
 	p.stats.HelloSent++
 	pb := p.pb
 	p.mu.Unlock()
@@ -816,7 +816,7 @@ func (p *Protocol) sendTC() {
 		p.ansn++
 	}
 	m.ANSN = p.ansn
-	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindTC, m.wireLen())) // under mu: Selectors aliases pooled scratch
+	frame := m.AppendTo(p.framer.Begin(routing.ProtoOLSR, KindTC)) // under mu: Selectors aliases pooled scratch
 	p.stats.TCSent++
 	pb := p.pb
 	p.mu.Unlock()

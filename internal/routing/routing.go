@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"siphoc/internal/netem"
@@ -122,23 +121,18 @@ type Envelope struct {
 const HeaderLen = 4
 
 // Framer sends a protocol's control frames, each written once: header, body
-// and the extension the piggyback handler puts behind them go straight into
-// the wire buffer the frame crosses the medium in (see netem.Frame), so a
-// control frame costs no allocation. The buffer's size class is picked for the
-// extension the previous frame carried, which in steady state (a digest and
-// nothing else) is the one this frame carries. A Framer may be used from
+// and the extension the piggyback handler puts behind them go into an MTU wire
+// buffer, since the handler may fill the message to the MTU, and a frame that
+// fits the small class is copied down into one (see netem.Host.SendWire), so a
+// control frame costs no allocation however its extension's size varies from
+// one message to the next. A Framer holds no state and may be used from
 // several goroutines at once.
-type Framer struct {
-	extHint atomic.Int32
-}
+type Framer struct{}
 
-// Begin takes a wire buffer for a message whose body will be bodyLen bytes and
-// writes the envelope header into it. The caller appends the body and hands
-// the result to Send. A body that outgrows the buffer costs a move (see
-// netem.Host.SendWire), never the frame.
-func (f *Framer) Begin(proto, kind uint8, bodyLen int) []byte {
-	b := netem.TakeWire(HeaderLen + bodyLen + 2 + int(f.extHint.Load()))
-	return append(b, proto, kind, 0, 0)
+// Begin takes a wire buffer for a message and writes the envelope header into
+// it. The caller appends the body and hands the result to Send.
+func (f *Framer) Begin(proto, kind uint8) []byte {
+	return append(netem.TakeWire(netem.MTU), proto, kind, 0, 0)
 }
 
 // Send completes the frame in b — Begin's header with the body behind it — and
@@ -167,7 +161,6 @@ func (f *Framer) finish(pb PiggybackHandler, msg Outgoing, b []byte) []byte {
 		}
 	}
 	binary.BigEndian.PutUint16(b[ext-2:], uint16(len(b)-ext))
-	f.extHint.Store(int32(len(b) - ext))
 	return b
 }
 

@@ -184,7 +184,7 @@ func TestOverBudgetExtensionIsCut(t *testing.T) {
 	var f Framer
 	hello := []byte{0, 0, 0, 7}
 	for _, pb := range []PiggybackHandler{greedy{}, extension("digest-size")} {
-		if err := f.Send(hosts[0], pb, netem.Broadcast, "HELLO", append(f.Begin(ProtoAODV, 4, len(hello)), hello...)); err != nil {
+		if err := f.Send(hosts[0], pb, netem.Broadcast, "HELLO", append(f.Begin(ProtoAODV, 4), hello...)); err != nil {
 			t.Fatalf("%T: %v", pb, err)
 		}
 		select {

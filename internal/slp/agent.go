@@ -66,15 +66,17 @@ type Config struct {
 	Mode Mode
 	// AdvertTTL is the service registration lifetime (default 30s).
 	AdvertTTL time.Duration
-	// QueryRelayTTL is how long foreign queries keep riding our outgoing
-	// routing messages (default 2s).
-	QueryRelayTTL time.Duration
 	// Obs records lookup counters and resolution latency. Nil disables.
 	Obs *obs.Observer
 }
 
-// queryHops bounds the epidemic propagation of a query.
-const queryHops = 8
+const (
+	// queryHops bounds the epidemic propagation of a query.
+	queryHops = 8
+	// queryRelayTTL bounds a relayed query on a relay that sends fewer than
+	// the sendsPerChange broadcasts it is owed.
+	queryRelayTTL = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
@@ -82,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdvertTTL == 0 {
 		c.AdvertTTL = 30 * time.Second
-	}
-	if c.QueryRelayTTL == 0 {
-		c.QueryRelayTTL = 2 * time.Second
 	}
 	return c
 }
@@ -173,10 +172,10 @@ type Agent struct {
 	qmu      sync.Mutex
 	qid      uint32
 	pendingQ map[cacheKey]*pendingQuery
-	// relayQ holds the foreign queries riding this node's outgoing routing
-	// messages, each for QueryRelayTTL; seenQ the foreign query keys already
-	// handled, each for 4×QueryRelayTTL.
-	relayQ queryTable[Query]
+	// relayQ holds the foreign queries riding this node's broadcasts, each
+	// until it has had its sendsPerChange broadcasts or for queryRelayTTL;
+	// seenQ the foreign query keys already handled, each for 4×queryRelayTTL.
+	relayQ queryTable[relayed]
 	seenQ  queryTable[struct{}]
 	// lookups are the lookups waiting on the network, so that Stop can end
 	// them; nil once the agent has stopped.
@@ -322,14 +321,23 @@ func (a *Agent) markSeenLocked(k qkey, now time.Time) {
 	}
 	// Keys stay deduped well past the relay TTL so a straggler copy still
 	// relaying through a distant node is not re-processed here.
-	a.seenQ.put(a, k, struct{}{}, nowNs+int64(4*a.cfg.QueryRelayTTL))
+	a.seenQ.put(a, k, struct{}{}, nowNs+int64(4*queryRelayTTL))
+}
+
+// relayed is a foreign query in the relay set and the broadcasts it is still
+// owed.
+type relayed struct {
+	q     Query
+	sends uint8
 }
 
 // queryTable is one of the agent's query tables, guarded by qmu: every key
 // lives one fixed span from when it is put in, so its queue is in expiry
-// order. Its one task is queued at the head's deadline; each run drops what is
-// due and moves on to the next deadline, and the run that empties the table
-// hands back what a burst grew it to (see clock.ExpiryQueue.Trim).
+// order (a relayed query that has had its broadcasts leaves the map sooner:
+// its queue entry stays, so that the map is not emptied and re-made per
+// query). Its one task is queued at the head's deadline; each run drops what
+// is due and moves on to the next deadline, and the run that empties the
+// table hands back what a burst grew it to (see clock.ExpiryQueue.Trim).
 type queryTable[V any] struct {
 	m    map[qkey]timed[V] // nil when empty
 	q    clock.ExpiryQueue[qkey]
@@ -775,11 +783,13 @@ func (a *Agent) Dump() string {
 // ---- routing.PiggybackHandler ----
 
 // AppendOutgoing fills the routing message's extension slot, within budget:
-// the digest of this node's table, the queries riding along, and — on a
-// broadcast — the adverts the table owes its neighbours (cache.gossip). A
-// message to one neighbour carries this node's own registrations instead, so
-// that a route reply delivers the replying node's bindings with the route
-// (the paper's Figure 5) and no broadcast debt is spent on a single listener.
+// the digest of this node's table, its own pending queries, and — on a
+// broadcast — the relayed queries, each owed sendsPerChange broadcasts as a
+// changed advert is, and the adverts the table owes its neighbours
+// (cache.gossip). A message to one neighbour carries this node's own
+// registrations instead, so that a route reply delivers the replying node's
+// bindings with the route (the paper's Figure 5) and no broadcast debt is
+// spent on a single listener.
 // The same state always encodes to the same bytes, the Payload.AppendTo
 // encoding of what was chosen. Everything is written straight into b, the
 // routing frame the extension goes out in, which is the wire buffer it
@@ -791,17 +801,22 @@ func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 		return b
 	}
 	now := a.clk.Now()
-	// The queries are chosen first, in (origin, ID) order, and go last.
+	broadcast := msg.Dst == netem.Broadcast
+	// The queries are chosen first, in (origin, ID) order, and go last. A
+	// relayed one that fits spends a send, under the same hold of qmu, so
+	// that two messages sent at once cannot both spend its last.
 	qs := spareQueries.Take()
+	self := a.host.ID()
 	a.qmu.Lock()
 	for _, pq := range a.pendingQ {
 		qs = append(qs, pq.q)
 	}
-	a.relayQ.expire(now.UnixNano())
-	for _, e := range a.relayQ.m {
-		qs = append(qs, e.v)
+	if broadcast {
+		a.relayQ.expire(now.UnixNano())
+		for _, e := range a.relayQ.m {
+			qs = append(qs, e.v.q)
+		}
 	}
-	a.qmu.Unlock()
 	slices.SortFunc(qs, func(x, y Query) int {
 		return cmp.Or(strings.Compare(string(x.Origin), string(y.Origin)), cmp.Compare(x.ID, y.ID))
 	})
@@ -810,15 +825,26 @@ func (a *Agent) AppendOutgoing(b []byte, msg routing.Outgoing) []byte {
 		if s := sizeOfQuery(&q); s <= budget {
 			fit = append(fit, q)
 			budget -= s
+			if q.Origin == self {
+				continue // rides while its lookup waits
+			}
+			k := qkey{q.Origin, q.ID}
+			if e := a.relayQ.m[k]; e.v.sends > 1 {
+				e.v.sends--
+				a.relayQ.m[k] = e
+			} else {
+				delete(a.relayQ.m, k)
+			}
 		}
 	}
+	a.qmu.Unlock()
 
 	// The digest comes first but is known only once gossip has run: its
 	// slot is reserved here and written below.
 	at := len(b)
 	b = append(b, make([]byte, digestSize)...)
 	var d Digest
-	if msg.Dst == netem.Broadcast {
+	if broadcast {
 		b, d = a.cache.gossip(b, budget, now)
 	} else {
 		d = a.cache.digest(now)
@@ -903,9 +929,10 @@ func (a *Agent) receive(b []byte) (d Digest, ok bool) {
 }
 
 // handleQuery answers a foreign query from the table if it can, and otherwise
-// passes it on with one hop less: in piggyback mode on this node's outgoing
-// routing messages for QueryRelayTTL, in multicast mode as a flood frame of
-// its own. Each query is handled once, however many copies arrive.
+// passes it on with one hop less: in piggyback mode on this node's next
+// sendsPerChange broadcasts (see AppendOutgoing), in multicast mode as a
+// flood frame of its own. Each query is handled once, however many copies
+// arrive.
 //
 // The query outlives the frame it came in (seenQ, relayQ), so its strings must
 // not alias the frame; what a relay keeps of a wildcard query from a node of
@@ -942,7 +969,7 @@ func (a *Agent) handleQuery(it *item, now time.Time) {
 	}
 	a.stats.queriesRelayed.Add(1)
 	a.qmu.Lock()
-	a.relayQ.put(a, k, q, now.Add(a.cfg.QueryRelayTTL).UnixNano())
+	a.relayQ.put(a, k, relayed{q, sendsPerChange}, now.Add(queryRelayTTL).UnixNano())
 	a.qmu.Unlock()
 }
 

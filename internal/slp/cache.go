@@ -30,8 +30,9 @@ const (
 // entry is one registration in the table.
 type entry struct {
 	svc   Service
-	term  uint64 // this entry's share of the digest sum
-	sends uint8  // broadcasts still owed; non-zero exactly while queued in cache.pend
+	term  uint64    // this entry's share of the digest sum
+	due   time.Time // deadline of the entry's item in cache.expiry
+	sends uint8     // broadcasts still owed; non-zero exactly while queued in cache.pend
 }
 
 // cache is the node's service table — its own registrations and those learned
@@ -184,7 +185,12 @@ func (c *cache) commit(k cacheKey, e *entry) {
 	term := digestTerm(k.stype, k.key, e.svc.Origin)
 	c.sum += term - e.term
 	e.term = term
-	c.expiry.push(deadlineItem{k: k, at: e.svc.Expires})
+	// One expiry item per entry, pushed again when it comes due (expire);
+	// only a lifetime cut short needs an earlier one.
+	if e.due.IsZero() || e.svc.Expires.Before(e.due) {
+		e.due = e.svc.Expires
+		c.expiry.push(deadlineItem{e: e, at: e.due})
+	}
 	c.arm(e, sendsPerChange)
 	// An advert is fresher evidence than any remembered miss.
 	delete(c.misses, k)
@@ -234,17 +240,24 @@ func (c *cache) drop(k cacheKey, e *entry) {
 func (c *cache) expire(now time.Time) {
 	for len(c.expiry) > 0 && now.After(c.expiry[0].at) {
 		top := c.expiry.pop()
-		// A refreshed entry has a later heap item that still covers it.
-		if e := c.entries[top.k]; e != nil && now.After(e.svc.Expires) {
-			c.drop(top.k, e)
+		e := top.e
+		k := cacheKey{e.svc.Type, e.svc.Key}
+		switch {
+		case c.entries[k] != e || !top.at.Equal(e.due):
+			// Dropped since, or passed over by an earlier item.
+		case now.After(e.svc.Expires):
+			c.drop(k, e)
+		default: // refreshed since it was queued
+			e.due = e.svc.Expires
+			c.expiry.push(deadlineItem{e: e, at: e.due})
 		}
 	}
 }
 
-// deadlineItem orders the advert cache's keys by expiry, so that it is pruned
-// in deadline order instead of by a sweep of the whole table.
+// deadlineItem orders the advert cache's entries by expiry, so that it is
+// pruned in deadline order instead of by a sweep of the whole table.
 type deadlineItem struct {
-	k  cacheKey
+	e  *entry
 	at time.Time
 }
 
@@ -275,7 +288,7 @@ func (h *deadlineHeap) pop() deadlineItem {
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = deadlineItem{} // the spare capacity must not pin a key
+	s[n] = deadlineItem{} // the spare capacity must not pin an entry
 	s = s[:n]
 	for i := 0; ; {
 		min := 2*i + 1

@@ -283,7 +283,10 @@ func TestAdvertLifetimeSurvivesHops(t *testing.T) {
 // TestGossipCanonicalBytes: the same state encodes to the same bytes however
 // it was built up — attributes, local registrations and queries all go out
 // in key order — and what an agent emits is what Marshal makes of its parse.
+// Relayed queries ride the first two broadcasts after they arrive and nothing
+// after those, and no message to one neighbour.
 func TestGossipCanonicalBytes(t *testing.T) {
+	broadcast := routing.Outgoing{Dst: netem.Broadcast, Budget: netem.MTU}
 	build := func(order []int) *Agent {
 		net := netem.NewNetwork(netem.Config{Clock: clock.NewFake(time.Unix(3_000_000, 0))})
 		t.Cleanup(net.Close)
@@ -304,30 +307,36 @@ func TestGossipCanonicalBytes(t *testing.T) {
 			if err := a.Register(Service{Type: "sip", Key: fmt.Sprintf("k%d", i), URL: "service:sip://self:5060", Attrs: attrs}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// Two broadcasts pay the news, which follows registration order;
+		// from the third on each is the key-ordered pass.
+		a.Outgoing(broadcast)
+		a.Outgoing(broadcast)
+		for _, i := range order {
 			a.handlePayload(&Payload{Queries: []Query{{Type: "sip", Key: "x", Origin: netem.NodeID(fmt.Sprintf("n%d", 9-i)), ID: uint32(i), Hops: 4}}})
 		}
 		return a
 	}
 	x, y := build([]int{0, 1, 2, 3, 4, 5}), build([]int{4, 2, 5, 0, 3, 1})
-	for _, dst := range []netem.NodeID{netem.Broadcast, "10.0.0.9"} {
-		var ex, ey []byte
-		// Twice: the first broadcast still follows registration order, the
-		// debt of news; from the second on it is the key-ordered pass.
-		for range 3 {
-			ex = x.Outgoing(routing.Outgoing{Dst: dst, Budget: netem.MTU})
-			ey = y.Outgoing(routing.Outgoing{Dst: dst, Budget: netem.MTU})
-		}
+	check := func(what string, msg routing.Outgoing, queries int) {
+		t.Helper()
+		ex, ey := x.Outgoing(msg), y.Outgoing(msg)
 		if !bytes.Equal(ex, ey) {
-			t.Fatalf("dst %q: same state, different bytes:\n%x\n%x", dst, ex, ey)
+			t.Fatalf("%s: same state, different bytes:\n%x\n%x", what, ex, ey)
 		}
 		p, err := ParsePayload(ex)
-		if err != nil || len(p.Adverts) != 6 || len(p.Queries) != 6 {
-			t.Fatalf("dst %q: %v, %d adverts, %d queries; want 6 and 6", dst, err, len(p.Adverts), len(p.Queries))
+		if err != nil || len(p.Adverts) != 6 || len(p.Queries) != queries {
+			t.Fatalf("%s: %v, %d adverts, %d queries; want 6 and %d", what, err, len(p.Adverts), len(p.Queries), queries)
 		}
 		if !bytes.Equal(p.Marshal(), ex) {
-			t.Fatalf("dst %q: Marshal of the parsed extension differs from the extension", dst)
+			t.Fatalf("%s: Marshal of the parsed extension differs from the extension", what)
 		}
 	}
+	check("first broadcast", broadcast, 6)
+	x.Outgoing(broadcast)
+	y.Outgoing(broadcast)
+	check("third broadcast", broadcast, 0)
+	check("unicast", routing.Outgoing{Dst: "10.0.0.9", Budget: netem.MTU}, 0)
 }
 
 // TestMulticastCountsAdverts: flood frames go through the same install and

@@ -55,7 +55,7 @@ func (a *Agent) relayLen() int {
 // cap, and entries whose retention deadline passed must be pruned lazily
 // without a full map sweep.
 func TestSeenQueryBoundedUnderLoad(t *testing.T) {
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
+	a, fc := newShardAgent(t, Config{})
 
 	// 3× the cap of unique queries from distinct origins, all unanswerable
 	// (empty cache) so each marches through the dedup+relay path.
@@ -76,9 +76,9 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 		t.Fatalf("seenQ holds only %d entries; eviction is discarding live state", n)
 	}
 
-	// Once the retention deadline (4×relayTTL) passes, the next insert must
-	// drain the expired backlog instead of accumulating alongside it.
-	fc.Sleep(time.Second)
+	// Once the retention deadline (4×queryRelayTTL) passes, the next insert
+	// must drain the expired backlog instead of accumulating alongside it.
+	fc.Sleep(4 * queryRelayTTL)
 	a.handlePayload(&Payload{Queries: []Query{{Type: "sip", Key: "late", Origin: "late", ID: 1, Hops: 4}}})
 	if n := a.seenLen(); n > 8 {
 		t.Fatalf("seenQ holds %d entries after all deadlines passed, want ~1", n)
@@ -97,14 +97,14 @@ func TestSeenQueryBoundedUnderLoad(t *testing.T) {
 // zero allocations: the queue is typed and reuses its ring, so nothing is
 // boxed or grown on push or pop.
 func TestSeenQueryInsertExpiryAllocFree(t *testing.T) {
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
+	a, fc := newShardAgent(t, Config{})
 	keys := [2]qkey{{"n1", 1}, {"n2", 2}}
 	now, i := fc.Now(), 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.qmu.Lock()
 		a.markSeenLocked(keys[i%2], now)
 		a.qmu.Unlock()
-		now, i = now.Add(time.Second), i+1 // past the 400 ms retention
+		now, i = now.Add(5*queryRelayTTL), i+1 // past the 4×queryRelayTTL retention
 	})
 	if allocs != 0 {
 		t.Errorf("seen-query insert + expiry: %v allocations, want 0", allocs)
@@ -117,7 +117,7 @@ func TestSeenQueryInsertExpiryAllocFree(t *testing.T) {
 // TestSeenQueryDedupSurvivesEviction checks the dedup property still holds
 // for recent queries after older ones were cap-evicted.
 func TestSeenQueryDedupSurvivesEviction(t *testing.T) {
-	a, _ := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
+	a, _ := newShardAgent(t, Config{})
 	for i := 0; i < seenQHardCap+100; i++ {
 		a.handlePayload(&Payload{Queries: []Query{{
 			Type: "sip", Key: "k",
@@ -170,13 +170,18 @@ func TestOutgoingScratchDoesNotAlias(t *testing.T) {
 // TestAppendOutgoingAppendsInPlace: the extension is written straight into
 // the frame it is handed. What was in b stays as it was; what is appended is
 // the Payload.AppendTo encoding of a payload with the digest, adverts and
-// every query riding along, sorted, and parses back to it; and with room in
-// b, a broadcast's extension allocates nothing, however many queries it
-// sorts.
+// every query riding along, sorted — the relayed ones on a broadcast only —
+// and parses back to it; and with room in b, a broadcast's extension
+// allocates nothing, however many queries it sorts.
 func TestAppendOutgoingAppendsInPlace(t *testing.T) {
 	a, _ := newShardAgent(t, Config{})
 	if err := a.Register(Service{Type: "sip", Key: "alice@x", URL: ServiceURL("sip", "self:5060")}); err != nil {
 		t.Fatal(err)
+	}
+	// This node's own lookups ride every message.
+	const own = 8
+	for i := range own {
+		a.LookupAsync("sip", fmt.Sprintf("w%d@x", i), time.Hour, func(Service, error) {})
 	}
 	const queries = 40
 	for i := range queries {
@@ -195,9 +200,13 @@ func TestAppendOutgoingAppendsInPlace(t *testing.T) {
 			t.Fatalf("to %q: the frame's prefix was moved or rewritten: %q", dst, out[:len(prefix)])
 		}
 		ext := out[len(prefix):]
+		want := own
+		if dst == netem.Broadcast {
+			want += queries
+		}
 		p, err := ParsePayload(ext)
-		if err != nil || p.Digest == nil || len(p.Adverts) == 0 || len(p.Queries) != queries {
-			t.Fatalf("to %q: extension %+v (%v), want a digest, adverts and the %d queries", dst, p, err, queries)
+		if err != nil || p.Digest == nil || len(p.Adverts) == 0 || len(p.Queries) != want {
+			t.Fatalf("to %q: extension %+v (%v), want a digest, adverts and %d queries", dst, p, err, want)
 		}
 		if enc := p.AppendTo(nil); !bytes.Equal(enc, ext) {
 			t.Fatalf("to %q: appended\n%x\nbut its payload encodes as\n%x", dst, ext, enc)
@@ -219,8 +228,8 @@ func TestAppendOutgoingAppendsInPlace(t *testing.T) {
 // quiet spell longer than the dedup lifetime its (origin, 1) is a new query,
 // to be relayed, not a duplicate of the one its earlier life sent.
 func TestExpiredQueryKeyIsRelayedAgain(t *testing.T) {
-	const ttl = 100 * time.Millisecond
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	const ttl = queryRelayTTL
+	a, fc := newShardAgent(t, Config{})
 	q := &Payload{Queries: []Query{{Type: "sip", Key: "bob@x", Origin: "X", ID: 1, Hops: 4}}}
 	a.handlePayload(q)
 	if got := a.Stats().QueriesRelayed; got != 1 {
@@ -242,8 +251,8 @@ func TestExpiredQueryKeyIsRelayedAgain(t *testing.T) {
 // queues are empty and hold no storage — their expiry tasks drained them —
 // and the agent relays the next query as before.
 func TestQueryTablesGiveMemoryBack(t *testing.T) {
-	const ttl = 100 * time.Millisecond
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	const ttl = queryRelayTTL
+	a, fc := newShardAgent(t, Config{})
 	for i := range 1000 {
 		a.handlePayload(&Payload{Queries: []Query{{
 			Type: "sip", Key: fmt.Sprintf("user%d@x", i), Origin: netem.NodeID(fmt.Sprintf("n%d", i)), ID: 1, Hops: 4,
@@ -276,8 +285,8 @@ func TestQueryTablesGiveMemoryBack(t *testing.T) {
 // at zero allocations, alongside the relayed query that keeps both tables in
 // steady state.
 func TestQueryExpiryTaskAllocFree(t *testing.T) {
-	const ttl = 100 * time.Millisecond
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: ttl})
+	const ttl = queryRelayTTL
+	a, fc := newShardAgent(t, Config{})
 	origin, err := a.host.Network().AddHost("10.0.0.7", netem.Position{X: 50})
 	if err != nil {
 		t.Fatal(err)

@@ -111,6 +111,41 @@ func TestCacheFreshness(t *testing.T) {
 	}
 }
 
+// TestCacheOneExpiryItemPerEntry: an entry refreshed again and again has one
+// item in the expiry heap, pushed again when it comes due, and still expires
+// the instant its lifetime ends; a lifetime cut short queues an earlier item,
+// which the entry's expiry follows, and the one it passed over is dropped at
+// its own deadline.
+func TestCacheOneExpiryItemPerEntry(t *testing.T) {
+	c := newCache()
+	t0 := time.Unix(1_000_000, 0)
+	svc := Service{Type: "sip", Key: "a@x", URL: "u", Origin: "n"}
+	for i := range 10 {
+		svc.Seq, svc.Expires = uint32(i+1), t0.Add(time.Duration(i+1)*10*time.Second)
+		c.upsert(svc)
+	}
+	if len(c.expiry) != 1 {
+		t.Fatalf("ten versions of one entry hold %d expiry items, want 1", len(c.expiry))
+	}
+	if _, ok := c.get("sip", "a@x", t0.Add(50*time.Second)); !ok || len(c.expiry) != 1 || !c.expiry[0].at.Equal(svc.Expires) {
+		t.Fatalf("past its first deadline: live %v, items %v; want live, one item at %v", ok, c.expiry, svc.Expires)
+	}
+	svc.Seq, svc.Expires = 11, t0.Add(60*time.Second)
+	c.upsert(svc)
+	if len(c.expiry) != 2 {
+		t.Fatalf("a shortened lifetime left %d expiry items, want 2", len(c.expiry))
+	}
+	if _, ok := c.get("sip", "a@x", svc.Expires); !ok {
+		t.Fatal("the entry is gone at its deadline, want it live until just after")
+	}
+	if _, ok := c.get("sip", "a@x", svc.Expires.Add(time.Nanosecond)); ok || len(c.expiry) != 1 {
+		t.Fatalf("just past the shortened lifetime: live %v, %d items; want gone, 1", ok, len(c.expiry))
+	}
+	if d := c.digest(t0.Add(101 * time.Second)); d.Count != 0 || len(c.expiry) != 0 {
+		t.Fatalf("after every deadline: digest %+v, %d items; want empty", d, len(c.expiry))
+	}
+}
+
 func TestCacheWaiters(t *testing.T) {
 	net := netem.NewNetwork(netem.Config{})
 	t.Cleanup(net.Close)
@@ -148,7 +183,7 @@ func buildChain(t *testing.T, n int, mode Mode) ([]*netem.Host, []*Agent, *netem
 	}
 	agents := make([]*Agent, n)
 	for i, h := range hosts {
-		agents[i] = NewAgent(h, Config{Mode: mode, QueryRelayTTL: time.Second})
+		agents[i] = NewAgent(h, Config{Mode: mode})
 		proto := aodv.New(h, aodv.SimConfig())
 		agents[i].AttachRouting(proto)
 		if err := proto.Start(); err != nil {

@@ -120,7 +120,7 @@ func TestAppendServicesFreshestFirst(t *testing.T) {
 // overwritten after each delivery, as a recycled frame is, and the relayed
 // copy must not notice.
 func TestRelayedWildcardQueryAllocFree(t *testing.T) {
-	a, fc := newShardAgent(t, Config{QueryRelayTTL: 100 * time.Millisecond})
+	a, fc := newShardAgent(t, Config{})
 	origin, err := a.host.Network().AddHost("10.0.0.7", netem.Position{X: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRelayedWildcardQueryAllocFree(t *testing.T) {
 			frame[j] = 0xDB
 		}
 		out = a.AppendOutgoing(out[:0], routing.Outgoing{Dst: netem.Broadcast, Budget: 1000})
-		fc.Sleep(time.Second) // past the relay TTL and the dedup retention
+		fc.Sleep(4 * queryRelayTTL) // past the relay TTL and the dedup retention
 		i++
 	}
 	relay()
