@@ -26,8 +26,9 @@ var ErrNoGateway = errors.New("core: no gateway available")
 
 // ConnProviderConfig tunes the Connection Provider.
 type ConnProviderConfig struct {
-	// ProbeInterval is how often the provider looks for a gateway when
-	// detached and pings it when attached (default 500ms).
+	// ProbeInterval is how long the provider waits after a round before it
+	// looks for a gateway again when detached, or pings it when attached
+	// (default 500ms). The first round runs at Start.
 	ProbeInterval time.Duration
 	// LookupTimeout bounds each SLP gateway lookup (default 300ms).
 	LookupTimeout time.Duration
@@ -235,21 +236,23 @@ func (p *ConnectionProvider) Stats() ConnStats {
 	}
 }
 
-// Start begins gateway discovery: the first probe runs ProbeInterval from now.
+// Start begins gateway discovery: the first probe runs now, on the caller's
+// goroutine, and the cycle goes on on the host's shard.
 func (p *ConnectionProvider) Start() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.started {
+		p.mu.Unlock()
 		return fmt.Errorf("core: connection provider already started")
 	}
 	conn, err := p.host.Listen(0)
 	if err != nil {
+		p.mu.Unlock()
 		return err
 	}
 	p.started = true
 	p.conn = conn
 	conn.Handle(p.onDatagram)
-	p.endRound()
+	p.probe()
 	return nil
 }
 

@@ -492,3 +492,26 @@ func TestStoppingGatewayRefusesPingThenCloses(t *testing.T) {
 	gw.Close()
 	b.drained()
 }
+
+// TestProviderProbesAtStart: the first probe runs in Start, not one
+// ProbeInterval after it, so a provider with a gateway one hop away is
+// attached after a lookup and an OPEN round trip — well inside the first
+// ProbeInterval, which it used to wait out before asking at all.
+func TestProviderProbesAtStart(t *testing.T) {
+	b := newLifecycleBed(t)
+	gw := b.gateway(lcGW1)
+	cfg := b.config()
+	start := b.fake.Now()
+	cp := b.provider(cfg)
+	if err := cp.WaitAttached(5 * time.Second); err != nil || cp.Gateway() != lcGW1 {
+		t.Fatalf("WaitAttached = %v, attached to %q, want %s", err, cp.Gateway(), lcGW1)
+	}
+	took := b.fake.Now().Sub(start)
+	t.Logf("attached %v after Start", took)
+	if took >= cfg.ProbeInterval {
+		t.Errorf("attached %v after Start, want less than ProbeInterval (%v)", took, cfg.ProbeInterval)
+	}
+	cp.Stop()
+	gw.Stop()
+	b.drained()
+}

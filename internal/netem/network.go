@@ -349,7 +349,16 @@ func (n *Network) AddHost(id NodeID, pos Position) (*Host, error) {
 	h.handle, _ = n.InternAll(id).Lookup(id)
 	n.hosts[id] = h
 	n.positions[id] = pos
+	// The node is filed in the spatial grid, which is not rebuilt: a node
+	// that sends as it starts would otherwise rebuild it once per node of a
+	// bring-up.
+	grid := n.grid
 	n.invalidateLocked()
+	if grid != nil {
+		c := n.cellOf(pos)
+		grid[c] = append(grid[c], id)
+		n.grid = grid
+	}
 	return h, nil
 }
 

@@ -70,3 +70,35 @@ func TestNeighborsSharedSnapshot(t *testing.T) {
 		t.Fatalf("earlier neighbour snapshot mutated in place: %v", first)
 	}
 }
+
+// TestAddHostFilesIntoSpatialGrid brings a 7×3 grid of nodes up one at a time,
+// asking every node's neighbourhood after each, so that the spatial grid is
+// built before most hosts exist and each later one is filed into it. The
+// neighbourhoods must be those of the same grid built in one go, which
+// computes them from a grid built once.
+func TestAddHostFilesIntoSpatialGrid(t *testing.T) {
+	pos := func(i int) Position { return Position{X: float64(i%7) * 60, Y: float64(i/7) * 60} }
+	grown, built := NewNetwork(Config{}), NewNetwork(Config{})
+	defer grown.Close()
+	defer built.Close()
+	const nodes = 21
+	for i := range nodes {
+		if _, err := grown.AddHost(NodeName("n", i+1), pos(i)); err != nil {
+			t.Fatal(err)
+		}
+		for j := range i + 1 {
+			grown.Neighbors(NodeName("n", j+1))
+		}
+	}
+	for i := range nodes {
+		if _, err := built.AddHost(NodeName("n", i+1), pos(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range nodes {
+		id := NodeName("n", i+1)
+		if got, want := grown.Neighbors(id), built.Neighbors(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: neighbours %v after a one-by-one bring-up, %v built at once", id, got, want)
+		}
+	}
+}

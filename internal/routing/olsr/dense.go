@@ -70,6 +70,20 @@ func (b bitset) empty() bool {
 	return true
 }
 
+// equal reports whether b and o hold the same bits; a shorter set reads as
+// zero past its end.
+func (b bitset) equal(o bitset) bool {
+	if len(b) < len(o) {
+		b, o = o, b
+	}
+	for i, w := range b {
+		if i < len(o) && w != o[i] || i >= len(o) && w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // andCount returns |b ∩ o| without materializing the intersection — the MPR
 // greedy cover calls this once per candidate per round.
 func (b bitset) andCount(o bitset) int {

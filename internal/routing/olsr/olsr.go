@@ -203,6 +203,9 @@ type Protocol struct {
 	net  *netem.Network // whose handle table names every node below
 	self uint32         // this node's handle
 
+	sched *clock.Scheduler
+	key   string // the host's shard key
+
 	// Stores indexed by handle. All have one length, grown to the network's
 	// handle count as handles turn up in frames; a handle past it is a node
 	// unknown here.
@@ -250,7 +253,19 @@ type Protocol struct {
 	// the last executed rebuild; recompute skips the work while it holds.
 	stateHash uint64
 
-	tasks []*clock.Task // the HELLO and TC beats
+	// The two emission beats, run by one task (beats), and the task that
+	// ends a hold-down window; both tasks are bound once and re-armed with
+	// At. A moved beat runs on a tick: epoch (Start) plus a whole number of
+	// quarter HELLO intervals.
+	hello, tc   beat
+	beats, hold clock.Task
+	epoch       time.Time
+	tick        time.Duration
+
+	// The RequestRoute waits, in deadline order, and the task queued at the
+	// first one's deadline; a recompute that installs a wait's route ends it.
+	waits   []routeWait
+	waitEnd clock.Task
 
 	// Pre-resolved obs handles; nil when cfg.Obs is nil.
 	obs      *obs.Observer
@@ -263,12 +278,19 @@ var _ routing.Protocol = (*Protocol)(nil)
 func New(host *netem.Host, cfg Config) *Protocol {
 	cfg = cfg.withDefaults()
 	p := &Protocol{
-		host: host,
-		cfg:  cfg,
-		clk:  host.Clock(),
-		net:  host.Network(),
-		self: host.Handle(),
+		host:  host,
+		cfg:   cfg,
+		clk:   host.Clock(),
+		sched: host.Sched(),
+		key:   string(host.ID()),
+		net:   host.Network(),
+		self:  host.Handle(),
 	}
+	p.hello.interval, p.tc.interval = cfg.HelloInterval, cfg.TCInterval
+	p.tick = max(cfg.HelloInterval/4, 1)
+	p.beats.Init(p.runBeats, nil)
+	p.hold.Init(p.holdTick, nil)
+	p.waitEnd.Init(p.expireWaits, nil)
 	// Spread this node's full-TTL fisheye rounds against its peers' by
 	// hashing its own ID: nodes brought up together would otherwise emit
 	// their far floods in lockstep every FisheyeFarEvery-th round.
@@ -357,28 +379,27 @@ func (p *Protocol) Start() error {
 		return fmt.Errorf("olsr: already started")
 	}
 	p.started = true
+	now := p.clk.Now()
+	// The ticks count from here, and sendHello below runs the first HELLO.
+	p.epoch = now
+	p.hello.due = now
+	p.tc.due = now.Add(p.tc.interval)
 	p.mu.Unlock()
 	if err := p.host.HandleFrames(netem.KindRouting, p.onFrame); err != nil {
 		return err
 	}
 	p.host.SetRouteProvider(p)
-	sched, key := p.host.Sched(), string(p.host.ID())
-	tasks := []*clock.Task{
-		sched.Every(key, p.cfg.HelloInterval, func(time.Time) {
-			p.expire()
-			p.sendHello()
-		}),
-		sched.Every(key, p.cfg.TCInterval, func(time.Time) {
-			p.sendTC()
-		}),
-	}
-	p.mu.Lock()
-	p.tasks = tasks
-	p.mu.Unlock()
+	// The first HELLO goes out here, on the caller's goroutine, and arms the
+	// beats: nodes brought up one after another are heard in that order, and
+	// a neighbour that hears this one answers on its next tick (trigger), not
+	// a whole beat later.
+	p.sendHello()
 	return nil
 }
 
-// Stop implements routing.Protocol.
+// Stop implements routing.Protocol. It takes the beats, the hold-down and
+// the route waits' task off the queue (a run already under way queues no
+// other) and fails every route wait.
 func (p *Protocol) Stop() {
 	p.mu.Lock()
 	if !p.started {
@@ -386,12 +407,98 @@ func (p *Protocol) Stop() {
 		return
 	}
 	p.started = false
-	tasks := p.tasks
-	p.tasks = nil
+	p.recomputeHold, p.recomputeQueued = false, false
+	p.sched.Cancel(p.key, &p.beats)
+	p.sched.Cancel(p.key, &p.hold)
+	p.sched.Cancel(p.key, &p.waitEnd)
+	waits := p.waits
+	p.waits = nil
 	p.mu.Unlock()
-	for _, t := range tasks {
-		t.Stop()
+	for _, w := range waits {
+		p.endWait(w, false, " stopped")
 	}
+}
+
+// beat is one of the two emission beats, HELLO and TC. It keeps its
+// interval's cadence from its last run, and a change to what its next message
+// says moves it earlier (trigger).
+type beat struct {
+	interval time.Duration
+	due      time.Time // the next run
+	last     time.Time // the last run
+}
+
+// runBeats is the beats task: the HELLO beat if it is due, then the TC beat
+// if it is due. One task runs both, so a beat that moves the other (expire
+// moves the TC beat) does so in one order on every run.
+func (p *Protocol) runBeats(now time.Time) {
+	p.mu.Lock()
+	hello, tc := !p.hello.due.After(now), !p.tc.due.After(now)
+	p.mu.Unlock()
+	if hello {
+		p.expire()
+		p.sendHello()
+	}
+	if tc {
+		p.sendTC()
+	}
+}
+
+// ran records that b ran at now and queues its next run one interval on.
+// Under p.mu.
+func (p *Protocol) ran(b *beat, now time.Time) {
+	b.last, b.due = now, now.Add(b.interval)
+	p.armBeats()
+}
+
+// armBeats queues the beats task for the earlier beat while the protocol
+// runs: a run that began before Stop queues no other. Under p.mu.
+func (p *Protocol) armBeats() {
+	if p.started {
+		p.sched.At(p.key, &p.beats, minTime(p.hello.due, p.tc.due))
+	}
+}
+
+// trigger moves b earlier because what its next message would say has
+// changed: to the first tick after now that is a quarter interval or more
+// after b last ran. RFC 3626 §9.3 allows the early TC; the quarter is the
+// minimum interval RFC 6130 proposes for HELLOs and RFC 7181 for TCs.
+//
+// So a moved beat never runs in the instant of the change, and every trigger
+// of one instant moves it to the same tick. On a fake clock every run of
+// either beat falls on a tick (when both intervals are whole numbers of
+// ticks, as the defaults and every configuration here are), and a frame
+// arrives on one only if its delay is a whole number of ticks. So what a node
+// sends does not depend on the order in which the changes of one instant
+// reached it, which on several shards is the host's (DESIGN.md §11.1). Under
+// p.mu.
+func (p *Protocol) trigger(b *beat, now time.Time) {
+	if !p.started {
+		return
+	}
+	from := now.Add(1)
+	if q := b.last.Add(b.interval / 4); q.After(from) {
+		from = q
+	}
+	if due := p.tickAt(from, 0); due.Before(b.due) {
+		b.due = due
+		p.armBeats()
+	}
+}
+
+// tickAt returns the first instant at or after t that lies off past one of
+// the node's ticks.
+func (p *Protocol) tickAt(t time.Time, off time.Duration) time.Time {
+	d := max(t.Sub(p.epoch)-off, 0)
+	return p.epoch.Add(off + (d+p.tick-1)/p.tick*p.tick)
+}
+
+// minTime returns the earlier of a and b.
+func minTime(a, b time.Time) time.Time {
+	if b.Before(a) {
+		return b
+	}
+	return a
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -430,57 +537,92 @@ func (p *Protocol) NextHop(dst netem.NodeID) (netem.NodeID, bool) {
 }
 
 // RequestRoute implements netem.RouteProvider. OLSR is proactive: either the
-// table already converged and contains dst, or we wait briefly for
-// convergence (e.g. right after startup or a topology change).
+// table already converged and contains dst, or we wait for convergence (e.g.
+// right after startup or a topology change): until the recompute that
+// installs the route, or RouteWait.
 func (p *Protocol) RequestRoute(dst netem.NodeID, done func(bool)) {
-	if _, ok := p.NextHop(dst); ok {
+	p.mu.Lock()
+	if i, ok := p.known(dst); ok && p.hops[i] > 0 {
+		p.mu.Unlock()
 		done(true)
 		return
 	}
-	p.mu.Lock()
-	started := p.started
-	p.mu.Unlock()
-	if !started {
+	if !p.started {
+		p.mu.Unlock()
 		done(false)
 		return
 	}
-	// The convergence wait is a chain of one-shot tasks polling every half
-	// HELLO interval; it costs nothing while it waits.
-	span := p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))
-	start := p.clk.Now()
-	deadline := start.Add(p.cfg.RouteWait)
-	poll := p.cfg.HelloInterval / 2
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
+	now := p.clk.Now()
+	w := routeWait{dst: dst, done: done, start: now, deadline: now.Add(p.cfg.RouteWait),
+		span: p.obs.StartSpan("", obs.PhaseRouteDiscovery, string(p.host.ID()))}
+	p.waits = append(p.waits, w)
+	if len(p.waits) == 1 {
+		p.sched.At(p.key, &p.waitEnd, w.deadline)
 	}
-	key := string(p.host.ID())
-	var step func(time.Time)
-	step = func(time.Time) {
-		if _, ok := p.NextHop(dst); ok {
-			if span.Active() {
-				p.obsDelay.Observe(p.clk.Now().Sub(start))
-				span.End("olsr dst=" + string(dst) + " ok")
-			}
-			done(true)
-			return
-		}
+	p.mu.Unlock()
+}
+
+// routeWait is one RequestRoute convergence wait.
+type routeWait struct {
+	dst             netem.NodeID
+	done            func(bool)
+	start, deadline time.Time
+	span            obs.SpanHandle
+}
+
+// wakeWaits ends every route wait whose destination the table now has.
+func (p *Protocol) wakeWaits() {
+	for {
 		p.mu.Lock()
-		started := p.started
-		p.mu.Unlock()
-		if !started || p.clk.Now().After(deadline) {
-			if span.Active() {
-				outcome := " timeout"
-				if !started {
-					outcome = " stopped"
-				}
-				span.End("olsr dst=" + string(dst) + outcome)
+		k := -1
+		for j, w := range p.waits {
+			if i, ok := p.known(w.dst); ok && p.hops[i] > 0 {
+				k = j
+				break
 			}
-			done(false)
+		}
+		if k < 0 {
+			p.mu.Unlock()
 			return
 		}
-		p.host.Sched().After(key, poll, step)
+		w := p.waits[k]
+		p.waits = slices.Delete(p.waits, k, k+1)
+		if len(p.waits) == 0 {
+			p.sched.Cancel(p.key, &p.waitEnd)
+		}
+		p.mu.Unlock()
+		p.endWait(w, true, " ok")
 	}
-	p.host.Sched().After(key, poll, step)
+}
+
+// expireWaits is the waits' task: it fails the waits whose deadline has
+// passed and queues itself for the next.
+func (p *Protocol) expireWaits(now time.Time) {
+	for {
+		p.mu.Lock()
+		if len(p.waits) == 0 || p.waits[0].deadline.After(now) {
+			if len(p.waits) > 0 && p.started {
+				p.sched.At(p.key, &p.waitEnd, p.waits[0].deadline)
+			}
+			p.mu.Unlock()
+			return
+		}
+		w := p.waits[0]
+		p.waits = slices.Delete(p.waits, 0, 1)
+		p.mu.Unlock()
+		p.endWait(w, false, " timeout")
+	}
+}
+
+// endWait reports a wait's outcome to its caller and its span.
+func (p *Protocol) endWait(w routeWait, ok bool, outcome string) {
+	if w.span.Active() {
+		if ok {
+			p.obsDelay.Observe(p.clk.Now().Sub(w.start))
+		}
+		w.span.End("olsr dst=" + string(w.dst) + outcome)
+	}
+	w.done(ok)
 }
 
 // MPRs returns the currently selected multipoint relays (diagnostics).
@@ -545,17 +687,21 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	if v.Err() != nil {
 		return
 	}
-	nowNs := p.clk.Now().UnixNano()
+	now := p.clk.Now()
+	nowNs := now.UnixNano()
 	self := string(p.host.ID())
 	p.mu.Lock()
 	fi := p.cover(p.net.Intern(from))
-	changed := false
+	// changed dirties the route state; heard (a new link, or one whose
+	// symmetry flipped) and selected (a new MPR selector) change what this
+	// node's next HELLO and TC say, and move those beats earlier.
+	changed, heard, selected := false, false, false
 	nb := p.neighbour(fi) // stays valid: only growTo runs before the last use
 	if nb == nil {
 		i, _ := slices.BinarySearchFunc(p.nbs, fi, byHandle)
 		p.nbs = slices.Insert(p.nbs, i, neighbour{h: fi})
 		p.linkSet.set(fi)
-		nb, changed = &p.nbs[i], true
+		nb, changed, heard = &p.nbs[i], true, true
 	}
 	nb.lastHeardNs = nowNs
 	// One walk does link sensing and change detection: the link is
@@ -577,6 +723,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 		if string(ab) == self {
 			sym = true
 			if mpr {
+				selected = !p.selSet.has(fi)
 				p.selSet.set(fi)
 				nb.selExpNs = nowNs + int64(p.cfg.NeighborHold)
 			}
@@ -597,7 +744,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 	}
 	if sym != nb.sym {
 		nb.sym = sym
-		changed = true
+		changed, heard = true, true
 	}
 	if !same {
 		// Intern every advertised neighbour into scratch first, then rebuild
@@ -619,6 +766,12 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 			nb.twoHop.set(ni)
 		}
 		changed = true
+	}
+	if heard {
+		p.trigger(&p.hello, now)
+	}
+	if selected {
+		p.trigger(&p.tc, now)
 	}
 	p.mu.Unlock()
 	if changed {
@@ -755,8 +908,12 @@ func ansnOlder(a, b uint16) bool {
 	return a != b && int16(a-b) < 0
 }
 
+// sendHello sends this node's HELLO and, while the protocol runs, queues the
+// next one an interval on.
 func (p *Protocol) sendHello() {
+	now := p.clk.Now()
 	p.mu.Lock()
+	p.ran(&p.hello, now)
 	ids := p.net.Handles()
 	p.helloNbs = p.helloNbs[:0]
 	for _, nb := range p.nbs {
@@ -778,8 +935,12 @@ func (p *Protocol) sendHello() {
 	_ = p.framer.Send(p.host, pb, netem.Broadcast, KindName(KindHello), frame)
 }
 
+// sendTC sends this node's TC, if it is anyone's MPR, and, while the protocol
+// runs, queues the next run an interval on.
 func (p *Protocol) sendTC() {
+	now := p.clk.Now()
 	p.mu.Lock()
+	p.ran(&p.tc, now)
 	if p.selSet.empty() {
 		p.mu.Unlock()
 		return // only MPRs advertise topology
@@ -824,17 +985,22 @@ func (p *Protocol) sendTC() {
 }
 
 // expire drops stale links, selectors and topology tuples.
+//
+// A lost link changes what the next HELLO says, but expire runs on the HELLO
+// beat, which sends next; a lost selector moves the TC beat earlier.
 func (p *Protocol) expire() {
-	nowNs := p.clk.Now().UnixNano()
+	now := p.clk.Now()
+	nowNs := now.UnixNano()
 	holdNs := int64(p.cfg.NeighborHold)
 	changed := false
 	p.mu.Lock()
 	for i := 0; i < len(p.nbs); {
 		nb := p.nbs[i]
-		if nowNs > nb.selExpNs {
+		if nowNs > nb.selExpNs && p.selSet.has(nb.h) {
 			// Never after the link expires: both are held NeighborHold from
 			// the HELLO that refreshed them, and the link by every HELLO.
 			p.selSet.unset(nb.h)
+			p.trigger(&p.tc, now)
 		}
 		if nowNs-nb.lastHeardNs > holdNs {
 			p.linkSet.unset(nb.h)
@@ -867,42 +1033,42 @@ func (p *Protocol) expire() {
 
 // scheduleRecompute coalesces route recomputation: a full greedy-MPR +
 // route rebuild used to run on every single HELLO/TC arrival, which is
-// O(messages) work per interval in dense networks. The first arrival still
-// recomputes immediately (no added convergence latency), then opens a
-// hold-down window of half a HELLO interval; arrivals during the window are
-// folded into one trailing recompute when it closes. Steady-state recompute
-// rate is therefore bounded per interval regardless of neighbour count.
+// O(messages) work per interval in dense networks. The first arrival opens a
+// hold-down window and recomputes in the instant after its own, with every
+// arrival of that instant folded in, so the rebuild does not depend on the
+// order in which they came. Arrivals during the window are folded into one
+// trailing recompute on the node's next half tick, midway between two ticks:
+// after the frames a tick's sends set off have arrived, and before the beats
+// of the next tick read what the rebuild chose. A node therefore rebuilds at
+// most once a tick while changes keep coming, regardless of neighbour count.
+// The window's end is one bound task (hold), re-armed for each window.
 func (p *Protocol) scheduleRecompute() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if !p.started {
-		p.mu.Unlock()
 		return
 	}
-	if p.recomputeHold {
-		p.recomputeQueued = true
-		p.mu.Unlock()
-		return
+	p.recomputeQueued = true
+	if !p.recomputeHold {
+		p.recomputeHold = true
+		p.sched.At(p.key, &p.hold, p.clk.Now().Add(time.Nanosecond))
 	}
-	p.recomputeHold = true
+}
+
+// holdTick runs the recompute owed to the arrivals folded into the window
+// and holds the window open until the next half tick, or, with none, closes
+// it.
+func (p *Protocol) holdTick(now time.Time) {
+	p.mu.Lock()
+	queued := p.recomputeQueued && p.started
+	p.recomputeQueued, p.recomputeHold = false, queued
+	if queued {
+		p.sched.At(p.key, &p.hold, p.tickAt(now.Add(1), p.tick/2))
+	}
 	p.mu.Unlock()
-	p.recompute()
-	sched, key := p.host.Sched(), string(p.host.ID())
-	window := p.cfg.HelloInterval / 2
-	var tick func(time.Time)
-	tick = func(time.Time) {
-		p.mu.Lock()
-		queued := p.recomputeQueued && p.started
-		p.recomputeQueued = false
-		if !queued {
-			p.recomputeHold = false
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
+	if queued {
 		p.recompute()
-		sched.After(key, window, tick)
 	}
-	sched.After(key, window, tick)
 }
 
 // phaseHash is an FNV-1a digest of a node ID, used once at construction to
@@ -963,8 +1129,12 @@ func (p *Protocol) inputHashLocked(nowNs int64) uint64 {
 
 // recompute rebuilds MPRs and routes unless the link-state inputs hash
 // identical to the last executed rebuild (the steady-state case: periodic
-// HELLO/TC refreshes that change nothing).
-func (p *Protocol) recompute() { p.recomputeImpl(false) }
+// HELLO/TC refreshes that change nothing), then ends the route waits whose
+// destination it installed.
+func (p *Protocol) recompute() {
+	p.recomputeImpl(false)
+	p.wakeWaits()
+}
 
 // recomputeFull forces the rebuild even on unchanged inputs — the reference
 // path the incremental-vs-full golden equivalence test compares against.
@@ -978,7 +1148,8 @@ func (p *Protocol) recomputeFull() { p.recomputeImpl(true) }
 // list, held for this rebuild only, and the BFS writes the table itself (hops,
 // via) in place.
 func (p *Protocol) recomputeImpl(force bool) {
-	nowNs := p.clk.Now().UnixNano()
+	now := p.clk.Now()
+	nowNs := now.UnixNano()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	h := p.inputHashLocked(nowNs)
@@ -1042,8 +1213,11 @@ func (p *Protocol) recomputeImpl(force bool) {
 		s.uncovered.andNot(best.twoHop)
 	}
 	// Swap the freshly built set into place; the displaced one goes back with
-	// the scratch.
+	// the scratch. A new MPR set changes what the next HELLO says.
 	p.mprSet, s.mprNew = s.mprNew, p.mprSet
+	if !p.mprSet.equal(s.mprNew) {
+		p.trigger(&p.hello, now)
+	}
 
 	// --- Route computation: BFS over sym links + topology edges, straight
 	// into the route table (hops doubles as the visited set), under mu so no
