@@ -91,15 +91,22 @@ cover:
 # grid's round-trip convergence, the beat-only traffic at rest, the rate
 # limit on a flapping link with nothing sent after Stop, the hold-down
 # task's allocation pin, the route wait ended by its recompute and the
-# provider attached inside its first ProbeInterval.
+# provider attached inside its first ProbeInterval; and the empty TCs of a node
+# whose selector set emptied, sent from the beat the lapse moved. The core/slp
+# line runs the provider's query schedule over a minute of a polling grid, and
+# (through its Gateway pattern) the gossiped gateway advert that wakes an idle
+# provider: the SLP cache calls the provider's watcher on the shard that
+# installed the advert, which moves the provider's timer while its own shard
+# may run it. The netem fault tests on that line include the partition read
+# at an instant inside its 10 ms window on a fake clock.
 check:
 	$(GO) vet ./...
-	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|LateFinalLingersFull64T1|FinishedServerTxPinsNoMessage|ServerTxLingerTaskAllocFree|ServerTxTableGivesMemoryBack|FinalsFromManyGoroutines|RejectAfterAnswerIsRefused|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls|EchoedRREQKeepsNeighbourRoute|NextHopAllocFree|LateSelectorCopyForwardedOnce|DuplicateForgottenAfterHold|RestartedOriginHeardAgain|HandleTableConcurrentIntern|UsedRouteIsRefreshed|RecomputeWithoutNewNodeAllocFree|StoreBytesPerHandle|AppendOutgoingAppendsInPlace|FuzzHandleHello|FuzzHandleTC|ExpiredQueryKeyIsRelayedAgain|QueryTablesGiveMemoryBack|QueryExpiryTaskAllocFree|SeenRREQsForgottenAfterHold|LostNeighboursRERRInIDOrder|MissSetExpiresOldestFirst|RelayedQueryRidesTwoBroadcasts|SchedulerBatchReleasesTasks|ColdGridConvergesInRoundTrips|ConvergedGridSendsOnlyBeats|TriggeredEmissionsRateLimited|HoldDownAllocFree|RouteWaitEndsOnRecompute|ProviderProbesAtStart' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/ ./internal/core/ ./internal/clock/
+	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|LateFinalLingersFull64T1|FinishedServerTxPinsNoMessage|ServerTxLingerTaskAllocFree|ServerTxTableGivesMemoryBack|FinalsFromManyGoroutines|RejectAfterAnswerIsRefused|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls|EchoedRREQKeepsNeighbourRoute|NextHopAllocFree|LateSelectorCopyForwardedOnce|DuplicateForgottenAfterHold|RestartedOriginHeardAgain|HandleTableConcurrentIntern|UsedRouteIsRefreshed|RecomputeWithoutNewNodeAllocFree|StoreBytesPerHandle|AppendOutgoingAppendsInPlace|FuzzHandleHello|FuzzHandleTC|ExpiredQueryKeyIsRelayedAgain|QueryTablesGiveMemoryBack|QueryExpiryTaskAllocFree|SeenRREQsForgottenAfterHold|LostNeighboursRERRInIDOrder|MissSetExpiresOldestFirst|RelayedQueryRidesTwoBroadcasts|SchedulerBatchReleasesTasks|ColdGridConvergesInRoundTrips|ConvergedGridSendsOnlyBeats|TriggeredEmissionsRateLimited|HoldDownAllocFree|RouteWaitEndsOnRecompute|ProviderProbesAtStart|EmptiedSelectorSetWithdrawsEdges' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/ ./internal/core/ ./internal/clock/
 	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
-	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|Lifecycle|LateAck|UnhandledPortDrops|NegativeCache|RemembersSLPMiss|LookupCoalescing|LookupRefloods|LookupNotFound|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|RecycledBufferIsPoisoned|BorrowedSendDatagram|SplitFanOut|SendFrameLeavesCallerStorageAlone|SendWireMoves|FlushPendingCounts|OversizeRefused|BroadcastLossShares|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry|OneShardTotalOrder|NetworkCloseFinishesStreams|AbsoluteDeadlineNoDrift|SchedulerCloseDropsQueued|SystemClockOnTime|EarlierDeadlineRearms|CloseWakesParkedWorker|ReleasesAlarms|ReapsStoppedHead|SchedulerStats|IdlePollGolden|IdleProbeRoundAllocFree|RelayedWildcardQueryAllocFree|TunnelPingAllocFree|TunnelDatagramAllocFree|GatewayRestartReopens|WildcardAnswerIsFreshest|SchedulerAtMovesQueuedTask|SchedulerCancel|TaskMoveAllocFree|LookupRecycled|TaskSeesOneInstant|WaitResumesAtRelease|VirtualTimeDeterministic|WaitOnClosedScheduler|StuckWaitPanics' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
+	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|Lifecycle|LateAck|UnhandledPortDrops|NegativeCache|RemembersSLPMiss|LookupCoalescing|LookupRefloods|LookupNotFound|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|RecycledBufferIsPoisoned|BorrowedSendDatagram|SplitFanOut|SendFrameLeavesCallerStorageAlone|SendWireMoves|FlushPendingCounts|OversizeRefused|BroadcastLossShares|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry|OneShardTotalOrder|NetworkCloseFinishesStreams|AbsoluteDeadlineNoDrift|SchedulerCloseDropsQueued|SystemClockOnTime|EarlierDeadlineRearms|CloseWakesParkedWorker|ReleasesAlarms|ReapsStoppedHead|SchedulerStats|IdlePollGolden|IdlePollBacksOff|IdleProbeRoundAllocFree|RelayedWildcardQueryAllocFree|TunnelPingAllocFree|TunnelDatagramAllocFree|GatewayRestartReopens|WildcardAnswerIsFreshest|SchedulerAtMovesQueuedTask|SchedulerCancel|TaskMoveAllocFree|LookupRecycled|TaskSeesOneInstant|WaitResumesAtRelease|VirtualTimeDeterministic|WaitOnClosedScheduler|StuckWaitPanics' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
 	$(GO) test -race ./internal/rtp/

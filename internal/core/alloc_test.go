@@ -27,8 +27,10 @@ func skipAllocCount(t *testing.T) {
 
 // TestIdleProbeRoundAllocFree pins the poll of a node with no gateway in
 // reach — the paper's isolated MANET, where every node does this forever — at
-// no allocation per round: the probe, the wildcard SLP lookup it issues, the
-// lookup's deadline, the miss and the next round's arming.
+// no allocation per round, be it one that only reads the cache or one that
+// asks the network: the probe, the wildcard SLP lookup, the lookup's deadline,
+// the miss and the next round's arming. The wildcard lookups follow
+// queryRound's schedule exactly.
 func TestIdleProbeRoundAllocFree(t *testing.T) {
 	fake := clock.NewFake(time.Unix(9_000_000, 0))
 	net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1})
@@ -43,23 +45,26 @@ func TestIdleProbeRoundAllocFree(t *testing.T) {
 	}
 	defer agent.Stop()
 	cfg := ConnProviderConfig{ProbeInterval: 250 * time.Millisecond, LookupTimeout: 200 * time.Millisecond}
+	start := fake.Now()
 	cp := NewConnectionProvider(h, agent, cfg)
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Stop()
 
-	pollRound := func() { fake.Sleep(cfg.ProbeInterval + cfg.LookupTimeout) }
-	for range 3 { // free lists filled, ErrNoGateway raised
-		pollRound()
-	}
+	// No round starts on the 1 ms offset the test sleeps to.
+	fake.Sleep(3*time.Second + time.Millisecond) // free lists filled, ErrNoGateway raised
+	from := fake.Now().Sub(start)
 	lookups := agent.Stats().Lookups
 	const runs = 100
-	if allocs := testing.AllocsPerRun(runs, pollRound); allocs != 0 {
+	step := func() { fake.Sleep(cfg.ProbeInterval) }
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
 		t.Errorf("%v allocations per idle probe round, want 0", allocs)
 	}
-	if got := agent.Stats().Lookups - lookups; got != runs+1 {
-		t.Errorf("%d wildcard lookups in %d rounds", got, runs+1)
+	to := fake.Now().Sub(start)
+	want := scheduledQueries(cfg, to) - scheduledQueries(cfg, from)
+	if got := agent.Stats().Lookups - lookups; got != want || want == 0 {
+		t.Errorf("%d wildcard lookups in %v of idle rounds, want %d (nonzero)", got, to-from, want)
 	}
 	if cp.Attached() || cp.LastError() == nil {
 		t.Errorf("attached = %v, LastError = %v: the provider is not polling in vain", cp.Attached(), cp.LastError())

@@ -18,25 +18,29 @@ import (
 )
 
 // ErrNoGateway reports that gateway discovery exhausted its retry budget
-// without acquiring Internet connectivity. The provider keeps probing in the
-// background, so the condition clears itself when a gateway appears; the
-// typed error exists so callers waiting on attachment fail fast instead of
-// hanging.
+// without acquiring Internet connectivity; most rounds past the third only read
+// the cache and last one ProbeInterval, so it comes sooner than rounds that all
+// query would. The provider keeps probing in the background, so the condition
+// clears itself when a gateway appears; the typed error exists so callers
+// waiting on attachment fail fast instead of hanging.
 var ErrNoGateway = errors.New("core: no gateway available")
 
 // ConnProviderConfig tunes the Connection Provider.
 type ConnProviderConfig struct {
 	// ProbeInterval is how long the provider waits after a round before it
 	// looks for a gateway again when detached, or pings it when attached
-	// (default 500ms). The first round runs at Start.
+	// (default 500ms). The first round runs at Start. A detached round reads
+	// the SLP cache, and only rounds 0, 1, 2, 4, 8, 16 and every 32nd since the
+	// last attach then query the network (queryRound); a gateway advert
+	// installed in between runs the next round at once.
 	ProbeInterval time.Duration
-	// LookupTimeout bounds each SLP gateway lookup (default 300ms).
+	// LookupTimeout bounds a query round's wildcard SLP lookup (default 300ms).
 	LookupTimeout time.Duration
 	// AckTimeout bounds the tunnel OPEN/PING round trip (default 1s).
 	AckTimeout time.Duration
 	// MaxLookupRetries caps consecutive failed gateway-acquisition rounds
-	// (wildcard SLP query plus OPEN attempts); once exhausted, LastError and
-	// WaitAttached report ErrNoGateway. Probing continues regardless, so a
+	// (cache read or SLP query, plus OPEN attempts); once exhausted, LastError
+	// and WaitAttached report ErrNoGateway. Probing continues regardless, so a
 	// gateway appearing later still attaches automatically. Default 8;
 	// negative disables the cap.
 	MaxLookupRetries int
@@ -120,14 +124,15 @@ type connCounters struct {
 //
 // The provider owns no goroutine. Its probe cycle — idle, querying SLP,
 // opening candidate i, pinging the gateway — is moved on by the tunnel
-// messages its port handler is given, by the SLP agent's answer and by one
-// timer task on the host's shard. An SLP answer can arrive on another shard
-// and Stop on any goroutine, so every step takes mu and checks that the cycle
-// still waits where the step left it.
+// messages its port handler is given, by the SLP agent's answer, by a gateway
+// advert installed in the agent's cache and by one timer task on the host's
+// shard. An SLP answer or advert can arrive on another shard and Stop on any
+// goroutine, so every step takes mu and checks that the cycle still waits
+// where the step left it.
 //
-// An idle round allocates nothing: the task and the lookup's callback are
-// bound once, candidates are listed into a slice kept from round to round, and
-// every tunnel message is built in the send scratch (see tunnelTx).
+// An idle round allocates nothing: the task, the lookup's callback and the
+// advert watcher are bound once, candidates are listed into a slice kept from
+// round to round, and every tunnel message is built in the send scratch.
 type ConnectionProvider struct {
 	host  *netem.Host
 	agent ServiceDirectory
@@ -177,9 +182,9 @@ type ConnectionProvider struct {
 	// blacklist quarantines gateways that refused an OPEN or died mid-tunnel
 	// until the per-entry deadline (lazily expired in gatewayCandidates).
 	blacklist map[netem.NodeID]time.Time
-	// lookupFails counts consecutive failed acquisition rounds; at the
-	// MaxLookupRetries cap, lastErr becomes ErrNoGateway. Both reset on a
-	// successful attach.
+	// lookupFails counts consecutive failed acquisition rounds, which
+	// numbers them for queryRound; at the MaxLookupRetries cap, lastErr
+	// becomes ErrNoGateway. Both reset on a successful attach.
 	lookupFails int
 	// missedProbes counts consecutive ping timeouts on the live tunnel;
 	// at MissedProbeLimit the gateway is declared lost. Reset by any pong
@@ -215,6 +220,7 @@ func NewConnectionProvider(host *netem.Host, agent ServiceDirectory, cfg ConnPro
 	p.changed.Init(p.clk)
 	p.timer.Init(p.onTimer, nil)
 	p.lookupDone = p.onLookup
+	agent.OnInstall(p.onGatewayAdvert)
 	return p
 }
 
@@ -358,23 +364,54 @@ func (p *ConnectionProvider) probe() {
 		_ = p.tx.send(p.conn, tunnelMsg{Kind: tunPing}, gw)
 		return
 	}
-	p.startAttach()
 	if p.gatewayCandidates(); len(p.cands) > 0 {
+		p.startAttach()
 		p.openNext()
+		return
+	}
+	if !queryRound(p.lookupFails) {
+		p.openNext() // fails the round: the cache was all it asked
 		return
 	}
 	// Nothing cached: issue a wildcard query and go on when it is answered,
 	// as it always is, at its own deadline at the latest. The answer may only
 	// contain blacklisted gateways, in which case the round still fails.
+	p.startAttach()
 	p.querying = true
 	p.mu.Unlock()
 	p.agent.LookupAsync(GatewayServiceType, "", p.cfg.LookupTimeout, p.lookupDone)
 }
 
+// backoffPeriod is the query period, in rounds, of a provider that has long
+// found no gateway.
+const backoffPeriod = 32
+
+// queryRound reports whether failed round n of a detached provider with no
+// gateway cached sends a wildcard query: rounds 0, 1, 2, 4, 8, 16, then every
+// backoffPeriod-th. The gossip brings every advert to the cache anyway, and
+// wakes the provider (onGatewayAdvert); the queries are for what it cannot
+// bring, such as SLP's multicast mode, which gossips nothing.
+func queryRound(n int) bool {
+	return n%backoffPeriod == 0 || n < backoffPeriod && n&(n-1) == 0
+}
+
+// onGatewayAdvert runs when the SLP cache installs an advert: a detached
+// provider between rounds runs its next one now (mid-round, its wait ends it).
+func (p *ConnectionProvider) onGatewayAdvert(stype string) {
+	if stype != GatewayServiceType {
+		return
+	}
+	p.mu.Lock()
+	if p.started && !p.closed && !p.attached && p.expect == 0 && !p.querying {
+		p.sched.At(p.key, &p.timer, p.clk.Now())
+	}
+	p.mu.Unlock()
+}
+
 // startAttach opens an attach span. It covers the whole acquisition: SLP
-// gateway discovery plus the tunnel OPEN handshake. It is node-scoped (no
-// Call-ID) and is stitched into call traces by time proximity. Caller holds
-// p.mu.
+// gateway discovery plus the tunnel OPEN handshake; a round that only reads
+// the cache and finds nothing opens none. It is node-scoped (no Call-ID) and
+// is stitched into call traces by time proximity. Caller holds p.mu.
 func (p *ConnectionProvider) startAttach() {
 	p.attachSpan = p.obs.StartSpan("", obs.PhaseGatewayAttach, p.key)
 	p.attachStart = p.clk.Now()

@@ -36,6 +36,9 @@ type ServiceDirectory interface {
 	// AppendServices appends the known services of a type (local and
 	// cached) to dst, freshest first, and returns the extended slice.
 	AppendServices(dst []slp.Service, stype string) []slp.Service
+	// OnInstall has fn called, without blocking, with the type of every
+	// service installed or superseded in the directory.
+	OnInstall(fn func(stype string))
 }
 
 var _ ServiceDirectory = (*slp.Agent)(nil)

@@ -52,6 +52,7 @@ func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, do
 }
 
 func (s *stubDirectory) AppendServices(dst []slp.Service, _ string) []slp.Service { return dst }
+func (s *stubDirectory) OnInstall(func(string))                                   {}
 
 func cachedSIP(aor, addr string) map[string]slp.Service {
 	return map[string]slp.Service{

@@ -240,9 +240,12 @@ func TestLinkQualityExtraDelay(t *testing.T) {
 
 // TestPartitionSplitsAndHeals checks the partition builder against the
 // adjacency view: cross-group links disappear, intra-group links stay, and
-// the heal restores the original neighbourhoods.
+// the heal restores the original neighbourhoods. It runs on a fake clock, so
+// the view is read at an instant inside the 10 ms partition, however busy the
+// host.
 func TestPartitionSplitsAndHeals(t *testing.T) {
-	n := NewNetwork(Config{Range: 1000, BaseDelay: 20 * time.Microsecond})
+	clk := clock.NewFake(time.Unix(5_000_000, 0))
+	n := NewNetwork(Config{Range: 1000, BaseDelay: 20 * time.Microsecond, Clock: clk, Shards: 1})
 	defer n.Close()
 	ids := []NodeID{"a", "b", "c", "d"}
 	for i, id := range ids {
@@ -262,13 +265,7 @@ func TestPartitionSplitsAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if nb := n.Neighbors("b"); len(nb) == 1 && nb[0] == "a" {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	clk.Sleep(5 * time.Millisecond)
 	if nb := n.Neighbors("b"); len(nb) != 1 || nb[0] != "a" {
 		t.Fatalf("partitioned neighbours of b = %v, want [a]", nb)
 	}

@@ -252,6 +252,8 @@ type Protocol struct {
 	// stateHash is the order-independent hash of the link-state inputs at
 	// the last executed rebuild; recompute skips the work while it holds.
 	stateHash uint64
+	// advertisedNs is when receivers drop our last TC's edges (see sendTC).
+	advertisedNs int64
 
 	// The two emission beats, run by one task (beats), and the task that
 	// ends a hold-down window; both tasks are bound once and re-armed with
@@ -936,12 +938,15 @@ func (p *Protocol) sendHello() {
 }
 
 // sendTC sends this node's TC, if it is anyone's MPR, and, while the protocol
-// runs, queues the next run an interval on.
+// runs, queues the next run an interval on. One no longer an MPR sends empty
+// TCs while receivers hold its last edges (RFC 3626 §9.3), which drops them now.
 func (p *Protocol) sendTC() {
 	now := p.clk.Now()
 	p.mu.Lock()
 	p.ran(&p.tc, now)
-	if p.selSet.empty() {
+	if !p.selSet.empty() {
+		p.advertisedNs = now.UnixNano() + int64(p.cfg.TopologyHold)
+	} else if now.UnixNano() >= p.advertisedNs {
 		p.mu.Unlock()
 		return // only MPRs advertise topology
 	}

@@ -27,11 +27,13 @@ func benchTiming() Config {
 	}
 }
 
-// emissions counts the HELLOs and TCs each node originates, read off the air.
+// emissions counts the HELLOs and TCs each node originates, read off the air,
+// and (not reset by take) the TCs that advertised no selector.
 type emissions struct {
-	mu    sync.Mutex
-	hello map[netem.NodeID]int
-	tc    map[netem.NodeID]int
+	mu      sync.Mutex
+	hello   map[netem.NodeID]int
+	tc      map[netem.NodeID]int
+	emptyTC int
 }
 
 func (e *emissions) tap(f netem.Frame) {
@@ -46,8 +48,16 @@ func (e *emissions) tap(f netem.Frame) {
 		e.hello[f.Src]++
 	case KindTC:
 		// A relayed TC is sent by its relay too; only the origin's own counts.
-		if string(wire.NewReader(env.Body).StringBytes()) == string(f.Src) {
-			e.tc[f.Src]++
+		r := wire.NewReader(env.Body)
+		if string(r.StringBytes()) != string(f.Src) {
+			return
+		}
+		e.tc[f.Src]++
+		r.U16() // seq
+		r.U16() // ANSN
+		r.U8()  // TTL
+		if r.U16() == 0 {
+			e.emptyTC++
 		}
 	}
 }
@@ -144,14 +154,16 @@ func TestColdGridConvergesInRoundTrips(t *testing.T) {
 }
 
 // TestConvergedGridSendsOnlyBeats: at rest no trigger fires. Once an 8×8
-// grid has converged and settled, every node sends one HELLO per
-// HelloInterval and, if it is an MPR, one TC per TCInterval, nothing more:
-// 25 HELLOs and 10 or no TCs in five seconds.
+// grid has converged and settled — the last selectors of the bring-up's
+// transient MPRs have lapsed, and their empty TCs have run out — every node
+// sends one HELLO per HelloInterval and, if it is an MPR, one TC per
+// TCInterval, nothing more: 25 HELLOs and 10 or no TCs in five seconds.
 func TestConvergedGridSendsOnlyBeats(t *testing.T) {
 	cfg := benchTiming()
 	fake, _, protos, e := coldGrid(t, 8, cfg)
 	convergence(t, fake, protos, 5*time.Second)
-	fake.Sleep(2 * time.Second)
+	full := cfg.withDefaults()
+	fake.Sleep(full.NeighborHold + full.TopologyHold)
 	e.take()
 	const window = 5 * time.Second
 	fake.Sleep(window)
@@ -171,6 +183,29 @@ func TestConvergedGridSendsOnlyBeats(t *testing.T) {
 		if got := tc[id]; got != want {
 			t.Errorf("%s sent %d TCs at rest, want %d", id, got, want)
 		}
+	}
+}
+
+// TestEmptiedSelectorSetWithdrawsEdges: a node whose MPR selector set empties
+// — bring-up makes such transient MPRs — sends TCs, empty ones, for as long as
+// its receivers hold the edges it advertised (RFC 3626 §9.3), so they drop
+// them at once. When it fell silent instead, those edges expired all together
+// TopologyHold after bring-up, and an 8×8 grid rebuilt 63 times in that wave
+// and never again.
+func TestEmptiedSelectorSetWithdrawsEdges(t *testing.T) {
+	cfg := benchTiming()
+	hold := cfg.withDefaults().TopologyHold
+	fake, _, protos, e := coldGrid(t, 8, cfg)
+	fake.Sleep(hold - 500*time.Millisecond)
+	before := recomputes(protos)
+	fake.Sleep(2 * time.Second)
+	if n := recomputes(protos) - before; n != 0 {
+		t.Errorf("%d rebuilds within a second of TopologyHold (%v) after bring-up, want 0", n, hold)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.emptyTC == 0 {
+		t.Error("no node sent an empty TC: no selector set emptied, so nothing was tested")
 	}
 }
 

@@ -470,6 +470,15 @@ func (a *Agent) InvalidateOrigin(origin netem.NodeID) int {
 	return a.cache.removeOrigin(origin)
 }
 
+// OnInstall has fn called with the service type after every install in this
+// node's table, local or learned, new or superseding; fn runs on the
+// installing goroutine, which may be any shard's, and must not block.
+func (a *Agent) OnInstall(fn func(stype string)) {
+	a.cache.mu.Lock()
+	a.cache.watches = append(a.cache.watches, fn)
+	a.cache.mu.Unlock()
+}
+
 // LookupCached returns the locally known service, if any. An empty key is a
 // wildcard matching any service of the type.
 func (a *Agent) LookupCached(stype, key string) (Service, bool) {

@@ -68,6 +68,8 @@ type cache struct {
 	// expiry order; it is pruned on insert and bounded, like seenQ.
 	misses map[cacheKey]miss
 	missQ  clock.ExpiryQueue[cacheKey]
+
+	watches []func(stype string) // Agent.OnInstall's; append-only, so commit reads it under mu
 }
 
 // miss is a remembered negative answer: a network query that waited this
@@ -177,9 +179,9 @@ func (c *cache) upsertAdvert(it *item, now time.Time) bool {
 }
 
 // commit finishes an accepted install of e, whose svc is already in place,
-// and releases c.mu: index, digest, expiry, gossip debt, and the lookups and
-// remembered miss that were waiting for it. Wildcard waiters (key "") of the
-// same type are signalled too.
+// and releases c.mu: index, digest, expiry, gossip debt, and the lookups,
+// remembered miss and watches that were waiting for it. Wildcard waiters
+// (key "") of the same type are signalled too.
 func (c *cache) commit(k cacheKey, e *entry) {
 	c.entries[k] = e
 	term := digestTerm(k.stype, k.key, e.svc.Origin)
@@ -210,9 +212,13 @@ func (c *cache) commit(k cacheKey, e *entry) {
 			claimed = append(claimed, l)
 		}
 	}
+	watches := c.watches
 	c.mu.Unlock()
 	for _, l := range claimed {
 		l.end(&svc, nil, nil)
+	}
+	for _, fn := range watches {
+		fn(k.stype)
 	}
 }
 
