@@ -20,6 +20,7 @@ import (
 	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing/olsr"
+	"siphoc/internal/testutil"
 )
 
 // goldenRun runs a 5×5 OLSR grid on a fake clock for 1.5 s of virtual time
@@ -96,28 +97,13 @@ func TestGridGolden(t *testing.T) {
 	}
 }
 
-// stableGoroutines returns the process goroutine count once it has stopped
-// moving.
-func stableGoroutines() int {
-	var n int
-	for range 100 {
-		time.Sleep(5 * time.Millisecond)
-		cur := runtime.NumGoroutine()
-		if cur == n {
-			break
-		}
-		n = cur
-	}
-	return n
-}
-
 // eventLoopGoroutines brings up a side×side grid of full nodes beside a
 // gateway and an Internet, and returns how many goroutines it runs on in steady
 // state, tearing the scenario down (and verifying it leaks nothing) before
 // returning.
 func eventLoopGoroutines(t *testing.T, side int) int {
 	t.Helper()
-	baseline := stableGoroutines() // earlier tests' goroutines have exited
+	baseline := testutil.StableGoroutines() // earlier tests' goroutines have exited
 	sc, err := siphoc.NewScenarioWith(
 		siphoc.WithOLSR(nil),
 		siphoc.WithInternet(0),
@@ -142,7 +128,7 @@ func eventLoopGoroutines(t *testing.T, side int) int {
 		t.Fatal(err)
 	}
 	// Let transient bring-up goroutines (parallel node construction) exit.
-	n := stableGoroutines()
+	n := testutil.StableGoroutines()
 	sc.Close()
 	if err := siphoc.SettleGoroutines(baseline, 2, 10*time.Second); err != nil {
 		t.Fatal(err)
@@ -174,7 +160,7 @@ func TestEventLoopGoroutinesIndependentOfN(t *testing.T) {
 // goroutine per outgoing call or per request handler would show here.
 func TestEventLoopGoroutinesIndependentOfCalls(t *testing.T) {
 	const calls = 64
-	baseline := stableGoroutines()
+	baseline := testutil.StableGoroutines()
 	sc, err := siphoc.NewScenarioWith(siphoc.WithoutObservability())
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +228,7 @@ func TestEventLoopGoroutinesIndependentOfCalls(t *testing.T) {
 			t.Fatalf("%d of %d calls ringing", n, calls)
 		}
 	}
-	if got, want := stableGoroutines()-baseline, runtime.GOMAXPROCS(0); got != want {
+	if got, want := testutil.StableGoroutines()-baseline, runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("%d calls ringing and %d established run on %d goroutines, want the %d shard workers", calls, calls, got, want)
 	}
 }

@@ -55,7 +55,10 @@ type ProxyConfig struct {
 }
 
 // slpTimeoutAttached bounds an attached node's SLP lookup: with a provider
-// to fall back on, a missing MANET binding fails over quickly.
+// to fall back on, a missing MANET binding fails over quickly. The lookup
+// mostly ends sooner, once the node's table agrees with every neighbour's
+// (slp.Agent.LookupAsyncUntilSettled, DESIGN.md §5); this bound is for a
+// neighbourhood whose digests keep differing.
 const slpTimeoutAttached = 500 * time.Millisecond
 
 // providerProxy is the deployment's DNS: an Internet SIP domain's proxy is

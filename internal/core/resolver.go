@@ -33,6 +33,10 @@ type ServiceDirectory interface {
 	// LookupAsync answers from the cache or queries the network within
 	// timeout: done gets the answer, at once or later on a scheduler worker.
 	LookupAsync(stype, key string, timeout time.Duration, done func(slp.Service, error))
+	// LookupAsyncUntilSettled is LookupAsync that also ends, as a miss, once
+	// the directory's answer cannot change by waiting: for MANET SLP, once
+	// the node's table agrees with every neighbour's.
+	LookupAsyncUntilSettled(stype, key string, timeout time.Duration, done func(slp.Service, error))
 	// AppendServices appends the known services of a type (local and
 	// cached) to dst, freshest first, and returns the extended slice.
 	AppendServices(dst []slp.Service, stype string) []slp.Service
@@ -188,17 +192,20 @@ func (r slpResolver) Resolve(q ResolveQuery, done func(sip.Addr, error)) {
 		done(r.nextHop(svc))
 		return
 	}
-	timeout := r.cfg.Timeout
-	if q.Attached && timeout > r.cfg.TimeoutAttached {
-		timeout = r.cfg.TimeoutAttached
-	}
-	r.dir.LookupAsync(SIPServiceType, q.AOR, timeout, func(svc slp.Service, err error) {
+	answer := func(svc slp.Service, err error) {
 		if err != nil {
 			done(sip.Addr{}, ErrResolverMiss)
 			return
 		}
 		done(r.nextHop(svc))
-	})
+	}
+	if !q.Attached {
+		r.dir.LookupAsync(SIPServiceType, q.AOR, r.cfg.Timeout, answer)
+		return
+	}
+	// With the provider to fall back on, a miss need not wait for what the
+	// neighbourhood's tables already say.
+	r.dir.LookupAsyncUntilSettled(SIPServiceType, q.AOR, min(r.cfg.Timeout, r.cfg.TimeoutAttached), answer)
 }
 
 // nextHop reads the proxy address out of a SIP binding's service URL.

@@ -51,6 +51,10 @@ func (s *stubDirectory) LookupAsync(stype, key string, timeout time.Duration, do
 	done(slp.Service{}, fmt.Errorf("stub: %s/%s not found", stype, key))
 }
 
+func (s *stubDirectory) LookupAsyncUntilSettled(stype, key string, timeout time.Duration, done func(slp.Service, error)) {
+	s.LookupAsync(stype, key, timeout, done)
+}
+
 func (s *stubDirectory) AppendServices(dst []slp.Service, _ string) []slp.Service { return dst }
 func (s *stubDirectory) OnInstall(func(string))                                   {}
 
@@ -444,4 +448,105 @@ func TestResolverChainRemembersSLPMiss(t *testing.T) {
 	if !ok || kind != "slp" || addr.Node != "10.0.0.7" {
 		t.Fatalf("call after late registration = %v %q %v, want 10.0.0.7 via slp", addr, kind, ok)
 	}
+}
+
+// TestAttachedSLPMissEndsOnSettledTable drives the attached-node policy over a
+// real SLP agent whose table agrees, or comes to agree, with its neighbours':
+// a call to an AOR nobody in the MANET holds falls through to the provider as
+// soon as the table has settled, not after the attached SLP timeout, while a
+// binding whose advert arrives first is still answered by SLP, and a detached
+// lookup still waits for one.
+func TestAttachedSLPMissEndsOnSettledTable(t *testing.T) {
+	const attached, detached = 500 * time.Millisecond, 2 * time.Second
+	const carol, dave = "carol@voicehoc.ch", "dave@voicehoc.ch"
+	type bed struct {
+		fc     *clock.Fake
+		host   *netem.Host // the caller's
+		caller *slp.Agent
+		daves  *slp.Agent // dave's node: registered, not yet heard
+		chain  ResolverChain
+	}
+	newBed := func(t *testing.T) *bed {
+		b := &bed{fc: clock.NewFake(time.Unix(1_000_000, 0))}
+		net := netem.NewNetwork(netem.Config{Clock: b.fc})
+		t.Cleanup(net.Close)
+		hosts := make([]*netem.Host, 2)
+		for i, id := range []netem.NodeID{"10.0.0.1", "10.0.0.7"} {
+			h, err := net.AddHost(id, netem.Position{X: float64(30 * i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts[i] = h
+		}
+		b.host = hosts[0]
+		b.caller, b.daves = slp.NewAgent(hosts[0], slp.Config{}), slp.NewAgent(hosts[1], slp.Config{})
+		if err := b.daves.Register(slp.Service{Type: SIPServiceType, Key: dave, URL: slp.ServiceURL(SIPServiceType, "10.0.0.7:5060")}); err != nil {
+			t.Fatal(err)
+		}
+		b.chain = ResolverChain{
+			NewSLPResolver(b.caller, SLPResolverConfig{Timeout: detached, TimeoutAttached: attached}),
+			NewDNSResolver(func(domain string) sip.Addr {
+				return sip.Addr{Node: netem.NodeID(domain), Port: sip.DefaultPort}
+			}),
+		}
+		return b
+	}
+	// hear hands the caller what a neighbour's routing message carried; hearAt
+	// does so at d of virtual time from now, on the caller's shard.
+	hear := func(b *bed, from netem.NodeID, ext []byte) {
+		b.caller.Incoming(routing.Incoming{From: from, Ext: ext})
+	}
+	hearAt := func(b *bed, d time.Duration, from netem.NodeID, ext []byte) {
+		b.host.Sched().After(string(b.host.ID()), d, func(time.Time) { hear(b, from, ext) })
+	}
+	digest := func(d slp.Digest) []byte { return (&slp.Payload{Digest: &d}).Marshal() }
+	// fromDave is dave's node's message to the caller: its digest and dave's
+	// advert.
+	fromDave := func(b *bed) []byte { return b.daves.Outgoing(routing.Outgoing{Budget: 1200}) }
+	empty, other := slp.Digest{}, slp.Digest{Count: 1, Hash: 7}
+
+	t.Run("settled", func(t *testing.T) {
+		b := newBed(t)
+		hear(b, "10.0.0.2", digest(empty)) // agrees with the caller's empty table
+		for i := 0; i < 2; i++ {
+			if _, kind, ok := resolveOnFake(t, b.chain, b.fc, query(carol, true), 0); !ok || kind != "internet" {
+				t.Fatalf("call %d = %q %v, want the provider at once", i, kind, ok)
+			}
+		}
+		if s := b.caller.Stats(); s.Lookups != 2 || s.SettledMisses != 2 || s.NegativeHits != 0 {
+			t.Fatalf("slp stats = %+v, want 2 lookups, both settled misses, none remembered", s)
+		}
+	})
+	t.Run("settling digest", func(t *testing.T) {
+		b := newBed(t)
+		hear(b, "10.0.0.2", digest(empty))
+		hear(b, "10.0.0.3", digest(other))
+		hearAt(b, 40*time.Millisecond, "10.0.0.3", digest(empty))
+		if _, kind, ok := resolveOnFake(t, b.chain, b.fc, query(carol, true), 40*time.Millisecond); !ok || kind != "internet" {
+			t.Fatalf("call = %q %v, want the provider at the settling digest", kind, ok)
+		}
+	})
+	t.Run("advert before settle", func(t *testing.T) {
+		b := newBed(t)
+		hear(b, "10.0.0.7", digest(other))
+		// One message brings dave's advert and the digest that settles the
+		// table; the advert is installed first.
+		hearAt(b, 30*time.Millisecond, "10.0.0.7", fromDave(b))
+		addr, kind, ok := resolveOnFake(t, b.chain, b.fc, query(dave, true), 30*time.Millisecond)
+		if !ok || kind != "slp" || addr.Node != "10.0.0.7" {
+			t.Fatalf("call = %v %q %v, want 10.0.0.7 via slp", addr, kind, ok)
+		}
+		if s := b.caller.Stats(); s.SettledMisses != 0 {
+			t.Fatalf("slp stats = %+v, want no settled miss", s)
+		}
+	})
+	t.Run("detached", func(t *testing.T) {
+		b := newBed(t)
+		hear(b, "10.0.0.2", digest(empty))
+		hearAt(b, 100*time.Millisecond, "10.0.0.7", fromDave(b))
+		addr, kind, ok := resolveOnFake(t, b.chain, b.fc, query(dave, false), 100*time.Millisecond)
+		if !ok || kind != "slp" || addr.Node != "10.0.0.7" {
+			t.Fatalf("detached call = %v %q %v, want it to wait for 10.0.0.7 via slp", addr, kind, ok)
+		}
+	})
 }

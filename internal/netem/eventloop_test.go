@@ -1,10 +1,11 @@
 package netem
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"siphoc/internal/testutil"
 )
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
@@ -93,7 +94,7 @@ func TestEventLoopLoopback(t *testing.T) {
 // worker per shard of its one scheduler, which handles every host's frames and
 // timers, and nothing per host.
 func TestEventLoopGoroutinesPerHost(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := testutil.StableGoroutines() // an earlier test's workers have exited
 	n := NewNetwork(Config{Range: 10})
 	defer n.Close()
 	for i := 0; i < 64; i++ {
@@ -102,7 +103,7 @@ func TestEventLoopGoroutinesPerHost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := runtime.NumGoroutine()-base, n.sched.Shards(); got != want {
+	if got, want := testutil.StableGoroutines()-base, n.sched.Shards(); got != want {
 		t.Fatalf("a network of 64 hosts runs on %d goroutines, want its %d shard workers", got, want)
 	}
 }

@@ -187,6 +187,10 @@ func (p *Protocol) Start() error {
 		p.mu.Lock()
 		p.hello = task
 		p.mu.Unlock()
+		// The first HELLO goes out here, on the caller's goroutine: its
+		// neighbours learn of the node, and of its SLP digest, now and not
+		// one HelloInterval later.
+		p.sendHello()
 	}
 	return nil
 }
@@ -593,6 +597,12 @@ func (p *Protocol) forgetSeenLocked(nowNs int64) {
 // helloTick is one hello-beacon round: broadcast a hello with the current
 // sequence number, then reap neighbours that have gone quiet.
 func (p *Protocol) helloTick() {
+	p.sendHello()
+	p.expireNeighbors()
+}
+
+// sendHello broadcasts a hello with the current sequence number.
+func (p *Protocol) sendHello() {
 	p.mu.Lock()
 	seq := p.seq
 	p.stats.HelloSent++
@@ -600,7 +610,6 @@ func (p *Protocol) helloTick() {
 	p.mu.Unlock()
 	m := Hello{Seq: seq}
 	p.send(netem.Broadcast, m.AppendTo(p.begin(KindHello)))
-	p.expireNeighbors()
 }
 
 // expireNeighbors detects broken links from missed hellos and emits RERRs

@@ -116,3 +116,50 @@ func lostNeighbourRERRs(t *testing.T) string {
 	fake.Sleep(time.Duration(cfg.AllowedHelloLoss+2) * cfg.HelloInterval)
 	return fmt.Sprint(lost)
 }
+
+// TestFirstHelloAtStart: a node's first HELLO goes out in Start, not one
+// HelloInterval later, and the beat keeps its period from there; a neighbour
+// has the node as a one-hop route as soon as that HELLO has crossed the air.
+func TestFirstHelloAtStart(t *testing.T) {
+	fake := clock.NewFake(time.Unix(7_000_000, 0))
+	net := netem.NewNetwork(netem.Config{Clock: fake, Shards: 1})
+	t.Cleanup(net.Close)
+	cfg := SimConfig()
+	protos := make(map[netem.NodeID]*Protocol)
+	for i, id := range []netem.NodeID{"y", "x"} {
+		h, err := net.AddHost(id, netem.Position{X: float64(50 * i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		protos[id] = New(h, cfg)
+	}
+	if err := protos["y"].Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(protos["y"].Stop)
+	fake.Sleep(cfg.HelloInterval / 2)
+
+	var hellos []time.Duration // x's, from its Start
+	start := fake.Now()
+	net.SetTap(func(f netem.Frame) {
+		var env routing.Envelope
+		if f.Src == "x" && routing.ParseEnvelopeInto(&env, f.Payload) == nil && env.Kind == KindHello {
+			hellos = append(hellos, fake.Now().Sub(start))
+		}
+	})
+	if err := protos["x"].Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(protos["x"].Stop)
+	if want := []time.Duration{0}; !reflect.DeepEqual(hellos, want) {
+		t.Fatalf("x's HELLOs when Start returns: %v, want %v", hellos, want)
+	}
+	fake.Sleep(time.Millisecond)
+	if _, ok := protos["y"].NextHop("x"); !ok {
+		t.Fatal("y has no route to x 1ms after x's Start")
+	}
+	fake.Sleep(2*cfg.HelloInterval - time.Millisecond)
+	if want := []time.Duration{0, cfg.HelloInterval, 2 * cfg.HelloInterval}; !reflect.DeepEqual(hellos, want) {
+		t.Fatalf("x's HELLOs over two intervals: %v, want %v", hellos, want)
+	}
+}

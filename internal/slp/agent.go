@@ -96,6 +96,7 @@ type AgentStats struct {
 	Lookups         int64
 	CacheHits       int64
 	NegativeHits    int64 // lookups answered ErrNotFound from a remembered miss
+	SettledMisses   int64 // lookups answered ErrNotFound by a settled table
 	FloodsSent      int64 // multicast-mode SrvRqst broadcasts
 }
 
@@ -124,6 +125,9 @@ type lookup struct {
 	pq      *pendingQuery
 	done    func(Service, error)
 	q       Query // multicast mode: the SrvRqst the re-flood reissues
+	// untilSettled ends the lookup, as a miss, also at the digest that
+	// settles the table (LookupAsyncUntilSettled).
+	untilSettled bool
 
 	ended atomic.Bool
 	// deadline ends the lookup with ErrNotFound; reflood (multicast mode
@@ -140,6 +144,7 @@ type agentCounters struct {
 	lookups         atomic.Int64
 	cacheHits       atomic.Int64
 	negativeHits    atomic.Int64
+	settledMisses   atomic.Int64
 	floodsSent      atomic.Int64
 }
 
@@ -306,6 +311,7 @@ func (a *Agent) Stats() AgentStats {
 		Lookups:         a.stats.lookups.Load(),
 		CacheHits:       a.stats.cacheHits.Load(),
 		NegativeHits:    a.stats.negativeHits.Load(),
+		SettledMisses:   a.stats.settledMisses.Load(),
 		FloodsSent:      a.stats.floodsSent.Load(),
 	}
 }
@@ -498,7 +504,7 @@ func (a *Agent) LookupCached(stype, key string) (Service, bool) {
 // blocks its caller, so it must not be called from a Conn handler or a
 // scheduler task: those use LookupAsync.
 func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error) {
-	if svc, ok, err := a.lookupLocal(stype, key, timeout); ok {
+	if svc, ok, err := a.lookupLocal(stype, key, timeout, false); ok {
 		return svc, err
 	}
 	var r struct {
@@ -507,7 +513,7 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 		err  error
 	}
 	r.done.Init(a.clk)
-	a.query(stype, key, timeout, func(svc Service, err error) {
+	a.query(stype, key, timeout, false, func(svc Service, err error) {
 		r.svc, r.err = svc, err
 		r.done.Open()
 	})
@@ -521,11 +527,27 @@ func (a *Agent) Lookup(stype, key string, timeout time.Duration) (Service, error
 // the agent has stopped, otherwise later on a scheduler worker (so done must
 // not block either), at the latest when the timeout passes or the agent stops.
 func (a *Agent) LookupAsync(stype, key string, timeout time.Duration, done func(Service, error)) {
-	if svc, ok, err := a.lookupLocal(stype, key, timeout); ok {
+	a.lookupAsync(stype, key, timeout, false, done)
+}
+
+// LookupAsyncUntilSettled is LookupAsync for a caller that has somewhere else
+// to ask, such as a proxy attached to the Internet: an exact-key lookup also
+// ends, with ErrNotFound, once this node's table agrees with its whole
+// neighbourhood's (at once if it already does). The digest gossip puts every
+// registration in every table, so a table that agrees with every neighbour's
+// and lacks the key is the network's answer. Such a miss is not remembered;
+// the table answers it each time. A wildcard lookup, and every lookup in
+// multicast mode (which gossips no digests), is LookupAsync's.
+func (a *Agent) LookupAsyncUntilSettled(stype, key string, timeout time.Duration, done func(Service, error)) {
+	a.lookupAsync(stype, key, timeout, key != "", done)
+}
+
+func (a *Agent) lookupAsync(stype, key string, timeout time.Duration, untilSettled bool, done func(Service, error)) {
+	if svc, ok, err := a.lookupLocal(stype, key, timeout, untilSettled); ok {
 		done(svc, err)
 		return
 	}
-	a.query(stype, key, timeout, done)
+	a.query(stype, key, timeout, untilSettled, done)
 }
 
 // errStopped ends the lookups in progress when the agent stops.
@@ -563,8 +585,9 @@ func (a *Agent) missError(ck cacheKey) error {
 }
 
 // lookupLocal answers a lookup from what this node already knows: the cache,
-// or a remembered miss. ok is false when only the network can tell.
-func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Service, ok bool, err error) {
+// a remembered miss, or, for a lookup until settled, a settled table. ok is
+// false when only the network can tell.
+func (a *Agent) lookupLocal(stype, key string, timeout time.Duration, untilSettled bool) (svc Service, ok bool, err error) {
 	a.stats.lookups.Add(1)
 	a.obsLookups.Inc()
 	lookupStart := a.clk.Now()
@@ -574,22 +597,28 @@ func (a *Agent) lookupLocal(stype, key string, timeout time.Duration) (svc Servi
 		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
 		return svc, true, nil
 	}
-	if a.cache.missed(cacheKey{stype, key}, timeout, lookupStart) {
+	ck := cacheKey{stype, key}
+	switch {
+	case a.cache.missed(ck, timeout, lookupStart):
 		a.stats.negativeHits.Add(1)
 		a.obsNegHits.Inc()
-		a.obsMisses.Inc()
-		a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
-		return Service{}, true, a.missError(cacheKey{stype, key})
+	case untilSettled && a.cache.settledWithout(ck, lookupStart, a.refreshInterval()):
+		a.stats.settledMisses.Add(1)
+	default:
+		return Service{}, false, nil
 	}
-	return Service{}, false, nil
+	a.obsMisses.Inc()
+	a.obsDelay.Observe(a.clk.Now().Sub(lookupStart))
+	return Service{}, true, a.missError(ck)
 }
 
 // query asks the network: the lookup joins (or starts) the pending query of
 // its (type, key) and ends through done when a matching advert is installed,
-// when the agent stops, or when the timeout passes. The deadline is a task on
-// the host's shard, and so is the re-flood of multicast mode, which reissues
-// the SrvRqst every timeout/3 as an SLP UA would.
-func (a *Agent) query(stype, key string, timeout time.Duration, done func(Service, error)) {
+// when the agent stops, when the timeout passes, or, until settled, when a
+// digest settles the table. The deadline is a task on the host's shard, and
+// so is the re-flood of multicast mode, which reissues the SrvRqst every
+// timeout/3 as an SLP UA would.
+func (a *Agent) query(stype, key string, timeout time.Duration, untilSettled bool, done func(Service, error)) {
 	ck, now := cacheKey{stype, key}, a.clk.Now()
 	a.qmu.Lock()
 	if a.lookups == nil {
@@ -599,7 +628,7 @@ func (a *Agent) query(stype, key string, timeout time.Duration, done func(Servic
 	}
 	l := a.takeLookupLocked()
 	l.ended.Store(false)
-	l.ck, l.timeout, l.start, l.done = ck, timeout, now, done
+	l.ck, l.timeout, l.start, l.done, l.untilSettled = ck, timeout, now, done, untilSettled
 	a.lookups[l] = struct{}{}
 	l.pq = a.pendingQ[ck]
 	if l.pq == nil {
@@ -731,6 +760,16 @@ func (l *lookup) onDeadline() {
 		a.cache.noteMiss(l.ck, l.timeout, a.clk.Now(), a.refreshInterval())
 	}
 	l.end(nil, a.missError(l.ck), &l.deadline)
+}
+
+// endSettled ends the lookup the caller claimed with ErrNotFound: its table
+// has settled without the key. Unlike a timed-out query's, this miss is not
+// remembered.
+func (l *lookup) endSettled() {
+	a := l.a
+	a.stats.settledMisses.Add(1)
+	a.obsMisses.Inc()
+	l.end(nil, a.missError(l.ck), nil)
 }
 
 // onReflood is the re-flood task's run (multicast mode): until the lookup
@@ -907,7 +946,7 @@ func (a *Agent) sortedLocals() []Service {
 // netem.Frame); receive copies what it installs.
 func (a *Agent) Incoming(msg routing.Incoming) {
 	if d, ok := a.receive(msg.Ext); ok {
-		a.cache.heardDigest(msg.From, d, a.clk.Now())
+		a.cache.heardDigest(msg.From, d, a.clk.Now(), a.refreshInterval())
 	}
 }
 

@@ -60,8 +60,14 @@ type cache struct {
 	lastPass time.Time
 	scratch  []*entry
 
-	// waiters are the lookups that end when a matching entry appears.
-	waiters map[cacheKey][]*lookup
+	// waiters are the lookups that end when a matching entry appears;
+	// settling, those that also end, as misses, when the table settles.
+	waiters  map[cacheKey][]*lookup
+	settling []*lookup
+	// nbrs is the digest each neighbour last sent, and when: the table has
+	// settled when it agrees with every one heard within a refresh interval
+	// (settledLocked).
+	nbrs map[netem.NodeID]nbrDigest
 	// misses remembers exact-key network queries that timed out, so the
 	// next lookup of the key need not wait the same timeout out again.
 	// Every miss lives one refresh interval, so missQ holds the keys in
@@ -79,6 +85,12 @@ type miss struct {
 	until  time.Time
 }
 
+// nbrDigest is the digest a neighbour last sent, and when it came.
+type nbrDigest struct {
+	d  Digest
+	at time.Time
+}
+
 // missHardCap bounds the miss set; beyond it the oldest entries are dropped
 // (a forgotten miss only costs one more blocking query).
 const missHardCap = 1024
@@ -88,6 +100,7 @@ func newCache() *cache {
 		entries: make(map[cacheKey]*entry),
 		waiters: make(map[cacheKey][]*lookup),
 		misses:  make(map[cacheKey]miss),
+		nbrs:    make(map[netem.NodeID]nbrDigest),
 	}
 }
 
@@ -329,10 +342,12 @@ func (c *cache) digest(now time.Time) Digest {
 // heardDigest takes in the digest a neighbour's routing message carried,
 // after that message's adverts were installed. A digest unlike ours counts
 // against the neighbour only while we owe no broadcasts: until then it may
-// just not have heard our news yet.
-func (c *cache) heardDigest(from netem.NodeID, d Digest, now time.Time) {
+// just not have heard our news yet. The digest is recorded as the
+// neighbour's; if it settles the table (see settledLocked), the lookups
+// waiting for that end as misses. A neighbour is forgotten after life of
+// silence.
+func (c *cache) heardDigest(from netem.NodeID, d Digest, now time.Time, life time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.expire(now)
 	c.heard = true
 	switch {
@@ -343,6 +358,59 @@ func (c *cache) heardDigest(from netem.NodeID, d Digest, now time.Time) {
 	case len(c.pend) == 0:
 		c.mismatch, c.differs = true, from
 	}
+	if _, known := c.nbrs[from]; !known {
+		// Only a newcomer grows the map, so the quiet are dropped here.
+		for id, n := range c.nbrs {
+			if now.Sub(n.at) > life {
+				delete(c.nbrs, id)
+			}
+		}
+	}
+	c.nbrs[from] = nbrDigest{d, now}
+	if len(c.settling) == 0 || !c.settledLocked(now, life) {
+		c.mu.Unlock()
+		return
+	}
+	// As in commit, the lookups are claimed under c.mu.
+	ending := c.settling[:0]
+	for _, l := range c.settling {
+		if l.claim() {
+			ending = append(ending, l)
+		}
+	}
+	c.settling = nil
+	c.mu.Unlock()
+	for _, l := range ending {
+		l.endSettled()
+	}
+}
+
+// settledLocked reports whether the table has settled: at least one
+// neighbour was heard within life, and the last digest of every neighbour
+// heard within life equals ours. A quiet neighbour whose digest differs
+// therefore holds the table unsettled until it is forgotten. Caller holds
+// c.mu and has expired the table.
+func (c *cache) settledLocked(now time.Time, life time.Duration) bool {
+	mine, heard := c.digestLocked(), false
+	for _, n := range c.nbrs {
+		switch {
+		case now.Sub(n.at) > life:
+		case n.d != mine:
+			return false
+		default:
+			heard = true
+		}
+	}
+	return heard
+}
+
+// settledWithout reports whether the table has settled without an entry
+// under k.
+func (c *cache) settledWithout(k cacheKey, now time.Time, life time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expire(now)
+	return c.entries[k] == nil && c.settledLocked(now, life)
 }
 
 // gossip appends to b the encoded adverts the next broadcast carries, within
@@ -451,22 +519,30 @@ func (c *cache) get(stype, key string, now time.Time) (Service, bool) {
 	return e.svc, true
 }
 
-// wait registers l to be answered by the next entry committed under its key.
+// wait registers l to be answered by the next entry committed under its key,
+// and a lookup until settled also to end at the digest that settles the table
+// — unless the table holds the key already, which the caller answers next.
 func (c *cache) wait(l *lookup) {
 	c.mu.Lock()
 	c.waiters[l.ck] = append(c.waiters[l.ck], l)
+	if l.untilSettled && c.entries[l.ck] == nil {
+		c.settling = append(c.settling, l)
+	}
 	c.mu.Unlock()
 }
 
-// unwait withdraws l, if commit has not already taken it. The key keeps its
-// emptied list, so that the next lookup of it — a poll's next round — waits
-// without growing one.
+// unwait withdraws l, if commit or heardDigest has not already taken it. The
+// key keeps its emptied list, so that the next lookup of it — a poll's next
+// round — waits without growing one.
 func (c *cache) unwait(l *lookup) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ws := c.waiters[l.ck]
 	if i := slices.Index(ws, l); i >= 0 {
 		c.waiters[l.ck] = slices.Delete(ws, i, i+1)
+	}
+	if i := slices.Index(c.settling, l); i >= 0 {
+		c.settling = slices.Delete(c.settling, i, i+1)
 	}
 }
 

@@ -27,3 +27,20 @@ func SettleGoroutines(baseline, slack int, timeout time.Duration) error {
 		n = runtime.NumGoroutine()
 	}
 }
+
+// StableGoroutines returns the process goroutine count once it has stopped
+// moving: two samples 5 ms apart agree (for at most half a second). A test
+// that counts what it starts takes its baseline with this, so that goroutines
+// of an earlier test that are still exiting are not counted against it.
+func StableGoroutines() int {
+	var n int
+	for range 100 {
+		time.Sleep(5 * time.Millisecond)
+		cur := runtime.NumGoroutine()
+		if cur == n {
+			break
+		}
+		n = cur
+	}
+	return n
+}
