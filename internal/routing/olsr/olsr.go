@@ -46,13 +46,14 @@ type Config struct {
 	// by a hash of its own ID, so the network's far floods spread evenly
 	// across rounds instead of bursting in lockstep — at 1024 nodes a
 	// synchronized far round is a quarter-million forwards in one beat.
-	// Far zones therefore learn of changes at the far cadence; that lag is
-	// the fisheye design point (paths correct themselves as packets
-	// approach the destination), and what buys the O(near zone) steady
-	// cost. With Fisheye on, the ANSN advances only on selector-set
-	// changes (as RFC 3626 specifies), which lets far nodes refresh tuple
-	// expiries from decimated floods without tearing down still-valid
-	// state.
+	// The decimated refreshes are what buy the O(near zone) steady cost.
+	// With Fisheye on, the ANSN advances only on selector-set changes (as
+	// RFC 3626 specifies), which lets far nodes refresh tuple expiries
+	// from decimated floods without tearing down still-valid state; and a
+	// new selector set that holds for a quarter TCInterval goes out at
+	// MaxTTL once, within a budget of two such change floods earned back
+	// one per far period (see sendTC), so far zones learn of a change in
+	// one flood, and past the budget at the far cadence.
 	Fisheye bool
 	// FisheyeNearTTL is the TC TTL for near-zone (decimated) emissions
 	// (default 8).
@@ -236,14 +237,22 @@ type Protocol struct {
 	// Fisheye state: tcCount decimates far floods, farPhase staggers this
 	// node's full-flood rounds against its peers', selHash/selInit detect
 	// selector-set changes (order-independent set hash) for ANSN advance.
-	tcCount  uint64
-	farPhase uint64
-	selHash  uint64
-	selInit  bool
-	pb       routing.PiggybackHandler
-	framer   routing.Framer
-	stats    Stats
-	started  bool
+	// floodOwed says the set advertised has not yet gone out at MaxTTL, and
+	// is news to the far zone; farEdges, that the far zone holds edges of
+	// ours, from our last MaxTTL TC. floodNs budgets the change floods (see
+	// sendTC): it is when the budget is full again, and a change flood may
+	// go while it lies at most one far period ahead.
+	tcCount   uint64
+	farPhase  uint64
+	selHash   uint64
+	selInit   bool
+	floodOwed bool
+	farEdges  bool
+	floodNs   int64
+	pb        routing.PiggybackHandler
+	framer    routing.Framer
+	stats     Stats
+	started   bool
 	// recomputeHold marks the coalescing hold-down window after a
 	// recompute; recomputeQueued marks arrivals during the window that
 	// still need one trailing recompute.
@@ -252,8 +261,11 @@ type Protocol struct {
 	// stateHash is the order-independent hash of the link-state inputs at
 	// the last executed rebuild; recompute skips the work while it holds.
 	stateHash uint64
-	// advertisedNs is when receivers drop our last TC's edges (see sendTC).
+	// advertisedNs is when receivers drop our last TC's edges, or, with
+	// Fisheye, when the empty TCs that withdraw them are done (see sendTC);
+	// emptyTCs counts the empty TCs sent since the selector set emptied.
 	advertisedNs int64
+	emptyTCs     int
 
 	// The two emission beats, run by one task (beats), and the task that
 	// ends a hold-down window; both tasks are bound once and re-armed with
@@ -939,14 +951,20 @@ func (p *Protocol) sendHello() {
 
 // sendTC sends this node's TC, if it is anyone's MPR, and, while the protocol
 // runs, queues the next run an interval on. One no longer an MPR sends empty
-// TCs while receivers hold its last edges (RFC 3626 §9.3), which drops them now.
+// TCs, which drop the edges it advertised, while receivers hold them (RFC 3626
+// §9.3): three TCs at the default TopologyHold. Fisheye floors that hold at
+// 2×FisheyeFarEvery+2 TCs, so there it stops sooner: after two, once the far
+// zone holds no edges of ours (one at MaxTTL took them away, or none went),
+// which gives the near zone a copy to spare.
 func (p *Protocol) sendTC() {
 	now := p.clk.Now()
+	nowNs := now.UnixNano()
 	p.mu.Lock()
 	p.ran(&p.tc, now)
 	if !p.selSet.empty() {
-		p.advertisedNs = now.UnixNano() + int64(p.cfg.TopologyHold)
-	} else if now.UnixNano() >= p.advertisedNs {
+		p.advertisedNs = nowNs + int64(p.cfg.TopologyHold)
+		p.emptyTCs = 0
+	} else if nowNs >= p.advertisedNs {
 		p.mu.Unlock()
 		return // only MPRs advertise topology
 	}
@@ -963,20 +981,50 @@ func (p *Protocol) sendTC() {
 	if p.cfg.Fisheye {
 		// ANSN advances only when the advertised set actually changes (the
 		// RFC 3626 rule). Receivers then refresh expiries from decimated
-		// near-zone floods at the same ANSN. Changes are NOT boosted to
-		// full TTL: an earlier design flooded MaxTTL for two rounds after
-		// every selector change, and at 1024 nodes bring-up churn re-armed
-		// that boost network-wide — a self-amplifying forward storm (load
-		// delays HELLOs, links flap, every flap re-arms full floods). Far
-		// zones instead pick up changes at the staggered far cadence.
-		if !p.selInit || selHash != p.selHash {
+		// near-zone floods at the same ANSN.
+		empty := p.selSet.empty()
+		changed := !p.selInit || selHash != p.selHash
+		if changed {
 			p.selInit = true
 			p.selHash = selHash
 			p.ansn++
+			p.floodOwed = !empty || p.farEdges
 		}
 		p.tcCount++
-		if p.tcCount%uint64(p.cfg.FisheyeFarEvery) != p.farPhase && p.cfg.FisheyeNearTTL < p.cfg.MaxTTL {
+		full := p.tcCount%uint64(p.cfg.FisheyeFarEvery) == p.farPhase || p.cfg.FisheyeNearTTL >= p.cfg.MaxTTL
+		// A new set reaches the far zone in one flood rather than at the
+		// next phased one, up to FisheyeFarEvery TCs away: the TC that
+		// carries it goes to the near zone and moves the next TC a quarter
+		// interval on, and if the set still holds then, that TC goes out at
+		// MaxTTL. A set that changes again first is not worth a flood, and
+		// bring-up makes many such (DESIGN.md §11.1). The floods are
+		// budgeted, two held and one earned back per far period:
+		// unbounded, they are a self-amplifying storm at 1024 nodes (load
+		// delays HELLOs, links flap, every flap floods in full; DESIGN.md
+		// §13.5). So under any churn a node floods in full at most the
+		// phased floods plus two, plus one per far period, and at rest,
+		// where the set does not change, exactly the phased ones.
+		period := int64(p.cfg.FisheyeFarEvery) * int64(p.cfg.TCInterval)
+		switch {
+		case full:
+		case changed:
+			if p.floodOwed && p.floodNs-nowNs <= period {
+				p.trigger(&p.tc, now)
+			}
+		case p.floodOwed && p.floodNs-nowNs <= period:
+			p.floodNs = max(p.floodNs, nowNs) + period
+			full = true
+		}
+		if full {
+			p.floodOwed, p.farEdges = false, !empty
+		} else {
 			m.TTL = p.cfg.FisheyeNearTTL
+		}
+		if empty {
+			p.emptyTCs++
+			if p.emptyTCs >= 2 && !p.farEdges {
+				p.advertisedNs = nowNs // withdrawn in both zones: the last empty TC
+			}
 		}
 	} else {
 		p.ansn++

@@ -27,13 +27,20 @@ func benchTiming() Config {
 	}
 }
 
-// emissions counts the HELLOs and TCs each node originates, read off the air,
-// and (not reset by take) the TCs that advertised no selector.
+// emissions counts the HELLOs each node originates, read off the air, and
+// records the TTL and ANSN of each TC it originates; emptyTC (not reset by
+// take) counts each node's TCs that advertised no selector.
 type emissions struct {
 	mu      sync.Mutex
 	hello   map[netem.NodeID]int
-	tc      map[netem.NodeID]int
-	emptyTC int
+	tc      map[netem.NodeID][]sentTC
+	emptyTC map[netem.NodeID]int
+}
+
+// sentTC is what the air showed of one TC its origin sent.
+type sentTC struct {
+	ttl  uint8
+	ansn uint16
 }
 
 func (e *emissions) tap(f netem.Frame) {
@@ -52,22 +59,21 @@ func (e *emissions) tap(f netem.Frame) {
 		if string(r.StringBytes()) != string(f.Src) {
 			return
 		}
-		e.tc[f.Src]++
 		r.U16() // seq
-		r.U16() // ANSN
-		r.U8()  // TTL
+		sent := sentTC{ansn: r.U16(), ttl: r.U8()}
+		e.tc[f.Src] = append(e.tc[f.Src], sent)
 		if r.U16() == 0 {
-			e.emptyTC++
+			e.emptyTC[f.Src]++
 		}
 	}
 }
 
-// take returns the counts so far and starts new ones.
-func (e *emissions) take() (hello, tc map[netem.NodeID]int) {
+// take returns the records so far and starts new ones.
+func (e *emissions) take() (hello map[netem.NodeID]int, tc map[netem.NodeID][]sentTC) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	hello, tc = e.hello, e.tc
-	e.hello, e.tc = make(map[netem.NodeID]int), make(map[netem.NodeID]int)
+	e.hello, e.tc = make(map[netem.NodeID]int), make(map[netem.NodeID][]sentTC)
 	return hello, tc
 }
 
@@ -80,7 +86,7 @@ func coldGrid(t *testing.T, side int, cfg Config) (*clock.Fake, *netem.Network, 
 	fake := clock.NewFake(time.Unix(5_000_000, 0))
 	net := netem.NewNetwork(netem.Config{BaseDelay: time.Millisecond, Clock: fake, Shards: 1})
 	t.Cleanup(net.Close)
-	e := &emissions{}
+	e := &emissions{emptyTC: make(map[netem.NodeID]int)}
 	e.take()
 	net.SetTap(e.tap)
 	protos := make([]*Protocol, 0, side*side)
@@ -118,6 +124,16 @@ func routesEverywhere(protos []*Protocol) bool {
 	return true
 }
 
+// routeTo reports whether every node routes to dst.
+func routeTo(protos []*Protocol, dst netem.NodeID) bool {
+	for _, p := range protos {
+		if _, ok := p.NextHop(dst); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // convergence steps the clock 5 ms at a time from the bring-up until every
 // node routes to every other, and returns the virtual time that took.
 func convergence(t *testing.T, fake *clock.Fake, protos []*Protocol, limit time.Duration) time.Duration {
@@ -137,13 +153,16 @@ func convergence(t *testing.T, fake *clock.Fake, protos []*Protocol, limit time.
 // few HELLO and TC round trips, not after beats. Each node says hello when it
 // starts, and a neighbour's answer, a link turned symmetric, a new MPR set or
 // a new selector each move the beat they change to the node's next tick, a
-// quarter interval or more after its last run. With beats alone this bring-up
-// took 1.105 s on 3×3 and 2.11 s on 8×8; it takes 0.505 s and 1.41 s.
+// quarter interval or more after its last run, and a selector set that holds
+// for a quarter TC interval reaches the far zone in one flood. With beats
+// alone this bring-up took 1.105 s on 3×3 and 2.11 s on 8×8; with near-TTL
+// change TCs the 8×8 grid's far zone waited for its origins' phased full
+// floods, to 1.225 s. It takes 0.355 s and 0.375 s.
 func TestColdGridConvergesInRoundTrips(t *testing.T) {
 	for _, tc := range []struct {
 		side  int
 		limit time.Duration
-	}{{3, 600 * time.Millisecond}, {8, 1500 * time.Millisecond}} {
+	}{{3, 600 * time.Millisecond}, {8, 500 * time.Millisecond}} {
 		fake, _, protos, _ := coldGrid(t, tc.side, benchTiming())
 		took := convergence(t, fake, protos, 5*time.Second)
 		t.Logf("%d×%d grid: every node routes to every other after %v", tc.side, tc.side, took)
@@ -180,18 +199,20 @@ func TestConvergedGridSendsOnlyBeats(t *testing.T) {
 		if mpr {
 			want = int(window / cfg.TCInterval)
 		}
-		if got := tc[id]; got != want {
+		if got := len(tc[id]); got != want {
 			t.Errorf("%s sent %d TCs at rest, want %d", id, got, want)
 		}
 	}
 }
 
 // TestEmptiedSelectorSetWithdrawsEdges: a node whose MPR selector set empties
-// — bring-up makes such transient MPRs — sends TCs, empty ones, for as long as
-// its receivers hold the edges it advertised (RFC 3626 §9.3), so they drop
-// them at once. When it fell silent instead, those edges expired all together
-// TopologyHold after bring-up, and an 8×8 grid rebuilt 63 times in that wave
-// and never again.
+// — bring-up makes such transient MPRs — sends empty TCs (RFC 3626 §9.3), so
+// its receivers drop the edges it advertised at once. When it fell silent
+// instead, those edges expired all together TopologyHold after bring-up, and
+// an 8×8 grid rebuilt 63 times in that wave and never again. Two empty TCs
+// are enough once the far zone holds no edges of the node's (one at MaxTTL
+// took them away, or none went there): the near zone has a copy to spare. A
+// former MPR that kept sending them for the whole TopologyHold sent 10 here.
 func TestEmptiedSelectorSetWithdrawsEdges(t *testing.T) {
 	cfg := benchTiming()
 	hold := cfg.withDefaults().TopologyHold
@@ -204,36 +225,184 @@ func TestEmptiedSelectorSetWithdrawsEdges(t *testing.T) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.emptyTC == 0 {
+	if len(e.emptyTC) == 0 {
 		t.Error("no node sent an empty TC: no selector set emptied, so nothing was tested")
+	}
+	for id, n := range e.emptyTC {
+		if n > 2 {
+			t.Errorf("%s sent %d empty TCs, want at most 2", id, n)
+		}
+	}
+	t.Logf("%d former MPRs sent empty TCs", len(e.emptyTC))
+}
+
+// TestFarZoneLearnsChangeInOneFlood: a selector set that holds for a quarter
+// TCInterval goes out at MaxTTL, so a change reaches nodes past the near TTL
+// in one flood and not at its origin's next phased full flood, up to a far
+// period (2 s) away. On a settled 8×8 grid a newcomer joins beside an MPR of
+// the west edge just after that MPR's phased full flood, the worst instant for
+// a change sent at the near TTL. The MPR becomes the newcomer's MPR, and the
+// east edge, 11 hops or more from it, learns the new edge from the flood:
+// every node routes to the newcomer after 465 ms, within 0.5 s. With near-TTL
+// change TCs that took 1.315 s. (The newcomer's own table fills at the far
+// origins' phased floods: nothing changed there.)
+func TestFarZoneLearnsChangeInOneFlood(t *testing.T) {
+	cfg := benchTiming()
+	fake, net, protos, e := coldGrid(t, 8, cfg)
+	convergence(t, fake, protos, 5*time.Second)
+	full := cfg.withDefaults()
+	fake.Sleep(full.NeighborHold + full.TopologyHold)
+	row := -1
+	for y := range 8 {
+		p := protos[8*y]
+		p.mu.Lock()
+		mpr := !p.selSet.empty()
+		p.mu.Unlock()
+		if mpr {
+			row = y
+			break
+		}
+	}
+	if row < 0 {
+		t.Fatal("no node of the west edge is an MPR")
+	}
+	origin := protos[8*row].host.ID()
+	e.take()
+	for flooded := false; !flooded; {
+		fake.Sleep(time.Millisecond)
+		e.mu.Lock()
+		for _, s := range e.tc[origin] {
+			flooded = flooded || s.ttl == cfg.MaxTTL
+		}
+		e.mu.Unlock()
+	}
+	h, err := net.AddHost("newcomer", netem.Position{X: -80, Y: float64(row) * 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(h, cfg)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	const step = 5 * time.Millisecond
+	took := time.Duration(0)
+	for ; !routeTo(protos, h.ID()); took += step {
+		if took > 5*time.Second {
+			t.Fatal("the grid did not learn of the newcomer within 5s")
+		}
+		fake.Sleep(step)
+	}
+	t.Logf("newcomer beside %s: every node routes to it after %v", origin, took)
+	if limit := 500 * time.Millisecond; took > limit {
+		t.Errorf("the grid learned of the newcomer after %v, want at most %v", took, limit)
 	}
 }
 
-// TestTriggeredEmissionsRateLimited keeps a converged 3×3 grid's centre
-// changing for two seconds. Eight peers in range of g.5 alone take turns every
-// 5 ms (a turn each every 40 ms) to cut or heal their link to it: a cut is a
-// HELLO that no longer lists g.5, as from a peer that stopped hearing it, a
-// heal one that lists it as a symmetric neighbour and its MPR. Each peer
-// heals once in 800 ms, the eight staggered about 100 ms apart: every heal
-// and the cut after it flip a link's symmetry, every heal adds a selector and
-// its lapse 600 ms later takes one away, so both of g.5's beats are moved far
-// more often than they may send. A node's HELLOs stay a quarter HelloInterval
-// apart or more and its own TCs a quarter TCInterval, so no interval holds
-// more than 4 (+1 at its edge) of either; and once every protocol is stopped
-// nothing more goes on the air.
-func TestTriggeredEmissionsRateLimited(t *testing.T) {
+// TestRestFloodsFullOnceAFarPeriod: at rest no ANSN moves, so no change flood
+// goes out, and every MPR floods at MaxTTL exactly one TC in FisheyeFarEvery,
+// on its phase, and at the near TTL otherwise.
+func TestRestFloodsFullOnceAFarPeriod(t *testing.T) {
 	cfg := benchTiming()
-	fake, net, protos, _ := coldGrid(t, 3, cfg)
-	const peers = 8
-	hosts := make([]*netem.Host, peers)
-	for k := range hosts {
+	fake, _, protos, e := coldGrid(t, 8, cfg)
+	convergence(t, fake, protos, 5*time.Second)
+	full := cfg.withDefaults()
+	fake.Sleep(full.NeighborHold + full.TopologyHold)
+	e.take()
+	const periods = 3
+	fake.Sleep(periods * time.Duration(cfg.FisheyeFarEvery) * cfg.TCInterval)
+	_, tc := e.take()
+	mprs := 0
+	for _, p := range protos {
+		sent := tc[p.host.ID()]
+		if len(sent) == 0 {
+			continue
+		}
+		mprs++
+		if len(sent) != periods*cfg.FisheyeFarEvery {
+			t.Errorf("%s sent %d TCs in %d far periods, want %d", p.host.ID(), len(sent), periods, periods*cfg.FisheyeFarEvery)
+			continue
+		}
+		last, floods := -1, 0
+		for k, s := range sent {
+			if s.ansn != sent[0].ansn {
+				t.Errorf("%s's ANSN moved at rest: %d, then %d", p.host.ID(), sent[0].ansn, s.ansn)
+			}
+			switch s.ttl {
+			case cfg.MaxTTL:
+				if last >= 0 && k-last != cfg.FisheyeFarEvery {
+					t.Errorf("%s flooded TCs %d and %d in full, want one in %d", p.host.ID(), last, k, cfg.FisheyeFarEvery)
+				}
+				last = k
+				floods++
+			case cfg.FisheyeNearTTL:
+			default:
+				t.Errorf("%s sent a TC at TTL %d", p.host.ID(), s.ttl)
+			}
+		}
+		if floods != periods {
+			t.Errorf("%s flooded %d TCs in full in %d far periods, want %d", p.host.ID(), floods, periods, periods)
+		}
+	}
+	if mprs == 0 {
+		t.Fatal("no MPR sent a TC at rest")
+	}
+}
+
+// peersOfG5 adds to a grid of coldGrid's n peers in range of g.5 alone. They
+// run no protocol: the test speaks for them.
+func peersOfG5(t *testing.T, net *netem.Network, n int) []*netem.Host {
+	t.Helper()
+	peers := make([]*netem.Host, n)
+	for k := range peers {
 		h, err := net.AddHost(netem.NodeName("peer", k+1), netem.Position{X: 10_000 * float64(k+1)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		net.SetLink(h.ID(), "g.5", true)
-		hosts[k] = h
+		peers[k] = h
 	}
+	return peers
+}
+
+// sayHello sends a HELLO from peer that lists g.5 as a symmetric neighbour
+// and its MPR, or, with mpr false, lists nothing.
+func sayHello(peer *netem.Host, mpr bool) {
+	var m Hello
+	if mpr {
+		m.Neighbors = []HelloNeighbor{{Addr: "g.5", Link: LinkSym, MPR: true}}
+	}
+	var fr routing.Framer
+	_ = fr.Send(peer, nil, netem.Broadcast, "HELLO", m.AppendTo(fr.Begin(routing.ProtoOLSR, KindHello)))
+}
+
+// flap keeps g.5 changing for d. Eight peers take turns every 5 ms (a
+// turn each every 40 ms) to cut or heal their link to it: a cut is a HELLO
+// that no longer lists g.5, as from a peer that stopped hearing it, a heal one
+// that lists it as a symmetric neighbour and its MPR. Each peer heals once in
+// 800 ms, the eight staggered about 100 ms apart: every heal and the cut after
+// it flip a link's symmetry, every heal adds a selector and its lapse 600 ms
+// later takes one away, so both of g.5's beats are moved far more often than
+// they may send.
+func flap(fake *clock.Fake, peers []*netem.Host, d time.Duration) {
+	const step = 5 * time.Millisecond
+	for s := range int(d / step) {
+		k := s % len(peers)
+		turn := s / len(peers)
+		sayHello(peers[k], turn%20 == 5*k/2) // peer k heals on one turn in 20 (800 ms)
+		fake.Sleep(step)
+	}
+}
+
+// TestTriggeredEmissionsRateLimited keeps a converged 3×3 grid's centre
+// changing for two seconds (flap). A node's HELLOs stay a quarter
+// HelloInterval apart or more and its own TCs a quarter TCInterval, so no
+// interval holds more than 4 (+1 at its edge) of either; and once every
+// protocol is stopped nothing more goes on the air.
+func TestTriggeredEmissionsRateLimited(t *testing.T) {
+	cfg := benchTiming()
+	fake, net, protos, _ := coldGrid(t, 3, cfg)
+	peers := peersOfG5(t, net, 8)
 	convergence(t, fake, protos, 5*time.Second)
 	fake.Sleep(time.Second)
 
@@ -261,17 +430,7 @@ func TestTriggeredEmissionsRateLimited(t *testing.T) {
 			sends[f.Src] = append(sends[f.Src], send{at, false})
 		}
 	})
-	const step = 5 * time.Millisecond
-	var fr routing.Framer
-	for s := range int(2 * time.Second / step) {
-		k := s % peers
-		var m Hello
-		if turn := s / peers; turn%20 == 5*k/2 { // peer k heals on one turn in 20 (800 ms)
-			m.Neighbors = []HelloNeighbor{{Addr: "g.5", Link: LinkSym, MPR: true}}
-		}
-		_ = fr.Send(hosts[k], nil, netem.Broadcast, "HELLO", m.AppendTo(fr.Begin(routing.ProtoOLSR, KindHello)))
-		fake.Sleep(step)
-	}
+	flap(fake, peers, 2*time.Second)
 	for _, p := range protos {
 		p.Stop()
 	}
@@ -321,6 +480,92 @@ func TestTriggeredEmissionsRateLimited(t *testing.T) {
 	t.Logf("g.5 sent %d HELLOs and %d TCs in two seconds", hellos, tcs)
 	if hellos <= 10 || tcs <= 4 {
 		t.Errorf("g.5 sent %d HELLOs and %d TCs in two seconds, no more than its beats alone", hellos, tcs)
+	}
+}
+
+// TestChangeFloodsBudgeted grows g.5's selector set by one every 300 ms for
+// 10 s: one more of its peers selects it as MPR each time, and every peer
+// that has says so again every 100 ms. Each set holds past the TC after the
+// one that carried it, so without the budget each would go out at MaxTTL:
+// with the budget removed, 33 of g.5's TCs did. Its full floods stay within
+// the budget: the phased ones, plus the two it holds, plus one earned back
+// per far period. Under faster
+// churn (flap), where a set seldom holds that long, g.5 floods only the
+// phased ones.
+func TestChangeFloodsBudgeted(t *testing.T) {
+	cfg := benchTiming()
+	fake, net, protos, e := coldGrid(t, 3, cfg)
+	const churn = 10 * time.Second
+	peers := peersOfG5(t, net, int(churn/(300*time.Millisecond))+1)
+	convergence(t, fake, protos, 5*time.Second)
+	fake.Sleep(time.Second)
+	g5 := protos[4]
+	count := func() (uint64, uint64) {
+		g5.mu.Lock()
+		defer g5.mu.Unlock()
+		return g5.tcCount, g5.farPhase
+	}
+	// phasedIn counts the phased full floods among g.5's TCs from..to.
+	phasedIn := func(from, to, phase uint64) int {
+		n := 0
+		for k := from + 1; k <= to; k++ {
+			if k%uint64(cfg.FisheyeFarEvery) == phase {
+				n++
+			}
+		}
+		return n
+	}
+	// floods counts the full floods among sent and the sets it carried.
+	floods := func(sent []sentTC) (full, sets int) {
+		for k, s := range sent {
+			if s.ttl == cfg.MaxTTL {
+				full++
+			}
+			if k == 0 || s.ansn != sent[k-1].ansn {
+				sets++
+			}
+		}
+		return full, sets
+	}
+	budget := 2 + int(churn/(time.Duration(cfg.FisheyeFarEvery)*cfg.TCInterval))
+
+	before, phase := count()
+	e.take()
+	joined := 0
+	for step := range int(churn / (100 * time.Millisecond)) {
+		if step%3 == 0 {
+			joined++
+		}
+		for _, p := range peers[:joined] {
+			sayHello(p, true)
+		}
+		fake.Sleep(100 * time.Millisecond)
+	}
+	_, tc := e.take()
+	after, _ := count()
+	sent := tc["g.5"]
+	if len(sent) != int(after-before) {
+		t.Fatalf("the air showed %d of g.5's TCs, its count %d", len(sent), after-before)
+	}
+	phased := phasedIn(before, after, phase)
+	full, sets := floods(sent)
+	t.Logf("g.5 sent %d TCs with %d sets in %v, %d on its phase; %d flooded in full, budget %d over the phased", len(sent), sets, churn, phased, full, budget)
+	if full > phased+budget {
+		t.Errorf("g.5 flooded %d TCs in full in %v, want at most %d", full, churn, phased+budget)
+	}
+	if full == phased || sets <= 2*budget {
+		t.Errorf("%d sets, %d change floods: nothing was tested", sets, full-phased)
+	}
+
+	before, _ = count()
+	flap(fake, peers[:8], churn)
+	_, tc = e.take()
+	after, _ = count()
+	phased = phasedIn(before, after, phase)
+	full, _ = floods(tc["g.5"])
+	t.Logf("flapping: g.5 sent %d TCs in %v, %d on its phase; %d flooded in full", after-before, churn, phased, full)
+	if full != phased {
+		t.Errorf("flapping, g.5 flooded %d TCs in full, want only the %d phased", full, phased)
 	}
 }
 

@@ -224,6 +224,7 @@ func NewAgent(host *netem.Host, cfg Config) *Agent {
 		notFound: make(map[cacheKey]error),
 		types:    make(map[string]string),
 	}
+	a.cache.self = host.ID()
 	a.relayQ.task.Init(a.onRelayExpiry, nil)
 	a.seenQ.task.Init(a.onSeenExpiry, nil)
 	if cfg.Obs.Enabled() {

@@ -68,6 +68,8 @@ type cache struct {
 	// settled when it agrees with every one heard within a refresh interval
 	// (settledLocked).
 	nbrs map[netem.NodeID]nbrDigest
+	// self is this node's ID, the origin of its own registrations.
+	self netem.NodeID
 	// misses remembers exact-key network queries that timed out, so the
 	// next lookup of the key need not wait the same timeout out again.
 	// Every miss lives one refresh interval, so missQ holds the keys in
@@ -387,15 +389,27 @@ func (c *cache) heardDigest(from netem.NodeID, d Digest, now time.Time, life tim
 
 // settledLocked reports whether the table has settled: at least one
 // neighbour was heard within life, and the last digest of every neighbour
-// heard within life equals ours. A quiet neighbour whose digest differs
-// therefore holds the table unsettled until it is forgotten. Caller holds
-// c.mu and has expired the table.
+// heard within life agrees with ours. A quiet neighbour whose digest differs
+// therefore holds the table unsettled until it is forgotten. A neighbour
+// agrees when its digest equals ours, or ours without this node's own
+// registrations that still owe broadcasts: no neighbour can have those
+// before we send them, and one that lacks only them holds no key we lack.
+// (A learned entry still owed is not taken out: a neighbour that lacks it
+// has not caught up with the gossip that brought it, so its agreement vouches
+// for less.) Caller holds c.mu and has expired the table.
 func (c *cache) settledLocked(now time.Time, life time.Duration) bool {
 	mine, heard := c.digestLocked(), false
+	owed := mine
+	for _, e := range c.pend {
+		if e.svc.Origin == c.self {
+			owed.Count--
+			owed.Hash -= e.term
+		}
+	}
 	for _, n := range c.nbrs {
 		switch {
 		case now.Sub(n.at) > life:
-		case n.d != mine:
+		case n.d != mine && n.d != owed:
 			return false
 		default:
 			heard = true

@@ -157,3 +157,48 @@ func TestHeardDigestAllocFree(t *testing.T) {
 		t.Fatalf("heardDigest of a known neighbour: %v allocations, want 0", allocs)
 	}
 }
+
+// TestOwnRegistrationKeepsTableSettled: a node's own new registration, which
+// its neighbours cannot have heard yet, does not unsettle its table: a
+// neighbour whose digest is ours without our own registrations that still owe
+// broadcasts agrees. So a lookup until settled placed right after the caller's own
+// Register ends as a miss at once, without waiting for the neighbour to echo
+// the registration. Once the registration's broadcasts are sent, the
+// neighbour's older digest no longer agrees, and its next digest settles the
+// table again.
+func TestOwnRegistrationKeepsTableSettled(t *testing.T) {
+	agents, fc := newMesh(t, 2)
+	a, b := agents[0], agents[1]
+	const carol = "carol@voicehoc.ch"
+	if err := b.Register(Service{Type: "sip", Key: "bob@manet", URL: ServiceURL("sip", "m.1:5060")}); err != nil {
+		t.Fatal(err)
+	}
+	say(t, b, a) // a learns bob
+	say(t, a, b) // and pays the two broadcasts it owes bob
+	say(t, a, b)
+	if err := a.Register(Service{Type: "sip", Key: "alice@manet", URL: ServiceURL("sip", "m.0:5060")}); err != nil {
+		t.Fatal(err)
+	}
+	start := fc.Now()
+	r, ok := over(lookupUntilSettled(a, carol, 500*time.Millisecond))
+	if !ok || !errors.Is(r.err, ErrNotFound) || !fc.Now().Equal(start) {
+		t.Fatalf("lookup right after a's own Register: ended %v with %v after %v, want ErrNotFound at once", ok, r.err, fc.Now().Sub(start))
+	}
+	if s := a.Stats(); s.SettledMisses != 1 {
+		t.Fatalf("stats = %+v, want 1 settled miss", s)
+	}
+
+	// a has told b of alice twice and owes nothing; b's last digest, from
+	// before, differs, and only b's next one settles the table.
+	say(t, a, b)
+	say(t, a, b)
+	out := lookupUntilSettled(a, carol, 500*time.Millisecond)
+	if _, ok := over(out); ok {
+		t.Fatal("lookup ended while b's last digest lacks an entry a no longer owes")
+	}
+	fc.Sleep(20 * time.Millisecond)
+	say(t, b, a)
+	if r, ok := over(out); !ok || !errors.Is(r.err, ErrNotFound) {
+		t.Fatalf("lookup at b's echoing digest: ended %v with %v, want ErrNotFound", ok, r.err)
+	}
+}

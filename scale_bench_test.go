@@ -40,9 +40,12 @@ func controlScaleOLSR(nodes int) olsr.Config {
 	// forwards, so the sustainable far rate shrinks as the grid grows.
 	// Every 4th round at near-TTL 8 is fine to 400 nodes; at 1024 the far
 	// floods are stretched to every 8th round and the near zone shrinks to
-	// TTL 4 — worst-case convergence is one far period (the per-node phase
-	// stagger spreads the floods evenly across rounds), and the near-zone
-	// cut funds that cadence inside one core's forwarding budget. (Every
+	// TTL 4, and the near-zone cut funds that cadence inside one core's
+	// forwarding budget. A selector set that holds reaches the far zone in
+	// its origin's change flood, or, once bring-up churn has spent the
+	// origin's budget of two, at its next phased flood: one far period at
+	// worst (the per-node phase stagger spreads the floods evenly across
+	// rounds). (Every
 	// 6th round was tried and is worse: the extra full floods sit past the
 	// core's saturation edge, and the backlog they build delays convergence
 	// more than the faster far cadence gains.)
@@ -149,11 +152,13 @@ func runControlScalePoint(b *testing.B, side int) {
 	convergence := time.Since(t1)
 
 	// Steady state: drain a full fisheye far period plus slack before
-	// measuring. Corner-to-corner routes come up well before every node has
-	// heard every origin's staggered full-TTL flood, and each late far
-	// flood still delivers first-seen topology — genuine changes, not
-	// steady state. Only after one far period is every arrival a pure
-	// refresh and recomputes track topology changes (≈0), not messages.
+	// measuring. Corner-to-corner routes can come up before every node has
+	// heard every origin's last change: an origin whose change-flood budget
+	// ran out in bring-up reaches the far zone with it only at its next
+	// staggered full-TTL flood, which then delivers first-seen topology —
+	// genuine changes, not steady state. Only after one far period is every
+	// arrival a pure refresh and recomputes track topology changes (≈0),
+	// not messages.
 	cfg := controlScaleOLSR(side * side)
 	tc := cfg.TCInterval
 	drain := 2 * tc
@@ -242,9 +247,10 @@ func TestControlScaleSmoke(t *testing.T) {
 	}
 
 	// Drain trailing rebuilds — including one full fisheye far period, so
-	// late staggered full-TTL floods finish delivering first-seen topology
-	// — then require near-zero recomputes over a measurement window on the
-	// static converged grid.
+	// the staggered full-TTL floods of origins whose change-flood budget
+	// ran out in bring-up finish delivering first-seen topology — then
+	// require near-zero recomputes over a measurement window on the static
+	// converged grid.
 	tc := cfg.TCInterval
 	drain := 2 * tc
 	if cfg.Fisheye {
