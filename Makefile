@@ -114,7 +114,7 @@ cover:
 check:
 	$(GO) vet ./...
 	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|LateFinalLingersFull64T1|FinishedServerTxPinsNoMessage|ServerTxLingerTaskAllocFree|ServerTxTableGivesMemoryBack|FinalsFromManyGoroutines|RejectAfterAnswerIsRefused|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls|EchoedRREQKeepsNeighbourRoute|NextHopAllocFree|LateSelectorCopyForwardedOnce|DuplicateForgottenAfterHold|RestartedOriginHeardAgain|HandleTableConcurrentIntern|UsedRouteIsRefreshed|RecomputeWithoutNewNodeAllocFree|StoreBytesPerHandle|AppendOutgoingAppendsInPlace|FuzzHandleHello|FuzzHandleTC|ExpiredQueryKeyIsRelayedAgain|QueryTablesGiveMemoryBack|QueryExpiryTaskAllocFree|SeenRREQsForgottenAfterHold|LostNeighboursRERRInIDOrder|MissSetExpiresOldestFirst|RelayedQueryRidesTwoBroadcasts|SchedulerBatchReleasesTasks|ColdGridConvergesInRoundTrips|ConvergedGridSendsOnlyBeats|TriggeredEmissionsRateLimited|HoldDownAllocFree|RouteWaitEndsOnRecompute|ProviderProbesAtStart|EmptiedSelectorSetWithdrawsEdges|SettlingDigestEndsLookup|QuietNeighbourBlocksSettle|HeardDigestAllocFree|AttachedSLPMissEndsOnSettledTable|FirstHelloAtStart|FarZoneLearnsChangeInOneFlood|RestFloodsFullOnceAFarPeriod|ChangeFloodsBudgeted|OwnRegistrationKeepsTableSettled' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/ ./internal/core/ ./internal/clock/
-	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock' -count 1 .
+	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock|TestControlScaleDeterministic' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
@@ -130,10 +130,11 @@ check:
 # ControlScale and OverlayLookup snapshots are gated: the fresh run is compared
 # against the committed BENCH_netem.json / BENCH_sip.json / BENCH_obs.json /
 # BENCH_rtp.json / BENCH_scale.json / BENCH_dht.json first
-# (cmd/benchcmp fails on >25% regression of convergence_ms, allocs/node/s,
-# lookup_ms or allocs/op, and on any allocs/op where zero is committed; ns/op
-# is host noise and ungated), and only replaces it when it passes — a failing
-# run leaves the .new file behind for inspection.
+# (cmd/benchcmp fails on any growth of the scale study's virtual-time
+# sim_convergence_ms and tc_fwd_to_conv/node, on >25% regression of
+# allocs/node/s, lookup_ms or allocs/op, and on any allocs/op where zero is
+# committed; ns/op is host noise and ungated), and only replaces it when it
+# passes — a failing run leaves the .new file behind for inspection.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/netem/ ./internal/routing/olsr/ | $(GO) run ./cmd/benchjson > BENCH_netem.json.new
 	$(GO) run ./cmd/benchcmp BENCH_netem.json BENCH_netem.json.new
@@ -176,7 +177,7 @@ bench-all:
 # deltas and entries that joined or left each top-10 — informational, never
 # fails the build), then promoted. Commit the refreshed summary alongside
 # the change that moved it, and mirror it into EXPERIMENTS.md
-# ("Control-plane scale — before/after") when the core changes.
+# ("Control-plane scale") when the core changes.
 profile:
 	$(GO) test -run '^$$' -bench 'ControlScale' -benchtime 1x -timeout 20m \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o siphoc.test .

@@ -126,7 +126,7 @@ func TestComponentsTakeHostClock(t *testing.T) {
 		if !linked() {
 			t.Fatal("neighbours never linked")
 		}
-		// A link tuple is held for NeighborHold of the protocol's clock.
+		// A link tuple is held for three HELLO intervals of the protocol's clock.
 		bed.net.SetLink(bed.a.ID(), bed.b.ID(), false)
 		bed.fake.Sleep(time.Minute)
 		if linked() {

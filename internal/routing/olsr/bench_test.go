@@ -23,7 +23,7 @@ func BenchmarkControlFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := New(self, Config{TCInterval: time.Nanosecond, TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+		p := New(self, Config{HelloInterval: 20 * time.Minute, TCInterval: time.Nanosecond, TopologyHold: time.Hour}.withDefaults())
 		p.SetPiggyback(digestHandler{})
 		var heard atomic.Int64
 		done := make(chan struct{}, 1)

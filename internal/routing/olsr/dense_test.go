@@ -50,7 +50,7 @@ type refModel struct {
 func newRefModel(self netem.NodeID, cfg Config) *refModel {
 	return &refModel{
 		self:         self,
-		neighborHold: cfg.NeighborHold,
+		neighborHold: cfg.neighborHold(),
 		topologyHold: cfg.TopologyHold,
 		links:        make(map[netem.NodeID]*refLink),
 		twoHop:       make(map[netem.NodeID]map[netem.NodeID]bool),
@@ -239,14 +239,13 @@ func (r *refModel) routes(now time.Time) ([]routing.Entry, []netem.NodeID) {
 	return entries, mprList
 }
 
-// densePropConfig is the timing the property test runs at: short explicit
-// holds so the random clock advances exercise expiry, revival and purge
-// paths, not just steady refresh.
+// densePropConfig is the timing the property test runs at: short holds (the
+// neighbour hold is 3×HELLO, 300 ms) so the random clock advances exercise
+// expiry, revival and purge paths, not just steady refresh.
 func densePropConfig() Config {
 	return Config{
 		HelloInterval: 100 * time.Millisecond,
 		TCInterval:    200 * time.Millisecond,
-		NeighborHold:  300 * time.Millisecond,
 		TopologyHold:  500 * time.Millisecond,
 	}.withDefaults()
 }
@@ -397,7 +396,7 @@ func TestRecomputeAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(h, Config{TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p := New(h, Config{HelloInterval: 20 * time.Minute, TopologyHold: time.Hour}.withDefaults())
 	// A 3-hop deep topology: 6 sym neighbours, each advertising a 2-hop
 	// neighbourhood, plus TC edges extending the BFS outward.
 	for i := range 6 {
@@ -434,7 +433,7 @@ func TestNextHopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(h, Config{TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p := New(h, Config{HelloInterval: 20 * time.Minute, TopologyHold: time.Hour}.withDefaults())
 	p.onHello("nb", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}, {Addr: "two", Link: LinkSym}}})
 	p.onTC("nb", &TC{Orig: "two", Seq: 1, ANSN: 1, TTL: 1, Selectors: []netem.NodeID{"far"}})
 	p.recomputeFull()
@@ -468,7 +467,7 @@ func TestRecomputeWithoutNewNodeAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(h, Config{TCInterval: time.Nanosecond, TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p := New(h, Config{HelloInterval: 20 * time.Minute, TCInterval: time.Nanosecond, TopologyHold: time.Hour}.withDefaults())
 	p.onHello("nb", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}, {Addr: "two", Link: LinkSym}}})
 	tcs := [2][]byte{
 		(&TC{Orig: "two", TTL: 1, Selectors: []netem.NodeID{"far"}}).AppendTo(nil),
@@ -522,7 +521,7 @@ func TestOriginatedFrameAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(h, Config{TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p := New(h, Config{HelloInterval: 20 * time.Minute, TopologyHold: time.Hour}.withDefaults())
 	p.SetPiggyback(digestHandler{})
 	for _, nb := range []netem.NodeID{"n1", "n2", "n3", "n4"} {
 		p.onHello(nb, &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym, MPR: true}}})

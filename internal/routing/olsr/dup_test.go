@@ -54,7 +54,7 @@ func edgesOf(p *Protocol, orig netem.NodeID) []netem.NodeID {
 // selector is relayed, once; a third copy is dropped.
 func TestLateSelectorCopyForwardedOnce(t *testing.T) {
 	_, h := soloHost(t)
-	p := New(h, Config{TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults())
+	p := New(h, Config{HelloInterval: 20 * time.Minute, TopologyHold: time.Hour}.withDefaults())
 	p.onHello("sel", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym, MPR: true}}})
 	p.onHello("other", &Hello{Neighbors: []HelloNeighbor{{Addr: "self", Link: LinkSym}}})
 	tc := &TC{Orig: "orig", Seq: 9, ANSN: 1, TTL: 5, Selectors: []netem.NodeID{"x"}}
@@ -84,7 +84,7 @@ func TestLateSelectorCopyForwardedOnce(t *testing.T) {
 // from another origin passes at each step, as in any live network.
 func TestDuplicateForgottenAfterHold(t *testing.T) {
 	fake, h := soloHost(t)
-	cfg := Config{TCInterval: 100 * time.Millisecond, TopologyHold: time.Hour, NeighborHold: time.Hour}.withDefaults()
+	cfg := Config{HelloInterval: 20 * time.Minute, TCInterval: 100 * time.Millisecond, TopologyHold: time.Hour}.withDefaults()
 	p := New(h, cfg)
 	other := uint16(0)
 	passing := func() {
@@ -140,7 +140,7 @@ func TestRestartedOriginHeardAgain(t *testing.T) {
 
 	b.Stop()
 	net.RemoveHost("b")
-	fake.Sleep(cfg.TopologyHold + cfg.NeighborHold + time.Second)
+	fake.Sleep(cfg.TopologyHold + cfg.neighborHold() + time.Second)
 	if got := edgesOf(a, "b"); len(got) != 0 {
 		t.Fatalf("a still holds the dead node's edges %v", got)
 	}

@@ -22,13 +22,11 @@ import (
 // Config tunes protocol timing; the zero value is completed with RFC 3626
 // defaults. Simulations scale the intervals down with SimConfig.
 type Config struct {
-	// HelloInterval is the HELLO emission period (default 2s).
+	// HelloInterval is the HELLO emission period (default 2s). A silent
+	// neighbour stays valid for three of them (neighborHold).
 	HelloInterval time.Duration
 	// TCInterval is the TC emission period (default 5s).
 	TCInterval time.Duration
-	// NeighborHold is how long a silent neighbour stays valid
-	// (default 3×HelloInterval).
-	NeighborHold time.Duration
 	// TopologyHold is how long unrefreshed topology tuples stay valid
 	// (default 3×TCInterval).
 	TopologyHold time.Duration
@@ -71,9 +69,6 @@ func (c Config) withDefaults() Config {
 	if c.TCInterval == 0 {
 		c.TCInterval = 5 * time.Second
 	}
-	if c.NeighborHold == 0 {
-		c.NeighborHold = 3 * c.HelloInterval
-	}
 	if c.TopologyHold == 0 {
 		c.TopologyHold = 3 * c.TCInterval
 	}
@@ -101,6 +96,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// neighborHold is how long a silent neighbour stays valid: three HELLO
+// intervals, RFC 3626's NEIGHB_HOLD_TIME, so a link survives two lost HELLOs.
+func (c Config) neighborHold() time.Duration { return 3 * c.HelloInterval }
 
 // DefaultConfig returns RFC 3626 timing.
 func DefaultConfig() Config { return Config{}.withDefaults() }
@@ -739,7 +738,7 @@ func (p *Protocol) handleHello(from netem.NodeID, body []byte) {
 			if mpr {
 				selected = !p.selSet.has(fi)
 				p.selSet.set(fi)
-				nb.selExpNs = nowNs + int64(p.cfg.NeighborHold)
+				nb.selExpNs = nowNs + int64(p.cfg.neighborHold())
 			}
 			continue
 		}
@@ -1044,13 +1043,13 @@ func (p *Protocol) sendTC() {
 func (p *Protocol) expire() {
 	now := p.clk.Now()
 	nowNs := now.UnixNano()
-	holdNs := int64(p.cfg.NeighborHold)
+	holdNs := int64(p.cfg.neighborHold())
 	changed := false
 	p.mu.Lock()
 	for i := 0; i < len(p.nbs); {
 		nb := p.nbs[i]
 		if nowNs > nb.selExpNs && p.selSet.has(nb.h) {
-			// Never after the link expires: both are held NeighborHold from
+			// Never after the link expires: both are held neighborHold from
 			// the HELLO that refreshed them, and the link by every HELLO.
 			p.selSet.unset(nb.h)
 			p.trigger(&p.tc, now)

@@ -182,7 +182,7 @@ func TestConvergedGridSendsOnlyBeats(t *testing.T) {
 	fake, _, protos, e := coldGrid(t, 8, cfg)
 	convergence(t, fake, protos, 5*time.Second)
 	full := cfg.withDefaults()
-	fake.Sleep(full.NeighborHold + full.TopologyHold)
+	fake.Sleep(full.neighborHold() + full.TopologyHold)
 	e.take()
 	const window = 5 * time.Second
 	fake.Sleep(window)
@@ -251,7 +251,7 @@ func TestFarZoneLearnsChangeInOneFlood(t *testing.T) {
 	fake, net, protos, e := coldGrid(t, 8, cfg)
 	convergence(t, fake, protos, 5*time.Second)
 	full := cfg.withDefaults()
-	fake.Sleep(full.NeighborHold + full.TopologyHold)
+	fake.Sleep(full.neighborHold() + full.TopologyHold)
 	row := -1
 	for y := range 8 {
 		p := protos[8*y]
@@ -307,7 +307,7 @@ func TestRestFloodsFullOnceAFarPeriod(t *testing.T) {
 	fake, _, protos, e := coldGrid(t, 8, cfg)
 	convergence(t, fake, protos, 5*time.Second)
 	full := cfg.withDefaults()
-	fake.Sleep(full.NeighborHold + full.TopologyHold)
+	fake.Sleep(full.neighborHold() + full.TopologyHold)
 	e.take()
 	const periods = 3
 	fake.Sleep(periods * time.Duration(cfg.FisheyeFarEvery) * cfg.TCInterval)

@@ -71,9 +71,8 @@ func WithRoutingKind(k RoutingKind) ScenarioOption {
 }
 
 // WithOLSR selects OLSR routing with an optional configuration override.
-// Nil keeps olsr.SimConfig, whose timings suit small networks; large grids
-// need intervals scaled with node count to keep the control-plane load
-// inside the machine. Obs is filled from the scenario when unset.
+// Nil keeps olsr.SimConfig, whose timings suit small networks. Obs is
+// filled from the scenario when unset.
 func WithOLSR(cfg *olsr.Config) ScenarioOption {
 	return func(b *scenarioBuild) {
 		b.routing = RoutingOLSR
@@ -418,7 +417,7 @@ func (s *Scenario) Close() {
 		ph.Stop()
 	}
 	// Close nodes in parallel: a sequential sweep leaves survivors running
-	// long enough to notice the shrinking neighbourhood (NeighborHold) and
+	// long enough to notice the shrinking neighbourhood (the neighbour hold) and
 	// churn through route rebuilds on a collapsing topology — on a 400-node
 	// grid that turns teardown from seconds into minutes.
 	var wg sync.WaitGroup
