@@ -117,7 +117,7 @@ check:
 	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock|TestControlScaleDeterministic' -count 1 .
 	$(GO) test -race -run 'TestCallTrace|TestMetrics' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
-	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution' -count 1 .
+	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution|TestCallGeneratorGoroutinesIndependentOfCalls' -count 1 .
 	$(GO) test -race -run 'Fault|Partition|LinkQuality|Gateway|Proxy|Lifecycle|LateAck|UnhandledPortDrops|NegativeCache|RemembersSLPMiss|LookupCoalescing|LookupRefloods|LookupNotFound|Gossip|AdvertLifetime|MulticastCountsAdverts|IncomingKnownAdvertsAllocs|TransitHop|TransitWithoutRoute|WriteToDelivery|LoopbackWriteTo|RecycledBufferIsPoisoned|BorrowedSendDatagram|SplitFanOut|SendFrameLeavesCallerStorageAlone|SendWireMoves|FlushPendingCounts|OversizeRefused|BroadcastLossShares|ForwardTTL|DeliveredNodeIDs|SeededLossChain|TimerReset|Rearm|WakeupAllocFree|SeenQueryInsertExpiry|OneShardTotalOrder|NetworkCloseFinishesStreams|AbsoluteDeadlineNoDrift|SchedulerCloseDropsQueued|SystemClockOnTime|EarlierDeadlineRearms|CloseWakesParkedWorker|ReleasesAlarms|ReapsStoppedHead|SchedulerStats|IdlePollGolden|IdlePollBacksOff|IdleProbeRoundAllocFree|RelayedWildcardQueryAllocFree|TunnelPingAllocFree|TunnelDatagramAllocFree|GatewayRestartReopens|WildcardAnswerIsFreshest|SchedulerAtMovesQueuedTask|SchedulerCancel|TaskMoveAllocFree|LookupRecycled|TaskSeesOneInstant|WaitResumesAtRelease|VirtualTimeDeterministic|WaitOnClosedScheduler|StuckWaitPanics' ./internal/netem/ ./internal/clock/ ./internal/core/ ./internal/slp/
 	$(GO) test -race -short ./internal/overlay/
 	$(GO) test -race -run 'TestIncrementalFullEquivalenceGolden' -count 1 ./internal/routing/olsr/
@@ -127,13 +127,15 @@ check:
 # Hot-path benchmark snapshots, committed as JSON so regressions show up in
 # diffs. bench-all additionally runs the long E-series scenario benchmarks.
 # The netem (with the OLSR control-frame benchmark), SIP, obs, RTP,
-# ControlScale and OverlayLookup snapshots are gated: the fresh run is compared
-# against the committed BENCH_netem.json / BENCH_sip.json / BENCH_obs.json /
-# BENCH_rtp.json / BENCH_scale.json / BENCH_dht.json first
+# ControlScale, OverlayLookup and Federation snapshots are gated: the fresh run
+# is compared against the committed BENCH_netem.json / BENCH_sip.json /
+# BENCH_obs.json / BENCH_rtp.json / BENCH_scale.json / BENCH_dht.json /
+# BENCH_fed.json first
 # (cmd/benchcmp fails on any growth of the scale study's virtual-time
-# sim_convergence_ms and tc_fwd_to_conv/node, on >25% regression of
-# allocs/node/s, lookup_ms or allocs/op, and on any allocs/op where zero is
-# committed; ns/op is host noise and ungated), and only replaces it when it
+# sim_convergence_ms and tc_fwd_to_conv/node or of the federation's failed
+# calls, on >25% regression of allocs/node/s, lookup_ms, allocs/op or the
+# federation's setup_p99_ms, and on any allocs/op where zero is committed;
+# ns/op is host noise and ungated), and only replaces it when it
 # passes — a failing run leaves the .new file behind for inspection.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/netem/ ./internal/routing/olsr/ | $(GO) run ./cmd/benchjson > BENCH_netem.json.new
@@ -157,16 +159,14 @@ bench:
 	$(MAKE) fed
 
 # Federation scale snapshot: a 3-island × 2-gateway federation under a
-# 1000-concurrent-call workload, trunked and untrunked, committed as
-# BENCH_fed.json (see EXPERIMENTS.md "Federation — before/after").
-# Sequenced, not piped: in a pipeline `go run ./cmd/benchjson` compiles
-# while the benchmark's first variant attaches and ramps, and that CPU
-# burst alone is enough to distort a saturation workload.
+# 1000-concurrent-call workload, trunked and untrunked, in virtual time (see
+# EXPERIMENTS.md "Federation — before/after"). Gated like the others against
+# BENCH_fed.json: failed calls may not grow (a committed 0 stays 0) and
+# setup_p99_ms may grow by at most 25%.
 fed:
-	$(GO) build -o /dev/null ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'Federation' -benchtime 1x -timeout 30m . > BENCH_fed.txt
-	$(GO) run ./cmd/benchjson < BENCH_fed.txt > BENCH_fed.json
-	rm -f BENCH_fed.txt
+	$(GO) test -run '^$$' -bench 'Federation' -benchtime 1x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_fed.json.new
+	$(GO) run ./cmd/benchcmp BENCH_fed.json BENCH_fed.json.new
+	mv BENCH_fed.json.new BENCH_fed.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

@@ -3,8 +3,7 @@ package siphoc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"siphoc/internal/rtp"
@@ -21,17 +20,17 @@ type CallGenConfig struct {
 	// VoiceFrames is how many 20 ms voice frames each side streams while
 	// the call is held (default 25, half a second of audio).
 	VoiceFrames int
-	// EstablishTimeout bounds each call's setup (default 30s).
-	EstablishTimeout time.Duration
 }
 
 // The arrival ramp: rampStages stages, stage s launching its share of the
 // calls at (s+1)× the rate of the first, whose inter-arrival gap is
-// rampInterval. callGenSeed drives caller/callee pairing.
+// rampInterval. callGenSeed drives caller/callee pairing. establishTimeout
+// bounds each call's setup, and the wait for every callee's binding.
 const (
-	rampStages   = 4
-	rampInterval = 20 * time.Millisecond
-	callGenSeed  = 1
+	rampStages       = 4
+	rampInterval     = 20 * time.Millisecond
+	callGenSeed      = 1
+	establishTimeout = 30 * time.Second
 )
 
 func (c CallGenConfig) withDefaults() CallGenConfig {
@@ -40,9 +39,6 @@ func (c CallGenConfig) withDefaults() CallGenConfig {
 	}
 	if c.VoiceFrames == 0 {
 		c.VoiceFrames = 25
-	}
-	if c.EstablishTimeout == 0 {
-		c.EstablishTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -94,7 +90,9 @@ func (f *FederationScenario) NewCallGenerator(cfg CallGenConfig) *CallGenerator 
 }
 
 // Run provisions phones, ramps the call arrivals, holds the full population
-// open with two-way voice, drains, and reports. It is synchronous.
+// open with two-way voice, drains, and reports. It is synchronous, and it
+// drives every call from the calling goroutine, which must be the one that
+// built the federation: the owner of its virtual clock.
 func (g *CallGenerator) Run() (CallGenReport, error) {
 	cfg := g.cfg
 	fed := g.fed
@@ -111,209 +109,182 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	// deliberately placed on a different island than their caller so every
 	// call crosses gateways and the provider tier.
 	rng := rand.New(rand.NewSource(callGenSeed))
-	islandOf := func(n *Node) int {
-		for i, sc := range fed.Islands() {
-			if sc.Node(n.ID()) != nil {
-				return i
+	// phone provisions user on n and registers it upstream, retrying a few
+	// times: with hundreds of phones registering through freshly attached
+	// tunnels, the first attempt can race the gateway handshake.
+	phone := func(n *Node, user string) (*Phone, error) {
+		fed.Pool().AddAccount(user)
+		ph, err := n.NewPhone(user, fed.cfg.Domain)
+		if err == nil {
+			for range 3 {
+				if err = ph.Register(); err == nil {
+					return ph, nil
+				}
 			}
 		}
-		return -1
+		return nil, fmt.Errorf("siphoc: callgen phone %s: %w", user, err)
 	}
-	type pair struct {
-		caller, callee *Phone
-		calleeAOR      string
-	}
-	pairs := make([]pair, 0, cfg.Concurrent)
-	for k := range cfg.Concurrent {
+	calls := make([]genCall, cfg.Concurrent)
+	for k := range calls {
 		callerNode := clients[rng.Intn(len(clients))]
-		var calleeNode *Node
-		for {
+		calleeNode := clients[rng.Intn(len(clients))]
+		for calleeNode.scenario == callerNode.scenario {
 			calleeNode = clients[rng.Intn(len(clients))]
-			if islandOf(calleeNode) != islandOf(callerNode) {
-				break
-			}
 		}
-		cu, eu := fmt.Sprintf("c%d", k), fmt.Sprintf("e%d", k)
-		fed.Pool().AddAccount(cu)
-		fed.Pool().AddAccount(eu)
-		caller, err := callerNode.NewPhone(cu, fed.cfg.Domain)
-		if err != nil {
-			return CallGenReport{}, fmt.Errorf("siphoc: callgen caller %d: %w", k, err)
+		g := &calls[k]
+		var err error
+		if g.caller, err = phone(callerNode, fmt.Sprintf("c%d", k)); err != nil {
+			return CallGenReport{}, err
 		}
-		callee, err := calleeNode.NewPhone(eu, fed.cfg.Domain)
-		if err != nil {
-			return CallGenReport{}, fmt.Errorf("siphoc: callgen callee %d: %w", k, err)
+		if g.callee, err = phone(calleeNode, fmt.Sprintf("e%d", k)); err != nil {
+			return CallGenReport{}, err
 		}
-		if err := retryRegister(caller); err != nil {
-			return CallGenReport{}, fmt.Errorf("siphoc: callgen register %s: %w", caller.AOR(), err)
-		}
-		if err := retryRegister(callee); err != nil {
-			return CallGenReport{}, fmt.Errorf("siphoc: callgen register %s: %w", callee.AOR(), err)
-		}
-		pairs = append(pairs, pair{caller: caller, callee: callee, calleeAOR: callee.AOR()})
+		g.calleeAOR = g.callee.AOR()
 	}
 
-	// Upstream registrations propagate to the provider tier asynchronously
-	// through the gateway tunnels; don't start dialing before every callee
-	// is routable at the pool, or the earliest calls 404.
-	bindDeadline := clk.Now().Add(cfg.EstablishTimeout)
-	for _, p := range pairs {
-		for {
-			if _, ok := fed.Pool().Binding(p.calleeAOR); ok {
-				break
-			}
-			if clk.Now().After(bindDeadline) {
-				return CallGenReport{}, fmt.Errorf("siphoc: callgen: %s never reached the provider tier", p.calleeAOR)
-			}
-			clk.Sleep(5 * time.Millisecond)
-		}
-	}
-	// With the overlay registrar up, callers resolve through the DHT before
-	// the provider tier — and its publish path (REGISTER → island client →
-	// STOREs on the K closest nodes) is just as asynchronous, so the same
-	// pre-dial barrier applies: every callee must be resolvable in the
-	// overlay or the earliest calls fall through to DNS and skew the
-	// backend-comparison counters.
-	if oc := fed.OverlayClient(0); oc != nil {
-		for _, p := range pairs {
-			for {
-				if _, err := oc.Lookup(p.calleeAOR, time.Second); err == nil {
-					break
-				}
+	// Registrations propagate to the provider tier asynchronously through
+	// the gateway tunnels; don't start dialing before every callee is
+	// routable at the pool, or the earliest calls 404. With the overlay
+	// registrar up, callers resolve through the DHT before the provider
+	// tier — and its publish path (REGISTER → island client → STOREs on the
+	// K closest nodes) is just as asynchronous, so every callee must be
+	// resolvable in the overlay too, or the earliest calls fall through to
+	// DNS and skew the backend-comparison counters.
+	bindDeadline := clk.Now().Add(establishTimeout)
+	routable := func(tier string, ok func(aor string) bool) error {
+		for _, g := range calls {
+			for !ok(g.calleeAOR) {
 				if clk.Now().After(bindDeadline) {
-					return CallGenReport{}, fmt.Errorf("siphoc: callgen: %s never reached the overlay registrar", p.calleeAOR)
+					return fmt.Errorf("siphoc: callgen: %s never reached the %s", g.calleeAOR, tier)
 				}
 				clk.Sleep(5 * time.Millisecond)
 			}
 		}
+		return nil
+	}
+	err := routable("provider tier", func(aor string) bool {
+		_, ok := fed.Pool().Binding(aor)
+		return ok
+	})
+	if oc := fed.OverlayClient(0); oc != nil && err == nil {
+		err = routable("overlay registrar", func(aor string) bool {
+			_, err := oc.Lookup(aor, time.Second)
+			return err == nil
+		})
+	}
+	if err != nil {
+		return CallGenReport{}, err
 	}
 
-	// Callee side: answer (auto-answer is on) and stream voice back so the
-	// caller's receive path has media to score. callersDone closes once every
-	// caller goroutine has returned — past that point no INVITE (including
-	// redials) can arrive, so waiting callees exit immediately instead of
-	// serving out an arbitrary timeout.
-	callersDone := make(chan struct{})
-	var calleeWG sync.WaitGroup
-	for _, p := range pairs {
-		calleeWG.Add(1)
-		go func(ph *Phone) {
-			defer calleeWG.Done()
-			// Loop: a cancelled first attempt (caller redial) must not eat
-			// the one incoming slot this goroutine serves.
-			for {
-				select {
-				case inc := <-ph.Incoming():
-					if inc.WaitEstablished(cfg.EstablishTimeout) == nil {
-						inc.StartVoice(cfg.VoiceFrames).Wait()
-						return
-					}
-				case <-callersDone:
-					return
+	// Calls are dialled on the ramp schedule and each is resolved through
+	// its own gates, in a wait that ends at the next arrival at the latest.
+	// A call that resolves out of turn is seen when the oldest pending one
+	// resolves or the next call arrives; its setup delay comes from its own
+	// timestamps all the same.
+	var (
+		established, failed int
+		failures            = make(map[string]int)
+		pending             []*genCall
+	)
+	// resolve moves g on from the outcome of the call it waits on, and
+	// reports whether g is finished.
+	resolve := func(g *genCall, err error) bool {
+		now := clk.Now()
+		if g.inc != nil { // the callee's side: its voice starts once it is up
+			if err == nil {
+				g.inc.StartVoice(cfg.VoiceFrames)
+			}
+			return true
+		}
+		if err == nil {
+			setupHist.Observe(g.dialAt.Sub(g.t0) + g.call.SetupDuration())
+			established++
+			g.up = true
+			// The callee's side: a cancelled first attempt's is passed over.
+			for g.inc == nil && len(g.callee.Incoming()) > 0 {
+				if c := <-g.callee.Incoming(); c.ID() == g.call.ID() {
+					g.inc = c
 				}
 			}
-		}(p.callee)
-	}
-
-	var (
-		established atomic.Int64
-		failed      atomic.Int64
-		concurrent  atomic.Int64
-		peak        atomic.Int64
-		holdMu      sync.Mutex
-		holdCond    = sync.NewCond(&holdMu)
-		failuresMu  sync.Mutex
-		failures    = make(map[string]int)
-	)
-	// wake runs whenever a call's setup resolves so holders re-check the
-	// barrier below.
-	wake := func() {
-		holdMu.Lock()
-		holdCond.Broadcast()
-		holdMu.Unlock()
-	}
-	setupResolved := func() bool {
-		return established.Load()+failed.Load() >= int64(len(pairs))
-	}
-	recordFailure := func(err error) {
-		failed.Add(1)
-		failuresMu.Lock()
-		failures[err.Error()]++
-		failuresMu.Unlock()
-		wake()
-	}
-
-	dataBefore := fed.Internet().Network().Stats().DataFrames
-	var callWG sync.WaitGroup
-	runCall := func(p pair) {
-		defer callWG.Done()
-		t0 := clk.Now()
+			g.deadline = now.Add(establishTimeout)
+			return g.inc == nil
+		}
+		if g.call != nil {
+			_ = g.call.Cancel()
+		}
 		// A failed setup gets one redial — what a human caller does, and
 		// what keeps transient congestion during the ramp from deflating
 		// the held population.
-		var call *Call
-		var lastErr error
-		for attempt := 0; attempt < 2 && call == nil; attempt++ {
-			c, err := p.caller.Dial(p.calleeAOR)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if err := c.WaitEstablished(cfg.EstablishTimeout); err != nil {
-				_ = c.Cancel()
-				lastErr = err
-				continue
-			}
-			call = c
-		}
-		if call == nil {
-			recordFailure(lastErr)
-			return
-		}
-		setup := clk.Now().Sub(t0)
-		setupHist.Observe(setup)
-		established.Add(1)
-		cur := concurrent.Add(1)
-		for {
-			old := peak.Load()
-			if cur <= old || peak.CompareAndSwap(old, cur) {
-				break
+		if g.dials < 2 {
+			if err = g.dial(now); err == nil {
+				return false
 			}
 		}
-		wake()
-		// Hold the call open until every call's setup has resolved: the
-		// workload's concurrency target is met with the whole established
-		// population up at once.
-		holdMu.Lock()
-		for !setupResolved() {
-			holdCond.Wait()
-		}
-		holdMu.Unlock()
-		// Two-way voice while held; the caller scores its receive side.
-		call.StartVoice(cfg.VoiceFrames).Wait()
-		stats := call.MediaStats()
-		if stats.Received > 0 {
-			mosHist.Observe(time.Duration(stats.MOS * float64(mosUnit)))
-		}
-		_ = call.Hangup()
-		concurrent.Add(-1)
+		failed++
+		failures[err.Error()]++
+		return true
 	}
 
-	// Arrival-rate ramp: later stages launch their share at a higher rate.
-	next := 0
-	perStage := (len(pairs) + rampStages - 1) / rampStages
-	for s := 0; s < rampStages && next < len(pairs); s++ {
-		interval := rampInterval / time.Duration(s+1)
-		for i := 0; i < perStage && next < len(pairs); i++ {
-			callWG.Add(1)
-			go runCall(pairs[next])
+	dataBefore := fed.Internet().Network().Stats().DataFrames
+	// Arrival-rate ramp: stage s dials its share at (s+1)× the first
+	// stage's rate.
+	perStage := (len(calls) + rampStages - 1) / rampStages
+	next, arrival := 0, clk.Now()
+	for next < len(calls) || len(pending) > 0 {
+		now := clk.Now()
+		if next < len(calls) && !now.Before(arrival) {
+			g := &calls[next]
+			arrival = arrival.Add(rampInterval / time.Duration(next/perStage+1))
 			next++
-			clk.Sleep(interval)
+			g.t0 = now
+			if err := g.dial(now); err == nil || !resolve(g, err) {
+				pending = append(pending, g)
+			}
+			continue
+		}
+		pending = slices.DeleteFunc(pending, func(g *genCall) bool {
+			c := g.waited()
+			if s := c.State(); (s == CallSetup || s == CallRinging) && now.Before(g.deadline) {
+				return false
+			}
+			return resolve(g, c.WaitEstablished(0))
+		})
+		switch {
+		case len(pending) > 0:
+			until := pending[0].deadline
+			if next < len(calls) && arrival.Before(until) {
+				until = arrival
+			}
+			_ = pending[0].waited().WaitEstablished(max(until.Sub(clk.Now()), 0))
+		case next < len(calls):
+			clk.Sleep(arrival.Sub(clk.Now()))
 		}
 	}
-	callWG.Wait()
-	close(callersDone)
-	calleeWG.Wait()
+
+	// Hold: every setup has resolved, so the established population is up
+	// at once. Callers stream now and score their receive side; a callee's
+	// stream, as long and started at its establishment, ends before theirs.
+	var held []*Call
+	for _, g := range calls {
+		if g.up && g.call.State() == CallEstablished {
+			held = append(held, g.call)
+		}
+	}
+	voice := make([]*rtp.Stream, len(held))
+	for i, c := range held {
+		voice[i] = c.StartVoice(cfg.VoiceFrames)
+	}
+	// Then every caller hangs up, and the BYEs complete before the drain.
+	for i, c := range held {
+		voice[i].Wait()
+		if stats := c.MediaStats(); stats.Received > 0 {
+			mosHist.Observe(time.Duration(stats.MOS * float64(mosUnit)))
+		}
+		_ = c.StartHangup()
+	}
+	for _, c := range held {
+		_ = c.WaitEnded(establishTimeout)
+	}
 
 	// Drain in-flight trunk flushes before snapshotting: a call's last media
 	// frames can still sit in a paced flush window when it ends, which would
@@ -329,10 +300,10 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	}
 
 	report := CallGenReport{
-		Attempted:          len(pairs),
-		Established:        int(established.Load()),
-		Failed:             int(failed.Load()),
-		PeakConcurrent:     int(peak.Load()),
+		Attempted:          len(calls),
+		Established:        established,
+		Failed:             failed,
+		PeakConcurrent:     len(held),
 		InternetDataFrames: fed.Internet().Network().Stats().DataFrames - dataBefore,
 		Trunk:              fed.TrunkStats(),
 	}
@@ -353,15 +324,31 @@ func (g *CallGenerator) Run() (CallGenReport, error) {
 	return report, nil
 }
 
-// retryRegister retries a phone's upstream registration a few times: with
-// hundreds of phones registering through freshly attached tunnels, the
-// first attempt can race the gateway handshake.
-func retryRegister(ph *Phone) error {
-	var err error
-	for range 3 {
-		if err = ph.Register(); err == nil {
-			return nil
-		}
-	}
+// genCall is one call of the workload: the caller's current attempt until
+// it is established, then the callee's side until that is.
+type genCall struct {
+	caller, callee *Phone
+	calleeAOR      string
+	call           *Call     // the caller's current attempt
+	inc            *Call     // the callee's side, once the caller is up
+	t0, dialAt     time.Time // the first dial and the current attempt's
+	deadline       time.Time // when the current wait gives up
+	dials          int
+	up             bool // the caller's side was established
+}
+
+// dial places the call's next attempt.
+func (g *genCall) dial(now time.Time) error {
+	g.dials++
+	c, err := g.caller.Dial(g.calleeAOR)
+	g.call, g.dialAt, g.deadline = c, now, now.Add(establishTimeout)
 	return err
+}
+
+// waited returns the call g waits on.
+func (g *genCall) waited() *Call {
+	if g.inc != nil {
+		return g.inc
+	}
+	return g.call
 }

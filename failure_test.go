@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
@@ -60,9 +61,10 @@ func TestCallSurvivesPacketLoss(t *testing.T) {
 }
 
 // TestCalleeNodeDiesMidSetup kills the callee's node right after dialing:
-// the caller must get a clean failure, not a hang.
+// the caller must get a clean failure, not a hang. It runs in virtual time,
+// where the transaction timeout that fails the call costs no wall time.
 func TestCalleeNodeDiesMidSetup(t *testing.T) {
-	sc, err := NewScenarioWith()
+	sc, err := NewScenarioWith(WithRadio(netem.Config{Clock: clock.NewFake(time.Unix(1_000_000, 0)), Shards: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@
 // BenchmarkFederation drives a 3×2 federation through a ramped call-generator
 // workload of 1000 concurrent cross-island calls, reporting setup-latency and
 // MOS percentiles from the obs histograms plus the inter-gateway frame counts
-// that quantify trunk multiplexing. Run via `make fed` (-benchtime 1x),
-// committed as BENCH_fed.json; the trunked/untrunked pair is the before/after
-// table in EXPERIMENTS.md.
+// that quantify trunk multiplexing. The federation runs in virtual time, so
+// ns/op is the simulator's wall time per point and every other metric is
+// protocol time. Run via `make fed` (-benchtime 1x), gated against and
+// committed as BENCH_fed.json; the trunked/untrunked pair is the
+// before/after table in EXPERIMENTS.md. With -short it runs 50 calls.
 package siphoc_test
 
 import (
@@ -50,20 +52,29 @@ func runFederationPoint(b *testing.B, trunked bool, calls int) {
 		b.Fatal(err)
 	}
 
-	// A generous establish timeout matters under congestion (the untrunked
-	// variant's expected behaviour at this scale): failing fast and
-	// redialing adds INVITE load mid-ramp and makes the collapse worse,
-	// while patient callers let the system drain and recover.
-	gen := fed.NewCallGenerator(siphoc.CallGenConfig{
-		Concurrent:       calls,
-		EstablishTimeout: 2 * time.Minute,
-	})
-	rep, err := gen.Run()
+	rep, err := fed.NewCallGenerator(siphoc.CallGenConfig{Concurrent: calls}).Run()
 	if err != nil {
 		b.Fatal(err)
 	}
 	if rep.Established == 0 {
 		b.Fatalf("no calls established: %+v", rep)
+	}
+	if rep.Failed > 0 {
+		// The failure breakdown, and whether the islands' Internet access
+		// or the registrations churned while the calls ramped.
+		var reg, det, fo int64
+		for _, sc := range fed.Islands() {
+			m := sc.Metrics()
+			for _, cs := range m.ConnProviders {
+				det += cs.Detaches
+				fo += cs.Failovers
+			}
+			for _, ps := range m.Proxies {
+				reg += ps.Registers
+			}
+		}
+		b.Logf("%d failed: %v; detaches=%d failovers=%d proxyRegisters=%d",
+			rep.Failed, rep.FailureReasons, det, fo, reg)
 	}
 
 	b.ReportMetric(float64(rep.Established), "established")

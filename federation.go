@@ -75,7 +75,9 @@ func (c FederationConfig) withDefaults() FederationConfig {
 // caches warm across the island), so the whole per-island API (nodes,
 // phones, faults, metrics) keeps working; the federation owns the shared
 // pieces — clock, observer, simulated Internet and the provider pool — and
-// runs on the system clock.
+// runs in virtual time: its clock is a clock.Fake owned by the goroutine that
+// called NewFederationScenario, so that goroutine alone waits on it
+// (WaitAttached, CallGenerator.Run, a phone's blocking calls).
 //
 // Island i owns the address prefix "10.<i+1>.0": its nodes are
 // "10.<i+1>.0.1" … with the gateways first. Calls between islands resolve
@@ -100,8 +102,10 @@ type FederationScenario struct {
 // for WaitAttached/phone provisioning.
 func NewFederationScenario(cfg FederationConfig) (*FederationScenario, error) {
 	cfg = cfg.withDefaults()
-	f := &FederationScenario{cfg: cfg, observer: obs.New(nil)}
-	f.inet = internet.New(internet.Config{})
+	// An in-process network runs in virtual time, owned by the caller.
+	clk := clock.NewFake(time.Unix(1_000_000, 0))
+	f := &FederationScenario{cfg: cfg, observer: obs.New(clk)}
+	f.inet = internet.New(internet.Config{Clock: clk})
 
 	pool, err := internet.NewProviderPool(f.inet, internet.PoolConfig{
 		Domain: cfg.Domain,

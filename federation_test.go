@@ -1,10 +1,13 @@
 package siphoc_test
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"siphoc"
+	"siphoc/internal/testutil"
 )
 
 // TestFederationSmoke is the CI gate for the federation layer: two trunked
@@ -52,6 +55,57 @@ func TestFederationSmoke(t *testing.T) {
 	}
 	if rep.Trunk.PayloadsDelivered != rep.Trunk.PayloadsBatched {
 		t.Fatalf("trunk dropped payloads: %+v", rep.Trunk)
+	}
+}
+
+// TestCallGeneratorGoroutinesIndependentOfCalls pins that the call generator
+// drives every call from the goroutine that runs it: the most goroutines
+// alive while it runs, sampled by a fault plan every 10 ms of the
+// federation's time, is the same at 4 and at 16 concurrent calls.
+func TestCallGeneratorGoroutinesIndependentOfCalls(t *testing.T) {
+	const window = 30 * time.Second
+	peak := func(calls int) int64 {
+		baseline := int64(testutil.StableGoroutines())
+		fed, err := siphoc.NewFederationScenario(siphoc.FederationConfig{
+			Islands:           2,
+			GatewaysPerIsland: 1,
+			ClientsPerIsland:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fed.Close()
+		if err := fed.WaitAttached(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var most atomic.Int64
+		fs := siphoc.NewFaultScenario(fed.Island(0), 1)
+		for at := time.Duration(0); at < window; at += 10 * time.Millisecond {
+			fs.Plan().At(at, "count goroutines", func() {
+				n := int64(runtime.NumGoroutine())
+				for old := most.Load(); n > old && !most.CompareAndSwap(old, n); old = most.Load() {
+				}
+			})
+		}
+		start := fed.Clock().Now()
+		if err := fs.Run(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fed.NewCallGenerator(siphoc.CallGenConfig{Concurrent: calls, VoiceFrames: 10}).Run()
+		fs.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Established != calls {
+			t.Fatalf("%d of %d calls established: %v", rep.Established, calls, rep.FailureReasons)
+		}
+		if took := fed.Clock().Now().Sub(start); took > window {
+			t.Fatalf("the workload ran %v, past the %v sampled", took, window)
+		}
+		return most.Load() - baseline
+	}
+	if four, sixteen := peak(4), peak(16); four != sixteen {
+		t.Fatalf("peak goroutines above baseline: %d at 4 calls, %d at 16", four, sixteen)
 	}
 }
 
@@ -144,9 +198,10 @@ func TestFederationShardRebalance(t *testing.T) {
 		}
 		phones = append(phones, ph)
 	}
+	clk := fed.Clock()
 	waitBindings := func(want int) {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
+		deadline := clk.Now().Add(10 * time.Second)
+		for clk.Now().Before(deadline) {
 			n := 0
 			for _, ph := range phones {
 				if _, ok := pool.Binding(ph.AOR()); ok {
@@ -156,7 +211,7 @@ func TestFederationShardRebalance(t *testing.T) {
 			if n >= want {
 				return
 			}
-			time.Sleep(10 * time.Millisecond)
+			clk.Sleep(10 * time.Millisecond)
 		}
 		t.Fatalf("bindings never reached %d", want)
 	}

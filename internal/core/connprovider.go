@@ -48,13 +48,6 @@ type ConnProviderConfig struct {
 	// dead tunnel, so failover skips it while its stale SLP advert lingers
 	// (default 5s; <=0 disables blacklisting).
 	BlacklistTTL time.Duration
-	// MissedProbeLimit is how many consecutive ping timeouts it takes to
-	// declare an attached gateway dead (default 1 — a single missed ping
-	// detaches, the fastest detection). Saturated deployments raise it:
-	// under heavy load a ping round trip routinely exceeds AckTimeout
-	// without the gateway being gone, and one spurious detach costs a
-	// blacklist + failover + upstream re-registration storm.
-	MissedProbeLimit int
 	// IsLocal classifies node IDs as MANET-internal; traffic to other
 	// destinations is tunnelled. Default: IDs with no letters (dotted
 	// numeric MANET addresses) are local, names like "voicehoc.ch" are
@@ -79,9 +72,6 @@ func (c ConnProviderConfig) withDefaults() ConnProviderConfig {
 	}
 	if c.BlacklistTTL == 0 {
 		c.BlacklistTTL = 5 * time.Second
-	}
-	if c.MissedProbeLimit == 0 {
-		c.MissedProbeLimit = 1
 	}
 	if c.IsLocal == nil {
 		c.IsLocal = func(id netem.NodeID) bool {
@@ -186,11 +176,7 @@ type ConnectionProvider struct {
 	// numbers them for queryRound; at the MaxLookupRetries cap, lastErr
 	// becomes ErrNoGateway. Both reset on a successful attach.
 	lookupFails int
-	// missedProbes counts consecutive ping timeouts on the live tunnel;
-	// at MissedProbeLimit the gateway is declared lost. Reset by any pong
-	// and on attach.
-	missedProbes int
-	lastErr      error
+	lastErr     error
 	// detachedAt stamps the moment a live gateway was lost; the next
 	// successful attach turns it into a failover-latency sample.
 	detachedAt      time.Time
@@ -477,7 +463,6 @@ func (p *ConnectionProvider) onAnswer(msg *tunnelMsg, from tunnelPeer) {
 	case p.closed || from != p.asked:
 		p.mu.Unlock()
 	case msg.Kind == tunPong && p.expect == tunPong:
-		p.missedProbes = 0
 		p.endRound()
 		p.mu.Unlock()
 	case msg.Kind != tunOpenAck:
@@ -502,7 +487,6 @@ func (p *ConnectionProvider) attach(from tunnelPeer) {
 	p.lastAttachGW = string(from.node)
 	p.lastAttachDur = now.Sub(p.attachStart)
 	p.lookupFails = 0
-	p.missedProbes = 0
 	p.lastErr = nil
 	var failover time.Duration
 	if !p.detachedAt.IsZero() {
@@ -542,17 +526,14 @@ func (p *ConnectionProvider) reopen() {
 	p.notify(false)
 }
 
-// pingTimedOut counts a PING that got no PONG within AckTimeout against the
-// live tunnel; at MissedProbeLimit the gateway is lost, and the next probe
-// looks for another. Caller holds p.mu, which pingTimedOut releases.
+// pingTimedOut loses the live tunnel's gateway: its PING got no PONG within
+// AckTimeout, and the next probe looks for another. Caller holds p.mu, which
+// pingTimedOut releases.
 func (p *ConnectionProvider) pingTimedOut() {
-	p.missedProbes++
-	lost, gw := p.missedProbes >= p.cfg.MissedProbeLimit, p.asked.node
+	gw := p.asked.node
 	p.endRound()
 	p.mu.Unlock()
-	if lost {
-		p.gatewayLost(gw)
-	}
+	p.gatewayLost(gw)
 }
 
 // blacklistGateway quarantines gw for the configured TTL. Caller holds p.mu.

@@ -157,7 +157,7 @@ func TestLifecycleFailover(t *testing.T) {
 	}
 
 	// Ten probe intervals of pings: each PONG is matched to its PING, or the
-	// first time-out would detach (MissedProbeLimit is 1) — and the gateway
+	// first time-out would detach — and the gateway
 	// would evict a client whose pings it did not see (ClientTTL is 1 s).
 	b.fake.Sleep(10 * b.config().ProbeInterval)
 	if st := cp.Stats(); !cp.Attached() || st.Detaches != 0 || len(gw1.Clients()) != 1 {

@@ -30,12 +30,13 @@ func E13(w io.Writer) error {
 	fmt.Fprintf(w, "federation: 3 islands x (2 gateways + 3 clients), domain fed.example,\n")
 	fmt.Fprintf(w, "provider tier sharded 4 ways by rendezvous hash of the AOR\n\n")
 
-	t0 := time.Now()
+	clk := fed.Clock()
+	t0 := clk.Now()
 	if err := fed.WaitAttached(30 * time.Second); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "every client attached to the Internet through its island gateways in %v\n\n",
-		time.Since(t0).Round(time.Millisecond))
+		clk.Now().Sub(t0).Round(time.Millisecond))
 
 	gen := fed.NewCallGenerator(siphoc.CallGenConfig{Concurrent: 12})
 	rep, err := gen.Run()

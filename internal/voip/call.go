@@ -433,8 +433,15 @@ func (c *Call) Cancel() error {
 	return p.stack.SendRequestPreVia(sip.BuildCancel(invite), p.cfg.OutboundProxy, nil)
 }
 
-// Hangup terminates an established call with BYE.
-func (c *Call) Hangup() error {
+// Hangup terminates an established call with BYE and returns once the BYE's
+// final response has arrived.
+func (c *Call) Hangup() error { return c.hangup(true) }
+
+// StartHangup is Hangup without the wait: it sends the BYE, and the call
+// ends when the BYE's final response arrives, which WaitEnded waits for.
+func (c *Call) StartHangup() error { return c.hangup(false) }
+
+func (c *Call) hangup(wait bool) error {
 	c.mu.Lock()
 	if c.state != StateEstablished {
 		st := c.state
@@ -455,6 +462,13 @@ func (c *Call) Hangup() error {
 	}
 	bye.CallID = c.callID
 	bye.CSeq = sip.CSeq{Seq: p.nextCSeq(), Method: sip.MethodBye}
+	if !wait {
+		return p.stack.SendRequest(bye, p.cfg.OutboundProxy, func(resp *sip.Message) {
+			if resp.StatusCode >= 200 {
+				c.endLocal(0)
+			}
+		})
+	}
 	_, err := p.stack.Await(bye, p.cfg.OutboundProxy)
 	c.endLocal(0)
 	if err != nil {

@@ -81,31 +81,48 @@ func newFixture(t *testing.T, autoAnswer bool) *fixture {
 	return f
 }
 
+// TestCallLifecycleStates takes a call through its states and ends it with
+// each form of hangup: Hangup, and StartHangup followed by WaitEnded.
 func TestCallLifecycleStates(t *testing.T) {
-	f := newFixture(t, true)
-	alice := f.phones["alice"]
-	call, err := alice.Dial("bob@voicehoc.ch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := call.WaitEstablished(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if call.State() != StateEstablished {
-		t.Fatalf("state = %v", call.State())
-	}
-	if call.SetupDuration() <= 0 {
-		t.Fatal("setup duration not recorded")
-	}
-	// Hangup twice: second must error, state ends at Ended.
-	if err := call.Hangup(); err != nil {
-		t.Fatal(err)
-	}
-	if call.State() != StateEnded {
-		t.Fatalf("state after hangup = %v", call.State())
-	}
-	if err := call.Hangup(); err == nil {
-		t.Fatal("second hangup succeeded")
+	for _, tc := range []struct {
+		name   string
+		hangup func(*Call) error
+	}{
+		{"Hangup", (*Call).Hangup},
+		{"StartHangup", func(c *Call) error {
+			if err := c.StartHangup(); err != nil {
+				return err
+			}
+			return c.WaitEnded(10 * time.Second)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, true)
+			alice := f.phones["alice"]
+			call, err := alice.Dial("bob@voicehoc.ch")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := call.WaitEstablished(15 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if call.State() != StateEstablished {
+				t.Fatalf("state = %v", call.State())
+			}
+			if call.SetupDuration() <= 0 {
+				t.Fatal("setup duration not recorded")
+			}
+			// Hang up twice: the second must error, and the state ends at Ended.
+			if err := tc.hangup(call); err != nil {
+				t.Fatal(err)
+			}
+			if call.State() != StateEnded {
+				t.Fatalf("state after hangup = %v", call.State())
+			}
+			if err := tc.hangup(call); err == nil {
+				t.Fatal("second hangup succeeded")
+			}
+		})
 	}
 }
 

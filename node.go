@@ -125,12 +125,6 @@ func (s *Scenario) newNode(id NodeID, pos Position, opts ...NodeOption) (*Node, 
 			cpCfg.IsLocal = func(id netem.NodeID) bool {
 				return strings.HasPrefix(string(id), prefix)
 			}
-			// Under a federation-scale call ramp the host is CPU-saturated
-			// and a ping round trip routinely overshoots AckTimeout while
-			// the gateway is perfectly alive. One spurious detach triggers a
-			// blacklist + failover + re-registration storm that snowballs,
-			// so tolerate a few missed probes before declaring it dead.
-			cpCfg.MissedProbeLimit = 4
 		}
 		n.connp = core.NewConnectionProvider(host, n.agent, cpCfg)
 		if err := n.connp.Start(); err != nil {
