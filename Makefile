@@ -110,11 +110,18 @@ cover:
 # provider: the SLP cache calls the provider's watcher on the shard that
 # installed the advert, which moves the provider's timer while its own shard
 # may run it. The netem fault tests on that line include the partition read
-# at an instant inside its 10 ms window on a fake clock.
+# at an instant inside its 10 ms window on a fake clock. The scenario fault
+# matrix (TestFaultMatrix, on the root replay line) and the experiments, each
+# run twice and compared byte for byte (TestExperimentsDeterministic, on its
+# own line), are there because virtual time on one shard is what makes them
+# replay: a seed gives the same schedule on every run, at any host speed, so
+# what fails under the detector is a race between a task and the test body,
+# or a schedule that no longer replays, not a slow host.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -run 'CloseDuringTraffic|CloseUnblocksAwait|ServerTxExpiry|LateFinalLingersFull64T1|FinishedServerTxPinsNoMessage|ServerTxLingerTaskAllocFree|ServerTxTableGivesMemoryBack|FinalsFromManyGoroutines|RejectAfterAnswerIsRefused|ProceedingReplaysProvisional|BranchlessRequestsDoNotCollide|ProvisionalThenFinal|InviteNon2xxGetsAck|LostAckIsRecovered|CloneIsolation|WireBytesGolden|ControlFrameIsBorrowed|PiggybackExtensionDelivered|OverBudgetExtensionIsCut|StopFailsPendingDiscoveriesOnce|StopDuringRouteWaitAndHoldDown|StopDropsReplies|StopEndsLookups|DaemonGoroutinesFlatInCalls|EchoedRREQKeepsNeighbourRoute|NextHopAllocFree|LateSelectorCopyForwardedOnce|DuplicateForgottenAfterHold|RestartedOriginHeardAgain|HandleTableConcurrentIntern|UsedRouteIsRefreshed|RecomputeWithoutNewNodeAllocFree|StoreBytesPerHandle|AppendOutgoingAppendsInPlace|FuzzHandleHello|FuzzHandleTC|ExpiredQueryKeyIsRelayedAgain|QueryTablesGiveMemoryBack|QueryExpiryTaskAllocFree|SeenRREQsForgottenAfterHold|LostNeighboursRERRInIDOrder|MissSetExpiresOldestFirst|RelayedQueryRidesTwoBroadcasts|SchedulerBatchReleasesTasks|ColdGridConvergesInRoundTrips|ConvergedGridSendsOnlyBeats|TriggeredEmissionsRateLimited|HoldDownAllocFree|RouteWaitEndsOnRecompute|ProviderProbesAtStart|EmptiedSelectorSetWithdrawsEdges|SettlingDigestEndsLookup|QuietNeighbourBlocksSettle|HeardDigestAllocFree|AttachedSLPMissEndsOnSettledTable|FirstHelloAtStart|FarZoneLearnsChangeInOneFlood|RestFloodsFullOnceAFarPeriod|ChangeFloodsBudgeted|OwnRegistrationKeepsTableSettled' -count 1 ./internal/sip/ ./internal/voip/ ./internal/routing/... ./internal/slp/ ./internal/daemon/ ./internal/core/ ./internal/clock/
-	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock|TestControlScaleDeterministic' -count 1 .
+	$(GO) test -race -run 'TestGridGolden|TestGridFramesReplay|TestEventLoopGoroutinesIndependentOfN|TestEventLoopGoroutinesIndependentOfCalls|TestComponentsTakeHostClock|TestControlScaleDeterministic|TestFaultMatrix' -count 1 .
+	$(GO) test -race -run 'TestExperimentsDeterministic' -count 1 ./internal/experiments/
 	$(GO) test -race -run 'TestCallTrace|TestMetrics' .
 	$(GO) test -race -short -run 'TestControlScaleSmoke' .
 	$(GO) test -race -run 'TestFederationSmoke|TestFederationOverlayResolution|TestCallGeneratorGoroutinesIndependentOfCalls' -count 1 .

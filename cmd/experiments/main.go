@@ -25,7 +25,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	sel := fs.String("run", "all", "comma-separated experiment IDs (E1..E10) or 'all'")
+	sel := fs.String("run", "all", "comma-separated experiment IDs (E1..E14) or 'all'")
 	list := fs.Bool("list", false, "list available experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,6 +1,8 @@
 // Command manetsim runs a configurable wireless-ad-hoc-VoIP scenario on the
 // in-memory MANET emulator and reports call statistics — the workhorse for
-// exploring the system beyond the paper's 10-laptop testbed.
+// exploring the system beyond the paper's 10-laptop testbed. It runs in
+// virtual time on one scheduler shard, so a seed replays exactly and the
+// reported delays are protocol time.
 //
 //	manetsim -nodes 25 -topology grid -routing olsr -calls 20 -loss 0.05
 package main
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"siphoc"
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 )
 
@@ -44,8 +47,9 @@ func run(args []string) error {
 	} else if *routingF != "aodv" {
 		return fmt.Errorf("unknown routing %q", *routingF)
 	}
+	clk := clock.NewFake(time.Unix(1_000_000, 0))
 	sc, err := siphoc.NewScenarioWith(
-		siphoc.WithRadio(netem.Config{LossRate: *loss, Seed: *seed}),
+		siphoc.WithRadio(netem.Config{LossRate: *loss, Seed: *seed, Clock: clk, Shards: 1}),
 		siphoc.WithRoutingKind(routing),
 	)
 	if err != nil {
@@ -89,31 +93,17 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := registerWithRetry(ph); err != nil {
+		if err := registerWithRetry(clk, ph); err != nil {
 			return fmt.Errorf("register %s: %w", ph.AOR(), err)
 		}
 		phones[i] = ph
 	}
 	fmt.Printf("registered %d phones with their local proxies\n\n", len(phones))
 
-	var mover *netem.Waypoint
-	stopMove := make(chan struct{})
 	if *mobility {
-		mover = netem.NewWaypoint(sc.Network(), 500, 500, 1, 2, *seed)
-		go func() {
-			ticker := time.NewTicker(100 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopMove:
-					return
-				case <-ticker.C:
-					mover.Step(0.1)
-				}
-			}
-		}()
+		mover := netem.NewWaypoint(sc.Network(), 500, 500, 1, 2, *seed)
+		defer sc.Network().Sched().Every("mobility", 100*time.Millisecond, func(time.Time) { mover.Step(0.1) }).Stop()
 	}
-	defer close(stopMove)
 
 	rng := rand.New(rand.NewSource(*seed))
 	var (
@@ -138,7 +128,7 @@ func run(args []string) error {
 			continue
 		}
 		call.SendVoice(*talk)
-		time.Sleep(100 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 		var mos float64
 		select {
 		case inc := <-callee.Incoming():
@@ -170,13 +160,13 @@ func run(args []string) error {
 	return nil
 }
 
-func registerWithRetry(ph *siphoc.Phone) error {
+func registerWithRetry(clk clock.Clock, ph *siphoc.Phone) error {
 	var err error
 	for range 5 {
 		if err = ph.Register(); err == nil {
 			return nil
 		}
-		time.Sleep(100 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 	}
 	return err
 }

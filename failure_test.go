@@ -9,13 +9,22 @@ import (
 )
 
 // Failure-injection tests: the behaviours the paper's emergency-response
-// motivation depends on but its evaluation never stresses.
+// motivation depends on but its evaluation never stresses. They run in
+// virtual time, where the timeouts and recoveries they wait out cost no wall
+// time.
+
+// virtualRadio runs a scenario on a one-shard fake clock owned by the
+// calling goroutine, the test body.
+func virtualRadio() ScenarioOption {
+	return WithRadio(netem.Config{Clock: clock.NewFake(time.Unix(1_000_000, 0)), Shards: 1})
+}
 
 // TestCallSurvivesPacketLoss runs the Figure-3 flow over a 15%-loss radio:
 // SIP retransmissions must still complete the call, and media quality must
 // degrade (lower MOS) rather than collapse.
 func TestCallSurvivesPacketLoss(t *testing.T) {
-	sc, err := NewScenarioWith(WithRadio(netem.Config{LossRate: 0.15, Seed: 42}))
+	sc, err := NewScenarioWith(WithRadio(netem.Config{LossRate: 0.15, Seed: 42,
+		Clock: clock.NewFake(time.Unix(1_000_000, 0)), Shards: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestCallSurvivesPacketLoss(t *testing.T) {
 	}
 	const frames = 100
 	call.SendVoice(frames)
-	time.Sleep(300 * time.Millisecond)
+	sc.Clock().Sleep(300 * time.Millisecond)
 	var bobCall *Call
 	select {
 	case bobCall = <-bob.Incoming():
@@ -61,10 +70,9 @@ func TestCallSurvivesPacketLoss(t *testing.T) {
 }
 
 // TestCalleeNodeDiesMidSetup kills the callee's node right after dialing:
-// the caller must get a clean failure, not a hang. It runs in virtual time,
-// where the transaction timeout that fails the call costs no wall time.
+// the caller must get a clean failure, not a hang.
 func TestCalleeNodeDiesMidSetup(t *testing.T) {
-	sc, err := NewScenarioWith(WithRadio(netem.Config{Clock: clock.NewFake(time.Unix(1_000_000, 0)), Shards: 1}))
+	sc, err := NewScenarioWith(virtualRadio())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,7 @@ func TestCalleeNodeDiesMidSetup(t *testing.T) {
 // call; once a replacement relay appears, AODV re-discovers the path and
 // media flows again.
 func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
-	sc, err := NewScenarioWith()
+	sc, err := NewScenarioWith(virtualRadio())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +134,16 @@ func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no callee leg")
 	}
+	clk := sc.Clock()
 	call.SendVoice(10)
-	time.Sleep(200 * time.Millisecond)
+	clk.Sleep(200 * time.Millisecond)
 	before := bobCall.MediaStats().Received
 	if before == 0 {
 		t.Fatal("no media before the failure")
 	}
 	// Kill the relay; voice now blackholes.
 	sc.RemoveNode(nodes[1].ID())
-	time.Sleep(100 * time.Millisecond)
+	clk.Sleep(100 * time.Millisecond)
 	call.SendVoice(5)
 	// Bring up a replacement relay in the same spot.
 	if _, err := sc.AddNode("10.0.0.99", Position{X: 90}); err != nil {
@@ -142,10 +151,10 @@ func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
 	}
 	// Give AODV time to notice the broken link and keep streaming; the
 	// route re-forms through the new relay.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := clk.Now().Add(30 * time.Second)
+	for clk.Now().Before(deadline) {
 		call.SendVoice(5)
-		time.Sleep(100 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 		if bobCall.MediaStats().Received > before+5 {
 			return // media flows again
 		}
@@ -157,9 +166,7 @@ func TestRelayDiesMidCallMediaRecovers(t *testing.T) {
 // other caches keep the stale binding until its TTL; calls fail cleanly in
 // the meantime and the advert eventually expires.
 func TestSLPStaleBindingExpires(t *testing.T) {
-	slpCfg := &struct{}{}
-	_ = slpCfg
-	sc, err := NewScenarioWith()
+	sc, err := NewScenarioWith(virtualRadio())
 	if err != nil {
 		t.Fatal(err)
 	}

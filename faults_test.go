@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Scenario-level fault matrix: every case builds a live call mesh, runs a
-// seeded FaultScenario against it, and then holds the harness to its own
-// contract — CheckInvariants (faults all injected, no stuck calls, traces
+// Scenario-level fault matrix: every case builds a live call mesh in virtual
+// time, runs a seeded FaultScenario against it, and then holds the harness to
+// its own contract — CheckInvariants (faults all injected, no stuck calls, traces
 // tile-complete) plus a zero-goroutine-leak check after teardown.
 
 // establishCall dials bob from alice and returns both call legs established.
@@ -31,12 +31,13 @@ func establishCall(t *testing.T, alice, bob *Phone) (caller, callee *Call) {
 
 // pumpUntilReceived keeps streaming short voice bursts until the callee's
 // received-frame count exceeds floor, proving the media path works (again).
-func pumpUntilReceived(t *testing.T, caller, callee *Call, floor int64, within time.Duration) {
+func pumpUntilReceived(t *testing.T, sc *Scenario, caller, callee *Call, floor int64, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
+	clk := sc.Clock()
+	deadline := clk.Now().Add(within)
+	for clk.Now().Before(deadline) {
 		caller.SendVoice(5)
-		time.Sleep(100 * time.Millisecond)
+		clk.Sleep(100 * time.Millisecond)
 		if callee.MediaStats().Received > floor {
 			return
 		}
@@ -60,7 +61,7 @@ func TestFaultMatrix(t *testing.T) {
 				caller, callee := establishCall(t, alice, bob)
 				fs.Track(caller)
 				caller.SendVoice(5)
-				time.Sleep(150 * time.Millisecond)
+				sc.Clock().Sleep(150 * time.Millisecond)
 				before := callee.MediaStats().Received
 				if before == 0 {
 					t.Fatal("no media before the fault")
@@ -74,7 +75,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				fs.Wait()
-				pumpUntilReceived(t, caller, callee, before+5, 30*time.Second)
+				pumpUntilReceived(t, sc, caller, callee, before+5, 30*time.Second)
 				if caller.State() != CallEstablished {
 					t.Fatalf("call state after heal = %v", caller.State())
 				}
@@ -91,7 +92,7 @@ func TestFaultMatrix(t *testing.T) {
 				caller, callee := establishCall(t, alice, bob)
 				fs.Track(caller)
 				caller.SendVoice(5)
-				time.Sleep(150 * time.Millisecond)
+				sc.Clock().Sleep(150 * time.Millisecond)
 				before := callee.MediaStats().Received
 				if before == 0 {
 					t.Fatal("no media before the fault")
@@ -102,7 +103,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				fs.Wait()
-				pumpUntilReceived(t, caller, callee, before+5, 30*time.Second)
+				pumpUntilReceived(t, sc, caller, callee, before+5, 30*time.Second)
 			},
 		},
 		{
@@ -145,7 +146,7 @@ func TestFaultMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			sc, err := NewScenarioWith()
+			sc, err := NewScenarioWith(virtualRadio())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 // run and asserts the harness invariants on top of the narrative.
 func E10(w io.Writer) error {
 	header(w, "E10: transparency under gateway churn (paper §3.2)")
-	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
+	sc, err := newScenario(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}
@@ -47,16 +47,17 @@ func E10(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := retry(3, alice.Register); err != nil {
+	if err := alice.Register(); err != nil {
 		return err
 	}
 
-	t0 := time.Now()
+	clk := sc.Clock()
+	t0 := clk.Now()
+	since := func(t time.Time) time.Duration { return clk.Now().Sub(t).Round(time.Millisecond) }
 	if err := sc.WaitAttached(node, 30*time.Second); err != nil {
 		return err
 	}
-	attach1 := time.Since(t0)
-	fmt.Fprintf(w, "t=%8v  node attached via gateway %s\n", attach1.Round(time.Millisecond), gw1.ID())
+	fmt.Fprintf(w, "t=%8v  node attached via gateway %s\n", since(t0), gw1.ID())
 
 	callOK := func(label string) error {
 		call, err := alice.Dial("carol@voicehoc.ch")
@@ -68,7 +69,7 @@ func E10(w io.Writer) error {
 		}
 		defer func() { _ = call.Hangup() }()
 		fmt.Fprintf(w, "t=%8v  %s: Internet call established in %v\n",
-			time.Since(t0).Round(time.Millisecond), label, call.SetupDuration().Round(time.Millisecond))
+			since(t0), label, call.SetupDuration().Round(time.Millisecond))
 		return nil
 	}
 	if err := callOK("with gateway 1"); err != nil {
@@ -83,25 +84,21 @@ func E10(w io.Writer) error {
 		return err
 	}
 	crash.Wait()
-	tKill := time.Now()
+	tKill := clk.Now()
 	for _, rec := range crash.Log() {
-		fmt.Fprintf(w, "t=%8v  fault injected: %s\n", time.Since(t0).Round(time.Millisecond), rec.Detail)
+		fmt.Fprintf(w, "t=%8v  fault injected: %s\n", since(t0), rec.Detail)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) && node.InternetAttached() {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if node.InternetAttached() {
+	if !pollUntil(clk, 20*time.Millisecond, 60*time.Second, func() bool { return !node.InternetAttached() }) {
 		return fmt.Errorf("node never detected gateway loss")
 	}
 	fmt.Fprintf(w, "t=%8v  loss detected, node detached (%v after the failure)\n",
-		time.Since(t0).Round(time.Millisecond), time.Since(tKill).Round(time.Millisecond))
+		since(t0), since(tKill))
 
 	// With no gateway anywhere, a bounded wait surfaces the typed error.
 	if err := sc.WaitAttached(node, 500*time.Millisecond); !errors.Is(err, siphoc.ErrNoGateway) {
 		return fmt.Errorf("want ErrNoGateway while detached, got %v", err)
 	}
-	fmt.Fprintf(w, "t=%8v  bounded attach wait reports ErrNoGateway\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(w, "t=%8v  bounded attach wait reports ErrNoGateway\n", since(t0))
 
 	// Internet calls must now fail fast at the proxy.
 	failCall, err := alice.Dial("carol@voicehoc.ch")
@@ -113,14 +110,14 @@ func E10(w io.Writer) error {
 		return fmt.Errorf("Internet call succeeded while detached")
 	}
 	fmt.Fprintf(w, "t=%8v  Internet call correctly rejected while detached (status %d)\n",
-		time.Since(t0).Round(time.Millisecond), failCall.FailCode())
+		since(t0), failCall.FailCode())
 	if err := crash.CheckInvariants(5 * time.Second); err != nil {
 		return fmt.Errorf("crash-phase invariants: %w", err)
 	}
 
 	// Replacement gateway appears via the recovery plan; the node must
 	// re-attach by itself.
-	tNew := time.Now()
+	tNew := clk.Now()
 	recovery := siphoc.NewFaultScenario(sc, 7)
 	recovery.RestartNode(0, "10.0.0.3", siphoc.Position{X: 70}, siphoc.WithGateway())
 	if err := recovery.Run(); err != nil {
@@ -131,7 +128,7 @@ func E10(w io.Writer) error {
 		return fmt.Errorf("failover: %w", err)
 	}
 	fmt.Fprintf(w, "t=%8v  new gateway 10.0.0.3 up; node re-attached after %v\n",
-		time.Since(t0).Round(time.Millisecond), time.Since(tNew).Round(time.Millisecond))
+		since(t0), since(tNew))
 	if err := callOK("after failover"); err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func RunE11(sides []int) ([]E11Row, error) {
 
 func runE11Point(side int) (E11Row, error) {
 	row := E11Row{Nodes: side * side, Diameter: 2 * (side - 1)}
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return row, err
 	}
@@ -83,10 +83,11 @@ func runE11Point(side int) (E11Row, error) {
 
 	// Let the network settle (hello exchange), then measure the idle
 	// routing rate.
-	time.Sleep(300 * time.Millisecond)
+	clk := sc.Clock()
+	clk.Sleep(300 * time.Millisecond)
 	sc.Network().ResetStats()
 	const window = 500 * time.Millisecond
-	time.Sleep(window)
+	clk.Sleep(window)
 	st := sc.Network().Stats()
 	row.RoutingBps = float64(st.RoutingBytes) / window.Seconds() / float64(len(nodes))
 
@@ -99,17 +100,17 @@ func runE11Point(side int) (E11Row, error) {
 	if err != nil {
 		return row, err
 	}
-	if err := retry(5, bob.Register); err != nil {
+	if err := bob.Register(); err != nil {
 		return row, err
 	}
-	t0 := time.Now()
-	if err := retry(5, alice.Register); err != nil {
+	t0 := clk.Now()
+	if err := alice.Register(); err != nil {
 		return row, err
 	}
 	if _, err := opposite.SLP().Lookup("sip", "alice@voicehoc.ch", waitLong); err != nil {
 		return row, fmt.Errorf("dissemination never completed: %w", err)
 	}
-	row.Dissemination = time.Since(t0)
+	row.Dissemination = clk.Now().Sub(t0)
 
 	// Warm corner-to-corner call.
 	if _, err := corner.SLP().Lookup("sip", "bob@voicehoc.ch", waitLong); err != nil {

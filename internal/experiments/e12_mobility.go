@@ -71,7 +71,7 @@ func RunE12(speeds []float64) ([]E12Row, error) {
 
 func runE12Point(speed float64) (E12Row, error) {
 	row := E12Row{Speed: speed}
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return row, err
 	}
@@ -101,10 +101,10 @@ func runE12Point(speed float64) (E12Row, error) {
 	if err != nil {
 		return row, err
 	}
-	if err := retry(8, alice.Register); err != nil {
+	if err := alice.Register(); err != nil {
 		return row, err
 	}
-	if err := retry(8, bob.Register); err != nil {
+	if err := bob.Register(); err != nil {
 		return row, err
 	}
 	if _, err := nodes[0].SLP().Lookup("sip", "bob@voicehoc.ch", waitLong); err != nil {
@@ -120,28 +120,16 @@ func runE12Point(speed float64) (E12Row, error) {
 	row.SetupOK = true
 	// Movement starts once the call is up: the measurement is how the
 	// established media path endures churn.
-	stop := make(chan struct{})
-	defer close(stop)
 	if speed > 0 {
 		mover := netem.NewWaypoint(sc.Network(), area, area, speed, speed, 23)
 		mover.Pin(nodes[0].ID())
 		mover.Pin(nodes[15].ID())
-		go func() {
-			ticker := time.NewTicker(50 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					mover.Step(1) // 20x real time
-				}
-			}
-		}()
+		// One second of movement every 50 ms: 20x real time.
+		defer sc.Network().Sched().Every("mobility", 50*time.Millisecond, func(time.Time) { mover.Step(1) }).Stop()
 	}
 	const frames = 250 // 5 seconds of G.711
 	row.Sent = int64(call.SendVoice(frames))
-	time.Sleep(300 * time.Millisecond) // drain in-flight frames
+	sc.Clock().Sleep(300 * time.Millisecond) // drain in-flight frames
 	var bobCall *siphoc.Call
 	select {
 	case bobCall = <-bob.Incoming():

@@ -85,7 +85,7 @@ func RunE14(concurrent int) ([]E14Row, error) {
 // resolves from the caller's epidemic SLP cache, never leaving the island.
 func runE14SLP(calls int) (E14Row, error) {
 	row := E14Row{Backend: "manet-slp", Calls: calls}
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return row, err
 	}
@@ -94,7 +94,7 @@ func runE14SLP(calls int) (E14Row, error) {
 	if err != nil {
 		return row, err
 	}
-	alice, _, err := setupEndpoints(nodes)
+	alice, err := setupEndpoints(nodes)
 	if err != nil {
 		return row, err
 	}

@@ -14,7 +14,7 @@ import (
 // resolved via MANET SLP — no centralized server anywhere.
 func E1(w io.Writer) error {
 	header(w, "E1: call setup in an isolated MANET (paper Figure 3)")
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return err
 	}
@@ -38,7 +38,7 @@ func E1(w io.Writer) error {
 
 	// Steps 1-2: Alice's phone registers with its local proxy, which
 	// advertises the binding via MANET SLP.
-	if err := retry(3, alice.Register); err != nil {
+	if err := alice.Register(); err != nil {
 		return fmt.Errorf("step 1: %w", err)
 	}
 	fmt.Fprintf(w, "step 1: %s REGISTERed with local proxy %s\n", alice.AOR(), n1.Proxy().Addr())
@@ -49,7 +49,7 @@ func E1(w io.Writer) error {
 		n1.Proxy().Addr(), alice.AOR())
 
 	// Steps 3-4: Bob does the same on his node.
-	if err := retry(3, bob.Register); err != nil {
+	if err := bob.Register(); err != nil {
 		return fmt.Errorf("step 3: %w", err)
 	}
 	fmt.Fprintf(w, "step 3: %s REGISTERed with local proxy %s\n", bob.AOR(), n3.Proxy().Addr())
@@ -83,7 +83,7 @@ func E1(w io.Writer) error {
 		return fmt.Errorf("media: only %d frames sent", sent)
 	}
 	// Let the last frames land.
-	time.Sleep(200 * time.Millisecond)
+	sc.Clock().Sleep(200 * time.Millisecond)
 	var bobCall *siphoc.Call
 	select {
 	case bobCall = <-bob.Incoming():
@@ -98,15 +98,4 @@ func E1(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "teardown: BYE completed, call ended cleanly\n")
 	return nil
-}
-
-func retry(n int, f func() error) error {
-	var err error
-	for range n {
-		if err = f(); err == nil {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return err
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"siphoc"
 )
 
 // E2 reproduces the paper's Figure 4: the state of the MANET SLP process
@@ -13,7 +11,7 @@ import (
 // routing plugin.
 func E2(w io.Writer) error {
 	header(w, "E2: MANET SLP process state (paper Figure 4)")
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return err
 	}
@@ -27,7 +25,7 @@ func E2(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := retry(3, alice.Register); err != nil {
+	if err := alice.Register(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "after REGISTER of alice@voicehoc.ch on %s:\n\n", nodes[0].ID())

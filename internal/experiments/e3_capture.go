@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"time"
 
-	"siphoc"
+	"siphoc/internal/clock"
 	"siphoc/internal/netem"
 	"siphoc/internal/routing"
 	"siphoc/internal/routing/aodv"
 	"siphoc/internal/slp"
 )
-
-const waitLong = 10 * time.Second
 
 // E3 reproduces the paper's Figure 5: a packet-analyzer capture of an AODV
 // route reply augmented with piggybacked SIP contact information. We attach
@@ -23,7 +19,7 @@ const waitLong = 10 * time.Second
 // SIP binding in its extension.
 func E3(w io.Writer) error {
 	header(w, "E3: AODV RREP with encapsulated SIP contact (paper Figure 5)")
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return err
 	}
@@ -36,20 +32,22 @@ func E3(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := retry(3, bob.Register); err != nil {
+	if err := bob.Register(); err != nil {
 		return err
 	}
 
-	type capture struct {
-		frame netem.Frame
-		env   routing.Envelope
-	}
+	// The tap runs on the network's shard; the first RREP that carries Bob's
+	// binding is kept and opens the gate the experiment waits on.
 	var (
-		mu  sync.Mutex
-		got *capture
+		c struct {
+			frame netem.Frame
+			env   routing.Envelope
+		}
+		captured clock.Gate
 	)
+	captured.Init(sc.Clock())
 	sc.Network().SetTap(func(f netem.Frame) {
-		if f.Kind != netem.KindRouting {
+		if captured.IsOpen() || f.Kind != netem.KindRouting {
 			return
 		}
 		var env routing.Envelope
@@ -59,15 +57,12 @@ func E3(w io.Writer) error {
 		if len(env.Ext) == 0 || !strings.Contains(string(env.Ext), "bob@voicehoc.ch") {
 			return
 		}
-		mu.Lock()
-		if got == nil {
-			// Kept past the tap's return, so a copy (see netem.Frame), and an
-			// envelope that aliases the copy; these bytes parsed just above.
-			f.Payload = append([]byte(nil), f.Payload...)
-			_ = routing.ParseEnvelopeInto(&env, f.Payload)
-			got = &capture{frame: f, env: env}
-		}
-		mu.Unlock()
+		// Kept past the tap's return, so a copy (see netem.Frame), and an
+		// envelope that aliases the copy; these bytes parsed just above.
+		f.Payload = append([]byte(nil), f.Payload...)
+		_ = routing.ParseEnvelopeInto(&env, f.Payload)
+		c.frame, c.env = f, env
+		captured.Open()
 	})
 
 	// Trigger route discovery from node 1 toward Bob's node: the RREQ
@@ -78,25 +73,12 @@ func E3(w io.Writer) error {
 		return err
 	}
 	defer probe.Close()
-	deadline := time.Now().Add(waitLong)
-	for {
-		_ = probe.WriteTo([]byte("probe"), nodes[2].ID(), 9)
-		time.Sleep(100 * time.Millisecond)
-		mu.Lock()
-		done := got != nil
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("no RREP with piggybacked SIP contact captured")
-		}
+	_ = probe.WriteTo([]byte("probe"), nodes[2].ID(), 9)
+	if clock.Wait("E3 RREP capture", waitLong, &captured) != 0 {
+		return fmt.Errorf("no RREP with piggybacked SIP contact captured")
 	}
 	sc.Network().SetTap(nil)
 
-	mu.Lock()
-	c := got
-	mu.Unlock()
 	fmt.Fprintf(w, "captured routing frame %s -> %s (%d bytes):\n\n",
 		c.frame.Src, c.frame.Dst, len(c.frame.Payload))
 	hexdump(w, c.frame.Payload)

@@ -14,7 +14,7 @@ import (
 // Internet account configuration.
 func E4(w io.Writer) error {
 	header(w, "E4: out-of-the-box client configuration (paper Figure 2)")
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return err
 	}
@@ -39,7 +39,7 @@ func E4(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := retry(3, ph.Register); err != nil {
+	if err := ph.Register(); err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
 	st := node.Proxy().Stats()

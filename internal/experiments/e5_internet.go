@@ -13,7 +13,7 @@ import (
 // as soon as one node in the MANET is connected and acts as a gateway.
 func E5(w io.Writer) error {
 	header(w, "E5: phone calls to/from the Internet (paper §3.2)")
-	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
+	sc, err := newScenario(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}
@@ -49,23 +49,24 @@ func E5(w io.Writer) error {
 	fmt.Fprintf(w, "MANET chain: 10.0.0.1 -- 10.0.0.2 -- 10.0.0.3 (gateway)\n")
 	fmt.Fprintf(w, "Internet: provider voicehoc.ch + carol@voicehoc.ch on ua.carol.net\n\n")
 
-	t0 := time.Now()
+	clk := sc.Clock()
+	t0 := clk.Now()
 	if err := sc.WaitAttached(nodes[0], 30*time.Second); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "gateway discovery: node 10.0.0.1 found 'service:gateway' via MANET SLP and\n")
-	fmt.Fprintf(w, "opened an L2 tunnel in %v -> the node is attached to the Internet\n\n", time.Since(t0).Round(time.Millisecond))
+	fmt.Fprintf(w, "opened an L2 tunnel in %v -> the node is attached to the Internet\n\n", clk.Now().Sub(t0).Round(time.Millisecond))
 
 	alice, err := nodes[0].NewPhone("alice", "voicehoc.ch")
 	if err != nil {
 		return err
 	}
-	if err := retry(3, alice.Register); err != nil {
+	if err := alice.Register(); err != nil {
 		return err
 	}
 
 	// Outbound call.
-	t1 := time.Now()
+	t1 := clk.Now()
 	out, err := alice.Dial("carol@voicehoc.ch")
 	if err != nil {
 		return err
@@ -74,7 +75,7 @@ func E5(w io.Writer) error {
 		return fmt.Errorf("outbound call: %w", err)
 	}
 	fmt.Fprintf(w, "MANET -> Internet: alice called carol@voicehoc.ch, established in %v\n",
-		time.Since(t1).Round(time.Millisecond))
+		clk.Now().Sub(t1).Round(time.Millisecond))
 	if sent := out.SendVoice(15); sent != 15 {
 		return fmt.Errorf("outbound media: %d frames", sent)
 	}
@@ -84,18 +85,12 @@ func E5(w io.Writer) error {
 	fmt.Fprintf(w, "                   15 voice frames crossed the tunnel; call torn down\n\n")
 
 	// Inbound call: requires the upstream registration to have landed.
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := prov.Binding("alice@voicehoc.ch"); ok {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if _, ok := prov.Binding("alice@voicehoc.ch"); !ok {
+	registered := func() bool { _, ok := prov.Binding("alice@voicehoc.ch"); return ok }
+	if !pollUntil(clk, 20*time.Millisecond, 20*time.Second, registered) {
 		return fmt.Errorf("upstream registration never reached the provider")
 	}
 	fmt.Fprintf(w, "Internet -> MANET: alice's official address is registered at the provider\n")
-	t2 := time.Now()
+	t2 := clk.Now()
 	in, err := carol.Dial("alice@voicehoc.ch")
 	if err != nil {
 		return err
@@ -104,7 +99,7 @@ func E5(w io.Writer) error {
 		return fmt.Errorf("inbound call: %w", err)
 	}
 	fmt.Fprintf(w, "                   carol called alice@voicehoc.ch, established in %v\n",
-		time.Since(t2).Round(time.Millisecond))
+		clk.Now().Sub(t2).Round(time.Millisecond))
 	if err := in.Hangup(); err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 // field with localhost — "an open issue which we plan to address".
 func E6(w io.Writer) error {
 	header(w, "E6: SIP provider interoperability matrix (paper §3.2)")
-	sc, err := siphoc.NewScenarioWith(siphoc.WithInternet(0))
+	sc, err := newScenario(siphoc.WithInternet(0))
 	if err != nil {
 		return err
 	}
@@ -57,14 +57,11 @@ func E6(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := retry(3, ph.Register); err != nil {
+		if err := ph.Register(); err != nil {
 			return fmt.Errorf("local register at %s: %w", p.cfg.Domain, err)
 		}
 		aor := "alice@" + p.cfg.Domain
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) && node.Proxy().UpstreamStatus(aor) == 0 {
-			time.Sleep(20 * time.Millisecond)
-		}
+		pollUntil(sc.Clock(), 20*time.Millisecond, 20*time.Second, func() bool { return node.Proxy().UpstreamStatus(aor) != 0 })
 		code := node.Proxy().UpstreamStatus(aor)
 		works := code == 200
 		outcome := fmt.Sprintf("FAILED (status %d)", code)

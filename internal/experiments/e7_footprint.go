@@ -7,8 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-
-	"siphoc"
 )
 
 // E7 reproduces the paper's §4 deployment claim: the whole service set
@@ -49,7 +47,7 @@ func E7(w io.Writer) error {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return err
 	}

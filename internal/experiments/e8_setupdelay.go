@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"siphoc"
+	"siphoc/internal/clock"
 )
 
 // E8Result is one measurement row of the setup-delay experiment.
@@ -16,8 +17,8 @@ type E8Result struct {
 	OLSR     time.Duration
 	// ColdPhases decomposes the cold-AODV setup delay into its trace
 	// phases (set-up delay vs. hops, the paper's §4/§6 scalability
-	// claim), averaged over trials:
-	// obs.PhaseSLPResolve, obs.PhaseRouteDiscovery, obs.PhaseSIPTransaction.
+	// claim): obs.PhaseSLPResolve, obs.PhaseRouteDiscovery,
+	// obs.PhaseSIPTransaction.
 	ColdPhases map[string]time.Duration
 }
 
@@ -31,7 +32,7 @@ type E8Result struct {
 // extra route-discovery round trip that warm AODV and converged OLSR avoid.
 func E8(w io.Writer) error {
 	header(w, "E8: session establishment delay vs hop count")
-	results, err := RunE8(2, []int{1, 2, 3, 4, 5, 6})
+	results, err := RunE8([]int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		return err
 	}
@@ -53,9 +54,8 @@ func E8(w io.Writer) error {
 	fmt.Fprintf(w, "discovery actually ran (at 1 hop, hellos may pre-establish the route);\n")
 	fmt.Fprintf(w, "delay grows with distance for all variants.\n")
 	for _, r := range results {
-		// The traces say whether the cold call really paid a discovery
-		// round; when it did not (neighbour routes from hellos), cold vs
-		// warm is pure jitter and the comparison would be a coin flip.
+		// Where the trace shows no discovery round, hellos had made the
+		// route and the cold call was a warm one.
 		if r.ColdPhases[siphoc.PhaseRouteDiscovery] <= 0 {
 			continue
 		}
@@ -70,33 +70,22 @@ func E8(w io.Writer) error {
 	return nil
 }
 
-// RunE8 measures average setup delays over the given hop counts with the
-// given number of trials per point.
-func RunE8(trials int, hopCounts []int) ([]E8Result, error) {
+// RunE8 measures the setup delays at the given hop counts, one call of each
+// kind per point: in virtual time a point reads the same on every run.
+func RunE8(hopCounts []int) ([]E8Result, error) {
 	results := make([]E8Result, 0, len(hopCounts))
 	for _, hops := range hopCounts {
 		r := E8Result{Hops: hops, ColdPhases: make(map[string]time.Duration)}
-		for range trials {
-			cold, warm, phases, err := measureAODV(hops)
-			if err != nil {
-				return nil, fmt.Errorf("aodv %d hops: %w", hops, err)
-			}
-			r.AODVCold += cold
-			r.AODVWarm += warm
-			for _, pd := range phases {
-				r.ColdPhases[pd.Phase] += pd.Duration
-			}
-			olsr, err := measureOLSR(hops)
-			if err != nil {
-				return nil, fmt.Errorf("olsr %d hops: %w", hops, err)
-			}
-			r.OLSR += olsr
+		cold, warm, phases, err := measureAODV(hops)
+		if err != nil {
+			return nil, fmt.Errorf("aodv %d hops: %w", hops, err)
 		}
-		r.AODVCold /= time.Duration(trials)
-		r.AODVWarm /= time.Duration(trials)
-		r.OLSR /= time.Duration(trials)
-		for phase := range r.ColdPhases {
-			r.ColdPhases[phase] /= time.Duration(trials)
+		r.AODVCold, r.AODVWarm = cold, warm
+		for _, pd := range phases {
+			r.ColdPhases[pd.Phase] += pd.Duration
+		}
+		if r.OLSR, err = measureOLSR(hops); err != nil {
+			return nil, fmt.Errorf("olsr %d hops: %w", hops, err)
 		}
 		results = append(results, r)
 	}
@@ -107,7 +96,7 @@ func RunE8(trials int, hopCounts []int) ([]E8Result, error) {
 // second (warm-route) call setup delays; the cold call additionally yields
 // its trace-derived phase breakdown.
 func measureAODV(hops int) (cold, warm time.Duration, phases []siphoc.PhaseDuration, err error) {
-	sc, err := siphoc.NewScenarioWith()
+	sc, err := newScenario()
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -116,11 +105,10 @@ func measureAODV(hops int) (cold, warm time.Duration, phases []siphoc.PhaseDurat
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	alice, bob, err := setupEndpoints(nodes)
+	alice, err := setupEndpoints(nodes)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	_ = bob
 	// Let the SLP advert reach the caller so the measurement isolates the
 	// routing + SIP cost, with the SLP cache warm (the steady state the
 	// paper's epidemics produce).
@@ -139,7 +127,7 @@ func measureAODV(hops int) (cold, warm time.Duration, phases []siphoc.PhaseDurat
 }
 
 func measureOLSR(hops int) (time.Duration, error) {
-	sc, err := siphoc.NewScenarioWith(siphoc.WithRoutingKind(siphoc.RoutingOLSR))
+	sc, err := newScenario(siphoc.WithRoutingKind(siphoc.RoutingOLSR))
 	if err != nil {
 		return 0, err
 	}
@@ -148,43 +136,54 @@ func measureOLSR(hops int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	alice, _, err := setupEndpoints(nodes)
+	alice, err := setupEndpoints(nodes)
 	if err != nil {
 		return 0, err
 	}
 	if _, err := nodes[0].SLP().Lookup("sip", "bob@voicehoc.ch", waitLong); err != nil {
 		return 0, fmt.Errorf("SLP never converged: %w", err)
 	}
-	// Wait for proactive routing to converge end to end.
-	deadline := time.Now().Add(waitLong)
-	for {
-		if _, found := nodes[0].Routing().NextHop(nodes[len(nodes)-1].ID()); found {
-			break
-		}
-		if time.Now().After(deadline) {
+	// Wait for proactive routing to converge end to end in both directions:
+	// the INVITE needs the way there and its responses the way back. Each
+	// wait ends in the recompute that installs its route.
+	ends := [2]*siphoc.Node{nodes[0], nodes[len(nodes)-1]}
+	var (
+		gates  [2]clock.Gate
+		routed [2]bool
+	)
+	for i, from := range ends {
+		gates[i].Init(sc.Clock())
+		from.Routing().RequestRoute(ends[1-i].ID(), func(ok bool) {
+			routed[i] = ok
+			gates[i].Open()
+		})
+	}
+	for i := range gates {
+		clock.Wait("E8 OLSR route", -1, &gates[i])
+		if !routed[i] {
 			return 0, fmt.Errorf("OLSR never converged over %d hops", hops)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	return placeCall(alice)
 }
 
-func setupEndpoints(nodes []*siphoc.Node) (*siphoc.Phone, *siphoc.Phone, error) {
+// setupEndpoints registers alice on the first node and bob on the last.
+func setupEndpoints(nodes []*siphoc.Node) (*siphoc.Phone, error) {
 	alice, err := nodes[0].NewPhone("alice", "voicehoc.ch")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bob, err := nodes[len(nodes)-1].NewPhone("bob", "voicehoc.ch")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := retry(5, alice.Register); err != nil {
-		return nil, nil, err
+	if err := alice.Register(); err != nil {
+		return nil, err
 	}
-	if err := retry(5, bob.Register); err != nil {
-		return nil, nil, err
+	if err := bob.Register(); err != nil {
+		return nil, err
 	}
-	return alice, bob, nil
+	return alice, nil
 }
 
 func placeCall(caller *siphoc.Phone) (time.Duration, error) {
@@ -192,9 +191,9 @@ func placeCall(caller *siphoc.Phone) (time.Duration, error) {
 	return d, err
 }
 
-// placeTracedCall places one call and returns both the wall-clock setup
-// delay and the trace-derived breakdown of the setup window (which tiles
-// the window exactly: the phase durations sum to the traced setup time).
+// placeTracedCall places one call and returns both the setup delay and the
+// trace-derived breakdown of the setup window (which tiles the window
+// exactly: the phase durations sum to the traced setup time).
 func placeTracedCall(caller *siphoc.Phone) (time.Duration, []siphoc.PhaseDuration, error) {
 	call, err := caller.Dial("bob@voicehoc.ch")
 	if err != nil {

@@ -18,7 +18,7 @@ type E9Row struct {
 	ServiceFrames int64 // dedicated discovery frames on the air
 	ServiceBytes  int64
 	RoutingBytes  int64         // routing traffic incl. piggybacked payload
-	LookupLatency time.Duration // far-node lookup, -1 when it failed
+	LookupLatency time.Duration // far-node lookup, until it answered or gave up
 	LookupOK      bool
 }
 
@@ -29,20 +29,20 @@ type E9Row struct {
 // HELLOs ([13]) all put extra packets on the air.
 //
 // Setup: an n-node chain running AODV; the first node registers a SIP
-// binding; after an observation window, the far node resolves it. We count
-// dedicated service frames/bytes and total routing bytes over the window, at
-// four network sizes: what piggybacking adds to the routing bytes is a
-// digest per message plus the one registration's deltas, so the column grows
-// with the number of routing messages and not with what they used to carry.
+// binding, and the far node resolves it at the start of a 2 s observation
+// window. We count dedicated service frames/bytes and total routing bytes
+// over the window, at four network sizes: what piggybacking adds to the
+// routing bytes is a digest per message plus the one registration's deltas,
+// so the column grows with the number of routing messages and not with what
+// they used to carry.
 func E9(w io.Writer) error {
 	header(w, "E9: discovery overhead vs baselines (paper §5)")
-	window := 2 * time.Second
 	for _, nodes := range []int{8, 16, 30, 64} {
-		rows, err := RunE9(nodes, window)
+		rows, err := RunE9(nodes)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "chain of %d nodes, %v observation window, 1 registration, 1 far-node lookup\n\n", nodes, window)
+		fmt.Fprintf(w, "chain of %d nodes, %v observation window, 1 registration, 1 far-node lookup\n\n", nodes, e9Window)
 		fmt.Fprintf(w, "%-22s %14s %14s %14s %14s\n", "scheme", "svc frames", "svc bytes", "routing bytes", "lookup")
 		byName := map[string]E9Row{}
 		for _, r := range rows {
@@ -74,11 +74,15 @@ func E9(w io.Writer) error {
 	return nil
 }
 
-// RunE9 executes the four schemes and returns their measurements.
-func RunE9(n int, window time.Duration) ([]E9Row, error) {
+// e9Window is E9's observation window, which starts with the lookup.
+const e9Window = 2 * time.Second
+
+// RunE9 executes the four schemes on an n-node chain and returns their
+// measurements.
+func RunE9(n int) ([]E9Row, error) {
 	rows := make([]E9Row, 0, 4)
 	for _, scheme := range []string{"manet-slp piggyback", "multicast-slp", "register-flooding", "picosip-hello"} {
-		row, err := runE9Scheme(scheme, n, window)
+		row, err := runE9Scheme(scheme, n)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}
@@ -87,9 +91,10 @@ func RunE9(n int, window time.Duration) ([]E9Row, error) {
 	return rows, nil
 }
 
-func runE9Scheme(scheme string, n int, window time.Duration) (E9Row, error) {
+func runE9Scheme(scheme string, n int) (E9Row, error) {
 	row := E9Row{Scheme: scheme}
-	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond})
+	clk := newFake()
+	net := netem.NewNetwork(netem.Config{BaseDelay: 100 * time.Microsecond, Clock: clk, Shards: 1})
 	defer net.Close()
 	hosts, err := netem.Chain(net, n, 90, "10.0.0")
 	if err != nil {
@@ -110,7 +115,7 @@ func runE9Scheme(scheme string, n int, window time.Duration) (E9Row, error) {
 		aor  = "alice@voicehoc.ch"
 		addr = "10.0.0.1:5060"
 	)
-	var lookup func() (time.Duration, bool)
+	var lookup func() bool
 
 	switch scheme {
 	case "manet-slp piggyback", "multicast-slp":
@@ -141,10 +146,9 @@ func runE9Scheme(scheme string, n int, window time.Duration) (E9Row, error) {
 		if err := agents[0].Register(slp.Service{Type: "sip", Key: aor, URL: slp.ServiceURL("sip", addr)}); err != nil {
 			return row, err
 		}
-		lookup = func() (time.Duration, bool) {
-			t0 := time.Now()
+		lookup = func() bool {
 			_, err := agents[n-1].Lookup("sip", aor, waitLong)
-			return time.Since(t0), err == nil
+			return err == nil
 		}
 	case "register-flooding":
 		agents := make([]*floodreg.Agent, n)
@@ -165,8 +169,8 @@ func runE9Scheme(scheme string, n int, window time.Duration) (E9Row, error) {
 			stop()
 		}()
 		agents[0].Register(aor, addr)
-		lookup = func() (time.Duration, bool) {
-			return pollLookup(func() bool { _, ok := agents[n-1].Lookup(aor); return ok })
+		lookup = func() bool {
+			return pollUntil(clk, 2*time.Millisecond, waitLong, func() bool { _, ok := agents[n-1].Lookup(aor); return ok })
 		}
 	case "picosip-hello":
 		agents := make([]*picosip.Agent, n)
@@ -187,36 +191,22 @@ func runE9Scheme(scheme string, n int, window time.Duration) (E9Row, error) {
 			stop()
 		}()
 		agents[0].Register(aor, addr)
-		lookup = func() (time.Duration, bool) {
-			return pollLookup(func() bool { _, ok := agents[n-1].Lookup(aor); return ok })
+		lookup = func() bool {
+			return pollUntil(clk, 2*time.Millisecond, waitLong, func() bool { _, ok := agents[n-1].Lookup(aor); return ok })
 		}
 	default:
 		return row, fmt.Errorf("unknown scheme %q", scheme)
 	}
 
 	net.ResetStats()
-	t0 := time.Now()
-	lat, ok := lookup()
-	row.LookupLatency, row.LookupOK = lat, ok
-	// Observe the remaining window for standing overhead.
-	if rest := window - time.Since(t0); rest > 0 {
-		time.Sleep(rest)
-	}
+	t0 := clk.Now()
+	row.LookupOK = lookup()
+	row.LookupLatency = clk.Now().Sub(t0)
+	// Observe the rest of the window for standing overhead.
+	clk.Sleep(e9Window - row.LookupLatency)
 	st := net.Stats()
 	row.ServiceFrames = st.ServiceFrames
 	row.ServiceBytes = st.ServiceBytes
 	row.RoutingBytes = st.RoutingBytes
 	return row, nil
-}
-
-func pollLookup(hit func() bool) (time.Duration, bool) {
-	t0 := time.Now()
-	deadline := t0.Add(waitLong)
-	for time.Now().Before(deadline) {
-		if hit() {
-			return time.Since(t0), true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return time.Since(t0), false
 }

@@ -2,13 +2,20 @@
 // paper as an executable experiment (the index lives in DESIGN.md §4 and
 // the measured outcomes in EXPERIMENTS.md). Each experiment writes a
 // human-readable report and returns structured results where follow-up
-// tooling needs them.
+// tooling needs them. Every experiment runs in virtual time on a clock.Fake
+// owned by the goroutine that runs it, so its numbers are protocol time,
+// exact for its seeds, and two runs print the same report.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
+
+	"siphoc"
+	"siphoc/internal/clock"
+	"siphoc/internal/netem"
 )
 
 // Experiment is one runnable reproduction.
@@ -60,4 +67,33 @@ func Find(id string) (Experiment, bool) {
 
 func header(w io.Writer, e string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", e)
+}
+
+// waitLong bounds an experiment's SLP lookups and its frame capture, in
+// virtual time.
+const waitLong = 10 * time.Second
+
+// newFake returns an experiment's virtual clock, owned by the calling
+// goroutine: it advances only while that goroutine waits on it.
+func newFake() *clock.Fake { return clock.NewFake(time.Unix(1_000_000, 0)) }
+
+// newScenario builds an experiment's deployment on a one-shard fake clock
+// (see newFake), the configuration in which a run replays exactly.
+func newScenario(opts ...siphoc.ScenarioOption) (*siphoc.Scenario, error) {
+	radio := siphoc.WithRadio(netem.Config{Clock: newFake(), Shards: 1})
+	return siphoc.NewScenarioWith(append([]siphoc.ScenarioOption{radio}, opts...)...)
+}
+
+// pollUntil checks cond every period of clk's time until it holds or
+// timeout passes, and reports whether it held. It serves the conditions
+// that no component signals on its own.
+func pollUntil(clk clock.Clock, period, timeout time.Duration, cond func() bool) bool {
+	deadline := clk.Now().Add(timeout)
+	for !cond() {
+		if clk.Now().After(deadline) {
+			return false
+		}
+		clk.Sleep(period)
+	}
+	return true
 }

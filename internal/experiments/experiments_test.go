@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"siphoc"
 )
@@ -29,92 +28,131 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// The fast experiments run end to end as tests; the slow sweeps (E5-E10)
-// are exercised by cmd/experiments and the benchmarks.
-func TestE1FlowRuns(t *testing.T) {
-	var b strings.Builder
-	if err := E1(&b); err != nil {
-		t.Fatalf("E1: %v\n%s", err, b.String())
-	}
-	for _, want := range []string{"step 1", "step 8", "call established"} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("E1 output missing %q:\n%s", want, b.String())
+// runnable is every experiment but E7, whose binary sizes and live heap are
+// properties of the host and its toolchain.
+func runnable() []Experiment {
+	var out []Experiment
+	for _, e := range All() {
+		if e.ID != "E7" {
+			out = append(out, e)
 		}
 	}
+	return out
 }
 
-func TestE2StateRuns(t *testing.T) {
-	var b strings.Builder
-	if err := E2(&b); err != nil {
-		t.Fatalf("E2: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "loaded routing plugin: AODV") {
-		t.Fatalf("E2 output:\n%s", b.String())
-	}
-}
-
-func TestE3CaptureRuns(t *testing.T) {
-	var b strings.Builder
-	if err := E3(&b); err != nil {
-		t.Fatalf("E3: %v\n%s", err, b.String())
-	}
+// wants holds, per experiment, substrings its report must contain.
+var wants = map[string][]string{
+	"E1": {"step 1", "step 8", "call established"},
+	"E2": {"loaded routing plugin: AODV"},
 	// The reply is addressed to one neighbour, so it carries Bob's node's own
 	// registrations whole, behind the digest every extension starts with.
-	for _, want := range []string{"AODV Route Reply", "table digest:", "service advert: sip/bob@voicehoc.ch"} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("E3 output missing %q:\n%s", want, b.String())
-		}
+	"E3": {"AODV Route Reply", "table digest:", "service advert: sip/bob@voicehoc.ch"},
+	"E4": {"Outbound proxy"},
+}
+
+func TestExperimentsRun(t *testing.T) {
+	for _, e := range runnable() {
+		t.Run(e.ID, func(t *testing.T) {
+			var b strings.Builder
+			if err := e.Run(&b); err != nil {
+				t.Fatalf("%s: %v\n%s", e.ID, err, b.String())
+			}
+			for _, want := range wants[e.ID] {
+				if !strings.Contains(b.String(), want) {
+					t.Fatalf("%s output missing %q:\n%s", e.ID, want, b.String())
+				}
+			}
+		})
 	}
 }
 
-func TestE4ConfigRuns(t *testing.T) {
+// TestExperimentsDeterministic runs every experiment twice: in virtual time
+// a report is exact for its seeds (E13 and E14's federation legs, on one
+// shard per core, for the host's core count too) and must replay byte for
+// byte.
+func TestExperimentsDeterministic(t *testing.T) {
+	for _, e := range runnable() {
+		t.Run(e.ID, func(t *testing.T) {
+			var out [2]strings.Builder
+			for i := range out {
+				if err := e.Run(&out[i]); err != nil {
+					t.Fatalf("run %d: %v\n%s", i+1, err, out[i].String())
+				}
+			}
+			if a, b := out[0].String(), out[1].String(); a != b {
+				t.Fatalf("two runs differ:\n--- first\n%s\n--- second\n%s", a, b)
+			}
+		})
+	}
+}
+
+// TestE6TwoOfThreeProviders: the two providers whose proxy runs on their
+// domain register upstream, the one that needs an outbound proxy does not.
+func TestE6TwoOfThreeProviders(t *testing.T) {
 	var b strings.Builder
-	if err := E4(&b); err != nil {
-		t.Fatalf("E4: %v\n%s", err, b.String())
+	if err := E6(&b); err != nil {
+		t.Fatalf("E6: %v\n%s", err, b.String())
 	}
-	if !strings.Contains(b.String(), "Outbound proxy") {
-		t.Fatalf("E4 output:\n%s", b.String())
-	}
-}
-
-func TestRunE8SinglePoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E8 point takes a few seconds")
-	}
-	rows, err := RunE8(1, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Hops != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].AODVWarm <= 0 || rows[0].OLSR <= 0 {
-		t.Fatalf("non-positive delays: %+v", rows[0])
-	}
-	// The cold call must carry a trace-derived breakdown with the SIP
-	// transaction share dominating a warm-SLP in-MANET call.
-	if rows[0].ColdPhases[siphoc.PhaseSIPTransaction] <= 0 {
-		t.Fatalf("cold breakdown has no SIP share: %+v", rows[0].ColdPhases)
+	if ok, failed := strings.Count(b.String(), "OK (200)"), strings.Count(b.String(), "FAILED"); ok != 2 || failed != 1 {
+		t.Fatalf("%d providers OK and %d failed, want 2 and 1:\n%s", ok, failed, b.String())
 	}
 }
 
-func TestRunE9Short(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E9 runs four schemes")
-	}
-	rows, err := RunE9(4, 500*time.Millisecond)
+// TestE8Shape: set-up delay grows with every hop for each variant, and a cold
+// AODV call is slower than a warm one wherever its trace shows a route
+// discovery.
+func TestE8Shape(t *testing.T) {
+	rows, err := RunE8([]int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	columns := map[string]func(E8Result) float64{
+		"AODV cold": func(r E8Result) float64 { return float64(r.AODVCold) },
+		"AODV warm": func(r E8Result) float64 { return float64(r.AODVWarm) },
+		"OLSR":      func(r E8Result) float64 { return float64(r.OLSR) },
+	}
+	for name, col := range columns {
+		if col(rows[0]) <= 0 {
+			t.Errorf("%s: non-positive delay at %d hop: %+v", name, rows[0].Hops, rows[0])
+		}
+		for i := 1; i < len(rows); i++ {
+			if col(rows[i]) <= col(rows[i-1]) {
+				t.Errorf("%s: %d hops (%v) not slower than %d hops (%v)", name,
+					rows[i].Hops, col(rows[i]), rows[i-1].Hops, col(rows[i-1]))
+			}
+		}
 	}
 	for _, r := range rows {
-		if !r.LookupOK {
-			t.Fatalf("%s lookup failed", r.Scheme)
+		// The cold call carries a trace-derived breakdown with a SIP share.
+		if r.ColdPhases[siphoc.PhaseSIPTransaction] <= 0 {
+			t.Errorf("%d hops: cold breakdown has no SIP share: %+v", r.Hops, r.ColdPhases)
 		}
-		if r.Scheme == "manet-slp piggyback" && r.ServiceFrames != 0 {
-			t.Fatalf("piggyback sent %d service frames", r.ServiceFrames)
+		if r.ColdPhases[siphoc.PhaseRouteDiscovery] > 0 && r.AODVCold <= r.AODVWarm {
+			t.Errorf("%d hops: cold (%v) not slower than warm (%v) after a discovery", r.Hops, r.AODVCold, r.AODVWarm)
+		}
+	}
+}
+
+// TestE9PiggybackSendsNoFrames: at every size E9 sweeps, piggybacked MANET
+// SLP puts no dedicated discovery frame on the air and its far lookup
+// succeeds; on a 4-node chain every scheme's lookup does.
+func TestE9PiggybackSendsNoFrames(t *testing.T) {
+	for _, n := range []int{4, 8, 16, 30, 64} {
+		rows, err := RunE9(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 4 {
+			t.Fatalf("%d nodes: rows = %d", n, len(rows))
+		}
+		for _, r := range rows {
+			pig := r.Scheme == "manet-slp piggyback"
+			if !r.LookupOK && (pig || n == 4) {
+				t.Errorf("%d nodes: %s lookup failed", n, r.Scheme)
+			}
+			if pig && r.ServiceFrames != 0 {
+				t.Errorf("%d nodes: piggyback sent %d service frames", n, r.ServiceFrames)
+			}
 		}
 	}
 }

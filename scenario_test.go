@@ -38,7 +38,7 @@ func registerPhone(t *testing.T, n *Node, user string) *Phone {
 		if lastErr = ph.Register(); lastErr == nil {
 			return ph
 		}
-		time.Sleep(50 * time.Millisecond)
+		n.Host().Clock().Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("register %s: %v", user, lastErr)
 	return nil
@@ -120,7 +120,7 @@ func TestCallWithinMANETOverOLSR(t *testing.T) {
 }
 
 func TestCallToUnknownUserFails(t *testing.T) {
-	_, nodes := newChainScenario(t, 2)
+	_, nodes := newChainScenario(t, 2, virtualRadio())
 	alice := registerPhone(t, nodes[0], "alice")
 	call, err := alice.Dial("nobody@" + domain)
 	if err != nil {
@@ -293,7 +293,7 @@ func TestInboundInternetCall(t *testing.T) {
 // provider requiring a special outbound proxy breaks because SIPHoc
 // overwrites the outbound proxy with localhost (§3.2, open issue).
 func TestProviderInteropMatrix(t *testing.T) {
-	sc, err := NewScenarioWith(WithInternet(0))
+	sc, err := NewScenarioWith(WithInternet(0), virtualRadio())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +335,10 @@ func TestProviderInteropMatrix(t *testing.T) {
 			t.Fatalf("local register at %s: %v", p.Domain(), err)
 		}
 		aor := "alice@" + p.Domain()
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) && node.Proxy().UpstreamStatus(aor) == 0 {
-			time.Sleep(20 * time.Millisecond)
+		clk := sc.Clock()
+		deadline := clk.Now().Add(15 * time.Second)
+		for clk.Now().Before(deadline) && node.Proxy().UpstreamStatus(aor) == 0 {
+			clk.Sleep(20 * time.Millisecond)
 		}
 		results[p.Domain()] = node.Proxy().UpstreamStatus(aor) == 200
 	}
